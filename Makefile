@@ -12,12 +12,16 @@
 #                  internal/bus) under the race detector WITHOUT -short:
 #                  the conservative-lookahead worker loops, mailbox rings,
 #                  and termination protocol, including the long engine
-#                  tests that make race skips (runs in CI)
-#   make bench   - the evaluation benchmark harness (also refreshes the
-#                  BENCH_*.json perf-trajectory snapshot via TestEmitBenchTrajectory)
+#                  tests that make race skips; plus the open-loop
+#                  shards=1 vs shards=2 identity run, whose lanes each own
+#                  an AES Cipher with scratch state (runs in CI)
+#   make bench   - the evaluation benchmark harness; the only target that
+#                  refreshes the BENCH_*.json perf-trajectory snapshot
+#                  (TestEmitBenchTrajectory measures only under -bench)
 #   make bench-smoke - fast perf gate: the zero-alloc guards plus short
-#                  benchmarks of the event engine and the obfus datapath;
-#                  fails if the alloc guards regress (runs in CI)
+#                  benchmarks of the event engine, the AES pads, the MD5
+#                  MAC and the obfus datapath; fails if the alloc guards
+#                  regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
 #                  the merged results are byte-identical to an uninterrupted
@@ -74,14 +78,15 @@ race-full:
 
 race-shards:
 	$(GO) test -race -count=1 ./internal/sim/... ./internal/bus/...
+	$(GO) test -race -count=1 -run TestShardsOneVsManyIdentical ./internal/exp
 
 bench:
 	$(GO) test -run TestEmitBenchTrajectory -bench . -benchmem .
 
 bench-smoke:
-	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs' \
-		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg' \
-		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus
+	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestCTRZeroAllocs|TestComputeZeroAllocs' \
+		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
+		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null

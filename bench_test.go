@@ -10,8 +10,10 @@
 package obfusmem_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"os"
 	"runtime"
 	"testing"
@@ -349,9 +351,28 @@ func campaignWallClock(tb testing.TB, n, reps int) (campPerCell, rawPerCell floa
 	return float64(bestCamp.Nanoseconds()) / cells, float64(bestRaw.Nanoseconds()) / cells
 }
 
-// TestEmitBenchTrajectory regenerates this PR's BENCH_*.json snapshot. It
-// runs as part of the ordinary suite so the trajectory never goes stale.
+// TestEmitBenchTrajectory regenerates the BENCH_*.json snapshot when
+// benchmarks are requested (`make bench` passes -bench). A plain
+// `go test ./...` only checks that the committed snapshot still decodes
+// under the current schema, so the suite writes no tracked file and makes
+// no wall-clock measurement.
 func TestEmitBenchTrajectory(t *testing.T) {
+	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
+		raw, err := os.ReadFile(benchTrajectoryFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var snap trajectory
+		if err := dec.Decode(&snap); err != nil {
+			t.Fatalf("%s does not match the trajectory schema: %v", benchTrajectoryFile, err)
+		}
+		if len(snap.Runs) == 0 {
+			t.Fatalf("%s records no runs", benchTrajectoryFile)
+		}
+		return
+	}
 	if testing.Short() {
 		// Wall-clock measurements are meaningless under -short's companions
 		// (-race instrumentation in particular inflates them several-fold).

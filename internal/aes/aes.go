@@ -1,14 +1,18 @@
-// Package aes implements the AES-128 block cipher from scratch (FIPS-197)
-// together with the counter-mode pad generation and the timing/energy model
-// of the pipelined hardware engine that ObfusMem places on each side of each
-// memory channel.
+// Package aes provides the AES-128 block cipher together with the
+// counter-mode pad generation and the timing/energy model of the pipelined
+// hardware engine that ObfusMem places on each side of each memory channel.
 //
-// The functional cipher is verified against the Go standard library in the
-// package tests; the simulator uses this implementation so that the entire
-// cryptographic datapath of the paper is reproduced in-repo.
+// The functional cipher is the standard library's crypto/aes (AES-NI on
+// amd64), so every pad the simulator XORs onto the bus is real AES-128. The
+// package tests check it against an in-repo FIPS-197 reference: the S-box
+// computed from the GF(2^8) inverse and the straight-line round functions.
 package aes
 
-import "fmt"
+import (
+	stdaes "crypto/aes"
+	"crypto/cipher"
+	"fmt"
+)
 
 // BlockSize is the AES block size in bytes.
 const BlockSize = 16
@@ -16,70 +20,17 @@ const BlockSize = 16
 // KeySize is the AES-128 key size in bytes.
 const KeySize = 16
 
-// rounds for AES-128.
-const numRounds = 10
-
-// sbox is the AES S-box, generated in init from the finite-field inverse
-// composed with the affine transform, rather than pasted as a table: building
-// it is both a correctness cross-check and documentation of the math.
-var sbox [256]byte
-var invSbox [256]byte
-
-// mul multiplies two elements of GF(2^8) with the AES reduction polynomial
-// x^8 + x^4 + x^3 + x + 1 (0x11b).
-func mul(a, b byte) byte {
-	var p byte
-	for i := 0; i < 8; i++ {
-		if b&1 != 0 {
-			p ^= a
-		}
-		hi := a & 0x80
-		a <<= 1
-		if hi != 0 {
-			a ^= 0x1b
-		}
-		b >>= 1
-	}
-	return p
-}
-
-// inverse returns the multiplicative inverse in GF(2^8); inverse(0) = 0.
-func inverse(a byte) byte {
-	if a == 0 {
-		return 0
-	}
-	// a^(2^8-2) = a^254 by square-and-multiply.
-	result := byte(1)
-	base := a
-	exp := 254
-	for exp > 0 {
-		if exp&1 == 1 {
-			result = mul(result, base)
-		}
-		base = mul(base, base)
-		exp >>= 1
-	}
-	return result
-}
-
-func init() {
-	for i := 0; i < 256; i++ {
-		inv := inverse(byte(i))
-		// Affine transform: s = inv ^ rot1 ^ rot2 ^ rot3 ^ rot4 ^ 0x63.
-		s := inv
-		for r := 1; r <= 4; r++ {
-			s ^= (inv << r) | (inv >> (8 - r))
-		}
-		s ^= 0x63
-		sbox[i] = s
-		invSbox[s] = byte(i)
-	}
-	initEncTables()
-}
-
 // Cipher is an expanded AES-128 key schedule.
+//
+// Encrypt and Decrypt pass the block through buf rather than handing the
+// caller's slices to the cipher.Block interface method, which would make
+// them escape and cost one heap allocation per pad. The scratch makes a
+// Cipher single-goroutine: each one belongs to exactly one owner (an obfus
+// channel, a ctrmode engine, or one open-loop lane), and engines share a
+// Cipher only within that owner.
 type Cipher struct {
-	enc [4 * (numRounds + 1)]uint32 // round keys as big-endian words
+	b   cipher.Block
+	buf [BlockSize]byte
 }
 
 // NewCipher expands a 16-byte key. It returns an error for any other length
@@ -89,123 +40,21 @@ func NewCipher(key []byte) (*Cipher, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("aes: invalid key size %d (want %d)", len(key), KeySize)
 	}
-	c := &Cipher{}
-	c.expandKey(key)
-	return c, nil
-}
-
-func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 | uint32(sbox[(w>>16)&0xff])<<16 |
-		uint32(sbox[(w>>8)&0xff])<<8 | uint32(sbox[w&0xff])
-}
-
-func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
-
-var rcon = [10]uint32{
-	0x01000000, 0x02000000, 0x04000000, 0x08000000, 0x10000000,
-	0x20000000, 0x40000000, 0x80000000, 0x1b000000, 0x36000000,
-}
-
-func (c *Cipher) expandKey(key []byte) {
-	for i := 0; i < 4; i++ {
-		c.enc[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 |
-			uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
+	b, err := stdaes.NewCipher(key)
+	if err != nil {
+		return nil, err
 	}
-	for i := 4; i < len(c.enc); i++ {
-		t := c.enc[i-1]
-		if i%4 == 0 {
-			t = subWord(rotWord(t)) ^ rcon[i/4-1]
-		}
-		c.enc[i] = c.enc[i-4] ^ t
-	}
+	return &Cipher{b: b}, nil
 }
 
-// state helpers: the AES state is 16 bytes, column-major (FIPS-197 §3.4).
-
-func addRoundKey(s *[16]byte, rk []uint32) {
-	for col := 0; col < 4; col++ {
-		w := rk[col]
-		s[4*col+0] ^= byte(w >> 24)
-		s[4*col+1] ^= byte(w >> 16)
-		s[4*col+2] ^= byte(w >> 8)
-		s[4*col+3] ^= byte(w)
-	}
-}
-
-func subBytes(s *[16]byte) {
-	for i := range s {
-		s[i] = sbox[s[i]]
-	}
-}
-
-func invSubBytes(s *[16]byte) {
-	for i := range s {
-		s[i] = invSbox[s[i]]
-	}
-}
-
-// shiftRows rotates row r left by r. State byte (row r, col c) is s[4c+r].
-func shiftRows(s *[16]byte) {
-	var t [16]byte
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			t[4*c+r] = s[4*((c+r)%4)+r]
-		}
-	}
-	*s = t
-}
-
-func invShiftRows(s *[16]byte) {
-	var t [16]byte
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			t[4*((c+r)%4)+r] = s[4*c+r]
-		}
-	}
-	*s = t
-}
-
-func mixColumns(s *[16]byte) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = mul(a0, 2) ^ mul(a1, 3) ^ a2 ^ a3
-		s[4*c+1] = a0 ^ mul(a1, 2) ^ mul(a2, 3) ^ a3
-		s[4*c+2] = a0 ^ a1 ^ mul(a2, 2) ^ mul(a3, 3)
-		s[4*c+3] = mul(a0, 3) ^ a1 ^ a2 ^ mul(a3, 2)
-	}
-}
-
-func invMixColumns(s *[16]byte) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = mul(a0, 14) ^ mul(a1, 11) ^ mul(a2, 13) ^ mul(a3, 9)
-		s[4*c+1] = mul(a0, 9) ^ mul(a1, 14) ^ mul(a2, 11) ^ mul(a3, 13)
-		s[4*c+2] = mul(a0, 13) ^ mul(a1, 9) ^ mul(a2, 14) ^ mul(a3, 11)
-		s[4*c+3] = mul(a0, 11) ^ mul(a1, 13) ^ mul(a2, 9) ^ mul(a3, 14)
-	}
-}
-
-// encryptSpec encrypts one block with the straight-line FIPS-197 round
-// functions (SubBytes/ShiftRows/MixColumns as separate passes). It is the
-// specification reference that the T-table fast path in Encrypt is
-// differentially tested against; the simulator always uses Encrypt.
-func (c *Cipher) encryptSpec(dst, src []byte) {
+// Encrypt encrypts one 16-byte block. dst and src may overlap.
+func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: short block")
 	}
-	var s [16]byte
-	copy(s[:], src[:16])
-	addRoundKey(&s, c.enc[0:4])
-	for round := 1; round < numRounds; round++ {
-		subBytes(&s)
-		shiftRows(&s)
-		mixColumns(&s)
-		addRoundKey(&s, c.enc[4*round:4*round+4])
-	}
-	subBytes(&s)
-	shiftRows(&s)
-	addRoundKey(&s, c.enc[4*numRounds:4*numRounds+4])
-	copy(dst[:16], s[:])
+	copy(c.buf[:], src[:BlockSize])
+	c.b.Encrypt(c.buf[:], c.buf[:])
+	copy(dst[:BlockSize], c.buf[:])
 }
 
 // Decrypt decrypts one 16-byte block. dst and src may overlap.
@@ -213,17 +62,7 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: short block")
 	}
-	var s [16]byte
-	copy(s[:], src[:16])
-	addRoundKey(&s, c.enc[4*numRounds:4*numRounds+4])
-	for round := numRounds - 1; round >= 1; round-- {
-		invShiftRows(&s)
-		invSubBytes(&s)
-		addRoundKey(&s, c.enc[4*round:4*round+4])
-		invMixColumns(&s)
-	}
-	invShiftRows(&s)
-	invSubBytes(&s)
-	addRoundKey(&s, c.enc[0:4])
-	copy(dst[:16], s[:])
+	copy(c.buf[:], src[:BlockSize])
+	c.b.Decrypt(c.buf[:], c.buf[:])
+	copy(dst[:BlockSize], c.buf[:])
 }

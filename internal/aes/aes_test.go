@@ -29,6 +29,15 @@ func TestFIPS197Vector(t *testing.T) {
 	if !bytes.Equal(back, pt) {
 		t.Fatalf("Decrypt = %x, want %x", back, pt)
 	}
+	ref := newSpecCipher(key)
+	ref.encryptSpec(got, pt)
+	if !bytes.Equal(got, wantCT) {
+		t.Fatalf("encryptSpec = %x, want %x", got, wantCT)
+	}
+	ref.decryptSpec(back, got)
+	if !bytes.Equal(back, pt) {
+		t.Fatalf("decryptSpec = %x, want %x", back, pt)
+	}
 }
 
 func TestSboxAgainstKnownValues(t *testing.T) {
@@ -44,6 +53,9 @@ func TestSboxAgainstKnownValues(t *testing.T) {
 	}
 }
 
+// TestAgainstStdlib checks the in-repo FIPS-197 reference itself against
+// crypto/aes in both directions, so the differential tests below compare
+// production against a reference that is known to be AES.
 func TestAgainstStdlib(t *testing.T) {
 	r := xrand.New(1)
 	for i := 0; i < 200; i++ {
@@ -51,28 +63,30 @@ func TestAgainstStdlib(t *testing.T) {
 		pt := make([]byte, 16)
 		r.Bytes(key)
 		r.Bytes(pt)
-		ours, err := NewCipher(key)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ours := newSpecCipher(key)
 		ref, err := stdaes.NewCipher(key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 16)
 		want := make([]byte, 16)
-		ours.Encrypt(got, pt)
+		ours.encryptSpec(got, pt)
 		ref.Encrypt(want, pt)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("key %x pt %x: got %x want %x", key, pt, got, want)
 		}
+		ours.decryptSpec(got, pt)
+		ref.Decrypt(want, pt)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("key %x ct %x: decrypt got %x want %x", key, pt, got, want)
+		}
 	}
 }
 
-// TestTTableMatchesSpec differentially verifies the T-table fast path in
-// Encrypt against the straight-line FIPS-197 round functions (encryptSpec)
-// over random keys and plaintexts, including overlapping dst/src.
-func TestTTableMatchesSpec(t *testing.T) {
+// TestEncryptMatchesSpec differentially verifies the production Cipher
+// against the straight-line FIPS-197 round functions over random keys and
+// blocks, with separate and with identical (in-place) dst and src.
+func TestEncryptMatchesSpec(t *testing.T) {
 	r := xrand.New(7)
 	for i := 0; i < 500; i++ {
 		key := make([]byte, 16)
@@ -83,18 +97,23 @@ func TestTTableMatchesSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := newSpecCipher(key)
 		fast := make([]byte, 16)
 		spec := make([]byte, 16)
 		c.Encrypt(fast, pt)
-		c.encryptSpec(spec, pt)
+		ref.encryptSpec(spec, pt)
 		if !bytes.Equal(fast, spec) {
-			t.Fatalf("key %x pt %x: ttable %x spec %x", key, pt, fast, spec)
+			t.Fatalf("key %x pt %x: Encrypt %x spec %x", key, pt, fast, spec)
 		}
-		// In-place (dst == src) must give the same answer.
 		inplace := append([]byte(nil), pt...)
 		c.Encrypt(inplace, inplace)
 		if !bytes.Equal(inplace, spec) {
-			t.Fatalf("key %x pt %x: in-place ttable %x, want %x", key, pt, inplace, spec)
+			t.Fatalf("key %x pt %x: in-place Encrypt %x, want %x", key, pt, inplace, spec)
+		}
+		ref.decryptSpec(spec, pt)
+		c.Decrypt(inplace, pt)
+		if !bytes.Equal(inplace, spec) {
+			t.Fatalf("key %x ct %x: Decrypt %x, want %x", key, pt, inplace, spec)
 		}
 	}
 }
@@ -146,9 +165,9 @@ func TestGFMulProperties(t *testing.T) {
 func TestCTRPadsDistinct(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 16))
 	ctr := NewCTR(c)
-	pads := ctr.Pads(IV{ID: 7, Counter: 100}, 6)
-	if len(pads) != 6 {
-		t.Fatalf("got %d pads", len(pads))
+	var pads [6]Pad
+	for i := range pads {
+		pads[i] = ctr.Pad(IV{ID: 7, Counter: 100 + uint64(i)})
 	}
 	for i := 0; i < len(pads); i++ {
 		for j := i + 1; j < len(pads); j++ {
@@ -222,10 +241,7 @@ func TestIVBytesLayout(t *testing.T) {
 func TestEngineTimingAndEnergy(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 16))
 	e := NewEngine("test", c)
-	pads, done := e.GeneratePads(0, IV{ID: 1, Counter: 0}, 6)
-	if len(pads) != 6 {
-		t.Fatalf("got %d pads", len(pads))
-	}
+	done := e.IssueOnly(0, 6)
 	// 24-cycle latency + 5 extra initiation intervals at 4ns.
 	want := EngineLatency + 5*EngineCycle
 	if done != want {
@@ -268,11 +284,38 @@ func BenchmarkEncryptBlock(b *testing.B) {
 	}
 }
 
-func BenchmarkCTRPads6(b *testing.B) {
+var padSink Pad
+
+// TestCTRZeroAllocs guards the per-pad hot calls: routing blocks through
+// the Cipher's scratch keeps the caller's stack buffers from escaping into
+// the crypto/aes interface call.
+func TestCTRZeroAllocs(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 16))
 	ctr := NewCTR(c)
+	var data [64]byte
+	var n uint64
+	if a := testing.AllocsPerRun(100, func() {
+		n++
+		padSink = ctr.Pad(IV{ID: 1, Counter: n})
+	}); a != 0 {
+		t.Errorf("CTR.Pad allocates %.1f/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		n++
+		ctr.EncryptBlock64(data[:], IV{ID: 1, Counter: n})
+	}); a != 0 {
+		t.Errorf("CTR.EncryptBlock64 allocates %.1f/op, want 0", a)
+	}
+}
+
+// BenchmarkEncryptBlock64 times the data-block leg of Figure 3: four
+// counter-mode pads XORed onto a 64-byte payload.
+func BenchmarkEncryptBlock64(b *testing.B) {
+	c, _ := NewCipher(make([]byte, 16))
+	ctr := NewCTR(c)
+	data := make([]byte, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ctr.Pads(IV{ID: 1, Counter: uint64(i)}, 6)
+		ctr.EncryptBlock64(data, IV{ID: 1, Counter: uint64(4 * i)})
 	}
 }

@@ -1,6 +1,9 @@
 package aes
 
-import "encoding/binary"
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
 
 // Pad is a 16-byte one-time pad produced by encrypting an IV in counter
 // mode. ObfusMem XORs pads with commands, addresses, and data (Fig 2/3 of
@@ -13,9 +16,7 @@ func (p *Pad) XOR(buf []byte) {
 	if len(buf) > BlockSize {
 		panic("aes: buffer longer than one pad")
 	}
-	for i := range buf {
-		buf[i] ^= p[i]
-	}
+	subtle.XORBytes(buf, buf, p[:len(buf)])
 }
 
 // IV builds a counter-mode initialization vector. The layout mirrors the
@@ -44,23 +45,14 @@ type CTR struct {
 // NewCTR wraps a cipher for pad generation.
 func NewCTR(c *Cipher) *CTR { return &CTR{c: c} }
 
-// Pad returns the pad for a single IV.
+// Pad returns the pad for a single IV. Consecutive counters give the "six
+// pads" schedule of Figure 3: one for the real command+address, one for the
+// dummy command+address, and four for the 64-byte data block.
 func (ct *CTR) Pad(iv IV) Pad {
-	var p Pad
-	b := iv.Bytes()
-	ct.c.Encrypt(p[:], b[:])
-	return p
-}
-
-// Pads returns n consecutive pads starting at iv.Counter. This is the
-// "six pads" schedule of Figure 3: one for the real command+address, one for
-// the dummy command+address, and four for the 64-byte data block.
-func (ct *CTR) Pads(iv IV, n int) []Pad {
-	pads := make([]Pad, n)
-	for i := range pads {
-		pads[i] = ct.Pad(IV{ID: iv.ID, Counter: iv.Counter + uint64(i)})
-	}
-	return pads
+	c := ct.c
+	c.buf = iv.Bytes()
+	c.b.Encrypt(c.buf[:], c.buf[:])
+	return c.buf
 }
 
 // EncryptBlock64 XORs a 64-byte payload with four consecutive pads in place.

@@ -43,19 +43,11 @@ func NewEngineTimed(name string, c *Cipher, latency, interval sim.Time) *Engine 
 // CTR exposes the functional pad generator backing the engine.
 func (e *Engine) CTR() *CTR { return e.ctr }
 
-// GeneratePads issues n pad generations starting at or after `at` and
-// returns both the pads and the completion time of the last one. Because
-// counter values are known ahead of time, callers may issue this *before*
-// the data arrives (pad pre-generation), in which case the relevant latency
-// is max(done, dataReady) at the XOR stage.
-func (e *Engine) GeneratePads(at sim.Time, iv IV, n int) ([]Pad, sim.Time) {
-	pads := e.ctr.Pads(iv, n)
-	done := e.pipe.IssueN(at, n)
-	return pads, done
-}
-
-// IssueOnly models pad generation latency without materialising pads, for
-// paths where the caller only needs timing (e.g. decrypt-side scheduling).
+// IssueOnly issues n pad generations starting at or after `at` and returns
+// the completion time of the last one; the functional pads come from CTR().
+// Because counter values are known ahead of time, callers may issue this
+// *before* the data arrives (pad pre-generation), in which case the
+// relevant latency is max(done, dataReady) at the XOR stage.
 func (e *Engine) IssueOnly(at sim.Time, n int) sim.Time {
 	return e.pipe.IssueN(at, n)
 }

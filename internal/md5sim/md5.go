@@ -1,7 +1,9 @@
-// Package md5sim implements the MD5 message digest (RFC 1321) from scratch
-// together with a timing model of the 64-stage pipelined hardware unit the
-// paper synthesises for bus-communication authentication (Section 4: 12.5 mW,
-// 0.214 mm²).
+// Package md5sim provides the MD5 message digest (RFC 1321) together with a
+// timing model of the 64-stage pipelined hardware unit the paper synthesises
+// for bus-communication authentication (Section 4: 12.5 mW, 0.214 mm²).
+//
+// The functional digest is the standard library's crypto/md5; the package
+// tests check it against an in-repo RFC 1321 reference block function.
 //
 // MD5 is used here exactly as in the paper: as a lightweight MAC over the
 // plaintext components of a memory request (type | address | counter), where
@@ -9,104 +11,14 @@
 // Section 3.5). It is not used for collision-resistant signing.
 package md5sim
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "crypto/md5"
 
 // Size is the digest length in bytes.
-const Size = 16
+const Size = md5.Size
 
 // BlockSize is the MD5 block size in bytes.
-const BlockSize = 64
+const BlockSize = md5.BlockSize
 
-// shift amounts per round (RFC 1321).
-var shifts = [64]uint{
-	7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-	5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20,
-	4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-	6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-}
-
-// sines holds K[i] = floor(2^32 * |sin(i+1)|), computed at init time from
-// the definition rather than pasted, as a self-check of the constant table.
-var sines [64]uint32
-
-func init() {
-	for i := 0; i < 64; i++ {
-		sines[i] = uint32(math.Floor(math.Abs(math.Sin(float64(i+1))) * (1 << 32)))
-	}
-}
-
-// state is the running MD5 chaining value.
-type state struct{ a, b, c, d uint32 }
-
-// block folds one 64-byte block into the chaining value (RFC 1321 §3.4).
-func (st *state) block(p []byte) {
-	var m [16]uint32
-	for i := 0; i < 16; i++ {
-		m[i] = binary.LittleEndian.Uint32(p[4*i:])
-	}
-	a, b, c, d := st.a, st.b, st.c, st.d
-	for i := 0; i < 64; i++ {
-		var f uint32
-		var g int
-		switch {
-		case i < 16:
-			f = (b & c) | (^b & d)
-			g = i
-		case i < 32:
-			f = (d & b) | (^d & c)
-			g = (5*i + 1) % 16
-		case i < 48:
-			f = b ^ c ^ d
-			g = (3*i + 5) % 16
-		default:
-			f = c ^ (b | ^d)
-			g = (7 * i) % 16
-		}
-		f = f + a + sines[i] + m[g]
-		a = d
-		d = c
-		c = b
-		b = b + (f<<shifts[i] | f>>(32-shifts[i]))
-	}
-	st.a += a
-	st.b += b
-	st.c += c
-	st.d += d
-}
-
-// Digest computes the MD5 hash of msg. Full blocks are folded straight from
-// msg and the Merkle-Damgård padding (0x80, zeros, 64-bit little-endian bit
-// length) is assembled in a fixed stack buffer, so Digest performs no heap
-// allocation — it sits on the per-packet MAC hot path of the simulator.
-func Digest(msg []byte) [Size]byte {
-	st := state{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476}
-	bitLen := uint64(len(msg)) * 8
-	for len(msg) >= BlockSize {
-		st.block(msg[:BlockSize])
-		msg = msg[BlockSize:]
-	}
-	// The tail plus padding spans one block, or two when the remaining
-	// bytes leave fewer than 8 bytes for the length field.
-	var tail [2 * BlockSize]byte
-	n := copy(tail[:], msg)
-	tail[n] = 0x80
-	end := BlockSize
-	if n+1 > BlockSize-8 {
-		end = 2 * BlockSize
-	}
-	binary.LittleEndian.PutUint64(tail[end-8:], bitLen)
-	st.block(tail[:BlockSize])
-	if end == 2*BlockSize {
-		st.block(tail[BlockSize:])
-	}
-
-	var out [Size]byte
-	binary.LittleEndian.PutUint32(out[0:], st.a)
-	binary.LittleEndian.PutUint32(out[4:], st.b)
-	binary.LittleEndian.PutUint32(out[8:], st.c)
-	binary.LittleEndian.PutUint32(out[12:], st.d)
-	return out
-}
+// Digest computes the MD5 hash of msg. It performs no heap allocation — it
+// sits on the per-packet MAC hot path of the simulator.
+func Digest(msg []byte) [Size]byte { return md5.Sum(msg) }

@@ -1,7 +1,6 @@
 package md5sim
 
 import (
-	"bytes"
 	stdmd5 "crypto/md5"
 	"encoding/hex"
 	"testing"
@@ -28,9 +27,15 @@ func TestRFC1321Vectors(t *testing.T) {
 		if hex.EncodeToString(got[:]) != c.want {
 			t.Errorf("Digest(%q) = %x, want %s", c.in, got, c.want)
 		}
+		ref := referenceDigest([]byte(c.in))
+		if hex.EncodeToString(ref[:]) != c.want {
+			t.Errorf("referenceDigest(%q) = %x, want %s", c.in, ref, c.want)
+		}
 	}
 }
 
+// TestAgainstStdlib checks production Digest, the RFC 1321 reference, and
+// crypto/md5 agree on random messages spanning one to five blocks.
 func TestAgainstStdlib(t *testing.T) {
 	r := xrand.New(2)
 	for i := 0; i < 100; i++ {
@@ -38,30 +43,37 @@ func TestAgainstStdlib(t *testing.T) {
 		msg := make([]byte, n)
 		r.Bytes(msg)
 		got := Digest(msg)
+		ref := referenceDigest(msg)
 		want := stdmd5.Sum(msg)
-		if !bytes.Equal(got[:], want[:]) {
-			t.Fatalf("len %d: got %x want %x", n, got, want)
+		if got != want || ref != want {
+			t.Fatalf("len %d: Digest %x reference %x crypto/md5 %x", n, got, ref, want)
 		}
 	}
 }
 
-// Messages near block boundaries exercise the padding logic.
+// TestPaddingBoundaries checks production Digest against the RFC 1321
+// reference at every message length up to 200 bytes, which covers each
+// padding case: tail plus length in one block, spilling into a second
+// block, and exact block multiples.
 func TestPaddingBoundaries(t *testing.T) {
-	for _, n := range []int{54, 55, 56, 57, 63, 64, 65, 119, 120, 128} {
-		msg := bytes.Repeat([]byte{0x42}, n)
+	for n := 0; n <= 200; n++ {
+		msg := make([]byte, n)
+		for i := range msg {
+			msg[i] = byte(0x42 + 7*i)
+		}
 		got := Digest(msg)
-		want := stdmd5.Sum(msg)
-		if !bytes.Equal(got[:], want[:]) {
-			t.Errorf("len %d digest mismatch", n)
+		want := referenceDigest(msg)
+		if got != want {
+			t.Errorf("len %d: Digest %x, reference %x", n, got, want)
 		}
 	}
 }
 
+// TestDigestPropertyMatchesStdlib property-tests the RFC 1321 reference
+// against crypto/md5 on arbitrary messages.
 func TestDigestPropertyMatchesStdlib(t *testing.T) {
 	f := func(msg []byte) bool {
-		got := Digest(msg)
-		want := stdmd5.Sum(msg)
-		return bytes.Equal(got[:], want[:])
+		return referenceDigest(msg) == stdmd5.Sum(msg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -122,10 +134,32 @@ func TestUnitTimingOverlap(t *testing.T) {
 	}
 }
 
+// TestComputeZeroAllocs guards the per-packet MAC hot call.
+func TestComputeZeroAllocs(t *testing.T) {
+	var n uint64
+	if a := testing.AllocsPerRun(100, func() {
+		n++
+		macSink = Compute(1, 0x1000, n)
+	}); a != 0 {
+		t.Errorf("Compute allocates %.1f/op, want 0", a)
+	}
+}
+
 func BenchmarkDigest17(b *testing.B) {
 	msg := make([]byte, 17)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Digest(msg)
+	}
+}
+
+var macSink MAC
+
+// BenchmarkCompute times the encrypt-and-MAC tag the obfus datapath
+// computes for every authenticated packet.
+func BenchmarkCompute(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		macSink = Compute(1, 0x1000, uint64(i))
 	}
 }

@@ -8,16 +8,9 @@
 #                  bounded and skips wall-clock assertions that race
 #                  instrumentation would distort)
 #   make race-full - the complete suite under the race detector
-#   make race-shards - the shard-synchronization paths (internal/sim,
-#                  internal/bus) under the race detector WITHOUT -short:
-#                  the conservative-lookahead worker loops, mailbox rings,
-#                  and termination protocol, including the long engine
-#                  tests that make race skips; plus the open-loop
-#                  shards=1 vs shards=2 identity run, whose lanes each own
-#                  an AES Cipher with scratch state (runs in CI)
-#   make bench   - the evaluation benchmark harness; the only target that
-#                  refreshes the BENCH_*.json perf-trajectory snapshot
-#                  (TestEmitBenchTrajectory measures only under -bench)
+#   make bench   - the paper-artefact and ablation benchmarks of the root
+#                  package (simulator throughput with spread is measured by
+#                  bash bench/run.sh; see bench/README.md)
 #   make bench-smoke - fast perf gate: the zero-alloc guards plus short
 #                  benchmarks of the event engine, the AES pads, the MD5
 #                  MAC and the obfus datapath; fails if the alloc guards
@@ -30,7 +23,7 @@
 #                  cpu.pprof / mem.pprof (see EXPERIMENTS.md "Profiling and
 #                  benchmarking" for how to read them)
 #   make lint    - obfuslint: the repo's own analyzer suite (determinism,
-#                  hotpath, eventref, metricnames; see DESIGN.md
+#                  eventref, hotpath, metricnames, secretflow, wireonly; see DESIGN.md
 #                  "Machine-checked invariants"), plus golangci-lint and
 #                  govulncheck when installed (both skipped, not failed,
 #                  when absent so the frozen toolchain image still lints)
@@ -43,7 +36,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fix race race-full race-shards bench bench-smoke campaign-smoke profile ci trace-demo
+.PHONY: check vet lint lint-fix race race-full bench bench-smoke campaign-smoke profile ci trace-demo
 
 check:
 	$(GO) build ./...
@@ -76,28 +69,16 @@ race:
 race-full:
 	$(GO) test -race ./...
 
-race-shards:
-	$(GO) test -race -count=1 ./internal/sim/... ./internal/bus/...
-	$(GO) test -race -count=1 -run TestShardsOneVsManyIdentical ./internal/exp
-
 bench:
-	$(GO) test -run TestEmitBenchTrajectory -bench . -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem .
 
 bench-smoke:
 	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestCTRZeroAllocs|TestComputeZeroAllocs' \
-		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
+		-bench 'BenchmarkEngineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null
-	@echo "bench-smoke: sharded-engine byte-identity (shards=1 vs shards=8)"
-	@$(GO) run ./cmd/obfsim -exp openloop -requests 800 -shards 1 > .openloop_s1.txt 2>/dev/null; \
-	$(GO) run ./cmd/obfsim -exp openloop -requests 800 -shards 8 > .openloop_s8.txt 2>/dev/null; \
-	if cmp -s .openloop_s1.txt .openloop_s8.txt; then \
-		echo "bench-smoke: shards=1 and shards=8 byte-identical"; rm -f .openloop_s1.txt .openloop_s8.txt; \
-	else \
-		echo "bench-smoke: SHARD DETERMINISM VIOLATION (outputs differ)"; diff .openloop_s1.txt .openloop_s8.txt; exit 1; \
-	fi
 	$(MAKE) campaign-smoke
 
 campaign-smoke:

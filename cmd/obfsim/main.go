@@ -29,14 +29,12 @@
 // With -cpuprofile/-memprofile the run writes pprof profiles of the whole
 // invocation (see `make profile` and the "Profiling and benchmarking"
 // section of EXPERIMENTS.md), -blockprofile/-mutexprofile additionally
-// capture goroutine-blocking and mutex-contention profiles (the shard
-// synchronization paths), and -workers sizes the benchmark worker pool
-// (0 = one per CPU).
+// capture goroutine-blocking and mutex-contention profiles (the benchmark
+// worker pool and campaign workers), and -workers sizes the benchmark
+// worker pool (0 = one per CPU).
 //
-// The openloop experiment (not part of -exp all) runs the channel-sharded
-// open-loop scenario on the sharded intra-run engine; -shards picks the
-// partition count (0 = one per CPU, 1 = the sequential reference), with
-// bit-identical output for every value.
+// The openloop experiment (not part of -exp all) runs the Section 3.4
+// inter-channel cover traffic under open-loop arrivals on 8 channels.
 //
 // With -campaign manifest.json the program instead runs (or resumes) a
 // journaled campaign: the manifest's scheme x workload x fault-rate x seed
@@ -87,10 +85,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed         = fs.Uint64("seed", 42, "global experiment seed")
 		serial       = fs.Bool("serial", false, "disable parallel benchmark execution")
 		workers      = fs.Int("workers", 0, "benchmark worker-pool size (0 = one per CPU); ignored with -serial")
-		shards       = fs.Int("shards", 0, "per-run event-queue shards for open-loop experiments (0 = one per CPU, 1 = sequential reference); results are bit-identical for any value")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof heap profile (post-GC) at exit to this file")
-		blockProfile = fs.String("blockprofile", "", "write a pprof goroutine-blocking profile at exit to this file (shard-barrier waits)")
+		blockProfile = fs.String("blockprofile", "", "write a pprof goroutine-blocking profile at exit to this file (worker-pool and campaign waits)")
 		mutexProfile = fs.String("mutexprofile", "", "write a pprof mutex-contention profile at exit to this file")
 		exposure     = fs.Float64("exposure", 0.55, "fraction of read latency exposed to execution time")
 		csv          = fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -175,10 +172,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "[heap profile written to %s]\n", *memProfile)
 		}()
 	}
-	// Block and mutex profiling diagnose shard-synchronization stalls: where
-	// worker goroutines wait (mailbox backpressure, horizon spins parked by
-	// the scheduler) and which locks contend. Sampling is off by default and
-	// enabled only for the run when requested, like the CPU profile.
+	// Block and mutex profiling diagnose worker stalls: where the
+	// exp.RunJobs pool and campaign workers wait, and which locks contend.
+	// Sampling is off by default and enabled only for the run when
+	// requested, like the CPU profile.
 	if *blockProfile != "" {
 		runtime.SetBlockProfileRate(1)
 		defer func() {
@@ -207,7 +204,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts.Seed = *seed
 	opts.Parallel = !*serial
 	opts.Workers = *workers
-	opts.Shards = *shards
 	opts.CPU = cpu.Config{Exposure: *exposure, WriteBuffer: 16}
 
 	var reg *metrics.Registry

@@ -1,6 +1,6 @@
 // Command obfuslint runs the repository's static-analysis suite — the
 // machine-checked determinism, hot-path, event-handle, metric-naming,
-// secret-taint, and shard-ownership invariants — over the packages matching
+// secret-taint, and wire-only invariants — over the packages matching
 // the given patterns (./... by default). It plays the role of an x/tools
 // multichecker without the dependency: packages are type-checked from source
 // against `go list -export` build-cache data, so a prior `go build ./...` is

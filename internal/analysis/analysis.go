@@ -13,7 +13,6 @@ import (
 	"obfusmem/internal/analysis/passes/hotpath"
 	"obfusmem/internal/analysis/passes/metricnames"
 	"obfusmem/internal/analysis/passes/secretflow"
-	"obfusmem/internal/analysis/passes/shardown"
 	"obfusmem/internal/analysis/passes/wireonly"
 )
 
@@ -25,7 +24,6 @@ func All() []*framework.Analyzer {
 		hotpath.Analyzer,
 		metricnames.Analyzer,
 		secretflow.Analyzer,
-		shardown.Analyzer,
 		wireonly.Analyzer,
 	}
 }

@@ -8,12 +8,11 @@
 //	                                   parameters carry secrets (secretflow)
 //	//obfus:public <reason>            declassifier: results are safe for the
 //	                                   wire, with a mandatory reason
-//	//obfus:owned        type is lane-owned state (shardown analyzer)
 //	//lint:allow <analyzer> <reason>   suppress one finding, with a reason
 //
 // Function directives live in the declaration's doc comment and classify the
 // whole function; //obfus:secret also attaches to struct fields (doc or line
-// comment) and //obfus:owned to type declarations. //lint:allow is
+// comment). No directive applies to a type declaration. //lint:allow is
 // positional: written on (or on the line directly above) the flagged line,
 // it suppresses that analyzer's diagnostics for that line only. A reason is
 // mandatory — a suppression without an explanation is itself reported by the
@@ -37,7 +36,6 @@ const (
 	Scoring   = "scoring"
 	Secret    = "secret"
 	Public    = "public"
-	Owned     = "owned"
 )
 
 const (
@@ -66,7 +64,6 @@ type Malformed struct {
 // Directives is the parsed annotation set of one package.
 type Directives struct {
 	funcs     map[*ast.FuncDecl]map[string][]string // decl -> directive -> args
-	types     map[string]map[string]bool            // type name -> directive set
 	fields    map[string]bool                       // "Type.Field\x00directive"
 	allowsByF map[string][]*AllowSite               // filename -> sites
 	malformed []Malformed
@@ -76,7 +73,6 @@ type Directives struct {
 func Parse(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{
 		funcs:     make(map[*ast.FuncDecl]map[string][]string),
-		types:     make(map[string]map[string]bool),
 		fields:    make(map[string]bool),
 		allowsByF: make(map[string][]*AllowSite),
 	}
@@ -120,9 +116,9 @@ func (d *Directives) parseFuncDecl(fn *ast.FuncDecl) {
 	}
 }
 
-// parseGenDecl collects type-level directives (//obfus:owned on a type
-// declaration) and field-level ones (//obfus:secret on a struct field's doc
-// or line comment).
+// parseGenDecl collects field-level directives (//obfus:secret on a struct
+// field's doc or line comment). A directive on the type declaration itself is
+// malformed: nothing reads it, so it could only mislead.
 func (d *Directives) parseGenDecl(gd *ast.GenDecl) {
 	if gd.Tok != token.TYPE {
 		return
@@ -142,17 +138,8 @@ func (d *Directives) parseGenDecl(gd *ast.GenDecl) {
 				continue
 			}
 			for _, c := range doc.List {
-				if name, _, ok := d.splitObfus(c); ok {
-					set := d.types[ts.Name.Name]
-					if set == nil {
-						set = make(map[string]bool)
-						d.types[ts.Name.Name] = set
-					}
-					if set[name] {
-						d.malformed = append(d.malformed, Malformed{c.Pos(), c.Text + " (duplicate directive on one declaration)"})
-						continue
-					}
-					set[name] = true
+				if _, _, ok := d.splitObfus(c); ok {
+					d.malformed = append(d.malformed, Malformed{c.Pos(), c.Text + " (no directive applies to a type declaration)"})
 				}
 			}
 		}
@@ -236,12 +223,6 @@ func (d *Directives) FuncHas(fn *ast.FuncDecl, name string) bool {
 func (d *Directives) FuncArgs(fn *ast.FuncDecl, name string) (args []string, ok bool) {
 	args, ok = d.funcs[fn][name]
 	return args, ok
-}
-
-// TypeHas reports whether the named type's declaration carries
-// //obfus:<directive>.
-func (d *Directives) TypeHas(typeName, directive string) bool {
-	return d.types[typeName][directive]
 }
 
 // FieldHas reports whether the struct field Type.Field carries
@@ -346,16 +327,6 @@ func (m *ModuleIndex) FuncArgs(fn *types.Func, directive string) (args []string,
 	return args, true
 }
 
-// TypeHas reports whether the named type's declaration in its home package
-// carries //obfus:<directive>.
-func (m *ModuleIndex) TypeHas(obj *types.TypeName, directive string) bool {
-	if obj == nil {
-		return false
-	}
-	_, ok := m.lookup(obj.Pkg(), "type "+obj.Name()+"\x00"+directive)
-	return ok
-}
-
 // FieldHas reports whether the struct field Type.Field in pkg carries
 // //obfus:<directive>.
 func (m *ModuleIndex) FieldHas(pkg *types.Package, typeName, fieldName, directive string) bool {
@@ -437,18 +408,6 @@ func (m *ModuleIndex) parseLocked(path string) map[string]string {
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {
 						continue
-					}
-					docs := []*ast.CommentGroup{ts.Doc}
-					if len(decl.Specs) == 1 {
-						docs = append(docs, decl.Doc)
-					}
-					for _, doc := range docs {
-						if doc == nil {
-							continue
-						}
-						for _, c := range doc.List {
-							add("type "+ts.Name.Name, c)
-						}
 					}
 					st, ok := ts.Type.(*ast.StructType)
 					if !ok || st.Fields == nil {

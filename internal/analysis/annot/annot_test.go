@@ -67,24 +67,21 @@ func Seal(x uint64) uint64 { return x }
 	}
 }
 
+// TestTypeAndFieldDirectives: struct fields take directives on their doc or
+// line comment; a directive on the type declaration is malformed.
 func TestTypeAndFieldDirectives(t *testing.T) {
 	_, _, d := parseSrc(t, `package p
 
-//obfus:owned
+//obfus:secret
 type lane struct {
 	//obfus:secret
 	addr uint64
 	data uint64 //obfus:secret
 	pub  uint64
 }
-
-type plain struct{ x int }
 `)
-	if !d.TypeHas("lane", Owned) {
-		t.Error("lane should be //obfus:owned")
-	}
-	if d.TypeHas("plain", Owned) {
-		t.Error("plain must not be owned")
+	if got := len(d.MalformedDirectives()); got != 1 {
+		t.Errorf("want the type-level directive as the 1 malformed directive, got %v", d.MalformedDirectives())
 	}
 	if !d.FieldHas("lane", "addr", Secret) {
 		t.Error("lane.addr doc-comment directive missed")
@@ -214,7 +211,7 @@ func writePkg(t *testing.T, root, dir, src string) []string {
 }
 
 // TestModuleIndexCrossPackageIsolation seeds two packages that both declare
-// Access (one annotated, one not) plus same-named types and fields, and
+// Access (one annotated, one not) plus same-named struct fields, and
 // requires lookups to stay package-scoped: an //obfus:* index must never
 // bleed a directive from one import path onto a same-keyed symbol in
 // another.
@@ -225,7 +222,6 @@ func TestModuleIndexCrossPackageIsolation(t *testing.T) {
 //obfus:secret addr
 func Access(addr uint64) {}
 
-//obfus:owned
 type Lane struct {
 	cipher uint64 //obfus:secret
 }
@@ -260,16 +256,6 @@ type Lane struct {
 		t.Errorf("a.Access secret args = %v, %v; want [addr]", args, ok)
 	}
 
-	laneA := types.NewTypeName(token.NoPos, pkgA, "Lane", nil)
-	types.NewNamed(laneA, types.NewStruct(nil, nil), nil)
-	laneB := types.NewTypeName(token.NoPos, pkgB, "Lane", nil)
-	types.NewNamed(laneB, types.NewStruct(nil, nil), nil)
-	if !idx.TypeHas(laneA, Owned) {
-		t.Error("a.Lane should be indexed //obfus:owned")
-	}
-	if idx.TypeHas(laneB, Owned) {
-		t.Error("b.Lane must NOT inherit a.Lane's directive")
-	}
 	if !idx.FieldHas(pkgA, "Lane", "cipher", Secret) {
 		t.Error("a.Lane.cipher should be indexed //obfus:secret")
 	}

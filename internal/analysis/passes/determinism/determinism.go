@@ -15,19 +15,13 @@
 //     rand.New / rand.NewSource are permitted.
 //   - go statements anywhere but the exp worker pool, the one place the
 //     model is allowed to fan out (over independent, separately seeded
-//     runs). The sharded engine's per-shard workers (internal/sim) carry
-//     audited //lint:allow suppressions: their results are held bit-identical
-//     to the sequential reference by TestShardsOneVsManyIdentical.
+//     runs).
 //   - Raw channel operations (send, receive, range-over-channel) in the
 //     model packages. Goroutine channels order delivery by scheduler timing;
-//     cross-shard interaction must instead be an explicitly timestamped
-//     sim.Endpoint.Send message, which the sharded engine orders by
-//     (timestamp, model-stable key). The orchestration layers (exp,
-//     campaign) coordinate OS-level work and are exempt.
-//   - sim.Endpoint.Send calls whose timestamp argument is the constant 0: a
-//     zero timestamp is never a modelled instant (Send enforces
-//     at >= now + lookahead at runtime) and almost always marks a
-//     placeholder where wall-clock or arrival-order semantics leak in.
+//     interaction between model components must instead be a timestamped
+//     sim.Engine event, which the engine orders by (timestamp, schedule
+//     order). The orchestration layers (exp, campaign) coordinate OS-level
+//     work and are exempt.
 //   - Map iteration whose effect depends on iteration order. Keyed writes,
 //     loop-local state, and commutative integer accumulation are
 //     order-insensitive and allowed; appending to an outer slice is allowed
@@ -39,7 +33,6 @@ package determinism
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -81,7 +74,7 @@ var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf"
 // chanExempt lists the scoped leaves where raw channel operations are
 // allowed: the orchestration layers that fan independent, separately seeded
 // runs out over OS threads. Everything else is model code, where
-// cross-goroutine interaction must be a timestamped Endpoint.Send.
+// interaction must be a timestamped sim.Engine event.
 var chanExempt = map[string]bool{"exp": true, "campaign": true}
 
 func run(pass *framework.Pass) error {
@@ -107,7 +100,7 @@ func run(pass *framework.Pass) error {
 					}
 				case *ast.SendStmt:
 					if !chanExempt[leaf] {
-						pass.Reportf(n.Pos(), "raw channel send in model code: delivery order follows scheduler timing; cross-shard interaction must be a timestamped sim.Endpoint.Send")
+						pass.Reportf(n.Pos(), "raw channel send in model code: delivery order follows scheduler timing; schedule a timestamped sim.Engine event instead")
 					}
 				case *ast.UnaryExpr:
 					if n.Op == token.ARROW && !chanExempt[leaf] {
@@ -137,8 +130,7 @@ func enclosingBody(fn *ast.FuncDecl) *ast.BlockStmt {
 	return fn.Body
 }
 
-// checkCall flags wall-clock reads, global math/rand use, and
-// zero-timestamp cross-shard sends.
+// checkCall flags wall-clock reads and global math/rand use.
 func checkCall(pass *framework.Pass, call *ast.CallExpr, wallclock bool) {
 	fn := calleeFunc(pass, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -154,29 +146,6 @@ func checkCall(pass *framework.Pass, call *ast.CallExpr, wallclock bool) {
 		if ok && sig.Recv() == nil && !randConstructors[fn.Name()] {
 			pass.Reportf(call.Pos(), "global math/rand source (rand.%s): draw from an explicitly seeded *rand.Rand instead", fn.Name())
 		}
-	}
-	checkEndpointSend(pass, call, fn)
-}
-
-// checkEndpointSend flags sim.Endpoint.Send calls whose timestamp argument
-// is the constant 0. Send's runtime contract is at >= now + lookahead, so a
-// literal zero can only be a placeholder — typically the residue of code
-// that meant "now" or "whenever it arrives", both of which smuggle
-// scheduler order into the model.
-func checkEndpointSend(pass *framework.Pass, call *ast.CallExpr, fn *types.Func) {
-	if fn.Name() != "Send" || !strings.HasSuffix(fn.Pkg().Path(), "internal/sim") {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || len(call.Args) < 2 {
-		return
-	}
-	tv, ok := pass.TypesInfo.Types[call.Args[1]]
-	if !ok || tv.Value == nil {
-		return
-	}
-	if constant.Compare(tv.Value, token.EQL, constant.MakeInt64(0)) {
-		pass.Reportf(call.Args[1].Pos(), "cross-shard Send with constant timestamp 0: every message must carry an explicit simulated-time delivery instant (at >= now + lookahead)")
 	}
 }
 

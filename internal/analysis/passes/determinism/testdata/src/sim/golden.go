@@ -132,22 +132,7 @@ func allowedMax(m map[string]int) int {
 	return best
 }
 
-// Sharded-engine rules: model code may not use raw goroutine channels, and
-// cross-shard sends must carry an explicit nonzero timestamp.
-
-type simTime int64
-
-type endpoint struct{}
-
-func (ep *endpoint) Send(dst *endpoint, at simTime, fn func()) {}
-
-func sendZero(a, b *endpoint) {
-	a.Send(b, 0, func() {}) // want "constant timestamp 0"
-}
-
-func sendStamped(a, b *endpoint, now simTime) {
-	a.Send(b, now+2250, func() {})
-}
+// Model code may not use raw goroutine channels.
 
 func chanSend(ch chan int) {
 	ch <- 1 // want "raw channel send"
@@ -166,6 +151,6 @@ func chanRange(ch chan int) int {
 }
 
 func allowedWorker(run func()) {
-	//lint:allow determinism shard worker held bit-identical by the determinism gate
+	//lint:allow determinism audited worker whose output a golden test holds bit-identical
 	go run()
 }

@@ -283,27 +283,6 @@ func (b *Bus) TransferTime(n int) sim.Time {
 	return sim.Time(float64(n)*b.psPerByte + 0.5)
 }
 
-// Lookahead returns the bus's minimum cross-channel latency: the shortest
-// packet (a bare command header) serialized onto the link plus the wire
-// flight time. No signal leaves one channel subtree and reaches another in
-// less simulated time, which makes this the conservative-synchronization
-// lookahead bound for sharding a run by channel (ROADMAP item 2).
-func (b *Bus) Lookahead() sim.Time {
-	return b.TransferTime(CmdBytes) + b.cfg.PropagationDelay
-}
-
-// ShardOf maps a channel to its shard for a run partitioned into shards
-// event queues: channels are striped round-robin so any shard count between
-// 1 and Channels() keeps the load balanced. The mapping is a pure function
-// of (channel, shards) — shard placement must never depend on runtime state,
-// or the sharded engine's determinism contract breaks.
-func (b *Bus) ShardOf(channel, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return channel % shards
-}
-
 // Transfer sends a packet, modelling serialization on the per-channel,
 // per-direction link. It returns the delivery time and the packet as
 // received (after any tampering); delivered is nil if the packet was

@@ -41,20 +41,6 @@ type Options struct {
 	// stay zero). obfsim wires SIGINT to this so a long sweep cancels at
 	// run granularity instead of dying mid-write.
 	Interrupted func() bool
-	// Shards partitions each open-loop run's channel subtrees over
-	// per-shard event queues (the sharded engine; see OpenLoop). 0 means
-	// runtime.GOMAXPROCS(0); 1 selects the sequential reference. Results
-	// are bit-identical for every value (TestShardsOneVsManyIdentical).
-	// Closed-loop experiments ignore it.
-	Shards int
-}
-
-// shardCount resolves the effective shard count for open-loop runs.
-func (o Options) shardCount() int {
-	if o.Shards > 0 {
-		return o.Shards
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // workerCount resolves the effective pool size.

@@ -6,13 +6,11 @@ import (
 	"obfusmem/internal/system"
 )
 
-// OpenLoop runs the channel-sharded open-loop scenario on an 8-channel
-// machine (the Figure 5 sweep's widest point) under both cover policies and
-// returns the combined report. The run partitions over opts.Shards event
-// queues (0 = GOMAXPROCS); every cell is bit-identical for any shard count —
-// that is the sharded engine's contract, gated by
-// TestShardsOneVsManyIdentical here and by results_full.txt staying
-// byte-stable for the closed-loop experiments.
+// OpenLoop runs the open-loop scenario on an 8-channel machine (the
+// Figure 5 sweep's widest point) under both cover policies and returns the
+// combined report. The table title is kept from the retired parallel engine
+// so archived outputs still compare byte for byte; system.TestOpenLoopGolden
+// pins the runs behind it.
 func OpenLoop(opts Options) *stats.Table {
 	perLane := opts.Requests / 8
 	if perLane < 50 {
@@ -22,7 +20,6 @@ func OpenLoop(opts Options) *stats.Table {
 		"policy", "reqs/lane", "covers", "wire pkts", "read lat (ns)", "gap entropy (bits)", "wire digest")
 	for _, policy := range []obfus.ChannelPolicy{obfus.PolicyUNOPT, obfus.PolicyOPT} {
 		cfg := system.DefaultOpenLoopConfig()
-		cfg.Shards = opts.shardCount()
 		cfg.Requests = perLane
 		cfg.Seed = opts.Seed
 		cfg.Policy = policy

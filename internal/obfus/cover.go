@@ -4,7 +4,7 @@ import "obfusmem/internal/sim"
 
 // CoverNeeded is the Section 3.4 inter-channel cover decision for a single
 // candidate channel, extracted so the closed-loop controller and the
-// sharded open-loop lanes apply byte-for-byte the same policy. Given the
+// open-loop lanes apply byte-for-byte the same policy. Given the
 // configured policy, whether the candidate channel's bus is idle at the
 // decision instant, and the wire time of the channel's last request, it
 // reports whether a dummy pair must be injected there.
@@ -13,10 +13,9 @@ import "obfusmem/internal/sim"
 // call idle anyway (Observation 3): the bus is busy at the instant, or a
 // request hit the wire within the last OPTWindow. PolicyNone never covers.
 //
-// The inputs are deliberately plain values rather than controller state:
-// in the sharded engine the decision runs on the candidate channel's own
-// shard, against that shard's local view of busIdle and lastReqWire, so the
-// signature is the exact coupling surface between shards.
+// The inputs are plain values rather than controller state because the
+// open-loop lanes keep no ObfusMem controller: each lane passes its own bus
+// idle state and last-request time.
 func CoverNeeded(policy ChannelPolicy, busIdle bool, lastReqWire, at sim.Time) bool {
 	if policy == PolicyNone {
 		return false

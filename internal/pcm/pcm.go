@@ -106,8 +106,6 @@ type deviceMetrics struct {
 }
 
 // Device is one PCM chip behind one channel.
-//
-//obfus:owned
 type Device struct {
 	cfg    Config
 	timing Timing
@@ -121,10 +119,6 @@ type Device struct {
 	// wear tracks array writes per (bank,row) for endurance analysis.
 	wear    map[uint64]uint64
 	maxWear uint64
-	// owner is the shard the device is pinned to in a sharded run, or -1
-	// when unpinned (sequential runs). Purely an affinity assertion: the
-	// device's state is only ever touched by its owning shard's worker.
-	owner int
 }
 
 // New builds a device.
@@ -139,7 +133,7 @@ func New(cfg Config) *Device {
 		cfg.Timing = PCMTiming()
 	}
 	n := cfg.Ranks * cfg.BanksPerRank
-	d := &Device{cfg: cfg, timing: cfg.Timing, banks: make([]bank, n), wear: make(map[uint64]uint64), owner: -1}
+	d := &Device{cfg: cfg, timing: cfg.Timing, banks: make([]bank, n), wear: make(map[uint64]uint64)}
 	for i := range d.banks {
 		d.banks[i].res = sim.NewResource(fmt.Sprintf("bank%d", i))
 		d.banks[i].openRow = -1
@@ -168,20 +162,6 @@ func New(cfg Config) *Device {
 
 // Banks returns the total bank count.
 func (d *Device) Banks() int { return len(d.banks) }
-
-// SetOwner pins the device to a shard (a sharded-run affinity tag; pass -1
-// to unpin). Pinning an already-pinned device to a different shard panics:
-// one channel subtree claimed by two shards would put bank state under two
-// workers, exactly the sharing the sharded engine's contract forbids.
-func (d *Device) SetOwner(shard int) {
-	if d.owner >= 0 && shard >= 0 && d.owner != shard {
-		panic(fmt.Sprintf("pcm: device already pinned to shard %d, re-pinned to %d", d.owner, shard))
-	}
-	d.owner = shard
-}
-
-// Owner returns the shard the device is pinned to, or -1 when unpinned.
-func (d *Device) Owner() int { return d.owner }
 
 // Config returns the geometry.
 func (d *Device) Config() Config { return d.cfg }

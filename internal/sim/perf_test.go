@@ -182,18 +182,3 @@ func BenchmarkEngineChurn(b *testing.B) {
 		e.Step()
 	}
 }
-
-func BenchmarkBaselineChurn(b *testing.B) {
-	e := NewBaselineEngine()
-	var n uint64
-	var fn func()
-	fn = func() { n++; e.Schedule(e.Now()+Time(1+n%13), fn) }
-	for i := 0; i < benchChurnDepth; i++ {
-		e.Schedule(Time(i), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}

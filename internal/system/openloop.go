@@ -1,34 +1,25 @@
-// Open-loop channel-sharded run mode: the first production consumer of the
-// sharded discrete-event engine (ROADMAP item 2, heading toward the
-// datacenter-scale open-loop workloads of item 5).
+// Open-loop scenario: the paper's Section 3.4 inter-channel cover traffic
+// under arrivals that do not wait for completions.
 //
-// The closed-loop machine (cpu.Drive over System) is inherently serial: the
-// next request's issue time depends on the previous request's exposed
-// latency, one dependence chain through the whole run. Open-loop traffic
-// has no such chain — arrivals are a property of the workload, not of
-// completions — so a run partitions naturally along the paper's hardware
-// seams: one shard per group of channel subtrees (bus port → memory
-// controller lane → PCM banks), interacting only through the bus, whose
-// minimum transfer latency is the conservative lookahead.
+// The closed-loop machine (cpu.Drive over System) issues the next request
+// only after the previous one's exposed latency, one dependence chain through
+// the whole run. Here every channel lane (bus port, memory controller
+// channel, PCM device) draws its own arrival stream, and request i+1 arrives
+// Gap after request i regardless of how long request i took.
 //
-// Each lane owns every stateful component of its channel: the per-channel
-// bus resources and stats, a front end, AES pad engines, a MAC unit, the
-// memctl.Lane view, and the PCM device (pinned via SetOwner). The one
-// deviation from the closed-loop machine is deliberate and documented: the
-// Fig 3 front end is shared across channels there, per-lane here — a shared
-// front end is a cross-shard serialization point on every request, exactly
-// what an open-loop scale-out design removes. Inter-channel cover traffic
-// (Section 3.4) is the real cross-shard interaction: a lane that issues a
-// real request notifies every other lane at issue + obfus.FrontEndTime
-// (which exceeds the bus lookahead), and the destination lane decides
-// locally — from its own bus-idle state and last-request time, via
-// obfus.CoverNeeded, the same predicate the closed loop uses — whether to
-// put a dummy pair on its wire. Cover pairs never trigger further covers.
+// Each lane has its own front end, AES pad engines and MAC unit. That is the
+// one deliberate deviation from the closed-loop machine, where the Fig 3
+// front end is shared across channels (DESIGN.md §10). Inter-channel cover
+// traffic is the only interaction between lanes: a lane that issues a real
+// request notifies every other lane at issue + obfus.FrontEndTime, and the
+// destination lane decides from its own bus-idle state and last-request
+// time, via obfus.CoverNeeded (the same predicate the closed loop uses),
+// whether to put a dummy pair on its wire. Cover pairs never trigger further
+// covers.
 //
-// Determinism contract: the report is byte-identical for any shard count
-// (TestShardsOneVsManyIdentical). Lane state is disjoint by construction,
-// notifications are timestamped endpoint messages, and the merged wire view
-// is sorted by (time, channel, lane order) before digesting.
+// Arrivals and cover notifications are events on one sim.Engine. The merged
+// wire view is sorted by (time, channel, lane order) before digesting, so
+// the report is a function of the configuration alone.
 package system
 
 import (
@@ -49,12 +40,12 @@ import (
 	"obfusmem/internal/xrand"
 )
 
-// OpenLoopConfig describes a channel-sharded open-loop run.
+// OpenLoopConfig describes an open-loop run.
 type OpenLoopConfig struct {
 	// Channels is the lane count (a power of two, for the address mapper).
 	Channels int
-	// Shards partitions the lanes over event queues; 1 selects the
-	// sequential reference engine. Values above Channels are clamped.
+	// Shards is ignored. It remains so that callers written against the
+	// retired parallel engine still compile; every run is sequential.
 	Shards int
 	// Requests is the real-request count per lane.
 	Requests int
@@ -66,8 +57,8 @@ type OpenLoopConfig struct {
 	// to the SPEC2006 set.
 	Profiles []workload.Profile
 	// Metrics, when non-nil, receives the bus/memctl/PCM instruments of the
-	// run. Safe under sharding: instruments are atomic, and per-channel
-	// scopes are only ever touched by the owning shard anyway.
+	// run. The event engine itself stays uninstrumented: its wall-clock rate
+	// gauges would make the snapshot nondeterministic.
 	Metrics *metrics.Registry
 }
 
@@ -75,7 +66,6 @@ type OpenLoopConfig struct {
 func DefaultOpenLoopConfig() OpenLoopConfig {
 	return OpenLoopConfig{
 		Channels: 8,
-		Shards:   1,
 		Requests: 1000,
 		Seed:     42,
 		Policy:   obfus.PolicyOPT,
@@ -83,7 +73,7 @@ func DefaultOpenLoopConfig() OpenLoopConfig {
 }
 
 // openWireEvent is one packet as seen on a lane's wire, recorded by the
-// lane itself (bus observers are shared state a sharded run must not use).
+// lane itself.
 type openWireEvent struct {
 	at    sim.Time
 	ch    int
@@ -92,21 +82,18 @@ type openWireEvent struct {
 	dummy bool
 }
 
-// openLane is one channel subtree: the unit of shard affinity.
-//
-//obfus:owned
+// openLane is one channel subtree and its arrival stream.
 type openLane struct {
 	ch       int
-	ep       *sim.Endpoint
+	eng      *sim.Engine
 	b        *bus.Bus
-	mem      *memctl.Lane
+	mem      *memctl.Controller
 	stream   *workload.Stream
 	frontEnd *sim.Resource
 	reqEng   *aes.Engine
 	respEng  *aes.Engine
 	mac      *md5sim.Unit
 	policy   obfus.ChannelPolicy
-	mapper   *memctl.Mapper
 
 	lastReqWire sim.Time
 	issued      int
@@ -115,6 +102,12 @@ type openLane struct {
 	reads       int
 	wire        []openWireEvent
 	peers       []*openLane
+}
+
+// post queues an event on the run's engine.
+func (l *openLane) post(at sim.Time, fn func()) {
+	//lint:allow eventref open-loop arrivals and cover notifications are never cancelled
+	l.eng.Schedule(at, fn)
 }
 
 // record logs one wire event on the lane's own channel.
@@ -147,16 +140,16 @@ func (l *openLane) issuePair(at sim.Time, addr uint64, write, dummy bool) sim.Ti
 	decode := readArrive + obfus.SerDesLatency
 	var dataReady sim.Time
 	if dummy {
-		l.mem.DropDummy(decode)
-		l.mem.DropDummy(writeArrive + obfus.SerDesLatency)
+		l.mem.DropDummy(decode, l.ch)
+		l.mem.DropDummy(writeArrive+obfus.SerDesLatency, l.ch)
 		dataReady = decode
 	} else if write {
-		l.mem.DropDummy(decode)
-		l.mem.Access(writeArrive+obfus.SerDesLatency, addr, true)
+		l.mem.DropDummy(decode, l.ch)
+		l.mem.AccessOnChannel(writeArrive+obfus.SerDesLatency, l.ch, addr, true)
 		dataReady = decode
 	} else {
-		dataReady = l.mem.Access(decode, addr, false)
-		l.mem.DropDummy(writeArrive + obfus.SerDesLatency)
+		dataReady = l.mem.AccessOnChannel(decode, l.ch, addr, false)
+		l.mem.DropDummy(writeArrive+obfus.SerDesLatency, l.ch)
 	}
 
 	// Read-reply leg: every pair answers the read half with a data packet
@@ -171,7 +164,7 @@ func (l *openLane) issuePair(at sim.Time, addr uint64, write, dummy bool) sim.Ti
 
 // real services one open-loop arrival and notifies the peer lanes.
 func (l *openLane) real(at sim.Time, addr uint64, write bool) {
-	addr = l.mapper.WithChannel(addr, l.ch)
+	addr = l.mem.Mapper().WithChannel(addr, l.ch)
 	done := l.issuePair(at, addr, write, false)
 	l.issued++
 	if !write {
@@ -179,11 +172,10 @@ func (l *openLane) real(at sim.Time, addr uint64, write bool) {
 		l.reads++
 	}
 	// Cover notifications: the decision runs on the destination lane at
-	// at + FrontEndTime (>= the bus lookahead), against dst-local state.
+	// at + FrontEndTime, against that lane's own state.
 	when := at + obfus.FrontEndTime
 	for _, peer := range l.peers {
-		peer := peer
-		l.ep.Send(peer.ep, when, func() { peer.cover(when) })
+		l.post(when, func() { peer.cover(when) })
 	}
 }
 
@@ -194,7 +186,7 @@ func (l *openLane) cover(at sim.Time) {
 		return
 	}
 	l.covers++
-	l.issuePair(at, l.mapper.WithChannel(0, l.ch), false, true)
+	l.issuePair(at, l.mem.Mapper().WithChannel(0, l.ch), false, true)
 }
 
 // OpenLoopResult is one run's outcome.
@@ -203,28 +195,21 @@ type OpenLoopResult struct {
 	WireDigest uint64
 	// GapEntropyBits is the Shannon entropy of the merged wire view's
 	// inter-packet gaps (16 ns buckets): the same style of score the
-	// leakage observatory computes, recomputed here so the sharded path
-	// has a security-sensitive observable under the byte-identity gate.
+	// leakage observatory computes, recomputed here so the open loop has a
+	// security-sensitive observable under its golden test.
 	GapEntropyBits float64
 	EventsFired    uint64
 }
 
-// RunOpenLoop executes one channel-sharded open-loop run and reduces it to
-// a deterministic report. Every reduction is ordered by channel (stats,
-// float sums) or by the (time, channel, seq) wire sort, never by shard.
+// RunOpenLoop executes one open-loop run and reduces it to a deterministic
+// report. Every reduction is ordered by channel (stats, float sums) or by
+// the (time, channel, seq) wire sort.
 func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 	if cfg.Channels <= 0 {
 		panic("system: open-loop run needs at least one channel")
 	}
 	if cfg.Requests <= 0 {
 		panic("system: open-loop run needs a positive request count")
-	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > cfg.Channels {
-		shards = cfg.Channels
 	}
 	profiles := cfg.Profiles
 	if len(profiles) == 0 {
@@ -237,12 +222,11 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 	memCfg := memctl.DefaultConfig(cfg.Channels)
 	memCfg.Metrics = cfg.Metrics
 	mem := memctl.New(memCfg)
-	se := sim.NewShardedEngine(shards, b.Lookahead())
+	eng := sim.NewEngine()
 
 	rng := xrand.New(cfg.Seed ^ 0x0b5f)
 	lanes := make([]*openLane, cfg.Channels)
 	for ch := 0; ch < cfg.Channels; ch++ {
-		shard := b.ShardOf(ch, shards)
 		var key [16]byte
 		laneRng := rng.Fork(uint64(ch))
 		for i := 0; i < len(key); i += 8 {
@@ -257,16 +241,15 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 		}
 		l := &openLane{
 			ch:       ch,
-			ep:       se.Endpoint(fmt.Sprintf("lane%d", ch), shard),
+			eng:      eng,
 			b:        b,
-			mem:      mem.Lane(ch, shard),
+			mem:      mem,
 			stream:   workload.NewStream(profiles[ch%len(profiles)], cfg.Seed^xrand.Mix64(uint64(ch))),
 			frontEnd: sim.NewResource(fmt.Sprintf("lane%d-fe", ch)),
 			reqEng:   aes.NewEngine(fmt.Sprintf("lane%d-req", ch), cipher),
 			respEng:  aes.NewEngine(fmt.Sprintf("lane%d-resp", ch), cipher),
 			mac:      md5sim.NewUnit(fmt.Sprintf("lane%d-mac", ch)),
 			policy:   cfg.Policy,
-			mapper:   mem.Mapper(),
 		}
 		lanes[ch] = l
 	}
@@ -279,27 +262,26 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 	}
 
 	// Seed each lane's arrival chain: request i+1 arrives Gap after request
-	// i (open loop — no completion feedback), all shard-local events.
+	// i (open loop — no completion feedback).
 	for _, l := range lanes {
-		l := l
 		var arrive func(t sim.Time, remaining int)
 		arrive = func(t sim.Time, remaining int) {
 			req := l.stream.Next()
 			l.real(t, req.Addr, req.Write)
 			if remaining > 1 {
-				l.ep.Schedule(t+req.Gap, func() { arrive(t+req.Gap, remaining-1) })
+				l.post(t+req.Gap, func() { arrive(t+req.Gap, remaining-1) })
 			}
 		}
 		first := l.stream.Next().Gap
-		l.ep.Schedule(first, func() { arrive(first, cfg.Requests) })
+		l.post(first, func() { arrive(first, cfg.Requests) })
 	}
 
-	se.Run()
-	return reduceOpenLoop(cfg, lanes, mem, b, se)
+	eng.Run()
+	return reduceOpenLoop(cfg, lanes, mem, b, eng.Fired())
 }
 
 // reduceOpenLoop folds the per-lane state into the deterministic report.
-func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controller, b *bus.Bus, se *sim.ShardedEngine) OpenLoopResult {
+func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controller, b *bus.Bus, fired uint64) OpenLoopResult {
 	// Merge the wire views: stable (time, channel, seq) order.
 	var merged []openWireEvent
 	for _, l := range lanes {
@@ -334,7 +316,7 @@ func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controlle
 		prev = ev.at
 	}
 
-	table := stats.NewTable("Open-loop channel-sharded run",
+	table := stats.NewTable("Open-loop run",
 		"channel", "workload", "reqs", "covers", "read lat (ns)", "wire pkts", "wire bytes", "dropped", "pcm acc")
 	memStats := mem.Stats()
 	busStats := b.Stats()
@@ -347,7 +329,7 @@ func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controlle
 		if l.reads > 0 {
 			avgLat = float64(l.latencySum) / float64(l.reads) / float64(sim.Nanosecond)
 		}
-		acc := l.mem.Device().Stats().Accesses
+		acc := mem.Device(ch).Stats().Accesses
 		table.AddRowf(1, ch, l.stream.Profile().Name, l.issued, l.covers, avgLat,
 			len(l.wire), busStats[ch].Bytes, memStats[ch].DroppedDummies, acc)
 		totalReqs += l.issued
@@ -371,8 +353,8 @@ func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controlle
 		entropy = 0
 	}
 	digest := h.Sum64()
-	table.AddNote("policy=%s lookahead=%v requests/lane=%d seed=%d", cfg.Policy, b.Lookahead(), cfg.Requests, cfg.Seed)
+	table.AddNote("policy=%s requests/lane=%d seed=%d", cfg.Policy, cfg.Requests, cfg.Seed)
 	table.AddNote("wire digest=%016x gap entropy=%.4f bits (16ns buckets over %d gaps)", digest, entropy, gaps.N())
 	table.AddNote("per-lane front end (deviation from the shared Fig 3 front end; see DESIGN.md §10)")
-	return OpenLoopResult{Table: table, WireDigest: digest, GapEntropyBits: entropy, EventsFired: se.Fired()}
+	return OpenLoopResult{Table: table, WireDigest: digest, GapEntropyBits: entropy, EventsFired: fired}
 }

@@ -22,8 +22,8 @@ type openLoopGolden struct {
 	metrics uint64
 }
 
-// openLoopGoldens was recorded on the conservative parallel engine at one
-// shard (its sequential reference); any engine change must reproduce it.
+// openLoopGoldens was recorded before the open loop moved onto sim.Engine;
+// any engine change must reproduce it.
 var openLoopGoldens = []openLoopGolden{
 	{obfus.PolicyNone, 42, 0x6d21258d05cd1d02, 1.3641754824451837, 9600, 0x6451ff77b5bda197, 0x37c98d14c5a6ff08},
 	{obfus.PolicyNone, 7, 0x1b90bb3ed4820c1b, 1.4001965960201375, 9600, 0x3606a7f1a7efef10, 0xffe42137f23b6da4},

@@ -1,6 +1,8 @@
 # Build/verify targets for the ObfusMem reproduction.
 #
-#   make check   - tier-1 verify: build + full test suite
+#   make check   - tier-1 verify: build + full test suite, then vet and
+#                  test the bench/ module (it imports internal packages of
+#                  this module, so an API change must keep it compiling)
 #   make vet     - static analysis
 #   make race    - test suite under the race detector in -short mode
 #                  (runSuite's parallel fan-out, the shared metrics registry,
@@ -41,6 +43,8 @@ GO ?= go
 check:
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 vet:
 	$(GO) vet ./...

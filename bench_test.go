@@ -37,7 +37,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := system.DefaultConfig(system.ObfusMem)
+			cfg := system.DefaultConfig("obfusmem-auth")
 			cfg.Seed = 9
 			if on {
 				cfg.Metrics = metrics.NewRegistry()
@@ -64,7 +64,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := system.DefaultConfig(system.ObfusMem)
+			cfg := system.DefaultConfig("obfusmem-auth")
 			cfg.Seed = 9
 			ccfg := cpu.DefaultConfig()
 			for i := 0; i < b.N; i++ {

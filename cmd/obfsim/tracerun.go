@@ -7,9 +7,7 @@ import (
 	"os"
 
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/fault"
 	"obfusmem/internal/metrics"
-	"obfusmem/internal/obfus"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/system"
 	"obfusmem/internal/trace"
@@ -71,11 +69,7 @@ func traceRun(o traceOptions, stdout, stderr io.Writer) error {
 		return err
 	}
 	if o.FaultRate > 0 {
-		fc := fault.Uniform(o.FaultRate, 0) // Seed 0: derive from the machine seed
-		scfg.Fault = &fc
-		if scfg.Mode == system.ObfusMem {
-			scfg.Obfus.Recovery = obfus.DefaultRecovery()
-		}
+		scfg.InjectFaults(o.FaultRate)
 	}
 
 	rec := trace.New(o.TraceLimit)

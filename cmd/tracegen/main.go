@@ -10,58 +10,62 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"obfusmem/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole program behind flag parsing, returning the exit code;
+// factored out of main so tests can drive the binary in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench = flag.String("bench", "mcf", "benchmark profile (see -list)")
-		n     = flag.Int("n", 100000, "number of requests to generate")
-		seed  = flag.Uint64("seed", 1, "stream seed")
-		list  = flag.Bool("list", false, "list available profiles and exit")
+		bench = fs.String("bench", "mcf", "benchmark profile (see -list)")
+		n     = fs.Int("n", 100000, "number of requests to generate")
+		seed  = fs.Uint64("seed", 1, "stream seed")
+		list  = fs.Bool("list", false, "list available profiles and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Printf("%-12s %6s %8s %10s %9s %9s %6s\n",
+		fmt.Fprintf(stdout, "%-12s %6s %8s %10s %9s %9s %6s\n",
 			"name", "IPC", "MPKI", "gap(ns)", "reads", "wb/KI", "fp(MB)")
 		for _, p := range workload.SPEC2006() {
-			fmt.Printf("%-12s %6.2f %8.2f %10.2f %8.1f%% %9.2f %6d\n",
+			fmt.Fprintf(stdout, "%-12s %6.2f %8.2f %10.2f %8.1f%% %9.2f %6d\n",
 				p.Name, p.IPC, p.MPKI, p.GapNS, p.ReadFrac*100,
 				p.WritebacksPerKI(), p.FootprintMB)
 		}
-		return
+		return 0
 	}
 
 	p, err := workload.ByName(*bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 2
 	}
-	s := workload.NewStream(p, *seed)
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	fmt.Fprintln(w, "gap_ns,addr,write")
+	reqs := workload.Generate(p, *n, *seed)
+	if err := workload.WriteTrace(stdout, reqs); err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
+	}
 
 	var gapSum float64
-	var reads, writes int
-	for i := 0; i < *n; i++ {
-		r := s.Next()
-		wr := 0
-		if r.Write {
-			wr = 1
-			writes++
-		} else {
+	var reads int
+	for _, r := range reqs {
+		gapSum += r.Gap.Float64Nanos()
+		if !r.Write {
 			reads++
 		}
-		gapSum += r.Gap.Float64Nanos()
-		fmt.Fprintf(w, "%.3f,%#x,%d\n", r.Gap.Float64Nanos(), r.Addr, wr)
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d requests, mean compute gap %.2f ns, %.1f%% reads (target %.1f%%)\n",
+	fmt.Fprintf(stderr, "%s: %d requests, mean compute gap %.2f ns, %.1f%% reads (target %.1f%%)\n",
 		p.Name, *n, gapSum/float64(*n), float64(reads)/float64(*n)*100, p.ReadFrac*100)
+	return 0
 }

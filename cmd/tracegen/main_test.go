@@ -1,0 +1,57 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"obfusmem"
+	"obfusmem/internal/workload"
+)
+
+func TestListPrintsEveryProfile(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	rows := strings.Split(strings.TrimSpace(stdout.String()), "\n")[1:]
+	profiles := workload.SPEC2006()
+	if len(rows) != len(profiles) {
+		t.Fatalf("-list printed %d profiles, want %d:\n%s", len(rows), len(profiles), stdout.String())
+	}
+	for i, p := range profiles {
+		if f := strings.Fields(rows[i]); len(f) == 0 || f[0] != p.Name {
+			t.Errorf("row %d = %q, want profile %s", i, rows[i], p.Name)
+		}
+	}
+}
+
+// TestTraceIsTheLibraryTrace pins tracegen's CSV to the facade's
+// GenerateTrace/WriteTrace, which is what cmd/replay's test feeds replay.
+func TestTraceIsTheLibraryTrace(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-bench", "milc", "-n", "500", "-seed", "3"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	reqs, err := obfusmem.GenerateTrace("milc", 500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := obfusmem.WriteTrace(&want, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+		t.Fatal("tracegen output differs from obfusmem.WriteTrace(GenerateTrace(...))")
+	}
+	if !strings.HasPrefix(stderr.String(), "milc: 500 requests") {
+		t.Errorf("summary line = %q", stderr.String())
+	}
+}
+
+func TestUnknownBenchmarkExits2(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-bench", "no-such-profile"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+}

@@ -13,7 +13,6 @@ import (
 
 	"obfusmem/internal/backend"
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/fault"
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/names"
 	"obfusmem/internal/obfus"
@@ -48,9 +47,10 @@ func runMilc(t *testing.T, cfg system.Config) (cpu.Result, *system.System) {
 }
 
 // TestRegistryRoundTrip pins the single-source-of-truth contract for
-// scheme names: every registered backend name resolves through ParseMode
-// and DefaultConfigByName, builds a machine, and survives the round trip
-// back out of the machine's normalized Config. Before the registry,
+// scheme names: every registered backend name resolves through
+// DefaultConfigByName, builds a machine, and survives the round trip back
+// out of the machine's Config, and a config that names no scheme is an
+// error rather than a silent default. Before the registry,
 // "obfusmem-auth" existed only inside a CLI switch and could not be named
 // by library callers at all.
 func TestRegistryRoundTrip(t *testing.T) {
@@ -59,9 +59,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 		t.Fatalf("registry has %d backends, want at least the paper's four: %v", len(names), names)
 	}
 	for _, name := range names {
-		if _, err := system.ParseMode(name); err != nil {
-			t.Errorf("ParseMode(%q): %v", name, err)
-		}
 		cfg, err := system.DefaultConfigByName(name)
 		if err != nil {
 			t.Errorf("DefaultConfigByName(%q): %v", name, err)
@@ -78,12 +75,9 @@ func TestRegistryRoundTrip(t *testing.T) {
 		if got := sys.Config().Backend; got != name {
 			t.Errorf("machine built as %q reports Backend %q", name, got)
 		}
-		if got := sys.Config().Mode.String(); name != "obfusmem-auth" && got != name {
-			t.Errorf("machine built as %q reports Mode %q", name, got)
-		}
 	}
-	if _, err := system.ParseMode("no-such-scheme"); err == nil {
-		t.Error("ParseMode accepted an unregistered scheme name")
+	if _, err := system.NewChecked(system.Config{}); err == nil {
+		t.Error("NewChecked accepted a config with no Backend")
 	}
 	if _, err := system.DefaultConfigByName("no-such-scheme"); err == nil {
 		t.Error("DefaultConfigByName accepted an unregistered scheme name")
@@ -175,11 +169,7 @@ func TestNoSilentlyLostRequests(t *testing.T) {
 	for _, name := range system.BackendNames() {
 		t.Run(name, func(t *testing.T) {
 			cfg := conformanceConfig(t, name)
-			fc := fault.Uniform(1e-3, 0) // Seed 0: derive from the machine seed
-			cfg.Fault = &fc
-			if cfg.Mode == system.ObfusMem {
-				cfg.Obfus.Recovery = obfus.DefaultRecovery()
-			}
+			cfg.InjectFaults(1e-3)
 			reg := metrics.NewRegistry()
 			cfg.Metrics = reg
 			res, sys := runMilc(t, cfg)

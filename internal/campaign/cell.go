@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/fault"
 	"obfusmem/internal/metrics"
-	"obfusmem/internal/obfus"
 	"obfusmem/internal/system"
 	"obfusmem/internal/workload"
 )
@@ -89,11 +87,7 @@ func runCell(c Cell, reg *metrics.Registry) (CellResult, error) {
 	cfg.Seed = machineSeed(c)
 	cfg.Metrics = reg
 	if c.Fault > 0 {
-		fc := fault.Uniform(c.Fault, 0) // Seed 0: derive from the machine seed
-		cfg.Fault = &fc
-		if cfg.Mode == system.ObfusMem {
-			cfg.Obfus.Recovery = obfus.DefaultRecovery()
-		}
+		cfg.InjectFaults(c.Fault)
 	}
 	p, werr := workload.ByName(c.Workload)
 	if werr != nil {

@@ -17,7 +17,7 @@ func TestSimBudgetTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := system.New(system.DefaultConfig(system.Unprotected))
+	sys := system.New(system.DefaultConfig("unprotected"))
 
 	cfg := DefaultConfig()
 	cfg.SimBudget = sim.Microsecond // far below what 4000 requests need
@@ -44,10 +44,10 @@ func TestSimBudgetTrips(t *testing.T) {
 
 	// The same run with no budget (and with a huge one) completes.
 	cfg.SimBudget = 0
-	sys2 := system.New(system.DefaultConfig(system.Unprotected))
+	sys2 := system.New(system.DefaultConfig("unprotected"))
 	r := Run(p, 4000, sys2, cfg, 99)
 	cfg.SimBudget = r.ExecTime * 2
-	sys3 := system.New(system.DefaultConfig(system.Unprotected))
+	sys3 := system.New(system.DefaultConfig("unprotected"))
 	r2 := Run(p, 4000, sys3, cfg, 99)
 	if r2.ExecTime != r.ExecTime {
 		t.Errorf("a non-binding budget perturbed the run: %v vs %v", r2.ExecTime, r.ExecTime)

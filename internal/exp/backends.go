@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/fault"
 	"obfusmem/internal/leakage"
-	"obfusmem/internal/obfus"
 	"obfusmem/internal/stats"
 	"obfusmem/internal/system"
 	"obfusmem/internal/workload"
@@ -92,11 +90,7 @@ func Backends(opts Options) *stats.Table {
 		// scheme, uniform transient faults on the wire. Schemes whose
 		// backend has the recovery protocol arm it (like -exp faults).
 		fcfg := backendConfig(n)
-		fc := fault.Uniform(backendFaultRate, 0) // Seed 0: derive from the machine seed
-		fcfg.Fault = &fc
-		if fcfg.Mode == system.ObfusMem {
-			fcfg.Obfus.Recovery = obfus.DefaultRecovery()
-		}
+		fcfg.InjectFaults(backendFaultRate)
 		_, sys := runOne(opts, fcfg, "milc")
 		acct := sys.Accounting()
 		ledger := "balanced"

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/fault"
 	"obfusmem/internal/obfus"
 	"obfusmem/internal/stats"
 	"obfusmem/internal/system"
@@ -27,12 +26,11 @@ func Faults(opts Options) *stats.Table {
 		"Fault rate", "Slowdown", "Faults", "Retransmits", "NACKs", "Resyncs", "Recovered", "Quarantines", "Lost")
 
 	mk := func(rate float64) system.Config {
-		cfg := system.DefaultConfig(system.ObfusMem)
+		cfg := system.DefaultConfig("obfusmem-auth")
 		cfg.Channels = 2
 		cfg.Obfus.Recovery = obfus.DefaultRecovery()
 		if rate > 0 {
-			fc := fault.Uniform(rate, 0) // Seed 0: derive from the machine seed
-			cfg.Fault = &fc
+			cfg.InjectFaults(rate)
 		}
 		return cfg
 	}

@@ -14,7 +14,7 @@ import (
 // measured IPC, LLC MPKI, and average request gap on the unprotected
 // machine, next to the published values.
 func Table1(opts Options) *stats.Table {
-	res := runSuite(opts, []ModeSpec{{Name: "base", Cfg: system.DefaultConfig(system.Unprotected)}})
+	res := runSuite(opts, []ModeSpec{{Name: "base", Cfg: system.DefaultConfig("unprotected")}})
 	t := stats.NewTable("Table 1: benchmark characteristics (measured vs paper)",
 		"Benchmark", "IPC", "IPC(paper)", "MPKI", "MPKI(paper)", "Gap ns", "Gap(paper)")
 	for _, p := range workload.SPEC2006() {
@@ -54,12 +54,10 @@ func Table2() *stats.Table {
 
 // table3Specs are the machines Table 3 compares.
 func table3Specs() []ModeSpec {
-	obf := system.DefaultConfig(system.ObfusMem)
-	obf.Obfus = obfus.DefaultAuth()
 	return []ModeSpec{
-		{Name: "base", Cfg: system.DefaultConfig(system.Unprotected)},
-		{Name: "oram", Cfg: system.DefaultConfig(system.ORAM)},
-		{Name: "obfus+auth", Cfg: obf},
+		{Name: "base", Cfg: system.DefaultConfig("unprotected")},
+		{Name: "oram", Cfg: system.DefaultConfig("oram")},
+		{Name: "obfus+auth", Cfg: system.DefaultConfig("obfusmem-auth")},
 	}
 }
 
@@ -117,15 +115,11 @@ type Figure4Data struct {
 
 // Figure4Numbers computes the Figure 4 series.
 func Figure4Numbers(opts Options) Figure4Data {
-	obfPlain := system.DefaultConfig(system.ObfusMem)
-	obfPlain.Obfus = obfus.Default()
-	obfAuth := system.DefaultConfig(system.ObfusMem)
-	obfAuth.Obfus = obfus.DefaultAuth()
 	res := runSuite(opts, []ModeSpec{
-		{Name: "base", Cfg: system.DefaultConfig(system.Unprotected)},
-		{Name: "enc", Cfg: system.DefaultConfig(system.EncryptOnly)},
-		{Name: "obfus", Cfg: obfPlain},
-		{Name: "obfus+auth", Cfg: obfAuth},
+		{Name: "base", Cfg: system.DefaultConfig("unprotected")},
+		{Name: "enc", Cfg: system.DefaultConfig("encrypt-only")},
+		{Name: "obfus", Cfg: system.DefaultConfig("obfusmem")},
+		{Name: "obfus+auth", Cfg: system.DefaultConfig("obfusmem-auth")},
 	})
 	var d Figure4Data
 	for _, p := range workload.SPEC2006() {
@@ -167,18 +161,17 @@ type Figure5Data struct {
 func Figure5Numbers(opts Options) Figure5Data {
 	d := Figure5Data{Channels: []int{1, 2, 4, 8}}
 	mk := func(ch int, policy obfus.ChannelPolicy, auth bool) system.Config {
-		cfg := system.DefaultConfig(system.ObfusMem)
-		cfg.Channels = ch
-		oc := obfus.Default()
-		oc.Policy = policy
+		name := "obfusmem"
 		if auth {
-			oc.MAC = obfus.EncryptAndMAC
+			name = "obfusmem-auth"
 		}
-		cfg.Obfus = oc
+		cfg := system.DefaultConfig(name)
+		cfg.Channels = ch
+		cfg.Obfus.Policy = policy
 		return cfg
 	}
 	for _, ch := range d.Channels {
-		baseCfg := system.DefaultConfig(system.Unprotected)
+		baseCfg := system.DefaultConfig("unprotected")
 		baseCfg.Channels = ch
 		res := runSuite(opts, []ModeSpec{
 			{Name: "base", Cfg: baseCfg},

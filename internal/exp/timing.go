@@ -5,7 +5,6 @@ import (
 
 	"obfusmem/internal/attack"
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/obfus"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/stats"
 	"obfusmem/internal/system"
@@ -23,10 +22,8 @@ func TimingOblivious(opts Options) *stats.Table {
 		"Quantity", "ObfusMem", "ObfusMem (timing-oblivious)", "Notes")
 
 	run := func(bench string, oblivious bool) (*attack.Observer, cpu.Result, *system.System) {
-		cfg := system.DefaultConfig(system.ObfusMem)
-		oc := obfus.Default()
-		oc.TimingOblivious = oblivious
-		cfg.Obfus = oc
+		cfg := system.DefaultConfig("obfusmem")
+		cfg.Obfus.TimingOblivious = oblivious
 		p, err := workload.ByName(bench)
 		if err != nil {
 			panic(err)
@@ -57,7 +54,7 @@ func TimingOblivious(opts Options) *stats.Table {
 
 	// Cost on a memory-intensive benchmark.
 	_, resA, sysA := run("milc", false)
-	base, _ := runOne(opts, system.DefaultConfig(system.Unprotected), "milc")
+	base, _ := runOne(opts, system.DefaultConfig("unprotected"), "milc")
 	t.AddRow("milc execution-time overhead vs unprotected",
 		fmt.Sprintf("%.1f%%", cpu.Overhead(base, resA)),
 		fmt.Sprintf("%.1f%%", cpu.Overhead(base, resAo)),

@@ -163,59 +163,17 @@ func (o *ORAM) onPath(leafA, leafB, level int) bool {
 //
 //obfus:secret block data
 func (o *ORAM) Access(op Op, block int, data []byte) ([]byte, error) {
-	return o.access(op, block, data, nil, -1, -1)
-}
-
-// AccessUpdate performs a single read-modify-write access: fn receives the
-// block's current contents (nil if never written) and returns the new
-// contents. One path read + one eviction, like any other access — the
-// primitive recursive position-map ORAMs are built on.
-//
-//obfus:secret block
-func (o *ORAM) AccessUpdate(block int, fn func(old []byte) []byte) ([]byte, error) {
-	return o.access(OpWrite, block, nil, fn, -1, -1)
-}
-
-// AccessUpdateExt is AccessUpdate with an externally managed position map:
-// the caller supplies the block's current leaf (as recorded in the level
-// above) and the fresh leaf to remap to. Used by the recursive ORAM, where
-// each level's position map lives in the next smaller ORAM.
-//
-//obfus:secret block curLeaf newLeaf
-func (o *ORAM) AccessUpdateExt(block, curLeaf, newLeaf int, fn func(old []byte) []byte) ([]byte, error) {
-	if curLeaf < 0 || curLeaf >= o.leaves || newLeaf < 0 || newLeaf >= o.leaves {
-		return nil, fmt.Errorf("oram: external leaf out of range")
-	}
-	return o.access(OpWrite, block, nil, fn, curLeaf, newLeaf)
-}
-
-// Leaf exposes a block's current leaf assignment (used to initialise an
-// external position map consistently).
-func (o *ORAM) Leaf(block int) int { return o.posmap[block] }
-
-func (o *ORAM) access(op Op, block int, data []byte, update func([]byte) []byte, extLeaf, extNewLeaf int) ([]byte, error) {
 	if block < 0 || block >= o.nBlocks {
 		return nil, fmt.Errorf("oram: block %d out of range", block)
 	}
 	o.stats.Accesses++
 
 	leaf := o.posmap[block]
-	if extLeaf >= 0 {
-		if extLeaf != leaf {
-			return nil, fmt.Errorf("oram: external position map diverged (block %d: ext %d, actual %d)",
-				block, extLeaf, leaf)
-		}
-		leaf = extLeaf
-	}
 	if len(o.leafTrace) < o.traceLimit {
 		o.leafTrace = append(o.leafTrace, leaf)
 	}
 	// Remap immediately (Path ORAM step 2).
-	if extNewLeaf >= 0 {
-		o.posmap[block] = extNewLeaf
-	} else {
-		o.posmap[block] = o.rng.Intn(o.leaves)
-	}
+	o.posmap[block] = o.rng.Intn(o.leaves)
 
 	// Read the whole path into the stash.
 	path := o.pathNodes(leaf)
@@ -236,9 +194,7 @@ func (o *ORAM) access(op Op, block int, data []byte, update func([]byte) []byte,
 		if o.stash[i].id == block {
 			found = true
 			o.stats.RealRead++
-			if update != nil {
-				o.stash[i].data = update(o.stash[i].data)
-			} else if op == OpWrite {
+			if op == OpWrite {
 				o.stash[i].data = append([]byte(nil), data...)
 			}
 			result = o.stash[i].data
@@ -248,9 +204,7 @@ func (o *ORAM) access(op Op, block int, data []byte, update func([]byte) []byte,
 	}
 	if !found {
 		e := entry{id: block, leaf: o.posmap[block]}
-		if update != nil {
-			e.data = update(nil)
-		} else if op == OpWrite {
+		if op == OpWrite {
 			e.data = append([]byte(nil), data...)
 		}
 		o.stash = append(o.stash, e)

@@ -7,8 +7,8 @@
 // to the protection scheme alone.
 //
 // Schemes are obtained from the internal/backend registry: a machine is
-// assembled from a registered backend name (Config.Backend), with the
-// legacy Mode enum retained as a thin alias layer for existing callers.
+// assembled from its registered backend name (Config.Backend), which is
+// the only way a scheme is named.
 package system
 
 import (
@@ -32,74 +32,14 @@ import (
 	"obfusmem/internal/xrand"
 )
 
-// Mode selects the protection level. It survives as a convenience alias
-// over the backend registry: Config.Backend (a registered name) is the
-// source of truth, and a zero Backend falls back to Mode.String().
-type Mode int
-
-// Protection levels.
-const (
-	Unprotected Mode = iota
-	EncryptOnly
-	ObfusMem
-	ORAM
-	Palermo
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Unprotected:
-		return "unprotected"
-	case EncryptOnly:
-		return "encrypt-only"
-	case ObfusMem:
-		return "obfusmem"
-	case ORAM:
-		return "oram"
-	case Palermo:
-		return "palermo"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// modeOf maps every registered backend name to its legacy Mode. Both
-// ObfusMem spellings collapse onto the one Mode — the design point lives
-// in the Obfus options block, not the enum.
-var modeOf = map[string]Mode{
-	"unprotected":   Unprotected,
-	"encrypt-only":  EncryptOnly,
-	"obfusmem":      ObfusMem,
-	"obfusmem-auth": ObfusMem,
-	"oram":          ORAM,
-	"palermo":       Palermo,
-}
-
-// ParseMode resolves a scheme name against the backend registry and
-// returns its legacy Mode. It is the single source of truth for scheme
-// names: every name in BackendNames round-trips, and callers (CLI flags,
-// experiment tables) get one consistent error message for the rest.
-func ParseMode(name string) (Mode, error) {
-	if _, ok := backend.Lookup(name); !ok {
-		return 0, fmt.Errorf("unknown scheme %q (registered: %s)",
-			name, strings.Join(BackendNames(), ", "))
-	}
-	m, ok := modeOf[name]
-	if !ok {
-		return 0, fmt.Errorf("scheme %q is registered but has no Mode mapping", name)
-	}
-	return m, nil
-}
-
 // BackendNames lists every registered scheme name, sorted.
 func BackendNames() []string { return backend.Names() }
 
 // Config describes a machine.
 type Config struct {
 	// Backend selects the protection scheme by registered name (see
-	// BackendNames). When empty, the legacy Mode field selects it.
+	// BackendNames).
 	Backend string
-	Mode    Mode
 	// Channels is the number of independent bus/memory channels.
 	Channels int
 	// Obfus selects the ObfusMem design point (obfusmem / obfusmem-auth).
@@ -139,8 +79,8 @@ type Config struct {
 	// systems. Nil disables.
 	Trace *trace.Recorder
 	// Fault, when non-nil, installs a transient-fault injector on the bus
-	// (bit flips, packet loss, stalls). Pair it with Obfus.Recovery in the
-	// ObfusMem modes; the unprotected/encrypt-only machines have no
+	// (bit flips, packet loss, stalls); InjectFaults sets it together with
+	// Obfus.Recovery on the ObfusMem schemes. The other machines have no
 	// recovery protocol and lose faulted requests, like the DDR bus they
 	// model would without CRC-retry — the loss is surfaced through
 	// Accounting and the fault.lost_requests metric. When Fault.Seed is
@@ -148,15 +88,10 @@ type Config struct {
 	Fault *fault.Config
 }
 
-// DefaultConfig returns a single-channel machine in the given mode with the
-// paper's parameters. The ObfusMem mode maps to the full design
-// ("obfusmem-auth", encrypt-and-MAC), matching the paper's headline
-// configuration.
-func DefaultConfig(mode Mode) Config {
-	name := mode.String()
-	if mode == ObfusMem {
-		name = "obfusmem-auth"
-	}
+// DefaultConfig returns a single-channel machine for the named backend
+// with the paper's parameters. It is for name literals in code and panics
+// on an unregistered name; flags and manifests use DefaultConfigByName.
+func DefaultConfig(name string) Config {
 	cfg, err := DefaultConfigByName(name)
 	if err != nil {
 		panic("system: " + err.Error())
@@ -167,16 +102,11 @@ func DefaultConfig(mode Mode) Config {
 // DefaultConfigByName returns a single-channel machine for the named
 // backend, its options block populated by the scheme's own Defaults hook.
 func DefaultConfigByName(name string) (Config, error) {
-	d, ok := backend.Lookup(name)
-	if !ok {
-		return Config{}, fmt.Errorf("unknown scheme %q (registered: %s)",
-			name, strings.Join(BackendNames(), ", "))
+	d, err := lookup(name)
+	if err != nil {
+		return Config{}, err
 	}
-	mode, ok := modeOf[name]
-	if !ok {
-		return Config{}, fmt.Errorf("scheme %q is registered but has no Mode mapping", name)
-	}
-	cfg := Config{Backend: name, Mode: mode, Channels: 1, Seed: 1}
+	cfg := Config{Backend: name, Channels: 1, Seed: 1}
 	var o backend.Options
 	if d.Defaults != nil {
 		d.Defaults(&o)
@@ -185,6 +115,30 @@ func DefaultConfigByName(name string) (Config, error) {
 	cfg.ORAMConcurrency = o.ORAMConcurrency
 	cfg.Palermo = o.Palermo
 	return cfg, nil
+}
+
+// lookup resolves a registered backend name, listing the registered names
+// in its error.
+func lookup(name string) (*backend.Descriptor, error) {
+	d, ok := backend.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown scheme %q (registered: %s)",
+			name, strings.Join(BackendNames(), ", "))
+	}
+	return d, nil
+}
+
+// InjectFaults installs a uniform transient-fault injector at the given
+// per-packet rate, its stream derived from the machine Seed, and arms the
+// default recovery protocol on schemes that consume the Obfus options.
+// This is the one place that decides which schemes recover; the others
+// lose faulted requests (see Fault).
+func (c *Config) InjectFaults(rate float64) {
+	fc := fault.Uniform(rate, 0)
+	c.Fault = &fc
+	if d, ok := backend.Lookup(c.Backend); ok && d.Uses.Obfus {
+		c.Obfus.Recovery = obfus.DefaultRecovery()
+	}
 }
 
 // System is an assembled machine implementing cpu.MemorySystem.
@@ -215,7 +169,7 @@ func New(cfg Config) *System {
 }
 
 // NewChecked builds a machine from the registered backend selected by
-// cfg.Backend (or, when empty, cfg.Mode). It rejects unknown scheme names
+// cfg.Backend. It rejects unknown (or empty) scheme names
 // and configs that set options foreign to the selected backend — e.g.
 // ORAMConcurrency on an ObfusMem machine — since those silently did
 // nothing under the old mode switch.
@@ -223,14 +177,9 @@ func NewChecked(cfg Config) (*System, error) {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
 	}
-	name := cfg.Backend
-	if name == "" {
-		name = cfg.Mode.String()
-	}
-	d, ok := backend.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown scheme %q (registered: %s)",
-			name, strings.Join(BackendNames(), ", "))
+	d, err := lookup(cfg.Backend)
+	if err != nil {
+		return nil, err
 	}
 	opts := backend.Options{
 		Obfus:           cfg.Obfus,
@@ -240,10 +189,6 @@ func NewChecked(cfg Config) (*System, error) {
 	if err := d.CheckForeign(opts); err != nil {
 		return nil, err
 	}
-	// Normalize so Config() reports both spellings consistently.
-	cfg.Backend = name
-	cfg.Mode = modeOf[name]
-
 	mcfg := memctl.DefaultConfig(cfg.Channels)
 	mcfg.WearLevel = cfg.WearLevel
 	mcfg.Metrics = cfg.Metrics
@@ -285,7 +230,7 @@ func NewChecked(cfg Config) (*System, error) {
 		Options:     opts,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("backend %q: %w", name, err)
+		return nil, fmt.Errorf("backend %q: %w", cfg.Backend, err)
 	}
 	s.bk = bk
 
@@ -383,8 +328,7 @@ func (s *System) FaultInjector() *fault.Injector { return s.inj }
 // the ObfusMem recovery protocol has quarantined channels, nil otherwise.
 func (s *System) Err() error { return s.bk.Err() }
 
-// Config returns the machine configuration (normalized: both Backend and
-// Mode are populated).
+// Config returns the machine configuration.
 func (s *System) Config() Config { return s.cfg }
 
 // counterFetch routes the at-rest encryption engine's counter-block

@@ -12,24 +12,24 @@ import (
 )
 
 func TestModesBuildAndServe(t *testing.T) {
-	for _, mode := range []Mode{Unprotected, EncryptOnly, ObfusMem, ORAM} {
-		s := New(DefaultConfig(mode))
+	for _, name := range []string{"unprotected", "encrypt-only", "obfusmem-auth", "oram"} {
+		s := New(DefaultConfig(name))
 		done := s.Read(0, 0x10000)
 		if done <= 0 {
-			t.Fatalf("%v: read done = %v", mode, done)
+			t.Fatalf("%v: read done = %v", name, done)
 		}
 		wdone := s.Write(done, 0x20000)
 		if wdone < done {
-			t.Fatalf("%v: write done = %v before issue", mode, wdone)
+			t.Fatalf("%v: write done = %v before issue", name, wdone)
 		}
 		s.Drain(wdone)
 	}
 }
 
 func TestORAMSlowerThanObfusMem(t *testing.T) {
-	or := New(DefaultConfig(ORAM))
-	ob := New(DefaultConfig(ObfusMem))
-	un := New(DefaultConfig(Unprotected))
+	or := New(DefaultConfig("oram"))
+	ob := New(DefaultConfig("obfusmem-auth"))
+	un := New(DefaultConfig("unprotected"))
 	lo := or.Read(0, 0x1000)
 	lb := ob.Read(0, 0x1000)
 	lu := un.Read(0, 0x1000)
@@ -42,7 +42,7 @@ func TestORAMSlowerThanObfusMem(t *testing.T) {
 }
 
 func TestFullHandshakeBuilds(t *testing.T) {
-	cfg := DefaultConfig(ObfusMem)
+	cfg := DefaultConfig("obfusmem-auth")
 	cfg.Channels = 2
 	cfg.FullHandshake = true
 	s := New(cfg)
@@ -61,13 +61,13 @@ func TestFullHandshakeBuilds(t *testing.T) {
 func TestClosedLoopRunAllModes(t *testing.T) {
 	p, _ := workload.ByName("leslie3d")
 	const n = 3000
-	base := cpu.Run(p, n, New(DefaultConfig(Unprotected)), cpu.DefaultConfig(), 9)
+	base := cpu.Run(p, n, New(DefaultConfig("unprotected")), cpu.DefaultConfig(), 9)
 	if base.ExecTime <= 0 || base.Reads == 0 {
 		t.Fatalf("baseline run broken: %+v", base)
 	}
-	enc := cpu.Run(p, n, New(DefaultConfig(EncryptOnly)), cpu.DefaultConfig(), 9)
-	obf := cpu.Run(p, n, New(DefaultConfig(ObfusMem)), cpu.DefaultConfig(), 9)
-	orm := cpu.Run(p, n, New(DefaultConfig(ORAM)), cpu.DefaultConfig(), 9)
+	enc := cpu.Run(p, n, New(DefaultConfig("encrypt-only")), cpu.DefaultConfig(), 9)
+	obf := cpu.Run(p, n, New(DefaultConfig("obfusmem-auth")), cpu.DefaultConfig(), 9)
+	orm := cpu.Run(p, n, New(DefaultConfig("oram")), cpu.DefaultConfig(), 9)
 
 	oEnc := cpu.Overhead(base, enc)
 	oObf := cpu.Overhead(base, obf)
@@ -85,7 +85,7 @@ func TestClosedLoopRunAllModes(t *testing.T) {
 func TestChannelsReduceLatencyPressure(t *testing.T) {
 	p, _ := workload.ByName("bwaves")
 	run := func(ch int) cpu.Result {
-		cfg := DefaultConfig(Unprotected)
+		cfg := DefaultConfig("unprotected")
 		cfg.Channels = ch
 		return cpu.Run(p, 3000, New(cfg), cpu.DefaultConfig(), 11)
 	}
@@ -103,7 +103,7 @@ func TestObfusMemVariantsBuild(t *testing.T) {
 		{Dummy: obfus.OriginalAddress, Policy: obfus.PolicyUNOPT, MAC: obfus.EncryptThenMAC},
 		{Dummy: obfus.RandomAddress, Policy: obfus.PolicyOPT, Symmetric: true},
 	} {
-		cfg := DefaultConfig(ObfusMem)
+		cfg := DefaultConfig("obfusmem-auth")
 		cfg.Channels = 2
 		cfg.Obfus = oc
 		s := New(cfg)
@@ -119,7 +119,7 @@ func TestTable1Reproduction(t *testing.T) {
 	// construction). This is the calibration check for experiment T1.
 	for _, name := range []string{"bwaves", "mcf", "xalan", "hmmer"} {
 		p, _ := workload.ByName(name)
-		res := cpu.Run(p, 4000, New(DefaultConfig(Unprotected)), cpu.DefaultConfig(), 5)
+		res := cpu.Run(p, 4000, New(DefaultConfig("unprotected")), cpu.DefaultConfig(), 5)
 		rel := res.MeanGapNS / p.GapNS
 		if rel < 0.6 || rel > 1.4 {
 			t.Errorf("%s: measured gap %.1f ns vs Table 1 %.1f ns (x%.2f)",
@@ -129,8 +129,8 @@ func TestTable1Reproduction(t *testing.T) {
 }
 
 func TestValueRoundTripAllModes(t *testing.T) {
-	for _, mode := range []Mode{Unprotected, EncryptOnly, ObfusMem, ORAM} {
-		s := New(DefaultConfig(mode))
+	for _, name := range []string{"unprotected", "encrypt-only", "obfusmem-auth", "oram"} {
+		s := New(DefaultConfig(name))
 		at := sim.Time(0)
 		var want [16]Block
 		for i := range want {
@@ -142,10 +142,10 @@ func TestValueRoundTripAllModes(t *testing.T) {
 		for i := range want {
 			got, done, verified := s.ReadData(at, uint64(i)*64)
 			if !verified {
-				t.Fatalf("%v: block %d failed verification without an attacker", mode, i)
+				t.Fatalf("%v: block %d failed verification without an attacker", name, i)
 			}
 			if got != want[i] {
-				t.Fatalf("%v: block %d round trip failed", mode, i)
+				t.Fatalf("%v: block %d round trip failed", name, i)
 			}
 			at = done
 		}
@@ -155,7 +155,7 @@ func TestValueRoundTripAllModes(t *testing.T) {
 func TestValueOverwriteVersioning(t *testing.T) {
 	// Counter-mode versioning: overwriting a block and reading it back
 	// must return the new value (the IV changed under it).
-	s := New(DefaultConfig(ObfusMem))
+	s := New(DefaultConfig("obfusmem-auth"))
 	var a, b Block
 	a[0], b[0] = 1, 2
 	at := s.WriteData(0, 4096, a)
@@ -170,7 +170,7 @@ func TestObservation4EndToEnd(t *testing.T) {
 	// In-flight data corruption: the bus MAC does not cover payloads
 	// (encrypt-and-MAC over type|addr|counter), so the write is accepted —
 	// but the Merkle tree catches the corruption when the block is read.
-	s := New(DefaultConfig(ObfusMem))
+	s := New(DefaultConfig("obfusmem-auth"))
 	tmp := attack.NewTamperer(attack.TamperData, 1, xrand.New(3))
 	s.Bus().SetTamperer(tmp)
 	var blk Block
@@ -195,7 +195,7 @@ func TestObservation4EndToEnd(t *testing.T) {
 func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 	// The functional store must hold ciphertext, not plaintext, in the
 	// protected modes (memory readout attack resistance).
-	s := New(DefaultConfig(ObfusMem))
+	s := New(DefaultConfig("obfusmem-auth"))
 	var blk Block
 	copy(blk[:], "extremely secret value 12345678")
 	s.WriteData(0, 0x4000, blk)
@@ -203,7 +203,7 @@ func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 	if stored == blk {
 		t.Fatal("plaintext visible in memory store under ObfusMem")
 	}
-	un := New(DefaultConfig(Unprotected))
+	un := New(DefaultConfig("unprotected"))
 	un.WriteData(0, 0x4000, blk)
 	if un.Memory().LoadBlock(0x4000) != blk {
 		t.Fatal("unprotected store should hold plaintext")
@@ -212,8 +212,8 @@ func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 
 func TestDRAMModeFasterBaseline(t *testing.T) {
 	p, _ := workload.ByName("milc")
-	pcmCfg := DefaultConfig(Unprotected)
-	dramCfg := DefaultConfig(Unprotected)
+	pcmCfg := DefaultConfig("unprotected")
+	dramCfg := DefaultConfig("unprotected")
 	dramCfg.DRAM = true
 	rp := cpu.Run(p, 2500, New(pcmCfg), cpu.DefaultConfig(), 21)
 	rd := cpu.Run(p, 2500, New(dramCfg), cpu.DefaultConfig(), 21)

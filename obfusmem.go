@@ -5,11 +5,12 @@
 // It provides:
 //
 //   - a complete simulated machine (out-of-order cores → MESI cache
-//     hierarchy → memory bus → PCM main memory) with four protection
-//     levels: unprotected, counter-mode memory encryption, ObfusMem (the
-//     paper's contribution, in all its design variants), and a Path ORAM
-//     baseline (both a functional implementation and the paper's
-//     fixed-latency performance model);
+//     hierarchy → memory bus → PCM main memory) under each registered
+//     protection scheme: unprotected, counter-mode memory encryption,
+//     ObfusMem with and without bus authentication (the paper's
+//     contribution, in all its design variants), a Path ORAM baseline
+//     (both a functional implementation and the paper's fixed-latency
+//     performance model), and Palermo;
 //   - the trust architecture of Section 3.1 (manufacturer-certified
 //     component keys, integrator key burning, attestation, Diffie-Hellman
 //     session establishment);
@@ -42,51 +43,34 @@ import (
 	"obfusmem/internal/xrand"
 )
 
-// Protection selects the machine's protection level.
-type Protection int
+// Protection selects the machine's protection scheme by its registered
+// backend name — the same names obfsim, replay and campaign manifests
+// take. The zero value selects ProtectionNone.
+type Protection string
 
-// Protection levels, in increasing order of security.
+// Protection schemes, in increasing order of security.
 const (
 	// ProtectionNone is the unprotected baseline: plaintext commands,
 	// addresses, and data on the memory bus.
-	ProtectionNone Protection = iota
+	ProtectionNone Protection = "unprotected"
 	// ProtectionEncrypt adds counter-mode memory encryption (data at rest
 	// and in transit is ciphertext; addresses and commands are plain).
-	ProtectionEncrypt
+	ProtectionEncrypt Protection = "encrypt-only"
 	// ProtectionObfusMem adds ObfusMem access-pattern obfuscation on top
 	// of memory encryption (no bus authentication).
-	ProtectionObfusMem
+	ProtectionObfusMem Protection = "obfusmem"
 	// ProtectionObfusMemAuth is ObfusMem plus encrypt-and-MAC
 	// communication authentication — the paper's full design.
-	ProtectionObfusMemAuth
+	ProtectionObfusMemAuth Protection = "obfusmem-auth"
 	// ProtectionORAM replaces ObfusMem with the paper's optimistic Path
 	// ORAM performance model.
-	ProtectionORAM
+	ProtectionORAM Protection = "oram"
 	// ProtectionPalermo replaces ObfusMem with the Palermo
 	// protocol/hardware co-designed oblivious memory (arXiv 2411.05400):
 	// batched oblivious accesses with cover-block path reads and deferred
 	// eviction writebacks.
-	ProtectionPalermo
+	ProtectionPalermo Protection = "palermo"
 )
-
-func (p Protection) String() string {
-	switch p {
-	case ProtectionNone:
-		return "none"
-	case ProtectionEncrypt:
-		return "encrypt-only"
-	case ProtectionObfusMem:
-		return "obfusmem"
-	case ProtectionObfusMemAuth:
-		return "obfusmem+auth"
-	case ProtectionORAM:
-		return "oram"
-	case ProtectionPalermo:
-		return "palermo"
-	default:
-		return fmt.Sprintf("Protection(%d)", int(p))
-	}
-}
 
 // Re-exported ObfusMem design knobs (see the paper's Section 3).
 type (
@@ -178,16 +162,21 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if cfg.Channels < 1 || cfg.Channels > 8 || cfg.Channels&(cfg.Channels-1) != 0 {
 		return nil, fmt.Errorf("obfusmem: channels must be 1, 2, 4, or 8 (got %d)", cfg.Channels)
 	}
-	sc := system.Config{Channels: cfg.Channels, Seed: cfg.Seed, FullHandshake: cfg.FullHandshake,
-		IntegrityTree: cfg.IntegrityTree, WearLevel: cfg.WearLevel, DRAM: cfg.DRAM}
-	switch cfg.Protection {
-	case ProtectionNone:
-		sc.Mode = system.Unprotected
-	case ProtectionEncrypt:
-		sc.Mode = system.EncryptOnly
-	case ProtectionObfusMem, ProtectionObfusMemAuth:
-		sc.Mode = system.ObfusMem
-		oc := obfus.Default()
+	if cfg.Protection == "" {
+		cfg.Protection = ProtectionNone
+	}
+	sc, err := system.DefaultConfigByName(string(cfg.Protection))
+	if err != nil {
+		return nil, fmt.Errorf("obfusmem: %w", err)
+	}
+	sc.Channels = cfg.Channels
+	sc.Seed = cfg.Seed
+	sc.FullHandshake = cfg.FullHandshake
+	sc.IntegrityTree = cfg.IntegrityTree
+	sc.WearLevel = cfg.WearLevel
+	sc.DRAM = cfg.DRAM
+	if cfg.Protection == ProtectionObfusMem || cfg.Protection == ProtectionObfusMemAuth {
+		oc := &sc.Obfus
 		oc.Dummy = cfg.Dummy
 		oc.Order = cfg.Order
 		oc.Symmetric = cfg.Symmetric
@@ -195,19 +184,9 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		if cfg.Policy != obfus.PolicyNone {
 			oc.Policy = cfg.Policy
 		}
-		if cfg.Protection == ProtectionObfusMemAuth {
-			oc.MAC = obfus.EncryptAndMAC
-		}
 		if cfg.MAC != obfus.MACNone {
 			oc.MAC = cfg.MAC
 		}
-		sc.Obfus = oc
-	case ProtectionORAM:
-		sc.Mode = system.ORAM
-	case ProtectionPalermo:
-		sc.Mode = system.Palermo
-	default:
-		return nil, fmt.Errorf("obfusmem: unknown protection %v", cfg.Protection)
 	}
 	return &Machine{sys: system.New(sc), cfg: cfg, core: cpu.DefaultConfig()}, nil
 }

@@ -3,13 +3,15 @@ package obfusmem
 import (
 	"errors"
 	"testing"
+
+	"obfusmem/internal/system"
 )
 
 func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(MachineConfig{Channels: 3}); err == nil {
 		t.Error("3 channels accepted")
 	}
-	if _, err := NewMachine(MachineConfig{Protection: Protection(99)}); err == nil {
+	if _, err := NewMachine(MachineConfig{Protection: "no-such-scheme"}); err == nil {
 		t.Error("unknown protection accepted")
 	}
 	m, err := NewMachine(MachineConfig{})
@@ -21,18 +23,24 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 }
 
+// TestProtectionStrings keeps the facade's constants and the backend
+// registry from drifting apart: every constant is a registered name, and
+// every registered name has a constant.
 func TestProtectionStrings(t *testing.T) {
-	want := map[Protection]string{
-		ProtectionNone:         "none",
-		ProtectionEncrypt:      "encrypt-only",
-		ProtectionObfusMem:     "obfusmem",
-		ProtectionObfusMemAuth: "obfusmem+auth",
-		ProtectionORAM:         "oram",
+	all := []Protection{ProtectionNone, ProtectionEncrypt, ProtectionObfusMem,
+		ProtectionObfusMemAuth, ProtectionORAM, ProtectionPalermo}
+	have := make(map[string]bool)
+	for _, p := range all {
+		have[string(p)] = true
 	}
-	for p, s := range want {
-		if p.String() != s {
-			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), s)
+	registered := system.BackendNames()
+	for _, n := range registered {
+		if !have[n] {
+			t.Errorf("registered backend %q has no Protection constant", n)
 		}
+	}
+	if len(all) != len(registered) {
+		t.Errorf("%d Protection constants, %d registered backends %v", len(all), len(registered), registered)
 	}
 }
 
@@ -59,7 +67,7 @@ func TestRunBenchmarkAcrossProtections(t *testing.T) {
 		}
 		execs = append(execs, res.ExecTime)
 	}
-	// none <= encrypt <= obfusmem+auth << oram
+	// unprotected <= encrypt-only <= obfusmem-auth << oram
 	if !(execs[0] <= execs[1] && execs[1] <= execs[2] && execs[2] < execs[3]) {
 		t.Fatalf("execution times out of order: %v", execs)
 	}

@@ -48,14 +48,3 @@ func NewRingORAM(cfg RingORAMConfig, nBlocks int, seed uint64) (*RingORAM, error
 
 // DefaultRingORAMConfig returns the literature Z=4, S=6, A=3 parameters.
 func DefaultRingORAMConfig() RingORAMConfig { return oram.DefaultRingConfig() }
-
-// RecursiveORAM is a recursive Path ORAM: position maps stored in
-// successively smaller ORAMs until the residual map fits on chip
-// (Section 6.1's "placing it on a separate ORAM").
-type RecursiveORAM = oram.Recursive
-
-// NewRecursiveORAM builds a recursive ORAM over nBlocks data blocks with at
-// most onChipLimit position-map entries kept on chip.
-func NewRecursiveORAM(cfg PathORAMConfig, nBlocks, onChipLimit int, seed uint64) (*RecursiveORAM, error) {
-	return oram.NewRecursive(cfg, nBlocks, onChipLimit, xrand.New(seed))
-}

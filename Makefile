@@ -13,9 +13,11 @@
 #   make bench   - the paper-artefact and ablation benchmarks of the root
 #                  package (simulator throughput with spread is measured by
 #                  bash bench/run.sh; see bench/README.md)
-#   make bench-smoke - fast perf gate: the zero-alloc guards plus short
-#                  benchmarks of the event engine, the AES pads, the MD5
-#                  MAC and the obfus datapath; fails if the alloc guards
+#   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
+#                  obfus leg, AES pads, MD5 MAC, metrics instruments, xrand
+#                  draws, every hot-path backend with metrics attached) plus
+#                  short benchmarks of the event engine, the AES pads, the
+#                  MD5 MAC and the obfus datapath; fails if the alloc guards
 #                  regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
@@ -24,9 +26,9 @@
 #   make profile - full-suite run with pprof CPU + heap profiles written to
 #                  cpu.pprof / mem.pprof (see EXPERIMENTS.md "Profiling and
 #                  benchmarking" for how to read them)
-#   make lint    - obfuslint: the repo's own analyzer suite (determinism,
-#                  eventref, hotpath, metricnames, secretflow, wireonly; see DESIGN.md
-#                  "Machine-checked invariants"), plus golangci-lint and
+#   make lint    - obfuslint: the repo's own analyzer suite (four passes:
+#                  determinism, metricnames, secretflow, wireonly; see
+#                  DESIGN.md "Machine-checked invariants"), plus golangci-lint and
 #                  govulncheck when installed (both skipped, not failed,
 #                  when absent so the frozen toolchain image still lints)
 #   make lint-fix - gofmt the tree, then re-lint
@@ -77,9 +79,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 bench-smoke:
-	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestCTRZeroAllocs|TestComputeZeroAllocs' \
+	$(GO) test -run 'TestScheduleFireZeroAllocs|TestReadWriteLegZeroAllocs|TestCTRZeroAllocs|TestComputeZeroAllocs' \
 		-bench 'BenchmarkEngineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
+	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs' ./internal/metrics ./internal/xrand
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null

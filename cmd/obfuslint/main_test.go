@@ -32,7 +32,7 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"determinism", "eventref", "hotpath", "metricnames", "secretflow", "wireonly"} {
+	for _, name := range []string{"determinism", "metricnames", "secretflow", "wireonly"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
 		}

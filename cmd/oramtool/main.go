@@ -12,34 +12,42 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"obfusmem/internal/oram"
 	"obfusmem/internal/xrand"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole program behind flag parsing, returning the exit code;
+// factored out of main so tests can drive the binary in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("oramtool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		levels   = flag.Int("levels", 12, "tree levels L (the tree has L+1 bucket levels)")
-		z        = flag.Int("z", 4, "blocks per bucket")
-		blocks   = flag.Int("blocks", 8000, "logical blocks (must be <= 50% of capacity)")
-		accesses = flag.Int("accesses", 20000, "accesses to simulate")
-		stash    = flag.Int("stash", 200, "stash capacity")
-		seed     = flag.Uint64("seed", 1, "seed")
-		sweep    = flag.Bool("sweep", false, "sweep stash capacity and report overflow rates")
+		levels   = fs.Int("levels", 12, "tree levels L (the tree has L+1 bucket levels)")
+		z        = fs.Int("z", 4, "blocks per bucket")
+		blocks   = fs.Int("blocks", 8000, "logical blocks (must be <= 50% of capacity)")
+		accesses = fs.Int("accesses", 20000, "accesses to simulate")
+		stash    = fs.Int("stash", 200, "stash capacity")
+		seed     = fs.Uint64("seed", 1, "seed")
+		sweep    = fs.Bool("sweep", false, "sweep stash capacity and report overflow rates")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *sweep {
-		stashSweep(*levels, *z, *blocks, *accesses, *seed)
-		return
+		return stashSweep(stdout, stderr, *levels, *z, *blocks, *accesses, *seed)
 	}
 
 	cfg := oram.Config{Levels: *levels, Z: *z, StashCapacity: *stash, BlockBytes: 64}
 	o, err := oram.New(cfg, *blocks, xrand.New(*seed))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oramtool:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "oramtool:", err)
+		return 2
 	}
 	r := xrand.New(*seed + 1)
 	hist := map[int]int{}
@@ -51,14 +59,14 @@ func main() {
 		hist[o.StashSize()]++
 	}
 	st := o.Stats()
-	fmt.Printf("Path ORAM L=%d Z=%d: %d blocks in %d slots (%.0f%% storage overhead)\n",
+	fmt.Fprintf(stdout, "Path ORAM L=%d Z=%d: %d blocks in %d slots (%.0f%% storage overhead)\n",
 		*levels, *z, *blocks, o.Capacity(), o.StorageOverhead()*100)
-	fmt.Printf("accesses: %d, path length %d blocks\n", st.Accesses, o.PathLength())
-	fmt.Printf("blocks read %d, written %d (write amplification %.0fx)\n",
+	fmt.Fprintf(stdout, "accesses: %d, path length %d blocks\n", st.Accesses, o.PathLength())
+	fmt.Fprintf(stdout, "blocks read %d, written %d (write amplification %.0fx)\n",
 		st.BlocksRead, st.BlocksWritten, o.WriteAmplification())
-	fmt.Printf("stash: max %d, mean %.2f, overflows %d\n", st.StashMax, o.MeanStash(), overflows)
+	fmt.Fprintf(stdout, "stash: max %d, mean %.2f, overflows %d\n", st.StashMax, o.MeanStash(), overflows)
 
-	fmt.Println("\nstash occupancy distribution after each access:")
+	fmt.Fprintln(stdout, "\nstash occupancy distribution after each access:")
 	cum := 0
 	for size := 0; size <= st.StashMax; size++ {
 		n := hist[size]
@@ -70,7 +78,7 @@ func main() {
 		for b := 0; b < n*60 / *accesses; b++ {
 			bar += "#"
 		}
-		fmt.Printf("%4d: %7d (%5.1f%% cum) %s\n", size, n, float64(cum)/float64(*accesses)*100, bar)
+		fmt.Fprintf(stdout, "%4d: %7d (%5.1f%% cum) %s\n", size, n, float64(cum)/float64(*accesses)*100, bar)
 	}
 
 	// Leaf-trace uniformity summary.
@@ -79,19 +87,20 @@ func main() {
 	for _, l := range trace {
 		counts[l]++
 	}
-	fmt.Printf("\nleaf trace: %d accesses over %d distinct leaves (of %d)\n",
+	fmt.Fprintf(stdout, "\nleaf trace: %d accesses over %d distinct leaves (of %d)\n",
 		len(trace), len(counts), 1<<*levels)
+	return 0
 }
 
-func stashSweep(levels, z, blocks, accesses int, seed uint64) {
-	fmt.Println("stash capacity sweep: overflow events per run")
-	fmt.Printf("%8s %10s %10s\n", "capacity", "overflows", "rate")
+func stashSweep(stdout, stderr io.Writer, levels, z, blocks, accesses int, seed uint64) int {
+	fmt.Fprintln(stdout, "stash capacity sweep: overflow events per run")
+	fmt.Fprintf(stdout, "%8s %10s %10s\n", "capacity", "overflows", "rate")
 	for _, cap := range []int{0, 2, 5, 10, 20, 50, 100} {
 		cfg := oram.Config{Levels: levels, Z: z, StashCapacity: cap, BlockBytes: 64}
 		o, err := oram.New(cfg, blocks, xrand.New(seed))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "oramtool:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "oramtool:", err)
+			return 2
 		}
 		r := xrand.New(seed + 1)
 		overflows := 0
@@ -100,7 +109,8 @@ func stashSweep(levels, z, blocks, accesses int, seed uint64) {
 				overflows++
 			}
 		}
-		fmt.Printf("%8d %10d %9.3f%%\n", cap, overflows, float64(overflows)/float64(accesses)*100)
+		fmt.Fprintf(stdout, "%8d %10d %9.3f%%\n", cap, overflows, float64(overflows)/float64(accesses)*100)
 	}
-	fmt.Println("\noverflow == a hardware ORAM controller stall (the deadlock risk of Table 4)")
+	fmt.Fprintln(stdout, "\noverflow == a hardware ORAM controller stall (the deadlock risk of Table 4)")
+	return 0
 }

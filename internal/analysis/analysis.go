@@ -9,8 +9,6 @@ package analysis
 import (
 	"obfusmem/internal/analysis/framework"
 	"obfusmem/internal/analysis/passes/determinism"
-	"obfusmem/internal/analysis/passes/eventref"
-	"obfusmem/internal/analysis/passes/hotpath"
 	"obfusmem/internal/analysis/passes/metricnames"
 	"obfusmem/internal/analysis/passes/secretflow"
 	"obfusmem/internal/analysis/passes/wireonly"
@@ -20,8 +18,6 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		determinism.Analyzer,
-		eventref.Analyzer,
-		hotpath.Analyzer,
 		metricnames.Analyzer,
 		secretflow.Analyzer,
 		wireonly.Analyzer,

@@ -1,8 +1,7 @@
 // Package annot parses the source annotations shared by every obfuslint
 // analyzer:
 //
-//	//obfus:hotpath      function is a zero-alloc hot leg (hotpath analyzer)
-//	//obfus:wallclock    function legitimately reads the wall clock
+//	//obfus:wallclock    function legitimately reads the wall clock (determinism analyzer)
 //	//obfus:scoring      function may read attack ground truth (wireonly analyzer)
 //	//obfus:secret [params...]         function results (bare) or the named
 //	                                   parameters carry secrets (secretflow)
@@ -31,7 +30,6 @@ import (
 
 // Directive name constants.
 const (
-	Hotpath   = "hotpath"
 	Wallclock = "wallclock"
 	Scoring   = "scoring"
 	Secret    = "secret"
@@ -265,10 +263,10 @@ func (d *Directives) AllowSites() []*AllowSite {
 // Malformed returns the unparsable directives found in the package.
 func (d *Directives) MalformedDirectives() []Malformed { return d.malformed }
 
-// ModuleIndex answers cross-package annotation queries ("is the callee in
-// that other package marked //obfus:hotpath?") by lazily parsing the other
-// package's sources. Construction is cheap; packages parse on first query
-// and are cached. Safe for concurrent use.
+// ModuleIndex answers cross-package annotation queries ("which parameters
+// of the callee in that other package are //obfus:secret?") by lazily
+// parsing the other package's sources. Construction is cheap; packages
+// parse on first query and are cached. Safe for concurrent use.
 type ModuleIndex struct {
 	mu   sync.Mutex
 	dirs map[string][]string          // import path -> absolute Go file paths
@@ -300,19 +298,9 @@ func (m *ModuleIndex) lookup(pkg *types.Package, key string) (string, bool) {
 	return v, ok
 }
 
-// FuncHas reports whether fn (a function or method in an indexed package)
-// carries //obfus:<directive> on its declaration. Unknown packages and
-// functions report false.
-func (m *ModuleIndex) FuncHas(fn *types.Func, directive string) bool {
-	if fn == nil {
-		return false
-	}
-	_, ok := m.lookup(fn.Pkg(), FuncKey(fn)+"\x00"+directive)
-	return ok
-}
-
-// FuncArgs returns the arguments of //obfus:<directive> on fn's declaration
-// and whether the directive is present.
+// FuncArgs returns the arguments of //obfus:<directive> on fn (a function
+// or method in an indexed package) and whether the directive is present.
+// Unknown packages and functions report false.
 func (m *ModuleIndex) FuncArgs(fn *types.Func, directive string) (args []string, ok bool) {
 	if fn == nil {
 		return nil, false

@@ -158,7 +158,7 @@ func TestAllowSitesUsedAndOrder(t *testing.T) {
 	fset, f, d := parseSrc(t, `package p
 
 func g() int {
-	//lint:allow hotpath second site, later line
+	//lint:allow wireonly second site, later line
 	return 1
 }
 
@@ -177,7 +177,7 @@ func f() int {
 	// Allowed on the suppressed line marks the site used; the other stays
 	// stale.
 	ret := funcDecl(t, f, "g").Body.List[0].Pos()
-	if !d.Allowed("hotpath", fset, ret) {
+	if !d.Allowed("wireonly", fset, ret) {
 		t.Error("suppression on preceding line should match the finding")
 	}
 	if d.Allowed("determinism", fset, ret) {
@@ -246,10 +246,10 @@ type Lane struct {
 	accessA := types.NewFunc(token.NoPos, pkgA, "Access", sig)
 	accessB := types.NewFunc(token.NoPos, pkgB, "Access", sig)
 
-	if !idx.FuncHas(accessA, Secret) {
+	if _, ok := idx.FuncArgs(accessA, Secret); !ok {
 		t.Error("a.Access should be indexed //obfus:secret")
 	}
-	if idx.FuncHas(accessB, Secret) {
+	if _, ok := idx.FuncArgs(accessB, Secret); ok {
 		t.Error("b.Access must NOT inherit a.Access's directive (cross-package collision)")
 	}
 	if args, ok := idx.FuncArgs(accessA, Secret); !ok || len(args) != 1 || args[0] != "addr" {
@@ -268,11 +268,11 @@ type Lane struct {
 	if idx.FieldHas(pkgC, "Lane", "cipher", Secret) {
 		t.Error("unindexed package must report false")
 	}
-	if idx.FuncHas(nil, Secret) {
+	if _, ok := idx.FuncArgs(nil, Secret); ok {
 		t.Error("nil func must report false")
 	}
 	var nilIdx *ModuleIndex
-	if nilIdx.FuncHas(accessA, Secret) {
+	if _, ok := nilIdx.FuncArgs(accessA, Secret); ok {
 		t.Error("nil index must report false")
 	}
 }
@@ -285,7 +285,7 @@ func TestModuleIndexMethodKeys(t *testing.T) {
 
 type Lane struct{}
 
-//obfus:hotpath
+//obfus:secret addr
 func (l *Lane) Access(addr uint64) {}
 `)
 	idx := NewModuleIndex(map[string][]string{"m/a": files})
@@ -296,7 +296,7 @@ func (l *Lane) Access(addr uint64) {}
 	sig := types.NewSignatureType(recv, nil, nil,
 		types.NewTuple(types.NewVar(token.NoPos, nil, "addr", types.Typ[types.Uint64])), nil, false)
 	access := types.NewFunc(token.NoPos, pkg, "Access", sig)
-	if !idx.FuncHas(access, Hotpath) {
+	if _, ok := idx.FuncArgs(access, Secret); !ok {
 		t.Error("pointer-receiver method key should resolve to Lane.Access")
 	}
 	if FuncKey(access) != "Lane.Access" {

@@ -20,7 +20,7 @@ func launderedLiteral(r *metrics.Registry) *metrics.Counter {
 }
 
 func registered(r *metrics.Registry) *metrics.Counter {
-	return r.Counter(names.SimEventsFired) // registry constant: fine
+	return r.Counter(names.BusCmdPackets) // registry constant: fine
 }
 
 func derived(r *metrics.Registry, ch int) *metrics.Registry {

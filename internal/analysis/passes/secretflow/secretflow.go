@@ -11,12 +11,11 @@
 // parameters and fields), ground-truth views (attack.Truth field reads,
 // Observer.TruthTrace), and secret-returning functions (bare
 // //obfus:secret). Sinks are the wire-observable effects the membus attack
-// exploits: event times handed to sim scheduling (Engine.Schedule/After/
-// RunUntil), bus transfer times (Bus.Transfer),
-// and the wire-view fields of bus.Packet (CmdCipher, HasCmd, Data, MAC,
-// HasMAC, Channel — the fields attack.Wire projects). A branch on a
-// secret-derived condition that guards a wire sink is also reported: the
-// choice itself modulates observable traffic.
+// exploits: event times handed to sim scheduling (Engine.Schedule), bus
+// transfer times (Bus.Transfer), and the wire-view fields of bus.Packet
+// (CmdCipher, HasCmd, Data, MAC, HasMAC, Channel — the fields attack.Wire
+// projects). A branch on a secret-derived condition that guards a wire
+// sink is also reported: the choice itself modulates observable traffic.
 //
 // A flow is legal only through an //obfus:public <reason> declassifier —
 // e.g. a sealed command after AES-CTR encryption, or a memory-service time
@@ -78,8 +77,6 @@ type sink struct {
 // wire-observable arguments.
 var sinkTable = map[[2]string]sink{
 	{"sim", "Engine.Schedule"}: {[]int{0}, "an event timestamp"},
-	{"sim", "Engine.After"}:    {[]int{0}, "an event delay"},
-	{"sim", "Engine.RunUntil"}: {[]int{0}, "the simulation horizon"},
 	{"bus", "Bus.Transfer"}:    {[]int{0}, "a bus transfer time"},
 }
 
@@ -87,7 +84,6 @@ var sinkTable = map[[2]string]sink{
 // public by definition: the attacker already sees arrival times, so feeding
 // them back into later scheduling is the model, not a leak.
 var publicResults = map[[2]string]bool{
-	{"sim", "Engine.Now"}:       true,
 	{"bus", "Bus.Transfer"}:     true,
 	{"bus", "Bus.TransferTime"}: true,
 }

@@ -30,7 +30,7 @@ func helper(x uint64) uint64 { return x*2 + 1 }
 //obfus:secret addr
 func interprocFlow(eng *sim.Engine, addr uint64) {
 	delay := helper(addr)
-	eng.After(sim.Time(delay), tick) // want "secret-derived value reaches After"
+	eng.Schedule(sim.Time(delay), tick) // want "secret-derived value reaches Schedule"
 }
 
 // scheduleAt sinks its parameter; callers passing secrets must be reported
@@ -116,7 +116,7 @@ func suppressed(eng *sim.Engine, addr uint64) {
 
 // cleanFlow pins the negative space: public values may schedule freely, and
 // wire-observable results (arrival times) are public by definition.
-func cleanFlow(eng *sim.Engine, b *bus.Bus, p *bus.Packet) {
-	arrive, _ := b.Transfer(eng.Now(), p)
+func cleanFlow(eng *sim.Engine, b *bus.Bus, p *bus.Packet, now sim.Time) {
+	arrive, _ := b.Transfer(now, p)
 	eng.Schedule(arrive+5, tick)
 }

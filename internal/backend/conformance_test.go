@@ -205,7 +205,10 @@ func TestNoSilentlyLostRequests(t *testing.T) {
 // system datapath of every backend whose descriptor claims
 // Features.HotPath and requires zero allocations per operation once
 // arenas, rings, and counter state are warm. The address set is fixed so
-// cache/metadata structures reach their high-water mark during warm-up.
+// cache/metadata structures reach their high-water mark during warm-up. A
+// metrics registry is attached so the instrument updates on the leg run
+// their bodies: nil instruments return at once and would hide an allocation
+// planted there.
 func TestHotPathZeroAllocs(t *testing.T) {
 	for _, name := range system.BackendNames() {
 		d, ok := backend.Lookup(name)
@@ -216,7 +219,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			sys := system.New(conformanceConfig(t, name))
+			cfg := conformanceConfig(t, name)
+			cfg.Metrics = metrics.NewRegistry()
+			sys := system.New(cfg)
 			at := sim.Time(0)
 			step := func() {
 				for i := 0; i < 8; i++ {

@@ -33,8 +33,6 @@ type Counter struct {
 }
 
 // Add increments the counter by n. No-op on a nil counter.
-//
-//obfus:hotpath
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -43,8 +41,6 @@ func (c *Counter) Add(n uint64) {
 }
 
 // Inc increments the counter by one. No-op on a nil counter.
-//
-//obfus:hotpath
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count (zero for nil).
@@ -61,8 +57,6 @@ type Gauge struct {
 }
 
 // Set stores v. No-op on a nil gauge.
-//
-//obfus:hotpath
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
@@ -71,8 +65,6 @@ func (g *Gauge) Set(v float64) {
 }
 
 // SetMax raises the gauge to v if v exceeds the current value.
-//
-//obfus:hotpath
 func (g *Gauge) SetMax(v float64) {
 	if g == nil {
 		return
@@ -124,8 +116,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value. No-op on a nil histogram.
-//
-//obfus:hotpath
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return

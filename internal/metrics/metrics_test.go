@@ -145,3 +145,30 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		t.Fatal("two snapshots of identical state differ")
 	}
 }
+
+// TestInstrumentsZeroAllocs is the zero-allocation contract of the
+// instrument updates: components call them unconditionally on every
+// simulated request, so an allocation here multiplies into every datapath.
+// bench-smoke runs this in CI.
+func TestInstrumentsZeroAllocs(t *testing.T) {
+	sc := NewRegistry().Scope("bus")
+	c := sc.Counter("packets")
+	g := sc.Gauge("depth")
+	h := sc.Histogram("lat", LatencyBucketsNS)
+	v := 0.0
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"Counter.Add", func() { c.Add(3) }},
+		{"Counter.Inc", func() { c.Inc() }},
+		{"Gauge.Set", func() { v++; g.Set(v) }},
+		{"Gauge.SetMax", func() { v++; g.SetMax(v) }},
+		{"Histogram.Observe", func() { v += 37; h.Observe(math.Mod(v, 20000)) }},
+	}
+	for _, tc := range cases {
+		if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
+			t.Errorf("%s allocates %.1f allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}

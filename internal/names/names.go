@@ -41,7 +41,6 @@ func Scheme(scheme string) Name { return Name(scheme) }
 
 // Metric scopes, one per instrumented component.
 const (
-	ScopeSim      Name = "sim"
 	ScopeBus      Name = "bus"
 	ScopeFault    Name = "fault"
 	ScopeObfus    Name = "obfus"
@@ -79,15 +78,6 @@ const (
 	LeakClassifierAdv      Name = "classifier_advantage"
 	LeakWirePackets        Name = "wire_packets"
 	LeakAnchors            Name = "anchors"
-)
-
-// Simulation-engine metrics (internal/sim).
-const (
-	SimEventsFired     Name = "events_fired"
-	SimEventsCancelled Name = "events_cancelled"
-	SimNowNS           Name = "now_ns"
-	SimEventsPerWallS  Name = "events_per_wallsec"
-	SimNSPerWallS      Name = "sim_ns_per_wallsec"
 )
 
 // Bus per-channel metrics (internal/bus, scope "bus.ch<i>").

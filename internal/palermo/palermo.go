@@ -179,8 +179,6 @@ func (c *Controller) newPacket() *bus.Packet {
 }
 
 // coverAddr draws a uniformly random block-aligned cover address.
-//
-//obfus:hotpath
 func (c *Controller) coverAddr() uint64 {
 	return (c.rng.Uint64n(coverSpace)) &^ 63
 }

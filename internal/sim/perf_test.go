@@ -1,184 +1,132 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 )
 
-// TestScheduleFireRecycleZeroAllocs is the PR 4 regression guard for the
-// engine hot path: once the free list is warm, Schedule→fire→recycle must
-// not allocate. bench-smoke runs this in CI.
-func TestScheduleFireRecycleZeroAllocs(t *testing.T) {
+// TestScheduleFireZeroAllocs is the regression guard for the engine hot
+// path: once the heap slice has grown to steady-state depth, Schedule→fire
+// must not allocate. bench-smoke runs this in CI.
+func TestScheduleFireZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
-	// Warm-up: grow the heap slice and free list to steady-state depth.
+	// Warm-up: grow the heap slice to steady-state depth.
 	for i := 0; i < 64; i++ {
-		e.Schedule(e.Now()+Time(i%7), fn)
+		e.Schedule(e.now+Time(i%7), fn)
 	}
-	for e.Step() {
-	}
+	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.Schedule(e.Now()+3, fn)
-		e.Schedule(e.Now()+1, fn)
-		e.Step()
-		e.Step()
+		e.Schedule(e.now+3, fn)
+		e.Schedule(e.now+1, fn)
+		e.step()
+		e.step()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Schedule/fire/recycle allocates %.1f allocs/op, want 0", allocs)
+		t.Fatalf("steady-state Schedule/fire allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
-// TestStaleRefCancelIsNoOp pins the generation guard: an EventRef retained
-// past its event's firing must not be able to cancel the next occupant of
-// the recycled storage.
-func TestStaleRefCancelIsNoOp(t *testing.T) {
-	e := NewEngine()
-	stale := e.Schedule(10, func() {})
-	e.Run() // fires and recycles the event storage
-	fired := false
-	fresh := e.Schedule(20, func() { fired = true })
-	// With one event recycled, the new schedule reuses the same storage.
-	e.Cancel(stale) // must be a generation-mismatch no-op
-	if stale.Cancelled() {
-		t.Error("stale handle reports Cancelled() = true")
-	}
-	if stale.When() != 0 {
-		t.Errorf("stale handle When() = %v, want 0", stale.When())
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("stale Cancel killed a live recycled event")
-	}
-	if fresh.Cancelled() {
-		t.Error("fresh handle reports Cancelled() after firing")
-	}
-}
-
-// TestRunUntilSkipsCancelledHead covers the lazy-cancellation interaction
-// with RunUntil's deadline peek: a tombstoned event at the head of the heap
-// must not cause an event beyond the deadline to fire.
-func TestRunUntilSkipsCancelledHead(t *testing.T) {
-	e := NewEngine()
-	doomed := e.Schedule(5, func() { t.Error("cancelled event fired") })
-	late := 0
-	e.Schedule(50, func() { late++ })
-	e.Cancel(doomed)
-	e.RunUntil(10)
-	if late != 0 {
-		t.Fatal("RunUntil fired an event past the deadline while skipping a tombstone")
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %v, want 10", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1 (tombstone must not count)", e.Pending())
-	}
-	e.RunUntil(100)
-	if late != 1 {
-		t.Fatal("live event did not fire after the deadline advanced")
-	}
-}
-
-// TestCancelInsideOwnCallback: cancelling the firing event from inside its
-// own callback is a no-op (it already ran) and must not corrupt recycling.
-func TestCancelInsideOwnCallback(t *testing.T) {
-	e := NewEngine()
-	var self EventRef
-	ran := false
-	self = e.Schedule(10, func() {
-		ran = true
-		e.Cancel(self)
-	})
-	e.Run()
-	if !ran {
-		t.Fatal("event did not run")
-	}
-	if self.Cancelled() {
-		t.Error("self-cancel inside callback marked a fired event cancelled")
-	}
-}
-
-// FuzzEventRecycling interleaves Schedule, Cancel (including via stale
-// handles), and Step on an engine whose events are recycled, checking that
-// a cancelled callback never fires, nothing fires twice, time never goes
-// backwards, and every never-cancelled event does fire once the queue
-// drains.
-func FuzzEventRecycling(f *testing.F) {
+// FuzzEngineOrder schedules events at fuzzed offsets, some before the run,
+// some between single steps and some from inside firing callbacks, and
+// checks what the engine promises: every event fires exactly once, time
+// never goes backwards, and the firing order is the stable sort of
+// (time, scheduling order), so equal-time events fire in the order they
+// were scheduled.
+func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{0, 0, 0, 9, 1, 0, 2, 1, 3, 2, 2, 2})
 	f.Add([]byte{2, 2, 2, 0, 7, 1, 0, 0, 1, 2, 1, 1, 2, 2})
+	// Forty-eight events queued before the run reach the heap's third
+	// level, where a sift that skips a child would misorder them.
+	deep := make([]byte, 0, 96)
+	for i := 0; i < 48; i++ {
+		deep = append(deep, 0, byte(i*37))
+	}
+	f.Add(deep)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type record struct {
-			ref       EventRef
-			fired     int
-			cancelled bool // observed via ref.Cancelled() right after Cancel
+			at    Time
+			seq   int
+			fired int
 		}
 		e := NewEngine()
 		var recs []*record
+		var order []int
 		lastFire := Time(-1)
+		// schedule queues one event offset picoseconds from now; when
+		// spawn is non-nil the event schedules that child as it fires.
+		var schedule func(offset Time, spawn *Time)
+		schedule = func(offset Time, spawn *Time) {
+			r := &record{at: e.now + offset, seq: len(recs)}
+			recs = append(recs, r)
+			e.Schedule(r.at, func() {
+				r.fired++
+				if e.now != r.at {
+					t.Fatalf("event %d fired at %v, scheduled for %v", r.seq, e.now, r.at)
+				}
+				if e.now < lastFire {
+					t.Fatalf("time went backwards: %v after %v", e.now, lastFire)
+				}
+				lastFire = e.now
+				order = append(order, r.seq)
+				if spawn != nil {
+					schedule(*spawn, nil)
+				}
+			})
+		}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i]%3, data[i+1]
 			switch op {
-			case 0: // schedule
-				r := &record{}
-				r.ref = e.Schedule(e.Now()+Time(arg&0x3f), func() {
-					r.fired++
-					if r.cancelled {
-						t.Fatal("cancelled event fired")
-					}
-					if e.Now() < lastFire {
-						t.Fatalf("time went backwards: %v after %v", e.Now(), lastFire)
-					}
-					lastFire = e.Now()
-				})
-				recs = append(recs, r)
-			case 1: // cancel an arbitrary (possibly fired/stale) handle
-				if len(recs) > 0 {
-					r := recs[int(arg)%len(recs)]
-					e.Cancel(r.ref)
-					if r.ref.Cancelled() {
-						if r.fired > 0 {
-							t.Fatal("handle of a fired event reports Cancelled()")
-						}
-						r.cancelled = true
-					}
-				}
-			case 2: // step
-				e.Step()
+			case 0: // schedule from outside the run
+				schedule(Time(arg&0x3f), nil)
+			case 1: // schedule an event that schedules a child when it fires
+				child := Time(arg >> 3 & 0x1f)
+				schedule(Time(arg&0x07), &child)
+			case 2: // fire one event
+				e.step()
 			}
 		}
 		e.Run()
-		if e.Pending() != 0 {
-			t.Fatalf("Pending() = %d after drain, want 0", e.Pending())
+		if int(e.Fired()) != len(recs) {
+			t.Fatalf("Fired() = %d, want %d", e.Fired(), len(recs))
 		}
-		for i, r := range recs {
-			if r.fired > 1 {
-				t.Fatalf("record %d fired %d times", i, r.fired)
+		for _, r := range recs {
+			if r.fired != 1 {
+				t.Fatalf("event %d fired %d times, want 1", r.seq, r.fired)
 			}
-			if r.cancelled && r.fired != 0 {
-				t.Fatalf("record %d fired despite cancellation", i)
+		}
+		want := make([]*record, len(recs))
+		copy(want, recs)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
 			}
-			if !r.cancelled && r.fired != 1 {
-				t.Fatalf("record %d never fired (stale Cancel hit a live event?)", i)
+			return want[i].seq < want[j].seq
+		})
+		for i, r := range want {
+			if order[i] != r.seq {
+				t.Fatalf("firing order %v, want (at, seq) order at position %d: event %d", order, i, r.seq)
 			}
 		}
 	})
 }
 
 // benchChurn drives a steady-state event churn: a K-deep queue where every
-// fired event schedules a successor, the dominant pattern in the simulator
-// (bus transfers, pipeline completions, retry timers).
+// fired event schedules a successor, the open loop's pattern (each arrival
+// schedules the next one).
 const benchChurnDepth = 64
 
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
 	var fn func()
-	fn = func() { e.Schedule(e.Now()+Time(1+e.Fired()%13), fn) }
+	fn = func() { e.Schedule(e.now+Time(1+e.Fired()%13), fn) }
 	for i := 0; i < benchChurnDepth; i++ {
 		e.Schedule(Time(i), fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		e.step()
 	}
 }

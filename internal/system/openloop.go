@@ -104,12 +104,6 @@ type openLane struct {
 	peers       []*openLane
 }
 
-// post queues an event on the run's engine.
-func (l *openLane) post(at sim.Time, fn func()) {
-	//lint:allow eventref open-loop arrivals and cover notifications are never cancelled
-	l.eng.Schedule(at, fn)
-}
-
 // record logs one wire event on the lane's own channel.
 func (l *openLane) record(at sim.Time, bytes int, dummy bool) {
 	l.wire = append(l.wire, openWireEvent{at: at, ch: l.ch, seq: len(l.wire), bytes: bytes, dummy: dummy})
@@ -175,7 +169,7 @@ func (l *openLane) real(at sim.Time, addr uint64, write bool) {
 	// at + FrontEndTime, against that lane's own state.
 	when := at + obfus.FrontEndTime
 	for _, peer := range l.peers {
-		l.post(when, func() { peer.cover(when) })
+		l.eng.Schedule(when, func() { peer.cover(when) })
 	}
 }
 
@@ -269,11 +263,11 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 			req := l.stream.Next()
 			l.real(t, req.Addr, req.Write)
 			if remaining > 1 {
-				l.post(t+req.Gap, func() { arrive(t+req.Gap, remaining-1) })
+				l.eng.Schedule(t+req.Gap, func() { arrive(t+req.Gap, remaining-1) })
 			}
 		}
 		first := l.stream.Next().Gap
-		l.post(first, func() { arrive(first, cfg.Requests) })
+		l.eng.Schedule(first, func() { arrive(first, cfg.Requests) })
 	}
 
 	eng.Run()

@@ -125,3 +125,33 @@ func TestReadTraceBadGapNoPanic(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadTrace feeds arbitrary bytes to the trace parser. It must never
+// panic, and any trace it accepts must come back unchanged from a
+// WriteTrace/ReadTrace round trip. The seed corpus under testdata/fuzz
+// replays in every `go test`.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, reqs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v\n%s", err, buf.Bytes())
+		}
+		if len(again) != len(reqs) {
+			t.Fatalf("round trip returned %d requests, want %d", len(again), len(reqs))
+		}
+		for i := range reqs {
+			if again[i] != reqs[i] {
+				t.Fatalf("request %d changed in the round trip: gap %dps %#x %v -> gap %dps %#x %v", i,
+					int64(reqs[i].Gap), reqs[i].Addr, reqs[i].Write, int64(again[i].Gap), again[i].Addr, again[i].Write)
+			}
+		}
+	})
+}

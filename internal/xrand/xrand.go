@@ -55,12 +55,9 @@ func (r *Rand) Fork(id uint64) *Rand {
 	return New(r.Uint64() ^ Mix64(id) ^ 0xa5a5a5a55a5a5a5a)
 }
 
-//obfus:hotpath
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
-//
-//obfus:hotpath
 func (r *Rand) Uint64() uint64 {
 	s := &r.s
 	result := rotl(s[1]*5, 7) * 9
@@ -78,8 +75,6 @@ func (r *Rand) Uint64() uint64 {
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
-//
-//obfus:hotpath
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
@@ -89,8 +84,6 @@ func (r *Rand) Intn(n int) int {
 
 // Uint64n returns a uniform integer in [0, n) using Lemire's method with a
 // rejection step to remove modulo bias. It panics if n == 0.
-//
-//obfus:hotpath
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with zero n")

@@ -229,3 +229,26 @@ func TestMix64(t *testing.T) {
 		t.Error("Mix64 not deterministic")
 	}
 }
+
+// TestDrawsZeroAllocs is the zero-allocation contract of the draws the
+// simulator makes per request (cover addresses, ORAM leaves, workload
+// addresses). bench-smoke runs this in CI.
+func TestDrawsZeroAllocs(t *testing.T) {
+	r := New(7)
+	var sink uint64
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"Uint64", func() { sink += r.Uint64() }},
+		{"Intn", func() { sink += uint64(r.Intn(1000)) }},
+		{"Uint64n", func() { sink += r.Uint64n(1<<40 + 3) }},
+		{"Uint64n/pow2", func() { sink += r.Uint64n(1 << 20) }},
+	}
+	for _, tc := range cases {
+		if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
+			t.Errorf("%s allocates %.1f allocs/op, want 0", tc.name, allocs)
+		}
+	}
+	_ = sink
+}

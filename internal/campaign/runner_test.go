@@ -334,6 +334,33 @@ func TestCampaignInterruptDrains(t *testing.T) {
 	}
 }
 
+// TestCampaignJournalFailure: a journal append that fails mid-run is fatal.
+// Run returns the append error and publishes no merged artifact.
+func TestCampaignJournalFailure(t *testing.T) {
+	dir := t.TempDir()
+	var r *Runner
+	var started atomic.Int64
+	r, err := NewRunner(smallManifest(), Options{Dir: dir, Workers: 2, BackoffBase: -1,
+		runCellFn: func(c Cell, reg *metrics.Registry) (CellResult, error) {
+			if started.Add(1) == 1 {
+				r.mu.Lock()
+				r.journal.Close() // every later append fails
+				r.mu.Unlock()
+			}
+			return runCell(c, reg)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Run(context.Background())
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Run returned %v, want the failed append's error", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ResultsFile)); !os.IsNotExist(err) {
+		t.Fatal("a campaign whose journal failed must not publish a merged artifact")
+	}
+}
+
 // TestCampaignRejectsForeignJournal: a journal from a different manifest
 // cannot be resumed into.
 func TestCampaignRejectsForeignJournal(t *testing.T) {

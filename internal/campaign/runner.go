@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"obfusmem/internal/cpu"
+	"obfusmem/internal/exp"
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
@@ -45,7 +46,7 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Trace, when non-nil, receives one campaign-cell span per committed
 	// cell on the campaign's virtual timeline (cumulative simulated
-	// time, in commit order). Owned by the coordinator only.
+	// time, in commit order). Written only under the runner's lock.
 	Trace *trace.Recorder
 	// Log receives human-readable progress lines; nil discards.
 	Log io.Writer
@@ -312,16 +313,13 @@ func (r *Runner) backoff(attempt int) time.Duration {
 	return d
 }
 
-// commit journals one outcome and updates shared state. Coordinator only.
+// commit journals one outcome and updates shared state. Callers hold mu.
 func (r *Runner) commit(rec Record) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if err := r.journal.Append(rec); err != nil {
 		return err
 	}
 	r.outcomes[rec.Key] = rec
 	r.account(rec, false)
-	r.prog.InFlight--
 	r.prog.JournalBytes = r.journal.Bytes()
 	m := r.campaignMetrics()
 	m.Counter(names.CampJournalRecords).Inc()
@@ -405,56 +403,36 @@ func (r *Runner) Run(ctx context.Context) (Summary, error) {
 	return s, nil
 }
 
-// runPending fans the uncommitted cells out over the worker pool and
-// commits outcomes as they stream back. Dispatch stops on ctx
-// cancellation; in-flight cells always drain and commit.
+// runPending runs the uncommitted cells on exp.RunJobs and commits each
+// outcome as it finishes. Dispatch stops once ctx is cancelled or a journal
+// append has failed; in-flight cells always drain. It returns the first
+// append error, or the first job panic.
 func (r *Runner) runPending(ctx context.Context, keys []string) error {
-	work := make(chan Cell)
-	results := make(chan Record)
-	var wg sync.WaitGroup
-	wg.Add(r.opts.Workers)
-	for w := 0; w < r.opts.Workers; w++ {
-		//lint:allow determinism campaign worker goroutines run independent cells into per-key journal commits; merged output is assembled in grid order
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				results <- r.outcomeOf(ctx, c)
-			}
-		}()
+	var appendErr error // guarded by r.mu
+	stop := func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return appendErr != nil || ctx.Err() != nil
 	}
-	//lint:allow determinism feeder goroutine only sequences dispatch; cancellation stops dispatch, never uncommits state
-	go func() {
-		defer close(work)
-		for _, k := range keys {
-			c := r.first[k]
-			r.mu.Lock()
-			r.prog.InFlight++
-			r.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				r.mu.Lock()
-				r.prog.InFlight--
-				r.mu.Unlock()
-				return
-			case work <- c:
-			}
-		}
-	}()
-	//lint:allow determinism closer goroutine turns pool drain into channel close for the commit loop below
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	for rec := range results {
-		if err := r.commit(rec); err != nil {
+	errs := exp.RunJobs(r.opts.Workers, len(keys), stop, func(i int) {
+		r.mu.Lock()
+		r.prog.InFlight++
+		r.mu.Unlock()
+		rec := r.outcomeOf(ctx, r.first[keys[i]])
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.prog.InFlight--
+		if appendErr == nil {
 			// A journal write failure is fatal: without durability the
-			// campaign's contract is void. Drain workers before leaving.
-			//lint:allow determinism drain goroutine discards in-flight results after a fatal journal error
-			go func() {
-				for range results {
-				}
-			}()
+			// campaign's contract is void.
+			appendErr = r.commit(rec)
+		}
+	})
+	if appendErr != nil {
+		return appendErr
+	}
+	for _, err := range errs {
+		if err != nil && err != exp.ErrSkipped {
 			return err
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/xrand"
@@ -335,17 +336,23 @@ func TestCampaignInterruptDrains(t *testing.T) {
 }
 
 // TestCampaignJournalFailure: a journal append that fails mid-run is fatal.
-// Run returns the append error and publishes no merged artifact.
+// Run returns the append error, publishes no merged artifact, and returns
+// only after the cells already in flight have finished.
 func TestCampaignJournalFailure(t *testing.T) {
 	dir := t.TempDir()
 	var r *Runner
-	var started atomic.Int64
+	var started, running atomic.Int64
 	r, err := NewRunner(smallManifest(), Options{Dir: dir, Workers: 2, BackoffBase: -1,
 		runCellFn: func(c Cell, reg *metrics.Registry) (CellResult, error) {
-			if started.Add(1) == 1 {
+			running.Add(1)
+			defer running.Add(-1)
+			switch started.Add(1) {
+			case 1:
 				r.mu.Lock()
 				r.journal.Close() // every later append fails
 				r.mu.Unlock()
+			case 2:
+				time.Sleep(100 * time.Millisecond) // in flight when cell 1's commit fails
 			}
 			return runCell(c, reg)
 		}})
@@ -358,6 +365,9 @@ func TestCampaignJournalFailure(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, ResultsFile)); !os.IsNotExist(err) {
 		t.Fatal("a campaign whose journal failed must not publish a merged artifact")
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("Run returned with %d cells still executing", n)
 	}
 }
 

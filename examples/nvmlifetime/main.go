@@ -9,41 +9,59 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"obfusmem"
 )
 
-func run(d obfusmem.DummyDesign, label string) {
+// ablate runs bwaves on an ObfusMem machine with dummy design d and prints
+// one row of wear, energy and lifetime figures.
+func ablate(stdout io.Writer, d obfusmem.DummyDesign, label string) error {
 	m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
 		Protection: obfusmem.ProtectionObfusMem,
 		Dummy:      d,
 		Seed:       1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// bwaves is ~95% demand reads, so nearly every access needs a dummy
 	// *write* — the case where the dummy-address design decides NVM fate.
 	res, err := m.RunBenchmark("bwaves", 10000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	t := m.Traffic()
 	lifetimeHours := m.NVMLifetimeYears(res.ExecTime) * 365.25 * 24
-	fmt.Printf("%-18s exec %10v | dummy PCM writes %6d reads %6d | array writes %6d | max row wear %4d | energy %.1f uJ | est. lifetime %6.1f h\n",
+	fmt.Fprintf(stdout, "%-18s exec %10v | dummy PCM writes %6d reads %6d | array writes %6d | max row wear %4d | energy %.1f uJ | est. lifetime %6.1f h\n",
 		label, res.ExecTime, t.DummyPCMWrites, t.DummyPCMReads,
 		t.PCMArrayWrites, t.PCMMaxWear, t.PCMEnergyPJ/1e6, lifetimeHours)
+	return nil
 }
 
-func main() {
-	fmt.Println("dummy-address design ablation (bwaves, 10000 requests, PCM endurance 1e8 writes/cell)")
-	fmt.Println()
-	run(obfusmem.RandomAddress, "random-address")
-	run(obfusmem.OriginalAddress, "original-address")
-	run(obfusmem.FixedAddress, "fixed-address")
-	fmt.Println()
-	fmt.Println("fixed-address dummies are dropped at the memory-side controller before")
-	fmt.Println("touching PCM (Observation 2): zero extra wear, zero extra write energy,")
-	fmt.Println("which is why the paper reserves one 64-byte block per module as the dummy.")
+func main() { os.Exit(run(os.Stdout)) }
+
+// run writes the report to stdout and returns the exit code.
+func run(stdout io.Writer) int {
+	fmt.Fprintln(stdout, "dummy-address design ablation (bwaves, 10000 requests, PCM endurance 1e8 writes/cell)")
+	fmt.Fprintln(stdout)
+	for _, d := range []struct {
+		design obfusmem.DummyDesign
+		label  string
+	}{
+		{obfusmem.RandomAddress, "random-address"},
+		{obfusmem.OriginalAddress, "original-address"},
+		{obfusmem.FixedAddress, "fixed-address"},
+	} {
+		if err := ablate(stdout, d.design, d.label); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+	}
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "fixed-address dummies are dropped at the memory-side controller before")
+	fmt.Fprintln(stdout, "touching PCM (Observation 2): zero extra wear, zero extra write energy,")
+	fmt.Fprintln(stdout, "which is why the paper reserves one 64-byte block per module as the dummy.")
+	return 0
 }

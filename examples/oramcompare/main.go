@@ -9,37 +9,44 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"obfusmem"
 )
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// run writes the report to stdout and returns the exit code.
+func run(stdout io.Writer) int {
 	// --- Functional Path ORAM on a hot-set workload. ---
 	cfg := obfusmem.PathORAMConfig{Levels: 10, Z: 4, StashCapacity: 300, BlockBytes: 64}
 	po, err := obfusmem.NewPathORAM(cfg, 4000, 1)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	const accesses = 6000
 	for i := 0; i < accesses; i++ {
 		blk := i % 16 // tiny hot set: worst case for pattern leakage
 		if i%3 == 0 {
 			if _, err := po.Access(obfusmem.ORAMWrite, blk, []byte("secret-record!")); err != nil {
-				log.Fatal(err)
+				fmt.Fprintln(os.Stderr, err)
+				return 1
 			}
 		} else if _, err := po.Access(obfusmem.ORAMRead, blk, nil); err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 	}
 	st := po.Stats()
-	fmt.Println("== Path ORAM (functional, L=10 Z=4) ==")
-	fmt.Printf("accesses:             %d over a hot set of 16 blocks\n", st.Accesses)
-	fmt.Printf("blocks read/written:  %d / %d (%d per access — bandwidth amplification)\n",
+	fmt.Fprintln(stdout, "== Path ORAM (functional, L=10 Z=4) ==")
+	fmt.Fprintf(stdout, "accesses:             %d over a hot set of 16 blocks\n", st.Accesses)
+	fmt.Fprintf(stdout, "blocks read/written:  %d / %d (%d per access — bandwidth amplification)\n",
 		st.BlocksRead, st.BlocksWritten, po.PathLength())
-	fmt.Printf("write amplification:  %.0fx per access (every access rewrites a path)\n", po.WriteAmplification())
-	fmt.Printf("storage overhead:     %.0f%% (dummy blocks for a safe failure rate)\n", po.StorageOverhead()*100)
-	fmt.Printf("stash: max %d, mean %.1f, overflows %d\n", st.StashMax, po.MeanStash(), st.Failures)
+	fmt.Fprintf(stdout, "write amplification:  %.0fx per access (every access rewrites a path)\n", po.WriteAmplification())
+	fmt.Fprintf(stdout, "storage overhead:     %.0f%% (dummy blocks for a safe failure rate)\n", po.StorageOverhead()*100)
+	fmt.Fprintf(stdout, "stash: max %d, mean %.1f, overflows %d\n", st.StashMax, po.MeanStash(), st.Failures)
 
 	// What the observer saw: the leaf trace.
 	trace := po.LeafTrace()
@@ -56,16 +63,17 @@ func main() {
 			min = c
 		}
 	}
-	fmt.Printf("observer's leaf trace: %d distinct leaves touched, min/max frequency %d/%d\n",
+	fmt.Fprintf(stdout, "observer's leaf trace: %d distinct leaves touched, min/max frequency %d/%d\n",
 		len(counts), min, max)
-	fmt.Println("  -> uniform: nothing about the 16-block hot set is visible")
+	fmt.Fprintln(stdout, "  -> uniform: nothing about the 16-block hot set is visible")
 
 	// --- ObfusMem on the same shape of workload. ---
-	fmt.Println("\n== ObfusMem (full machine, bus observer attached) ==")
+	fmt.Fprintln(stdout, "\n== ObfusMem (full machine, bus observer attached) ==")
 	m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
 		Protection: obfusmem.ProtectionObfusMemAuth, Seed: 2})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	obs := m.AttachObserver(1 << 20)
 	var at obfusmem.Time
@@ -79,14 +87,15 @@ func main() {
 		}
 	}
 	m.Drain(at)
-	fmt.Printf("packets observed:       %d\n", obs.Packets())
-	fmt.Printf("ciphertext repeats:     %.4f (temporal pattern: hidden)\n", obs.TemporalLeakage())
-	fmt.Printf("footprint estimate:     %d vs true %d (footprint: hidden)\n",
+	fmt.Fprintf(stdout, "packets observed:       %d\n", obs.Packets())
+	fmt.Fprintf(stdout, "ciphertext repeats:     %.4f (temporal pattern: hidden)\n", obs.TemporalLeakage())
+	fmt.Fprintf(stdout, "footprint estimate:     %d vs true %d (footprint: hidden)\n",
 		obs.FootprintEstimate(), obs.TrueFootprint())
-	fmt.Printf("dictionary attack:      %.4f recovery (spatial pattern: hidden)\n", obs.DictionaryAttack())
+	fmt.Fprintf(stdout, "dictionary attack:      %.4f recovery (spatial pattern: hidden)\n", obs.DictionaryAttack())
 
 	t := m.Traffic()
-	fmt.Printf("cost: %d dummy requests dropped at memory, %d extra PCM writes, %d bus bytes\n",
+	fmt.Fprintf(stdout, "cost: %d dummy requests dropped at memory, %d extra PCM writes, %d bus bytes\n",
 		t.DroppedAtMemory, 0, t.BusBytes)
-	fmt.Println("\nsame obfuscation guarantees; no reshuffling, no write amplification, no stash")
+	fmt.Fprintln(stdout, "\nsame obfuscation guarantees; no reshuffling, no write amplification, no stash")
+	return 0
 }

@@ -6,12 +6,16 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"obfusmem"
 )
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// run writes the report to stdout and returns the exit code.
+func run(stdout io.Writer) int {
 	const bench = "mcf"
 	const requests = 8000
 
@@ -23,23 +27,25 @@ func main() {
 		obfusmem.ProtectionORAM,
 	}
 
-	fmt.Printf("workload %s, %d memory requests per machine\n\n", bench, requests)
-	fmt.Printf("%-16s %12s %8s %12s %10s\n", "protection", "exec time", "IPC", "mean read", "overhead")
+	fmt.Fprintf(stdout, "workload %s, %d memory requests per machine\n\n", bench, requests)
+	fmt.Fprintf(stdout, "%-16s %12s %8s %12s %10s\n", "protection", "exec time", "IPC", "mean read", "overhead")
 
 	var base obfusmem.Result
 	for i, p := range levels {
 		m, err := obfusmem.NewMachine(obfusmem.MachineConfig{Protection: p, Seed: 1})
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 		res, err := m.RunBenchmark(bench, requests)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 		if i == 0 {
 			base = res
 		}
-		fmt.Printf("%-16s %12v %8.2f %9.0f ns %9.1f%%\n",
+		fmt.Fprintf(stdout, "%-16s %12v %8.2f %9.0f ns %9.1f%%\n",
 			p, res.ExecTime, res.IPC, res.MeanReadNS, obfusmem.Overhead(base, res))
 	}
 
@@ -48,13 +54,14 @@ func main() {
 	ro, _ := obfusmem.NewMachine(obfusmem.MachineConfig{Protection: obfusmem.ProtectionORAM, Seed: 1})
 	a, _ := mo.RunBenchmark(bench, requests)
 	b, _ := ro.RunBenchmark(bench, requests)
-	fmt.Printf("\nObfusMem+Auth is %.1fx faster than the Path ORAM model on %s\n",
+	fmt.Fprintf(stdout, "\nObfusMem+Auth is %.1fx faster than the Path ORAM model on %s\n",
 		obfusmem.Speedup(a, b), bench)
 
 	// Dummy traffic bookkeeping: what obfuscation actually cost the memory.
 	t := mo.Traffic()
-	fmt.Printf("\nObfusMem traffic: %d real reads, %d real writes, %d dummies dropped at memory,\n",
+	fmt.Fprintf(stdout, "\nObfusMem traffic: %d real reads, %d real writes, %d dummies dropped at memory,\n",
 		t.RealReads, t.RealWrites, t.DroppedAtMemory)
-	fmt.Printf("%d substituted pairs, %d+%d AES pads (proc+mem), 0 extra PCM writes\n",
+	fmt.Fprintf(stdout, "%d substituted pairs, %d+%d AES pads (proc+mem), 0 extra PCM writes\n",
 		t.SubstitutedPairs, t.PadsProcessor, t.PadsMemory)
+	return 0
 }

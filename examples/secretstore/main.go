@@ -9,7 +9,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"obfusmem"
 )
@@ -20,11 +21,15 @@ func mkBlock(s string) obfusmem.Block {
 	return b
 }
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// run writes the report to stdout and returns the exit code.
+func run(stdout io.Writer) int {
 	m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
 		Protection: obfusmem.ProtectionObfusMemAuth, Seed: 1})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	obs := m.AttachObserver(1 << 20)
 
@@ -49,32 +54,34 @@ func main() {
 	// 1. Round trip.
 	got, done, verified := m.ReadBlock(at, 2*64)
 	at = done
-	fmt.Printf("read back: %q (verified=%v)\n", string(got[:30]), verified)
+	fmt.Fprintf(stdout, "read back: %q (verified=%v)\n", string(got[:30]), verified)
 
 	// 2. What sits in the memory chips.
-	fmt.Printf("\nwhat a memory readout attack sees (block 2): not %q\n", records[2][:20])
-	fmt.Println("   (ciphertext at rest; see TestValueDataInMemoryIsCiphertext)")
+	fmt.Fprintf(stdout, "\nwhat a memory readout attack sees (block 2): not %q\n", records[2][:20])
+	fmt.Fprintln(stdout, "   (ciphertext at rest; see TestValueDataInMemoryIsCiphertext)")
 
 	// 3. What the bus observer learned.
-	fmt.Printf("\nbus observer after %d packets:\n", obs.Packets())
-	fmt.Printf("  ciphertext repeats:  %.4f  (cannot see that one record is hot)\n", obs.TemporalLeakage())
-	fmt.Printf("  footprint estimate:  %d vs true 4 records\n", obs.FootprintEstimate())
-	fmt.Printf("  dictionary attack:   %.4f recovery\n", obs.DictionaryAttack())
+	fmt.Fprintf(stdout, "\nbus observer after %d packets:\n", obs.Packets())
+	fmt.Fprintf(stdout, "  ciphertext repeats:  %.4f  (cannot see that one record is hot)\n", obs.TemporalLeakage())
+	fmt.Fprintf(stdout, "  footprint estimate:  %d vs true 4 records\n", obs.FootprintEstimate())
+	fmt.Fprintf(stdout, "  dictionary attack:   %.4f recovery\n", obs.DictionaryAttack())
 
 	// 4. Observation 4: corrupt data in flight during a write.
-	fmt.Println("\nactive attacker corrupts the data payload of the next write...")
+	fmt.Fprintln(stdout, "\nactive attacker corrupts the data payload of the next write...")
 	tmp := m.AttachTamperer(obfusmem.TamperData, 1)
 	at = m.WriteBlock(at, 3*64, mkBlock("dave: pin=9999 (update)"))
 	ev := m.SecurityEvents()
-	fmt.Printf("  bus MAC alarms: %d (encrypt-and-MAC does not cover data — by design)\n", ev.TamperDetected)
+	fmt.Fprintf(stdout, "  bus MAC alarms: %d (encrypt-and-MAC does not cover data — by design)\n", ev.TamperDetected)
 	_ = tmp
 
 	m2, _, ok := m.ReadBlock(at, 3*64)
-	fmt.Printf("  next read of dave's record: verified=%v (Merkle tree caught it)\n", ok)
+	fmt.Fprintf(stdout, "  next read of dave's record: verified=%v (Merkle tree caught it)\n", ok)
 	if ok {
-		log.Fatal("corruption went undetected!")
+		fmt.Fprintln(os.Stderr, "corruption went undetected!")
+		return 1
 	}
 	_ = m2
-	fmt.Println("\nObservation 4: \"tampering of data that is written to memory will not be")
-	fmt.Println("detected until the data is eventually read into the processor chip.\"")
+	fmt.Fprintln(stdout, "\nObservation 4: \"tampering of data that is written to memory will not be")
+	fmt.Fprintln(stdout, "detected until the data is eventually read into the processor chip.\"")
+	return 0
 }

@@ -6,44 +6,48 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"obfusmem"
 )
 
-func boot(label string, s obfusmem.BootScenario) {
+func boot(stdout io.Writer, label string, s obfusmem.BootScenario) {
 	rep := obfusmem.SimulateBoot(s)
 	switch {
 	case rep.Err != nil:
-		fmt.Printf("%-58s HALTED: %v\n", label, rep.Err)
+		fmt.Fprintf(stdout, "%-58s HALTED: %v\n", label, rep.Err)
 	case rep.Compromised:
-		fmt.Printf("%-58s ESTABLISHED but COMPROMISED (attacker holds the key!)\n", label)
+		fmt.Fprintf(stdout, "%-58s ESTABLISHED but COMPROMISED (attacker holds the key!)\n", label)
 	default:
-		fmt.Printf("%-58s established securely\n", label)
+		fmt.Fprintf(stdout, "%-58s established securely\n", label)
 	}
 }
 
-func main() {
-	fmt.Println("== Section 3.1: trust bootstrapping ==")
-	boot("naive, clean boot:", obfusmem.BootScenario{
+func main() { os.Exit(run(os.Stdout)) }
+
+// run writes the report to stdout and returns the exit code.
+func run(stdout io.Writer) int {
+	fmt.Fprintln(stdout, "== Section 3.1: trust bootstrapping ==")
+	boot(stdout, "naive, clean boot:", obfusmem.BootScenario{
 		Approach: obfusmem.BootNaive, HonestIntegrator: true, MemoryObfusCapable: true, Seed: 1})
-	boot("naive, boot-time MITM:", obfusmem.BootScenario{
+	boot(stdout, "naive, boot-time MITM:", obfusmem.BootScenario{
 		Approach: obfusmem.BootNaive, HonestIntegrator: true, MemoryObfusCapable: true,
 		BootTimeMITM: true, Seed: 2})
-	boot("trusted integrator, boot-time MITM:", obfusmem.BootScenario{
+	boot(stdout, "trusted integrator, boot-time MITM:", obfusmem.BootScenario{
 		Approach: obfusmem.BootTrustedIntegrator, HonestIntegrator: true,
 		MemoryObfusCapable: true, BootTimeMITM: true, Seed: 3})
-	boot("untrusted integrator burned wrong keys:", obfusmem.BootScenario{
+	boot(stdout, "untrusted integrator burned wrong keys:", obfusmem.BootScenario{
 		Approach: obfusmem.BootUntrustedIntegrator, HonestIntegrator: false,
 		MemoryObfusCapable: true, Seed: 4})
-	boot("untrusted integrator, non-ObfusMem memory chip:", obfusmem.BootScenario{
+	boot(stdout, "untrusted integrator, non-ObfusMem memory chip:", obfusmem.BootScenario{
 		Approach: obfusmem.BootUntrustedIntegrator, HonestIntegrator: true,
 		MemoryObfusCapable: false, Seed: 5})
-	boot("untrusted integrator, everything genuine:", obfusmem.BootScenario{
+	boot(stdout, "untrusted integrator, everything genuine:", obfusmem.BootScenario{
 		Approach: obfusmem.BootUntrustedIntegrator, HonestIntegrator: true,
 		MemoryObfusCapable: true, Seed: 6})
 
-	fmt.Println("\n== Section 3.5: communication authentication under attack ==")
+	fmt.Fprintln(stdout, "\n== Section 3.5: communication authentication under attack ==")
 	attacks := []struct {
 		kind obfusmem.TamperKind
 		note string
@@ -58,15 +62,18 @@ func main() {
 		m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
 			Protection: obfusmem.ProtectionObfusMemAuth, FullHandshake: true, Seed: 7})
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 		tmp := m.AttachTamperer(a.kind, 5)
 		if _, err := m.RunBenchmark("lbm", 2000); err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 		ev := m.SecurityEvents()
-		fmt.Printf("%-14s mounted %4d, detected %4d  (%s)\n",
+		fmt.Fprintf(stdout, "%-14s mounted %4d, detected %4d  (%s)\n",
 			a.kind, tmp.Attacked, ev.TamperDetected, a.note)
 	}
-	fmt.Println("\ndata corruption is caught by the Merkle integrity tree when the block is next read (Observation 4)")
+	fmt.Fprintln(stdout, "\ndata corruption is caught by the Merkle integrity tree when the block is next read (Observation 4)")
+	return 0
 }

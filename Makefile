@@ -17,8 +17,8 @@
 #                  obfus leg, AES pads, MD5 MAC, metrics instruments, xrand
 #                  draws, every hot-path backend with metrics attached) plus
 #                  short benchmarks of the event engine, the AES pads, the
-#                  MD5 MAC and the obfus datapath; fails if the alloc guards
-#                  regress (runs in CI)
+#                  MD5 MAC and the obfus datapath, then campaign-smoke;
+#                  fails if the alloc guards regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
 #                  the merged results are byte-identical to an uninterrupted
@@ -26,8 +26,8 @@
 #   make profile - full-suite run with pprof CPU + heap profiles written to
 #                  cpu.pprof / mem.pprof (see EXPERIMENTS.md "Profiling and
 #                  benchmarking" for how to read them)
-#   make lint    - obfuslint: the repo's own analyzer suite (four passes:
-#                  determinism, metricnames, secretflow, wireonly; see
+#   make lint    - obfuslint: the repo's own analyzer suite (two passes:
+#                  determinism (map order) and secretflow; see
 #                  DESIGN.md "Machine-checked invariants"), plus golangci-lint and
 #                  govulncheck when installed (both skipped, not failed,
 #                  when absent so the frozen toolchain image still lints)
@@ -96,7 +96,7 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "profiles written; inspect with: $(GO) tool pprof -top cpu.pprof"
 
-ci: lint vet check race bench-smoke campaign-smoke
+ci: lint vet check race bench-smoke
 
 trace-demo:
 	$(GO) run ./cmd/obfsim -exp none -requests 4000 \

@@ -1,17 +1,14 @@
-// Command obfuslint runs the repository's static-analysis suite — the
-// machine-checked determinism, hot-path, event-handle, metric-naming,
-// secret-taint, and wire-only invariants — over the packages matching
-// the given patterns (./... by default). It plays the role of an x/tools
-// multichecker without the dependency: packages are type-checked from source
-// against `go list -export` build-cache data, so a prior `go build ./...` is
-// the only prerequisite.
+// Command obfuslint runs the repository's static-analysis suite over the
+// packages matching the given patterns (./... by default); `obfuslint -list`
+// names the passes and what each one checks. It plays the role of an
+// x/tools multichecker without the dependency: packages are type-checked
+// from source against `go list -export` build-cache data, so a prior
+// `go build ./...` is the only prerequisite.
 //
 // Findings print as file:line:col: analyzer[rule]: message, one per line (or
-// as a JSON array with -json), and a non-empty report exits 1. Directive
-// hygiene is part of the report: suppressions (`//lint:allow <analyzer>
-// <reason>`) that fail to parse, name an unregistered analyzer, or no longer
-// suppress anything are findings in their own right — a suppression without
-// a reason is how lint debt becomes invisible.
+// as a JSON array with -json), and a non-empty report exits 1. A malformed
+// //obfus:* directive, such as a declassifier without a reason, is a finding
+// in its own right.
 //
 // Usage:
 //
@@ -78,9 +75,7 @@ func run(stdout, stderr *os.File, args []string) int {
 		fmt.Fprintf(stderr, "obfuslint: %v\n", err)
 		return 2
 	}
-	// Hygiene must run after the suite: Run's suppression matching is what
-	// marks an allow site as used, so stale detection is only meaningful here.
-	diags = append(diags, framework.Hygiene(res.Packages, suite)...)
+	diags = append(diags, framework.Hygiene(res.Packages)...)
 	framework.SortDiagnostics(res.Fset, diags)
 
 	if *asJSON {

@@ -8,8 +8,7 @@
 //
 // Each quoted string is a substring expectation; a line may carry several.
 // Lines with no want comment must produce no diagnostics, so every golden
-// package also proves the analyzer's negative space — including
-// `//lint:allow` suppressed cases, which must stay silent.
+// package also proves the analyzer's negative space.
 package analysistest
 
 import (

@@ -1,22 +1,16 @@
-// Package annot parses the source annotations shared by every obfuslint
-// analyzer:
+// Package annot parses the source annotations the secretflow analyzer
+// reads:
 //
-//	//obfus:wallclock    function legitimately reads the wall clock (determinism analyzer)
-//	//obfus:scoring      function may read attack ground truth (wireonly analyzer)
 //	//obfus:secret [params...]         function results (bare) or the named
-//	                                   parameters carry secrets (secretflow)
+//	                                   parameters carry secrets
 //	//obfus:public <reason>            declassifier: results are safe for the
 //	                                   wire, with a mandatory reason
-//	//lint:allow <analyzer> <reason>   suppress one finding, with a reason
 //
 // Function directives live in the declaration's doc comment and classify the
 // whole function; //obfus:secret also attaches to struct fields (doc or line
-// comment). No directive applies to a type declaration. //lint:allow is
-// positional: written on (or on the line directly above) the flagged line,
-// it suppresses that analyzer's diagnostics for that line only. A reason is
-// mandatory — a suppression without an explanation is itself reported by the
-// driver, as is a declassifier without one, or the same directive repeated
-// on one declaration.
+// comment). No directive applies to a type declaration. A declassifier
+// without a reason is reported by the driver, as is the same directive
+// repeated on one declaration.
 package annot
 
 import (
@@ -30,30 +24,15 @@ import (
 
 // Directive name constants.
 const (
-	Wallclock = "wallclock"
-	Scoring   = "scoring"
-	Secret    = "secret"
-	Public    = "public"
+	Secret = "secret"
+	Public = "public"
 )
 
-const (
-	obfusPrefix = "//obfus:"
-	allowPrefix = "//lint:allow"
-)
+const obfusPrefix = "//obfus:"
 
-// AllowSite is one parsed //lint:allow comment. The driver marks a site Used
-// when it suppresses a finding; sites still unused after a full run are
-// stale and reported by the hygiene check.
-type AllowSite struct {
-	Analyzer string
-	Pos      token.Pos
-	line     int // suppresses findings on this line and the next
-	Used     bool
-}
-
-// Malformed is a directive that failed to parse (missing analyzer name or
-// reason, a reasonless declassifier, or a duplicated directive). The driver
-// surfaces these as findings so suppressions cannot silently rot.
+// Malformed is a directive that failed to parse (an empty directive name, a
+// reasonless declassifier, or a duplicated directive). The driver surfaces
+// these as findings so annotations cannot silently rot.
 type Malformed struct {
 	Pos  token.Pos
 	Text string
@@ -63,23 +42,16 @@ type Malformed struct {
 type Directives struct {
 	funcs     map[*ast.FuncDecl]map[string][]string // decl -> directive -> args
 	fields    map[string]bool                       // "Type.Field\x00directive"
-	allowsByF map[string][]*AllowSite               // filename -> sites
 	malformed []Malformed
 }
 
 // Parse extracts the directives from the package's files.
-func Parse(fset *token.FileSet, files []*ast.File) *Directives {
+func Parse(files []*ast.File) *Directives {
 	d := &Directives{
-		funcs:     make(map[*ast.FuncDecl]map[string][]string),
-		fields:    make(map[string]bool),
-		allowsByF: make(map[string][]*AllowSite),
+		funcs:  make(map[*ast.FuncDecl]map[string][]string),
+		fields: make(map[string]bool),
 	}
 	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				d.parseAllow(fset, c)
-			}
-		}
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
@@ -190,25 +162,6 @@ func (d *Directives) splitObfus(c *ast.Comment) (name string, args []string, ok 
 	return fields[0], fields[1:], true
 }
 
-func (d *Directives) parseAllow(fset *token.FileSet, c *ast.Comment) {
-	rest, ok := strings.CutPrefix(c.Text, allowPrefix)
-	if !ok {
-		return
-	}
-	fields := strings.Fields(rest)
-	// An analyzer name plus at least one word of reason is mandatory.
-	if len(fields) < 2 {
-		d.malformed = append(d.malformed, Malformed{c.Pos(), c.Text})
-		return
-	}
-	pos := fset.Position(c.Pos())
-	d.allowsByF[pos.Filename] = append(d.allowsByF[pos.Filename], &AllowSite{
-		Analyzer: fields[0],
-		Pos:      c.Pos(),
-		line:     pos.Line,
-	})
-}
-
 // FuncHas reports whether fn's doc comment carries //obfus:<name>.
 func (d *Directives) FuncHas(fn *ast.FuncDecl, name string) bool {
 	_, ok := d.funcs[fn][name]
@@ -227,37 +180,6 @@ func (d *Directives) FuncArgs(fn *ast.FuncDecl, name string) (args []string, ok 
 // //obfus:<directive> on its doc or line comment.
 func (d *Directives) FieldHas(typeName, fieldName, directive string) bool {
 	return d.fields[typeName+"."+fieldName+"\x00"+directive]
-}
-
-// Allowed reports whether a finding of the named analyzer at pos is
-// suppressed by a //lint:allow comment on the same or the preceding line,
-// marking the matching site as having earned its keep.
-func (d *Directives) Allowed(analyzer string, fset *token.FileSet, pos token.Pos) bool {
-	p := fset.Position(pos)
-	for _, a := range d.allowsByF[p.Filename] {
-		if a.Analyzer == analyzer && (a.line == p.Line || a.line == p.Line-1) {
-			a.Used = true
-			return true
-		}
-	}
-	return false
-}
-
-// AllowSites returns every //lint:allow site of the package in positional
-// order, with Used reflecting the suppressions exercised so far.
-func (d *Directives) AllowSites() []*AllowSite {
-	var out []*AllowSite
-	for _, sites := range d.allowsByF {
-		out = append(out, sites...)
-	}
-	// Token positions within one FileSet order files by registration, which
-	// is deterministic for a deterministic loader.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Pos < out[j-1].Pos; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Malformed returns the unparsable directives found in the package.

@@ -11,14 +11,13 @@ import (
 )
 
 // parseSrc runs Parse over one in-memory file.
-func parseSrc(t *testing.T, src string) (*token.FileSet, *ast.File, *Directives) {
+func parseSrc(t *testing.T, src string) (*ast.File, *Directives) {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "x.go", src, parser.ParseComments)
+	f, err := parser.ParseFile(token.NewFileSet(), "x.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, f, Parse(fset, []*ast.File{f})
+	return f, Parse([]*ast.File{f})
 }
 
 // funcDecl finds the named function declaration.
@@ -34,7 +33,7 @@ func funcDecl(t *testing.T, f *ast.File, name string) *ast.FuncDecl {
 }
 
 func TestFuncDirectivesAndArgs(t *testing.T) {
-	_, f, d := parseSrc(t, `package p
+	f, d := parseSrc(t, `package p
 
 // Read does a thing.
 //
@@ -70,7 +69,7 @@ func Seal(x uint64) uint64 { return x }
 // TestTypeAndFieldDirectives: struct fields take directives on their doc or
 // line comment; a directive on the type declaration is malformed.
 func TestTypeAndFieldDirectives(t *testing.T) {
-	_, _, d := parseSrc(t, `package p
+	_, d := parseSrc(t, `package p
 
 //obfus:secret
 type lane struct {
@@ -94,8 +93,8 @@ type lane struct {
 	}
 }
 
-// TestMalformedDirectives covers every way a directive can rot: an empty
-// //obfus:, a reasonless declassifier, and a reasonless suppression.
+// TestMalformedDirectives covers the ways a directive can rot: an empty
+// //obfus: and a reasonless declassifier.
 func TestMalformedDirectives(t *testing.T) {
 	cases := []struct {
 		name string
@@ -111,22 +110,10 @@ func f() {}
 //obfus:public
 func f() int { return 0 }
 `},
-		{"reasonless allow", `package p
-
-func f() int {
-	//lint:allow determinism
-	return 0
-}
-`},
-		{"allow with nothing", `package p
-
-//lint:allow
-func f() {}
-`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, d := parseSrc(t, tc.src)
+			_, d := parseSrc(t, tc.src)
 			if len(d.MalformedDirectives()) != 1 {
 				t.Errorf("want exactly 1 malformed directive, got %v", d.MalformedDirectives())
 			}
@@ -138,7 +125,7 @@ func f() {}
 // declaration to be malformed — two //obfus:secret lines with different
 // parameter lists would silently shadow each other otherwise.
 func TestDuplicateDirectiveOneDecl(t *testing.T) {
-	_, f, d := parseSrc(t, `package p
+	f, d := parseSrc(t, `package p
 
 //obfus:secret addr
 //obfus:secret data
@@ -151,48 +138,6 @@ func f(addr, data uint64) {}
 	// without deactivating the annotation.
 	if !d.FuncHas(funcDecl(t, f, "f"), Secret) {
 		t.Error("duplicate directive should not erase the original annotation")
-	}
-}
-
-func TestAllowSitesUsedAndOrder(t *testing.T) {
-	fset, f, d := parseSrc(t, `package p
-
-func g() int {
-	//lint:allow wireonly second site, later line
-	return 1
-}
-
-func f() int {
-	//lint:allow determinism first by position? no — g is above
-	return 0
-}
-`)
-	sites := d.AllowSites()
-	if len(sites) != 2 {
-		t.Fatalf("want 2 allow sites, got %d", len(sites))
-	}
-	if sites[0].Pos >= sites[1].Pos {
-		t.Error("AllowSites not in positional order")
-	}
-	// Allowed on the suppressed line marks the site used; the other stays
-	// stale.
-	ret := funcDecl(t, f, "g").Body.List[0].Pos()
-	if !d.Allowed("wireonly", fset, ret) {
-		t.Error("suppression on preceding line should match the finding")
-	}
-	if d.Allowed("determinism", fset, ret) {
-		t.Error("wrong-analyzer suppression must not match")
-	}
-	var used, stale int
-	for _, s := range sites {
-		if s.Used {
-			used++
-		} else {
-			stale++
-		}
-	}
-	if used != 1 || stale != 1 {
-		t.Errorf("want 1 used + 1 stale site, got used=%d stale=%d", used, stale)
 	}
 }
 

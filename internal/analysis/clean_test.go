@@ -34,10 +34,8 @@ func TestRepositoryClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("%s: %s: %s", res.Fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
-	// Suppression hygiene rides the same run: malformed directives, unknown
-	// analyzer names, and //lint:allow comments that stopped suppressing
-	// anything are findings too.
-	for _, d := range framework.Hygiene(res.Packages, All()) {
+	// Malformed //obfus:* directives are findings too.
+	for _, d := range framework.Hygiene(res.Packages) {
 		t.Errorf("%s: %s(%s): %s", res.Fset.Position(d.Pos), d.Analyzer, d.Rule, d.Message)
 	}
 }

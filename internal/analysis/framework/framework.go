@@ -2,18 +2,14 @@
 // golang.org/x/tools/go/analysis driver model on top of the standard
 // library's go/ast, go/types, and go/importer.
 //
-// The repository's invariants — bit-identical output for any seed or worker
-// count, zero-allocation hot legs, exact latency attribution — are enforced
-// at runtime by tests; the obfuslint analyzers built on this framework turn
-// them into compile-time properties. The framework exists because the
-// toolchain image intentionally carries no module dependencies: analyzers
-// receive the same (Fset, Files, Pkg, TypesInfo) quadruple a go/analysis
-// Pass would provide, and the cmd/obfuslint driver plays the multichecker.
-//
-// Suppression is uniform across analyzers: a `//lint:allow <analyzer>
-// <reason>` comment on the flagged line (or the line directly above it)
-// drops the diagnostic. Suppression filtering happens here, in the driver
-// layer, so individual analyzers report unconditionally and stay simple.
+// The repository's invariants are enforced at runtime by tests where a
+// runtime test catches every violation class; the obfuslint analyzers built
+// on this framework cover the classes a runtime test can miss. The framework
+// exists because the toolchain image intentionally carries no module
+// dependencies: analyzers receive the same (Fset, Files, Pkg, TypesInfo)
+// quadruple a go/analysis Pass would provide, and the cmd/obfuslint driver
+// plays the multichecker. There is no suppression comment: every finding is
+// fixed, or the analyzer's rule is narrowed.
 package framework
 
 import (
@@ -28,8 +24,7 @@ import (
 
 // Analyzer is one named static-analysis pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// `//lint:allow <name> <reason>` suppressions.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant the analyzer
 	// machine-checks.
@@ -45,8 +40,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Annot holds the parsed //obfus:* and //lint:allow directives of this
-	// package's files.
+	// Annot holds the parsed //obfus:* directives of this package's files.
 	Annot *annot.Directives
 	// Module resolves //obfus:* annotations on functions in other packages
 	// of this module (nil outside a module-aware driver run, e.g. in
@@ -117,8 +111,7 @@ type Package struct {
 	Annot      *annot.Directives
 }
 
-// Run applies the analyzers to the packages and returns the surviving
-// (unsuppressed) diagnostics in deterministic (file, line, column, analyzer)
+// Run applies the analyzers to the packages and returns their diagnostics in deterministic (file, line, column, analyzer)
 // order. module may be nil when cross-package annotation lookup is not
 // needed.
 func Run(pkgs []*Package, analyzers []*Analyzer, module *annot.ModuleIndex) ([]Diagnostic, error) {
@@ -141,9 +134,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, module *annot.ModuleIndex) ([]D
 				if d.Rule == "" {
 					d.Rule = a.Name
 				}
-				if pkg.Annot.Allowed(a.Name, pkg.Fset, d.Pos) {
-					return
-				}
 				out = append(out, d)
 			}
 			if err := a.Run(pass); err != nil {
@@ -155,7 +145,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, module *annot.ModuleIndex) ([]D
 	if len(pkgs) > 0 {
 		fset = pkgs[0].Fset
 	}
-	sortDiagnostics(fset, out)
+	SortDiagnostics(fset, out)
 	return out, nil
 }
 
@@ -163,11 +153,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, module *annot.ModuleIndex) ([]D
 // that merge Run output with Hygiene output use it to restore the canonical
 // order before printing.
 func SortDiagnostics(fset *token.FileSet, out []Diagnostic) {
-	sortDiagnostics(fset, out)
-}
-
-// sortDiagnostics orders findings by (file, line, column, analyzer).
-func sortDiagnostics(fset *token.FileSet, out []Diagnostic) {
 	sort.SliceStable(out, func(i, j int) bool {
 		pi, pj := fset.Position(out[i].Pos), fset.Position(out[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -183,45 +168,16 @@ func sortDiagnostics(fset *token.FileSet, out []Diagnostic) {
 	})
 }
 
-// Hygiene audits the packages' directives against the registered suite and
-// returns the suppression-hygiene findings: malformed directives, and
-// //lint:allow comments that either name an analyzer outside the suite or no
-// longer suppress anything. It must run after Run over the SAME packages with
-// the FULL suite — Run's suppression matching is what marks a site as having
-// earned its keep, so calling Hygiene after a partial run would flag
-// load-bearing suppressions as stale.
-func Hygiene(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	registered := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		registered[a.Name] = true
-	}
+// Hygiene returns the packages' malformed //obfus:* directives as findings.
+func Hygiene(pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		for _, m := range pkg.Annot.MalformedDirectives() {
 			out = append(out, Diagnostic{
 				Analyzer: "annotation", Rule: "malformed-directive", Pos: m.Pos,
-				Message: fmt.Sprintf("malformed directive %q (want //lint:allow <analyzer> <reason>, //obfus:public <reason>, or //obfus:<directive>)", m.Text),
+				Message: fmt.Sprintf("malformed directive %q (want //obfus:public <reason> or //obfus:<directive>)", m.Text),
 			})
 		}
-		for _, s := range pkg.Annot.AllowSites() {
-			switch {
-			case !registered[s.Analyzer]:
-				out = append(out, Diagnostic{
-					Analyzer: "annotation", Rule: "unknown-rule-suppression", Pos: s.Pos,
-					Message: fmt.Sprintf("//lint:allow names %q, which is not a registered analyzer; a suppression must name a rule in the suite", s.Analyzer),
-				})
-			case !s.Used:
-				out = append(out, Diagnostic{
-					Analyzer: "annotation", Rule: "stale-suppression", Pos: s.Pos,
-					Message: fmt.Sprintf("stale //lint:allow: the %s analyzer reports nothing here any more; delete the suppression", s.Analyzer),
-				})
-			}
-		}
 	}
-	fset := (*token.FileSet)(nil)
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	sortDiagnostics(fset, out)
 	return out
 }

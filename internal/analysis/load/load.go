@@ -191,7 +191,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath string, fi
 		Files:      astFiles,
 		Pkg:        pkg,
 		Info:       info,
-		Annot:      annot.Parse(fset, astFiles),
+		Annot:      annot.Parse(astFiles),
 	}, nil
 }
 

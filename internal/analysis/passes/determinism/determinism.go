@@ -1,34 +1,21 @@
-// Package determinism machine-checks the simulator's bit-identical-output
-// invariant: the same seed and configuration must produce the same bytes in
-// every artifact regardless of wall-clock, scheduler, or map-iteration
-// accidents.
+// Package determinism machine-checks the map-order half of the simulator's
+// bit-identical-output invariant: within the scoped packages (sim, obfus,
+// palermo, backend, bus, memctl, pcm, exp, metrics, trace, leakage, stats,
+// campaign, system, workload) it reports map iteration whose effect depends
+// on iteration order.
 //
-// Within the scoped packages (sim, obfus, palermo, backend, bus, memctl,
-// pcm, exp, metrics, trace, leakage, stats, campaign, system, workload) the
-// analyzer reports:
+// Keyed writes, loop-local state, and commutative integer accumulation are
+// order-insensitive and allowed. Appending to an outer slice is allowed only
+// when a total-order sort (sort.Strings/Ints/Float64s, slices.Sort) follows
+// in the same function; sort.Slice and sort.SliceStable do NOT qualify,
+// because a partial comparator preserves map order among ties (exactly the
+// bug class that once leaked into the Chrome trace export).
 //
-//   - time.Now / time.Since outside functions annotated //obfus:wallclock.
-//     Wall time may feed throughput gauges, never simulated state, and the
-//     annotation is the audited list of such sites.
-//   - Use of math/rand's global source (rand.Intn and friends). All model
-//     randomness must flow from an explicitly seeded *rand.Rand, so
-//     rand.New / rand.NewSource are permitted.
-//   - go statements anywhere but the exp worker pool, the one place the
-//     model is allowed to fan out (over independent, separately seeded
-//     runs).
-//   - Raw channel operations (send, receive, range-over-channel) in the
-//     model packages. Goroutine channels order delivery by scheduler timing;
-//     interaction between model components must instead be a timestamped
-//     sim.Engine event, which the engine orders by (timestamp, schedule
-//     order). The orchestration layers (exp, campaign) coordinate OS-level
-//     work and are exempt.
-//   - Map iteration whose effect depends on iteration order. Keyed writes,
-//     loop-local state, and commutative integer accumulation are
-//     order-insensitive and allowed; appending to an outer slice is allowed
-//     only when a total-order sort (sort.Strings/Ints/Float64s, slices.Sort)
-//     follows in the same function — sort.Slice and sort.SliceStable do NOT
-//     qualify, because a partial comparator preserves map-order among ties
-//     (exactly the bug class that once leaked into the Chrome trace export).
+// Only map order is checked here. Wall-clock reads, the global math/rand
+// source, goroutines and channel races in model code all change output on
+// every run, so the golden and determinism tests catch them (DESIGN.md
+// section 6). A map-order bug can hide: a map with one key, or keys whose
+// order happens not to reach the output, passes every run.
 package determinism
 
 import (
@@ -37,14 +24,13 @@ import (
 	"go/types"
 	"strings"
 
-	"obfusmem/internal/analysis/annot"
 	"obfusmem/internal/analysis/framework"
 )
 
 // Analyzer is the determinism pass.
 var Analyzer = &framework.Analyzer{
 	Name: "determinism",
-	Doc:  "forbids wall-clock reads, global randomness, stray goroutines, and order-dependent map iteration in the simulation packages",
+	Doc:  "forbids order-dependent map iteration in the simulation packages",
 	Run:  run,
 }
 
@@ -58,62 +44,21 @@ var scoped = map[string]bool{
 }
 
 // inScope reports whether the import path is .../internal/<scoped leaf>.
-func inScope(path string) (leaf string, ok bool) {
+func inScope(path string) bool {
 	parts := strings.Split(path, "/")
-	if len(parts) < 2 || parts[len(parts)-2] != "internal" {
-		return "", false
-	}
-	leaf = parts[len(parts)-1]
-	return leaf, scoped[leaf]
+	return len(parts) >= 2 && parts[len(parts)-2] == "internal" && scoped[parts[len(parts)-1]]
 }
 
-// randConstructors are the math/rand package-level functions that build an
-// explicitly seeded generator rather than consuming the global source.
-var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
-
-// chanExempt lists the scoped leaves where raw channel operations are
-// allowed: the orchestration layers that fan independent, separately seeded
-// runs out over OS threads. Everything else is model code, where
-// interaction must be a timestamped sim.Engine event.
-var chanExempt = map[string]bool{"exp": true, "campaign": true}
-
 func run(pass *framework.Pass) error {
-	leaf, ok := inScope(pass.Pkg.Path())
-	if !ok {
+	if !inScope(pass.Pkg.Path()) {
 		return nil
 	}
-
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fn, isFunc := decl.(*ast.FuncDecl)
-			if isFunc && fn.Body == nil {
-				continue
-			}
-			wallclock := isFunc && pass.Annot.FuncHas(fn, annot.Wallclock)
+			fn, _ := decl.(*ast.FuncDecl)
 			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					checkCall(pass, n, wallclock)
-				case *ast.GoStmt:
-					if leaf != "exp" {
-						pass.Reportf(n.Pos(), "goroutine outside the exp worker pool: concurrent model state breaks run-to-run determinism")
-					}
-				case *ast.SendStmt:
-					if !chanExempt[leaf] {
-						pass.Reportf(n.Pos(), "raw channel send in model code: delivery order follows scheduler timing; schedule a timestamped sim.Engine event instead")
-					}
-				case *ast.UnaryExpr:
-					if n.Op == token.ARROW && !chanExempt[leaf] {
-						pass.Reportf(n.Pos(), "raw channel receive in model code: arrival order follows scheduler timing; consume timestamped events through the engine instead")
-					}
-				case *ast.RangeStmt:
-					if isChannelRange(pass, n) {
-						if !chanExempt[leaf] {
-							pass.Reportf(n.Pos(), "range over a channel in model code: arrival order follows scheduler timing; consume timestamped events through the engine instead")
-						}
-						return true
-					}
-					checkRange(pass, enclosingBody(fn), n)
+				if rng, ok := n.(*ast.RangeStmt); ok {
+					checkRange(pass, enclosingBody(fn), rng)
 				}
 				return true
 			})
@@ -128,35 +73,6 @@ func enclosingBody(fn *ast.FuncDecl) *ast.BlockStmt {
 		return nil
 	}
 	return fn.Body
-}
-
-// checkCall flags wall-clock reads and global math/rand use.
-func checkCall(pass *framework.Pass, call *ast.CallExpr, wallclock bool) {
-	fn := calleeFunc(pass, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if !wallclock && (fn.Name() == "Now" || fn.Name() == "Since") {
-			pass.Reportf(call.Pos(), "time.%s outside an //obfus:wallclock function: wall time must never reach simulated state", fn.Name())
-		}
-	case "math/rand", "math/rand/v2":
-		sig, ok := fn.Type().(*types.Signature)
-		if ok && sig.Recv() == nil && !randConstructors[fn.Name()] {
-			pass.Reportf(call.Pos(), "global math/rand source (rand.%s): draw from an explicitly seeded *rand.Rand instead", fn.Name())
-		}
-	}
-}
-
-// isChannelRange reports whether rng iterates over a channel.
-func isChannelRange(pass *framework.Pass, rng *ast.RangeStmt) bool {
-	t := pass.TypesInfo.TypeOf(rng.X)
-	if t == nil {
-		return false
-	}
-	_, isChan := t.Underlying().(*types.Chan)
-	return isChan
 }
 
 // calleeFunc resolves the static callee of a call, or nil for dynamic calls,

@@ -8,11 +8,7 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "sim", "obfusmem/internal/sim", determinism.Analyzer, "math/rand")
-}
-
-func TestWorkerPoolExempt(t *testing.T) {
-	analysistest.Run(t, "exp", "obfusmem/internal/exp", determinism.Analyzer)
+	analysistest.Run(t, "sim", "obfusmem/internal/sim", determinism.Analyzer)
 }
 
 func TestOutOfScope(t *testing.T) {

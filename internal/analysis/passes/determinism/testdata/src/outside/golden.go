@@ -1,7 +1,11 @@
-// Golden sources proving the scope filter: an unscoped package may read the
-// wall clock freely.
+// Golden sources proving the scope filter: an unscoped package may collect
+// map keys in iteration order.
 package outside
 
-import "time"
-
-func wall() time.Time { return time.Now() }
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}

@@ -2,39 +2,7 @@
 // import path obfusmem/internal/sim so the scope filter applies.
 package sim
 
-import (
-	"math/rand"
-	"sort"
-	"time"
-)
-
-func wallRead() int64 {
-	return time.Now().UnixNano() // want "time.Now outside"
-}
-
-func wallSince(t0 time.Time) float64 {
-	return time.Since(t0).Seconds() // want "time.Since outside"
-}
-
-// rates legitimately anchors throughput gauges to the wall clock.
-//
-//obfus:wallclock
-func rates() time.Time {
-	return time.Now()
-}
-
-func globalRand() int {
-	return rand.Intn(6) // want "global math/rand"
-}
-
-func seededRand() int {
-	r := rand.New(rand.NewSource(42))
-	return r.Intn(6)
-}
-
-func spawn(f func()) {
-	go f() // want "goroutine outside the exp worker pool"
-}
+import "sort"
 
 func keysUnsorted(m map[string]int) []string {
 	var keys []string
@@ -119,38 +87,4 @@ func prune(m map[string]int) {
 			delete(m, k)
 		}
 	}
-}
-
-func allowedMax(m map[string]int) int {
-	best := 0
-	for _, v := range m {
-		if v > best {
-			//lint:allow determinism max over the values is order-insensitive
-			best = v
-		}
-	}
-	return best
-}
-
-// Model code may not use raw goroutine channels.
-
-func chanSend(ch chan int) {
-	ch <- 1 // want "raw channel send"
-}
-
-func chanRecv(ch chan int) int {
-	return <-ch // want "raw channel receive"
-}
-
-func chanRange(ch chan int) int {
-	n := 0
-	for v := range ch { // want "range over a channel"
-		n += v
-	}
-	return n
-}
-
-func allowedWorker(run func()) {
-	//lint:allow determinism audited worker whose output a golden test holds bit-identical
-	go run()
 }

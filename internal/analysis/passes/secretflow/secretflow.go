@@ -59,8 +59,8 @@ var scoped = map[string]bool{
 
 // wireFields are bus.Packet's wire-observable fields — exactly the view
 // attack.Wire projects for the attacker. The ground-truth metadata fields
-// (Addr, Type, IsDummy, ...) are not sinks; the wireonly pass polices their
-// consumption on the inference side.
+// (Addr, Type, IsDummy, ...) are not sinks; on the inference side the
+// leakage observatory's recovery caps catch any consumption of them.
 var wireFields = map[string]bool{
 	"CmdCipher": true, "HasCmd": true, "Data": true,
 	"MAC": true, "HasMAC": true, "Channel": true,

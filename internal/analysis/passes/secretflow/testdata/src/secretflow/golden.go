@@ -107,13 +107,6 @@ func declassified(eng *sim.Engine, addr uint64) {
 	eng.Schedule(sim.Time(seal(addr)), tick) // laundered through the declassifier: silent
 }
 
-// suppressed shows the audited escape hatch: a reasoned //lint:allow.
-//
-//obfus:secret addr
-func suppressed(eng *sim.Engine, addr uint64) {
-	eng.Schedule(sim.Time(addr), tick) //lint:allow secretflow golden exercise of the suppression path
-}
-
 // cleanFlow pins the negative space: public values may schedule freely, and
 // wire-observable results (arrival times) are public by definition.
 func cleanFlow(eng *sim.Engine, b *bus.Bus, p *bus.Packet, now sim.Time) {

@@ -8,7 +8,8 @@ import (
 // Wire is the attacker-visible projection of one bus transfer: exactly the
 // fields an adversary tapping the exposed interconnect can read. Inference
 // code (internal/leakage and this package's attacks) must consume traces
-// through this type only; the wireonly analyzer enforces that discipline.
+// through this type only; exp's TestLeakageOrdering caps ObfusMem's address
+// recovery, which an inference stage reading ground truth would break.
 //
 // Plaintext is included deliberately: under Kerckhoffs's principle the
 // attacker knows which scheme is deployed, and on an unprotected bus the

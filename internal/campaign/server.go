@@ -49,7 +49,6 @@ func (r *Runner) ServeStatus(addr string) (string, error) {
 	})
 	s := &statusServer{r: r, ln: ln, srv: &http.Server{Handler: mux}}
 	r.srv = s
-	//lint:allow determinism the status server goroutine is read-only observability; it never touches simulation or journal state
 	go func() {
 		// ErrServerClosed on shutdown is the expected exit.
 		_ = s.srv.Serve(ln)

@@ -75,9 +75,7 @@ func wireSymbol(w attack.Wire, prevAt sim.Time) uint64 {
 // row-granular address bucket and the operation bit. 128 symbols, so both
 // sides of the joint table stay well sampled at experiment scale. It reads
 // the ground-truth request schedule — the MI estimate's defender-side
-// marginal (the wire-side marginal is wireSymbol) — hence the directive.
-//
-//obfus:scoring
+// marginal (the wire-side marginal is wireSymbol).
 func requestSymbol(rq Issued) uint64 {
 	sym := (rq.Addr / RowBytes) % 64 << 1
 	if rq.Write {

@@ -22,10 +22,10 @@
 //
 // The package observes a strict wire-only discipline: inference code
 // consumes attack.Wire projections only, never ground truth. Scoring code
-// — anything that touches the issued request stream or plants the
-// attacker's known-plaintext anchors — is annotated //obfus:scoring, and
-// the wireonly analyzer reports any ground-truth access outside those
-// functions.
+// (score.go, and requestSymbol in features.go) touches the issued request
+// stream or plants the attacker's known-plaintext anchors. An inference
+// stage that read ground truth would recover ObfusMem's addresses, which
+// the recovery cap in exp's TestLeakageOrdering fails.
 package leakage
 
 import (

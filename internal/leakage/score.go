@@ -1,8 +1,7 @@
 // Scoring code: everything here touches the ground-truth request schedule,
 // either to plant the attacker's known-plaintext anchors or to judge what
-// the inference pipeline recovered. Every function carries the
-// //obfus:scoring directive, which is what exempts it from the wireonly
-// analyzer's ground-truth ban.
+// the inference pipeline recovered. Inference code (recover.go, classify.go
+// and the wire-side features) never reads it.
 package leakage
 
 import (
@@ -27,8 +26,6 @@ const (
 // is the scoring oracle that says which wire event a request became.
 //
 // Scoring: consumes the ground-truth request schedule.
-//
-//obfus:scoring
 func AlignToWire(wire []attack.Wire, issued []Issued) []int {
 	align := make([]int, len(issued))
 	cmds := cmdIndices(wire)
@@ -54,8 +51,6 @@ func AlignToWire(wire []attack.Wire, issued []Issued) []int {
 // knew.
 //
 // Scoring: reads true addresses to build the anchor set.
-//
-//obfus:scoring
 func PlantAnchors(wire []attack.Wire, issued []Issued, align []int) ([]Anchor, []bool) {
 	k := int(AnchorFraction * float64(len(issued)))
 	if k > anchorMax {
@@ -90,8 +85,6 @@ type RecoveryScore struct {
 // nothing for them).
 //
 // Scoring: compares guesses to true addresses.
-//
-//obfus:scoring
 func ScoreRecovery(guesses []RowGuess, align []int, issued []Issued, anchored []bool) RecoveryScore {
 	var s RecoveryScore
 	for i, rq := range issued {
@@ -128,8 +121,6 @@ type MIResult struct {
 // correction can overshoot on independent streams.
 //
 // Scoring: pairs true request symbols with wire observations.
-//
-//obfus:scoring
 func RequestStreamMI(wire []attack.Wire, issued []Issued, align []int) MIResult {
 	// Precompute each command transfer's predecessor time on its channel so
 	// wireSymbol sees the same inter-arrival the attacker would.
@@ -174,8 +165,6 @@ type Evaluation struct {
 // a span per phase on rec (nil-safe) over the observed wire window.
 //
 // Scoring: orchestrates scoring stages over the ground truth.
-//
-//obfus:scoring
 func Evaluate(wire []attack.Wire, issued []Issued, rec *trace.Recorder) Evaluation {
 	var begin, end sim.Time
 	if len(wire) > 0 {

@@ -186,9 +186,9 @@ func NewRegistry() *Registry {
 }
 
 // Scope returns a view whose instrument names are prefixed with name + ".".
-// Names come from the internal/names registry (enforced by the obfuslint
-// metricnames analyzer), so the fully-qualified dotted name of every
-// instrument is discoverable from that one package.
+// Names come from the internal/names registry (checked by that package's
+// tests), so the fully-qualified dotted name of every instrument is
+// discoverable from that one package.
 func (r *Registry) Scope(name names.Name) *Registry {
 	if r == nil {
 		return nil

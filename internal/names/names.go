@@ -3,23 +3,23 @@
 // Every instrument registered with internal/metrics and every span recorded
 // through internal/trace takes its name from a constant declared here, so
 // dashboards, the attribution sweep, and downstream trace tooling have one
-// place to look and names cannot drift between components. The obfuslint
-// `metricnames` analyzer enforces this at build time: a string literal (or a
-// Name conversion of a non-constant) at a name position is a lint error
-// outside this package.
+// place to look and names cannot drift between components. The package's
+// tests check this at runtime: every metric key and span name a fully
+// instrumented run registers must be a declared name or derived from one
+// through PerChannel, Dummy or Scheme.
 //
 // The naming convention is dotted lowercase: dot-separated segments of
 // [a-z0-9] runs joined by '_', '-', or '+' (the bus uses '+' to describe
-// packed wire legs, e.g. "cmd+data+mac"). The analyzer checks every
-// constant declared here against that grammar, so the registry itself
-// cannot rot either.
+// packed wire legs, e.g. "cmd+data+mac"). A test checks every constant
+// declared here against that grammar, so the registry itself cannot rot
+// either.
 package names
 
 import "strconv"
 
 // Name is a registered metric, scope, or span name. The underlying type is
-// string so untyped constants convert freely; the metricnames analyzer —
-// not the type system — is what confines construction to this package.
+// string so untyped constants convert freely; the registry tests, not the
+// type system, are what confine names to this package's declarations.
 type Name string
 
 // String returns the name as a plain string.

@@ -52,17 +52,15 @@ func ModuleRoot() (string, error) {
 
 // Run loads testdata/src/<pkg> under the caller's directory as a package
 // with the given synthetic import path, applies the analyzer, and fails t
-// on any mismatch with the // want expectations. extraImports name
-// standard-library packages the golden sources import beyond the module's
-// own dependency graph.
-func Run(t *testing.T, pkg, importPath string, a *framework.Analyzer, extraImports ...string) {
+// on any mismatch with the // want expectations.
+func Run(t *testing.T, pkg, importPath string, a *framework.Analyzer) {
 	t.Helper()
 	root, err := ModuleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join("testdata", "src", pkg)
-	fp, module, err := load.Files(root, importPath, dir, extraImports...)
+	fp, module, err := load.Files(root, importPath, dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}

@@ -162,12 +162,6 @@ func (d *Directives) splitObfus(c *ast.Comment) (name string, args []string, ok 
 	return fields[0], fields[1:], true
 }
 
-// FuncHas reports whether fn's doc comment carries //obfus:<name>.
-func (d *Directives) FuncHas(fn *ast.FuncDecl, name string) bool {
-	_, ok := d.funcs[fn][name]
-	return ok
-}
-
 // FuncArgs returns the arguments of //obfus:<name> on fn's doc comment and
 // whether the directive is present at all (present with no arguments yields
 // ok with a nil slice — e.g. a bare //obfus:secret marking all results).

@@ -47,9 +47,6 @@ func Truth() uint64 { return 0 }
 func Seal(x uint64) uint64 { return x }
 `)
 	read := funcDecl(t, f, "Read")
-	if !d.FuncHas(read, Secret) {
-		t.Error("Read should carry //obfus:secret")
-	}
 	args, ok := d.FuncArgs(read, Secret)
 	if !ok || len(args) != 2 || args[0] != "addr" || args[1] != "data" {
 		t.Errorf("Read secret args = %v, %v; want [addr data]", args, ok)
@@ -58,7 +55,7 @@ func Seal(x uint64) uint64 { return x }
 	if args, ok := d.FuncArgs(truth, Secret); !ok || len(args) != 0 {
 		t.Errorf("bare //obfus:secret should parse with no args, got %v, %v", args, ok)
 	}
-	if !d.FuncHas(funcDecl(t, f, "Seal"), Public) {
+	if _, ok := d.FuncArgs(funcDecl(t, f, "Seal"), Public); !ok {
 		t.Error("Seal should carry //obfus:public")
 	}
 	if len(d.MalformedDirectives()) != 0 {
@@ -136,7 +133,7 @@ func f(addr, data uint64) {}
 	}
 	// The first spelling must still be in force: malformed flags the rot
 	// without deactivating the annotation.
-	if !d.FuncHas(funcDecl(t, f, "f"), Secret) {
+	if _, ok := d.FuncArgs(funcDecl(t, f, "f"), Secret); !ok {
 		t.Error("duplicate directive should not erase the original annotation")
 	}
 }

@@ -105,12 +105,11 @@ func Load(dir string, patterns ...string) (*Result, error) {
 
 // Files type-checks one directory of Go files as a single package under the
 // given synthetic import path, resolving its imports from the export data of
-// module dir's dependency graph (plus extraImports, listed explicitly so
-// golden-test packages may import standard-library packages the module
-// itself does not use). This is the analysistest entry point.
-func Files(moduleDir, importPath, pkgDir string, extraImports ...string) (*framework.Package, *annot.ModuleIndex, error) {
-	patterns := append([]string{"./..."}, extraImports...)
-	pkgs, err := goList(moduleDir, patterns)
+// module dir's dependency graph, so golden-test packages may import only
+// packages the module itself depends on. This is the analysistest entry
+// point.
+func Files(moduleDir, importPath, pkgDir string) (*framework.Package, *annot.ModuleIndex, error) {
+	pkgs, err := goList(moduleDir, []string{"./..."})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -147,7 +146,7 @@ func Files(moduleDir, importPath, pkgDir string, extraImports ...string) (*frame
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("no export data for %q (add it to extraImports?)", path)
+			return nil, fmt.Errorf("no export data for %q (golden packages may import only the module's dependencies)", path)
 		}
 		return os.Open(f)
 	})

@@ -26,9 +26,9 @@
 #   make profile - full-suite run with pprof CPU + heap profiles written to
 #                  cpu.pprof / mem.pprof (see EXPERIMENTS.md "Profiling and
 #                  benchmarking" for how to read them)
-#   make lint    - obfuslint: the repo's own analyzer suite (two passes:
-#                  determinism (map order) and secretflow; see
-#                  DESIGN.md "Machine-checked invariants"), plus golangci-lint and
+#   make lint    - obfuslint: the repo's own analyzer suite (one pass,
+#                  determinism (map order); see DESIGN.md
+#                  "Machine-checked invariants"), plus golangci-lint and
 #                  govulncheck when installed (both skipped, not failed,
 #                  when absent so the frozen toolchain image still lints)
 #   make lint-fix - gofmt the tree, then re-lint

@@ -6,9 +6,7 @@
 // `go build ./...` is the only prerequisite.
 //
 // Findings print as file:line:col: analyzer[rule]: message, one per line (or
-// as a JSON array with -json), and a non-empty report exits 1. A malformed
-// //obfus:* directive, such as a declassifier without a reason, is a finding
-// in its own right.
+// as a JSON array with -json), and a non-empty report exits 1.
 //
 // Usage:
 //
@@ -70,13 +68,11 @@ func run(stdout, stderr *os.File, args []string) int {
 		fmt.Fprintf(stderr, "obfuslint: %v\n", err)
 		return 2
 	}
-	diags, err := framework.Run(res.Packages, suite, res.Module)
+	diags, err := framework.Run(res.Packages, suite)
 	if err != nil {
 		fmt.Fprintf(stderr, "obfuslint: %v\n", err)
 		return 2
 	}
-	diags = append(diags, framework.Hygiene(res.Packages)...)
-	framework.SortDiagnostics(res.Fset, diags)
 
 	if *asJSON {
 		findings := make([]jsonFinding, 0, len(diags))

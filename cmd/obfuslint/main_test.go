@@ -32,7 +32,7 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"determinism", "secretflow"} {
+	for _, name := range []string{"determinism"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
 		}

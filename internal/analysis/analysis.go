@@ -9,13 +9,11 @@ package analysis
 import (
 	"obfusmem/internal/analysis/framework"
 	"obfusmem/internal/analysis/passes/determinism"
-	"obfusmem/internal/analysis/passes/secretflow"
 )
 
 // All returns the full obfuslint suite in reporting order.
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		determinism.Analyzer,
-		secretflow.Analyzer,
 	}
 }

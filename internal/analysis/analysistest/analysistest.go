@@ -60,11 +60,11 @@ func Run(t *testing.T, pkg, importPath string, a *framework.Analyzer) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join("testdata", "src", pkg)
-	fp, module, err := load.Files(root, importPath, dir)
+	fp, err := load.Files(root, importPath, dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
-	diags, err := framework.Run([]*framework.Package{fp}, []*framework.Analyzer{a}, module)
+	diags, err := framework.Run([]*framework.Package{fp}, []*framework.Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s: %v", a.Name, err)
 	}

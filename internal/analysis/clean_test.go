@@ -27,15 +27,11 @@ func TestRepositoryClean(t *testing.T) {
 	if len(res.Packages) == 0 {
 		t.Fatal("no packages loaded")
 	}
-	diags, err := framework.Run(res.Packages, All(), res.Module)
+	diags, err := framework.Run(res.Packages, All())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("%s: %s: %s", res.Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	// Malformed //obfus:* directives are findings too.
-	for _, d := range framework.Hygiene(res.Packages) {
-		t.Errorf("%s: %s(%s): %s", res.Fset.Position(d.Pos), d.Analyzer, d.Rule, d.Message)
 	}
 }

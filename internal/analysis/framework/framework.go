@@ -18,8 +18,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-
-	"obfusmem/internal/analysis/annot"
 )
 
 // Analyzer is one named static-analysis pass.
@@ -40,16 +38,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Annot holds the parsed //obfus:* directives of this package's files.
-	Annot *annot.Directives
-	// Module resolves //obfus:* annotations on functions in other packages
-	// of this module (nil outside a module-aware driver run, e.g. in
-	// single-package golden tests that do not need cross-package facts).
-	Module *annot.ModuleIndex
-	// Facts is the run-wide fact store: interprocedural passes export one
-	// summary per analyzed function and import their callees' summaries
-	// from earlier (dependency-ordered) packages of the same Run.
-	Facts *Facts
 
 	report func(Diagnostic)
 }
@@ -57,12 +45,6 @@ type Pass struct {
 // Reportf records a diagnostic at pos under the analyzer's default rule.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportRulef records a diagnostic at pos under a named sub-rule of the
-// analyzer (the machine-readable rule slug in -json output).
-func (p *Pass) ReportRulef(pos token.Pos, rule, format string, args ...any) {
-	p.report(Diagnostic{Pos: pos, Rule: rule, Message: fmt.Sprintf(format, args...)})
 }
 
 // Diagnostic is one finding.
@@ -74,32 +56,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// Facts is a run-wide store of per-function facts, keyed by (analyzer,
-// package import path, function key). Packages are analyzed in dependency
-// order, so by the time a caller's package runs, every module-internal
-// callee's facts are already exported.
-type Facts struct {
-	m map[factKey]any
-}
-
-type factKey struct{ analyzer, pkg, fn string }
-
-// NewFacts returns an empty store.
-func NewFacts() *Facts { return &Facts{m: make(map[factKey]any)} }
-
-// Export records a fact for a function of the pass's package.
-func (f *Facts) Export(analyzer, pkg, fn string, v any) {
-	f.m[factKey{analyzer, pkg, fn}] = v
-}
-
-// Import returns the fact exported for the named function, or nil.
-func (f *Facts) Import(analyzer, pkg, fn string) any {
-	if f == nil {
-		return nil
-	}
-	return f.m[factKey{analyzer, pkg, fn}]
-}
-
 // Package is one loaded, type-checked package (see Load).
 type Package struct {
 	ImportPath string
@@ -108,15 +64,12 @@ type Package struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
-	Annot      *annot.Directives
 }
 
-// Run applies the analyzers to the packages and returns their diagnostics in deterministic (file, line, column, analyzer)
-// order. module may be nil when cross-package annotation lookup is not
-// needed.
-func Run(pkgs []*Package, analyzers []*Analyzer, module *annot.ModuleIndex) ([]Diagnostic, error) {
+// Run applies the analyzers to the packages and returns their diagnostics
+// in deterministic (file, line, column, analyzer) order.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
-	facts := NewFacts()
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -125,9 +78,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, module *annot.ModuleIndex) ([]D
 				Files:     pkg.Files,
 				Pkg:       pkg.Pkg,
 				TypesInfo: pkg.Info,
-				Annot:     pkg.Annot,
-				Module:    module,
-				Facts:     facts,
 			}
 			pass.report = func(d Diagnostic) {
 				d.Analyzer = a.Name
@@ -145,14 +95,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer, module *annot.ModuleIndex) ([]D
 	if len(pkgs) > 0 {
 		fset = pkgs[0].Fset
 	}
-	SortDiagnostics(fset, out)
+	sortDiagnostics(fset, out)
 	return out, nil
 }
 
-// SortDiagnostics orders findings by (file, line, column, analyzer). Drivers
-// that merge Run output with Hygiene output use it to restore the canonical
-// order before printing.
-func SortDiagnostics(fset *token.FileSet, out []Diagnostic) {
+// sortDiagnostics orders findings by (file, line, column, analyzer).
+func sortDiagnostics(fset *token.FileSet, out []Diagnostic) {
 	sort.SliceStable(out, func(i, j int) bool {
 		pi, pj := fset.Position(out[i].Pos), fset.Position(out[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -166,18 +114,4 @@ func SortDiagnostics(fset *token.FileSet, out []Diagnostic) {
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-}
-
-// Hygiene returns the packages' malformed //obfus:* directives as findings.
-func Hygiene(pkgs []*Package) []Diagnostic {
-	var out []Diagnostic
-	for _, pkg := range pkgs {
-		for _, m := range pkg.Annot.MalformedDirectives() {
-			out = append(out, Diagnostic{
-				Analyzer: "annotation", Rule: "malformed-directive", Pos: m.Pos,
-				Message: fmt.Sprintf("malformed directive %q (want //obfus:public <reason> or //obfus:<directive>)", m.Text),
-			})
-		}
-	}
-	return out
 }

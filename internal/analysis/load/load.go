@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 
-	"obfusmem/internal/analysis/annot"
 	"obfusmem/internal/analysis/framework"
 )
 
@@ -33,7 +32,6 @@ type listPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	Standard   bool
 	DepOnly    bool
@@ -43,58 +41,39 @@ type listPackage struct {
 // Result is the outcome of one Load call.
 type Result struct {
 	// Packages are the type-checked packages matching the patterns, in
-	// deterministic import-path order.
+	// import-path order.
 	Packages []*framework.Package
-	// Module indexes //obfus:* annotations across every non-standard
-	// package in the dependency graph.
-	Module *annot.ModuleIndex
 	// Fset is shared by all loaded packages.
 	Fset *token.FileSet
 }
 
-// Load lists patterns in dir (a directory inside the target module),
-// type-checks every non-dependency match from source, and returns them with
-// a module-wide annotation index. Dependencies — standard library and
-// module-internal alike — are resolved from compiler export data, so a full
-// `./...` load stays fast.
+// Load lists patterns in dir (a directory inside the target module) and
+// type-checks every non-dependency match from source. Dependencies —
+// standard library and module-internal alike — are resolved from compiler
+// export data, so a full `./...` load stays fast.
 func Load(dir string, patterns ...string) (*Result, error) {
 	pkgs, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 
-	exports := make(map[string]string, len(pkgs))
-	moduleFiles := make(map[string][]string)
 	var targets []*listPackage
 	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.Standard {
-			files := make([]string, 0, len(p.GoFiles))
-			for _, f := range p.GoFiles {
-				files = append(files, filepath.Join(p.Dir, f))
-			}
-			moduleFiles[p.ImportPath] = files
-		}
 		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 {
 			targets = append(targets, p)
 		}
 	}
-	sortTargets(targets)
+	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-
-	res := &Result{Module: annot.NewModuleIndex(moduleFiles), Fset: fset}
+	imp := exportImporter(fset, pkgs, "")
+	res := &Result{Fset: fset}
 	for _, p := range targets {
-		fp, err := checkPackage(fset, imp, p.ImportPath, moduleFiles[p.ImportPath])
+		files := make([]string, 0, len(p.GoFiles))
+		for _, f := range p.GoFiles {
+			files = append(files, filepath.Join(p.Dir, f))
+		}
+		fp, err := checkPackage(fset, imp, p.ImportPath, files)
 		if err != nil {
 			return nil, err
 		}
@@ -108,29 +87,14 @@ func Load(dir string, patterns ...string) (*Result, error) {
 // module dir's dependency graph, so golden-test packages may import only
 // packages the module itself depends on. This is the analysistest entry
 // point.
-func Files(moduleDir, importPath, pkgDir string) (*framework.Package, *annot.ModuleIndex, error) {
+func Files(moduleDir, importPath, pkgDir string) (*framework.Package, error) {
 	pkgs, err := goList(moduleDir, []string{"./..."})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	exports := make(map[string]string, len(pkgs))
-	moduleFiles := make(map[string][]string)
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.Standard {
-			files := make([]string, 0, len(p.GoFiles))
-			for _, f := range p.GoFiles {
-				files = append(files, filepath.Join(p.Dir, f))
-			}
-			moduleFiles[p.ImportPath] = files
-		}
-	}
-
 	ents, err := os.ReadDir(pkgDir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var files []string
 	for _, e := range ents {
@@ -139,22 +103,29 @@ func Files(moduleDir, importPath, pkgDir string) (*framework.Package, *annot.Mod
 		}
 	}
 	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("no Go files in %s", pkgDir)
+		return nil, fmt.Errorf("no Go files in %s", pkgDir)
 	}
-
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	imp := exportImporter(fset, pkgs, " (golden packages may import only the module's dependencies)")
+	return checkPackage(fset, imp, importPath, files)
+}
+
+// exportImporter resolves imports from the listed packages' compiler
+// export data; hint is appended to the error for a missing package.
+func exportImporter(fset *token.FileSet, pkgs []*listPackage, hint string) types.Importer {
+	exports := make(map[string]string, len(pkgs))
+	for _, p := range pkgs {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("no export data for %q (golden packages may import only the module's dependencies)", path)
+			return nil, fmt.Errorf("no export data for %q%s", path, hint)
 		}
 		return os.Open(f)
 	})
-	fp, err := checkPackage(fset, imp, importPath, files)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fp, annot.NewModuleIndex(moduleFiles), nil
 }
 
 // checkPackage parses and type-checks one package from source.
@@ -190,50 +161,14 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath string, fi
 		Files:      astFiles,
 		Pkg:        pkg,
 		Info:       info,
-		Annot:      annot.Parse(astFiles),
 	}, nil
-}
-
-// sortTargets orders packages topologically — dependencies before
-// dependents — so interprocedural passes find their callees' summaries
-// already exported by the time a caller's package runs. Ties (packages with
-// no dependency relation) break by import path, keeping the order
-// deterministic for a given module graph.
-func sortTargets(targets []*listPackage) {
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-	byPath := make(map[string]*listPackage, len(targets))
-	for _, p := range targets {
-		byPath[p.ImportPath] = p
-	}
-	state := make(map[string]int, len(targets)) // 0 unvisited, 1 visiting, 2 done
-	out := make([]*listPackage, 0, len(targets))
-	var visit func(p *listPackage)
-	visit = func(p *listPackage) {
-		if state[p.ImportPath] != 0 {
-			return // done, or a cycle (impossible in a valid build) — skip
-		}
-		state[p.ImportPath] = 1
-		deps := append([]string(nil), p.Imports...)
-		sort.Strings(deps)
-		for _, imp := range deps {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		state[p.ImportPath] = 2
-		out = append(out, p)
-	}
-	for _, p := range targets {
-		visit(p)
-	}
-	copy(targets, out)
 }
 
 // goList shells out to the go tool for the package graph with export data.
 func goList(dir string, patterns []string) ([]*listPackage, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Imports,Export,Standard,DepOnly,Incomplete",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Incomplete",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir

@@ -287,15 +287,3 @@ func lessCmd(a, b [bus.CmdBytes]byte) bool {
 	}
 	return false
 }
-
-// RequestRateOnChannel returns observed proc->mem packets per channel, the
-// raw material for inter-channel inference.
-func (o *Observer) RequestRateOnChannel() []int {
-	counts := make([]int, o.channels)
-	for _, r := range o.records {
-		if r.dir == bus.ProcToMem && r.channel < o.channels {
-			counts[r.channel]++
-		}
-	}
-	return counts
-}

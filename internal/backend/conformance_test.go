@@ -9,16 +9,23 @@ package backend_test
 // for free the moment they register.
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"testing"
 
+	"obfusmem/internal/attack"
 	"obfusmem/internal/backend"
+	"obfusmem/internal/bus"
 	"obfusmem/internal/cpu"
+	"obfusmem/internal/memctl"
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/names"
 	"obfusmem/internal/obfus"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/system"
 	"obfusmem/internal/workload"
+	"obfusmem/internal/xrand"
 )
 
 // conformanceConfig is the common operating point of the suite: the named
@@ -238,4 +245,236 @@ func TestHotPathZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wireGeometry is memctl.Mapper's RoRaBaChCo field layout, rebuilt from the
+// PCM parameters so a test can relabel decoded fields and encode them back.
+// wireView checks every address it drives against Mapper.Decode, so
+// the two layouts cannot drift apart silently.
+type wireGeometry struct {
+	blockShift, colBits, chanBits, bankBits, rankBits, rowBits uint
+}
+
+// capacityBits is log2 of the machine's 8 GiB physical address space.
+const capacityBits = 33
+
+func geometryOf(channels int) wireGeometry {
+	p := memctl.DefaultConfig(channels).PCM
+	log2 := func(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
+	g := wireGeometry{
+		blockShift: log2(p.BlockBytes),
+		colBits:    log2(p.RowBytes / p.BlockBytes),
+		chanBits:   log2(channels),
+		bankBits:   log2(p.BanksPerRank),
+		rankBits:   log2(p.Ranks),
+	}
+	g.rowBits = capacityBits - g.blockShift - g.colBits - g.chanBits - g.bankBits - g.rankBits
+	return g
+}
+
+func (g wireGeometry) encode(c memctl.Coords) uint64 {
+	a := uint64(c.Row)
+	a = a<<g.rankBits | uint64(c.Rank)
+	a = a<<g.bankBits | uint64(c.Bank)
+	a = a<<g.chanBits | uint64(c.Channel)
+	a = a<<g.colBits | uint64(c.Col)
+	return a << g.blockShift
+}
+
+// relabeling is one named XOR mask over decoded address fields.
+type relabeling struct {
+	name string
+	mask memctl.Coords
+}
+
+// relabel XORs every field but the channel with the mask's. XOR on a field
+// is a bijection that preserves equality between accesses, so row-buffer
+// hits and bank conflicts among the stream's own accesses are unchanged.
+func relabel(c, mask memctl.Coords) memctl.Coords {
+	c.Row ^= mask.Row
+	c.Rank ^= mask.Rank
+	c.Bank ^= mask.Bank
+	c.Col ^= mask.Col
+	return c
+}
+
+// wireOp is one request of the relabeling stream.
+type wireOp struct {
+	kind  int // 0 Read, 1 Write, 2 ReadData, 3 WriteData
+	at    sim.Time
+	ready sim.Time // when a write's at-rest ciphertext is available
+	co    memctl.Coords
+}
+
+// wireStream draws n requests at fixed 150 ns arrivals. Half of them reuse
+// the previous request's row, bank and channel so the stream has row-buffer
+// locality for a relabeling to preserve. Half the writes have their
+// ciphertext ready 40 ns after arrival, as at-rest encryption can make it:
+// then the write half of a pair leaves at its own ready time instead of
+// queueing behind the pair's first packet, so a delay on it shows.
+func wireStream(g wireGeometry, n int, seed uint64) []wireOp {
+	r := xrand.New(seed)
+	ops := make([]wireOp, n)
+	var co memctl.Coords
+	for i := range ops {
+		if i == 0 || r.Intn(2) == 0 {
+			co = memctl.Coords{
+				Channel: r.Intn(1 << g.chanBits),
+				Rank:    r.Intn(1 << g.rankBits),
+				Bank:    r.Intn(1 << g.bankBits),
+				Row:     int64(r.Uint64n(1 << g.rowBits)),
+			}
+		}
+		co.Col = r.Intn(1 << g.colBits)
+		at := sim.Time(i) * 150 * sim.Nanosecond
+		ops[i] = wireOp{kind: r.Intn(4), at: at, ready: at + sim.Time(r.Intn(2))*40*sim.Nanosecond, co: co}
+	}
+	return ops
+}
+
+// wireView drives the backend of a fresh machine directly with the stream
+// relabeled by mask and returns the attacker's view of the bus. Command
+// ciphertext is zeroed unless it travelled in plaintext: sealed bytes
+// differ with the address by construction, and sealing is checked by
+// TestEveryAccessLooksLikeReadThenWrite and the value round-trip tests.
+func wireView(t *testing.T, cfg system.Config, g wireGeometry, ops []wireOp, mask memctl.Coords) []attack.Wire {
+	t.Helper()
+	sys := system.New(cfg)
+	obs := attack.NewObserver(cfg.Channels, 1<<20)
+	sys.Bus().AttachObserver(obs)
+	bk := sys.Backend()
+	mapper := sys.Memory().Mapper()
+	var end sim.Time
+	for _, op := range ops {
+		co := relabel(op.co, mask)
+		addr := g.encode(co)
+		if got := mapper.Decode(addr); got != co {
+			t.Fatalf("test encoder disagrees with memctl.Mapper: %+v encodes to %#x, which decodes to %+v", co, addr, got)
+		}
+		switch op.kind {
+		case 0:
+			bk.Read(op.at, addr)
+		case 1:
+			bk.Write(op.at, addr, op.ready)
+		case 2:
+			bk.ReadData(op.at, addr)
+		default:
+			var blk memctl.Block
+			for i := 0; i < len(blk); i += 8 {
+				binary.LittleEndian.PutUint64(blk[i:], xrand.Mix64(addr+uint64(i)))
+			}
+			bk.WriteData(op.at, addr, op.ready, blk)
+		}
+		end = op.at
+	}
+	bk.Drain(end + 150*sim.Nanosecond)
+	view := obs.WireTrace()
+	for i := range view {
+		if !view[i].Plaintext {
+			view[i].Cmd = [bus.CmdBytes]byte{}
+		}
+	}
+	return view
+}
+
+// TestWireInvariantUnderRelabeling is the wire non-interference contract
+// of paper §3 and Table 4, in the deterministic form of Haider et al.'s
+// indistinguishability definition (arXiv 1706.03852): a request stream and
+// the same stream with its addresses relabeled inside each channel must
+// give bit-identical wire views — times, channels, directions, sizes and
+// command presence. Only the channel may depend on the address (per-channel
+// cover traffic hides which channel is real, §3.4).
+//
+// The backend is driven directly, below the at-rest encryption engine, so
+// counter-block fetches are out of scope. Relabeling covers row and column
+// bits on every configuration; bank and rank bits too, except on
+// timing-oblivious ObfusMem and Palermo. Those place PCM accesses at fixed
+// locations (undropped dummies, cover blocks), so relabeling a real access
+// changes which bank it conflicts with: the device-timing channel §6.2
+// puts out of scope, and which timing-oblivious padding hides only while
+// queueing stays inside its margin (see obfus.WorstCaseAccess).
+//
+// A backend that puts plaintext commands on the wire must differ: that is
+// the test's positive control.
+func TestWireInvariantUnderRelabeling(t *testing.T) {
+	type wireCase struct {
+		name     string
+		cfg      system.Config
+		fixedPCM bool // accesses at fixed PCM locations: no bank/rank relabeling
+	}
+	var cases []wireCase
+	for _, name := range system.BackendNames() {
+		d, _ := backend.Lookup(name)
+		for _, channels := range []int{1, 2, 4} {
+			cfg := conformanceConfig(t, name)
+			cfg.Channels = channels
+			base := fmt.Sprintf("%s/%dch", name, channels)
+			cases = append(cases, wireCase{base, cfg, name == "palermo"})
+			if d.Uses.Obfus {
+				unopt := cfg
+				unopt.Obfus.Policy = obfus.PolicyUNOPT
+				cases = append(cases, wireCase{base + "/unopt", unopt, false})
+				to := cfg
+				to.Obfus.TimingOblivious = true
+				cases = append(cases, wireCase{base + "/timing-oblivious", to, true})
+			}
+		}
+	}
+	const requests = 1500
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := geometryOf(c.cfg.Channels)
+			ops := wireStream(g, requests, 0x7e1abe1)
+			r := xrand.New(0x3a5c)
+			randomRowCol := func() memctl.Coords {
+				return memctl.Coords{Row: int64(1 + r.Uint64n(1<<g.rowBits-1)), Col: r.Intn(1 << g.colBits)}
+			}
+			masks := []relabeling{
+				{"row+col flipped", memctl.Coords{Row: 1<<g.rowBits - 1, Col: 1<<g.colBits - 1}},
+				{"row+col random", randomRowCol()},
+			}
+			if !c.fixedPCM {
+				m := randomRowCol()
+				m.Bank = 1 + r.Intn(1<<g.bankBits-1)
+				m.Rank = r.Intn(1 << g.rankBits)
+				masks = append(masks, relabeling{"row+col+bank+rank random", m})
+			}
+			want := wireView(t, c.cfg, g, ops, memctl.Coords{})
+			plaintext := false
+			for _, w := range want {
+				plaintext = plaintext || w.Plaintext
+			}
+			for _, m := range masks {
+				got := wireView(t, c.cfg, g, ops, m.mask)
+				i := firstWireDiff(want, got)
+				switch {
+				case plaintext && i < 0:
+					t.Errorf("%s: plaintext wire unchanged by relabeling; the contract has lost its positive control", m.name)
+				case !plaintext && i >= 0:
+					t.Errorf("%s: wire views diverge at transfer %d of %d/%d:\n original  %+v\n relabeled %+v",
+						m.name, i, len(want), len(got), wireAt(want, i), wireAt(got, i))
+				}
+			}
+		})
+	}
+}
+
+// firstWireDiff returns the index of the first differing transfer, or -1.
+func firstWireDiff(a, b []attack.Wire) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+func wireAt(v []attack.Wire, i int) any {
+	if i < len(v) {
+		return v[i]
+	}
+	return "(end of trace)"
 }

@@ -16,9 +16,6 @@ type ORAM struct {
 	acct  Accounting
 }
 
-// Model exposes the wrapped performance model for stats and tests.
-func (o *ORAM) Model() *oram.PerfModel { return o.model }
-
 // Read implements Backend.
 func (o *ORAM) Read(at sim.Time, addr uint64) (sim.Time, bool) {
 	o.acct.Issued++

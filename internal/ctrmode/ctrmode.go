@@ -97,9 +97,6 @@ func (e *Engine) EnableIntegrity(levels int) *IntegrityWalker {
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// CounterCache exposes the counter cache for inspection.
-func (e *Engine) CounterCache() *cache.Cache { return e.ctrCache }
-
 // Integrity exposes the walker (nil when integrity is off).
 func (e *Engine) Integrity() *IntegrityWalker { return e.integrity }
 

@@ -123,8 +123,3 @@ func LeakageReport(opts Options) *leakage.Report {
 	}
 	return rep
 }
-
-// Leakage renders the leakage quantification matrix (-exp leakage).
-func Leakage(opts Options) *stats.Table {
-	return LeakageReport(opts).Table()
-}

@@ -110,9 +110,9 @@ func (m *Mapper) Decode(addr uint64) Coords {
 }
 
 // ChannelOf returns only the channel of an address (the Session Key Table
-// lookup path, Fig 3 step 1b).
-//
-//obfus:public channel routing is wire-visible by design: per-channel cover traffic (Section 3.4) makes each channel's stream independent of which addresses map to it
+// lookup path, Fig 3 step 1b). Channel routing is wire-visible by design:
+// per-channel cover traffic (Section 3.4) makes each channel's stream
+// independent of which addresses map to it.
 func (m *Mapper) ChannelOf(addr uint64) int {
 	return int((addr >> (m.blockShift + m.colBits)) & ((1 << m.chanBits) - 1))
 }
@@ -256,9 +256,10 @@ func (c *Controller) Mapper() *Mapper { return c.mapper }
 func (c *Controller) Device(channel int) *pcm.Device { return c.devices[channel] }
 
 // Access services one 64-byte request at the device behind the address's
-// channel, returning data-ready time.
-//
-//obfus:public PCM service time happens behind the trusted memory module boundary; the address-dependent device-timing channel is out of scope for ObfusMem (Section 6.2) and is measured empirically by the leakage observatory instead
+// channel, returning data-ready time. PCM service time happens behind the
+// trusted memory module boundary: the address-dependent device-timing
+// channel is out of scope for ObfusMem (Section 6.2) and is measured
+// empirically by the leakage observatory instead.
 func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
 	co := c.mapper.Decode(addr)
 	if write {
@@ -301,8 +302,6 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
 // AccessOnChannel services a request already routed to a channel (the
 // memory-side ObfusMem controller path, where the address was decrypted on
 // the device).
-//
-//obfus:public PCM service time happens behind the trusted memory module boundary; the address-dependent device-timing channel is out of scope for ObfusMem (Section 6.2) and is measured empirically by the leakage observatory instead
 func (c *Controller) AccessOnChannel(at sim.Time, channel int, addr uint64, write bool) sim.Time {
 	co := c.mapper.Decode(addr)
 	if co.Channel != channel {

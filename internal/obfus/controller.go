@@ -490,13 +490,7 @@ func (c *Controller) dummyAddrFor(cs *chanState, realAddr uint64, ch int) uint64
 	}
 }
 
-// sendPacket encrypts (functionally), MACs, and transfers one request
-// packet; it returns the memory-side decode-complete time and the packet as
-// delivered (nil if dropped in flight). readyAt is when the packet may
-// first occupy the bus.
 // sealPayload transit-encrypts a value-carrying payload (nil passthrough).
-//
-//obfus:public ciphertext after AES-CTR transit encryption is computationally independent of the payload
 func (c *Controller) sealPayload(cs *chanState, ch int, padBase uint64, data *memctl.Block) []byte {
 	if data == nil {
 		return nil
@@ -504,6 +498,10 @@ func (c *Controller) sealPayload(cs *chanState, ch int, padBase uint64, data *me
 	return c.transitSealRequest(cs, ch, padBase, data)
 }
 
+// sendPacket encrypts (functionally), MACs, and transfers one request
+// packet; it returns the memory-side decode-complete time and the packet as
+// delivered (nil if dropped in flight). readyAt is when the packet may
+// first occupy the bus.
 func (c *Controller) sendPacket(cs *chanState, ch int, readyAt sim.Time,
 	t bus.ReqType, addr uint64, isDummy bool, withData bool, padCtr uint64, payload []byte) (sim.Time, *bus.Packet) {
 

@@ -55,8 +55,6 @@ func (c *Controller) transitOpenReply(cs *chanState, ch int, respCtr uint64, wir
 // `data` is transit-encrypted, shipped as the write half of a pair, and
 // stored in the memory module. Bypasses the substitute-real queue so the
 // store is immediate and deterministic for callers.
-//
-//obfus:secret addr data
 func (c *Controller) WriteData(at sim.Time, addr uint64, atRestReady sim.Time, data memctl.Block) sim.Time {
 	c.resetArena()
 	ch := c.ChannelOf(addr)
@@ -76,8 +74,6 @@ func (c *Controller) WriteData(at sim.Time, addr uint64, atRestReady sim.Time, d
 
 // ReadData performs a value-carrying demand read, returning the at-rest
 // ciphertext block stored at addr.
-//
-//obfus:secret addr
 func (c *Controller) ReadData(at sim.Time, addr uint64) (memctl.Block, sim.Time, bool) {
 	c.resetArena()
 	ch := c.ChannelOf(addr)

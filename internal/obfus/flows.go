@@ -12,8 +12,6 @@ import (
 // returns the time the (at-rest-encrypted) block is available at the
 // processor and whether the request completed authentically (false only
 // under active tampering or packet loss).
-//
-//obfus:secret addr
 func (c *Controller) Read(at sim.Time, addr uint64) (done sim.Time, ok bool) {
 	c.resetArena()
 	ch := c.ChannelOf(addr)
@@ -194,8 +192,6 @@ func (c *Controller) processHalf(cs *chanState, ch int, padBase uint64, h half, 
 // ciphertext (from the memory-encryption engine) is available. Writes are
 // posted; the returned time is when the write half reached the memory (for
 // occupancy accounting), not a stall.
-//
-//obfus:secret addr
 func (c *Controller) Write(at sim.Time, addr uint64, atRestReady sim.Time) sim.Time {
 	c.resetArena()
 	ch := c.ChannelOf(addr)

@@ -30,8 +30,6 @@ func decodeCmd(b [bus.CmdBytes]byte) (t bus.ReqType, addr uint64) {
 }
 
 // sealCmd encrypts a command field with one pad.
-//
-//obfus:public ciphertext after the AES-CTR pad XOR is computationally independent of the plaintext command
 func sealCmd(plain [bus.CmdBytes]byte, pad aes.Pad) [bus.CmdBytes]byte {
 	var out [bus.CmdBytes]byte
 	for i := range plain {

@@ -160,8 +160,6 @@ func (o *ORAM) onPath(leafA, leafB, level int) bool {
 
 // Access performs one ORAM operation. For OpWrite, data is stored (copied);
 // for OpRead, the current value is returned (nil if never written).
-//
-//obfus:secret block data
 func (o *ORAM) Access(op Op, block int, data []byte) ([]byte, error) {
 	if block < 0 || block >= o.nBlocks {
 		return nil, fmt.Errorf("oram: block %d out of range", block)

@@ -195,8 +195,6 @@ func (r *RingORAM) reshuffle(n int) {
 var ErrRingStashOverflow = errors.New("oram: ring stash overflow")
 
 // Access performs one Ring ORAM operation.
-//
-//obfus:secret block data
 func (r *RingORAM) Access(op Op, block int, data []byte) ([]byte, error) {
 	if block < 0 || block >= r.nBlocks {
 		return nil, fmt.Errorf("oram: ring block %d out of range", block)
@@ -328,16 +326,6 @@ func reverseBits(v uint64, bits int) uint64 {
 		v >>= 1
 	}
 	return out
-}
-
-// OnlineBlocksPerAccess returns the measured online (latency-critical)
-// bandwidth: blocks read during accesses excluding evictions/reshuffles is
-// not tracked separately, so this reports total read bandwidth per access.
-func (r *RingORAM) OnlineBlocksPerAccess() float64 {
-	if r.stats.Accesses == 0 {
-		return 0
-	}
-	return float64(r.stats.BlocksRead) / float64(r.stats.Accesses)
 }
 
 // WriteAmplification returns blocks written per access.

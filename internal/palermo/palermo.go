@@ -286,8 +286,6 @@ func (c *Controller) flushEvictions(at sim.Time) {
 // block's fetch and whether the real block survived the wire (false means
 // the request was lost to an injected fault; Palermo has no link-level
 // recovery, so loss is surfaced, not retried).
-//
-//obfus:secret addr
 func (c *Controller) Access(at sim.Time, addr uint64, write bool) (done sim.Time, ok bool) {
 	_ = write // reads and writes are indistinguishable by design
 	c.resetArena()

@@ -160,9 +160,6 @@ func New(cfg Config) *Device {
 	return d
 }
 
-// Banks returns the total bank count.
-func (d *Device) Banks() int { return len(d.banks) }
-
 // Config returns the geometry.
 func (d *Device) Config() Config { return d.cfg }
 
@@ -352,14 +349,4 @@ func (d *Device) Reset() {
 	d.stats = Stats{}
 	d.wear = make(map[uint64]uint64)
 	d.maxWear = 0
-}
-
-// WearMap returns a copy of per-(bank,row) wear counts; keys encode
-// bank<<40|row. Primarily for diagnostics and tests.
-func (d *Device) WearMap() map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(d.wear))
-	for k, v := range d.wear {
-		out[k] = v
-	}
-	return out
 }

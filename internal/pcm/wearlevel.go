@@ -42,9 +42,6 @@ func NewStartGap(n, psi int, rng *xrand.Rand) *StartGap {
 	return s
 }
 
-// Lines returns the logical line count.
-func (s *StartGap) Lines() int { return s.n }
-
 // GapMoves returns how many gap movements (line copies) have occurred.
 func (s *StartGap) GapMoves() uint64 { return s.moves }
 

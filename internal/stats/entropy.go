@@ -46,9 +46,6 @@ func (h *Hist) Add(sym uint64) {
 // N returns the number of observations.
 func (h *Hist) N() int { return h.n }
 
-// Support returns the number of distinct observed symbols.
-func (h *Hist) Support() int { return len(h.counts) }
-
 // sortedCounts returns the cell counts in ascending key order, the
 // deterministic iteration order for the float sums below.
 func (h *Hist) sortedCounts() []int {

@@ -72,12 +72,3 @@ func (s *System) ReadData(at sim.Time, addr uint64) (plaintext Block, done sim.T
 	}
 	return plaintext, done, verified
 }
-
-// DataTreeStats exposes the functional Merkle tree counters (zero-valued
-// before any value-carrying access).
-func (s *System) DataTreeStats() merkle.Stats {
-	if s.dataTree == nil {
-		return merkle.Stats{}
-	}
-	return s.dataTree.Stats()
-}

@@ -24,7 +24,6 @@ import (
 	"obfusmem/internal/merkle"
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/obfus"
-	"obfusmem/internal/oram"
 	"obfusmem/internal/palermo"
 	"obfusmem/internal/pcm"
 	"obfusmem/internal/sim"
@@ -297,14 +296,6 @@ func (s *System) Backend() backend.Backend { return s.bk }
 func (s *System) Obfus() *obfus.Controller {
 	if o, ok := s.bk.(*backend.Obfus); ok {
 		return o.Controller()
-	}
-	return nil
-}
-
-// ORAMModel exposes the ORAM performance model (nil on other backends).
-func (s *System) ORAMModel() *oram.PerfModel {
-	if o, ok := s.bk.(*backend.ORAM); ok {
-		return o.Model()
 	}
 	return nil
 }

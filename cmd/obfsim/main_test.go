@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -274,6 +275,41 @@ func TestTraceFaultedRun(t *testing.T) {
 		if !strings.Contains(string(raw), span) {
 			t.Errorf("trace missing recovery span %q", span)
 		}
+	}
+}
+
+// TestChromeTraceGolden pins the bytes of -trace-out for three traced runs
+// of mcf on obfusmem-auth x2: a plain run, one whose span ring wraps, and
+// one with fault injection so recovery instants carry integer args. The
+// export is meant to be byte-identical across exporter rewrites; a digest
+// change here means the file users load in Perfetto changed.
+func TestChromeTraceGolden(t *testing.T) {
+	base := []string{"-exp", "none", "-trace-bench", "mcf", "-trace-mode", "obfusmem-auth",
+		"-trace-channels", "2", "-requests", "2000", "-seed", "42"}
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		want  string
+	}{
+		{"plain", nil, "3d34e6052522c979ff8a2d571ddf9f2aaeee620c42afb7acc16d0afa2ed5a5e9"},
+		{"wrapped", []string{"-trace-limit", "5000"}, "cd6120379475616945d8849aa29828866ede6a02db00a023a95a5a36b7787fb0"},
+		{"faults", []string{"-trace-faults", "0.005"}, "bc61915306f90417f125caa328ca4a22ca4cb6829105d7f5a715cbce2577013b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "trace.json")
+			args := append(append(slices.Clone(base), tc.extra...), "-trace-out", out)
+			var stdout, stderr bytes.Buffer
+			if err := run(args, &stdout, &stderr); err != nil {
+				t.Fatalf("run(%v): %v\nstderr: %s", args, err, stderr.String())
+			}
+			raw, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != tc.want {
+				t.Errorf("trace sha256 = %s, want %s (%d bytes)", got, tc.want, len(raw))
+			}
+		})
 	}
 }
 

@@ -15,9 +15,11 @@
 #                  bash bench/run.sh; see bench/README.md)
 #   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
 #                  obfus leg, AES pads, MD5 MAC, metrics instruments, xrand
-#                  draws, every hot-path backend with metrics attached) plus
+#                  draws, every hot-path backend with metrics attached),
+#                  the fixed-allocation guard of the Chrome trace export, plus
 #                  short benchmarks of the event engine, the AES pads, the
-#                  MD5 MAC and the obfus datapath, then campaign-smoke;
+#                  MD5 MAC, the obfus datapath and the trace export, then
+#                  campaign-smoke;
 #                  fails if the alloc guards regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
@@ -83,6 +85,8 @@ bench-smoke:
 		-bench 'BenchmarkEngineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
 	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs' ./internal/metrics ./internal/xrand
+	$(GO) test -run 'TestChromeExportAllocs' -bench 'BenchmarkWriteChromeTrace' \
+		-benchtime 200ms -benchmem ./internal/trace
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null

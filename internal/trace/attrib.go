@@ -1,8 +1,8 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"obfusmem/internal/sim"
 	"obfusmem/internal/stats"
@@ -225,4 +225,5 @@ func (a Attribution) Table(title string) *stats.Table {
 	return t
 }
 
-func hex64(v uint64) string { return fmt.Sprintf("%#x", v) }
+// hex64 formats v exactly as fmt's %#x does, "0x0" for zero included.
+func hex64(v uint64) string { return "0x" + strconv.FormatUint(v, 16) }

@@ -1,0 +1,375 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"sort"
+	"testing"
+
+	"obfusmem/internal/names"
+	"obfusmem/internal/sim"
+	"obfusmem/internal/xrand"
+)
+
+// refChromeEvent and refChromeFile are the export's shape as encoding/json
+// structs, used only by referenceChromeTrace.
+type refChromeEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Ph    string         `json:"ph"`
+	TS    float64        `json:"ts"`
+	Dur   *float64       `json:"dur,omitempty"`
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Scope string         `json:"s,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+type refChromeFile struct {
+	DisplayTimeUnit string           `json:"displayTimeUnit"`
+	OtherData       map[string]any   `json:"otherData"`
+	TraceEvents     []refChromeEvent `json:"traceEvents"`
+}
+
+// referenceChromeTrace is the original encoding/json exporter, kept as the
+// definition WriteChromeTrace must match byte for byte: it builds every
+// event as a struct with a map of args and encodes the whole file at once.
+func referenceChromeTrace(r *Recorder, w io.Writer) error {
+	spans := r.Spans()
+
+	type track struct{ pid, tid int }
+	tids := make(map[string]track)
+	pids := make(map[int]bool)
+	var events []refChromeEvent
+	for _, s := range spans {
+		pids[s.PID] = true
+		key := fmt.Sprintf("%d/%s", s.PID, s.TID)
+		tr, ok := tids[key]
+		if !ok {
+			tr = track{pid: s.PID, tid: len(tids) + 1}
+			tids[key] = tr
+			events = append(events, refChromeEvent{
+				Name: "thread_name", Ph: "M", PID: s.PID, TID: tr.tid,
+				Args: map[string]any{"name": s.TID},
+			})
+		}
+		ev := refChromeEvent{
+			Name: s.Name,
+			Cat:  s.Cat.String(),
+			PID:  s.PID,
+			TID:  tr.tid,
+			TS:   float64(s.Begin) / psPerMicro,
+		}
+		if len(s.Args) > 0 || s.Req != 0 {
+			ev.Args = make(map[string]any, len(s.Args)+1)
+			if s.Req != 0 {
+				ev.Args["req"] = s.Req
+			}
+			for _, a := range s.Args {
+				ev.Args[a.Key] = a.Val
+			}
+		}
+		if s.Phase == PhaseInstant {
+			ev.Ph = "i"
+			ev.Scope = "t"
+		} else {
+			ev.Ph = "X"
+			dur := float64(s.End-s.Begin) / psPerMicro
+			ev.Dur = &dur
+		}
+		events = append(events, ev)
+	}
+	pidList := make([]int, 0, len(pids))
+	for pid := range pids {
+		pidList = append(pidList, pid)
+	}
+	sort.Ints(pidList)
+	for _, pid := range pidList {
+		name := "cpu"
+		if pid > 0 {
+			name = fmt.Sprintf("channel %d", pid-1)
+		}
+		events = append(events, refChromeEvent{
+			Name: "process_name", Ph: "M", PID: pid, TID: 0,
+			Args: map[string]any{"name": name},
+		})
+	}
+
+	sort.SliceStable(events, func(i, j int) bool {
+		mi, mj := events[i].Ph == "M", events[j].Ph == "M"
+		if mi != mj {
+			return mi
+		}
+		return events[i].TS < events[j].TS
+	})
+
+	enc := json.NewEncoder(w)
+	return enc.Encode(refChromeFile{
+		DisplayTimeUnit: "ns",
+		OtherData: map[string]any{
+			"droppedSpans":  r.Dropped(),
+			"retainedSpans": r.Len(),
+			"spanLimit":     r.Limit(),
+		},
+		TraceEvents: events,
+	})
+}
+
+// checkAgainstReference exports r both ways and requires identical bytes,
+// or an error from both.
+func checkAgainstReference(t *testing.T, r *Recorder) {
+	t.Helper()
+	var got, want bytes.Buffer
+	gotErr := r.WriteChromeTrace(&got)
+	wantErr := referenceChromeTrace(r, &want)
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("WriteChromeTrace error %v, reference error %v", gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		g, w := got.Bytes(), want.Bytes()
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		lo := max(0, i-80)
+		t.Fatalf("export differs from reference at byte %d:\n got  ...%s\n want ...%s",
+			i, g[lo:min(len(g), i+80)], w[lo:min(len(w), i+80)])
+	}
+}
+
+// exportRecorder records n spans shaped like a traced ObfusMem run: request
+// envelopes around bus, crypto and PCM spans on a fixed set of tracks,
+// decode instants, and args of every type the tracing sites pass.
+func exportRecorder(n int) *Recorder {
+	r := New(n)
+	at := sim.Time(0)
+	for r.Len() < n {
+		ch := int(at/1000) % 2
+		pid := ChannelPID(ch)
+		id := r.BeginRequest(names.ReqRead, uint64(at)*64, at)
+		r.Span(pid, "proc-aes", CatCrypto, names.SpanEncryptPads, at, at+3100, A("pads", 2))
+		r.Span(pid, "proc-md5", CatCrypto, names.SpanMACRequest, at, at+7300, A("slack_ns", 4.2))
+		r.Span(pid, "req-link", CatBus, "read", at+3100, at+9100,
+			A("bytes", 72), A("type", "read"), A("dummy", false), A("seq", uint64(at)))
+		r.Instant(pid, "ctl", names.SpanDecode, at+9100,
+			A("rank", 0), A("bank", ch), A("row", int64(at/64)), A("write", false))
+		r.Span(pid, fmt.Sprintf("bank %d", ch), CatPCM, names.SpanRowMiss, at+9100, at+69100,
+			A("row", int64(at/64)), A("write", false))
+		r.EndRequest(id, at+80000)
+		at += 1337
+	}
+	return r
+}
+
+// TestChromeExportMatchesReference holds the streaming exporter to the
+// reference on recorders that wrap inside and across span chunks.
+func TestChromeExportMatchesReference(t *testing.T) {
+	for _, limit := range []int{1, 5, chunkSpans, chunkSpans + 904} {
+		r := New(limit)
+		fill := exportRecorder(3 * limit)
+		for _, s := range fill.Spans() {
+			r.push(s)
+		}
+		if r.Dropped() == 0 {
+			t.Fatalf("limit %d: ring did not wrap", limit)
+		}
+		checkAgainstReference(t, r)
+	}
+	checkAgainstReference(t, New(10))          // empty: "traceEvents":null
+	checkAgainstReference(t, (*Recorder)(nil)) // disabled recorder
+}
+
+// TestRingChunks checks Spans() against a plain slice model across chunk
+// boundaries, before and after the ring wraps.
+func TestRingChunks(t *testing.T) {
+	const limit = chunkSpans + 904
+	r := New(limit)
+	var model []sim.Time
+	for i := 0; i < 3*limit; i++ {
+		r.Instant(0, "t", "i", sim.Time(i))
+		model = append(model, sim.Time(i))
+		if len(model) > limit {
+			model = model[1:]
+		}
+		if i%1999 != 0 && i != limit-1 && i != limit {
+			continue
+		}
+		spans := r.Spans()
+		if len(spans) != len(model) || r.Len() != len(model) {
+			t.Fatalf("after %d pushes: %d spans, Len %d, want %d", i+1, len(spans), r.Len(), len(model))
+		}
+		for j, s := range spans {
+			if s.Begin != model[j] {
+				t.Fatalf("after %d pushes: span %d begins at %d, want %d", i+1, j, s.Begin, model[j])
+			}
+		}
+	}
+	if got, want := r.Dropped(), uint64(2*limit); got != want {
+		t.Errorf("Dropped = %d, want %d", got, want)
+	}
+}
+
+// TestAppendMicros compares the integer-picosecond timestamp formatter with
+// encoding/json's rendering of float64(ps)/1e6 on edge and random values.
+func TestAppendMicros(t *testing.T) {
+	vals := []int64{0, 1, 9, 10, 999_999, 1_000_000, 1_000_001, 123_456_789,
+		1<<52 - 1, 1 << 52, 1<<52 + 1, 1 << 53, 1<<53 + 1, math.MaxInt64, -1, -1_500_000, math.MinInt64}
+	rng := xrand.New(19)
+	for range 200_000 {
+		vals = append(vals, int64(rng.Uint64n(1<<52)), int64(rng.Uint64n(1<<30)), int64(rng.Uint64()))
+	}
+	for _, ps := range vals {
+		want, err := json.Marshal(float64(ps) / psPerMicro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendMicros(nil, ps); !bytes.Equal(got, want) {
+			t.Fatalf("appendMicros(%d) = %s, want %s", ps, got, want)
+		}
+	}
+}
+
+// TestChromeExportAllocs is the export's perf gate: a fixed number of
+// allocations per export, whatever the span count.
+func TestChromeExportAllocs(t *testing.T) {
+	small, large := exportRecorder(1_000), exportRecorder(10_000)
+	export := func(r *Recorder) func() {
+		return func() {
+			if err := r.WriteChromeTrace(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, b := testing.AllocsPerRun(20, export(small)), testing.AllocsPerRun(20, export(large))
+	if a != b {
+		t.Errorf("export allocs grow with span count: %v for 1k spans, %v for 10k", a, b)
+	}
+	if b > 32 {
+		t.Errorf("export of 10k spans makes %v allocations, want at most 32", b)
+	}
+}
+
+// BenchmarkWriteChromeTrace measures the export of a 10k-span recorder.
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	r := exportRecorder(10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := r.WriteChromeTrace(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fuzzCount is a named integer type: no fast-path case matches it, so its
+// args take the reflection fallback.
+type fuzzCount int
+
+// fuzzStrings are names, TIDs and arg strings that need JSON escaping:
+// quotes, control bytes, HTML-unsafe <>&, invalid UTF-8, U+2028/U+2029.
+var fuzzStrings = []string{"", "req-link", "bank 3", "<b>&amp;</b>", `a"b\c`, "\xff\xfe",
+	"line\u2028sep\u2029", "ctl\n\t\x01\x7f", "é😀", "req", "addr"}
+
+// fuzzRecorder replays fuzz bytes as recorder calls on a small ring.
+func fuzzRecorder(data []byte) *Recorder {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		c := data[0]
+		data = data[1:]
+		return c
+	}
+	next8 := func() uint64 {
+		var b [8]byte
+		for i := range b {
+			b[i] = next()
+		}
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	str := func() string {
+		k := next()
+		if k < 200 {
+			return fuzzStrings[int(k)%len(fuzzStrings)]
+		}
+		b := make([]byte, k%8)
+		for i := range b {
+			b[i] = next()
+		}
+		return string(b)
+	}
+	at := func() sim.Time {
+		switch next() % 4 {
+		case 0:
+			return sim.Time(next())
+		case 1:
+			return 1<<52 - 128 + sim.Time(next()) // straddles 2^52
+		case 2:
+			return sim.Time(next8())
+		default:
+			return sim.Time(binary.LittleEndian.Uint16([]byte{next(), next()}))*1000 + sim.Time(next())
+		}
+	}
+	val := func() any {
+		switch next() % 10 {
+		case 0:
+			return str()
+		case 1:
+			return next()&1 == 1
+		case 2:
+			return int(int8(next()))
+		case 3:
+			return int64(next8())
+		case 4:
+			return next8()
+		case 5:
+			return math.Float64frombits(next8()) // NaN and Inf included
+		case 6:
+			return float64(int8(next())) / 7
+		case 7:
+			return fuzzCount(int8(next()))
+		case 8:
+			return float32(next()) / 3
+		default:
+			return nil
+		}
+	}
+	r := New(1 + int(next()%24))
+	var id uint64
+	for len(data) > 0 {
+		op, pid := next(), int(next()%4)-1
+		tid, name := str(), names.Name(str())
+		begin := at()
+		end := begin + sim.Time(next())*37
+		var args []Arg
+		for range next() % 4 {
+			args = append(args, A(str(), val()))
+		}
+		switch op % 4 {
+		case 0:
+			r.Span(pid, tid, Category(next()%byte(numCategories)), name, begin, end, args...)
+		case 1:
+			r.Instant(pid, tid, name, begin, args...)
+		case 2:
+			id = r.BeginRequest(name, uint64(begin), begin)
+		default:
+			r.EndRequest(id, end)
+		}
+	}
+	return r
+}
+
+// FuzzChromeExport requires the streaming exporter to match the reference
+// byte for byte (or fail alongside it) on recorders built from fuzz bytes.
+func FuzzChromeExport(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, fuzzRecorder(data))
+	})
+}

@@ -21,10 +21,10 @@
 //   - A time-series sampler (Sampler, sampler.go) that snapshots a metrics
 //     registry on fixed sim-time boundaries for CSV plotting.
 //
-// Retention is a ring buffer: once the configured span limit is reached the
-// oldest spans are evicted and counted in Dropped(). Truncation is never
-// silent — exporters embed the dropped count and callers are expected to
-// surface it.
+// Retention is a ring buffer of fixed-size chunks allocated on demand: once
+// the configured span limit is reached the oldest spans are evicted and
+// counted in Dropped(). Truncation is never silent — exporters embed the
+// dropped count and callers are expected to surface it.
 package trace
 
 import (
@@ -103,6 +103,11 @@ type Span struct {
 // DefaultLimit is the default ring-buffer capacity (retained spans).
 const DefaultLimit = 100_000
 
+// chunkSpans is the ring's allocation unit. Chunks are allocated as the
+// ring fills and never regrown, so retention costs no copying and a short
+// run never pays for the whole limit.
+const chunkSpans = 4096
+
 // Recorder collects spans into a bounded ring buffer and accumulates
 // per-request latency breakdowns. A Recorder is single-threaded, matching
 // the synchronous call graph of one simulated machine; concurrent systems
@@ -111,9 +116,9 @@ const DefaultLimit = 100_000
 // The nil Recorder is the disabled recorder: every method is a no-op.
 type Recorder struct {
 	limit   int
-	spans   []Span
-	next    int
-	wrapped bool
+	chunks  [][]Span // ring storage: span i lives at chunks[i/chunkSpans][i%chunkSpans]
+	n       int      // retained spans
+	next    int      // ring index of the oldest span once full (0 until then)
 	dropped uint64
 
 	// Current-request scope. The simulation services each request with a
@@ -141,19 +146,34 @@ func New(limit int) *Recorder {
 // Enabled reports whether the recorder records anything.
 func (r *Recorder) Enabled() bool { return r != nil }
 
+// slot returns the span at ring index i.
+func (r *Recorder) slot(i int) *Span { return &r.chunks[i/chunkSpans][i%chunkSpans] }
+
+// at returns the i-th oldest retained span.
+func (r *Recorder) at(i int) *Span {
+	i += r.next
+	if i >= r.limit {
+		i -= r.limit
+	}
+	return r.slot(i)
+}
+
 // push appends a span to the ring, evicting the oldest when full.
 func (r *Recorder) push(s Span) {
-	if len(r.spans) < r.limit {
-		r.spans = append(r.spans, s)
+	if r.n < r.limit {
+		if r.n == len(r.chunks)*chunkSpans {
+			r.chunks = append(r.chunks, make([]Span, min(chunkSpans, r.limit-r.n)))
+		}
+		*r.slot(r.n) = s
+		r.n++
 		return
 	}
 	// Ring is full: overwrite the oldest retained span.
-	r.spans[r.next] = s
+	*r.slot(r.next) = s
 	r.next++
 	if r.next == r.limit {
 		r.next = 0
 	}
-	r.wrapped = true
 	r.dropped++
 }
 
@@ -236,14 +256,10 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	if !r.wrapped {
-		out := make([]Span, len(r.spans))
-		copy(out, r.spans)
-		return out
+	out := make([]Span, r.n)
+	for i := range out {
+		out[i] = *r.at(i)
 	}
-	out := make([]Span, 0, r.limit)
-	out = append(out, r.spans[r.next:]...)
-	out = append(out, r.spans[:r.next]...)
 	return out
 }
 
@@ -252,7 +268,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.spans)
+	return r.n
 }
 
 // Dropped returns the number of spans evicted from the ring buffer.

@@ -349,3 +349,12 @@ func TestSamplerCap(t *testing.T) {
 		t.Fatalf("dropped = %d, want 7", s.Dropped())
 	}
 }
+
+// TestHex64 pins the envelope's addr format to fmt's %#x, zero included.
+func TestHex64(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xabc0, 1<<63 + 5, ^uint64(0)} {
+		if got, want := hex64(v), fmt.Sprintf("%#x", v); got != want {
+			t.Errorf("hex64(%d) = %q, want %q", v, got, want)
+		}
+	}
+}

@@ -35,6 +35,10 @@
 #                  when absent so the frozen toolchain image still lints)
 #   make lint-fix - gofmt the tree, then re-lint
 #   make ci      - everything CI runs: lint + vet + check + race + bench-smoke
+#   make linedelta BASE=<rev> - added, removed and net non-test Go lines
+#                  between <rev> and the working tree (files git tracks;
+#                  _test.go files and testdata excluded): the per-change
+#                  line delta ROADMAP.md asks every change to report
 #   make trace-demo - traced run of the milc profile: Chrome trace JSON
 #                  (load trace.json in Perfetto), attribution report, and
 #                  a 5us metrics time series (see EXPERIMENTS.md "Tracing
@@ -42,7 +46,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fix race race-full bench bench-smoke campaign-smoke profile ci trace-demo
+.PHONY: check vet lint lint-fix race race-full bench bench-smoke campaign-smoke profile ci trace-demo linedelta
 
 check:
 	$(GO) build ./...
@@ -106,3 +110,8 @@ trace-demo:
 	$(GO) run ./cmd/obfsim -exp none -requests 4000 \
 		-trace-out trace.json -attrib-out attrib.json \
 		-sample-every 5 -sample-out samples.csv
+
+linedelta:
+	@test -n "$(BASE)" || { echo "usage: make linedelta BASE=<rev>" >&2; exit 2; }
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)*/testdata/*' | \
+		awk '{a += $$1; r += $$2} END {printf "non-test Go lines: +%d -%d net %+d\n", a, r, a - r}'

@@ -83,8 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		which        = fs.String("exp", "all", "experiment: all|none|table1|table2|table3|figure4|figure5|energy|table4|tampering|timing|sensitivity|faults|backends|leakage|openloop")
 		requests     = fs.Int("requests", 8000, "memory requests per benchmark per configuration")
 		seed         = fs.Uint64("seed", 42, "global experiment seed")
-		serial       = fs.Bool("serial", false, "disable parallel benchmark execution")
-		workers      = fs.Int("workers", 0, "benchmark worker-pool size (0 = one per CPU); ignored with -serial")
+		workers      = fs.Int("workers", 0, "benchmark worker-pool size (0 = one per CPU, 1 = run inline)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof heap profile (post-GC) at exit to this file")
 		blockProfile = fs.String("blockprofile", "", "write a pprof goroutine-blocking profile at exit to this file (worker-pool and campaign waits)")
@@ -202,7 +201,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts := exp.DefaultOptions()
 	opts.Requests = *requests
 	opts.Seed = *seed
-	opts.Parallel = !*serial
 	opts.Workers = *workers
 	opts.CPU = cpu.Config{Exposure: *exposure, WriteBuffer: 16}
 
@@ -220,15 +218,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts.Interrupted = func() bool { return ctx.Err() != nil }
 
 	if *campaignPath != "" {
-		cw := *workers
-		if *serial {
-			cw = 1
-		}
 		cerr := runCampaignCmd(ctx, campaignOptions{
 			Manifest: *campaignPath,
 			Dir:      *campaignOut,
 			Addr:     *campaignAddr,
-			Workers:  cw,
+			Workers:  *workers,
 			Metrics:  reg,
 		}, stdout, stderr)
 		if reg != nil {

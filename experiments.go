@@ -14,10 +14,8 @@ type ExperimentOptions struct {
 	// Exposure is the fraction of read latency reaching execution time
 	// (default 0.55, the calibration in DESIGN.md).
 	Exposure float64
-	// Serial disables parallel benchmark execution.
-	Serial bool
-	// Workers bounds the benchmark worker pool when running in parallel;
-	// 0 means one worker per available CPU (runtime.GOMAXPROCS).
+	// Workers sizes the benchmark worker pool; 0 means one worker per
+	// available CPU (runtime.GOMAXPROCS) and 1 runs benchmarks inline.
 	Workers int
 }
 
@@ -32,7 +30,6 @@ func (o ExperimentOptions) internal() exp.Options {
 	if o.Exposure > 0 {
 		io.CPU = cpu.Config{Exposure: o.Exposure, WriteBuffer: 16}
 	}
-	io.Parallel = !o.Serial
 	io.Workers = o.Workers
 	return io
 }

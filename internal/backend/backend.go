@@ -33,17 +33,15 @@ import (
 // At-rest encryption, integrity trees, and the Merkle-verified value
 // datapath stay in internal/system, shared by every backend.
 type Backend interface {
-	// Read services a timing-only demand read; ok is false when the
-	// scheme's protocol refused or lost the request.
-	Read(at sim.Time, addr uint64) (done sim.Time, ok bool)
-	// Write services a timing-only writeback. ready is the time the
-	// ciphertext is available (>= at when at-rest encryption ran).
-	Write(at sim.Time, addr uint64, ready sim.Time) sim.Time
-	// ReadData reads a stored block through the scheme's datapath; ok is
-	// false when the protocol rejected the access.
-	ReadData(at sim.Time, addr uint64) (ct memctl.Block, done sim.Time, ok bool)
-	// WriteData stores a ciphertext block through the scheme's datapath.
-	WriteData(at sim.Time, addr uint64, ready sim.Time, ct memctl.Block) sim.Time
+	// Read services a demand read; ok is false when the scheme's protocol
+	// refused or lost the request. A non-nil blk receives the stored
+	// ciphertext block; nil models timing only. Timing and wire traffic
+	// do not depend on blk.
+	Read(at sim.Time, addr uint64, blk *memctl.Block) (done sim.Time, ok bool)
+	// Write services a writeback. ready is the time the ciphertext is
+	// available (>= at when at-rest encryption ran). A non-nil blk is the
+	// ciphertext block to store; nil models timing only.
+	Write(at sim.Time, addr uint64, ready sim.Time, blk *memctl.Block) sim.Time
 	// Drain quiesces buffered scheme state (pending pairs, eviction
 	// batches) at the given time.
 	Drain(at sim.Time)

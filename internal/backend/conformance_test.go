@@ -300,8 +300,9 @@ func relabel(c, mask memctl.Coords) memctl.Coords {
 
 // wireOp is one request of the relabeling stream.
 type wireOp struct {
-	kind  int // 0 Read, 1 Write, 2 ReadData, 3 WriteData
-	at    sim.Time
+	write bool
+	value bool     // carries a block
+	at    sim.Time // arrival
 	ready sim.Time // when a write's at-rest ciphertext is available
 	co    memctl.Coords
 }
@@ -327,9 +328,20 @@ func wireStream(g wireGeometry, n int, seed uint64) []wireOp {
 		}
 		co.Col = r.Intn(1 << g.colBits)
 		at := sim.Time(i) * 150 * sim.Nanosecond
-		ops[i] = wireOp{kind: r.Intn(4), at: at, ready: at + sim.Time(r.Intn(2))*40*sim.Nanosecond, co: co}
+		kind := r.Intn(4)
+		ops[i] = wireOp{write: kind&1 == 1, value: kind >= 2, at: at, ready: at + sim.Time(r.Intn(2))*40*sim.Nanosecond, co: co}
 	}
 	return ops
+}
+
+// withValues returns a copy of ops in which every request carries a block
+// (value true) or none does.
+func withValues(ops []wireOp, value bool) []wireOp {
+	out := append([]wireOp(nil), ops...)
+	for i := range out {
+		out[i].value = value
+	}
+	return out
 }
 
 // wireView drives the backend of a fresh machine directly with the stream
@@ -351,19 +363,17 @@ func wireView(t *testing.T, cfg system.Config, g wireGeometry, ops []wireOp, mas
 		if got := mapper.Decode(addr); got != co {
 			t.Fatalf("test encoder disagrees with memctl.Mapper: %+v encodes to %#x, which decodes to %+v", co, addr, got)
 		}
-		switch op.kind {
-		case 0:
-			bk.Read(op.at, addr)
-		case 1:
-			bk.Write(op.at, addr, op.ready)
-		case 2:
-			bk.ReadData(op.at, addr)
-		default:
-			var blk memctl.Block
+		var blk *memctl.Block
+		if op.value {
+			blk = new(memctl.Block)
 			for i := 0; i < len(blk); i += 8 {
 				binary.LittleEndian.PutUint64(blk[i:], xrand.Mix64(addr+uint64(i)))
 			}
-			bk.WriteData(op.at, addr, op.ready, blk)
+		}
+		if op.write {
+			bk.Write(op.at, addr, op.ready, blk)
+		} else {
+			bk.Read(op.at, addr, blk)
 		}
 		end = op.at
 	}
@@ -397,34 +407,10 @@ func wireView(t *testing.T, cfg system.Config, g wireGeometry, ops []wireOp, mas
 // A backend that puts plaintext commands on the wire must differ: that is
 // the test's positive control.
 func TestWireInvariantUnderRelabeling(t *testing.T) {
-	type wireCase struct {
-		name     string
-		cfg      system.Config
-		fixedPCM bool // accesses at fixed PCM locations: no bank/rank relabeling
-	}
-	var cases []wireCase
-	for _, name := range system.BackendNames() {
-		d, _ := backend.Lookup(name)
-		for _, channels := range []int{1, 2, 4} {
-			cfg := conformanceConfig(t, name)
-			cfg.Channels = channels
-			base := fmt.Sprintf("%s/%dch", name, channels)
-			cases = append(cases, wireCase{base, cfg, name == "palermo"})
-			if d.Uses.Obfus {
-				unopt := cfg
-				unopt.Obfus.Policy = obfus.PolicyUNOPT
-				cases = append(cases, wireCase{base + "/unopt", unopt, false})
-				to := cfg
-				to.Obfus.TimingOblivious = true
-				cases = append(cases, wireCase{base + "/timing-oblivious", to, true})
-			}
-		}
-	}
-	const requests = 1500
-	for _, c := range cases {
+	for _, c := range wireCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			g := geometryOf(c.cfg.Channels)
-			ops := wireStream(g, requests, 0x7e1abe1)
+			ops := wireStream(g, wireRequests, 0x7e1abe1)
 			r := xrand.New(0x3a5c)
 			randomRowCol := func() memctl.Coords {
 				return memctl.Coords{Row: int64(1 + r.Uint64n(1<<g.rowBits-1)), Col: r.Intn(1 << g.colBits)}
@@ -457,6 +443,68 @@ func TestWireInvariantUnderRelabeling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestValuePathMatchesTimingPath requires that whether a request carries a
+// block changes nothing on the wire: every case of the relabeling table,
+// driven once with nil blocks and once with a block on every request,
+// must give bit-identical wire views. The value path and the timing path
+// are one code path per direction; before they were, value requests under
+// the symmetric design put a different packet mix on the wire, and value
+// writes under timing-oblivious operation quantized twice. Substitute-real
+// pairing is off because a value write bypasses its queue by design.
+func TestValuePathMatchesTimingPath(t *testing.T) {
+	for _, c := range wireCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Obfus.SubstituteReal = false
+			g := geometryOf(cfg.Channels)
+			ops := wireStream(g, wireRequests, 0x7e1abe1)
+			timing := wireView(t, cfg, g, withValues(ops, false), memctl.Coords{})
+			value := wireView(t, cfg, g, withValues(ops, true), memctl.Coords{})
+			if i := firstWireDiff(timing, value); i >= 0 {
+				t.Errorf("value path diverges from timing path at transfer %d of %d/%d:\n timing %+v\n value  %+v",
+					i, len(timing), len(value), wireAt(timing, i), wireAt(value, i))
+			}
+		})
+	}
+}
+
+// wireRequests is the length of the contract tests' request stream.
+const wireRequests = 1500
+
+// wireCase is one machine configuration of the wire contract tests.
+type wireCase struct {
+	name     string
+	cfg      system.Config
+	fixedPCM bool // accesses at fixed PCM locations: no bank/rank relabeling
+}
+
+// wireCases is every registered backend at 1, 2 and 4 channels, plus
+// ObfusMem's UNOPT policy, timing-oblivious mode and symmetric design.
+func wireCases(t *testing.T) []wireCase {
+	var cases []wireCase
+	for _, name := range system.BackendNames() {
+		d, _ := backend.Lookup(name)
+		for _, channels := range []int{1, 2, 4} {
+			cfg := conformanceConfig(t, name)
+			cfg.Channels = channels
+			base := fmt.Sprintf("%s/%dch", name, channels)
+			cases = append(cases, wireCase{base, cfg, name == "palermo"})
+			if d.Uses.Obfus {
+				unopt := cfg
+				unopt.Obfus.Policy = obfus.PolicyUNOPT
+				cases = append(cases, wireCase{base + "/unopt", unopt, false})
+				to := cfg
+				to.Obfus.TimingOblivious = true
+				cases = append(cases, wireCase{base + "/timing-oblivious", to, true})
+				sym := cfg
+				sym.Obfus.Symmetric = true
+				cases = append(cases, wireCase{base + "/symmetric", sym, false})
+			}
+		}
+	}
+	return cases
 }
 
 // firstWireDiff returns the index of the first differing transfer, or -1.

@@ -20,23 +20,13 @@ type Obfus struct {
 func (o *Obfus) Controller() *obfus.Controller { return o.ctl }
 
 // Read implements Backend.
-func (o *Obfus) Read(at sim.Time, addr uint64) (sim.Time, bool) {
-	return o.ctl.Read(at, addr)
+func (o *Obfus) Read(at sim.Time, addr uint64, blk *memctl.Block) (sim.Time, bool) {
+	return o.ctl.ReadBlock(at, addr, blk)
 }
 
 // Write implements Backend.
-func (o *Obfus) Write(at sim.Time, addr uint64, ready sim.Time) sim.Time {
-	return o.ctl.Write(at, addr, ready)
-}
-
-// ReadData implements Backend.
-func (o *Obfus) ReadData(at sim.Time, addr uint64) (memctl.Block, sim.Time, bool) {
-	return o.ctl.ReadData(at, addr)
-}
-
-// WriteData implements Backend.
-func (o *Obfus) WriteData(at sim.Time, addr uint64, ready sim.Time, ct memctl.Block) sim.Time {
-	return o.ctl.WriteData(at, addr, ready, ct)
+func (o *Obfus) Write(at sim.Time, addr uint64, ready sim.Time, blk *memctl.Block) sim.Time {
+	return o.ctl.WriteBlock(at, addr, ready, blk)
 }
 
 // Drain implements Backend.

@@ -17,33 +17,26 @@ type ORAM struct {
 }
 
 // Read implements Backend.
-func (o *ORAM) Read(at sim.Time, addr uint64) (sim.Time, bool) {
-	o.acct.Issued++
-	o.acct.Completed++
-	return o.model.Access(at), true
+func (o *ORAM) Read(at sim.Time, addr uint64, blk *memctl.Block) (sim.Time, bool) {
+	if blk != nil {
+		*blk = o.mem.LoadBlock(addr)
+	}
+	return o.access(at), true
 }
 
 // Write implements Backend. The paper's model treats reads and writes
 // identically and holds counter state on-chip, so ready is unused
 // (matching the pre-registry system, which discarded the writeback time).
-func (o *ORAM) Write(at sim.Time, addr uint64, ready sim.Time) sim.Time {
-	o.acct.Issued++
-	o.acct.Completed++
-	return o.model.Access(at)
+func (o *ORAM) Write(at sim.Time, addr uint64, ready sim.Time, blk *memctl.Block) sim.Time {
+	if blk != nil {
+		o.mem.StoreBlock(addr, *blk)
+	}
+	return o.access(at)
 }
 
-// ReadData implements Backend.
-func (o *ORAM) ReadData(at sim.Time, addr uint64) (memctl.Block, sim.Time, bool) {
+func (o *ORAM) access(at sim.Time) sim.Time {
 	o.acct.Issued++
 	o.acct.Completed++
-	return o.mem.LoadBlock(addr), o.model.Access(at), true
-}
-
-// WriteData implements Backend.
-func (o *ORAM) WriteData(at sim.Time, addr uint64, ready sim.Time, ct memctl.Block) sim.Time {
-	o.acct.Issued++
-	o.acct.Completed++
-	o.mem.StoreBlock(addr, ct)
 	return o.model.Access(at)
 }
 

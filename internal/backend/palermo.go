@@ -8,8 +8,8 @@ import (
 
 // Palermo adapts the internal/palermo controller. Reads and writes are
 // indistinguishable on its wire; a write's payload rides the deferred
-// eviction batch, so WriteData stores functionally and lets the access
-// run oblivious like any other.
+// eviction batch, so a value write stores functionally and lets the
+// access run oblivious like any other.
 type Palermo struct {
 	ctl  *palermo.Controller
 	mem  *memctl.Controller
@@ -29,29 +29,20 @@ func (p *Palermo) account(ok bool) {
 }
 
 // Read implements Backend.
-func (p *Palermo) Read(at sim.Time, addr uint64) (sim.Time, bool) {
+func (p *Palermo) Read(at sim.Time, addr uint64, blk *memctl.Block) (sim.Time, bool) {
 	done, ok := p.ctl.Access(at, addr, false)
 	p.account(ok)
+	if blk != nil {
+		*blk = p.mem.LoadBlock(addr)
+	}
 	return done, ok
 }
 
 // Write implements Backend.
-func (p *Palermo) Write(at sim.Time, addr uint64, ready sim.Time) sim.Time {
-	done, ok := p.ctl.Access(ready, addr, true)
-	p.account(ok)
-	return done
-}
-
-// ReadData implements Backend.
-func (p *Palermo) ReadData(at sim.Time, addr uint64) (memctl.Block, sim.Time, bool) {
-	done, ok := p.ctl.Access(at, addr, false)
-	p.account(ok)
-	return p.mem.LoadBlock(addr), done, ok
-}
-
-// WriteData implements Backend.
-func (p *Palermo) WriteData(at sim.Time, addr uint64, ready sim.Time, ct memctl.Block) sim.Time {
-	p.mem.StoreBlock(addr, ct)
+func (p *Palermo) Write(at sim.Time, addr uint64, ready sim.Time, blk *memctl.Block) sim.Time {
+	if blk != nil {
+		p.mem.StoreBlock(addr, *blk)
+	}
 	done, ok := p.ctl.Access(ready, addr, true)
 	p.account(ok)
 	return done

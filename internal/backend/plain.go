@@ -86,25 +86,20 @@ func (p *Plain) transfer(at sim.Time, addr uint64, write bool) sim.Time {
 }
 
 // Read implements Backend.
-func (p *Plain) Read(at sim.Time, addr uint64) (sim.Time, bool) {
-	return p.transfer(at, addr, false), true
+func (p *Plain) Read(at sim.Time, addr uint64, blk *memctl.Block) (sim.Time, bool) {
+	done := p.transfer(at, addr, false)
+	if blk != nil {
+		*blk = p.mem.LoadBlock(addr)
+	}
+	return done, true
 }
 
 // Write implements Backend. ready folds in at-rest encryption time when
 // the machine has an engine (== at on the unprotected baseline).
-func (p *Plain) Write(at sim.Time, addr uint64, ready sim.Time) sim.Time {
-	return p.transfer(ready, addr, true)
-}
-
-// ReadData implements Backend.
-func (p *Plain) ReadData(at sim.Time, addr uint64) (memctl.Block, sim.Time, bool) {
-	done := p.transfer(at, addr, false)
-	return p.mem.LoadBlock(addr), done, true
-}
-
-// WriteData implements Backend.
-func (p *Plain) WriteData(at sim.Time, addr uint64, ready sim.Time, ct memctl.Block) sim.Time {
-	p.mem.StoreBlock(addr, ct)
+func (p *Plain) Write(at sim.Time, addr uint64, ready sim.Time, blk *memctl.Block) sim.Time {
+	if blk != nil {
+		p.mem.StoreBlock(addr, *blk)
+	}
 	return p.transfer(ready, addr, true)
 }
 

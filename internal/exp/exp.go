@@ -23,17 +23,13 @@ type Options struct {
 	Requests int
 	Seed     uint64
 	CPU      cpu.Config
-	// Parallel fans benchmark runs out over a worker pool (deterministic
-	// regardless: every run is independently seeded and results land in
-	// per-job slots).
-	Parallel bool
-	// Workers bounds the pool when Parallel is set; 0 means
-	// runtime.GOMAXPROCS(0), scaling with the machine instead of the old
-	// hardcoded 8-slot semaphore.
+	// Workers sizes the pool benchmark runs fan out over; 0 means
+	// runtime.GOMAXPROCS(0) and 1 runs them inline. Results do not depend
+	// on it: every run is independently seeded and lands in its own slot.
 	Workers int
 	// Metrics, when non-nil, is shared by every system built for the
 	// suite: all runs aggregate into one registry (instruments are
-	// atomic, so this is safe under Parallel).
+	// atomic, so this is safe with any worker count).
 	Metrics *metrics.Registry
 	// Interrupted, when non-nil, is polled by the worker pool before each
 	// job dispatch; once it reports true no further runs start and the
@@ -45,9 +41,6 @@ type Options struct {
 
 // workerCount resolves the effective pool size.
 func (o Options) workerCount() int {
-	if !o.Parallel {
-		return 1
-	}
 	if o.Workers > 0 {
 		return o.Workers
 	}
@@ -56,7 +49,7 @@ func (o Options) workerCount() int {
 
 // DefaultOptions returns the standard experiment scale.
 func DefaultOptions() Options {
-	return Options{Requests: 8000, Seed: 42, CPU: cpu.DefaultConfig(), Parallel: true}
+	return Options{Requests: 8000, Seed: 42, CPU: cpu.DefaultConfig()}
 }
 
 // QuickOptions returns a reduced scale for unit tests and smoke runs.

@@ -180,12 +180,12 @@ func TestSuiteDeterminism(t *testing.T) {
 			t.Fatalf("non-deterministic results for %s", a.Benchmarks[i])
 		}
 	}
-	// Serial and parallel execution must agree exactly.
-	o.Parallel = false
+	// Inline and pooled execution must agree exactly.
+	o.Workers = 1
 	c := Table3Numbers(o)
 	for i := range a.Benchmarks {
 		if a.ORAMOverhead[i] != c.ORAMOverhead[i] {
-			t.Fatalf("parallel/serial divergence for %s", a.Benchmarks[i])
+			t.Fatalf("pooled/inline divergence for %s", a.Benchmarks[i])
 		}
 	}
 }

@@ -101,7 +101,6 @@ func TestLeakageOrdering(t *testing.T) {
 func TestLeakageWorkerIndependence(t *testing.T) {
 	o := leakTestOpts()
 	o.Requests = 400
-	o.Parallel = true
 
 	o.Workers = 1
 	one := LeakageReport(o)

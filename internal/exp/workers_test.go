@@ -12,7 +12,6 @@ import (
 func TestWorkersOneVsManyIdentical(t *testing.T) {
 	o := testOpts()
 	o.Requests = 300
-	o.Parallel = true
 
 	o.Workers = 1
 	one := Table3Numbers(o)

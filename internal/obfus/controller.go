@@ -211,9 +211,8 @@ type pendingWrite struct {
 	// atRestReady is when the ciphertext-at-rest is available (from the
 	// memory-encryption engine); the bus transfer cannot start earlier.
 	atRestReady sim.Time
-	// data, when non-nil, is the at-rest ciphertext block to carry through
-	// the value-level datapath.
-	data *memctl.Block
+	// blk, when non-nil, is the at-rest ciphertext block to store.
+	blk *memctl.Block
 }
 
 // chanState is one channel's cryptographic endpoints: an AES engine and an
@@ -278,12 +277,9 @@ type Controller struct {
 	tr       *trace.Recorder
 	seq      uint64
 	frontEnd *sim.Resource
-	// lastReadData holds the most recent value-carrying read result (the
-	// flows are synchronous, so this is just plumbing, not shared state).
-	lastReadData memctl.Block
 	// lastReplyLost distinguishes a reply dropped in flight (detected only
-	// by timer) from one rejected on arrival (detected at decode); same
-	// synchronous plumbing as lastReadData.
+	// by timer) from one rejected on arrival (detected at decode). The
+	// flows are synchronous, so this is plumbing, not shared state.
 	lastReplyLost bool
 	// events records quarantine decisions for the typed error surface.
 	events []QuarantineEvent
@@ -294,8 +290,8 @@ type Controller struct {
 	// are synchronous and every interception point on the bus (observers,
 	// tamperers, fault injectors) copies rather than retains, so a packet
 	// is dead once the entry-point call that built it returns; pktUsed
-	// rewinds at each public entry point (Read, Write, ReadData,
-	// WriteData, Drain) and the arena stabilises at the high-water mark.
+	// rewinds at each public entry point (ReadBlock, WriteBlock, Drain)
+	// and the arena stabilises at the high-water mark.
 	pktArena []*bus.Packet
 	pktUsed  int
 	// zeroData is the shared all-zero payload for timing-only transfers
@@ -490,49 +486,38 @@ func (c *Controller) dummyAddrFor(cs *chanState, realAddr uint64, ch int) uint64
 	}
 }
 
-// sealPayload transit-encrypts a value-carrying payload (nil passthrough).
-func (c *Controller) sealPayload(cs *chanState, ch int, padBase uint64, data *memctl.Block) []byte {
-	if data == nil {
-		return nil
-	}
-	return c.transitSealRequest(cs, ch, padBase, data)
-}
-
 // sendPacket encrypts (functionally), MACs, and transfers one request
-// packet; it returns the memory-side decode-complete time and the packet as
-// delivered (nil if dropped in flight). readyAt is when the packet may
-// first occupy the bus.
-func (c *Controller) sendPacket(cs *chanState, ch int, readyAt sim.Time,
-	t bus.ReqType, addr uint64, isDummy bool, withData bool, padCtr uint64, payload []byte) (sim.Time, *bus.Packet) {
-
-	plain := encodeCmd(t, addr)
-	pad := cs.procReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: padCtr})
+// packet for h at pad counter ctr; padBase is its slot group, whose data
+// pads seal a carried write block. It returns the memory-side arrival time
+// and the packet as delivered (nil if dropped in flight).
+func (c *Controller) sendPacket(cs *chanState, ch int, h half, ctr, padBase uint64) (sim.Time, *bus.Packet) {
+	plain := encodeCmd(h.t, h.addr)
+	pad := cs.procReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
 	pkt := c.newPacket()
 	pkt.Channel = ch
 	pkt.Dir = bus.ProcToMem
 	pkt.CmdCipher = sealCmd(plain, pad)
 	pkt.HasCmd = true
-	pkt.Type = t
-	pkt.Addr = addr
-	pkt.IsDummy = isDummy
-	pkt.Counter = padCtr
+	pkt.Type = h.t
+	pkt.Addr = h.addr
+	pkt.IsDummy = h.dummy
+	pkt.Counter = ctr
 	pkt.Seq = c.seq
 	c.seq++
-	if withData {
-		if payload != nil {
-			pkt.Data = payload
-		} else {
-			pkt.Data = c.zeroData[:] // timing-only path: contents elided
+	// Writes carry data; so do symmetric reads.
+	if h.t == bus.Write || h.symmetric {
+		pkt.Data = c.zeroData[:] // timing only: contents elided
+		if h.t == bus.Write && h.blk != nil {
+			pkt.Data = c.transitSealRequest(cs, ch, padBase, h.blk)
 		}
 	}
 	if c.cfg.MAC != MACNone {
 		pkt.HasMAC = true
-		pkt.MAC = uint64(md5sim.Compute(byte(t), addr, padCtr))
+		pkt.MAC = uint64(md5sim.Compute(byte(h.t), h.addr, ctr))
 		c.stats.MACsComputed++
 		c.met.macsComputed.Inc()
 	}
-	arrive, delivered := c.bus.Transfer(readyAt, pkt)
-	return arrive, delivered
+	return c.bus.Transfer(h.ready, pkt)
 }
 
 // memSlot returns the pad counter the memory side uses for the next command
@@ -559,24 +544,25 @@ func (cs *chanState) memSlot(symmetric bool) uint64 {
 
 // memDecode models the memory side receiving a request packet: pad decode
 // (pre-generated, XOR only), MAC verification, and counter advance. It
-// returns the decoded command, the time decoding completed, and whether the
-// request was accepted.
-func (c *Controller) memDecode(cs *chanState, ch int, arrive sim.Time, delivered *bus.Packet) (t bus.ReqType, addr uint64, decodeDone sim.Time, ok bool) {
+// returns the decoded address, the time decoding completed, and whether the
+// request was accepted. An accepted request decoded to the type and address
+// that were sent.
+func (c *Controller) memDecode(cs *chanState, ch int, arrive sim.Time, delivered *bus.Packet) (addr uint64, decodeDone sim.Time, ok bool) {
 	if delivered == nil {
 		// Dropped in flight: the memory never sees it, so its counter
 		// does not advance and the two sides desynchronise.
 		c.stats.RequestsLost++
-		return 0, 0, arrive, false
+		return 0, arrive, false
 	}
 	return c.memDecodeSlot(cs, ch, arrive, delivered, cs.memSlot(c.cfg.Symmetric))
 }
 
 // memDecodeSlot is memDecode at an explicit pad counter; retransmissions
 // use it after a resync handshake has agreed the slot out of band.
-func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, delivered *bus.Packet, ctr uint64) (t bus.ReqType, addr uint64, decodeDone sim.Time, ok bool) {
+func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, delivered *bus.Packet, ctr uint64) (addr uint64, decodeDone sim.Time, ok bool) {
 	pad := cs.memReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
 	decodeDone = pregenReady(cs.memReqEng, arrive, 1) + SerDesLatency
-	t, addr = openCmd(delivered.CmdCipher, pad)
+	t, addr := openCmd(delivered.CmdCipher, pad)
 	if c.tr != nil {
 		c.tr.Span(trace.ChannelPID(ch), "mem-aes", trace.CatCrypto, names.SpanMemDecode,
 			arrive, decodeDone, trace.A("ctr", ctr), trace.A("dummy", delivered.IsDummy))
@@ -588,27 +574,23 @@ func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, deliv
 			c.stats.TamperDetected++
 			c.met.tamperDetected.Inc()
 			c.tr.Instant(trace.ChannelPID(ch), "mem-aes", names.SpanTamperDetected, decodeDone)
-			return t, addr, decodeDone, false
+			return addr, decodeDone, false
 		}
 	} else if t != delivered.Type || addr != delivered.Addr {
 		// Without a MAC the memory cannot *detect* the mismatch; we count
 		// it from ground truth to quantify silent corruption.
 		c.stats.DecodeMismatches++
-		return t, addr, decodeDone, false
+		return addr, decodeDone, false
 	}
-	return t, addr, decodeDone, true
+	return addr, decodeDone, true
 }
 
 // reply sends a data reply (real ciphertext or dummy garbage) back to the
-// processor; it returns the time plaintext-at-rest ciphertext is available
-// processor-side, and whether the reply was delivered and authentic.
-func (c *Controller) reply(cs *chanState, ch int, readyAt sim.Time, forDummy bool, reqAddr uint64, decodeAt sim.Time) (sim.Time, bool) {
-	return c.replyData(cs, ch, readyAt, forDummy, reqAddr, decodeAt, false, nil)
-}
-
-// replyData is reply with an optional value-carrying payload (the stored
-// block, already transit-encrypted by the memory side).
-func (c *Controller) replyData(cs *chanState, ch int, readyAt sim.Time, forDummy bool, reqAddr uint64, decodeAt sim.Time, wantData bool, wire []byte) (sim.Time, bool) {
+// processor; it returns the time the at-rest ciphertext is available
+// processor-side, and whether the reply was delivered and authentic. A
+// non-nil blk on a real reply carries the stored block: the memory side
+// transit-encrypts it and the processor opens it into blk.
+func (c *Controller) reply(cs *chanState, ch int, readyAt sim.Time, forDummy bool, reqAddr uint64, decodeAt sim.Time, blk *memctl.Block) (sim.Time, bool) {
 	pkt := c.newPacket()
 	pkt.Channel = ch
 	pkt.Dir = bus.MemToProc
@@ -616,8 +598,8 @@ func (c *Controller) replyData(cs *chanState, ch int, readyAt sim.Time, forDummy
 	pkt.Type = bus.Read
 	pkt.Addr = reqAddr
 	pkt.IsDummy = forDummy
-	if wire != nil {
-		pkt.Data = wire
+	if blk != nil && !forDummy {
+		pkt.Data = c.transitSealReply(cs, ch, cs.respCtr, c.mem.LoadBlock(reqAddr))
 	}
 	var sendReady sim.Time
 	if forDummy {
@@ -659,8 +641,8 @@ func (c *Controller) replyData(cs *chanState, ch int, readyAt sim.Time, forDummy
 	}
 	ctr := cs.procRespCtr
 	cs.procRespCtr += 4
-	if wantData && delivered.Data != nil {
-		c.lastReadData = c.transitOpenReply(cs, ch, ctr, delivered.Data)
+	if blk != nil {
+		c.transitOpenReply(cs, ch, ctr, delivered.Data, blk)
 	}
 	if c.cfg.MAC != MACNone {
 		cs.procVerMAC.Issue(arrive)

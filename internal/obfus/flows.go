@@ -8,11 +8,17 @@ import (
 	"obfusmem/internal/trace"
 )
 
-// Read services one LLC demand miss: the full ObfusMem round trip. It
+// Read services one timing-only LLC demand miss; see ReadBlock.
+func (c *Controller) Read(at sim.Time, addr uint64) (done sim.Time, ok bool) {
+	return c.ReadBlock(at, addr, nil)
+}
+
+// ReadBlock services one LLC demand miss: the full ObfusMem round trip. It
 // returns the time the (at-rest-encrypted) block is available at the
 // processor and whether the request completed authentically (false only
-// under active tampering or packet loss).
-func (c *Controller) Read(at sim.Time, addr uint64) (done sim.Time, ok bool) {
+// under active tampering or packet loss). A non-nil blk receives the
+// stored at-rest ciphertext; nil models timing only.
+func (c *Controller) ReadBlock(at sim.Time, addr uint64, blk *memctl.Block) (done sim.Time, ok bool) {
 	c.resetArena()
 	ch := c.ChannelOf(addr)
 	cs := c.chans[ch]
@@ -28,15 +34,14 @@ func (c *Controller) Read(at sim.Time, addr uint64) (done sim.Time, ok bool) {
 		at = c.quantize(cs, ch, at)
 	}
 
-	if c.cfg.Symmetric {
-		c.injectInterChannel(at, ch)
-		done, ok = c.symmetricRequest(cs, ch, at, bus.Read, addr, at)
-		return done, ok
-	}
-
 	// Inter-channel dummies issue first so the real channel cannot be
 	// identified as the one whose request leads (Section 3.4).
 	c.injectInterChannel(at, ch)
+
+	readH := half{t: bus.Read, addr: addr, blk: blk}
+	if c.cfg.Symmetric {
+		return c.symmetricRequest(cs, ch, at, readH)
+	}
 
 	// Pair the read with a write half: a pending real write if the
 	// substitute-real optimisation has one, else a dummy write.
@@ -60,35 +65,31 @@ func (c *Controller) Read(at sim.Time, addr uint64) (done sim.Time, ok bool) {
 	_, sendReady := c.requestCrypto(cs, ch, at, 6, true, true)
 
 	// Assemble the two halves.
-	readH := half{t: bus.Read, addr: addr, dummy: false, withData: false, ready: sendReady}
-	wAddr := c.dummyAddrFor(cs, addr, ch)
-	wDummy := true
-	wReady := sendReady
+	readH.ready = sendReady
+	writeH := half{t: bus.Write, addr: c.dummyAddrFor(cs, addr, ch), dummy: true, ready: sendReady}
 	if writeHalf != nil {
-		wAddr = writeHalf.addr
-		wDummy = false
-		if writeHalf.atRestReady > wReady {
-			wReady = writeHalf.atRestReady
-		}
+		writeH.addr = writeHalf.addr
+		writeH.dummy = false
+		writeH.ready = max(sendReady, writeHalf.atRestReady)
 	}
-	writeH := half{t: bus.Write, addr: wAddr, dummy: wDummy, withData: true, ready: wReady}
 
 	readDone, readOK, _ := c.issuePair(cs, ch, padBase, readH, writeH)
 	return readDone, readOK
 }
 
-// half is one member of a read/write request pair.
+// half is one request packet: a member of a read/write pair, or a whole
+// symmetric request.
 type half struct {
-	t        bus.ReqType
-	addr     uint64
-	dummy    bool
-	withData bool
-	ready    sim.Time
-	// payload, when non-nil, is carried through the value-level datapath
-	// (write halves); wantData requests the stored block back (read
-	// halves).
-	payload  *memctl.Block
-	wantData bool
+	t     bus.ReqType
+	addr  uint64
+	dummy bool
+	// symmetric marks a Section 3.3 request: it carries data even as a
+	// read, and gets a reply even as a write.
+	symmetric bool
+	ready     sim.Time
+	// blk, when non-nil, carries a value: the block a write stores, or
+	// the block a read's reply fills.
+	blk *memctl.Block
 }
 
 // issuePair puts both halves of a pair on the wire (in the configured
@@ -111,8 +112,8 @@ func (c *Controller) issuePair(cs *chanState, ch int, padBase uint64, readH, wri
 			}
 		}
 	}
-	arrive1, del1 := c.sendPacket(cs, ch, first.ready, first.t, first.addr, first.dummy, first.withData, padBase, c.sealPayload(cs, ch, padBase, first.payload))
-	arrive2, del2 := c.sendPacket(cs, ch, second.ready, second.t, second.addr, second.dummy, second.withData, padBase+1, c.sealPayload(cs, ch, padBase, second.payload))
+	arrive1, del1 := c.sendPacket(cs, ch, first, padBase, padBase)
+	arrive2, del2 := c.sendPacket(cs, ch, second, padBase+1, padBase)
 
 	d1, ok1 := c.processHalf(cs, ch, padBase, first, arrive1, del1)
 	d2, ok2 := c.processHalf(cs, ch, padBase, second, arrive2, del2)
@@ -121,30 +122,24 @@ func (c *Controller) issuePair(cs *chanState, ch int, padBase uint64, readH, wri
 	} else {
 		readDone, readOK, writeDone = d2, ok2, d1
 	}
-	last := arrive1
-	if arrive2 > last {
-		last = arrive2
-	}
-	if last > cs.lastReqWire {
-		cs.lastReqWire = last
-	}
+	cs.lastReqWire = max(cs.lastReqWire, arrive1, arrive2)
 	return readDone, readOK, writeDone
 }
 
-// processHalf runs the memory side for one delivered half of a pair:
-// decode, PCM access, and (for reads) the reply leg, with recovery when
-// configured. It returns the leg's completion time; ok is meaningful for
-// read halves only (writes are posted). This used to be a closure inside
-// issuePair capturing the pair's result variables; as a method the pair
-// issue path stays allocation-free.
+// processHalf runs the memory side for one request packet of the slot
+// group at padBase: decode, then serve, with recovery when configured. It
+// returns the leg's completion time; ok is meaningful for legs that get a
+// reply only (a pair's write half is posted). As a method rather than a
+// closure the issue path stays allocation-free.
 func (c *Controller) processHalf(cs *chanState, ch int, padBase uint64, h half, arrive sim.Time, del *bus.Packet) (done sim.Time, ok bool) {
-	if cs.quarantined {
+	if cs.quarantined && !h.symmetric {
 		// The pair's other half exhausted the retry budget while this
-		// packet was in flight; the memory side is fail-stopped.
+		// packet was in flight; the memory side is fail-stopped. A
+		// symmetric request has no other half.
 		c.legFailed(h.dummy, true)
 		return arrive, false
 	}
-	t, dAddr, decodeDone, accepted := c.memDecode(cs, ch, arrive, del)
+	dAddr, decodeDone, accepted := c.memDecode(cs, ch, arrive, del)
 	if !accepted {
 		if c.canRecover(del) {
 			return c.retryLeg(cs, ch, h, c.requestFailAt(cs, ch, arrive, del, decodeDone))
@@ -152,47 +147,53 @@ func (c *Controller) processHalf(cs *chanState, ch int, padBase uint64, h half, 
 		c.legFailed(h.dummy, false)
 		return decodeDone, false
 	}
-	if h.t == bus.Read {
-		dataReady := c.memAccessForRead(cs, ch, decodeDone, t, dAddr, h.dummy)
-		if c.cfg.TimingOblivious {
-			dataReady = padReply(decodeDone, dataReady)
+	done, ok = c.serve(cs, ch, h, padBase, del, dAddr, decodeDone)
+	if !ok {
+		if c.recoveryOn() {
+			return c.retryLeg(cs, ch, h, c.replyFailAt(ch, done))
 		}
-		var blk []byte
-		if h.wantData && !h.dummy {
-			stored := c.mem.LoadBlock(dAddr)
-			blk = c.transitSealReply(cs, ch, cs.respCtr, stored)
-		}
-		done, ok = c.replyData(cs, ch, dataReady, h.dummy, dAddr, decodeDone, h.wantData, blk)
-		if !ok {
-			if c.recoveryOn() {
-				failAt := done
-				if c.lastReplyLost {
-					// A vanished reply is only detectable by timer.
-					failAt = done + c.retryTimeout()
-					if c.tr != nil {
-						c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue,
-							names.SpanRetryTimer, done, failAt)
-					}
-				}
-				return c.retryLeg(cs, ch, h, failAt)
-			}
-			c.legFailed(h.dummy, false)
-		}
-		return done, ok
+		c.legFailed(h.dummy, false)
 	}
-	// Memory-side transit decryption of the carried at-rest ciphertext,
-	// then store.
-	if !h.dummy && h.payload != nil && del != nil {
-		c.mem.StoreBlock(dAddr, c.transitOpenRequest(cs, ch, padBase, del.Data))
-	}
-	return c.memAccessForWrite(cs, ch, decodeDone, dAddr, h.dummy), true
+	return done, ok
 }
 
-// Write services one LLC writeback. atRestReady is when the at-rest
+// serve is the memory-side service of one accepted request of the slot
+// group at padBase: the PCM access, the store of a carried write block,
+// and the reply where one is due — every read, and every symmetric
+// write, whose reply is garbage like a dummy's. It returns the
+// leg's completion time; ok is false only when the reply failed.
+func (c *Controller) serve(cs *chanState, ch int, h half, padBase uint64, del *bus.Packet, addr uint64, decodeDone sim.Time) (sim.Time, bool) {
+	dataReady := decodeDone
+	if h.t == bus.Write {
+		// Memory-side transit decryption of the carried at-rest
+		// ciphertext, then store.
+		if h.blk != nil && !h.dummy {
+			c.mem.StoreBlock(addr, c.transitOpenRequest(cs, ch, padBase, del.Data))
+		}
+		done := c.memAccessForWrite(cs, ch, decodeDone, addr, h.dummy)
+		if !h.symmetric {
+			return done, true
+		}
+	} else {
+		dataReady = c.memAccessForRead(cs, ch, decodeDone, addr, h.dummy)
+	}
+	if c.cfg.TimingOblivious {
+		dataReady = padReply(decodeDone, dataReady)
+	}
+	return c.reply(cs, ch, dataReady, h.dummy || h.t == bus.Write, addr, decodeDone, h.blk)
+}
+
+// Write services one timing-only LLC writeback; see WriteBlock.
+func (c *Controller) Write(at sim.Time, addr uint64, atRestReady sim.Time) sim.Time {
+	return c.WriteBlock(at, addr, atRestReady, nil)
+}
+
+// WriteBlock services one LLC writeback. atRestReady is when the at-rest
 // ciphertext (from the memory-encryption engine) is available. Writes are
 // posted; the returned time is when the write half reached the memory (for
-// occupancy accounting), not a stall.
-func (c *Controller) Write(at sim.Time, addr uint64, atRestReady sim.Time) sim.Time {
+// occupancy accounting), not a stall. A non-nil blk is the at-rest
+// ciphertext to store; nil models timing only.
+func (c *Controller) WriteBlock(at sim.Time, addr uint64, atRestReady sim.Time, blk *memctl.Block) sim.Time {
 	c.resetArena()
 	ch := c.ChannelOf(addr)
 	cs := c.chans[ch]
@@ -208,19 +209,23 @@ func (c *Controller) Write(at sim.Time, addr uint64, atRestReady sim.Time) sim.T
 			at = c.quantize(cs, ch, at)
 		}
 		c.injectInterChannel(at, ch)
-		done, _ := c.symmetricRequest(cs, ch, at, bus.Write, addr, atRestReady)
+		done, _ := c.symmetricRequest(cs, ch, at, half{t: bus.Write, addr: addr, ready: atRestReady, blk: blk})
 		return done
 	}
 
-	if c.cfg.SubstituteReal {
-		cs.pushWrite(pendingWrite{at: at, addr: addr, atRestReady: atRestReady})
+	w := pendingWrite{at: at, addr: addr, atRestReady: atRestReady, blk: blk}
+	// A value write bypasses the substitute-real queue so the store, and
+	// any in-flight corruption, happen at the write, where Observation 4's
+	// tests look for them.
+	if c.cfg.SubstituteReal && blk == nil {
+		cs.pushWrite(w)
 		if cs.queuedWrites() > writeQueueCap {
 			return c.issueWritePair(cs, ch, at, cs.popWrite())
 		}
 		return at
 	}
 	c.injectInterChannel(at, ch)
-	return c.issueWritePair(cs, ch, at, pendingWrite{at: at, addr: addr, atRestReady: atRestReady})
+	return c.issueWritePair(cs, ch, at, w)
 }
 
 // issueWritePair sends (dummy read, real write) as a read-then-write pair.
@@ -239,20 +244,15 @@ func (c *Controller) issueWritePair(cs *chanState, ch int, at sim.Time, w pendin
 	cs.reqCtr += 6
 	_, sendReady := c.requestCrypto(cs, ch, at, 6, true, true)
 
-	rAddr := c.dummyAddrFor(cs, w.addr, ch)
-	wReady := sendReady
-	if w.atRestReady > wReady {
-		wReady = w.atRestReady
-	}
-	readH := half{t: bus.Read, addr: rAddr, dummy: true, withData: false, ready: sendReady}
-	writeH := half{t: bus.Write, addr: w.addr, dummy: false, withData: true, ready: wReady, payload: w.data}
+	readH := half{t: bus.Read, addr: c.dummyAddrFor(cs, w.addr, ch), dummy: true, ready: sendReady}
+	writeH := half{t: bus.Write, addr: w.addr, ready: max(sendReady, w.atRestReady), blk: w.blk}
 	_, _, writeDone := c.issuePair(cs, ch, padBase, readH, writeH)
 	return writeDone
 }
 
 // memAccessForRead performs the memory-side PCM access for a decoded read.
 // Fixed-address dummy reads are answered with garbage without touching PCM.
-func (c *Controller) memAccessForRead(cs *chanState, ch int, at sim.Time, t bus.ReqType, addr uint64, isDummy bool) sim.Time {
+func (c *Controller) memAccessForRead(cs *chanState, ch int, at sim.Time, addr uint64, isDummy bool) sim.Time {
 	if isDummy {
 		// Timing-oblivious operation never drops dummies: service timing
 		// must be workload-independent (Section 6.2).
@@ -286,55 +286,18 @@ func (c *Controller) memAccessForWrite(cs *chanState, ch int, at sim.Time, addr 
 
 // symmetricRequest implements the Section 3.3 alternative: every request is
 // cmd+data and every request receives a data reply, making types
-// indistinguishable by size instead of by pairing.
-func (c *Controller) symmetricRequest(cs *chanState, ch int, at sim.Time, t bus.ReqType, addr uint64, atRestReady sim.Time) (sim.Time, bool) {
+// indistinguishable by size instead of by pairing. h.ready is when a
+// write's at-rest ciphertext is available.
+func (c *Controller) symmetricRequest(cs *chanState, ch int, at sim.Time, h half) (sim.Time, bool) {
 	at = c.acquireFrontEnd(at)
 	padBase := cs.reqCtr
 	cs.reqCtr += 5 // 1 cmd + 4 data
 	_, sendReady := c.requestCrypto(cs, ch, at, 5, false, true)
-	if atRestReady > sendReady {
-		sendReady = atRestReady
-	}
-	arrive, delivered := c.sendPacket(cs, ch, sendReady, t, addr, false, true, padBase, nil)
-	if arrive > cs.lastReqWire {
-		cs.lastReqWire = arrive
-	}
-	h := half{t: t, addr: addr, dummy: false, withData: true, ready: sendReady}
-	dt, dAddr, decodeDone, accepted := c.memDecode(cs, ch, arrive, delivered)
-	if !accepted {
-		if c.canRecover(delivered) {
-			return c.retryLeg(cs, ch, h, c.requestFailAt(cs, ch, arrive, delivered, decodeDone))
-		}
-		c.legFailed(false, false)
-		return decodeDone, false
-	}
-	var dataReady sim.Time
-	replyIsDummy := dt == bus.Write
-	if dt == bus.Read {
-		dataReady = c.mem.AccessOnChannel(decodeDone, ch, dAddr, false)
-	} else {
-		c.mem.AccessOnChannel(decodeDone, ch, dAddr, true)
-		dataReady = decodeDone
-	}
-	if c.cfg.TimingOblivious {
-		dataReady = padReply(decodeDone, dataReady)
-	}
-	done, ok := c.reply(cs, ch, dataReady, replyIsDummy, dAddr, decodeDone)
-	if !ok {
-		if c.recoveryOn() {
-			failAt := done
-			if c.lastReplyLost {
-				failAt = done + c.retryTimeout()
-				if c.tr != nil {
-					c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue,
-						names.SpanRetryTimer, done, failAt)
-				}
-			}
-			return c.retryLeg(cs, ch, h, failAt)
-		}
-		c.legFailed(false, false)
-	}
-	return done, ok
+	h.symmetric = true
+	h.ready = max(h.ready, sendReady)
+	arrive, delivered := c.sendPacket(cs, ch, h, padBase, padBase)
+	cs.lastReqWire = max(cs.lastReqWire, arrive)
+	return c.processHalf(cs, ch, padBase, h, arrive, delivered)
 }
 
 // injectInterChannel applies the Section 3.4 policy: when a real request
@@ -376,8 +339,8 @@ func (c *Controller) injectPair(at sim.Time, ch int) {
 	// occupy both MAC slots.
 	_, sendReady := c.requestCrypto(cs, ch, at, 6, true, false)
 	dAddr := c.dummyAddrFor(cs, cs.dummyAddr, ch)
-	readH := half{t: bus.Read, addr: dAddr, dummy: true, withData: false, ready: sendReady}
-	writeH := half{t: bus.Write, addr: dAddr, dummy: true, withData: true, ready: sendReady}
+	readH := half{t: bus.Read, addr: dAddr, dummy: true, ready: sendReady}
+	writeH := half{t: bus.Write, addr: dAddr, dummy: true, ready: sendReady}
 	c.issuePair(cs, ch, padBase, readH, writeH)
 }
 

@@ -75,10 +75,13 @@ func newFuzzTable(channels int, mc *memctl.Controller, r *xrand.Rand) *keys.Sess
 
 func TestValueFuzzAgainstReference(t *testing.T) {
 	// The value-carrying datapath must agree with a plain map under random
-	// write/read interleavings, for every dummy design and MAC mode.
+	// write/read interleavings, for every dummy design and MAC mode, with
+	// split pairs and under the symmetric design.
+	symmetric := false
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		cfg := fuzzConfig(r)
+		cfg.Symmetric = symmetric
 		b := bus.New(bus.DefaultConfig(1))
 		mc := memctl.New(memctl.DefaultConfig(1))
 		tbl := newFuzzTable(1, mc, r)
@@ -92,10 +95,11 @@ func TestValueFuzzAgainstReference(t *testing.T) {
 			if r.Bool() {
 				var blk memctl.Block
 				r.Bytes(blk[:])
-				at = ctrl.WriteData(at, addr, at, blk)
+				at = ctrl.WriteBlock(at, addr, at, &blk)
 				ref[addr] = blk
 			} else if want, ok := ref[addr]; ok {
-				got, done, okr := ctrl.ReadData(at, addr)
+				var got memctl.Block
+				done, okr := ctrl.ReadBlock(at, addr, &got)
 				if !okr || got != want {
 					return false
 				}
@@ -104,8 +108,10 @@ func TestValueFuzzAgainstReference(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	for _, symmetric = range []bool{false, true} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("symmetric=%v: %v", symmetric, err)
+		}
 	}
 }
 

@@ -74,9 +74,10 @@ func TestPooledDeterminismSameSeed(t *testing.T) {
 				blk[j] = byte(i*31 + j)
 			}
 			addr := uint64(0x8000 + 64*i)
-			r.ctrl.WriteData(at, addr, at, blk)
+			r.ctrl.WriteBlock(at, addr, at, &blk)
 			at += 150 * sim.Nanosecond
-			got, _, ok := r.ctrl.ReadData(at, addr)
+			var got memctl.Block
+			_, ok := r.ctrl.ReadBlock(at, addr, &got)
 			if !ok {
 				t.Fatal("value-carrying read failed")
 			}

@@ -268,7 +268,7 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		}
 		// Retransmit with fresh pad counters from the resynced space. The
 		// retransmitted leg occupies a full slot group so the schedule
-		// stays uniform: cmd at padBase, data pads at padBase+2.
+		// stays uniform: cmd at padBase, data pads from dataPad(padBase).
 		pads := uint64(6)
 		if c.cfg.Symmetric {
 			pads = 5
@@ -278,8 +278,8 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		_, sendReady := c.requestCrypto(cs, ch, rdone, int(pads), false, false)
 		c.stats.Retransmits++
 		c.met.retransmits.Inc()
-		arrive, del := c.sendPacket(cs, ch, sendReady, h.t, h.addr, h.dummy, h.withData,
-			padBase, c.sealPayload(cs, ch, padBase, h.payload))
+		h.ready = sendReady
+		arrive, del := c.sendPacket(cs, ch, h, padBase, padBase)
 		if del == nil {
 			c.stats.RequestsLost++
 			failAt = arrive + c.retryTimeout()
@@ -288,25 +288,24 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 			}
 			continue
 		}
-		t, dAddr, decodeDone, accepted := c.memDecodeSlot(cs, ch, arrive, del, padBase)
+		dAddr, decodeDone, accepted := c.memDecodeSlot(cs, ch, arrive, del, padBase)
 		cs.memReqCtr = padBase + pads
 		cs.memParity = 0
-		if arrive > cs.lastReqWire {
-			cs.lastReqWire = arrive
-		}
+		cs.lastReqWire = max(cs.lastReqWire, arrive)
 		if !accepted {
 			failAt = c.requestFailAt(cs, ch, arrive, del, decodeDone)
 			continue
 		}
-		done, ok = c.serviceRetried(cs, ch, h, del, t, dAddr, padBase, decodeDone)
+		// Under the symmetric design every retransmitted leg, a cover
+		// pair's dummy half included, is served as a real symmetric
+		// request: its group is a symmetric one.
+		served := h
+		if c.cfg.Symmetric {
+			served.symmetric, served.dummy = true, false
+		}
+		done, ok = c.serve(cs, ch, served, padBase, del, dAddr, decodeDone)
 		if !ok {
-			failAt = done
-			if c.lastReplyLost {
-				failAt = done + c.retryTimeout()
-				if c.tr != nil {
-					c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryTimer, done, failAt)
-				}
-			}
+			failAt = c.replyFailAt(ch, done)
 			continue
 		}
 		c.stats.Recovered++
@@ -319,41 +318,18 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 	return c.quarantineChannel(cs, ch, h, failAt)
 }
 
-// serviceRetried runs the memory-side service and reply for a successfully
-// retransmitted leg (the tail of issuePair's process / symmetricRequest,
-// against the fresh slot group).
-func (c *Controller) serviceRetried(cs *chanState, ch int, h half, del *bus.Packet,
-	t bus.ReqType, dAddr uint64, padBase uint64, decodeDone sim.Time) (sim.Time, bool) {
-
-	if c.cfg.Symmetric {
-		var dataReady sim.Time
-		if t == bus.Read {
-			dataReady = c.mem.AccessOnChannel(decodeDone, ch, dAddr, false)
-		} else {
-			c.mem.AccessOnChannel(decodeDone, ch, dAddr, true)
-			dataReady = decodeDone
-		}
-		if c.cfg.TimingOblivious {
-			dataReady = padReply(decodeDone, dataReady)
-		}
-		return c.reply(cs, ch, dataReady, t == bus.Write, dAddr, decodeDone)
+// replyFailAt returns when the processor learns that the reply finishing
+// at done failed: at once when it was rejected on arrival, at retry-timer
+// expiry when it vanished in flight.
+func (c *Controller) replyFailAt(ch int, done sim.Time) sim.Time {
+	if !c.lastReplyLost {
+		return done
 	}
-	if h.t == bus.Read {
-		dataReady := c.memAccessForRead(cs, ch, decodeDone, t, dAddr, h.dummy)
-		if c.cfg.TimingOblivious {
-			dataReady = padReply(decodeDone, dataReady)
-		}
-		var blk []byte
-		if h.wantData && !h.dummy {
-			stored := c.mem.LoadBlock(dAddr)
-			blk = c.transitSealReply(cs, ch, cs.respCtr, stored)
-		}
-		return c.replyData(cs, ch, dataReady, h.dummy, dAddr, decodeDone, h.wantData, blk)
+	failAt := done + c.retryTimeout()
+	if c.tr != nil {
+		c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryTimer, done, failAt)
 	}
-	if !h.dummy && h.payload != nil && del.Data != nil {
-		c.mem.StoreBlock(dAddr, c.transitOpenRequest(cs, ch, padBase, del.Data))
-	}
-	return c.memAccessForWrite(cs, ch, decodeDone, dAddr, h.dummy), true
+	return failAt
 }
 
 // quarantineChannel takes the channel fail-stop after retry exhaustion:

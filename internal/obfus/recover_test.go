@@ -2,6 +2,7 @@ package obfus
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"obfusmem/internal/fault"
@@ -212,10 +213,19 @@ func TestRecoveryZeroFaultNoOverhead(t *testing.T) {
 }
 
 // TestRecoveryValueRoundTrip drives the value-carrying datapath through a
-// lossy link: retransmission and counter resync must deliver bit-exact
-// blocks, not just timing.
+// lossy link, with split pairs and under the symmetric design:
+// retransmission and counter resync must deliver bit-exact blocks, not
+// just timing.
 func TestRecoveryValueRoundTrip(t *testing.T) {
-	r := newRig(t, authRecovery(), 1)
+	for _, symmetric := range []bool{false, true} {
+		cfg := authRecovery()
+		cfg.Symmetric = symmetric
+		t.Run(fmt.Sprintf("symmetric=%v", symmetric), func(t *testing.T) { recoveryValueRoundTrip(t, cfg) })
+	}
+}
+
+func recoveryValueRoundTrip(t *testing.T, cfg Config) {
+	r := newRig(t, cfg, 1)
 	inj := fault.New(fault.Config{LossProb: 0.03, Seed: 4}, 1, nil)
 	r.bus.SetFaultInjector(inj)
 
@@ -227,18 +237,19 @@ func TestRecoveryValueRoundTrip(t *testing.T) {
 		var blk memctl.Block
 		rng.Bytes(blk[:])
 		blocks[addr] = blk
-		at = r.ctrl.WriteData(at, addr, at, blk) + sim.Nanosecond
+		at = r.ctrl.WriteBlock(at, addr, at, &blk) + sim.Nanosecond
 	}
 	if inj.Stats().Losses == 0 {
 		t.Fatal("no losses injected; test is vacuous")
 	}
 	for addr, want := range blocks {
-		got, done, ok := r.ctrl.ReadData(at, addr)
+		var got memctl.Block
+		done, ok := r.ctrl.ReadBlock(at, addr, &got)
 		if !ok {
-			t.Fatalf("ReadData(%#x) failed (quarantines=%d)", addr, r.ctrl.Stats().Quarantines)
+			t.Fatalf("ReadBlock(%#x) failed (quarantines=%d)", addr, r.ctrl.Stats().Quarantines)
 		}
 		if got != want {
-			t.Fatalf("ReadData(%#x) returned corrupted block after recovery", addr)
+			t.Fatalf("ReadBlock(%#x) returned corrupted block after recovery", addr)
 		}
 		at = done + sim.Nanosecond
 	}

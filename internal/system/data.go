@@ -49,7 +49,7 @@ func (s *System) WriteData(at sim.Time, addr uint64, plaintext Block) sim.Time {
 		ready, _ = s.enc.EncryptWriteback(at, addr)
 		s.enc.EncryptData(ct[:], addr)
 	}
-	return s.bk.WriteData(at, addr, ready, ct)
+	return s.bk.Write(at, addr, ready, &ct)
 }
 
 // ReadData reads a block back through the full datapath. verified is false
@@ -58,8 +58,7 @@ func (s *System) WriteData(at sim.Time, addr uint64, plaintext Block) sim.Time {
 // protocol rejected the access.
 func (s *System) ReadData(at sim.Time, addr uint64) (plaintext Block, done sim.Time, verified bool) {
 	addr = (addr % s.capacity()) &^ 63
-	ct, raw, protoOK := s.bk.ReadData(at, addr)
-	plaintext = ct
+	raw, protoOK := s.bk.Read(at, addr, &plaintext)
 	if s.enc != nil {
 		done = s.enc.DecryptFill(at, addr, raw)
 		s.enc.DecryptData(plaintext[:], addr)

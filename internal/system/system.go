@@ -328,9 +328,9 @@ func (s *System) Config() Config { return s.cfg }
 func (s *System) counterFetch(at sim.Time, addr uint64, write bool) sim.Time {
 	a := addr % s.capacity()
 	if write {
-		return s.bk.Write(at, a, at)
+		return s.bk.Write(at, a, at, nil)
 	}
-	done, _ := s.bk.Read(at, a)
+	done, _ := s.bk.Read(at, a, nil)
 	return done
 }
 
@@ -339,7 +339,7 @@ func (s *System) capacity() uint64 { return 8 << 30 }
 // Read implements cpu.MemorySystem.
 func (s *System) Read(at sim.Time, addr uint64) sim.Time {
 	addr %= s.capacity()
-	dataReady, _ := s.bk.Read(at, addr)
+	dataReady, _ := s.bk.Read(at, addr, nil)
 	if s.enc != nil {
 		return s.enc.DecryptFill(at, addr, dataReady)
 	}
@@ -353,7 +353,7 @@ func (s *System) Write(at sim.Time, addr uint64) sim.Time {
 	if s.enc != nil {
 		ready, _ = s.enc.EncryptWriteback(at, addr)
 	}
-	return s.bk.Write(at, addr, ready)
+	return s.bk.Write(at, addr, ready, nil)
 }
 
 // Drain implements cpu.MemorySystem.

@@ -16,7 +16,10 @@
 #   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
 #                  obfus leg, AES pads, MD5 MAC, metrics instruments, xrand
 #                  draws, every hot-path backend with metrics attached),
-#                  the fixed-allocation guard of the Chrome trace export, plus
+#                  the fixed-allocation guard of the Chrome trace export,
+#                  the lazy-crypto guard (a bare bus, which skips command
+#                  pads and MACs, matches a tapped one and still detects
+#                  counter desync), plus
 #                  short benchmarks of the event engine, the AES pads, the
 #                  MD5 MAC, the obfus datapath and the trace export, then
 #                  campaign-smoke;
@@ -85,7 +88,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 bench-smoke:
-	$(GO) test -run 'TestScheduleFireZeroAllocs|TestReadWriteLegZeroAllocs|TestCTRZeroAllocs|TestComputeZeroAllocs' \
+	$(GO) test -run 'TestScheduleFireZeroAllocs|TestReadWriteLegZeroAllocs|TestLazyCryptoMatchesEager|TestCTRZeroAllocs|TestComputeZeroAllocs' \
 		-bench 'BenchmarkEngineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
 	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs' ./internal/metrics ./internal/xrand

@@ -22,6 +22,12 @@ type Plain struct {
 	seq  uint64
 	acct Accounting
 	lost *metrics.Counter
+	// req and reply are rebuilt on every transfer: every interception
+	// point on the bus copies rather than retains a packet, so one of
+	// each suffices. zeroData is the shared payload (contents elided);
+	// fault injection and tampering corrupt copies, never it.
+	req, reply bus.Packet
+	zeroData   [bus.DataBytes]byte
 }
 
 // NewPlain builds the baseline datapath. Exported for the conformance
@@ -50,13 +56,14 @@ func (p *Plain) transfer(at sim.Time, addr uint64, write bool) sim.Time {
 	for i := 0; i < 8; i++ {
 		cmd[1+i] = byte(addr >> (56 - 8*uint(i)))
 	}
-	pkt := &bus.Packet{
+	pkt := &p.req
+	*pkt = bus.Packet{
 		Channel: ch, Dir: bus.ProcToMem, CmdCipher: cmd, HasCmd: true,
 		Type: t, Addr: addr, Plaintext: true, Seq: p.seq,
 	}
 	p.seq++
 	if write {
-		pkt.Data = make([]byte, bus.DataBytes)
+		pkt.Data = p.zeroData[:]
 	}
 	arrive, delivered := p.bus.Transfer(at, pkt)
 	if delivered == nil {
@@ -69,8 +76,9 @@ func (p *Plain) transfer(at sim.Time, addr uint64, write bool) sim.Time {
 		p.acct.Completed++
 		return done
 	}
-	reply := &bus.Packet{
-		Channel: ch, Dir: bus.MemToProc, Data: make([]byte, bus.DataBytes),
+	reply := &p.reply
+	*reply = bus.Packet{
+		Channel: ch, Dir: bus.MemToProc, Data: p.zeroData[:],
 		Type: bus.Read, Addr: addr, Plaintext: true,
 	}
 	replyArrive, replyDelivered := p.bus.Transfer(done, reply)
@@ -116,13 +124,13 @@ func init() {
 	Register(&Descriptor{
 		Name:     "unprotected",
 		Doc:      "plaintext commands, addresses, and data on the bus (Table 3 baseline)",
-		Features: Features{},
+		Features: Features{HotPath: true},
 		New:      func(ctx Context) (Backend, error) { return NewPlain(ctx), nil },
 	})
 	Register(&Descriptor{
 		Name:     "encrypt-only",
 		Doc:      "counter-mode memory encryption over the plain bus (Figure 4's first step)",
-		Features: Features{AtRest: true, CounterFetch: FetchSelf, Integrity: true},
+		Features: Features{AtRest: true, CounterFetch: FetchSelf, Integrity: true, HotPath: true},
 		New:      func(ctx Context) (Backend, error) { return NewPlain(ctx), nil },
 	})
 }

@@ -278,6 +278,14 @@ func (b *Bus) SetTamperer(t Tamperer) { b.tamperer = t }
 // applies after the tamperer, to the signal actually on the wire.
 func (b *Bus) SetFaultInjector(f FaultInjector) { b.faults = f }
 
+// Exposed reports whether anything can read or change the bytes a
+// transfer puts on the wire: an observer, a tamperer or a fault injector
+// is attached. On an unexposed bus a packet arrives exactly as sent, so
+// an endpoint may skip computing wire bytes that nothing will see.
+func (b *Bus) Exposed() bool {
+	return len(b.observers) > 0 || b.tamperer != nil || b.faults != nil
+}
+
 // TransferTime returns the link occupancy of n bytes.
 func (b *Bus) TransferTime(n int) sim.Time {
 	return sim.Time(float64(n)*b.psPerByte + 0.5)

@@ -19,6 +19,9 @@ const Size = md5.Size
 // BlockSize is the MD5 block size in bytes.
 const BlockSize = md5.BlockSize
 
-// Digest computes the MD5 hash of msg. It performs no heap allocation — it
-// sits on the per-packet MAC hot path of the simulator.
+// Digest computes the MD5 hash of msg. It performs no heap allocation. The
+// ObfusMem controller computes per-packet MACs with it only where the bus
+// is exposed (an observer, tamperer or fault injector attached) or a
+// counter desync must be confirmed; the MD5 unit's timing and energy are
+// modelled by Unit either way.
 func Digest(msg []byte) [Size]byte { return md5.Sum(msg) }

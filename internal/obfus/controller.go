@@ -486,17 +486,18 @@ func (c *Controller) dummyAddrFor(cs *chanState, realAddr uint64, ch int) uint64
 	}
 }
 
-// sendPacket encrypts (functionally), MACs, and transfers one request
-// packet for h at pad counter ctr; padBase is its slot group, whose data
-// pads seal a carried write block. It returns the memory-side arrival time
-// and the packet as delivered (nil if dropped in flight).
+// sendPacket builds and transfers one request packet for h at pad counter
+// ctr; padBase is its slot group, whose data pads seal a carried write
+// block. The command field and MAC are sealed only on an exposed bus:
+// otherwise nothing can read or change them, and memDecodeSlot
+// materialises them if its counter check fails. The timing units issued
+// in requestCrypto either way, so pads, energy and timing do not depend
+// on it. It returns the memory-side arrival time and the packet as
+// delivered (nil if dropped in flight).
 func (c *Controller) sendPacket(cs *chanState, ch int, h half, ctr, padBase uint64) (sim.Time, *bus.Packet) {
-	plain := encodeCmd(h.t, h.addr)
-	pad := cs.procReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
 	pkt := c.newPacket()
 	pkt.Channel = ch
 	pkt.Dir = bus.ProcToMem
-	pkt.CmdCipher = sealCmd(plain, pad)
 	pkt.HasCmd = true
 	pkt.Type = h.t
 	pkt.Addr = h.addr
@@ -513,11 +514,24 @@ func (c *Controller) sendPacket(cs *chanState, ch int, h half, ctr, padBase uint
 	}
 	if c.cfg.MAC != MACNone {
 		pkt.HasMAC = true
-		pkt.MAC = uint64(md5sim.Compute(byte(h.t), h.addr, ctr))
 		c.stats.MACsComputed++
 		c.met.macsComputed.Inc()
 	}
+	if c.bus.Exposed() {
+		c.seal(cs, ch, pkt)
+	}
 	return c.bus.Transfer(h.ready, pkt)
+}
+
+// seal fills a request packet's wire bytes from its ground truth: the
+// command field encrypted with the pad at the packet's own counter, and
+// the MAC over (type|address|counter) when the packet carries one.
+func (c *Controller) seal(cs *chanState, ch int, pkt *bus.Packet) {
+	pad := cs.procReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: pkt.Counter})
+	pkt.CmdCipher = sealCmd(encodeCmd(pkt.Type, pkt.Addr), pad)
+	if pkt.HasMAC {
+		pkt.MAC = uint64(md5sim.Compute(byte(pkt.Type), pkt.Addr, pkt.Counter))
+	}
 }
 
 // memSlot returns the pad counter the memory side uses for the next command
@@ -558,19 +572,30 @@ func (c *Controller) memDecode(cs *chanState, ch int, arrive sim.Time, delivered
 }
 
 // memDecodeSlot is memDecode at an explicit pad counter; retransmissions
-// use it after a resync handshake has agreed the slot out of band.
+// use it after a resync handshake has agreed the slot out of band. On an
+// unexposed bus the packet arrives as sent, so when the slot counter is
+// the packet's own the decode is known to yield the ground truth and is
+// skipped; on a counter desync the packet is sealed after all and decoded
+// at the slot, exactly as on an exposed bus.
 func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, delivered *bus.Packet, ctr uint64) (addr uint64, decodeDone sim.Time, ok bool) {
-	pad := cs.memReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
 	decodeDone = pregenReady(cs.memReqEng, arrive, 1) + SerDesLatency
-	t, addr := openCmd(delivered.CmdCipher, pad)
 	if c.tr != nil {
 		c.tr.Span(trace.ChannelPID(ch), "mem-aes", trace.CatCrypto, names.SpanMemDecode,
 			arrive, decodeDone, trace.A("ctr", ctr), trace.A("dummy", delivered.IsDummy))
 	}
 	if c.cfg.MAC != MACNone {
-		expect := uint64(md5sim.Compute(byte(t), addr, ctr))
 		cs.memMAC.Issue(arrive) // verification digest (off the PCM critical path)
-		if expect != delivered.MAC {
+	}
+	if !c.bus.Exposed() {
+		if ctr == delivered.Counter {
+			return delivered.Addr, decodeDone, true
+		}
+		c.seal(cs, ch, delivered)
+	}
+	pad := cs.memReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
+	t, addr := openCmd(delivered.CmdCipher, pad)
+	if c.cfg.MAC != MACNone {
+		if uint64(md5sim.Compute(byte(t), addr, ctr)) != delivered.MAC {
 			c.stats.TamperDetected++
 			c.met.tamperDetected.Inc()
 			c.tr.Instant(trace.ChannelPID(ch), "mem-aes", names.SpanTamperDetected, decodeDone)
@@ -613,9 +638,14 @@ func (c *Controller) reply(cs *chanState, ch int, readyAt sim.Time, forDummy boo
 		pkt.Counter = cs.respCtr
 		cs.respCtr += 4
 	}
+	// As on the request path, the reply MAC is computed only where
+	// something on the bus could read or change it.
+	exposed := c.bus.Exposed()
 	if c.cfg.MAC != MACNone {
 		pkt.HasMAC = true
-		pkt.MAC = uint64(md5sim.Compute(byte(bus.Read), reqAddr, pkt.Counter))
+		if exposed {
+			pkt.MAC = uint64(md5sim.Compute(byte(bus.Read), reqAddr, pkt.Counter))
+		}
 		c.stats.MACsComputed++
 		c.met.macsComputed.Inc()
 		sendReady = macReplyReady(cs.memMAC, c.cfg.MAC, decodeAt, sendReady)
@@ -646,8 +676,8 @@ func (c *Controller) reply(cs *chanState, ch int, readyAt sim.Time, forDummy boo
 	}
 	if c.cfg.MAC != MACNone {
 		cs.procVerMAC.Issue(arrive)
-		expect := uint64(md5sim.Compute(byte(bus.Read), delivered.Addr, ctr))
-		if expect != delivered.MAC || ctr != delivered.Counter {
+		if ctr != delivered.Counter ||
+			exposed && uint64(md5sim.Compute(byte(bus.Read), delivered.Addr, ctr)) != delivered.MAC {
 			c.stats.TamperDetected++
 			c.met.tamperDetected.Inc()
 			c.tr.Instant(trace.PIDCPU, "proc-aes", names.SpanTamperDetected, done)

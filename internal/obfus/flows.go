@@ -379,7 +379,7 @@ func (c *Controller) CryptoEnergyPJ() float64 {
 	for _, cs := range c.chans {
 		e += cs.procReqEng.EnergyPJ() + cs.procRespEng.EnergyPJ()
 		e += cs.memReqEng.EnergyPJ() + cs.memRespEng.EnergyPJ()
-		e += cs.procMAC.EnergyPJ() + cs.memMAC.EnergyPJ()
+		e += cs.procMAC.EnergyPJ() + cs.procVerMAC.EnergyPJ() + cs.memMAC.EnergyPJ()
 	}
 	return e
 }

@@ -1,0 +1,157 @@
+package obfus
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"obfusmem/internal/aes"
+	"obfusmem/internal/bus"
+	"obfusmem/internal/md5sim"
+	"obfusmem/internal/memctl"
+	"obfusmem/internal/sim"
+	"obfusmem/internal/xrand"
+)
+
+// runOutcome is everything TestLazyCryptoMatchesEager compares between a
+// lazy and an eager run of one design point.
+type runOutcome struct {
+	done     []sim.Time
+	ok       []bool
+	stats    Stats
+	padsProc uint64
+	padsMem  uint64
+	energyPJ float64
+	busBytes uint64
+}
+
+// runTimingPoint replays design point seed of TestTimingPathGolden's
+// generator, making the same draws in the same order, without its fault
+// injector; faulted reports whether the golden attaches one at this
+// point (the stream is then not run). With eager set, a no-op observer
+// taps the bus, so every packet is sealed and decoded; otherwise the bus
+// is bare and the controller takes the lazy path.
+func runTimingPoint(seed uint64, eager bool) (cfg Config, channels int, faulted bool, out runOutcome) {
+	r := xrand.New(seed)
+	channels = 1 << r.Intn(3)
+	cfg = fuzzConfig(r)
+	cfg.Symmetric = r.Bool()
+	cfg.TimingOblivious = r.Intn(3) == 0
+	if r.Bool() {
+		cfg.Recovery = DefaultRecovery()
+	}
+	b := bus.New(bus.DefaultConfig(channels))
+	mc := memctl.New(memctl.DefaultConfig(channels))
+	ctrl := New(cfg, b, mc, newFuzzTable(channels, mc, r), r.Fork(1))
+	if faulted = r.Bool(); faulted {
+		return cfg, channels, true, out
+	}
+	if eager {
+		b.AttachObserver(bus.ObserverFunc(func(sim.Time, *bus.Packet) {}))
+	}
+	at := sim.Time(0)
+	for i := 0; i < 150; i++ {
+		addr := (r.Uint64() % (1 << 29)) &^ 63
+		at += sim.Time(r.Intn(400)) * sim.Nanosecond
+		switch r.Intn(5) {
+		case 0, 1, 2:
+			done, ok := ctrl.Read(at, addr)
+			out.done, out.ok = append(out.done, done), append(out.ok, ok)
+		case 3:
+			done := ctrl.Write(at, addr, at+sim.Time(r.Intn(2))*40*sim.Nanosecond)
+			out.done, out.ok = append(out.done, done), append(out.ok, true)
+		default:
+			ctrl.Drain(at)
+		}
+	}
+	ctrl.Drain(at + sim.Microsecond)
+	out.stats = ctrl.Stats()
+	out.padsProc, out.padsMem = ctrl.PadsProc(), ctrl.PadsMem()
+	out.energyPJ = ctrl.CryptoEnergyPJ()
+	out.busBytes = b.TotalBytes()
+	return cfg, channels, false, out
+}
+
+// TestLazyCryptoMatchesEager requires the lazy seal (no command pad, no
+// request or reply MAC on a bare bus) to be indistinguishable from the
+// eager one on every fault-free design point of TestTimingPathGolden's
+// generator, and the lazy run to keep detecting a counter desync: cover
+// pairs desynchronise a symmetric UNOPT run on two channels (a known
+// defect of the symmetric design, pinned here), and every non-symmetric
+// fault-free point must detect nothing.
+func TestLazyCryptoMatchesEager(t *testing.T) {
+	points := 0
+	for seed := uint64(1); seed <= 400; seed++ {
+		cfg, channels, faulted, lazy := runTimingPoint(seed, false)
+		if faulted {
+			continue
+		}
+		points++
+		_, _, _, eager := runTimingPoint(seed, true)
+		if !reflect.DeepEqual(lazy, eager) {
+			t.Fatalf("seed %d (%d channels, %+v): lazy run differs from eager\nlazy  %+v\neager %+v",
+				seed, channels, cfg, lazy.stats, eager.stats)
+		}
+		if !cfg.Symmetric && (lazy.stats.TamperDetected != 0 || lazy.stats.DecodeMismatches != 0) {
+			t.Errorf("seed %d (%d channels, %+v): fault-free lazy run saw %d tamper detections, %d decode mismatches",
+				seed, channels, cfg, lazy.stats.TamperDetected, lazy.stats.DecodeMismatches)
+		}
+	}
+	if points < 100 {
+		t.Fatalf("only %d fault-free design points", points)
+	}
+
+	desync := func(eager bool) Stats {
+		cfg := DefaultAuth()
+		cfg.Symmetric = true
+		cfg.Policy = PolicyUNOPT
+		r := newRig(t, cfg, 2)
+		if eager {
+			r.bus.AttachObserver(bus.ObserverFunc(func(sim.Time, *bus.Packet) {}))
+		}
+		at := sim.Time(0)
+		for i := 0; i < 50; i++ {
+			r.ctrl.Read(at, uint64(0x4000+64*i))
+			r.ctrl.Write(at, uint64(0x8000+64*i), at)
+			at += 200 * sim.Nanosecond
+		}
+		return r.ctrl.Stats()
+	}
+	lazy, eager := desync(false), desync(true)
+	t.Logf("%d fault-free design points; symmetric desync: %d tamper detections", points, lazy.TamperDetected)
+	if lazy.TamperDetected == 0 {
+		t.Fatal("symmetric UNOPT on 2 channels: the lazy run detected no counter desync")
+	}
+	if lazy != eager {
+		t.Fatalf("symmetric desync: lazy stats %+v, eager %+v", lazy, eager)
+	}
+}
+
+// TestCryptoEnergyCoversEveryUnit requires CryptoEnergyPJ to be the
+// energy of every pad of the four AES engines and every digest of the
+// three MD5 units, the reply-verification unit included.
+func TestCryptoEnergyCoversEveryUnit(t *testing.T) {
+	cfg := DefaultAuth()
+	cfg.Policy = PolicyUNOPT
+	r := newRig(t, cfg, 2)
+	at := sim.Time(0)
+	for i := 0; i < 64; i++ {
+		r.ctrl.Read(at, uint64(0x4000+64*i))
+		r.ctrl.Write(at, uint64(0x8000+64*i), at)
+		at += 200 * sim.Nanosecond
+	}
+	r.ctrl.Drain(at)
+	var digests, verify uint64
+	for _, cs := range r.ctrl.chans {
+		digests += cs.procMAC.Digests() + cs.procVerMAC.Digests() + cs.memMAC.Digests()
+		verify += cs.procVerMAC.Digests()
+	}
+	if verify == 0 {
+		t.Fatal("no reply-verification digests issued")
+	}
+	want := float64(r.ctrl.PadsProc()+r.ctrl.PadsMem())*aes.PadEnergyPJ + float64(digests)*md5sim.MACEnergyPJ
+	if got := r.ctrl.CryptoEnergyPJ(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("CryptoEnergyPJ = %.3f pJ, want %.3f (pads x %.1f + digests x %.1f)",
+			got, want, aes.PadEnergyPJ, md5sim.MACEnergyPJ)
+	}
+}

@@ -32,7 +32,7 @@ var facadeGolden = []struct {
 	{MachineConfig{Protection: ProtectionObfusMem, Channels: 2, Dummy: RandomAddress,
 		Policy: PolicyUNOPT, MAC: EncryptThenMAC, Seed: 7}, 237709728, 549424, 2868, 23884},
 	{MachineConfig{Protection: ProtectionObfusMemAuth, Channels: 2, Order: WriteThenRead,
-		Symmetric: true, TimingOblivious: true, Seed: 7}, 166364939, 391312, 2, 21579},
+		TimingOblivious: true, Seed: 7}, 332048779, 1467952, 694, 53836},
 }
 
 func TestFacadeGolden(t *testing.T) {

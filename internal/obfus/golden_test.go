@@ -15,18 +15,18 @@ import (
 )
 
 // timingGolden is the digest TestTimingPathGolden pins. It covers every
-// design-point combination the suite-level goldens leave out (symmetric
-// and timing-oblivious requests under recovery and injected faults), so a
-// refactor of the request path that changes timing anywhere fails here.
-const timingGolden = "db51a823692c20d67fff32600294e50c6c28b288dc940310175a60ca968f6d70"
+// design-point combination the suite-level goldens leave out
+// (timing-oblivious requests and every pair order and dummy design under
+// recovery and injected faults), so a refactor of the request path that
+// changes timing anywhere fails here.
+const timingGolden = "6dc2cf1daff99600f0ee9528048e6603769319b0e212fb7532a070715b4cf1a0"
 
 // TestTimingPathGolden drives random timing-only request streams through
 // 400 random design points (dummy design, policy, MAC mode, pair order,
-// substitute-real, symmetric, timing-oblivious, recovery; 1, 2 or 4
-// channels; half of them under injected faults) and hashes every
-// completion time and status, every wire transfer's time, channel,
-// direction, size, counter and MAC, and the final stats, bus bytes and
-// pad counts.
+// substitute-real, timing-oblivious, recovery; 1, 2 or 4 channels; half
+// of them under injected faults) and hashes every completion time and
+// status, every wire transfer's time, channel, direction, size, counter
+// and MAC, and the final stats, bus bytes and pad counts.
 func TestTimingPathGolden(t *testing.T) {
 	h := sha256.New()
 	put := func(v uint64) {
@@ -41,11 +41,16 @@ func TestTimingPathGolden(t *testing.T) {
 			put(0)
 		}
 	}
-	for seed := uint64(1); seed <= 400; seed++ {
+	for seed, points := uint64(1), 0; points < 400; seed++ {
 		r := xrand.New(seed)
 		channels := 1 << r.Intn(3)
 		cfg := fuzzConfig(r)
-		cfg.Symmetric = r.Bool()
+		if r.Bool() {
+			// This draw once selected the retired symmetric design;
+			// skipping its seeds keeps every other point's stream.
+			continue
+		}
+		points++
 		cfg.TimingOblivious = r.Intn(3) == 0
 		if r.Bool() {
 			cfg.Recovery = DefaultRecovery()

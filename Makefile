@@ -3,7 +3,8 @@
 #   make check   - tier-1 verify: build + full test suite, then vet and
 #                  test the bench/ module (it imports internal packages of
 #                  this module, so an API change must keep it compiling)
-#   make vet     - static analysis
+#   make vet     - static analysis: go vet, then fails when gofmt -l
+#                  lists any tracked non-testdata .go file
 #   make race    - test suite under the race detector in -short mode
 #                  (runSuite's parallel fan-out, the shared metrics registry,
 #                  and every concurrent test path; -short keeps CI runtime
@@ -59,6 +60,12 @@ check:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v testdata)); \
+	if [ -n "$$unformatted" ]; then \
+		echo "vet: not gofmt-clean (run make lint-fix):" >&2; \
+		echo "$$unformatted" >&2; \
+		exit 1; \
+	fi
 
 lint:
 	$(GO) build ./...

@@ -270,36 +270,6 @@ func BenchmarkMACMode(b *testing.B) {
 	}
 }
 
-// BenchmarkSymmetricAlt compares the paper's split dummy pairs against the
-// symmetric same-size-request alternative (Section 3.3), reporting bus
-// bytes per request — the bandwidth cost the paper's split design avoids
-// when real requests substitute for dummies.
-func BenchmarkSymmetricAlt(b *testing.B) {
-	for _, sym := range []bool{false, true} {
-		name := "split-pairs"
-		if sym {
-			name = "symmetric"
-		}
-		b.Run(name, func(b *testing.B) {
-			var perReq float64
-			for i := 0; i < b.N; i++ {
-				m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionObfusMem, Symmetric: sym, Seed: 9})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// lbm is write-heavy: the substitute-real optimisation
-				// merges most writes into read pairs.
-				if _, err := m.RunBenchmark("lbm", 3000); err != nil {
-					b.Fatal(err)
-				}
-				perReq = float64(m.Traffic().BusBytes) / 3000
-			}
-			b.ReportMetric(perReq, "busB/req")
-		})
-	}
-}
-
 // BenchmarkChannelScaling sweeps channels for the paper-preferred OPT
 // policy, reporting mean read latency.
 func BenchmarkChannelScaling(b *testing.B) {

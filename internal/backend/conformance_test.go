@@ -449,9 +449,8 @@ func TestWireInvariantUnderRelabeling(t *testing.T) {
 // block changes nothing on the wire: every case of the relabeling table,
 // driven once with nil blocks and once with a block on every request,
 // must give bit-identical wire views. The value path and the timing path
-// are one code path per direction; before they were, value requests under
-// the symmetric design put a different packet mix on the wire, and value
-// writes under timing-oblivious operation quantized twice. Substitute-real
+// are one code path per direction; before they were, value writes under
+// timing-oblivious operation quantized twice. Substitute-real
 // pairing is off because a value write bypasses its queue by design.
 func TestValuePathMatchesTimingPath(t *testing.T) {
 	for _, c := range wireCases(t) {
@@ -481,7 +480,7 @@ type wireCase struct {
 }
 
 // wireCases is every registered backend at 1, 2 and 4 channels, plus
-// ObfusMem's UNOPT policy, timing-oblivious mode and symmetric design.
+// ObfusMem's UNOPT policy and timing-oblivious mode.
 func wireCases(t *testing.T) []wireCase {
 	var cases []wireCase
 	for _, name := range system.BackendNames() {
@@ -498,9 +497,6 @@ func wireCases(t *testing.T) []wireCase {
 				to := cfg
 				to.Obfus.TimingOblivious = true
 				cases = append(cases, wireCase{base + "/timing-oblivious", to, true})
-				sym := cfg
-				sym.Obfus.Symmetric = true
-				cases = append(cases, wireCase{base + "/symmetric", sym, false})
 			}
 		}
 	}

@@ -1,7 +1,8 @@
-// Package cache implements the processor cache hierarchy of Table 2:
-// per-core L1 and L2, a shared L3 (the LLC whose misses drive the memory
-// system), MESI coherence across the private levels, and the 256 KB
-// counter cache used by counter-mode memory encryption.
+// Package cache implements the set-associative, write-back caches of the
+// memory-encryption engine: the 256 KB counter cache of Table 2 and the
+// integrity tree's node cache. The processor's L1/L2/L3 hierarchy is not
+// simulated: the workload profiles generate the post-LLC request stream
+// directly, and Table 2's cache rows are configuration text.
 package cache
 
 import (
@@ -11,7 +12,7 @@ import (
 	"obfusmem/internal/sim"
 )
 
-// State is a MESI coherence state.
+// State is a line's MESI state.
 type State int
 
 // MESI states.
@@ -52,32 +53,15 @@ type Config struct {
 	HitLatency sim.Time
 }
 
-// Table2 cache configurations.
-var (
-	L1Config = Config{Name: "L1", SizeBytes: 32 << 10, Assoc: 8, BlockBytes: 64,
-		HitLatency: 2 * cpuCycle}
-	L2Config = Config{Name: "L2", SizeBytes: 512 << 10, Assoc: 8, BlockBytes: 64,
-		HitLatency: 8 * cpuCycle}
-	L3Config = Config{Name: "L3", SizeBytes: 8 << 20, Assoc: 8, BlockBytes: 64,
-		HitLatency: 17 * cpuCycle}
-	CounterCacheConfig = Config{Name: "CtrCache", SizeBytes: 256 << 10, Assoc: 8,
-		BlockBytes: 64, HitLatency: 5 * cpuCycle}
-)
+// CounterCacheConfig is Table 2's counter cache.
+var CounterCacheConfig = Config{Name: "CtrCache", SizeBytes: 256 << 10, Assoc: 8,
+	BlockBytes: 64, HitLatency: 5 * cpuCycle}
 
 // cpuCycle is the 2 GHz core clock period.
 const cpuCycle = 500 * sim.Picosecond
 
 // CPUCycle exposes the core clock period used for cache latencies.
 const CPUCycle = cpuCycle
-
-// Stats counts cache events.
-type Stats struct {
-	Accesses   uint64
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64
-	Writebacks uint64 // dirty evictions
-}
 
 // Eviction describes a victim pushed out by an Insert.
 type Eviction struct {
@@ -88,13 +72,11 @@ type Eviction struct {
 // Cache is one set-associative, write-back, write-allocate cache with true
 // LRU replacement.
 type Cache struct {
-	cfg       Config
 	sets      [][]line
 	numSets   int
 	blockBits uint
 	setMask   uint64
 	clock     uint64
-	stats     Stats
 }
 
 // New builds a cache. Size, associativity, and block size must be powers of
@@ -112,7 +94,6 @@ func New(cfg Config) *Cache {
 		panic("cache: block size not a power of two")
 	}
 	c := &Cache{
-		cfg:       cfg,
 		numSets:   numSets,
 		blockBits: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		setMask:   uint64(numSets - 1),
@@ -125,31 +106,18 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	blk := addr >> c.blockBits
 	return int(blk & c.setMask), blk >> uint(bits.TrailingZeros(uint(c.numSets)))
 }
 
-// BlockAddr returns the block-aligned address.
-func (c *Cache) BlockAddr(addr uint64) uint64 {
-	return addr &^ (uint64(c.cfg.BlockBytes) - 1)
-}
-
 // Lookup probes without allocating. It returns the line state (Invalid on
-// miss) and counts the access.
+// miss); touch marks a hit most recently used.
 func (c *Cache) Lookup(addr uint64, touch bool) State {
-	c.stats.Accesses++
 	set, tag := c.index(addr)
 	for i := range c.sets[set] {
 		l := &c.sets[set][i]
 		if l.state != Invalid && l.tag == tag {
-			c.stats.Hits++
 			if touch {
 				c.clock++
 				l.lru = c.clock
@@ -157,11 +125,10 @@ func (c *Cache) Lookup(addr uint64, touch bool) State {
 			return l.state
 		}
 	}
-	c.stats.Misses++
 	return Invalid
 }
 
-// Probe checks presence without counting an access (snoop path).
+// Probe checks presence without touching the LRU order.
 func (c *Cache) Probe(addr uint64) State {
 	set, tag := c.index(addr)
 	for i := range c.sets[set] {
@@ -185,24 +152,10 @@ func (c *Cache) SetState(addr uint64, s State) {
 	}
 }
 
-// Invalidate removes a line, returning whether it was dirty (Modified).
-func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.state != Invalid && l.tag == tag {
-			wasDirty = l.state == Modified
-			l.state = Invalid
-			return wasDirty
-		}
-	}
-	return false
-}
-
 // Insert allocates a line in the given state. When a valid victim had to
 // be displaced, evicted is true and ev describes it; Insert runs on every
-// cache fill in the simulated hierarchy, so the victim is returned by value
-// rather than heap-allocated.
+// counter-cache fill, so the victim is returned by value rather than
+// heap-allocated.
 func (c *Cache) Insert(addr uint64, s State) (ev Eviction, evicted bool) {
 	if s == Invalid {
 		panic("cache: inserting an Invalid line")
@@ -231,12 +184,7 @@ func (c *Cache) Insert(addr uint64, s State) (ev Eviction, evicted bool) {
 		}
 	}
 	if victim.state != Invalid {
-		c.stats.Evictions++
-		dirty := victim.state == Modified
-		if dirty {
-			c.stats.Writebacks++
-		}
-		ev = Eviction{Addr: c.rebuild(set, victim.tag), Dirty: dirty}
+		ev = Eviction{Addr: c.rebuild(set, victim.tag), Dirty: victim.state == Modified}
 		evicted = true
 	}
 	victim.tag = tag
@@ -249,38 +197,4 @@ func (c *Cache) Insert(addr uint64, s State) (ev Eviction, evicted bool) {
 func (c *Cache) rebuild(set int, tag uint64) uint64 {
 	setBits := uint(bits.TrailingZeros(uint(c.numSets)))
 	return (tag<<setBits | uint64(set)) << c.blockBits
-}
-
-// MissRate returns misses / accesses.
-func (c *Cache) MissRate() float64 {
-	if c.stats.Accesses == 0 {
-		return 0
-	}
-	return float64(c.stats.Misses) / float64(c.stats.Accesses)
-}
-
-// Flush invalidates everything, returning all dirty block addresses.
-func (c *Cache) Flush() []uint64 {
-	var dirty []uint64
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
-			if l.state == Modified {
-				dirty = append(dirty, c.rebuild(set, l.tag))
-			}
-			l.state = Invalid
-		}
-	}
-	return dirty
-}
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			c.sets[set][i] = line{}
-		}
-	}
-	c.clock = 0
-	c.stats = Stats{}
 }

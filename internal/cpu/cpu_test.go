@@ -3,7 +3,6 @@ package cpu
 import (
 	"testing"
 
-	"obfusmem/internal/cache"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/workload"
 )
@@ -82,47 +81,6 @@ func TestWriteBufferBackPressure(t *testing.T) {
 		Config{Exposure: 0.5, WriteBuffer: 4}, 4)
 	if slowW.ExecTime <= fastW.ExecTime {
 		t.Fatal("slow writes never back-pressured the core")
-	}
-}
-
-func TestRunHierarchyBasics(t *testing.T) {
-	w := DefaultHierarchyWorkload()
-	h := cache.NewHierarchy(w.Cores)
-	sys := &fixedLatency{read: 80 * sim.Nanosecond, write: 80 * sim.Nanosecond}
-	res := RunHierarchy(w, 20000, h, sys, DefaultConfig(), 5)
-	if res.Instructions != uint64(20000*w.Cores) {
-		t.Fatalf("instructions = %d", res.Instructions)
-	}
-	if res.IPC <= 0 || res.ExecTime <= 0 {
-		t.Fatalf("degenerate result: %+v", res)
-	}
-	// Hot regions are cache resident: most accesses hit L1.
-	if res.HitLevels[1] < res.HitLevels[4] {
-		t.Fatalf("L1 hits (%d) below memory accesses (%d): hot set not cached",
-			res.HitLevels[1], res.HitLevels[4])
-	}
-	// The shared streaming region must produce real LLC misses.
-	if res.LLCMisses == 0 || res.MPKI <= 0 {
-		t.Fatalf("no organic LLC misses: %+v", res)
-	}
-	if sys.reads == 0 {
-		t.Fatal("memory system never read")
-	}
-	// Shared writes between cores produce coherence activity.
-	if res.Snoops == 0 {
-		t.Fatal("no snoop hits despite shared read-write region")
-	}
-}
-
-func TestRunHierarchyWritebacksReachMemory(t *testing.T) {
-	w := DefaultHierarchyWorkload()
-	w.StoreFrac = 0.6
-	w.HotFrac = 0.3 // stream hard so dirty lines wash out of the LLC
-	h := cache.NewHierarchy(w.Cores)
-	sys := &fixedLatency{read: 80 * sim.Nanosecond, write: 80 * sim.Nanosecond}
-	res := RunHierarchy(w, 200000, h, sys, DefaultConfig(), 6)
-	if res.Writebacks == 0 || sys.writes == 0 {
-		t.Fatalf("no writebacks reached memory: %+v", res)
 	}
 }
 

@@ -228,14 +228,6 @@ const (
 	SpanCampaignCellFailed Name = "campaign-cell-failed"
 )
 
-// Cache-hierarchy spans (internal/cache).
-const (
-	SpanL1Hit   Name = "l1-hit"
-	SpanL2Hit   Name = "l2-hit"
-	SpanL3Hit   Name = "l3-hit"
-	SpanLLCMiss Name = "llc-miss"
-)
-
 // Memory-controller spans (internal/memctl).
 const (
 	SpanDecode        Name = "decode"

@@ -156,13 +156,9 @@ type Config struct {
 	Policy ChannelPolicy
 	MAC    MACMode
 	Order  PairOrder
-	// Symmetric enables the alternative of Section 3.3: all requests are
-	// the same size (reads carry dummy data, writes receive data replies)
-	// instead of split read+write dummy pairs. Costs bandwidth.
-	Symmetric bool
 	// SubstituteReal enables the split-request optimisation the paper
-	// credits over the symmetric design: a pending real request of the
-	// needed type replaces the dummy half of a pair.
+	// credits over same-size requests (Section 3.3): a pending real
+	// request of the needed type replaces the dummy half of a pair.
 	SubstituteReal bool
 	// TimingOblivious enables the Section 6.2 extension the paper leaves
 	// as future work: request pairs issue on a fixed epoch cadence, idle

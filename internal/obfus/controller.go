@@ -99,13 +99,14 @@ func (c *Controller) acquireFrontEnd(at sim.Time) sim.Time {
 	return start + FrontEndTime
 }
 
-// requestCrypto runs request-path pad pre-generation and MAC anticipation
-// for one issue, tracing both legs, and returns when encryption completes
-// and when the request may go on the wire. secondMAC issues the digest for
-// the pair's second half; observe feeds the MAC/encrypt overlap-slack
-// histogram (real requests only, matching the metrics discipline).
-func (c *Controller) requestCrypto(cs *chanState, ch int, at sim.Time, pads int, secondMAC, observe bool) (encReady, sendReady sim.Time) {
-	encReady = pregenReady(cs.procReqEng, at, pads)
+// requestCrypto runs request-path pad pre-generation for one slot group
+// and MAC anticipation, tracing both legs, and returns when encryption
+// completes and when the request may go on the wire. secondMAC issues the
+// digest for the pair's second half; observe feeds the MAC/encrypt
+// overlap-slack histogram (real requests only, matching the metrics
+// discipline).
+func (c *Controller) requestCrypto(cs *chanState, ch int, at sim.Time, secondMAC, observe bool) (encReady, sendReady sim.Time) {
+	encReady = pregenReady(cs.procReqEng, at, slotGroup)
 	sendReady = macRequestReady(cs.procMAC, c.cfg.MAC, at, encReady)
 	if observe {
 		c.observeMACSlack(encReady, sendReady)
@@ -116,7 +117,7 @@ func (c *Controller) requestCrypto(cs *chanState, ch int, at sim.Time, pads int,
 	if c.tr != nil {
 		pid := trace.ChannelPID(ch)
 		c.tr.Span(pid, "proc-aes", trace.CatCrypto, names.SpanEncryptPads, at, encReady,
-			trace.A("pads", pads))
+			trace.A("pads", slotGroup))
 		if c.cfg.MAC != MACNone {
 			c.tr.Span(pid, "proc-md5", trace.CatCrypto, names.SpanMACRequest, at, sendReady,
 				trace.A("slack_ns", (sendReady-encReady).Float64Nanos()))
@@ -124,6 +125,11 @@ func (c *Controller) requestCrypto(cs *chanState, ch int, at sim.Time, pads int,
 	}
 	return encReady, sendReady
 }
+
+// slotGroup is the number of pad counters one request pair reserves
+// (Fig 3): the two command pads, one per half, then the four data pads
+// of the write half's block.
+const slotGroup = 6
 
 // XORLatency is the only serial encryption cost on the critical path when
 // pads are pre-generated (Fig 2/3): one core cycle for the final XOR.
@@ -505,10 +511,9 @@ func (c *Controller) sendPacket(cs *chanState, ch int, h half, ctr, padBase uint
 	pkt.Counter = ctr
 	pkt.Seq = c.seq
 	c.seq++
-	// Writes carry data; so do symmetric reads.
-	if h.t == bus.Write || h.symmetric {
+	if h.t == bus.Write {
 		pkt.Data = c.zeroData[:] // timing only: contents elided
-		if h.t == bus.Write && h.blk != nil {
+		if h.blk != nil {
 			pkt.Data = c.transitSealRequest(cs, ch, padBase, h.blk)
 		}
 	}
@@ -536,22 +541,17 @@ func (c *Controller) seal(cs *chanState, ch int, pkt *bus.Packet) {
 
 // memSlot returns the pad counter the memory side uses for the next command
 // it receives, following the pair schedule of Fig 3: the first command of a
-// pair decodes at ctr, the second at ctr+1, and the pair consumes six
-// counters (the other four covered the data pads). Dropped packets shift
-// the schedule and desynchronise the sides — which is what makes deletion
-// attacks detectable.
-func (cs *chanState) memSlot(symmetric bool) uint64 {
-	if symmetric {
-		ctr := cs.memReqCtr
-		cs.memReqCtr += 5
-		return ctr
-	}
+// pair decodes at ctr, the second at ctr+1, and the pair consumes a whole
+// slot group (the other four counters covered the data pads). Dropped
+// packets shift the schedule and desynchronise the sides — which is what
+// makes deletion attacks detectable.
+func (cs *chanState) memSlot() uint64 {
 	ctr := cs.memReqCtr + uint64(cs.memParity)
 	if cs.memParity == 0 {
 		cs.memParity = 1
 	} else {
 		cs.memParity = 0
-		cs.memReqCtr += 6
+		cs.memReqCtr += slotGroup
 	}
 	return ctr
 }
@@ -568,7 +568,7 @@ func (c *Controller) memDecode(cs *chanState, ch int, arrive sim.Time, delivered
 		c.stats.RequestsLost++
 		return 0, arrive, false
 	}
-	return c.memDecodeSlot(cs, ch, arrive, delivered, cs.memSlot(c.cfg.Symmetric))
+	return c.memDecodeSlot(cs, ch, arrive, delivered, cs.memSlot())
 }
 
 // memDecodeSlot is memDecode at an explicit pad counter; retransmissions

@@ -17,14 +17,8 @@ import (
 // detection) are tested on the datapath the timing results come from.
 
 // dataPad returns the first of the four data pads of the slot group at
-// padBase. A pair's group is two command pads then the data pads (Fig 3);
-// a symmetric request's group is one command pad then the data pads.
-func (c *Controller) dataPad(padBase uint64) uint64 {
-	if c.cfg.Symmetric {
-		return padBase + 1
-	}
-	return padBase + 2
-}
+// padBase: a group is two command pads then the data pads (Fig 3).
+func dataPad(padBase uint64) uint64 { return padBase + 2 }
 
 // transitSealRequest encrypts an at-rest ciphertext block for the
 // processor-to-memory hop using the data pads of the slot group at
@@ -34,7 +28,7 @@ func (c *Controller) dataPad(padBase uint64) uint64 {
 func (c *Controller) transitSealRequest(cs *chanState, ch int, padBase uint64, data *memctl.Block) []byte {
 	buf := cs.sealBuf[:]
 	copy(buf, data[:])
-	cs.procReqEng.CTR().EncryptBlock64(buf, aes.IV{ID: uint64(ch), Counter: c.dataPad(padBase)})
+	cs.procReqEng.CTR().EncryptBlock64(buf, aes.IV{ID: uint64(ch), Counter: dataPad(padBase)})
 	return buf
 }
 
@@ -42,7 +36,7 @@ func (c *Controller) transitSealRequest(cs *chanState, ch int, padBase uint64, d
 // scratch buffer; decryption happens in the returned value, never in place.
 func (c *Controller) transitOpenRequest(cs *chanState, ch int, padBase uint64, wire []byte) (out memctl.Block) {
 	copy(out[:], wire)
-	cs.memReqEng.CTR().EncryptBlock64(out[:], aes.IV{ID: uint64(ch), Counter: c.dataPad(padBase)})
+	cs.memReqEng.CTR().EncryptBlock64(out[:], aes.IV{ID: uint64(ch), Counter: dataPad(padBase)})
 	return out
 }
 

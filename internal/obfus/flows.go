@@ -38,11 +38,6 @@ func (c *Controller) ReadBlock(at sim.Time, addr uint64, blk *memctl.Block) (don
 	// identified as the one whose request leads (Section 3.4).
 	c.injectInterChannel(at, ch)
 
-	readH := half{t: bus.Read, addr: addr, blk: blk}
-	if c.cfg.Symmetric {
-		return c.symmetricRequest(cs, ch, at, readH)
-	}
-
 	// Pair the read with a write half: a pending real write if the
 	// substitute-real optimisation has one, else a dummy write.
 	var writeHalf *pendingWrite
@@ -60,12 +55,12 @@ func (c *Controller) ReadBlock(at sim.Time, addr uint64, blk *memctl.Block) (don
 
 	at = c.acquireFrontEnd(at)
 	padBase := cs.reqCtr
-	cs.reqCtr += 6 // Fig 3: 1 real cmd + 1 dummy cmd + 4 data pads
+	cs.reqCtr += slotGroup
 	// Second digest covers the write half of the pair.
-	_, sendReady := c.requestCrypto(cs, ch, at, 6, true, true)
+	_, sendReady := c.requestCrypto(cs, ch, at, true, true)
 
 	// Assemble the two halves.
-	readH.ready = sendReady
+	readH := half{t: bus.Read, addr: addr, ready: sendReady, blk: blk}
 	writeH := half{t: bus.Write, addr: c.dummyAddrFor(cs, addr, ch), dummy: true, ready: sendReady}
 	if writeHalf != nil {
 		writeH.addr = writeHalf.addr
@@ -77,16 +72,12 @@ func (c *Controller) ReadBlock(at sim.Time, addr uint64, blk *memctl.Block) (don
 	return readDone, readOK
 }
 
-// half is one request packet: a member of a read/write pair, or a whole
-// symmetric request.
+// half is one request packet: a member of a read/write pair.
 type half struct {
 	t     bus.ReqType
 	addr  uint64
 	dummy bool
-	// symmetric marks a Section 3.3 request: it carries data even as a
-	// read, and gets a reply even as a write.
-	symmetric bool
-	ready     sim.Time
+	ready sim.Time
 	// blk, when non-nil, carries a value: the block a write stores, or
 	// the block a read's reply fills.
 	blk *memctl.Block
@@ -132,10 +123,9 @@ func (c *Controller) issuePair(cs *chanState, ch int, padBase uint64, readH, wri
 // reply only (a pair's write half is posted). As a method rather than a
 // closure the issue path stays allocation-free.
 func (c *Controller) processHalf(cs *chanState, ch int, padBase uint64, h half, arrive sim.Time, del *bus.Packet) (done sim.Time, ok bool) {
-	if cs.quarantined && !h.symmetric {
+	if cs.quarantined {
 		// The pair's other half exhausted the retry budget while this
-		// packet was in flight; the memory side is fail-stopped. A
-		// symmetric request has no other half.
+		// packet was in flight; the memory side is fail-stopped.
 		c.legFailed(h.dummy, true)
 		return arrive, false
 	}
@@ -159,28 +149,22 @@ func (c *Controller) processHalf(cs *chanState, ch int, padBase uint64, h half, 
 
 // serve is the memory-side service of one accepted request of the slot
 // group at padBase: the PCM access, the store of a carried write block,
-// and the reply where one is due — every read, and every symmetric
-// write, whose reply is garbage like a dummy's. It returns the
-// leg's completion time; ok is false only when the reply failed.
+// and a read's reply. It returns the leg's completion time; ok is false
+// only when the reply failed.
 func (c *Controller) serve(cs *chanState, ch int, h half, padBase uint64, del *bus.Packet, addr uint64, decodeDone sim.Time) (sim.Time, bool) {
-	dataReady := decodeDone
 	if h.t == bus.Write {
 		// Memory-side transit decryption of the carried at-rest
 		// ciphertext, then store.
 		if h.blk != nil && !h.dummy {
 			c.mem.StoreBlock(addr, c.transitOpenRequest(cs, ch, padBase, del.Data))
 		}
-		done := c.memAccessForWrite(cs, ch, decodeDone, addr, h.dummy)
-		if !h.symmetric {
-			return done, true
-		}
-	} else {
-		dataReady = c.memAccessForRead(cs, ch, decodeDone, addr, h.dummy)
+		return c.memAccessForWrite(cs, ch, decodeDone, addr, h.dummy), true
 	}
+	dataReady := c.memAccessForRead(cs, ch, decodeDone, addr, h.dummy)
 	if c.cfg.TimingOblivious {
 		dataReady = padReply(decodeDone, dataReady)
 	}
-	return c.reply(cs, ch, dataReady, h.dummy || h.t == bus.Write, addr, decodeDone, h.blk)
+	return c.reply(cs, ch, dataReady, h.dummy, addr, decodeDone, h.blk)
 }
 
 // Write services one timing-only LLC writeback; see WriteBlock.
@@ -202,15 +186,6 @@ func (c *Controller) WriteBlock(at sim.Time, addr uint64, atRestReady sim.Time, 
 	if cs.quarantined {
 		c.legFailed(false, true)
 		return at
-	}
-
-	if c.cfg.Symmetric {
-		if c.cfg.TimingOblivious {
-			at = c.quantize(cs, ch, at)
-		}
-		c.injectInterChannel(at, ch)
-		done, _ := c.symmetricRequest(cs, ch, at, half{t: bus.Write, addr: addr, ready: atRestReady, blk: blk})
-		return done
 	}
 
 	w := pendingWrite{at: at, addr: addr, atRestReady: atRestReady, blk: blk}
@@ -241,8 +216,8 @@ func (c *Controller) issueWritePair(cs *chanState, ch int, at sim.Time, w pendin
 	}
 	at = c.acquireFrontEnd(at)
 	padBase := cs.reqCtr
-	cs.reqCtr += 6
-	_, sendReady := c.requestCrypto(cs, ch, at, 6, true, true)
+	cs.reqCtr += slotGroup
+	_, sendReady := c.requestCrypto(cs, ch, at, true, true)
 
 	readH := half{t: bus.Read, addr: c.dummyAddrFor(cs, w.addr, ch), dummy: true, ready: sendReady}
 	writeH := half{t: bus.Write, addr: w.addr, ready: max(sendReady, w.atRestReady), blk: w.blk}
@@ -284,22 +259,6 @@ func (c *Controller) memAccessForWrite(cs *chanState, ch int, at sim.Time, addr 
 	return c.mem.AccessOnChannel(at, ch, addr, true)
 }
 
-// symmetricRequest implements the Section 3.3 alternative: every request is
-// cmd+data and every request receives a data reply, making types
-// indistinguishable by size instead of by pairing. h.ready is when a
-// write's at-rest ciphertext is available.
-func (c *Controller) symmetricRequest(cs *chanState, ch int, at sim.Time, h half) (sim.Time, bool) {
-	at = c.acquireFrontEnd(at)
-	padBase := cs.reqCtr
-	cs.reqCtr += 5 // 1 cmd + 4 data
-	_, sendReady := c.requestCrypto(cs, ch, at, 5, false, true)
-	h.symmetric = true
-	h.ready = max(h.ready, sendReady)
-	arrive, delivered := c.sendPacket(cs, ch, h, padBase, padBase)
-	cs.lastReqWire = max(cs.lastReqWire, arrive)
-	return c.processHalf(cs, ch, padBase, h, arrive, delivered)
-}
-
 // injectInterChannel applies the Section 3.4 policy: when a real request
 // issues on one channel, idle (OPT) or all (UNOPT) other channels receive a
 // dummy pair so that observers cannot localise activity.
@@ -334,10 +293,10 @@ func (c *Controller) injectPair(at sim.Time, ch int) {
 	c.met.interChannelPairs.Inc()
 	at = c.acquireFrontEnd(at)
 	padBase := cs.reqCtr
-	cs.reqCtr += 6
+	cs.reqCtr += slotGroup
 	// Dummy pairs skip the slack histogram (real-request metric) but still
 	// occupy both MAC slots.
-	_, sendReady := c.requestCrypto(cs, ch, at, 6, true, false)
+	_, sendReady := c.requestCrypto(cs, ch, at, true, false)
 	dAddr := c.dummyAddrFor(cs, cs.dummyAddr, ch)
 	readH := half{t: bus.Read, addr: dAddr, dummy: true, ready: sendReady}
 	writeH := half{t: bus.Write, addr: dAddr, dummy: true, ready: sendReady}

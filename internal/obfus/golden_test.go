@@ -46,8 +46,9 @@ func TestTimingPathGolden(t *testing.T) {
 		channels := 1 << r.Intn(3)
 		cfg := fuzzConfig(r)
 		if r.Bool() {
-			// This draw once selected the retired symmetric design;
-			// skipping its seeds keeps every other point's stream.
+			// This draw once chose Section 3.3's same-size-request
+			// design, since deleted; skipping the seeds where it came up
+			// true keeps every other point's stream.
 			continue
 		}
 		points++

@@ -286,30 +286,6 @@ func TestOPTInjectsLessThanUNOPT(t *testing.T) {
 	}
 }
 
-func TestSymmetricModeShape(t *testing.T) {
-	cfg := Default()
-	cfg.Symmetric = true
-	r := newRig(t, cfg, 1)
-	var reqs, reps int
-	var reqBytes []int
-	r.bus.AttachObserver(bus.ObserverFunc(func(at sim.Time, p *bus.Packet) {
-		if p.Dir == bus.ProcToMem {
-			reqs++
-			reqBytes = append(reqBytes, p.WireBytes())
-		} else {
-			reps++
-		}
-	}))
-	r.ctrl.Read(0, 0x100)
-	r.ctrl.Write(sim.Microsecond, 0x200, sim.Microsecond)
-	if reqs != 2 || reps != 2 {
-		t.Fatalf("reqs/reps = %d/%d, want 2/2", reqs, reps)
-	}
-	if reqBytes[0] != reqBytes[1] {
-		t.Fatalf("symmetric requests differ in size: %v", reqBytes)
-	}
-}
-
 func TestCountersStaySynchronized(t *testing.T) {
 	r := newRig(t, Default(), 2)
 	at := sim.Time(0)

@@ -269,13 +269,9 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		// Retransmit with fresh pad counters from the resynced space. The
 		// retransmitted leg occupies a full slot group so the schedule
 		// stays uniform: cmd at padBase, data pads from dataPad(padBase).
-		pads := uint64(6)
-		if c.cfg.Symmetric {
-			pads = 5
-		}
 		padBase := cs.reqCtr
-		cs.reqCtr += pads
-		_, sendReady := c.requestCrypto(cs, ch, rdone, int(pads), false, false)
+		cs.reqCtr += slotGroup
+		_, sendReady := c.requestCrypto(cs, ch, rdone, false, false)
 		c.stats.Retransmits++
 		c.met.retransmits.Inc()
 		h.ready = sendReady
@@ -289,21 +285,14 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 			continue
 		}
 		dAddr, decodeDone, accepted := c.memDecodeSlot(cs, ch, arrive, del, padBase)
-		cs.memReqCtr = padBase + pads
+		cs.memReqCtr = padBase + slotGroup
 		cs.memParity = 0
 		cs.lastReqWire = max(cs.lastReqWire, arrive)
 		if !accepted {
 			failAt = c.requestFailAt(cs, ch, arrive, del, decodeDone)
 			continue
 		}
-		// Under the symmetric design every retransmitted leg, a cover
-		// pair's dummy half included, is served as a real symmetric
-		// request: its group is a symmetric one.
-		served := h
-		if c.cfg.Symmetric {
-			served.symmetric, served.dummy = true, false
-		}
-		done, ok = c.serve(cs, ch, served, padBase, del, dAddr, decodeDone)
+		done, ok = c.serve(cs, ch, h, padBase, del, dAddr, decodeDone)
 		if !ok {
 			failAt = c.replyFailAt(ch, done)
 			continue

@@ -101,7 +101,7 @@ func TestObfusMemVariantsBuild(t *testing.T) {
 		obfus.Default(),
 		obfus.DefaultAuth(),
 		{Dummy: obfus.OriginalAddress, Policy: obfus.PolicyUNOPT, MAC: obfus.EncryptThenMAC},
-		{Dummy: obfus.RandomAddress, Policy: obfus.PolicyOPT, Symmetric: true},
+		{Dummy: obfus.RandomAddress, Policy: obfus.PolicyOPT},
 	} {
 		cfg := DefaultConfig("obfusmem-auth")
 		cfg.Channels = 2

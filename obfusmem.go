@@ -4,13 +4,13 @@
 //
 // It provides:
 //
-//   - a complete simulated machine (out-of-order cores → MESI cache
-//     hierarchy → memory bus → PCM main memory) under each registered
-//     protection scheme: unprotected, counter-mode memory encryption,
-//     ObfusMem with and without bus authentication (the paper's
-//     contribution, in all its design variants), a Path ORAM baseline
-//     (both a functional implementation and the paper's fixed-latency
-//     performance model), and Palermo;
+//   - a complete simulated machine (a closed-loop core model driven by
+//     each workload's post-LLC request stream → memory bus → PCM main
+//     memory) under each registered protection scheme: unprotected,
+//     counter-mode memory encryption, ObfusMem with and without bus
+//     authentication (the paper's contribution, in all its design
+//     variants), a Path ORAM baseline (both a functional implementation
+//     and the paper's fixed-latency performance model), and Palermo;
 //   - the trust architecture of Section 3.1 (manufacturer-certified
 //     component keys, integrator key burning, attestation, Diffie-Hellman
 //     session establishment);
@@ -34,7 +34,6 @@ import (
 	"io"
 
 	"obfusmem/internal/attack"
-	"obfusmem/internal/cache"
 	"obfusmem/internal/cpu"
 	"obfusmem/internal/obfus"
 	"obfusmem/internal/sim"
@@ -116,8 +115,6 @@ type MachineConfig struct {
 	Dummy  DummyDesign
 	Policy ChannelPolicy
 	Order  PairOrder
-	// Symmetric selects the same-size-request alternative of Section 3.3.
-	Symmetric bool
 	// MAC overrides the authentication mode (ablation use); zero value
 	// defers to the Protection level (ObfusMemAuth => encrypt-and-MAC).
 	MAC MACMode
@@ -179,7 +176,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		oc := &sc.Obfus
 		oc.Dummy = cfg.Dummy
 		oc.Order = cfg.Order
-		oc.Symmetric = cfg.Symmetric
 		oc.TimingOblivious = cfg.TimingOblivious
 		if cfg.Policy != obfus.PolicyNone {
 			oc.Policy = cfg.Policy
@@ -235,24 +231,6 @@ func WriteTrace(w io.Writer, reqs []TraceRequest) error { return workload.WriteT
 // ReplayTrace drives a recorded request sequence through this machine.
 func (m *Machine) ReplayTrace(name string, reqs []TraceRequest) Result {
 	return cpu.RunTrace(name, reqs, m.sys, m.core)
-}
-
-// HierarchyWorkload parameterises the full-hierarchy drive mode: synthetic
-// per-core instruction streams through the real MESI L1/L2/L3 hierarchy,
-// with LLC misses and writebacks arising organically.
-type HierarchyWorkload = cpu.HierarchyWorkload
-
-// HierarchyResult summarises a full-hierarchy run.
-type HierarchyResult = cpu.HierarchyResult
-
-// DefaultHierarchyWorkload returns a 4-core mixed workload.
-func DefaultHierarchyWorkload() HierarchyWorkload { return cpu.DefaultHierarchyWorkload() }
-
-// RunHierarchy drives nPerCore instructions per core through a fresh cache
-// hierarchy into this machine's memory system.
-func (m *Machine) RunHierarchy(w HierarchyWorkload, nPerCore int) HierarchyResult {
-	h := cache.NewHierarchy(w.Cores)
-	return cpu.RunHierarchy(w, nPerCore, h, m.sys, m.core, m.cfg.Seed+11)
 }
 
 // Read issues a single demand read at simulated time `at`, returning the

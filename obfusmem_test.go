@@ -168,20 +168,6 @@ func TestExperimentFacadeSmoke(t *testing.T) {
 	}
 }
 
-func TestRunHierarchyOnMachine(t *testing.T) {
-	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, Seed: 8})
-	w := DefaultHierarchyWorkload()
-	res := m.RunHierarchy(w, 15000)
-	if res.Instructions == 0 || res.IPC <= 0 || res.LLCMisses == 0 {
-		t.Fatalf("degenerate hierarchy run: %+v", res)
-	}
-	// Organic misses flowed through the full ObfusMem path.
-	tr := m.Traffic()
-	if tr.RealReads == 0 || tr.DroppedAtMemory == 0 {
-		t.Fatalf("hierarchy traffic did not reach ObfusMem: %+v", tr)
-	}
-}
-
 func TestTimingObliviousOnMachine(t *testing.T) {
 	m, _ := NewMachine(MachineConfig{
 		Protection: ProtectionObfusMemAuth, TimingOblivious: true, Seed: 9})

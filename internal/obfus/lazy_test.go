@@ -116,7 +116,7 @@ func TestLazyCryptoMatchesEager(t *testing.T) {
 		at := sim.Time(0)
 		for i := 0; i < 50; i++ {
 			if i == 20 {
-				r.ctrl.chans[0].memReqCtr += 6
+				r.ctrl.chans[0].memReqCtr += slotGroup
 			}
 			r.ctrl.Read(at, uint64(0x4000+64*i))
 			r.ctrl.Write(at, uint64(0x8000+64*i), at)

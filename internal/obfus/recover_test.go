@@ -213,8 +213,13 @@ func TestRecoveryZeroFaultNoOverhead(t *testing.T) {
 
 // TestRecoveryValueRoundTrip drives the value-carrying datapath through a
 // lossy link: retransmission and counter resync must deliver bit-exact
-// blocks, not just timing.
+// blocks, not just timing. The subtest name marks the split-pair request
+// design, the only one the controller implements.
 func TestRecoveryValueRoundTrip(t *testing.T) {
+	t.Run("symmetric=false", recoveryValueRoundTrip)
+}
+
+func recoveryValueRoundTrip(t *testing.T) {
 	r := newRig(t, authRecovery(), 1)
 	inj := fault.New(fault.Config{LossProb: 0.03, Seed: 4}, 1, nil)
 	r.bus.SetFaultInjector(inj)

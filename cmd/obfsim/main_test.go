@@ -313,6 +313,39 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
+// TestAttributionGolden pins the bytes of -attrib-out for the three runs of
+// TestChromeTraceGolden. The latency partition is exact and deterministic,
+// so a digest change here means a request's breakdown changed.
+func TestAttributionGolden(t *testing.T) {
+	base := []string{"-exp", "none", "-trace-bench", "mcf", "-trace-mode", "obfusmem-auth",
+		"-trace-channels", "2", "-requests", "2000", "-seed", "42"}
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		want  string
+	}{
+		{"plain", nil, "0fdef9893f9b85d03e1d15be4c4d283ba54125afbcadd54377d09a0c32e37555"},
+		{"wrapped", []string{"-trace-limit", "5000"}, "0fdef9893f9b85d03e1d15be4c4d283ba54125afbcadd54377d09a0c32e37555"},
+		{"faults", []string{"-trace-faults", "0.005"}, "77d047a8b6ca907e300ae1cf7871064da3811bf1f425a9db49890110c7cf2d14"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "attrib.json")
+			args := append(append(slices.Clone(base), tc.extra...), "-attrib-out", out)
+			var stdout, stderr bytes.Buffer
+			if err := run(args, &stdout, &stderr); err != nil {
+				t.Fatalf("run(%v): %v\nstderr: %s", args, err, stderr.String())
+			}
+			raw, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != tc.want {
+				t.Errorf("attribution sha256 = %s, want %s (%d bytes)", got, tc.want, len(raw))
+			}
+		})
+	}
+}
+
 // TestLeakageReportEndToEnd drives -exp leakage with -leakage-out and
 // validates the machine-readable report: it must parse, cover every
 // registered backend in presentation order, and carry the in-range metric

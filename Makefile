@@ -16,7 +16,10 @@
 #                  bash bench/run.sh; see bench/README.md)
 #   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
 #                  obfus leg, AES pads, MD5 MAC, metrics instruments, xrand
-#                  draws, every hot-path backend with metrics attached),
+#                  draws, every hot-path backend with metrics attached, and
+#                  an obfusmem-auth machine with a wrapped span ring: span,
+#                  instant and request-envelope recording plus traced
+#                  reads and writes),
 #                  the fixed-allocation guard of the Chrome trace export,
 #                  the lazy-crypto guard (a bare bus, which skips command
 #                  pads and MACs, matches a tapped one and still detects
@@ -101,7 +104,7 @@ bench-smoke:
 	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs' ./internal/metrics ./internal/xrand
 	$(GO) test -run 'TestChromeExportAllocs' -bench 'BenchmarkWriteChromeTrace' \
 		-benchtime 200ms -benchmem ./internal/trace
-	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
+	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null
 	$(MAKE) campaign-smoke

@@ -24,6 +24,7 @@ import (
 	"obfusmem/internal/obfus"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/system"
+	"obfusmem/internal/trace"
 	"obfusmem/internal/workload"
 	"obfusmem/internal/xrand"
 )
@@ -244,6 +245,44 @@ func TestHotPathZeroAllocs(t *testing.T) {
 				t.Errorf("steady-state leg allocates %.2f allocs/op, want 0", allocs/16)
 			}
 		})
+	}
+}
+
+// TestTracedHotPathZeroAllocs is TestHotPathZeroAllocs with the span
+// recorder attached to an obfusmem-auth machine: once the ring has wrapped
+// and the attribution samples are at their cap, recording spans, instants
+// and request envelopes and the traced Read and Write legs allocate
+// nothing.
+func TestTracedHotPathZeroAllocs(t *testing.T) {
+	cfg := conformanceConfig(t, "obfusmem-auth")
+	cfg.Metrics = metrics.NewRegistry()
+	rec := trace.New(256)
+	cfg.Trace = rec
+	sys := system.New(cfg)
+	at := sim.Time(0)
+	step := func() {
+		for i := 0; i < 8; i++ {
+			addr := uint64(0x4000 + 64*i)
+			id := rec.BeginRequest(names.ReqRead, addr, at)
+			done := sys.Read(at, addr)
+			rec.EndRequest(id, done)
+			id = rec.BeginRequest(names.ReqWrite, addr+0x4000, at)
+			sys.Write(at, addr+0x4000)
+			rec.EndRequest(id, at+sim.Nanosecond)
+			rec.Span(trace.PIDCPU, "test", trace.CatOther, names.SpanFrontend, at, at+sim.Nanosecond,
+				trace.Int("i", int64(i)), trace.Str("s", "x"), trace.Float("f", 0.5), trace.Bool("b", true))
+			rec.Instant(trace.PIDCPU, "test", names.SpanDecode, at, trace.Uint("u", addr))
+			at += 400 * sim.Nanosecond
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if rec.Dropped() == 0 {
+		t.Fatal("warm-up did not wrap the span ring")
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("traced steady-state leg allocates %.2f allocs/op, want 0", allocs/16)
 	}
 }
 

@@ -354,8 +354,8 @@ func (b *Bus) Transfer(at sim.Time, p *Packet) (arrive sim.Time, delivered *Pack
 		}
 		b.tr.Span(pid, tid, trace.CatBus, legName(p), start,
 			start+hold+b.cfg.PropagationDelay,
-			trace.A("bytes", p.WireBytes()), trace.A("type", p.Type.String()),
-			trace.A("dummy", p.IsDummy), trace.A("seq", p.Seq))
+			trace.Int("bytes", int64(p.WireBytes())), trace.Str("type", p.Type.String()),
+			trace.Bool("dummy", p.IsDummy), trace.Uint("seq", p.Seq))
 	}
 
 	for _, o := range b.observers {
@@ -386,11 +386,20 @@ func (b *Bus) Transfer(at sim.Time, p *Packet) (arrive sim.Time, delivered *Pack
 }
 
 // legNames maps a packet's wire composition — bit 0 cmd, bit 1 data,
-// bit 2 mac — to its registered span name.
-var legNames = [8]names.Name{
-	names.LegNone, names.LegCmd, names.LegData, names.LegCmdData,
-	names.LegMAC, names.LegCmdMAC, names.LegDataMAC, names.LegCmdDataMAC,
-}
+// bit 2 mac — to its registered span name, and dummyLegNames to the Dummy
+// form of that name.
+var (
+	legNames = [8]names.Name{
+		names.LegNone, names.LegCmd, names.LegData, names.LegCmdData,
+		names.LegMAC, names.LegCmdMAC, names.LegDataMAC, names.LegCmdDataMAC,
+	}
+	dummyLegNames = func() (d [8]names.Name) {
+		for i, n := range legNames {
+			d[i] = names.Dummy(n)
+		}
+		return d
+	}()
+)
 
 // controlNames maps ControlKind to its registered span name.
 var controlNames = [...]names.Name{
@@ -416,11 +425,10 @@ func legName(p *Packet) names.Name {
 	if p.HasMAC {
 		idx |= 4
 	}
-	name := legNames[idx]
 	if p.IsDummy {
-		name = names.Dummy(name)
+		return dummyLegNames[idx]
 	}
-	return name
+	return legNames[idx]
 }
 
 // IdleAt reports whether a channel's request direction is idle at time t;

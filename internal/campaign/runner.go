@@ -337,8 +337,8 @@ func (r *Runner) commit(rec Record) error {
 		}
 		r.opts.Trace.Span(trace.PIDCPU, "campaign", trace.CatOther, name,
 			r.traceNow, r.traceNow+span,
-			trace.A("key", rec.Key), trace.A("scheme", c.Scheme),
-			trace.A("workload", c.Workload), trace.A("attempts", rec.Attempts))
+			trace.Str("key", rec.Key), trace.Str("scheme", c.Scheme),
+			trace.Str("workload", c.Workload), trace.Int("attempts", int64(rec.Attempts)))
 		r.traceNow += span
 	}
 	return nil

@@ -272,8 +272,8 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
 	if c.tr != nil {
 		// Channel pick: the RoRaBaChCo decode routing this request.
 		c.tr.Instant(trace.ChannelPID(co.Channel), "ctl", names.SpanDecode, at,
-			trace.A("rank", co.Rank), trace.A("bank", co.Bank),
-			trace.A("row", co.Row), trace.A("write", write))
+			trace.Int("rank", int64(co.Rank)), trace.Int("bank", int64(co.Bank)),
+			trace.Int("row", co.Row), trace.Bool("write", write))
 	}
 	row := co.Row
 	if c.levellers != nil && row < c.rowsPerBank {
@@ -288,7 +288,7 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
 				c.metMigr.Inc()
 				if c.tr != nil {
 					c.tr.Instant(trace.ChannelPID(co.Channel), "ctl",
-						names.SpanWearMigration, at, trace.A("src_row", src))
+						names.SpanWearMigration, at, trace.Int("src_row", int64(src)))
 				}
 				dev := c.devices[co.Channel]
 				done := dev.Access(at, co.Rank, co.Bank, int64(src), false)

@@ -117,10 +117,10 @@ func (c *Controller) requestCrypto(cs *chanState, ch int, at sim.Time, secondMAC
 	if c.tr != nil {
 		pid := trace.ChannelPID(ch)
 		c.tr.Span(pid, "proc-aes", trace.CatCrypto, names.SpanEncryptPads, at, encReady,
-			trace.A("pads", slotGroup))
+			trace.Int("pads", slotGroup))
 		if c.cfg.MAC != MACNone {
 			c.tr.Span(pid, "proc-md5", trace.CatCrypto, names.SpanMACRequest, at, sendReady,
-				trace.A("slack_ns", (sendReady-encReady).Float64Nanos()))
+				trace.Float("slack_ns", (sendReady-encReady).Float64Nanos()))
 		}
 	}
 	return encReady, sendReady
@@ -581,7 +581,7 @@ func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, deliv
 	decodeDone = pregenReady(cs.memReqEng, arrive, 1) + SerDesLatency
 	if c.tr != nil {
 		c.tr.Span(trace.ChannelPID(ch), "mem-aes", trace.CatCrypto, names.SpanMemDecode,
-			arrive, decodeDone, trace.A("ctr", ctr), trace.A("dummy", delivered.IsDummy))
+			arrive, decodeDone, trace.Uint("ctr", ctr), trace.Bool("dummy", delivered.IsDummy))
 	}
 	if c.cfg.MAC != MACNone {
 		cs.memMAC.Issue(arrive) // verification digest (off the PCM critical path)
@@ -652,7 +652,7 @@ func (c *Controller) reply(cs *chanState, ch int, readyAt sim.Time, forDummy boo
 	}
 	if c.tr != nil && sendReady > readyAt {
 		c.tr.Span(trace.ChannelPID(ch), "mem-aes", trace.CatCrypto, names.SpanReplyEncrypt,
-			readyAt, sendReady, trace.A("dummy", forDummy))
+			readyAt, sendReady, trace.Bool("dummy", forDummy))
 	}
 	arrive, delivered := c.bus.Transfer(sendReady, pkt)
 	c.lastReplyLost = delivered == nil

@@ -49,7 +49,7 @@ func (c *Controller) ReadBlock(at sim.Time, addr uint64, blk *memctl.Block) (don
 		c.met.substitutedPairs.Inc()
 		if c.tr != nil {
 			c.tr.Instant(trace.PIDCPU, "frontend", names.SpanSubstituteReal, at,
-				trace.A("write_addr", w.addr))
+				trace.Uint("write_addr", w.addr))
 		}
 	}
 

@@ -259,7 +259,7 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		at := failAt + c.retryBackoff(attempt)
 		if c.tr != nil {
 			c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryBackoff, failAt, at,
-				trace.A("attempt", attempt))
+				trace.Int("attempt", int64(attempt)))
 		}
 		rdone, rok := c.resync(cs, ch, at)
 		if !rok {
@@ -301,7 +301,7 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		c.met.recovered.Inc()
 		c.met.recoveryNS.Observe((done - firstFail).Float64Nanos())
 		c.tr.Instant(trace.ChannelPID(ch), "recovery", names.SpanRecovered, done,
-			trace.A("attempt", attempt))
+			trace.Int("attempt", int64(attempt)))
 		return done, ok
 	}
 	return c.quarantineChannel(cs, ch, h, failAt)
@@ -333,7 +333,7 @@ func (c *Controller) quarantineChannel(cs *chanState, ch int, h half, at sim.Tim
 		c.met.quarantines.Inc()
 		c.events = append(c.events, QuarantineEvent{Channel: ch, At: at, Attempts: c.retryBudget()})
 		c.tr.Instant(trace.ChannelPID(ch), "recovery", names.SpanQuarantine, at,
-			trace.A("attempts", c.retryBudget()))
+			trace.Int("attempts", int64(c.retryBudget())))
 	}
 	c.legFailed(h.dummy, true)
 	return at, false

@@ -275,7 +275,7 @@ func (c *Controller) flushEvictions(at sim.Time) {
 	}
 	if c.tr != nil {
 		c.tr.Span(trace.PIDCPU, "palermo", trace.CatOther, names.SpanEvictFlush, at, last,
-			trace.A("blocks", len(c.evict)))
+			trace.Int("blocks", int64(len(c.evict))))
 	}
 	c.evict = c.evict[:0]
 	c.sinceFlush = 0
@@ -331,7 +331,7 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) (done sim.Time
 	}
 	if c.tr != nil {
 		c.tr.Span(trace.PIDCPU, "palermo", trace.CatBus, names.SpanPathRead, issue, latest,
-			trace.A("blocks", c.cfg.PathBlocks))
+			trace.Int("blocks", int64(c.cfg.PathBlocks)))
 	}
 
 	// Eviction phase: the real block is re-encrypted under a fresh position

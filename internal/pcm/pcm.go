@@ -277,7 +277,7 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 			d.tr.Span(pid, d.bankTID[idx], trace.CatQueue, names.SpanBankWait, reqAt, start)
 		}
 		d.tr.Span(pid, d.bankTID[idx], trace.CatPCM, kind, start, start+latency,
-			trace.A("row", row), trace.A("write", write))
+			trace.Int("row", row), trace.Bool("write", write))
 	}
 	if b.openRow != row {
 		// A freshly activated row starts clean; the previous row's dirty

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
 	"obfusmem/internal/sim"
@@ -16,15 +16,6 @@ import (
 // residual. This is what lets the attribution table make the paper's
 // Section 5 decomposition arguments (MAC overlap, dummy piggybacking)
 // inspectable per request instead of only in aggregate.
-
-// catPriority resolves overlapping spans: service over waiting.
-var catPriority = [numCategories]int{
-	CatPCM:    4,
-	CatBus:    3,
-	CatCrypto: 2,
-	CatQueue:  1,
-	CatOther:  0,
-}
 
 // Breakdown is one request's exact latency partition, in picoseconds.
 type Breakdown struct {
@@ -42,65 +33,48 @@ func (b Breakdown) ResidualPS() int64 {
 	return s
 }
 
-// breakdown computes the partition of [begin, end] over the component
-// spans via a sweep over elementary intervals.
-func breakdown(begin, end sim.Time, spans []Span) Breakdown {
+// interval is one component span of the open request.
+type interval struct {
+	b, e sim.Time
+	cat  Category
+}
+
+// breakdown computes the partition of [begin, end] over the open request's
+// component spans (r.cur, clipped in place): it cuts the window at every
+// span boundary and gives each elementary interval to the highest-priority
+// category covering it. r.cuts and r.best are its reused scratch.
+func (r *Recorder) breakdown(begin, end sim.Time) Breakdown {
 	bd := Breakdown{TotalPS: int64(end - begin)}
 	if end <= begin {
 		return bd
 	}
-	// Collect clipped, non-empty intervals.
-	type iv struct {
-		b, e sim.Time
-		cat  Category
+	ivs := r.cur[:0]
+	cuts := append(r.cuts[:0], begin, end)
+	for _, v := range r.cur {
+		v.b, v.e = max(v.b, begin), min(v.e, end)
+		if v.e > v.b {
+			ivs = append(ivs, v)
+			cuts = append(cuts, v.b, v.e)
+		}
 	}
-	ivs := make([]iv, 0, len(spans))
-	cuts := make([]sim.Time, 0, 2*len(spans)+2)
-	for _, s := range spans {
-		if s.Phase != PhaseSpan {
-			continue
-		}
-		b, e := s.Begin, s.End
-		if b < begin {
-			b = begin
-		}
-		if e > end {
-			e = end
-		}
-		if e <= b {
-			continue
-		}
-		ivs = append(ivs, iv{b, e, s.Cat})
-		cuts = append(cuts, b, e)
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	r.cuts = cuts
+	// best[k] is the category of [cuts[k], cuts[k+1]); categories are
+	// declared in priority order, and an uncovered interval is "other".
+	best := r.best[:0]
+	for range len(cuts) - 1 {
+		best = append(best, CatOther)
 	}
-	if len(ivs) == 0 {
-		bd.Parts[CatOther] = bd.TotalPS
-		return bd
-	}
-	cuts = append(cuts, begin, end)
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	prev := begin
-	for _, c := range cuts {
-		if c <= prev {
-			continue
+	r.best = best
+	for _, v := range ivs {
+		k, _ := slices.BinarySearch(cuts, v.b)
+		for ; cuts[k] < v.e; k++ {
+			best[k] = max(best[k], v.cat)
 		}
-		// Elementary interval [prev, c): pick the highest-priority
-		// covering category ("other" when uncovered).
-		best := CatOther
-		covered := false
-		for _, v := range ivs {
-			if v.b <= prev && v.e >= c {
-				if !covered || catPriority[v.cat] > catPriority[best] {
-					best = v.cat
-				}
-				covered = true
-			}
-		}
-		bd.Parts[best] += int64(c - prev)
-		prev = c
 	}
-	if prev < end {
-		bd.Parts[CatOther] += int64(end - prev)
+	for k, c := range best {
+		bd.Parts[c] += int64(cuts[k+1] - cuts[k])
 	}
 	return bd
 }

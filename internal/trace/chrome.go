@@ -3,10 +3,13 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
+	"strings"
 
 	"obfusmem/internal/sim"
 )
@@ -18,12 +21,13 @@ import (
 // in nanoseconds. pid maps to a memory channel (pid 0 is the processor
 // side) and tid to one engine, link, or bank within it.
 //
-// The exporter streams: it walks the ring in place, sorts an index, and
-// appends each event straight into a buffered writer. Its output is byte
-// for byte what encoding/json writes for the equivalent object (field
-// order, omitempty, sorted args keys, HTML-safe strings, ES6 number
-// formatting); the reference encoding/json exporter in chrome_test.go and
-// FuzzChromeExport hold it to that.
+// The exporter streams: it walks the ring in place, sorts a key array of
+// begin times, and appends each event straight into a buffered writer,
+// copying the JSON encodings the intern table holds for its strings. Its
+// output is byte for byte what encoding/json writes for the equivalent
+// object (field order, omitempty, sorted args keys, HTML-safe strings, ES6
+// number formatting); the reference encoding/json exporter in
+// chrome_test.go and FuzzChromeExport hold it to that.
 
 const psPerMicro = 1e6
 
@@ -32,50 +36,47 @@ const psPerMicro = 1e6
 // silent; callers should additionally surface it to the user.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	n := r.Len()
-
-	// Intern (pid, tid-name) pairs to integer tids in first-seen order so
-	// Perfetto shows "channel 1 / req-link" style tracks.
-	type trackKey struct {
-		pid int
-		tid string
+	var syms []symEntry
+	if r != nil {
+		syms = r.syms.entries
 	}
-	tracks := make(map[trackKey]int32)
+
+	// Intern (pid, tid) pairs to integer tracks in first-seen order so
+	// Perfetto shows "channel 1 / req-link" style tracks. tracks[p][tid] is
+	// the track of pids[p] and tid, 0 until seen.
+	type trackKey struct {
+		pid int32
+		tid sym
+	}
 	var order []trackKey
-	var pids []int
-	// idx is the export order (ring positions); trk[i] is span i's track.
-	idx, trk := make([]int32, n), make([]int32, n)
+	var pids []int32
+	var tracks [][]int32
+	// trk[i] is span i's track; lo and hi bound the begin times.
+	trk := make([]int32, n)
+	lo, hi := sim.Time(math.MaxInt64), sim.Time(math.MinInt64)
 	for i := range n {
 		s := r.at(i)
-		k := trackKey{s.PID, s.TID}
-		t, ok := tracks[k]
-		if !ok {
-			t = int32(len(order) + 1)
-			tracks[k] = t
-			order = append(order, k)
-			if !slices.Contains(pids, s.PID) {
-				pids = append(pids, s.PID)
-			}
+		p := slices.Index(pids, s.pid)
+		if p < 0 {
+			p = len(pids)
+			pids = append(pids, s.pid)
+			tracks = append(tracks, make([]int32, len(syms)))
 		}
-		idx[i], trk[i] = int32(i), t
+		t := &tracks[p][s.tid]
+		if *t == 0 {
+			order = append(order, trackKey{s.pid, s.tid})
+			*t = int32(len(order))
+		}
+		trk[i] = *t
+		lo, hi = min(lo, s.begin), max(hi, s.begin)
 	}
 	// process_name metadata goes out in ascending pid order, after the
 	// thread_name metadata: pid discovery order depends on which component
 	// traced first, the sorted order does not.
 	slices.Sort(pids)
-	// Stable time order: viewers do not require it, but it keeps the export
-	// deterministic and per-track monotonic.
-	slices.SortStableFunc(idx, func(a, b int32) int {
-		ta, tb := tsKey(r.at(int(a)).Begin), tsKey(r.at(int(b)).Begin)
-		switch {
-		case ta < tb:
-			return -1
-		case ta > tb:
-			return 1
-		}
-		return 0
-	})
+	idx := r.exportOrder(n, lo, hi)
 
-	e := chromeEncoder{w: bufio.NewWriterSize(w, 64<<10)}
+	e := chromeEncoder{w: bufio.NewWriterSize(w, 64<<10), syms: syms, rank: symRanks(syms)}
 	b := e.next()
 	b = append(b, `{"displayTimeUnit":"ns","otherData":{"droppedSpans":`...)
 	b = strconv.AppendUint(b, r.Dropped(), 10)
@@ -97,14 +98,14 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if _, err := e.w.Write(appendMetadata(b, "thread_name", k.pid, i+1, k.tid)); err != nil {
+		if _, err := e.w.Write(appendMetadata(b, "thread_name", k.pid, i+1, syms[k.tid].json)); err != nil {
 			return err
 		}
 	}
 	for _, pid := range pids {
-		name := "cpu"
+		name := `"cpu"`
 		if pid > 0 {
-			name = "channel " + strconv.Itoa(pid-1)
+			name = `"channel ` + strconv.Itoa(int(pid-1)) + `"`
 		}
 		if _, err := e.w.Write(appendMetadata(append(e.next(), ','), "process_name", pid, 0, name)); err != nil {
 			return err
@@ -129,20 +130,99 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return e.w.Flush()
 }
 
+// exportOrder returns the n retained spans' positions in stable time
+// order: by emitted begin time, ties in ring order. Viewers do not require
+// it, but it keeps the export deterministic and per-track monotonic. When
+// every begin time lies in [0, 2^52), where distinct times emit distinct
+// timestamps in the same order, and an offset from lo and a position fit
+// in one word together, it radix-sorts the offsets; otherwise it sorts
+// (timestamp, position) pairs.
+func (r *Recorder) exportOrder(n int, lo, hi sim.Time) []int32 {
+	idx := make([]int32, n)
+	posBits, offBits := uint(bits.Len(uint(n))), uint(bits.Len64(uint64(hi-lo)))
+	if lo >= 0 && hi < 1<<52 && posBits+offBits <= 64 {
+		// words[i] packs span i's offset above its position; an LSD radix
+		// sort over the offset bytes is stable, so ties keep ring order.
+		words, tmp := make([]uint64, n), make([]uint64, n)
+		for i := range n {
+			words[i] = uint64(r.at(i).begin-lo)<<posBits | uint64(i)
+		}
+		for shift := posBits; shift < posBits+offBits; shift += 8 {
+			var count [256]int
+			for _, w := range words {
+				count[byte(w>>shift)]++
+			}
+			sum := 0
+			for d, c := range count {
+				count[d], sum = sum, sum+c
+			}
+			for _, w := range words {
+				d := byte(w >> shift)
+				tmp[count[d]] = w
+				count[d]++
+			}
+			words, tmp = tmp, words
+		}
+		for i, w := range words {
+			idx[i] = int32(w & (1<<posBits - 1))
+		}
+		return idx
+	}
+	type key struct {
+		ts float64
+		i  int32
+	}
+	keys := make([]key, n)
+	for i := range n {
+		keys[i] = key{tsKey(r.at(i).begin), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.ts < b.ts:
+			return -1
+		case a.ts > b.ts:
+			return 1
+		}
+		return int(a.i - b.i)
+	})
+	for i, k := range keys {
+		idx[i] = k.i
+	}
+	return idx
+}
+
 // tsKey is the export's sort key: the span's begin time as emitted.
 func tsKey(t sim.Time) float64 { return float64(t) / psPerMicro }
+
+// symRanks returns each sym's position in the byte order of the interned
+// strings, the order encoding/json sorts map keys in.
+func symRanks(syms []symEntry) []int32 {
+	bySym := make([]sym, len(syms))
+	for i := range bySym {
+		bySym[i] = sym(i)
+	}
+	slices.SortFunc(bySym, func(a, b sym) int { return strings.Compare(syms[a].s, syms[b].s) })
+	rank := make([]int32, len(syms))
+	for i, id := range bySym {
+		rank[id] = int32(i)
+	}
+	return rank
+}
 
 // chromeEncoder appends each event into the free tail of its buffered
 // writer, so a typical event is encoded in place with no copy.
 type chromeEncoder struct {
 	w    *bufio.Writer
+	syms []symEntry
+	rank []int32  // symRanks(syms)
 	args []argRef // scratch for one event's args, reused
 }
 
-// argRef names one args entry: Args[i], or the request tag when i < 0.
+// argRef names one args entry: the record's arg i, or the request tag
+// when i < 0.
 type argRef struct {
-	key string
-	i   int
+	rank int32 // the key's rank
+	i    int
 }
 
 // next returns the writer's free buffer to append the next event to,
@@ -155,8 +235,9 @@ func (e *chromeEncoder) next() []byte {
 	return e.w.AvailableBuffer()
 }
 
-// appendMetadata appends one "M" event naming a thread or process.
-func appendMetadata(b []byte, kind string, pid, tid int, name string) []byte {
+// appendMetadata appends one "M" event naming a thread or process; name is
+// already JSON-encoded.
+func appendMetadata(b []byte, kind string, pid int32, tid int, name string) []byte {
 	b = append(b, `{"name":"`...)
 	b = append(b, kind...)
 	b = append(b, `","ph":"M","ts":0,"pid":`...)
@@ -164,30 +245,30 @@ func appendMetadata(b []byte, kind string, pid, tid int, name string) []byte {
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"args":{"name":`...)
-	b = appendString(b, name)
+	b = append(b, name...)
 	return append(b, "}}"...)
 }
 
 // appendSpan appends one "X" or "i" event on integer track tid.
-func (e *chromeEncoder) appendSpan(b []byte, s *Span, tid int32) ([]byte, error) {
+func (e *chromeEncoder) appendSpan(b []byte, s *record, tid int32) ([]byte, error) {
 	b = append(b, `{"name":`...)
-	b = appendString(b, s.Name)
-	b = append(b, `,"cat":`...)
-	b = appendString(b, s.Cat.String())
-	if s.Phase == PhaseInstant {
-		b = append(b, `,"ph":"i","ts":`...)
-		b = appendMicros(b, int64(s.Begin))
+	b = append(b, e.syms[s.name].json...)
+	b = append(b, `,"cat":"`...)
+	b = append(b, s.cat.String()...)
+	if s.phase == PhaseInstant {
+		b = append(b, `","ph":"i","ts":`...)
+		b = appendMicros(b, int64(s.begin))
 	} else {
-		b = append(b, `,"ph":"X","ts":`...)
-		b = appendMicros(b, int64(s.Begin))
+		b = append(b, `","ph":"X","ts":`...)
+		b = appendMicros(b, int64(s.begin))
 		b = append(b, `,"dur":`...)
-		b = appendMicros(b, int64(s.End-s.Begin))
+		b = appendMicros(b, int64(s.end-s.begin))
 	}
 	b = append(b, `,"pid":`...)
-	b = strconv.AppendInt(b, int64(s.PID), 10)
+	b = strconv.AppendInt(b, int64(s.pid), 10)
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
-	if s.Phase == PhaseInstant {
+	if s.phase == PhaseInstant {
 		b = append(b, `,"s":"t"`...)
 	}
 	b, err := e.appendArgs(b, s)
@@ -195,73 +276,77 @@ func (e *chromeEncoder) appendSpan(b []byte, s *Span, tid int32) ([]byte, error)
 }
 
 // appendArgs writes the args object as encoding/json writes the export's
-// map[string]any: keys sorted, "req" set first so a later Arg with the
+// map[string]any: keys sorted, "req" set first so a later arg with the
 // same key replaces it, and the last of several equal keys winning.
-func (e *chromeEncoder) appendArgs(b []byte, s *Span) ([]byte, error) {
-	if len(s.Args) == 0 && s.Req == 0 {
+func (e *chromeEncoder) appendArgs(b []byte, s *record) ([]byte, error) {
+	if s.nargs == 0 && s.req == 0 {
 		return b, nil
 	}
 	e.args = e.args[:0]
-	if s.Req != 0 {
-		e.args = append(e.args, argRef{key: "req", i: -1})
+	if s.req != 0 {
+		e.args = append(e.args, argRef{rank: e.rank[symReq], i: -1})
 	}
-	for i, a := range s.Args {
-		e.args = append(e.args, argRef{key: a.Key, i: i})
+	for i, k := range s.keys[:s.nargs] {
+		e.args = append(e.args, argRef{rank: e.rank[k], i: i})
 	}
 	// Insertion sort: a handful of keys, stable, and allocation-free.
 	for i := 1; i < len(e.args); i++ {
-		for j := i; j > 0 && e.args[j].key < e.args[j-1].key; j-- {
+		for j := i; j > 0 && e.args[j].rank < e.args[j-1].rank; j-- {
 			e.args[j], e.args[j-1] = e.args[j-1], e.args[j]
 		}
 	}
 	b = append(b, `,"args":{`...)
 	first := true
 	for i, a := range e.args {
-		if i+1 < len(e.args) && e.args[i+1].key == a.key {
+		if i+1 < len(e.args) && e.args[i+1].rank == a.rank {
 			continue // a later duplicate wins
 		}
 		if !first {
 			b = append(b, ',')
 		}
 		first = false
-		b = appendString(b, a.key)
-		b = append(b, ':')
 		if a.i < 0 {
-			b = strconv.AppendUint(b, s.Req, 10)
+			b = append(b, `"req":`...)
+			b = strconv.AppendUint(b, s.req, 10)
 			continue
 		}
+		b = append(b, e.syms[s.keys[a.i]].json...)
+		b = append(b, ':')
 		var err error
-		if b, err = appendValue(b, s.Args[a.i].Val); err != nil {
+		if b, err = e.appendValue(b, s, a.i); err != nil {
 			return b, err
 		}
 	}
 	return append(b, '}'), nil
 }
 
-// appendValue appends v as encoding/json would. The cases cover every
-// type the tracing sites pass; anything else goes through json.Marshal.
-func appendValue(b []byte, v any) ([]byte, error) {
-	switch v := v.(type) {
-	case string:
-		return appendString(b, v), nil
-	case bool:
-		return strconv.AppendBool(b, v), nil
-	case int:
+// appendValue appends the record's arg i as encoding/json encodes its
+// Value.
+func (e *chromeEncoder) appendValue(b []byte, s *record, i int) ([]byte, error) {
+	v := s.vals[i]
+	switch s.kinds[i] {
+	case argInt:
 		return strconv.AppendInt(b, int64(v), 10), nil
-	case int64:
-		return strconv.AppendInt(b, v, 10), nil
-	case uint64:
+	case argUint:
 		return strconv.AppendUint(b, v, 10), nil
-	case float64:
-		if !math.IsInf(v, 0) && !math.IsNaN(v) {
-			return appendFloat(b, v), nil
+	case argBool:
+		return strconv.AppendBool(b, v != 0), nil
+	case argFloat:
+		f := math.Float64frombits(v)
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return b, fmt.Errorf("trace: span %q arg %q: unsupported value %v",
+				e.syms[s.name].s, e.syms[s.keys[i]].s, f)
 		}
+		return appendFloat(b, f), nil
+	case argStr:
+		return append(b, e.syms[v].json...), nil
+	case argNS:
+		return appendNanos(b, int64(v)), nil
+	default:
+		b = append(b, `"0x`...)
+		b = strconv.AppendUint(b, v, 16)
+		return append(b, '"'), nil
 	}
-	enc, err := json.Marshal(v)
-	if err != nil {
-		return b, err
-	}
-	return append(b, enc...), nil
 }
 
 // appendString appends s as a JSON string. Printable ASCII other than
@@ -289,23 +374,35 @@ func appendMicros(b []byte, ps int64) []byte {
 	if ps < 0 || ps >= 1<<52 {
 		return appendFloat(b, float64(ps)/psPerMicro)
 	}
-	b = strconv.AppendInt(b, ps/1e6, 10)
-	frac := ps % 1e6
+	return appendFrac(strconv.AppendInt(b, ps/1e6, 10), ps%1e6, 6)
+}
+
+// appendNanos appends ps picoseconds as the nanosecond number
+// encoding/json writes for psToNS(ps), by appendMicros' argument: below
+// 2^52 the doubles near ps/10^3 are closer than 1e-3 apart.
+func appendNanos(b []byte, ps int64) []byte {
+	if ps < 0 || ps >= 1<<52 {
+		return appendFloat(b, psToNS(ps))
+	}
+	return appendFrac(strconv.AppendInt(b, ps/1e3, 10), ps%1e3, 3)
+}
+
+// appendFrac appends the fraction frac/10^digits, 0 <= frac < 10^digits,
+// as a point and its digits with trailing zeros trimmed; nothing when it is
+// zero.
+func appendFrac(b []byte, frac int64, digits int) []byte {
 	if frac == 0 {
 		return b
 	}
-	digits := 6
-	for frac%10 == 0 {
-		frac /= 10
-		digits--
-	}
-	b = append(b, '.')
 	var tmp [6]byte
 	for i := digits - 1; i >= 0; i-- {
 		tmp[i] = byte('0' + frac%10)
 		frac /= 10
 	}
-	return append(b, tmp[:digits]...)
+	for tmp[digits-1] == '0' {
+		digits--
+	}
+	return append(append(b, '.'), tmp[:digits]...)
 }
 
 // appendFloat appends a finite f as encoding/json does: ES6 number form,

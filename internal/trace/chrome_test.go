@@ -70,7 +70,7 @@ func referenceChromeTrace(r *Recorder, w io.Writer) error {
 				ev.Args["req"] = s.Req
 			}
 			for _, a := range s.Args {
-				ev.Args[a.Key] = a.Val
+				ev.Args[a.Key] = a.Value()
 			}
 		}
 		if s.Phase == PhaseInstant {
@@ -144,24 +144,24 @@ func checkAgainstReference(t *testing.T, r *Recorder) {
 	}
 }
 
-// exportRecorder records n spans shaped like a traced ObfusMem run: request
-// envelopes around bus, crypto and PCM spans on a fixed set of tracks,
-// decode instants, and args of every type the tracing sites pass.
-func exportRecorder(n int) *Recorder {
-	r := New(n)
+// exportRecorder records total spans into a ring of limit spans, shaped
+// like a traced ObfusMem run: request envelopes around bus, crypto and PCM
+// spans on a fixed set of tracks, decode instants, and args of every kind.
+func exportRecorder(limit, total int) *Recorder {
+	r := New(limit)
 	at := sim.Time(0)
-	for r.Len() < n {
+	for r.Len()+int(r.Dropped()) < total {
 		ch := int(at/1000) % 2
 		pid := ChannelPID(ch)
 		id := r.BeginRequest(names.ReqRead, uint64(at)*64, at)
-		r.Span(pid, "proc-aes", CatCrypto, names.SpanEncryptPads, at, at+3100, A("pads", 2))
-		r.Span(pid, "proc-md5", CatCrypto, names.SpanMACRequest, at, at+7300, A("slack_ns", 4.2))
+		r.Span(pid, "proc-aes", CatCrypto, names.SpanEncryptPads, at, at+3100, Int("pads", 2))
+		r.Span(pid, "proc-md5", CatCrypto, names.SpanMACRequest, at, at+7300, Float("slack_ns", 4.2))
 		r.Span(pid, "req-link", CatBus, "read", at+3100, at+9100,
-			A("bytes", 72), A("type", "read"), A("dummy", false), A("seq", uint64(at)))
+			Int("bytes", 72), Str("type", "read"), Bool("dummy", false), Uint("seq", uint64(at)))
 		r.Instant(pid, "ctl", names.SpanDecode, at+9100,
-			A("rank", 0), A("bank", ch), A("row", int64(at/64)), A("write", false))
+			Int("rank", 0), Int("bank", int64(ch)), Int("row", int64(at/64)), Bool("write", false))
 		r.Span(pid, fmt.Sprintf("bank %d", ch), CatPCM, names.SpanRowMiss, at+9100, at+69100,
-			A("row", int64(at/64)), A("write", false))
+			Int("row", int64(at/64)), Bool("write", false))
 		r.EndRequest(id, at+80000)
 		at += 1337
 	}
@@ -172,11 +172,7 @@ func exportRecorder(n int) *Recorder {
 // reference on recorders that wrap inside and across span chunks.
 func TestChromeExportMatchesReference(t *testing.T) {
 	for _, limit := range []int{1, 5, chunkSpans, chunkSpans + 904} {
-		r := New(limit)
-		fill := exportRecorder(3 * limit)
-		for _, s := range fill.Spans() {
-			r.push(s)
-		}
+		r := exportRecorder(limit, 3*limit)
 		if r.Dropped() == 0 {
 			t.Fatalf("limit %d: ring did not wrap", limit)
 		}
@@ -216,8 +212,9 @@ func TestRingChunks(t *testing.T) {
 	}
 }
 
-// TestAppendMicros compares the integer-picosecond timestamp formatter with
-// encoding/json's rendering of float64(ps)/1e6 on edge and random values.
+// TestAppendMicros compares the integer-picosecond formatters with
+// encoding/json's rendering of float64(ps)/1e6 (timestamps) and
+// float64(ps)/1e3 (the envelope's breakdown) on edge and random values.
 func TestAppendMicros(t *testing.T) {
 	vals := []int64{0, 1, 9, 10, 999_999, 1_000_000, 1_000_001, 123_456_789,
 		1<<52 - 1, 1 << 52, 1<<52 + 1, 1 << 53, 1<<53 + 1, math.MaxInt64, -1, -1_500_000, math.MinInt64}
@@ -233,13 +230,20 @@ func TestAppendMicros(t *testing.T) {
 		if got := appendMicros(nil, ps); !bytes.Equal(got, want) {
 			t.Fatalf("appendMicros(%d) = %s, want %s", ps, got, want)
 		}
+		want, err = json.Marshal(psToNS(ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendNanos(nil, ps); !bytes.Equal(got, want) {
+			t.Fatalf("appendNanos(%d) = %s, want %s", ps, got, want)
+		}
 	}
 }
 
 // TestChromeExportAllocs is the export's perf gate: a fixed number of
 // allocations per export, whatever the span count.
 func TestChromeExportAllocs(t *testing.T) {
-	small, large := exportRecorder(1_000), exportRecorder(10_000)
+	small, large := exportRecorder(1_000, 1_000), exportRecorder(10_000, 10_000)
 	export := func(r *Recorder) func() {
 		return func() {
 			if err := r.WriteChromeTrace(io.Discard); err != nil {
@@ -258,7 +262,7 @@ func TestChromeExportAllocs(t *testing.T) {
 
 // BenchmarkWriteChromeTrace measures the export of a 10k-span recorder.
 func BenchmarkWriteChromeTrace(b *testing.B) {
-	r := exportRecorder(10_000)
+	r := exportRecorder(10_000, 10_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
@@ -267,10 +271,6 @@ func BenchmarkWriteChromeTrace(b *testing.B) {
 		}
 	}
 }
-
-// fuzzCount is a named integer type: no fast-path case matches it, so its
-// args take the reflection fallback.
-type fuzzCount int
 
 // fuzzStrings are names, TIDs and arg strings that need JSON escaping:
 // quotes, control bytes, HTML-unsafe <>&, invalid UTF-8, U+2028/U+2029.
@@ -317,28 +317,23 @@ func fuzzRecorder(data []byte) *Recorder {
 			return sim.Time(binary.LittleEndian.Uint16([]byte{next(), next()}))*1000 + sim.Time(next())
 		}
 	}
-	val := func() any {
-		switch next() % 10 {
+	arg := func() Arg {
+		key := str()
+		switch next() % 7 {
 		case 0:
-			return str()
+			return Str(key, str())
 		case 1:
-			return next()&1 == 1
+			return Bool(key, next()&1 == 1)
 		case 2:
-			return int(int8(next()))
+			return Int(key, int64(int8(next())))
 		case 3:
-			return int64(next8())
+			return Int(key, int64(next8()))
 		case 4:
-			return next8()
+			return Uint(key, next8())
 		case 5:
-			return math.Float64frombits(next8()) // NaN and Inf included
-		case 6:
-			return float64(int8(next())) / 7
-		case 7:
-			return fuzzCount(int8(next()))
-		case 8:
-			return float32(next()) / 3
+			return Float(key, math.Float64frombits(next8())) // NaN and Inf included
 		default:
-			return nil
+			return Float(key, float64(int8(next()))/7)
 		}
 	}
 	r := New(1 + int(next()%24))
@@ -350,7 +345,7 @@ func fuzzRecorder(data []byte) *Recorder {
 		end := begin + sim.Time(next())*37
 		var args []Arg
 		for range next() % 4 {
-			args = append(args, A(str(), val()))
+			args = append(args, arg())
 		}
 		switch op % 4 {
 		case 0:

@@ -5,9 +5,12 @@
 //
 // It follows the same off-by-default discipline as internal/metrics: a nil
 // *Recorder is the disabled recorder, every method on it is a single-branch
-// no-op, and components keep permanent recorder fields they call
-// unconditionally — except where building span arguments would allocate, in
-// which case hot paths guard with a nil check first.
+// no-op, and components keep permanent recorder fields. Span arguments are
+// typed values (Int, Uint, Bool, Float, Str) that box nothing, and the
+// recorder copies them into its own storage, so once the ring's chunks exist
+// an enabled recorder records spans without allocating. Call sites that
+// build arguments still guard with a nil check, which keeps an untraced run
+// from building them at all.
 //
 // Three consumers sit on top of the recorder:
 //
@@ -24,10 +27,16 @@
 // Retention is a ring buffer of fixed-size chunks allocated on demand: once
 // the configured span limit is reached the oldest spans are evicted and
 // counted in Dropped(). Truncation is never silent — exporters embed the
-// dropped count and callers are expected to surface it.
+// dropped count and callers are expected to surface it. Each span is a
+// fixed-size record with no Go pointers: names, TIDs, arg keys and string
+// values are ids into a recorder-local intern table that keeps each
+// string's JSON encoding, so the garbage collector never scans the ring and
+// the export copies pre-encoded bytes.
 package trace
 
 import (
+	"math"
+
 	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
 )
@@ -35,8 +44,9 @@ import (
 // Category classifies a span for latency attribution.
 type Category int8
 
-// Attribution categories. Priority for overlapping spans is resolved in
-// favour of service over waiting: PCM > Bus > Crypto > Queue > Other.
+// Attribution categories, declared in ascending priority: overlapping spans
+// resolve in favour of service over waiting, PCM > Bus > Crypto > Queue >
+// Other.
 const (
 	CatOther Category = iota
 	CatQueue
@@ -68,15 +78,71 @@ const PIDCPU = 0
 // ChannelPID maps a memory channel index to its Chrome-trace process ID.
 func ChannelPID(ch int) int { return ch + 1 }
 
-// Arg is one key/value pair attached to a span. Values should be small and
-// JSON-encodable (strings, integers, floats, bools).
+// Arg is one typed key/value pair attached to a span, built by Int, Uint,
+// Bool, Float or Str. The recorder copies it into the span's record,
+// so a caller may reuse its args slice.
 type Arg struct {
-	Key string
-	Val any
+	Key  string
+	kind argKind
+	num  uint64 // the value for every kind but argStr: int64 bits, float64 bits, 0/1
+	str  string // the argStr value
 }
 
-// A is a convenience constructor for Arg.
-func A(key string, val any) Arg { return Arg{Key: key, Val: val} }
+type argKind uint8
+
+const (
+	argInt argKind = iota
+	argUint
+	argBool
+	argFloat
+	argStr
+	argHex // the request envelope's addr, exported as fmt's %#x string
+	argNS  // the request envelope's breakdown: picoseconds, exported in nanoseconds
+)
+
+// Int is an integer arg.
+func Int(key string, v int64) Arg { return Arg{Key: key, kind: argInt, num: uint64(v)} }
+
+// Uint is an unsigned integer arg.
+func Uint(key string, v uint64) Arg { return Arg{Key: key, kind: argUint, num: v} }
+
+// Bool is a boolean arg.
+func Bool(key string, v bool) Arg {
+	a := Arg{Key: key, kind: argBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
+
+// Float is a floating-point arg. A NaN or infinite value makes
+// WriteChromeTrace fail, as it has no JSON encoding.
+func Float(key string, v float64) Arg { return Arg{Key: key, kind: argFloat, num: math.Float64bits(v)} }
+
+// Str is a string arg.
+func Str(key, v string) Arg { return Arg{Key: key, kind: argStr, str: v} }
+
+// Value returns the arg's value as the export encodes it: an int64,
+// uint64, bool, float64 or string. The request envelope's addr is its
+// "0x..." string and its breakdown float64 nanoseconds.
+func (a Arg) Value() any {
+	switch a.kind {
+	case argInt:
+		return int64(a.num)
+	case argUint:
+		return a.num
+	case argBool:
+		return a.num != 0
+	case argFloat:
+		return math.Float64frombits(a.num)
+	case argStr:
+		return a.str
+	case argNS:
+		return psToNS(int64(a.num))
+	default:
+		return hex64(a.num)
+	}
+}
 
 // Phase distinguishes span shapes in the Chrome export.
 type Phase byte
@@ -87,7 +153,8 @@ const (
 	PhaseInstant Phase = 'i' // point event
 )
 
-// Span is one recorded interval (or instant) of component activity.
+// Span is one recorded interval (or instant) of component activity, as
+// Spans materialises it from the recorder's records.
 type Span struct {
 	Req   uint64 // enclosing request ID; 0 when outside any request
 	PID   int    // Chrome-trace process: PIDCPU or ChannelPID(ch)
@@ -98,6 +165,26 @@ type Span struct {
 	Begin sim.Time
 	End   sim.Time
 	Args  []Arg
+}
+
+// maxArgs is the most args one span carries; the request envelope uses
+// all of them.
+const maxArgs = 6
+
+// record is one retained span. It holds no Go pointers — strings are syms
+// in the recorder's intern table and args are typed numbers — so the
+// garbage collector never scans the ring's chunks.
+type record struct {
+	req        uint64
+	begin, end sim.Time
+	pid        int32
+	tid, name  sym
+	cat        Category
+	phase      Phase
+	nargs      uint8
+	kinds      [maxArgs]argKind
+	keys       [maxArgs]sym
+	vals       [maxArgs]uint64 // Arg.num, or the sym of an argStr value
 }
 
 // DefaultLimit is the default ring-buffer capacity (retained spans).
@@ -116,10 +203,11 @@ const chunkSpans = 4096
 // The nil Recorder is the disabled recorder: every method is a no-op.
 type Recorder struct {
 	limit   int
-	chunks  [][]Span // ring storage: span i lives at chunks[i/chunkSpans][i%chunkSpans]
-	n       int      // retained spans
-	next    int      // ring index of the oldest span once full (0 until then)
+	chunks  [][]record // ring storage: span i lives at chunks[i/chunkSpans][i%chunkSpans]
+	n       int        // retained spans
+	next    int        // ring index of the oldest span once full (0 until then)
 	dropped uint64
+	syms    symtab
 
 	// Current-request scope. The simulation services each request with a
 	// synchronous call tree, so component spans recorded between
@@ -129,7 +217,9 @@ type Recorder struct {
 	curKind  string
 	curAddr  uint64
 	curBegin sim.Time
-	cur      []Span // component spans of the open request (scratch)
+	cur      []interval // component spans of the open request (scratch)
+	cuts     []sim.Time // breakdown scratch
+	best     []Category // breakdown scratch
 
 	attrib attribState
 }
@@ -140,17 +230,17 @@ func New(limit int) *Recorder {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Recorder{limit: limit, attrib: newAttribState(limit)}
+	return &Recorder{limit: limit, syms: newSymtab(), attrib: newAttribState(limit)}
 }
 
 // Enabled reports whether the recorder records anything.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// slot returns the span at ring index i.
-func (r *Recorder) slot(i int) *Span { return &r.chunks[i/chunkSpans][i%chunkSpans] }
+// slot returns the record at ring index i.
+func (r *Recorder) slot(i int) *record { return &r.chunks[i/chunkSpans][i%chunkSpans] }
 
-// at returns the i-th oldest retained span.
-func (r *Recorder) at(i int) *Span {
+// at returns the i-th oldest retained record.
+func (r *Recorder) at(i int) *record {
 	i += r.next
 	if i >= r.limit {
 		i -= r.limit
@@ -158,28 +248,44 @@ func (r *Recorder) at(i int) *Span {
 	return r.slot(i)
 }
 
-// push appends a span to the ring, evicting the oldest when full.
-func (r *Recorder) push(s Span) {
+// alloc returns the ring slot for a new record, evicting the oldest when
+// the ring is full.
+func (r *Recorder) alloc() *record {
 	if r.n < r.limit {
 		if r.n == len(r.chunks)*chunkSpans {
-			r.chunks = append(r.chunks, make([]Span, min(chunkSpans, r.limit-r.n)))
+			r.chunks = append(r.chunks, make([]record, min(chunkSpans, r.limit-r.n)))
 		}
-		*r.slot(r.n) = s
 		r.n++
-		return
+		return r.slot(r.n - 1)
 	}
 	// Ring is full: overwrite the oldest retained span.
-	*r.slot(r.next) = s
+	s := r.slot(r.next)
 	r.next++
 	if r.next == r.limit {
 		r.next = 0
 	}
 	r.dropped++
+	return s
 }
 
-// Span records one component interval. No-op on a nil recorder; hot paths
-// that build Args should still guard with Enabled() (or a direct nil check)
-// to avoid the variadic allocation when tracing is off.
+// push records one span of the current request scope, copying its args.
+func (r *Recorder) push(pid int, tid string, cat Category, name string, ph Phase, begin, end sim.Time, args []Arg) {
+	if len(args) > maxArgs {
+		panic("trace: a span carries at most 6 args")
+	}
+	s := r.alloc()
+	*s = record{req: r.curReq, begin: begin, end: end, pid: int32(pid),
+		tid: r.syms.id(tid), name: r.syms.id(name), cat: cat, phase: ph, nargs: uint8(len(args))}
+	for i, a := range args {
+		s.kinds[i], s.keys[i], s.vals[i] = a.kind, r.syms.id(a.Key), a.num
+		if a.kind == argStr {
+			s.vals[i] = uint64(r.syms.id(a.str))
+		}
+	}
+}
+
+// Span records one component interval. No-op on a nil recorder. Once the
+// ring's chunks exist and its strings have been seen, it allocates nothing.
 func (r *Recorder) Span(pid int, tid string, cat Category, name names.Name, begin, end sim.Time, args ...Arg) {
 	if r == nil {
 		return
@@ -187,11 +293,9 @@ func (r *Recorder) Span(pid int, tid string, cat Category, name names.Name, begi
 	if end < begin {
 		end = begin
 	}
-	s := Span{Req: r.curReq, PID: pid, TID: tid, Cat: cat, Name: string(name),
-		Phase: PhaseSpan, Begin: begin, End: end, Args: args}
-	r.push(s)
+	r.push(pid, tid, cat, string(name), PhaseSpan, begin, end, args)
 	if r.curReq != 0 {
-		r.cur = append(r.cur, s)
+		r.cur = append(r.cur, interval{begin, end, cat})
 	}
 }
 
@@ -201,8 +305,7 @@ func (r *Recorder) Instant(pid int, tid string, name names.Name, at sim.Time, ar
 	if r == nil {
 		return
 	}
-	r.push(Span{Req: r.curReq, PID: pid, TID: tid, Cat: CatOther, Name: string(name),
-		Phase: PhaseInstant, Begin: at, End: at, Args: args})
+	r.push(pid, tid, CatOther, string(name), PhaseInstant, at, at, args)
 }
 
 // BeginRequest opens a request scope at its issue time and returns the
@@ -233,20 +336,17 @@ func (r *Recorder) EndRequest(id uint64, end sim.Time) {
 	if end < r.curBegin {
 		end = r.curBegin
 	}
-	bd := breakdown(r.curBegin, end, r.cur)
+	bd := r.breakdown(r.curBegin, end)
 	r.attrib.add(r.curKind, bd)
 	// The envelope is pushed after its components so chronological ring
 	// eviction drops components before their envelope.
-	r.push(Span{Req: id, PID: PIDCPU, TID: "requests", Cat: CatOther,
-		Name: r.curKind, Phase: PhaseSpan, Begin: r.curBegin, End: end,
-		Args: []Arg{
-			{Key: "addr", Val: hex64(r.curAddr)},
-			{Key: "queue_ns", Val: psToNS(bd.Parts[CatQueue])},
-			{Key: "bus_ns", Val: psToNS(bd.Parts[CatBus])},
-			{Key: "crypto_ns", Val: psToNS(bd.Parts[CatCrypto])},
-			{Key: "pcm_ns", Val: psToNS(bd.Parts[CatPCM])},
-			{Key: "other_ns", Val: psToNS(bd.Parts[CatOther])},
-		}})
+	s := r.alloc()
+	*s = record{req: id, begin: r.curBegin, end: end, pid: PIDCPU, tid: symRequests,
+		name: r.syms.id(r.curKind), cat: CatOther, phase: PhaseSpan, nargs: maxArgs,
+		kinds: [maxArgs]argKind{argHex, argNS, argNS, argNS, argNS, argNS},
+		keys:  [maxArgs]sym{symAddr, symQueueNS, symBusNS, symCryptoNS, symPCMNS, symOtherNS},
+		vals: [maxArgs]uint64{r.curAddr, uint64(bd.Parts[CatQueue]), uint64(bd.Parts[CatBus]),
+			uint64(bd.Parts[CatCrypto]), uint64(bd.Parts[CatPCM]), uint64(bd.Parts[CatOther])}}
 	r.curReq = 0
 	r.cur = r.cur[:0]
 }
@@ -258,7 +358,19 @@ func (r *Recorder) Spans() []Span {
 	}
 	out := make([]Span, r.n)
 	for i := range out {
-		out[i] = *r.at(i)
+		s := r.at(i)
+		out[i] = Span{Req: s.req, PID: int(s.pid), TID: r.syms.str(s.tid), Cat: s.cat,
+			Name: r.syms.str(s.name), Phase: s.phase, Begin: s.begin, End: s.end}
+		if s.nargs > 0 {
+			out[i].Args = make([]Arg, s.nargs)
+		}
+		for j := range out[i].Args {
+			a := Arg{Key: r.syms.str(s.keys[j]), kind: s.kinds[j], num: s.vals[j]}
+			if a.kind == argStr {
+				a.num, a.str = 0, r.syms.str(sym(s.vals[j]))
+			}
+			out[i].Args[j] = a
+		}
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
+	"obfusmem/internal/xrand"
 )
 
 // TestNilRecorderIsNoOp pins the off-by-default discipline: every method on
@@ -79,7 +80,7 @@ func TestBreakdownExact(t *testing.T) {
 		{Cat: CatCrypto, Phase: PhaseSpan, Begin: 110, End: 300}, // clipped at end=200
 		{Cat: CatBus, Phase: PhaseInstant, Begin: 95, End: 95},   // instants never attribute
 	}
-	bd := breakdown(0, 200, spans)
+	bd := breakdownOf(0, 200, spans)
 	if bd.TotalPS != 200 {
 		t.Fatalf("TotalPS = %d", bd.TotalPS)
 	}
@@ -100,11 +101,90 @@ func TestBreakdownExact(t *testing.T) {
 	}
 
 	// Degenerate windows.
-	if bd := breakdown(100, 100, spans); bd.TotalPS != 0 || bd.ResidualPS() != 0 {
+	if bd := breakdownOf(100, 100, spans); bd.TotalPS != 0 || bd.ResidualPS() != 0 {
 		t.Error("empty window not zero")
 	}
-	if bd := breakdown(0, 50, nil); bd.Parts[CatOther] != 50 || bd.ResidualPS() != 0 {
+	if bd := breakdownOf(0, 50, nil); bd.Parts[CatOther] != 50 || bd.ResidualPS() != 0 {
 		t.Error("uncovered window not attributed to other")
+	}
+}
+
+// breakdownOf records spans inside one request over [begin, end] on a fresh
+// recorder and returns the breakdown EndRequest computed.
+func breakdownOf(begin, end sim.Time, spans []Span) Breakdown {
+	r := New(len(spans) + 1)
+	id := r.BeginRequest(names.ReqRead, 0, begin)
+	for _, s := range spans {
+		if s.Phase == PhaseInstant {
+			r.Instant(s.PID, s.TID, names.Name(s.Name), s.Begin)
+		} else {
+			r.Span(s.PID, s.TID, s.Cat, names.Name(s.Name), s.Begin, s.End)
+		}
+	}
+	r.EndRequest(id, end)
+	return r.attrib.samples[0]
+}
+
+// TestBreakdownMatchesBruteForce compares the sweep partition with a
+// per-picosecond assignment to the highest-priority covering category on
+// random small span sets: overlaps, spans clipped by the window, instants,
+// and empty windows.
+func TestBreakdownMatchesBruteForce(t *testing.T) {
+	rng := xrand.New(23)
+	for trial := range 20_000 {
+		begin := sim.Time(rng.Uint64n(40))
+		end := begin + sim.Time(rng.Uint64n(60))
+		if rng.Uint64n(10) == 0 {
+			end = begin // empty window
+		}
+		spans := make([]Span, rng.Uint64n(8))
+		for i := range spans {
+			b := sim.Time(rng.Uint64n(120))
+			spans[i] = Span{Cat: Category(rng.Uint64n(uint64(numCategories))), Phase: PhaseSpan,
+				Begin: b, End: b + sim.Time(rng.Uint64n(50))}
+			if rng.Uint64n(5) == 0 {
+				spans[i].Phase, spans[i].End = PhaseInstant, b
+			}
+		}
+		var want Breakdown
+		want.TotalPS = int64(end - begin)
+		for ps := begin; ps < end; ps++ {
+			best := CatOther
+			for _, s := range spans {
+				if s.Phase == PhaseSpan && s.Begin <= ps && ps < s.End && s.Cat > best {
+					best = s.Cat
+				}
+			}
+			want.Parts[best]++
+		}
+		got := breakdownOf(begin, end, spans)
+		if got != want {
+			t.Fatalf("trial %d: window [%d, %d] spans %+v:\n got  %+v\n want %+v",
+				trial, begin, end, spans, got, want)
+		}
+		if res := got.ResidualPS(); res != 0 {
+			t.Fatalf("trial %d: residual %d ps", trial, res)
+		}
+	}
+}
+
+// TestSpanArgsNotAliased reuses one args slice across calls: each span must
+// keep the values it was recorded with.
+func TestSpanArgsNotAliased(t *testing.T) {
+	r := New(10)
+	args := []Arg{Int("n", 1), Str("s", "first")}
+	r.Span(1, "t", CatBus, "a", 0, 10, args...)
+	r.Instant(1, "t", "b", 5, args...)
+	args[0], args[1] = Int("n", 2), Str("s", "second")
+	r.Span(1, "t", CatBus, "c", 10, 20, args...)
+	spans := r.Spans()
+	for i, want := range []int64{1, 1, 2} {
+		if got := spans[i].Args[0].Value(); got != want {
+			t.Errorf("span %d (%s) arg n = %v, want %d", i, spans[i].Name, got, want)
+		}
+	}
+	if got := spans[0].Args[1].Value(); got != "first" {
+		t.Errorf("span 0 arg s = %v, want first", got)
 	}
 }
 
@@ -186,7 +266,7 @@ func TestRequestEnvelope(t *testing.T) {
 	}
 	args := map[string]any{}
 	for _, a := range env.Args {
-		args[a.Key] = a.Val
+		args[a.Key] = a.Value()
 	}
 	if args["addr"] != "0xabc0" {
 		t.Errorf("addr arg = %v", args["addr"])

@@ -120,7 +120,7 @@ func (c *Controller) requestCrypto(cs *chanState, ch int, at sim.Time, secondMAC
 			trace.Int("pads", slotGroup))
 		if c.cfg.MAC != MACNone {
 			c.tr.Span(pid, "proc-md5", trace.CatCrypto, names.SpanMACRequest, at, sendReady,
-				trace.Float("slack_ns", (sendReady-encReady).Float64Nanos()))
+				trace.Nanos("slack_ns", sendReady-encReady))
 		}
 	}
 	return encReady, sendReady

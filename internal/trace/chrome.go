@@ -37,7 +37,7 @@ const psPerMicro = 1e6
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	n := r.Len()
 	var syms []symEntry
-	if r != nil {
+	if n > 0 {
 		syms = r.syms.entries
 	}
 

@@ -155,7 +155,8 @@ func exportRecorder(limit, total int) *Recorder {
 		pid := ChannelPID(ch)
 		id := r.BeginRequest(names.ReqRead, uint64(at)*64, at)
 		r.Span(pid, "proc-aes", CatCrypto, names.SpanEncryptPads, at, at+3100, Int("pads", 2))
-		r.Span(pid, "proc-md5", CatCrypto, names.SpanMACRequest, at, at+7300, Float("slack_ns", 4.2))
+		r.Span(pid, "proc-md5", CatCrypto, names.SpanMACRequest, at, at+7300,
+			Nanos("slack_ns", 4200), Float("ratio", 0.7))
 		r.Span(pid, "req-link", CatBus, "read", at+3100, at+9100,
 			Int("bytes", 72), Str("type", "read"), Bool("dummy", false), Uint("seq", uint64(at)))
 		r.Instant(pid, "ctl", names.SpanDecode, at+9100,
@@ -319,7 +320,7 @@ func fuzzRecorder(data []byte) *Recorder {
 	}
 	arg := func() Arg {
 		key := str()
-		switch next() % 7 {
+		switch next() % 8 {
 		case 0:
 			return Str(key, str())
 		case 1:
@@ -332,6 +333,8 @@ func fuzzRecorder(data []byte) *Recorder {
 			return Uint(key, next8())
 		case 5:
 			return Float(key, math.Float64frombits(next8())) // NaN and Inf included
+		case 6:
+			return Nanos(key, sim.Time(next8()))
 		default:
 			return Float(key, float64(int8(next()))/7)
 		}

@@ -40,19 +40,22 @@ type symEntry struct {
 	s, json string
 }
 
-func newSymtab() symtab {
-	t := symtab{ids: make(map[string]sym)}
-	for _, s := range presyms {
-		t.add(s)
+// presymEntries are presyms with their JSON encodings, shared by every
+// table.
+var presymEntries = func() []symEntry {
+	e := make([]symEntry, len(presyms))
+	for i, s := range presyms {
+		e[i] = symEntry{s: s, json: string(appendString(nil, s))}
+	}
+	return e
+}()
+
+func newSymtab() *symtab {
+	t := &symtab{ids: make(map[string]sym, 64), entries: append(make([]symEntry, 0, 64), presymEntries...)}
+	for i, e := range presymEntries {
+		t.ids[e.s] = sym(i)
 	}
 	return t
-}
-
-func (t *symtab) add(s string) sym {
-	id := sym(len(t.entries))
-	t.ids[s] = id
-	t.entries = append(t.entries, symEntry{s: s, json: string(appendString(nil, s))})
-	return id
 }
 
 // id returns s's sym, interning it on first sight.
@@ -67,7 +70,9 @@ func (t *symtab) id(s string) sym {
 	}
 	id, ok := t.ids[s]
 	if !ok {
-		id = t.add(s)
+		id = sym(len(t.entries))
+		t.ids[s] = id
+		t.entries = append(t.entries, symEntry{s: s, json: string(appendString(nil, s))})
 	}
 	c.s, c.id = s, id
 	return id

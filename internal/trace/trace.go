@@ -6,7 +6,7 @@
 // It follows the same off-by-default discipline as internal/metrics: a nil
 // *Recorder is the disabled recorder, every method on it is a single-branch
 // no-op, and components keep permanent recorder fields. Span arguments are
-// typed values (Int, Uint, Bool, Float, Str) that box nothing, and the
+// typed values (Int, Uint, Bool, Float, Str, Nanos) that box nothing, and the
 // recorder copies them into its own storage, so once the ring's chunks exist
 // an enabled recorder records spans without allocating. Call sites that
 // build arguments still guard with a nil check, which keeps an untraced run
@@ -79,7 +79,7 @@ const PIDCPU = 0
 func ChannelPID(ch int) int { return ch + 1 }
 
 // Arg is one typed key/value pair attached to a span, built by Int, Uint,
-// Bool, Float or Str. The recorder copies it into the span's record,
+// Bool, Float, Str or Nanos. The recorder copies it into the span's record,
 // so a caller may reuse its args slice.
 type Arg struct {
 	Key  string
@@ -96,8 +96,8 @@ const (
 	argBool
 	argFloat
 	argStr
+	argNS  // picoseconds, exported in nanoseconds
 	argHex // the request envelope's addr, exported as fmt's %#x string
-	argNS  // the request envelope's breakdown: picoseconds, exported in nanoseconds
 )
 
 // Int is an integer arg.
@@ -122,9 +122,12 @@ func Float(key string, v float64) Arg { return Arg{Key: key, kind: argFloat, num
 // Str is a string arg.
 func Str(key, v string) Arg { return Arg{Key: key, kind: argStr, str: v} }
 
+// Nanos is a duration arg, exported as d.Float64Nanos().
+func Nanos(key string, d sim.Time) Arg { return Arg{Key: key, kind: argNS, num: uint64(d)} }
+
 // Value returns the arg's value as the export encodes it: an int64,
-// uint64, bool, float64 or string. The request envelope's addr is its
-// "0x..." string and its breakdown float64 nanoseconds.
+// uint64, bool, float64 (Float and Nanos) or string (Str, and the request
+// envelope's "0x..." addr).
 func (a Arg) Value() any {
 	switch a.kind {
 	case argInt:
@@ -207,7 +210,7 @@ type Recorder struct {
 	n       int        // retained spans
 	next    int        // ring index of the oldest span once full (0 until then)
 	dropped uint64
-	syms    symtab
+	syms    *symtab // nil until the first span
 
 	// Current-request scope. The simulation services each request with a
 	// synchronous call tree, so component spans recorded between
@@ -230,7 +233,16 @@ func New(limit int) *Recorder {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Recorder{limit: limit, syms: newSymtab(), attrib: newAttribState(limit)}
+	return &Recorder{limit: limit, attrib: newAttribState(limit)}
+}
+
+// table returns the intern table, creating it on first use: a recorder
+// that records nothing costs one small allocation.
+func (r *Recorder) table() *symtab {
+	if r.syms == nil {
+		r.syms = newSymtab()
+	}
+	return r.syms
 }
 
 // Enabled reports whether the recorder records anything.
@@ -273,13 +285,13 @@ func (r *Recorder) push(pid int, tid string, cat Category, name string, ph Phase
 	if len(args) > maxArgs {
 		panic("trace: a span carries at most 6 args")
 	}
-	s := r.alloc()
+	t, s := r.table(), r.alloc()
 	*s = record{req: r.curReq, begin: begin, end: end, pid: int32(pid),
-		tid: r.syms.id(tid), name: r.syms.id(name), cat: cat, phase: ph, nargs: uint8(len(args))}
+		tid: t.id(tid), name: t.id(name), cat: cat, phase: ph, nargs: uint8(len(args))}
 	for i, a := range args {
-		s.kinds[i], s.keys[i], s.vals[i] = a.kind, r.syms.id(a.Key), a.num
+		s.kinds[i], s.keys[i], s.vals[i] = a.kind, t.id(a.Key), a.num
 		if a.kind == argStr {
-			s.vals[i] = uint64(r.syms.id(a.str))
+			s.vals[i] = uint64(t.id(a.str))
 		}
 	}
 }
@@ -342,7 +354,7 @@ func (r *Recorder) EndRequest(id uint64, end sim.Time) {
 	// eviction drops components before their envelope.
 	s := r.alloc()
 	*s = record{req: id, begin: r.curBegin, end: end, pid: PIDCPU, tid: symRequests,
-		name: r.syms.id(r.curKind), cat: CatOther, phase: PhaseSpan, nargs: maxArgs,
+		name: r.table().id(r.curKind), cat: CatOther, phase: PhaseSpan, nargs: maxArgs,
 		kinds: [maxArgs]argKind{argHex, argNS, argNS, argNS, argNS, argNS},
 		keys:  [maxArgs]sym{symAddr, symQueueNS, symBusNS, symCryptoNS, symPCMNS, symOtherNS},
 		vals: [maxArgs]uint64{r.curAddr, uint64(bd.Parts[CatQueue]), uint64(bd.Parts[CatBus]),

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -36,9 +35,9 @@ const psPerMicro = 1e6
 // silent; callers should additionally surface it to the user.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	n := r.Len()
-	var syms []symEntry
+	var syms, strs []symEntry
 	if n > 0 {
-		syms = r.syms.entries
+		syms, strs = r.syms.entries, r.strs.entries
 	}
 
 	// Intern (pid, tid) pairs to integer tracks in first-seen order so
@@ -51,9 +50,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	var order []trackKey
 	var pids []int32
 	var tracks [][]int32
-	// trk[i] is span i's track; lo and hi bound the begin times.
+	// trk[i] is span i's track.
 	trk := make([]int32, n)
-	lo, hi := sim.Time(math.MaxInt64), sim.Time(math.MinInt64)
 	for i := range n {
 		s := r.at(i)
 		p := slices.Index(pids, s.pid)
@@ -68,15 +66,14 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			*t = int32(len(order))
 		}
 		trk[i] = *t
-		lo, hi = min(lo, s.begin), max(hi, s.begin)
 	}
 	// process_name metadata goes out in ascending pid order, after the
 	// thread_name metadata: pid discovery order depends on which component
 	// traced first, the sorted order does not.
 	slices.Sort(pids)
-	idx := r.exportOrder(n, lo, hi)
+	idx := r.exportOrder(n)
 
-	e := chromeEncoder{w: bufio.NewWriterSize(w, 64<<10), syms: syms, rank: symRanks(syms)}
+	e := chromeEncoder{w: bufio.NewWriterSize(w, 64<<10), syms: syms, strs: strs, rank: symRanks(syms)}
 	b := e.next()
 	b = append(b, `{"displayTimeUnit":"ns","otherData":{"droppedSpans":`...)
 	b = strconv.AppendUint(b, r.Dropped(), 10)
@@ -132,47 +129,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 
 // exportOrder returns the n retained spans' positions in stable time
 // order: by emitted begin time, ties in ring order. Viewers do not require
-// it, but it keeps the export deterministic and per-track monotonic. When
-// every begin time lies in [0, 2^52), where distinct times emit distinct
-// timestamps in the same order, and an offset from lo and a position fit
-// in one word together, it radix-sorts the offsets; otherwise it sorts
-// (timestamp, position) pairs.
-func (r *Recorder) exportOrder(n int, lo, hi sim.Time) []int32 {
-	idx := make([]int32, n)
-	posBits, offBits := uint(bits.Len(uint(n))), uint(bits.Len64(uint64(hi-lo)))
-	if lo >= 0 && hi < 1<<52 && posBits+offBits <= 64 {
-		// words[i] packs span i's offset above its position; an LSD radix
-		// sort over the offset bytes is stable, so ties keep ring order.
-		words, tmp := make([]uint64, n), make([]uint64, n)
-		for i := range n {
-			words[i] = uint64(r.at(i).begin-lo)<<posBits | uint64(i)
-		}
-		for shift := posBits; shift < posBits+offBits; shift += 8 {
-			var count [256]int
-			for _, w := range words {
-				count[byte(w>>shift)]++
-			}
-			sum := 0
-			for d, c := range count {
-				count[d], sum = sum, sum+c
-			}
-			for _, w := range words {
-				d := byte(w >> shift)
-				tmp[count[d]] = w
-				count[d]++
-			}
-			words, tmp = tmp, words
-		}
-		for i, w := range words {
-			idx[i] = int32(w & (1<<posBits - 1))
-		}
-		return idx
-	}
+// it, but it keeps the export deterministic and per-track monotonic.
+func (r *Recorder) exportOrder(n int) []int32 {
 	type key struct {
 		ts float64
 		i  int32
 	}
-	keys := make([]key, n)
+	keys, idx := make([]key, n), make([]int32, n)
 	for i := range n {
 		keys[i] = key{tsKey(r.at(i).begin), int32(i)}
 	}
@@ -213,9 +176,10 @@ func symRanks(syms []symEntry) []int32 {
 // writer, so a typical event is encoded in place with no copy.
 type chromeEncoder struct {
 	w    *bufio.Writer
-	syms []symEntry
-	rank []int32  // symRanks(syms)
-	args []argRef // scratch for one event's args, reused
+	syms []symEntry // names, TIDs and arg keys
+	strs []symEntry // string arg values
+	rank []int32    // symRanks(syms)
+	args []argRef   // scratch for one event's args, reused
 }
 
 // argRef names one args entry: the record's arg i, or the request tag
@@ -339,7 +303,7 @@ func (e *chromeEncoder) appendValue(b []byte, s *record, i int) ([]byte, error) 
 		}
 		return appendFloat(b, f), nil
 	case argStr:
-		return append(b, e.syms[v].json...), nil
+		return append(b, e.strs[v].json...), nil
 	case argNS:
 		return appendNanos(b, int64(v)), nil
 	default:

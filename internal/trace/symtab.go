@@ -1,14 +1,12 @@
 package trace
 
-// sym is a string's index in a recorder's intern table.
+// sym is a string's index in one of a recorder's intern tables.
 type sym uint32
 
-// The strings every intern table starts with, in presyms order, so the
-// request envelope and the export's "req" key need no lookup. Sym 0 is the
-// empty string, which makes a zero cache entry a valid one.
+// The strings a recorder's name table starts with, in presyms order, so
+// the request envelope and the export's "req" key need no lookup.
 const (
-	symEmpty sym = iota
-	symReq
+	symReq sym = iota
 	symRequests
 	symAddr
 	symQueueNS
@@ -18,22 +16,13 @@ const (
 	symOtherNS
 )
 
-var presyms = [...]string{"", "req", "requests", "addr", "queue_ns", "bus_ns", "crypto_ns", "pcm_ns", "other_ns"}
+var presyms = [...]string{"req", "requests", "addr", "queue_ns", "bus_ns", "crypto_ns", "pcm_ns", "other_ns"}
 
-// symtab interns a recorder's span names, TIDs, arg keys and string arg
-// values. Each entry keeps its JSON encoding, computed once when the string
-// is first seen, for the export to copy.
+// symtab interns strings. Each entry keeps its JSON encoding, computed once
+// when the string is first seen, for the export to copy.
 type symtab struct {
 	ids     map[string]sym
 	entries []symEntry
-	// cache fronts ids, indexed by a hash of a string's length and three
-	// of its bytes. A recorder sees a few dozen distinct strings, mostly
-	// the same constants, so a hit is one string compare that the equal
-	// data pointers usually settle.
-	cache [256]struct {
-		s  string
-		id sym
-	}
 }
 
 type symEntry struct {
@@ -41,7 +30,7 @@ type symEntry struct {
 }
 
 // presymEntries are presyms with their JSON encodings, shared by every
-// table.
+// name table.
 var presymEntries = func() []symEntry {
 	e := make([]symEntry, len(presyms))
 	for i, s := range presyms {
@@ -50,9 +39,10 @@ var presymEntries = func() []symEntry {
 	return e
 }()
 
-func newSymtab() *symtab {
-	t := &symtab{ids: make(map[string]sym, 64), entries: append(make([]symEntry, 0, 64), presymEntries...)}
-	for i, e := range presymEntries {
+// newSymtab returns a table holding pre, in order.
+func newSymtab(pre []symEntry) *symtab {
+	t := &symtab{ids: make(map[string]sym, 64), entries: append(make([]symEntry, 0, 64), pre...)}
+	for i, e := range pre {
 		t.ids[e.s] = sym(i)
 	}
 	return t
@@ -60,21 +50,12 @@ func newSymtab() *symtab {
 
 // id returns s's sym, interning it on first sight.
 func (t *symtab) id(s string) sym {
-	h := uint64(len(s))
-	if len(s) > 0 {
-		h = h<<24 | uint64(s[0])<<16 | uint64(s[len(s)/2])<<8 | uint64(s[len(s)-1])
-	}
-	c := &t.cache[(h*0x9e3779b97f4a7c15)>>56]
-	if c.s == s {
-		return c.id
-	}
 	id, ok := t.ids[s]
 	if !ok {
 		id = sym(len(t.entries))
 		t.ids[s] = id
 		t.entries = append(t.entries, symEntry{s: s, json: string(appendString(nil, s))})
 	}
-	c.s, c.id = s, id
 	return id
 }
 

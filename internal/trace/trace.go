@@ -29,9 +29,14 @@
 // counted in Dropped(). Truncation is never silent — exporters embed the
 // dropped count and callers are expected to surface it. Each span is a
 // fixed-size record with no Go pointers: names, TIDs, arg keys and string
-// values are ids into a recorder-local intern table that keeps each
-// string's JSON encoding, so the garbage collector never scans the ring and
-// the export copies pre-encoded bytes.
+// values are ids into recorder-local intern tables that keep each string's
+// JSON encoding, so the garbage collector never scans the ring and the
+// export copies pre-encoded bytes. The intern tables never evict, so their
+// memory is bounded by the distinct strings a run records, not by the span
+// limit: a string value unique to one span (a campaign cell's key) stays
+// interned after the ring drops its span. String values have a table of
+// their own, so the export's per-name tables stay sized by the run's
+// distinct names, TIDs and keys.
 package trace
 
 import (
@@ -175,7 +180,7 @@ type Span struct {
 const maxArgs = 6
 
 // record is one retained span. It holds no Go pointers — strings are syms
-// in the recorder's intern table and args are typed numbers — so the
+// in the recorder's intern tables and args are typed numbers — so the
 // garbage collector never scans the ring's chunks.
 type record struct {
 	req        uint64
@@ -187,7 +192,7 @@ type record struct {
 	nargs      uint8
 	kinds      [maxArgs]argKind
 	keys       [maxArgs]sym
-	vals       [maxArgs]uint64 // Arg.num, or the sym of an argStr value
+	vals       [maxArgs]uint64 // Arg.num, or the strs sym of an argStr value
 }
 
 // DefaultLimit is the default ring-buffer capacity (retained spans).
@@ -210,7 +215,8 @@ type Recorder struct {
 	n       int        // retained spans
 	next    int        // ring index of the oldest span once full (0 until then)
 	dropped uint64
-	syms    *symtab // nil until the first span
+	syms    *symtab // names, TIDs and arg keys; nil until the first span
+	strs    *symtab // string arg values; nil until the first span
 
 	// Current-request scope. The simulation services each request with a
 	// synchronous call tree, so component spans recorded between
@@ -236,13 +242,13 @@ func New(limit int) *Recorder {
 	return &Recorder{limit: limit, attrib: newAttribState(limit)}
 }
 
-// table returns the intern table, creating it on first use: a recorder
-// that records nothing costs one small allocation.
-func (r *Recorder) table() *symtab {
+// tables returns the name and string-value intern tables, creating them
+// on first use, so a recorder that records nothing allocates neither.
+func (r *Recorder) tables() (syms, strs *symtab) {
 	if r.syms == nil {
-		r.syms = newSymtab()
+		r.syms, r.strs = newSymtab(presymEntries), newSymtab(nil)
 	}
-	return r.syms
+	return r.syms, r.strs
 }
 
 // Enabled reports whether the recorder records anything.
@@ -285,13 +291,14 @@ func (r *Recorder) push(pid int, tid string, cat Category, name string, ph Phase
 	if len(args) > maxArgs {
 		panic("trace: a span carries at most 6 args")
 	}
-	t, s := r.table(), r.alloc()
+	t, strs := r.tables()
+	s := r.alloc()
 	*s = record{req: r.curReq, begin: begin, end: end, pid: int32(pid),
 		tid: t.id(tid), name: t.id(name), cat: cat, phase: ph, nargs: uint8(len(args))}
 	for i, a := range args {
 		s.kinds[i], s.keys[i], s.vals[i] = a.kind, t.id(a.Key), a.num
 		if a.kind == argStr {
-			s.vals[i] = uint64(t.id(a.str))
+			s.vals[i] = uint64(strs.id(a.str))
 		}
 	}
 }
@@ -352,9 +359,10 @@ func (r *Recorder) EndRequest(id uint64, end sim.Time) {
 	r.attrib.add(r.curKind, bd)
 	// The envelope is pushed after its components so chronological ring
 	// eviction drops components before their envelope.
+	syms, _ := r.tables()
 	s := r.alloc()
 	*s = record{req: id, begin: r.curBegin, end: end, pid: PIDCPU, tid: symRequests,
-		name: r.table().id(r.curKind), cat: CatOther, phase: PhaseSpan, nargs: maxArgs,
+		name: syms.id(r.curKind), cat: CatOther, phase: PhaseSpan, nargs: maxArgs,
 		kinds: [maxArgs]argKind{argHex, argNS, argNS, argNS, argNS, argNS},
 		keys:  [maxArgs]sym{symAddr, symQueueNS, symBusNS, symCryptoNS, symPCMNS, symOtherNS},
 		vals: [maxArgs]uint64{r.curAddr, uint64(bd.Parts[CatQueue]), uint64(bd.Parts[CatBus]),
@@ -379,7 +387,7 @@ func (r *Recorder) Spans() []Span {
 		for j := range out[i].Args {
 			a := Arg{Key: r.syms.str(s.keys[j]), kind: s.kinds[j], num: s.vals[j]}
 			if a.kind == argStr {
-				a.num, a.str = 0, r.syms.str(sym(s.vals[j]))
+				a.num, a.str = 0, r.strs.str(sym(s.vals[j]))
 			}
 			out[i].Args[j] = a
 		}

@@ -188,6 +188,24 @@ func TestSpanArgsNotAliased(t *testing.T) {
 	}
 }
 
+// TestStringValuesKeptOutOfNameTable records a string value unique to each
+// span, as the campaign's cell key is: the name table that sizes the
+// export's track and key-order tables must not grow with them.
+func TestStringValuesKeptOutOfNameTable(t *testing.T) {
+	r := New(4)
+	r.Span(0, "campaign", CatOther, "cell", 0, 1, Str("key", "k0"))
+	before := len(r.syms.entries)
+	for i := 1; i < 100; i++ {
+		r.Span(0, "campaign", CatOther, "cell", sim.Time(i), sim.Time(i+1), Str("key", fmt.Sprint("k", i)))
+	}
+	if got := len(r.syms.entries); got != before {
+		t.Errorf("name table grew from %d to %d entries", before, got)
+	}
+	if got := r.Spans()[3].Args[0].Value(); got != "k99" {
+		t.Errorf("newest span's key = %v, want k99", got)
+	}
+}
+
 // TestRequestAttribution drives requests through the recorder and checks
 // the report: counts, kind filter, exact residual, percentile rows.
 func TestRequestAttribution(t *testing.T) {

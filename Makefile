@@ -21,6 +21,8 @@
 #                  instant and request-envelope recording plus traced
 #                  reads and writes),
 #                  the fixed-allocation guard of the Chrome trace export,
+#                  the open-loop guard (an 8-lane run's allocations must
+#                  not grow with its request count),
 #                  the lazy-crypto guard (a bare bus, which skips command
 #                  pads and MACs, matches a tapped one and still detects
 #                  counter desync), plus
@@ -104,7 +106,8 @@ bench-smoke:
 	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs' ./internal/metrics ./internal/xrand
 	$(GO) test -run 'TestChromeExportAllocs' -bench 'BenchmarkWriteChromeTrace' \
 		-benchtime 200ms -benchmem ./internal/trace
-	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
+	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests' \
+		./internal/backend ./internal/system
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null
 	$(MAKE) campaign-smoke

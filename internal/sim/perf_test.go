@@ -10,7 +10,7 @@ import (
 // must not allocate. bench-smoke runs this in CI.
 func TestScheduleFireZeroAllocs(t *testing.T) {
 	e := NewEngine()
-	fn := func() {}
+	fn := func(Time) {}
 	// Warm-up: grow the heap slice to steady-state depth.
 	for i := 0; i < 64; i++ {
 		e.Schedule(e.now+Time(i%7), fn)
@@ -29,7 +29,8 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 
 // FuzzEngineOrder schedules events at fuzzed offsets, some before the run,
 // some between single steps and some from inside firing callbacks, and
-// checks what the engine promises: every event fires exactly once, time
+// checks what the engine promises: every event fires exactly once, at the
+// time it was scheduled for and passed that time as its argument, time
 // never goes backwards, and the firing order is the stable sort of
 // (time, scheduling order), so equal-time events fire in the order they
 // were scheduled.
@@ -60,10 +61,13 @@ func FuzzEngineOrder(f *testing.F) {
 		schedule = func(offset Time, spawn *Time) {
 			r := &record{at: e.now + offset, seq: len(recs)}
 			recs = append(recs, r)
-			e.Schedule(r.at, func() {
+			e.Schedule(r.at, func(at Time) {
 				r.fired++
 				if e.now != r.at {
 					t.Fatalf("event %d fired at %v, scheduled for %v", r.seq, e.now, r.at)
+				}
+				if at != r.at {
+					t.Fatalf("event %d got argument %v, scheduled for %v", r.seq, at, r.at)
 				}
 				if e.now < lastFire {
 					t.Fatalf("time went backwards: %v after %v", e.now, lastFire)
@@ -119,8 +123,8 @@ const benchChurnDepth = 64
 
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
-	var fn func()
-	fn = func() { e.Schedule(e.now+Time(1+e.Fired()%13), fn) }
+	var fn func(Time)
+	fn = func(now Time) { e.Schedule(now+Time(1+e.Fired()%13), fn) }
 	for i := 0; i < benchChurnDepth; i++ {
 		e.Schedule(Time(i), fn)
 	}

@@ -9,7 +9,9 @@
 // Engine keeps events by value on a 4-ary min-heap keyed by (time,
 // sequence), so simultaneous events fire in the order they were scheduled,
 // which keeps runs fully deterministic, and a warm Schedule→fire loop
-// performs no heap allocation.
+// performs no heap allocation. A callback receives the time it fires at, so
+// a caller can bind a method value once and schedule it again and again
+// instead of allocating a closure that captures the time.
 package sim
 
 import (
@@ -83,7 +85,7 @@ func (t Time) String() string {
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	fn  func(Time)
 }
 
 // less orders events by (at, seq). seq is unique, so the order is total.
@@ -109,9 +111,9 @@ func NewEngine() *Engine {
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Schedule runs fn at absolute time at. Scheduling in the past panics: that
-// is always a model bug.
-func (e *Engine) Schedule(at Time, fn func()) {
+// Schedule runs fn(at) at absolute time at. Scheduling in the past panics:
+// that is always a model bug.
+func (e *Engine) Schedule(at Time, fn func(Time)) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -169,7 +171,7 @@ func (e *Engine) step() bool {
 	e.heap = h
 	e.now = root.at
 	e.fired++
-	root.fn()
+	root.fn(root.at)
 	return true
 }
 

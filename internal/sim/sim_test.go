@@ -38,11 +38,11 @@ func TestNanos(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	e.Schedule(30, func(Time) { order = append(order, 3) })
+	e.Schedule(10, func(Time) { order = append(order, 1) })
+	e.Schedule(20, func(Time) { order = append(order, 2) })
 	// Same timestamp: FIFO by scheduling order.
-	e.Schedule(20, func() { order = append(order, 4) })
+	e.Schedule(20, func(Time) { order = append(order, 4) })
 	e.Run()
 	want := []int{1, 2, 4, 3}
 	if len(order) != len(want) {
@@ -64,9 +64,9 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineScheduleDuringRun(t *testing.T) {
 	e := NewEngine()
 	var got []Time
-	e.Schedule(5, func() {
-		got = append(got, e.now)
-		e.Schedule(e.now+7, func() { got = append(got, e.now) })
+	e.Schedule(5, func(now Time) {
+		got = append(got, now)
+		e.Schedule(now+7, func(now Time) { got = append(got, now) })
 	})
 	e.Run()
 	if len(got) != 2 || got[0] != 5 || got[1] != 12 {
@@ -76,13 +76,13 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	e.Schedule(10, func(Time) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(5, func() {})
+		e.Schedule(5, func(Time) {})
 	})
 	e.Run()
 }

@@ -17,8 +17,10 @@
 // whether to put a dummy pair on its wire. Cover pairs never trigger further
 // covers.
 //
-// Arrivals and cover notifications are events on one sim.Engine. The merged
-// wire view is sorted by (time, channel, lane order) before digesting, so
+// Arrivals and cover notifications are events on one sim.Engine. Each lane
+// logs its request-link and reply-link arrivals separately; every link is a
+// FIFO sim.Resource, so each log is already in time order, and the merged
+// wire view is a k-way merge of the logs in (time, channel, lane order) —
 // the report is a function of the configuration alone.
 package system
 
@@ -26,7 +28,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"obfusmem/internal/aes"
 	"obfusmem/internal/bus"
@@ -79,8 +80,18 @@ type openWireEvent struct {
 	ch    int
 	seq   int // per-lane record order, the final merge tie-break
 	bytes int
-	dummy bool
 }
+
+// The two links of a lane, indexing openLane.wire.
+const (
+	reqLink  = 0
+	respLink = 1
+)
+
+// zeroPayload is the data leg of every open-loop packet. Nothing on the
+// open loop's bus (no observer, tamperer or fault injector) reads packet
+// contents, so all lanes share one read-only block.
+var zeroPayload [bus.DataBytes]byte
 
 // openLane is one channel subtree and its arrival stream.
 type openLane struct {
@@ -100,13 +111,29 @@ type openLane struct {
 	covers      int
 	latencySum  sim.Time // read-latency accumulator (ps)
 	reads       int
-	wire        []openWireEvent
+	remaining   int // arrivals not yet fired
+	packets     int // wire events recorded on both links
+	wire        [2][]openWireEvent
 	peers       []*openLane
+
+	// arriveFn and coverFn are the lane's arrive and cover method values,
+	// bound once so scheduling them allocates nothing.
+	arriveFn, coverFn func(sim.Time)
+	// The lane's three packets, reused by every pair: the bus keeps no
+	// reference to a packet after Transfer.
+	readPkt, writePkt, respPkt bus.Packet
 }
 
-// record logs one wire event on the lane's own channel.
-func (l *openLane) record(at sim.Time, bytes int, dummy bool) {
-	l.wire = append(l.wire, openWireEvent{at: at, ch: l.ch, seq: len(l.wire), bytes: bytes, dummy: dummy})
+// record logs one wire event on one of the lane's links. A link is a FIFO
+// resource, so its arrivals never go backwards; the merge in reduceOpenLoop
+// relies on that, and a log that would go backwards panics.
+func (l *openLane) record(link int, at sim.Time, bytes int) {
+	w := l.wire[link]
+	if n := len(w); n > 0 && at < w[n-1].at {
+		panic(fmt.Sprintf("system: lane %d link %d arrival %v before %v", l.ch, link, at, w[n-1].at))
+	}
+	l.wire[link] = append(w, openWireEvent{at: at, ch: l.ch, seq: l.packets, bytes: bytes})
+	l.packets++
 }
 
 // issuePair puts one ObfusMem access pair on the lane's wire — read command,
@@ -119,16 +146,18 @@ func (l *openLane) issuePair(at sim.Time, addr uint64, write, dummy bool) sim.Ti
 	encDone := l.reqEng.IssueOnly(fe, 6)
 	sendReady := l.mac.Issue(encDone)
 
-	readPkt := &bus.Packet{Channel: l.ch, Dir: bus.ProcToMem, HasCmd: true, HasMAC: true,
+	readPkt := &l.readPkt
+	*readPkt = bus.Packet{Channel: l.ch, Dir: bus.ProcToMem, HasCmd: true, HasMAC: true,
 		Type: bus.Read, Addr: addr, IsDummy: dummy || write}
 	readArrive, _ := l.b.Transfer(sendReady, readPkt)
-	l.record(readArrive, readPkt.WireBytes(), readPkt.IsDummy)
+	l.record(reqLink, readArrive, readPkt.WireBytes())
 	l.lastReqWire = readArrive
 
-	writePkt := &bus.Packet{Channel: l.ch, Dir: bus.ProcToMem, HasCmd: true, HasMAC: true,
-		Data: make([]byte, bus.DataBytes), Type: bus.Write, Addr: addr, IsDummy: dummy || !write}
+	writePkt := &l.writePkt
+	*writePkt = bus.Packet{Channel: l.ch, Dir: bus.ProcToMem, HasCmd: true, HasMAC: true,
+		Data: zeroPayload[:], Type: bus.Write, Addr: addr, IsDummy: dummy || !write}
 	writeArrive, _ := l.b.Transfer(sendReady, writePkt)
-	l.record(writeArrive, writePkt.WireBytes(), writePkt.IsDummy)
+	l.record(reqLink, writeArrive, writePkt.WireBytes())
 
 	// Memory side: decode after SerDes, service the real half, drop dummies.
 	decode := readArrive + obfus.SerDesLatency
@@ -149,11 +178,24 @@ func (l *openLane) issuePair(at sim.Time, addr uint64, write, dummy bool) sim.Ti
 	// Read-reply leg: every pair answers the read half with a data packet
 	// (dummy pairs too — the reply is part of the indistinguishable shape).
 	respReady := l.respEng.IssueOnly(dataReady, 4)
-	respPkt := &bus.Packet{Channel: l.ch, Dir: bus.MemToProc, HasMAC: true,
-		Data: make([]byte, bus.DataBytes), Type: bus.Read, Addr: addr, IsDummy: dummy || write}
+	respPkt := &l.respPkt
+	*respPkt = bus.Packet{Channel: l.ch, Dir: bus.MemToProc, HasMAC: true,
+		Data: zeroPayload[:], Type: bus.Read, Addr: addr, IsDummy: dummy || write}
 	respArrive, _ := l.b.Transfer(respReady, respPkt)
-	l.record(respArrive, respPkt.WireBytes(), respPkt.IsDummy)
+	l.record(respLink, respArrive, respPkt.WireBytes())
 	return respArrive + obfus.SerDesLatency
+}
+
+// arrive fires one arrival of the lane's chain and schedules the next:
+// request i+1 arrives Gap after request i (open loop — no completion
+// feedback).
+func (l *openLane) arrive(at sim.Time) {
+	req := l.stream.Next()
+	l.real(at, req.Addr, req.Write)
+	l.remaining--
+	if l.remaining > 0 {
+		l.eng.Schedule(at+req.Gap, l.arriveFn)
+	}
 }
 
 // real services one open-loop arrival and notifies the peer lanes.
@@ -169,7 +211,7 @@ func (l *openLane) real(at sim.Time, addr uint64, write bool) {
 	// at + FrontEndTime, against that lane's own state.
 	when := at + obfus.FrontEndTime
 	for _, peer := range l.peers {
-		l.eng.Schedule(when, func() { peer.cover(when) })
+		l.eng.Schedule(when, peer.coverFn)
 	}
 }
 
@@ -197,7 +239,7 @@ type OpenLoopResult struct {
 
 // RunOpenLoop executes one open-loop run and reduces it to a deterministic
 // report. Every reduction is ordered by channel (stats, float sums) or by
-// the (time, channel, seq) wire sort.
+// the (time, channel, seq) wire merge.
 func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 	if cfg.Channels <= 0 {
 		panic("system: open-loop run needs at least one channel")
@@ -244,7 +286,15 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 			respEng:  aes.NewEngine(fmt.Sprintf("lane%d-resp", ch), cipher),
 			mac:      md5sim.NewUnit(fmt.Sprintf("lane%d-mac", ch)),
 			policy:   cfg.Policy,
+
+			remaining: cfg.Requests,
+			// Room for the real pairs; cover pairs grow the logs.
+			wire: [2][]openWireEvent{
+				reqLink:  make([]openWireEvent, 0, 2*cfg.Requests),
+				respLink: make([]openWireEvent, 0, cfg.Requests),
+			},
 		}
+		l.arriveFn, l.coverFn = l.arrive, l.cover
 		lanes[ch] = l
 	}
 	for _, l := range lanes {
@@ -255,19 +305,9 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 		}
 	}
 
-	// Seed each lane's arrival chain: request i+1 arrives Gap after request
-	// i (open loop — no completion feedback).
+	// Seed each lane's arrival chain.
 	for _, l := range lanes {
-		var arrive func(t sim.Time, remaining int)
-		arrive = func(t sim.Time, remaining int) {
-			req := l.stream.Next()
-			l.real(t, req.Addr, req.Write)
-			if remaining > 1 {
-				l.eng.Schedule(t+req.Gap, func() { arrive(t+req.Gap, remaining-1) })
-			}
-		}
-		first := l.stream.Next().Gap
-		l.eng.Schedule(first, func() { arrive(first, cfg.Requests) })
+		eng.Schedule(l.stream.Next().Gap, l.arriveFn)
 	}
 
 	eng.Run()
@@ -276,21 +316,11 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 
 // reduceOpenLoop folds the per-lane state into the deterministic report.
 func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controller, b *bus.Bus, fired uint64) OpenLoopResult {
-	// Merge the wire views: stable (time, channel, seq) order.
-	var merged []openWireEvent
+	runs := make([][]openWireEvent, 0, 2*len(lanes))
 	for _, l := range lanes {
-		merged = append(merged, l.wire...)
+		runs = append(runs, l.wire[reqLink], l.wire[respLink])
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		a, c := merged[i], merged[j]
-		if a.at != c.at {
-			return a.at < c.at
-		}
-		if a.ch != c.ch {
-			return a.ch < c.ch
-		}
-		return a.seq < c.seq
-	})
+	merged := mergeWire(runs)
 	h := fnv.New64a()
 	buf := make([]byte, 8)
 	word := func(v uint64) {
@@ -325,10 +355,10 @@ func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controlle
 		}
 		acc := mem.Device(ch).Stats().Accesses
 		table.AddRowf(1, ch, l.stream.Profile().Name, l.issued, l.covers, avgLat,
-			len(l.wire), busStats[ch].Bytes, memStats[ch].DroppedDummies, acc)
+			l.packets, busStats[ch].Bytes, memStats[ch].DroppedDummies, acc)
 		totalReqs += l.issued
 		totalCovers += l.covers
-		totalPkts += len(l.wire)
+		totalPkts += l.packets
 		totalBytes += busStats[ch].Bytes
 		totalDropped += memStats[ch].DroppedDummies
 		totalAcc += acc
@@ -351,4 +381,75 @@ func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controlle
 	table.AddNote("wire digest=%016x gap entropy=%.4f bits (16ns buckets over %d gaps)", digest, entropy, gaps.N())
 	table.AddNote("per-lane front end (deviation from the shared Fig 3 front end; see DESIGN.md §10)")
 	return OpenLoopResult{Table: table, WireDigest: digest, GapEntropyBits: entropy, EventsFired: fired}
+}
+
+// mergeWire merges runs, each in (time, channel, seq) order, into one slice
+// in that order. It is a k-way merge on a binary min-heap of run indices
+// keyed by each run's head: O(n log k) for n events in k runs.
+func mergeWire(runs [][]openWireEvent) []openWireEvent {
+	m := wireMerge{runs: runs, pos: make([]int, len(runs)), heap: make([]int, 0, len(runs))}
+	n := 0
+	for r, run := range runs {
+		n += len(run)
+		if len(run) > 0 {
+			m.heap = append(m.heap, r)
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	merged := make([]openWireEvent, 0, n)
+	for len(m.heap) > 0 {
+		r := m.heap[0]
+		merged = append(merged, runs[r][m.pos[r]])
+		m.pos[r]++
+		if m.pos[r] == len(runs[r]) {
+			last := len(m.heap) - 1
+			m.heap[0] = m.heap[last]
+			m.heap = m.heap[:last]
+		}
+		m.down(0)
+	}
+	return merged
+}
+
+// wireMerge is mergeWire's state. The heap holds run indices, not slices,
+// so it is pointer-free.
+type wireMerge struct {
+	runs [][]openWireEvent
+	pos  []int // next unmerged event of each run
+	heap []int
+}
+
+// less orders two runs by their next unmerged event, in the merged wire
+// view's (time, channel, seq) order. seq is unique within a channel, so the
+// order is total.
+func (m *wireMerge) less(a, b int) bool {
+	x, y := &m.runs[a][m.pos[a]], &m.runs[b][m.pos[b]]
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	if x.ch != y.ch {
+		return x.ch < y.ch
+	}
+	return x.seq < y.seq
+}
+
+// down sifts heap[i] down to its place.
+func (m *wireMerge) down(i int) {
+	h := m.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && m.less(h[c+1], h[c]) {
+			c++
+		}
+		if !m.less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -22,7 +22,9 @@
 #                  reads and writes),
 #                  the fixed-allocation guard of the Chrome trace export,
 #                  the open-loop guard (an 8-lane run's allocations must
-#                  not grow with its request count),
+#                  not grow with its request count), the closed-loop guard
+#                  (a cpu.Run's allocations must not grow with its request
+#                  count),
 #                  the lazy-crypto guard (a bare bus, which skips command
 #                  pads and MACs, matches a tapped one and still detects
 #                  counter desync), plus
@@ -103,7 +105,8 @@ bench-smoke:
 	$(GO) test -run 'TestScheduleFireZeroAllocs|TestReadWriteLegZeroAllocs|TestLazyCryptoMatchesEager|TestCTRZeroAllocs|TestComputeZeroAllocs' \
 		-bench 'BenchmarkEngineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
-	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs' ./internal/metrics ./internal/xrand
+	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs|TestDriveAllocsIndependentOfRequests' \
+		./internal/metrics ./internal/xrand ./internal/cpu
 	$(GO) test -run 'TestChromeExportAllocs' -bench 'BenchmarkWriteChromeTrace' \
 		-benchtime 200ms -benchmem ./internal/trace
 	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests' \

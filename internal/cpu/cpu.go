@@ -37,7 +37,7 @@ type Config struct {
 	// execution time (the rest is hidden by out-of-order overlap).
 	Exposure float64
 	// WriteBuffer is the number of outstanding writebacks the core
-	// tolerates before stalling.
+	// tolerates before stalling. A non-positive value takes the default.
 	WriteBuffer int
 	// Trace, when non-nil, opens one request envelope per demand read and
 	// writeback (issue to completion), which is what scopes every component
@@ -126,9 +126,16 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 		d.SimBudget = cfg.SimBudget
 		cfg = d
 	}
+	if cfg.WriteBuffer <= 0 {
+		cfg.WriteBuffer = DefaultConfig().WriteBuffer
+	}
 	res := Result{Benchmark: name}
 	now := sim.Time(0)
-	var pendingWrites []sim.Time
+	// Outstanding writeback retirement times, ascending. A full buffer is
+	// popped before the next insert, so it never holds more than
+	// WriteBuffer entries; pruned and popped in place, it is allocated once
+	// per run.
+	pendingWrites := make([]sim.Time, 0, cfg.WriteBuffer)
 	var latSum float64
 
 	for i := 0; i < n; i++ {
@@ -149,7 +156,7 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 					res.StallTime += wait - now
 					now = wait
 				}
-				pendingWrites = pendingWrites[1:]
+				pendingWrites = pendingWrites[:copy(pendingWrites, pendingWrites[1:])]
 			}
 			id := cfg.Trace.BeginRequest(names.ReqWrite, req.Addr, now)
 			done := sys.Write(now, req.Addr)
@@ -188,7 +195,7 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 
 func pruneBefore(ts []sim.Time, now sim.Time) []sim.Time {
 	i := sort.Search(len(ts), func(i int) bool { return ts[i] > now })
-	return ts[i:]
+	return ts[:copy(ts, ts[i:])]
 }
 
 func insertSorted(ts []sim.Time, t sim.Time) []sim.Time {

@@ -92,3 +92,41 @@ func TestRunDeterminism(t *testing.T) {
 		t.Fatal("Run not deterministic")
 	}
 }
+
+// TestNonPositiveWriteBufferDefaults: a config that sets Exposure but not
+// WriteBuffer runs with the default buffer depth instead of indexing an
+// empty buffer on its first writeback.
+func TestNonPositiveWriteBufferDefaults(t *testing.T) {
+	p, _ := workload.ByName("lbm")
+	run := func(wb int) Result {
+		sys := &fixedLatency{read: 50 * sim.Nanosecond, write: 2 * sim.Microsecond}
+		return Run(p, 3000, sys, Config{Exposure: 0.5, WriteBuffer: wb}, 5)
+	}
+	want := run(DefaultConfig().WriteBuffer)
+	for _, wb := range []int{0, -1} {
+		if got := run(wb); got != want {
+			t.Errorf("WriteBuffer %d: %+v, want the default buffer's %+v", wb, got, want)
+		}
+	}
+}
+
+// TestDriveAllocsIndependentOfRequests is the closed loop's allocation
+// guard: the drive loop's write buffer is allocated once per run, so a
+// longer run of a write-heavy profile against slow writes (a full buffer,
+// pruned and popped on most writebacks) allocates no more than a short one.
+// bench-smoke runs this in CI.
+func TestDriveAllocsIndependentOfRequests(t *testing.T) {
+	p, _ := workload.ByName("lbm")
+	sys := &fixedLatency{read: 50 * sim.Nanosecond, write: 2 * sim.Microsecond}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() { Run(p, n, sys, DefaultConfig(), 6) })
+	}
+	const short, long = 2000, 8000
+	a, b := allocs(short), allocs(long)
+	per := (b - a) / (long - short)
+	t.Logf("%.0f allocs at %d requests, %.0f at %d: %.4f per added request", a, short, b, long, per)
+	if per >= 0.01 {
+		t.Fatalf("%d requests: %.0f allocations, %d requests: %.0f (%.3f per added request, want < 0.01)",
+			short, a, long, b, per)
+	}
+}

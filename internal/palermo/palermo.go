@@ -186,8 +186,13 @@ func (c *Controller) coverAddr() uint64 {
 // sealCmd fills the wire view of a command packet with a cheap
 // deterministic "ciphertext" (the attacker-visible bytes carry no
 // structure; real key-stream sealing would add nothing to the timing
-// model).
-func sealCmd(p *bus.Packet, addr, seq uint64) {
+// model). Only wire bytes depend on it, so it runs only when the bus is
+// exposed to an observer, tamperer or fault injector; a bare bus carries
+// the command with a zero CmdCipher.
+func (c *Controller) sealCmd(p *bus.Packet, addr, seq uint64) {
+	if !c.bus.Exposed() {
+		return
+	}
 	x := xrand.Mix64(addr ^ xrand.Mix64(seq))
 	for i := 0; i < bus.CmdBytes; i += 8 {
 		for j := 0; j < 8; j++ {
@@ -211,7 +216,7 @@ func (c *Controller) fetchBlock(at sim.Time, addr uint64, dummy bool) (sim.Time,
 	cmd.IsDummy = dummy
 	cmd.Seq = c.seq
 	c.seq++
-	sealCmd(cmd, addr, cmd.Seq)
+	c.sealCmd(cmd, addr, cmd.Seq)
 	c.stats.PathReads++
 	c.met.pathReads.Inc()
 	arrive, delivered := c.bus.Transfer(at, cmd)
@@ -260,7 +265,7 @@ func (c *Controller) flushEvictions(at sim.Time) {
 		w.Addr = addr
 		w.Seq = c.seq
 		c.seq++
-		sealCmd(w, addr, w.Seq)
+		c.sealCmd(w, addr, w.Seq)
 		c.stats.EvictWrites++
 		c.met.evictWrites.Inc()
 		arrive, delivered := c.bus.Transfer(at, w)

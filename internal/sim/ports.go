@@ -35,6 +35,24 @@ func (r *Resource) Acquire(at Time, hold Time) Time {
 	return start
 }
 
+// acquireN is n back-to-back Acquire(at, hold) calls in closed form: the
+// first starts at max(at, FreeAt) and each later one where the previous
+// ends. It returns the start time of the last reservation.
+func (r *Resource) acquireN(at Time, hold Time, n int) Time {
+	if hold < 0 {
+		panic("sim: negative hold")
+	}
+	start := at
+	if r.freeAt > start {
+		start = r.freeAt
+	}
+	last := start + Time(n-1)*hold
+	r.freeAt = last + hold
+	r.busyTime += Time(n) * hold
+	r.uses += uint64(n)
+	return last
+}
+
 // FreeAt returns the time the resource next becomes idle.
 func (r *Resource) FreeAt() Time { return r.freeAt }
 
@@ -98,10 +116,7 @@ func (p *Pipeline) IssueN(at Time, n int) (done Time) {
 	if n <= 0 {
 		return at
 	}
-	for i := 0; i < n; i++ {
-		done = p.Issue(at)
-	}
-	return done
+	return p.issue.acquireN(at, p.Interval, n) + p.Latency
 }
 
 // Ops returns the number of operations issued.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"obfusmem/internal/xrand"
 )
 
 func TestTimeString(t *testing.T) {
@@ -162,6 +164,52 @@ func TestPipeline(t *testing.T) {
 	}
 	if p.Ops() != 6 {
 		t.Fatalf("Ops = %d, want 6", p.Ops())
+	}
+}
+
+// TestIssueNMatchesIssueLoop checks the closed-form IssueN against n
+// single Issue calls on a twin pipeline with the same prior occupancy,
+// with the batch arriving both while the pipeline is still busy and after
+// it has gone idle.
+func TestIssueNMatchesIssueLoop(t *testing.T) {
+	r := xrand.New(25)
+	var busy, idle int
+	for trial := 0; trial < 2000; trial++ {
+		lat := Time(r.Intn(200 * int(Nanosecond)))
+		ival := Time(r.Intn(10*int(Nanosecond))) + 1
+		a, b := NewPipeline("a", lat, ival), NewPipeline("b", lat, ival)
+		for k, at := r.Intn(8), Time(0); k > 0; k-- {
+			at += Time(r.Intn(20 * int(Nanosecond)))
+			a.Issue(at)
+			b.Issue(at)
+		}
+		free := a.issue.FreeAt()
+		at := free + Time(r.Intn(40*int(Nanosecond))) - 20*Nanosecond
+		if at < 0 {
+			at = 0
+		}
+		if at < free {
+			busy++
+		} else {
+			idle++
+		}
+		n := r.Intn(301)
+		got := a.IssueN(at, n)
+		want := at
+		for i := 0; i < n; i++ {
+			want = b.Issue(at)
+		}
+		if got != want || a.issue.FreeAt() != b.issue.FreeAt() ||
+			a.issue.BusyTime() != b.issue.BusyTime() || a.Ops() != b.Ops() {
+			t.Fatalf("trial %d (latency %v, interval %v, at %v, prior free %v, n %d): "+
+				"IssueN done %v free %v busy %v ops %d; loop done %v free %v busy %v ops %d",
+				trial, lat, ival, at, free, n,
+				got, a.issue.FreeAt(), a.issue.BusyTime(), a.Ops(),
+				want, b.issue.FreeAt(), b.issue.BusyTime(), b.Ops())
+		}
+	}
+	if busy == 0 || idle == 0 {
+		t.Fatalf("batches arrived %d times while busy and %d times idle; want both", busy, idle)
 	}
 }
 

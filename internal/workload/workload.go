@@ -117,6 +117,8 @@ type Stream struct {
 	gapMean   float64
 	rowBytes  uint64
 	footprint uint64
+	// jump draws the block stride of a jump out of the open row.
+	jump xrand.Pareto
 }
 
 // Baseline stall model: the measured Table 1 gap on the unprotected
@@ -155,6 +157,7 @@ func NewStream(p Profile, seed uint64) *Stream {
 		rowBytes:  1024,
 		footprint: fp,
 	}
+	s.jump = xrand.NewPareto(1.1, float64(s.rowBytes/64), float64(s.footprint/64))
 	s.lastAddr = (s.rng.Uint64() % s.footprint) &^ 63
 	return s
 }
@@ -173,7 +176,7 @@ func (s *Stream) Next() Request {
 	} else {
 		// Jump: heavy-tailed stride within the footprint, at least one
 		// row away so jumps genuinely leave the open row.
-		stride := uint64(s.rng.Pareto(1.1, float64(s.rowBytes/64), float64(s.footprint/64))) * 64
+		stride := uint64(s.jump.Draw(s.rng)) * 64
 		if s.rng.Bool() && stride < s.lastAddr {
 			addr = s.lastAddr - stride
 		} else {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"obfusmem/internal/sim"
+	"obfusmem/internal/xrand"
 )
 
 func TestSPEC2006Complete(t *testing.T) {
@@ -149,6 +150,35 @@ func TestStreamGapIsTime(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if g := s.Next().Gap; g < 0 || g > sim.Millisecond {
 			t.Fatalf("implausible gap %v", g)
+		}
+	}
+}
+
+// referencePareto is the bounded Pareto inverse CDF with every power
+// computed per draw (three math.Pow calls), the reference that
+// xrand.Pareto.Draw must match bit for bit.
+func referencePareto(r *xrand.Rand, alpha, lo, hi float64) float64 {
+	u := r.Float64()
+	la := math.Pow(lo, alpha)
+	ha := math.Pow(hi, alpha)
+	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+}
+
+// TestJumpParetoMatchesReference pins the stream's stride sampler bit for
+// bit to the three-Pow formula over each profile's own bounds, so computing
+// the bound powers once per stream moves no simulated address.
+func TestJumpParetoMatchesReference(t *testing.T) {
+	const draws = 100000
+	for _, p := range SPEC2006() {
+		s := NewStream(p, 1)
+		lo, hi := float64(s.rowBytes/64), float64(s.footprint/64)
+		a, b := xrand.New(uint64(p.FootprintMB)), xrand.New(uint64(p.FootprintMB))
+		for i := 0; i < draws; i++ {
+			got, want := s.jump.Draw(a), referencePareto(b, 1.1, lo, hi)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: draw %d = %v (%#x), reference %v (%#x)",
+					p.Name, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 }

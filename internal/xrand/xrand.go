@@ -144,16 +144,30 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// Pareto returns a bounded Pareto-distributed value in [lo, hi] with shape
-// alpha. It is used to model heavy-tailed spatial strides in workloads.
-func (r *Rand) Pareto(alpha, lo, hi float64) float64 {
+// Pareto is a bounded Pareto distribution on [lo, hi] with shape alpha. It
+// is used to model heavy-tailed spatial strides in workloads. NewPareto
+// computes the powers of the bounds once, so a draw costs one math.Pow.
+type Pareto struct {
+	la, ha, hala, negInvAlpha float64
+}
+
+// NewPareto returns the bounded Pareto distribution on [lo, hi] with shape
+// alpha. It panics unless 0 < lo < hi.
+func NewPareto(alpha, lo, hi float64) Pareto {
 	if lo <= 0 || hi <= lo {
 		panic("xrand: invalid Pareto bounds")
 	}
-	u := r.Float64()
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return Pareto{la: la, ha: ha, hala: ha * la, negInvAlpha: -1 / alpha}
+}
+
+// Draw returns one value of p drawn with r. It consumes one Float64 and
+// evaluates the inverse CDF in a fixed expression order, so a stream of
+// draws is bit-for-bit reproducible.
+func (p Pareto) Draw(r *Rand) float64 {
+	u := r.Float64()
+	return math.Pow(-(u*p.ha-u*p.la-p.ha)/p.hala, p.negInvAlpha)
 }
 
 // Bytes fills p with random bytes.

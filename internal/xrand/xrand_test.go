@@ -136,8 +136,9 @@ func TestNormMoments(t *testing.T) {
 
 func TestParetoBounds(t *testing.T) {
 	r := New(17)
+	p := NewPareto(1.2, 1, 1024)
 	for i := 0; i < 10000; i++ {
-		v := r.Pareto(1.2, 1, 1024)
+		v := p.Draw(r)
 		if v < 1 || v > 1024 {
 			t.Fatalf("Pareto out of bounds: %v", v)
 		}
@@ -235,6 +236,7 @@ func TestMix64(t *testing.T) {
 // addresses). bench-smoke runs this in CI.
 func TestDrawsZeroAllocs(t *testing.T) {
 	r := New(7)
+	pareto := NewPareto(1.1, 16, 1<<24)
 	var sink uint64
 	cases := []struct {
 		name string
@@ -244,6 +246,7 @@ func TestDrawsZeroAllocs(t *testing.T) {
 		{"Intn", func() { sink += uint64(r.Intn(1000)) }},
 		{"Uint64n", func() { sink += r.Uint64n(1<<40 + 3) }},
 		{"Uint64n/pow2", func() { sink += r.Uint64n(1 << 20) }},
+		{"Pareto.Draw", func() { sink += uint64(pareto.Draw(r)) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -455,4 +456,39 @@ func TestPreflightKeepsExistingFile(t *testing.T) {
 	if err != nil || string(got) != "precious" {
 		t.Errorf("preflight disturbed existing file: content %q, err %v", got, err)
 	}
+}
+
+// TestResultsFullGolden regenerates `obfsim -exp all -requests 5000` in
+// process and requires it to equal the committed results_full.txt byte for
+// byte: a change that moves any reproduced number, or breaks determinism,
+// fails here. It takes about a second, so -short skips it.
+func TestResultsFullGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation; skipped under -short")
+	}
+	want, err := os.ReadFile("../../results_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-exp", "all", "-requests", "5000"}, &out, io.Discard); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if bytes.Equal(out.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(got), len(exp)); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			w = exp[i]
+		}
+		if g != w {
+			t.Fatalf("output differs from results_full.txt at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
+	}
+	t.Fatalf("output differs from results_full.txt (%d vs %d bytes)", out.Len(), len(want))
 }

@@ -329,73 +329,3 @@ func BenchmarkTimingOblivious(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkRingVsPathORAM compares the two functional ORAM baselines' bus
-// bandwidth per access (blocks moved), the quantity behind the paper's
-// 24x-vs-120x citation.
-func BenchmarkRingVsPathORAM(b *testing.B) {
-	b.Run("path", func(b *testing.B) {
-		var bw float64
-		for i := 0; i < b.N; i++ {
-			o, err := obfusmem.NewPathORAM(obfusmem.PathORAMConfig{
-				Levels: 12, Z: 4, StashCapacity: 600, BlockBytes: 64}, 8000, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for a := 0; a < 3000; a++ {
-				o.Access(obfusmem.ORAMRead, a%8000, nil)
-			}
-			st := o.Stats()
-			bw = float64(st.BlocksRead+st.BlocksWritten) / 3000
-		}
-		b.ReportMetric(bw, "blocks/access")
-	})
-	b.Run("ring", func(b *testing.B) {
-		var bw float64
-		for i := 0; i < b.N; i++ {
-			o, err := obfusmem.NewRingORAM(obfusmem.RingORAMConfig{
-				Levels: 12, Z: 4, S: 6, A: 3, StashCapacity: 600, BlockBytes: 64}, 8000, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for a := 0; a < 3000; a++ {
-				o.Access(obfusmem.ORAMRead, a%8000, nil)
-			}
-			st := o.Stats()
-			bw = float64(st.BlocksRead+st.BlocksWritten) / 3000
-		}
-		b.ReportMetric(bw, "blocks/access")
-	})
-}
-
-// BenchmarkMemoryTechnology compares ObfusMem+Auth overhead on the paper's
-// PCM against a DRAM main memory (refresh, symmetric timing): the paper's
-// NVM-centric arguments (dummy dropping, wear) matter most on PCM, but the
-// obfuscation itself is technology-agnostic.
-func BenchmarkMemoryTechnology(b *testing.B) {
-	for _, dram := range []bool{false, true} {
-		name := "pcm"
-		if dram {
-			name = "dram"
-		}
-		b.Run(name, func(b *testing.B) {
-			var overhead float64
-			for i := 0; i < b.N; i++ {
-				base, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionNone, DRAM: dram, Seed: 9})
-				if err != nil {
-					b.Fatal(err)
-				}
-				prot, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionObfusMemAuth, DRAM: dram, Seed: 9})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rb, _ := base.RunBenchmark("milc", 3000)
-				rp, _ := prot.RunBenchmark("milc", 3000)
-				overhead = obfusmem.Overhead(rb, rp)
-			}
-			b.ReportMetric(overhead, "overhead-%")
-		})
-	}
-}

@@ -38,6 +38,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *accesses < 1 {
+		fmt.Fprintf(stderr, "oramtool: -accesses %d; need at least 1\n", *accesses)
+		return 2
+	}
 
 	if *sweep {
 		return stashSweep(stdout, stderr, *levels, *z, *blocks, *accesses, *seed)
@@ -93,14 +97,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func stashSweep(stdout, stderr io.Writer, levels, z, blocks, accesses int, seed uint64) int {
-	fmt.Fprintln(stdout, "stash capacity sweep: overflow events per run")
-	fmt.Fprintf(stdout, "%8s %10s %10s\n", "capacity", "overflows", "rate")
-	for _, cap := range []int{0, 2, 5, 10, 20, 50, 100} {
+	for i, cap := range []int{0, 2, 5, 10, 20, 50, 100} {
 		cfg := oram.Config{Levels: levels, Z: z, StashCapacity: cap, BlockBytes: 64}
 		o, err := oram.New(cfg, blocks, xrand.New(seed))
 		if err != nil {
 			fmt.Fprintln(stderr, "oramtool:", err)
 			return 2
+		}
+		if i == 0 {
+			// Only the stash capacity varies, so the first tree validates
+			// the geometry before anything is printed.
+			fmt.Fprintln(stdout, "stash capacity sweep: overflow events per run")
+			fmt.Fprintf(stdout, "%8s %10s %10s\n", "capacity", "overflows", "rate")
 		}
 		r := xrand.New(seed + 1)
 		overflows := 0

@@ -63,11 +63,21 @@ func TestSmallSweep(t *testing.T) {
 }
 
 func TestBadFlagExits2(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("bad flag wrote to stdout: %q", stdout.String())
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-blocks", "0"},
+		{"-blocks", "-3"},
+		{"-stash", "-1"},
+		{"-accesses", "0"},
+		{"-sweep", "-blocks", "0"},
+		{"-sweep", "-accesses", "-1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: bad flag wrote to stdout: %q", args, stdout.String())
+		}
 	}
 }

@@ -21,22 +21,14 @@ import (
 	"obfusmem/internal/pcm"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/trace"
-	"obfusmem/internal/xrand"
 )
 
-// Config describes the mapped memory system.
+// Config describes the mapped memory system: Channels PCM devices, each
+// with the Table 2 geometry and timing, behind a fixed RoRaBaChCo mapping.
+// A decoded row is the physical row; there is no remapping layer.
 type Config struct {
-	Channels   int
-	CapacityGB int
-	PCM        pcm.Config
-	// WearLevel enables Start-Gap wear levelling inside each bank (one of
-	// the smart-module logic functions of the paper's Section 2.2).
-	WearLevel bool
-	// WearPsi is the writes-per-gap-move rate (default 128 when zero).
-	WearPsi int
-	// WearRegionRows overrides the levelled region size per bank (tests
-	// and small simulations; zero derives it from capacity).
-	WearRegionRows int
+	Channels int
+	PCM      pcm.Config
 	// Metrics, when non-nil, receives per-channel controller counters
 	// ("memctl.chN" scope) and per-channel PCM device instruments
 	// ("pcm.chN" scope). Nil disables.
@@ -48,7 +40,7 @@ type Config struct {
 
 // DefaultConfig matches Table 2 with a configurable channel count.
 func DefaultConfig(channels int) Config {
-	return Config{Channels: channels, CapacityGB: 8, PCM: pcm.DefaultConfig()}
+	return Config{Channels: channels, PCM: pcm.DefaultConfig()}
 }
 
 // Coords is a fully decoded physical location.
@@ -136,9 +128,6 @@ type ChannelStats struct {
 	// DroppedDummies counts fixed-address dummy requests discarded before
 	// touching PCM (Observation 2).
 	DroppedDummies uint64
-	// WearMigrations counts Start-Gap line copies on this channel (the
-	// global total is summed on demand by Migrations).
-	WearMigrations uint64
 }
 
 // chanMetrics is one channel's controller-level instrument set; the zero
@@ -151,17 +140,11 @@ type chanMetrics struct {
 
 // Controller is the memory-side access engine: one PCM device per channel.
 type Controller struct {
-	cfg     Config
 	mapper  *Mapper
 	devices []*pcm.Device
 	stats   []ChannelStats
 	met     []chanMetrics
-	metMigr *metrics.Counter
 	tr      *trace.Recorder
-	// levellers holds one Start-Gap instance per (channel, rank, bank)
-	// when wear levelling is enabled.
-	levellers   []*pcm.StartGap
-	rowsPerBank int64
 	// contents is the functional (value-level) store, allocated on first
 	// StoreBlock.
 	contents map[uint64]Block
@@ -170,7 +153,6 @@ type Controller struct {
 // New builds a controller with fresh devices.
 func New(cfg Config) *Controller {
 	c := &Controller{
-		cfg:     cfg,
 		mapper:  NewMapper(cfg),
 		devices: make([]*pcm.Device, cfg.Channels),
 		stats:   make([]ChannelStats, cfg.Channels),
@@ -191,44 +173,7 @@ func New(cfg Config) *Controller {
 			}
 		}
 	}
-	c.metMigr = cfg.Metrics.Scope(names.ScopeMemctl).Counter(names.MemctlWearMigrations)
-	if cfg.WearLevel {
-		capacity := int64(cfg.CapacityGB) << 30
-		if capacity <= 0 {
-			capacity = 8 << 30
-		}
-		banks := int64(cfg.Channels * cfg.PCM.Ranks * cfg.PCM.BanksPerRank)
-		c.rowsPerBank = capacity / banks / int64(cfg.PCM.RowBytes)
-		if cfg.WearRegionRows > 0 {
-			c.rowsPerBank = int64(cfg.WearRegionRows)
-		}
-		psi := cfg.WearPsi
-		if psi <= 0 {
-			psi = 128
-		}
-		rng := xrand.New(0x5f4c)
-		c.levellers = make([]*pcm.StartGap, banks)
-		for i := range c.levellers {
-			c.levellers[i] = pcm.NewStartGap(int(c.rowsPerBank), psi, rng.Fork(uint64(i)))
-		}
-	}
 	return c
-}
-
-// leveller returns the Start-Gap instance for a decoded location.
-func (c *Controller) leveller(co Coords) *pcm.StartGap {
-	idx := (co.Channel*c.cfg.PCM.Ranks+co.Rank)*c.cfg.PCM.BanksPerRank + co.Bank
-	return c.levellers[idx]
-}
-
-// Migrations returns total wear-levelling line copies performed, summed
-// over channels.
-func (c *Controller) Migrations() uint64 {
-	var n uint64
-	for i := range c.stats {
-		n += c.stats[i].WearMigrations
-	}
-	return n
 }
 
 // Block is one stored 64-byte line.
@@ -275,28 +220,7 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
 			trace.Int("rank", int64(co.Rank)), trace.Int("bank", int64(co.Bank)),
 			trace.Int("row", co.Row), trace.Bool("write", write))
 	}
-	row := co.Row
-	if c.levellers != nil && row < c.rowsPerBank {
-		sg := c.leveller(co)
-		row = int64(sg.Map(int(co.Row)))
-		if write {
-			if migrated, src := sg.OnWrite(); migrated {
-				// Gap movement: copy one row (read src, write the old
-				// gap). Posted; it occupies the bank and wears the
-				// destination but does not stall the requester.
-				c.stats[co.Channel].WearMigrations++
-				c.metMigr.Inc()
-				if c.tr != nil {
-					c.tr.Instant(trace.ChannelPID(co.Channel), "ctl",
-						names.SpanWearMigration, at, trace.Int("src_row", int64(src)))
-				}
-				dev := c.devices[co.Channel]
-				done := dev.Access(at, co.Rank, co.Bank, int64(src), false)
-				dev.Access(done, co.Rank, co.Bank, int64(src)+1, true)
-			}
-		}
-	}
-	return c.devices[co.Channel].Access(at, co.Rank, co.Bank, row, write)
+	return c.devices[co.Channel].Access(at, co.Rank, co.Bank, co.Row, write)
 }
 
 // AccessOnChannel services a request already routed to a channel (the

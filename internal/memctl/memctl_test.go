@@ -215,54 +215,3 @@ func BenchmarkControllerAccess(b *testing.B) {
 		sinkTime = c.Access(at, addr, i%3 == 0)
 	}
 }
-
-func TestWearLevelIntegration(t *testing.T) {
-	cfg := noAdaptive(1)
-	cfg.WearLevel = true
-	cfg.WearPsi = 4
-	// Small levelled region so the gap sweeps past the hot row within the
-	// test (a full-size region levels over rows x psi writes).
-	cfg.WearRegionRows = 16
-	c := New(cfg)
-	// Hammer writes to one row; the leveller must spread physical wear
-	// and perform migrations.
-	at := sim.Time(0)
-	for i := 0; i < 400; i++ {
-		at = c.Access(at, 0x40, true)
-		at = c.Access(at, 1<<20, false) // conflicting row: forces dirty eviction
-	}
-	c.Flush()
-	if c.Migrations() == 0 {
-		t.Fatal("wear levelling never migrated")
-	}
-	// Compare peak wear against a non-levelled controller with the same
-	// pattern.
-	c2 := New(noAdaptive(1))
-	at = 0
-	for i := 0; i < 400; i++ {
-		at = c2.Access(at, 0x40, true)
-		at = c2.Access(at, 1<<20, false)
-	}
-	c2.Flush()
-	if c.Device(0).MaxWear() >= c2.Device(0).MaxWear() {
-		t.Fatalf("levelled max wear %d not below static %d",
-			c.Device(0).MaxWear(), c2.Device(0).MaxWear())
-	}
-}
-
-func TestWearLevelPreservesRouting(t *testing.T) {
-	cfg := noAdaptive(2)
-	cfg.WearLevel = true
-	c := New(cfg)
-	// Accesses still land on the decoded channel; data-ready times sane.
-	for i := 0; i < 100; i++ {
-		done := c.Access(sim.Time(i)*100*sim.Nanosecond, uint64(i)*1024, i%2 == 0)
-		if done <= 0 {
-			t.Fatalf("access %d returned %v", i, done)
-		}
-	}
-	st := c.Stats()
-	if st[0].Reads+st[0].Writes == 0 || st[1].Reads+st[1].Writes == 0 {
-		t.Fatal("wear levelling broke channel routing")
-	}
-}

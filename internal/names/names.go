@@ -141,7 +141,6 @@ const (
 	MemctlReads          Name = "reads"
 	MemctlWrites         Name = "writes"
 	MemctlDroppedDummies Name = "dropped_dummies"
-	MemctlWearMigrations Name = "wear_migrations"
 )
 
 // PCM device metrics (internal/pcm, scope "pcm.ch<i>").
@@ -150,7 +149,6 @@ const (
 	PCMRowMisses     Name = "row_misses"
 	PCMBankConflicts Name = "bank_conflicts"
 	PCMArrayWrites   Name = "array_writes"
-	PCMRefreshStalls Name = "refresh_stalls"
 	PCMAccessNS      Name = "access_ns"
 	PCMBankWaitNS    Name = "bank_wait_ns"
 	PCMMaxWear       Name = "max_wear"
@@ -230,9 +228,8 @@ const (
 
 // Memory-controller spans (internal/memctl).
 const (
-	SpanDecode        Name = "decode"
-	SpanWearMigration Name = "wear-migration"
-	SpanDummyDropped  Name = "dummy-dropped"
+	SpanDecode       Name = "decode"
+	SpanDummyDropped Name = "dummy-dropped"
 )
 
 // PCM spans (internal/pcm).

@@ -96,6 +96,12 @@ func New(cfg Config, nBlocks int, rng *xrand.Rand) (*ORAM, error) {
 	if cfg.Z < 1 {
 		return nil, fmt.Errorf("oram: Z must be positive")
 	}
+	if cfg.StashCapacity < 0 {
+		return nil, fmt.Errorf("oram: stash capacity %d is negative", cfg.StashCapacity)
+	}
+	if nBlocks < 1 {
+		return nil, fmt.Errorf("oram: %d blocks; need at least 1", nBlocks)
+	}
 	nodes := (1 << (cfg.Levels + 1)) - 1
 	capacity := nodes * cfg.Z
 	if nBlocks > capacity/2 {

@@ -223,6 +223,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Levels: 5, Z: 0}, 1, xrand.New(1)); err == nil {
 		t.Error("Z 0 accepted")
 	}
+	for _, n := range []int{0, -3} {
+		if _, err := New(Config{Levels: 5, Z: 4}, n, xrand.New(1)); err == nil {
+			t.Errorf("%d blocks accepted", n)
+		}
+	}
+	if _, err := New(Config{Levels: 5, Z: 4, StashCapacity: -1}, 1, xrand.New(1)); err == nil {
+		t.Error("negative stash capacity accepted")
+	}
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {

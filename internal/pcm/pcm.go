@@ -37,15 +37,13 @@ const (
 	BlocksPerRowDefault = 16 // 1 KB row / 64 B blocks
 )
 
-// Config sizes the device.
+// Config sizes the device. Timing is not configurable: every device uses
+// the Table 2 PCM constants above and tracks per-row wear.
 type Config struct {
 	Ranks        int
 	BanksPerRank int
 	RowBytes     int // row buffer size
 	BlockBytes   int
-	// Timing selects the device technology; the zero value is the paper's
-	// PCM (Table 2). Use DRAMTiming() for a DRAM layer with refresh.
-	Timing Timing
 	// AdaptiveIdleClose, if > 0, closes an idle open row after this long,
 	// hiding the eviction latency off the critical path (the "adaptive"
 	// part of the open-adaptive policy).
@@ -74,15 +72,14 @@ func DefaultConfig() Config {
 
 // Stats aggregates device-level counters.
 type Stats struct {
-	Accesses      uint64
-	RowHits       uint64
-	RowMisses     uint64
-	ArrayReads    uint64 // row activations (PCM cell reads)
-	ArrayWrites   uint64 // dirty row evictions (PCM cell writes)
-	BlockReads    uint64 // 64B blocks streamed from row buffers
-	BlockWrites   uint64 // 64B blocks written into row buffers
-	RefreshStalls uint64 // accesses delayed by a DRAM refresh window
-	EnergyPJ      float64
+	Accesses    uint64
+	RowHits     uint64
+	RowMisses   uint64
+	ArrayReads  uint64 // row activations (PCM cell reads)
+	ArrayWrites uint64 // dirty row evictions (PCM cell writes)
+	BlockReads  uint64 // 64B blocks streamed from row buffers
+	BlockWrites uint64 // 64B blocks written into row buffers
+	EnergyPJ    float64
 }
 
 type bank struct {
@@ -99,7 +96,6 @@ type deviceMetrics struct {
 	rowMisses     *metrics.Counter
 	bankConflicts *metrics.Counter // row-buffer conflicts (open row evicted)
 	arrayWrites   *metrics.Counter
-	refreshStalls *metrics.Counter
 	accessNS      *metrics.Histogram // device service latency per access
 	bankWaitNS    *metrics.Histogram // time queued behind a busy bank
 	maxWear       *metrics.Gauge
@@ -107,12 +103,11 @@ type deviceMetrics struct {
 
 // Device is one PCM chip behind one channel.
 type Device struct {
-	cfg    Config
-	timing Timing
-	banks  []bank
-	stats  Stats
-	met    deviceMetrics
-	tr     *trace.Recorder
+	cfg   Config
+	banks []bank
+	stats Stats
+	met   deviceMetrics
+	tr    *trace.Recorder
 	// bankTID holds precomputed trace track names per bank (avoids
 	// per-access formatting when tracing is on).
 	bankTID []string
@@ -129,11 +124,8 @@ func New(cfg Config) *Device {
 	if cfg.RowBytes <= 0 || cfg.BlockBytes <= 0 || cfg.RowBytes%cfg.BlockBytes != 0 {
 		panic("pcm: invalid row/block size")
 	}
-	if cfg.Timing.IsZero() {
-		cfg.Timing = PCMTiming()
-	}
 	n := cfg.Ranks * cfg.BanksPerRank
-	d := &Device{cfg: cfg, timing: cfg.Timing, banks: make([]bank, n), wear: make(map[uint64]uint64)}
+	d := &Device{cfg: cfg, banks: make([]bank, n), wear: make(map[uint64]uint64)}
 	for i := range d.banks {
 		d.banks[i].res = sim.NewResource(fmt.Sprintf("bank%d", i))
 		d.banks[i].openRow = -1
@@ -151,7 +143,6 @@ func New(cfg Config) *Device {
 			rowMisses:     sc.Counter(names.PCMRowMisses),
 			bankConflicts: sc.Counter(names.PCMBankConflicts),
 			arrayWrites:   sc.Counter(names.PCMArrayWrites),
-			refreshStalls: sc.Counter(names.PCMRefreshStalls),
 			accessNS:      sc.Histogram(names.PCMAccessNS, metrics.LatencyBucketsNS),
 			bankWaitNS:    sc.Histogram(names.PCMBankWaitNS, metrics.LatencyBucketsNS),
 			maxWear:       sc.Gauge(names.PCMMaxWear),
@@ -178,11 +169,7 @@ func (d *Device) wearKey(bankIdx int, row int64) uint64 {
 func (d *Device) recordArrayWrite(bankIdx int, row int64) {
 	d.stats.ArrayWrites++
 	d.met.arrayWrites.Inc()
-	d.stats.EnergyPJ += BlockReadEnergyPJ * d.timing.WriteEnergyRatio *
-		float64(d.cfg.RowBytes/d.cfg.BlockBytes)
-	if !d.timing.TrackWear {
-		return
-	}
+	d.stats.EnergyPJ += BlockWriteEnergyPJ * float64(d.cfg.RowBytes/d.cfg.BlockBytes)
 	k := d.wearKey(bankIdx, row)
 	d.wear[k]++
 	if d.wear[k] > d.maxWear {
@@ -202,26 +189,6 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 	idx := d.bankIndex(rank, bankInRank)
 	b := &d.banks[idx]
 	d.stats.Accesses++
-	reqAt := at // request time before refresh shifts, for trace wait spans
-
-	// Refresh (DRAM): an access landing inside a refresh window waits for
-	// it to complete.
-	if ri := d.timing.RefreshInterval; ri > 0 {
-		boundary := (at / ri) * ri
-		if at < boundary+d.timing.RefreshTime {
-			at = boundary + d.timing.RefreshTime
-			d.stats.RefreshStalls++
-			d.met.refreshStalls.Inc()
-			if b.openRow >= 0 {
-				// Refresh closes open rows (auto-precharge).
-				if b.dirty {
-					d.recordArrayWrite(idx, b.openRow)
-				}
-				b.openRow = -1
-				b.dirty = false
-			}
-		}
-	}
 
 	// Open-adaptive policy: if the row sat idle long enough, the device
 	// closed it in the background; a dirty eviction happened off the
@@ -241,14 +208,14 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 	case b.openRow == row:
 		d.stats.RowHits++
 		d.met.rowHits.Inc()
-		latency = d.timing.CAS + d.timing.Burst
+		latency = CASLatency + BurstTime
 	case b.openRow < 0:
 		kind = names.SpanRowMiss
 		d.stats.RowMisses++
 		d.met.rowMisses.Inc()
 		d.stats.ArrayReads++
 		d.stats.EnergyPJ += BlockReadEnergyPJ * float64(d.cfg.RowBytes/d.cfg.BlockBytes)
-		latency = d.timing.ArrayRead + d.timing.CAS + d.timing.Burst
+		latency = ArrayReadLatency + CASLatency + BurstTime
 	default:
 		// Conflict: evict the open row (array write if dirty), then
 		// activate the new one.
@@ -258,12 +225,12 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 		d.met.bankConflicts.Inc()
 		evict := sim.Time(0)
 		if b.dirty {
-			evict = d.timing.ArrayWrite
+			evict = ArrayWriteLatency
 			d.recordArrayWrite(idx, b.openRow)
 		}
 		d.stats.ArrayReads++
 		d.stats.EnergyPJ += BlockReadEnergyPJ * float64(d.cfg.RowBytes/d.cfg.BlockBytes)
-		latency = evict + d.timing.ArrayRead + d.timing.CAS + d.timing.Burst
+		latency = evict + ArrayReadLatency + CASLatency + BurstTime
 	}
 
 	start := b.res.Acquire(at, latency)
@@ -273,8 +240,8 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 	}
 	if d.tr != nil {
 		pid := trace.ChannelPID(d.cfg.Channel)
-		if start > reqAt {
-			d.tr.Span(pid, d.bankTID[idx], trace.CatQueue, names.SpanBankWait, reqAt, start)
+		if start > at {
+			d.tr.Span(pid, d.bankTID[idx], trace.CatQueue, names.SpanBankWait, at, start)
 		}
 		d.tr.Span(pid, d.bankTID[idx], trace.CatPCM, kind, start, start+latency,
 			trace.Int("row", row), trace.Bool("write", write))

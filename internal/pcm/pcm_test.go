@@ -252,68 +252,3 @@ func TestDirtyClearsOnActivation(t *testing.T) {
 		t.Fatalf("MaxWear = %d, want 1", d.MaxWear())
 	}
 }
-
-func TestDRAMTimingBasics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Timing = DRAMTiming()
-	cfg.AdaptiveIdleClose = 0
-	d := New(cfg)
-	// First access may hit the refresh window at t=0 (boundary 0), so
-	// start after it.
-	start := 400 * sim.Nanosecond
-	done := d.Access(start, 0, 0, 1, false)
-	want := start + d.timing.ArrayRead + d.timing.CAS + d.timing.Burst
-	if done != want {
-		t.Fatalf("DRAM cold access done = %v, want %v", done, want)
-	}
-	// DRAM conflicts are far cheaper than PCM's 150ns eviction.
-	d.Access(done, 0, 0, 1, true)
-	d2 := d.Access(done+20*sim.Nanosecond, 0, 0, 2, false)
-	if d2-done > 80*sim.Nanosecond {
-		t.Fatalf("DRAM dirty conflict took %v, should be fast", d2-done)
-	}
-	if d.MaxWear() != 0 {
-		t.Fatal("DRAM should not track wear")
-	}
-}
-
-func TestDRAMRefreshStalls(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Timing = DRAMTiming()
-	cfg.AdaptiveIdleClose = 0
-	d := New(cfg)
-	// Accesses right at refresh boundaries stall.
-	ri := cfg.Timing.RefreshInterval
-	for i := 1; i <= 20; i++ {
-		d.Access(sim.Time(i)*ri+10*sim.Nanosecond, 0, 0, int64(i), false)
-	}
-	if d.Stats().RefreshStalls == 0 {
-		t.Fatal("no refresh stalls observed at boundary-aligned accesses")
-	}
-	// Accesses far from boundaries don't stall.
-	d2 := New(cfg)
-	for i := 1; i <= 20; i++ {
-		d2.Access(sim.Time(i)*ri+ri/2, 0, 0, int64(i), false)
-	}
-	if d2.Stats().RefreshStalls != 0 {
-		t.Fatalf("mid-interval accesses stalled %d times", d2.Stats().RefreshStalls)
-	}
-}
-
-func TestDRAMEnergySymmetric(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Timing = DRAMTiming()
-	cfg.AdaptiveIdleClose = 0
-	d := New(cfg)
-	at := 400 * sim.Nanosecond
-	at = d.Access(at, 0, 0, 1, true)
-	d.Access(at, 0, 0, 2, false) // dirty eviction
-	st := d.Stats()
-	// Write energy ratio 1.0: eviction costs the same as an activation.
-	wantE := BlockReadEnergyPJ*16*2 + // two activations
-		BlockReadEnergyPJ*1.0*16 + // one eviction at ratio 1.0
-		2*RowBufferEnergyPJ
-	if st.EnergyPJ < wantE-0.01 || st.EnergyPJ > wantE+0.01 {
-		t.Fatalf("EnergyPJ = %v, want %v", st.EnergyPJ, wantE)
-	}
-}

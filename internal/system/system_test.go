@@ -209,22 +209,3 @@ func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 		t.Fatal("unprotected store should hold plaintext")
 	}
 }
-
-func TestDRAMModeFasterBaseline(t *testing.T) {
-	p, _ := workload.ByName("milc")
-	pcmCfg := DefaultConfig("unprotected")
-	dramCfg := DefaultConfig("unprotected")
-	dramCfg.DRAM = true
-	rp := cpu.Run(p, 2500, New(pcmCfg), cpu.DefaultConfig(), 21)
-	rd := cpu.Run(p, 2500, New(dramCfg), cpu.DefaultConfig(), 21)
-	// DRAM's cheap conflicts beat PCM's 150ns evictions.
-	if rd.MeanReadNS >= rp.MeanReadNS {
-		t.Fatalf("DRAM reads (%.1f ns) not faster than PCM (%.1f ns)", rd.MeanReadNS, rp.MeanReadNS)
-	}
-	// And DRAM accumulates no wear.
-	s := New(dramCfg)
-	cpu.Run(p, 1500, s, cpu.DefaultConfig(), 22)
-	if s.Memory().Device(0).MaxWear() != 0 {
-		t.Fatal("DRAM device tracked wear")
-	}
-}

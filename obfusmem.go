@@ -126,14 +126,6 @@ type MachineConfig struct {
 	// protected modes (the paper's baseline secure processor assumes a
 	// Merkle tree; Section 2.1).
 	IntegrityTree bool
-	// DRAM selects a DRAM main memory (refresh, symmetric timing, no
-	// wear) instead of the paper's PCM.
-	DRAM bool
-	// WearLevel enables Start-Gap wear levelling inside the memory module
-	// (one of the Section 2.2 smart-NVM logic functions); composes with
-	// any protection level since it lives behind the memory-side
-	// controller.
-	WearLevel bool
 	// FullHandshake runs the complete Section 3.1 trust bootstrap
 	// (manufacturer certs, integrator burning, signed Diffie-Hellman) at
 	// construction instead of seeding session keys directly.
@@ -170,8 +162,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	sc.Seed = cfg.Seed
 	sc.FullHandshake = cfg.FullHandshake
 	sc.IntegrityTree = cfg.IntegrityTree
-	sc.WearLevel = cfg.WearLevel
-	sc.DRAM = cfg.DRAM
 	if cfg.Protection == ProtectionObfusMem || cfg.Protection == ProtectionObfusMemAuth {
 		oc := &sc.Obfus
 		oc.Dummy = cfg.Dummy

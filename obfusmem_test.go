@@ -187,17 +187,6 @@ func TestTimingObliviousOnMachine(t *testing.T) {
 	}
 }
 
-func TestWearLevelOnMachine(t *testing.T) {
-	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, WearLevel: true, Seed: 10})
-	if _, err := m.RunBenchmark("lbm", 1500); err != nil {
-		t.Fatal(err)
-	}
-	// Routing and decoding stay correct behind the leveller.
-	if ev := m.SecurityEvents(); ev.SilentCorrupted != 0 || ev.TamperDetected != 0 {
-		t.Fatalf("wear levelling broke the protected path: %+v", ev)
-	}
-}
-
 func TestIntegrityTreeOnMachine(t *testing.T) {
 	with, _ := NewMachine(MachineConfig{Protection: ProtectionEncrypt, IntegrityTree: true, Seed: 11})
 	without, _ := NewMachine(MachineConfig{Protection: ProtectionEncrypt, Seed: 11})

@@ -32,19 +32,3 @@ func NewPathORAM(cfg PathORAMConfig, nBlocks int, seed uint64) (*PathORAM, error
 
 // DefaultPathORAMConfig returns the paper's base ORAM parameters.
 func DefaultPathORAMConfig() PathORAMConfig { return oram.DefaultConfig() }
-
-// RingORAM is the functional Ring ORAM baseline (Ren et al., USENIX
-// Security 2015), the bandwidth-optimised variant the paper cites (24x
-// bandwidth overhead vs Path ORAM's 120x).
-type RingORAM = oram.RingORAM
-
-// RingORAMConfig shapes a Ring ORAM.
-type RingORAMConfig = oram.RingConfig
-
-// NewRingORAM builds a functional Ring ORAM over nBlocks logical blocks.
-func NewRingORAM(cfg RingORAMConfig, nBlocks int, seed uint64) (*RingORAM, error) {
-	return oram.NewRing(cfg, nBlocks, xrand.New(seed))
-}
-
-// DefaultRingORAMConfig returns the literature Z=4, S=6, A=3 parameters.
-func DefaultRingORAMConfig() RingORAMConfig { return oram.DefaultRingConfig() }

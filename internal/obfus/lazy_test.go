@@ -13,8 +13,8 @@ import (
 	"obfusmem/internal/xrand"
 )
 
-// runOutcome is everything TestLazyCryptoMatchesEager compares between a
-// lazy and an eager run of one design point.
+// runOutcome is everything TestLazyCryptoMatchesEager compares between the
+// runs of one design point on differently tapped buses.
 type runOutcome struct {
 	done     []sim.Time
 	ok       []bool
@@ -29,10 +29,8 @@ type runOutcome struct {
 // generator, making the same draws in the same order, without its fault
 // injector. skipped reports whether the golden skips the seed; faulted
 // whether it attaches a fault injector at this point. The stream runs
-// only on points that are neither. With eager set, a no-op observer taps
-// the bus, so every packet is sealed and decoded; otherwise the bus is
-// bare and the controller takes the lazy path.
-func runTimingPoint(seed uint64, eager bool) (cfg Config, channels int, skipped, faulted bool, out runOutcome) {
+// only on points that are neither, on a bus tapped as tap says.
+func runTimingPoint(seed uint64, tap busTap) (cfg Config, channels int, skipped, faulted bool, out runOutcome) {
 	r := xrand.New(seed)
 	channels = 1 << r.Intn(3)
 	cfg = fuzzConfig(r)
@@ -49,9 +47,7 @@ func runTimingPoint(seed uint64, eager bool) (cfg Config, channels int, skipped,
 	if faulted = r.Bool(); faulted {
 		return cfg, channels, false, true, out
 	}
-	if eager {
-		b.AttachObserver(bus.ObserverFunc(func(sim.Time, *bus.Packet) {}))
-	}
+	tap.attach(b)
 	at := sim.Time(0)
 	for i := 0; i < 150; i++ {
 		addr := (r.Uint64() % (1 << 29)) &^ 63
@@ -75,17 +71,45 @@ func runTimingPoint(seed uint64, eager bool) (cfg Config, channels int, skipped,
 	return cfg, channels, false, false, out
 }
 
+// busTap is what a TestLazyCryptoMatchesEager run attaches to its bus.
+type busTap int
+
+const (
+	tapNone     busTap = iota // a bare bus
+	tapObserver               // a no-op observer, which reads the wire bytes
+	tapTamperer               // a pass-through tamperer, which could alter them
+)
+
+var busTaps = [...]string{tapNone: "bare", tapObserver: "observed", tapTamperer: "tampered"}
+
+func (tap busTap) attach(b *bus.Bus) {
+	switch tap {
+	case tapObserver:
+		b.AttachObserver(bus.ObserverFunc(func(sim.Time, *bus.Packet) {}))
+	case tapTamperer:
+		b.SetTamperer(passThrough{})
+	}
+}
+
+// passThrough is a tamperer that delivers every packet as sent.
+type passThrough struct{}
+
+func (passThrough) Tamper(_ sim.Time, p *bus.Packet) *bus.Packet { return p }
+
 // TestLazyCryptoMatchesEager requires the lazy seal (no command pad, no
 // request or reply MAC on a bare bus) to be indistinguishable from the
 // eager one on every fault-free design point of TestTimingPathGolden's
-// generator, where nothing may be detected, and the lazy run to keep
+// generator, where nothing may be detected, and every run to keep
 // detecting a counter desync: the memory side's slot counter is pushed
 // one slot group ahead mid-stream, and every later packet must fail its
-// MAC check exactly as on a tapped bus.
+// MAC check exactly as on a tapped bus. Each comparison runs on a bare
+// bus, on one with a no-op observer and on one with a pass-through
+// tamperer; a bus that can alter packets has its receivers decode and
+// verify every packet in full, so the tamperer run guards that path.
 func TestLazyCryptoMatchesEager(t *testing.T) {
 	points := 0
 	for seed, golden := uint64(1), 0; golden < 400; seed++ {
-		cfg, channels, skipped, faulted, lazy := runTimingPoint(seed, false)
+		cfg, channels, skipped, faulted, lazy := runTimingPoint(seed, tapNone)
 		if skipped {
 			continue
 		}
@@ -94,10 +118,12 @@ func TestLazyCryptoMatchesEager(t *testing.T) {
 			continue
 		}
 		points++
-		_, _, _, _, eager := runTimingPoint(seed, true)
-		if !reflect.DeepEqual(lazy, eager) {
-			t.Fatalf("seed %d (%d channels, %+v): lazy run differs from eager\nlazy  %+v\neager %+v",
-				seed, channels, cfg, lazy.stats, eager.stats)
+		for _, tap := range []busTap{tapObserver, tapTamperer} {
+			_, _, _, _, eager := runTimingPoint(seed, tap)
+			if !reflect.DeepEqual(lazy, eager) {
+				t.Fatalf("seed %d (%d channels, %+v): bare run differs from %s run\nbare: %+v\n%s: %+v",
+					seed, channels, cfg, busTaps[tap], lazy.stats, busTaps[tap], eager.stats)
+			}
 		}
 		if lazy.stats.TamperDetected != 0 || lazy.stats.DecodeMismatches != 0 {
 			t.Errorf("seed %d (%d channels, %+v): fault-free lazy run saw %d tamper detections, %d decode mismatches",
@@ -108,11 +134,9 @@ func TestLazyCryptoMatchesEager(t *testing.T) {
 		t.Fatalf("only %d fault-free design points", points)
 	}
 
-	desync := func(eager bool) Stats {
+	desync := func(tap busTap) Stats {
 		r := newRig(t, DefaultAuth(), 1)
-		if eager {
-			r.bus.AttachObserver(bus.ObserverFunc(func(sim.Time, *bus.Packet) {}))
-		}
+		tap.attach(r.bus)
 		at := sim.Time(0)
 		for i := 0; i < 50; i++ {
 			if i == 20 {
@@ -124,13 +148,15 @@ func TestLazyCryptoMatchesEager(t *testing.T) {
 		}
 		return r.ctrl.Stats()
 	}
-	lazy, eager := desync(false), desync(true)
+	lazy := desync(tapNone)
 	t.Logf("%d fault-free design points; counter desync: %d tamper detections", points, lazy.TamperDetected)
 	if lazy.TamperDetected == 0 {
-		t.Fatal("memory-side counter pushed ahead: the lazy run detected no counter desync")
+		t.Fatal("memory-side counter pushed ahead: the bare run detected no counter desync")
 	}
-	if lazy != eager {
-		t.Fatalf("counter desync: lazy stats %+v, eager %+v", lazy, eager)
+	for _, tap := range []busTap{tapObserver, tapTamperer} {
+		if eager := desync(tap); lazy != eager {
+			t.Fatalf("counter desync: bare stats %+v, %s %+v", lazy, busTaps[tap], eager)
+		}
 	}
 }
 

@@ -26,12 +26,16 @@
 #                  (a cpu.Run's allocations must not grow with its request
 #                  count),
 #                  the lazy-crypto guard (a bare bus, which skips command
-#                  pads and MACs, matches a tapped one and still detects
-#                  counter desync), plus
+#                  pads and MACs, matches an observed one and one with a
+#                  pass-through tamperer, and each still detects counter
+#                  desync), plus
 #                  short benchmarks of the event engine, the AES pads, the
 #                  MD5 MAC, the obfus datapath and the trace export, then
 #                  campaign-smoke;
 #                  fails if the alloc guards regress (runs in CI)
+#   make fuzz-smoke - 20 s of FuzzChromeExport: the streaming Chrome
+#                  export, its time order included, against the
+#                  encoding/json reference exporter (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
 #                  the merged results are byte-identical to an uninterrupted
@@ -45,7 +49,8 @@
 #                  govulncheck when installed (both skipped, not failed,
 #                  when absent so the frozen toolchain image still lints)
 #   make lint-fix - gofmt the tree, then re-lint
-#   make ci      - everything CI runs: lint + vet + check + race + bench-smoke
+#   make ci      - everything CI runs: lint + vet + check + race +
+#                  bench-smoke + fuzz-smoke
 #   make linedelta BASE=<rev> - added, removed and net non-test Go lines
 #                  between <rev> and the working tree (files git tracks;
 #                  _test.go files and testdata excluded): the per-change
@@ -57,7 +62,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fix race race-full bench bench-smoke campaign-smoke profile ci trace-demo linedelta
+.PHONY: check vet lint lint-fix race race-full bench bench-smoke fuzz-smoke campaign-smoke profile ci trace-demo linedelta
 
 check:
 	$(GO) build ./...
@@ -115,6 +120,9 @@ bench-smoke:
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null
 	$(MAKE) campaign-smoke
 
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzChromeExport$$' -fuzztime 20s ./internal/trace
+
 campaign-smoke:
 	sh scripts/campaign_smoke.sh
 
@@ -123,7 +131,7 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "profiles written; inspect with: $(GO) tool pprof -top cpu.pprof"
 
-ci: lint vet check race bench-smoke
+ci: lint vet check race bench-smoke fuzz-smoke
 
 trace-demo:
 	$(GO) run ./cmd/obfsim -exp none -requests 4000 \

@@ -105,11 +105,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sampleOut   = fs.String("sample-out", "samples.csv", "file for the metrics time-series CSV (\"-\" for stdout)")
 		traceBench  = fs.String("trace-bench", "milc", "benchmark profile for the traced run")
 		traceMode   = fs.String("trace-mode", "obfusmem-auth", "machine for the traced run: "+strings.Join(system.BackendNames(), "|"))
-		traceChans  = fs.Int("trace-channels", 2, "channel count for the traced run")
+		traceChans  = fs.Int("trace-channels", 2, "channel count for the traced run (a power of two)")
 		traceFaults = fs.Float64("trace-faults", 0, "per-packet transient-fault rate for the traced run (0 disables; enables recovery on ObfusMem modes)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *traceChans < 1 || *traceChans&(*traceChans-1) != 0 {
+		return fmt.Errorf("bad -trace-channels %d: want a power of two", *traceChans)
+	}
+	if *traceLimit < 1 {
+		return fmt.Errorf("bad -trace-limit %d: want at least 1 span", *traceLimit)
 	}
 
 	metricsOutSet := false

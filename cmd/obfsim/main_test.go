@@ -238,12 +238,29 @@ func TestTraceOffByDefault(t *testing.T) {
 	}
 }
 
-// TestTraceBadMode surfaces a clean error for an unknown -trace-mode.
+// TestTraceBadMode surfaces a clean error, which main turns into exit
+// status 2, for an unknown -trace-mode and for a channel count or span
+// limit the traced run cannot use, before anything is written.
 func TestTraceBadMode(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-exp", "none", "-trace-out", "-", "-trace-mode", "bogus"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("err = %v, want unknown-mode error", err)
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-trace-mode", "bogus"}, "bogus"},
+		{[]string{"-trace-channels", "3"}, "bad -trace-channels 3"},
+		{[]string{"-trace-channels", "0"}, "bad -trace-channels 0"},
+		{[]string{"-trace-channels", "-2"}, "bad -trace-channels -2"},
+		{[]string{"-trace-limit", "0"}, "bad -trace-limit 0"},
+		{[]string{"-trace-limit", "-5"}, "bad -trace-limit -5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append([]string{"-exp", "none", "-trace-out", "-"}, tc.flags...), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want mention of %q", tc.flags, err, tc.want)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%v: wrote %d bytes to stdout before failing", tc.flags, stdout.Len())
+		}
 	}
 }
 

@@ -280,11 +280,17 @@ func (b *Bus) SetFaultInjector(f FaultInjector) { b.faults = f }
 
 // Exposed reports whether anything can read or change the bytes a
 // transfer puts on the wire: an observer, a tamperer or a fault injector
-// is attached. On an unexposed bus a packet arrives exactly as sent, so
-// an endpoint may skip computing wire bytes that nothing will see.
+// is attached. On an unexposed bus nothing reads the wire bytes, so a
+// sender may skip computing them.
 func (b *Bus) Exposed() bool {
 	return len(b.observers) > 0 || b.tamperer != nil || b.faults != nil
 }
+
+// Mutable reports whether anything can change a packet in flight: a
+// tamperer or a fault injector is attached. On a bus that is not mutable
+// a packet arrives exactly as sent, so a receiver may take its ground
+// truth without decoding or verifying the wire bytes.
+func (b *Bus) Mutable() bool { return b.tamperer != nil || b.faults != nil }
 
 // TransferTime returns the link occupancy of n bytes.
 func (b *Bus) TransferTime(n int) sim.Time {

@@ -59,8 +59,9 @@ type Manifest struct {
 	// Seeds are the independent replication seeds. Optional: defaults
 	// to [1].
 	Seeds []uint64 `json:"seeds,omitempty"`
-	// Channels is the bus/memory channel count of every cell's machine.
-	// Optional: defaults to 2, the operating point of -exp backends.
+	// Channels is the bus/memory channel count of every cell's machine, a
+	// power of two. Optional: defaults to 2, the operating point of
+	// -exp backends.
 	Channels int `json:"channels,omitempty"`
 	// DeadlineNSPerRequest bounds each cell's simulated clock at
 	// requests × this many nanoseconds (see cpu.Config.SimBudget); a cell
@@ -101,8 +102,9 @@ func (m Manifest) Defaulted() Manifest {
 }
 
 // Validate rejects manifests that could not execute: unknown schemes or
-// workloads, non-positive request counts, or empty axes. Called before any
-// journal state is created so a bad manifest fails fast.
+// workloads, non-positive request counts, empty axes, or a channel count
+// that is negative or not a power of two. Called before any journal state
+// is created so a bad manifest fails fast.
 func (m Manifest) Validate() error {
 	if m.Requests <= 0 {
 		return fmt.Errorf("campaign manifest: requests must be positive, got %d", m.Requests)
@@ -127,6 +129,9 @@ func (m Manifest) Validate() error {
 		if r < 0 || r >= 1 {
 			return fmt.Errorf("campaign manifest: fault rate %g outside [0,1)", r)
 		}
+	}
+	if m.Channels < 0 || m.Channels&(m.Channels-1) != 0 {
+		return fmt.Errorf("campaign manifest: channels %d is not a power of two", m.Channels)
 	}
 	return nil
 }

@@ -105,6 +105,8 @@ func TestManifestValidation(t *testing.T) {
 		{"bad scheme", func(m *Manifest) { m.Schemes = []string{"rot13"} }, "unknown scheme"},
 		{"bad workload", func(m *Manifest) { m.Workloads = []string{"doom"} }, "doom"},
 		{"bad rate", func(m *Manifest) { m.FaultRates = []float64{1.5} }, "outside [0,1)"},
+		{"three channels", func(m *Manifest) { m.Channels = 3 }, "channels 3 is not a power of two"},
+		{"negative channels", func(m *Manifest) { m.Channels = -1 }, "channels -1 is not a power of two"},
 	}
 	for _, tc := range cases {
 		m := testManifest()

@@ -572,11 +572,12 @@ func (c *Controller) memDecode(cs *chanState, ch int, arrive sim.Time, delivered
 }
 
 // memDecodeSlot is memDecode at an explicit pad counter; retransmissions
-// use it after a resync handshake has agreed the slot out of band. On an
-// unexposed bus the packet arrives as sent, so when the slot counter is
-// the packet's own the decode is known to yield the ground truth and is
-// skipped; on a counter desync the packet is sealed after all and decoded
-// at the slot, exactly as on an exposed bus.
+// use it after a resync handshake has agreed the slot out of band. On a
+// bus that is not mutable the packet arrives as sent, so when the slot
+// counter is the packet's own the decode is known to yield the ground
+// truth and is skipped; on a counter desync the packet is decoded at the
+// slot (sealed first if the bus left it unsealed), exactly as on a
+// mutable bus.
 func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, delivered *bus.Packet, ctr uint64) (addr uint64, decodeDone sim.Time, ok bool) {
 	decodeDone = pregenReady(cs.memReqEng, arrive, 1) + SerDesLatency
 	if c.tr != nil {
@@ -586,11 +587,13 @@ func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, deliv
 	if c.cfg.MAC != MACNone {
 		cs.memMAC.Issue(arrive) // verification digest (off the PCM critical path)
 	}
-	if !c.bus.Exposed() {
+	if !c.bus.Mutable() {
 		if ctr == delivered.Counter {
 			return delivered.Addr, decodeDone, true
 		}
-		c.seal(cs, ch, delivered)
+		if !c.bus.Exposed() {
+			c.seal(cs, ch, delivered)
+		}
 	}
 	pad := cs.memReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
 	t, addr := openCmd(delivered.CmdCipher, pad)
@@ -639,11 +642,11 @@ func (c *Controller) reply(cs *chanState, ch int, readyAt sim.Time, forDummy boo
 		cs.respCtr += 4
 	}
 	// As on the request path, the reply MAC is computed only where
-	// something on the bus could read or change it.
-	exposed := c.bus.Exposed()
+	// something on the bus could read or change it, and verified only
+	// where something could change it.
 	if c.cfg.MAC != MACNone {
 		pkt.HasMAC = true
-		if exposed {
+		if c.bus.Exposed() {
 			pkt.MAC = uint64(md5sim.Compute(byte(bus.Read), reqAddr, pkt.Counter))
 		}
 		c.stats.MACsComputed++
@@ -677,7 +680,7 @@ func (c *Controller) reply(cs *chanState, ch int, readyAt sim.Time, forDummy boo
 	if c.cfg.MAC != MACNone {
 		cs.procVerMAC.Issue(arrive)
 		if ctr != delivered.Counter ||
-			exposed && uint64(md5sim.Compute(byte(bus.Read), delivered.Addr, ctr)) != delivered.MAC {
+			c.bus.Mutable() && uint64(md5sim.Compute(byte(bus.Read), delivered.Addr, ctr)) != delivered.MAC {
 			c.stats.TamperDetected++
 			c.met.tamperDetected.Inc()
 			c.tr.Instant(trace.PIDCPU, "proc-aes", names.SpanTamperDetected, done)

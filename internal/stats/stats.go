@@ -42,12 +42,22 @@ func GeoMean(xs []float64) float64 {
 // single element is every percentile of itself; p is clamped to [0, 100],
 // with p = 0 mapping to the minimum and p = 100 to the maximum.
 func Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return SortedPercentile(sorted, p)
+}
+
+// SortedPercentile is Percentile of sorted, which must already be in
+// ascending order; it neither copies nor sorts, so several percentiles of
+// one sample cost one sort.
+func SortedPercentile(sorted []float64, p float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

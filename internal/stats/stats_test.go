@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"obfusmem/internal/xrand"
 )
 
 func TestMeans(t *testing.T) {
@@ -91,6 +94,27 @@ func TestPercentile(t *testing.T) {
 	// Input order is preserved (sorts a copy).
 	if xs[0] != 100 {
 		t.Error("Percentile mutated its input")
+	}
+}
+
+// TestSortedPercentileMatchesPercentile requires SortedPercentile of a
+// sorted sample to equal Percentile of it unsorted, across sample sizes,
+// ties and the percentiles at and beyond the ends.
+func TestSortedPercentileMatchesPercentile(t *testing.T) {
+	rng := xrand.New(5)
+	ps := []float64{-10, 0, 0.1, 1, 25, 50, 50.5, 90, 95, 99, 99.9, 100, 200}
+	for n := 0; n <= 300; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(40)) - 10 + float64(rng.Intn(4))/4 // ties likely
+		}
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		for _, p := range ps {
+			if got, want := SortedPercentile(sorted, p), Percentile(xs, p); got != want {
+				t.Fatalf("n=%d p=%v: SortedPercentile = %v, Percentile = %v", n, p, got, want)
+			}
+		}
 	}
 }
 

@@ -38,7 +38,8 @@ type Config struct {
 	// Backend selects the protection scheme by registered name (see
 	// BackendNames).
 	Backend string
-	// Channels is the number of independent bus/memory channels.
+	// Channels is the number of independent bus/memory channels, a power
+	// of two; 0 or less means 1.
 	Channels int
 	// Obfus selects the ObfusMem design point (obfusmem / obfusmem-auth).
 	Obfus obfus.Config
@@ -163,10 +164,14 @@ func New(cfg Config) *System {
 // cfg.Backend. It rejects unknown (or empty) scheme names
 // and configs that set options foreign to the selected backend — e.g.
 // ORAMConcurrency on an ObfusMem machine — since those silently did
-// nothing under the old mode switch.
+// nothing under the old mode switch. It also rejects a channel count
+// that is not a power of two, which the address mapper cannot split.
 func NewChecked(cfg Config) (*System, error) {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
+	}
+	if cfg.Channels&(cfg.Channels-1) != 0 {
+		return nil, fmt.Errorf("channel count %d is not a power of two", cfg.Channels)
 	}
 	d, err := lookup(cfg.Backend)
 	if err != nil {

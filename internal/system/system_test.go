@@ -96,6 +96,30 @@ func TestChannelsReduceLatencyPressure(t *testing.T) {
 	}
 }
 
+// TestNewCheckedChannels requires NewChecked to build every power-of-two
+// channel count, to default a count of 0 or less to 1, and to reject any
+// other count with an error rather than a panic in the address mapper.
+func TestNewCheckedChannels(t *testing.T) {
+	for _, tc := range []struct {
+		channels, want int // want 0: rejected
+	}{
+		{1, 1}, {2, 2}, {4, 4}, {8, 8}, {0, 1}, {-2, 1},
+		{3, 0}, {6, 0}, {12, 0},
+	} {
+		cfg := DefaultConfig("obfusmem-auth")
+		cfg.Channels = tc.channels
+		s, err := NewChecked(cfg)
+		switch {
+		case tc.want == 0 && err == nil:
+			t.Errorf("%d channels: built a machine, want an error", tc.channels)
+		case tc.want != 0 && err != nil:
+			t.Errorf("%d channels: %v", tc.channels, err)
+		case tc.want != 0 && s.Config().Channels != tc.want:
+			t.Errorf("%d channels: machine has %d, want %d", tc.channels, s.Config().Channels, tc.want)
+		}
+	}
+}
+
 func TestObfusMemVariantsBuild(t *testing.T) {
 	for _, oc := range []obfus.Config{
 		obfus.Default(),

@@ -167,13 +167,17 @@ func (r *Recorder) Attribution(kindFilter string) Attribution {
 		}
 	}
 	rep.Sampled = len(totals)
+	// Each column is sorted in place once for its percentiles, after its
+	// mean is summed in sample order.
 	row := func(name string, xs []float64) AttributionRow {
+		mean := stats.Mean(xs)
+		slices.Sort(xs)
 		return AttributionRow{
 			Component: name,
-			MeanNS:    stats.Mean(xs),
-			P50NS:     stats.Percentile(xs, 50),
-			P95NS:     stats.Percentile(xs, 95),
-			P99NS:     stats.Percentile(xs, 99),
+			MeanNS:    mean,
+			P50NS:     stats.SortedPercentile(xs, 50),
+			P95NS:     stats.SortedPercentile(xs, 95),
+			P99NS:     stats.SortedPercentile(xs, 99),
 		}
 	}
 	for _, c := range attribOrder {

@@ -20,9 +20,11 @@ import (
 // in nanoseconds. pid maps to a memory channel (pid 0 is the processor
 // side) and tid to one engine, link, or bank within it.
 //
-// The exporter streams: it walks the ring in place, sorts a key array of
-// begin times, and appends each event straight into a buffered writer,
-// copying the JSON encodings the intern table holds for its strings. Its
+// The exporter streams: it walks the ring in place, emits the spans in time
+// order through a small heap of the few that ring order has out of place
+// (exportOrder), with no global sort, and appends each event straight into
+// a buffered writer, copying the JSON encodings the intern tables hold for
+// its strings and the event heads and pid/tid fragments it encodes once. Its
 // output is byte for byte what encoding/json writes for the equivalent
 // object (field order, omitempty, sorted args keys, HTML-safe strings, ES6
 // number formatting); the reference encoding/json exporter in
@@ -41,8 +43,10 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 
 	// Intern (pid, tid) pairs to integer tracks in first-seen order so
-	// Perfetto shows "channel 1 / req-link" style tracks. tracks[p][tid] is
-	// the track of pids[p] and tid, 0 until seen.
+	// Perfetto shows "channel 1 / req-link" style tracks, and each span's
+	// (name, category, phase) to an event head. tracks[p][tid] is the
+	// track of pids[p] and tid, and heads[headKey(s)] the head of s, each
+	// 0 until seen.
 	type trackKey struct {
 		pid int32
 		tid sym
@@ -50,6 +54,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	var order []trackKey
 	var pids []int32
 	var tracks [][]int32
+	heads := make([]int32, len(syms)*headsPerSym)
+	headKeys := make([]int, 0, 16) // headKey of each head, in id order
 	// trk[i] is span i's track.
 	trk := make([]int32, n)
 	for i := range n {
@@ -66,12 +72,50 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			*t = int32(len(order))
 		}
 		trk[i] = *t
+		if k := headKey(s); heads[k] == 0 {
+			headKeys = append(headKeys, k)
+			heads[k] = int32(len(headKeys))
+		}
 	}
 	// process_name metadata goes out in ascending pid order, after the
 	// thread_name metadata: pid discovery order depends on which component
 	// traced first, the sorted order does not.
 	slices.Sort(pids)
-	idx := r.exportOrder(n)
+
+	// Encode each track's pid/tid fragment and each head once, into one
+	// arena: a track takes at most 36 bytes, `,"pid":` and `,"tid":` with
+	// an int32 each, and a head its name's JSON plus at most 38,
+	// `{"name":`, `,"cat":"crypto` and `","ph":"X","ts":`.
+	size := 36 * len(order)
+	for _, k := range headKeys {
+		size += len(syms[k/headsPerSym].json) + 38
+	}
+	arena := make([]byte, 0, size)
+	frags := make([][]byte, len(order)+len(headKeys))
+	for t, k := range order {
+		lo := len(arena)
+		arena = append(arena, `,"pid":`...)
+		arena = strconv.AppendInt(arena, int64(k.pid), 10)
+		arena = append(arena, `,"tid":`...)
+		arena = strconv.AppendInt(arena, int64(t+1), 10)
+		frags[t] = arena[lo:]
+	}
+	for h, k := range headKeys {
+		lo := len(arena)
+		name, cat, ph := k/headsPerSym, Category(k%headsPerSym/2), "X"
+		if k%2 == 1 {
+			ph = "i"
+		}
+		arena = append(arena, `{"name":`...)
+		arena = append(arena, syms[name].json...)
+		arena = append(arena, `,"cat":"`...)
+		arena = append(arena, cat.String()...)
+		arena = append(arena, `","ph":"`...)
+		arena = append(arena, ph...)
+		arena = append(arena, `","ts":`...)
+		frags[len(order)+h] = arena[lo:]
+	}
+	trackFrags, headFrags := frags[:len(order)], frags[len(order):]
 
 	e := chromeEncoder{w: bufio.NewWriterSize(w, 64<<10), syms: syms, strs: strs, rank: symRanks(syms)}
 	b := e.next()
@@ -108,14 +152,17 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			return err
 		}
 	}
-	for _, i := range idx {
-		b, err := e.appendSpan(append(e.next(), ','), r.at(int(i)), trk[i])
+	err := r.exportOrder(n, func(i int) error {
+		s := r.at(i)
+		b, err := e.appendSpan(append(e.next(), ','), s, headFrags[heads[headKey(s)]-1], trackFrags[trk[i]-1])
 		if err != nil {
 			return err
 		}
-		if _, err := e.w.Write(b); err != nil {
-			return err
-		}
+		_, err = e.w.Write(b)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	b = e.next()
 	if n > 0 {
@@ -127,35 +174,111 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return e.w.Flush()
 }
 
-// exportOrder returns the n retained spans' positions in stable time
-// order: by emitted begin time, ties in ring order. Viewers do not require
-// it, but it keeps the export deterministic and per-track monotonic.
-func (r *Recorder) exportOrder(n int) []int32 {
-	type key struct {
-		ts float64
-		i  int32
+// headsPerSym is the number of event heads one name can take: a category
+// and a phase.
+const headsPerSym = 2 * int(numCategories)
+
+// headKey indexes s's event head, its (name, category, phase), in a table
+// of headsPerSym entries per name. A category out of range takes the
+// head of CatOther, whose "other" it is exported as.
+func headKey(s *record) int {
+	c := s.cat
+	if c < 0 || c >= numCategories {
+		c = CatOther
 	}
-	keys, idx := make([]key, n), make([]int32, n)
+	k := int(s.name)*headsPerSym + 2*int(c)
+	if s.phase == PhaseInstant {
+		k++
+	}
+	return k
+}
+
+// exportOrder calls emit with the n retained spans' positions in stable
+// time order: by emitted begin time, ties in ring order. Viewers do not
+// require it, but it keeps the export deterministic and per-track
+// monotonic.
+//
+// The ring is nearly in time order already, so rather than sort it the
+// pass holds back only the spans a later one may precede: floor[i] is the
+// least begin time of spans i..n-1, and once span i is held, every held
+// span at or below floor[i+1] is emitted, least first. A later span then
+// begins no earlier, and on a tie comes later in the ring. The pass costs
+// O(n log w) for w held spans: a dozen on a traced run, n on a ring
+// recorded in reverse.
+func (r *Recorder) exportOrder(n int, emit func(i int) error) error {
+	floor := make([]float64, n)
+	least := math.Inf(1)
+	for i := n - 1; i >= 0; i-- {
+		least = min(least, tsKey(r.at(i).begin))
+		floor[i] = least
+	}
+	held := make(spanHeap, 0, 64)
 	for i := range n {
-		keys[i] = key{tsKey(r.at(i).begin), int32(i)}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		switch {
-		case a.ts < b.ts:
-			return -1
-		case a.ts > b.ts:
-			return 1
+		held.push(heldSpan{tsKey(r.at(i).begin), int32(i)})
+		next := math.Inf(1)
+		if i+1 < n {
+			next = floor[i+1]
 		}
-		return int(a.i - b.i)
-	})
-	for i, k := range keys {
-		idx[i] = k.i
+		for len(held) > 0 && held[0].ts <= next {
+			if err := emit(int(held.pop().i)); err != nil {
+				return err
+			}
+		}
 	}
-	return idx
+	return nil
 }
 
 // tsKey is the export's sort key: the span's begin time as emitted.
 func tsKey(t sim.Time) float64 { return float64(t) / psPerMicro }
+
+// heldSpan is a span exportOrder holds back: its sort key and ring
+// position.
+type heldSpan struct {
+	ts float64
+	i  int32
+}
+
+// before orders held spans by begin time, ties in ring order.
+func (a heldSpan) before(b heldSpan) bool { return a.ts < b.ts || a.ts == b.ts && a.i < b.i }
+
+// spanHeap is a binary min-heap of held spans.
+type spanHeap []heldSpan
+
+func (h *spanHeap) push(s heldSpan) {
+	q := append(*h, s)
+	for j := len(q) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !q[j].before(q[p]) {
+			break
+		}
+		q[j], q[p] = q[p], q[j]
+		j = p
+	}
+	*h = q
+}
+
+func (h *spanHeap) pop() heldSpan {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q = q[:last]
+	for j := 0; ; {
+		c := 2*j + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(q[j]) {
+			break
+		}
+		q[j], q[c] = q[c], q[j]
+		j = c
+	}
+	*h = q
+	return top
+}
 
 // symRanks returns each sym's position in the byte order of the interned
 // strings, the order encoding/json sorts map keys in.
@@ -213,25 +336,16 @@ func appendMetadata(b []byte, kind string, pid int32, tid int, name string) []by
 	return append(b, "}}"...)
 }
 
-// appendSpan appends one "X" or "i" event on integer track tid.
-func (e *chromeEncoder) appendSpan(b []byte, s *record, tid int32) ([]byte, error) {
-	b = append(b, `{"name":`...)
-	b = append(b, e.syms[s.name].json...)
-	b = append(b, `,"cat":"`...)
-	b = append(b, s.cat.String()...)
-	if s.phase == PhaseInstant {
-		b = append(b, `","ph":"i","ts":`...)
-		b = appendMicros(b, int64(s.begin))
-	} else {
-		b = append(b, `","ph":"X","ts":`...)
-		b = appendMicros(b, int64(s.begin))
+// appendSpan appends one "X" or "i" event from its head, which runs up to
+// the begin time, and its track's pid/tid fragment.
+func (e *chromeEncoder) appendSpan(b []byte, s *record, head, track []byte) ([]byte, error) {
+	b = append(b, head...)
+	b = appendMicros(b, int64(s.begin))
+	if s.phase != PhaseInstant {
 		b = append(b, `,"dur":`...)
 		b = appendMicros(b, int64(s.end-s.begin))
 	}
-	b = append(b, `,"pid":`...)
-	b = strconv.AppendInt(b, int64(s.pid), 10)
-	b = append(b, `,"tid":`...)
-	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, track...)
 	if s.phase == PhaseInstant {
 		b = append(b, `,"s":"t"`...)
 	}

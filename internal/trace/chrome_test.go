@@ -169,8 +169,26 @@ func exportRecorder(limit, total int) *Recorder {
 	return r
 }
 
+// beginsRecorder records one span per begin time, in order, into a ring
+// of limit spans. Spans alternate between two tracks and the two phases
+// and carry their record number, so any reordering shows in the export.
+func beginsRecorder(limit int, begins []sim.Time) *Recorder {
+	r := New(limit)
+	for i, at := range begins {
+		tid := []string{"req-link", "ctl"}[i%2]
+		if i%3 == 0 {
+			r.Instant(1, tid, names.SpanDecode, at, Int("n", int64(i)))
+		} else {
+			r.Span(1, tid, CatBus, "read", at, at+500, Int("n", int64(i)))
+		}
+	}
+	return r
+}
+
 // TestChromeExportMatchesReference holds the streaming exporter to the
-// reference on recorders that wrap inside and across span chunks.
+// reference on recorders that wrap inside and across span chunks, and on
+// rings far from time order, where the export order must hold back many
+// spans at once and still break every tie by ring position.
 func TestChromeExportMatchesReference(t *testing.T) {
 	for _, limit := range []int{1, 5, chunkSpans, chunkSpans + 904} {
 		r := exportRecorder(limit, 3*limit)
@@ -181,6 +199,64 @@ func TestChromeExportMatchesReference(t *testing.T) {
 	}
 	checkAgainstReference(t, New(10))          // empty: "traceEvents":null
 	checkAgainstReference(t, (*Recorder)(nil)) // disabled recorder
+
+	const n = chunkSpans + 904
+	seq := func(n int, at func(i int) sim.Time) []sim.Time {
+		b := make([]sim.Time, n)
+		for i := range b {
+			b[i] = at(i)
+		}
+		return b
+	}
+	// Recorded in reverse time order, in runs of three equal begins: the
+	// whole ring is held.
+	checkAgainstReference(t, beginsRecorder(n, seq(n, func(i int) sim.Time { return sim.Time((n-i)/3) * 1000 })))
+	// Every span at one begin time: ring position alone decides.
+	checkAgainstReference(t, beginsRecorder(n, seq(n, func(int) sim.Time { return 7000 })))
+	// The same, with a last span that begins first, so every tied span is
+	// held until the end.
+	checkAgainstReference(t, beginsRecorder(n, seq(n, func(i int) sim.Time { return 7000 - sim.Time(i/(n-1)) })))
+	// A wrapped ring whose oldest retained spans begin last: of 2500
+	// records into 1000 slots, records 1500..1999 are retained first but
+	// begin after records 2000..2499.
+	wrapped := beginsRecorder(1000, seq(2500, func(i int) sim.Time {
+		if i < 2000 {
+			return 1e9 + sim.Time(i%7)*1000
+		}
+		return sim.Time(i%5) * 1000
+	}))
+	if wrapped.Dropped() != 1500 {
+		t.Fatalf("wrapped ring dropped %d spans, want 1500", wrapped.Dropped())
+	}
+	checkAgainstReference(t, wrapped)
+	// Begin times just above 2^53 ps and then just above 2^52 ps, each in
+	// descending order. From 2^52 ps on, timestamps take appendMicros'
+	// float path; from 2^53 ps on, distinct begins round to one float key
+	// and must tie as they do in the reference.
+	huge := seq(600, func(i int) sim.Time {
+		if i < 300 {
+			return 1<<53 + sim.Time(299-i)*3/2
+		}
+		return 1<<52 + sim.Time(599-i)*3/2
+	})
+	ties := 0
+	for i := 1; i < len(huge); i++ {
+		if huge[i] != huge[i-1] && tsKey(huge[i]) == tsKey(huge[i-1]) {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no distinct begin times share a key above 2^53 ps")
+	}
+	checkAgainstReference(t, beginsRecorder(1000, huge))
+	// Categories outside the declared ones export as "other", sharing
+	// CatOther's event head and no other name's.
+	odd := New(10)
+	for i, c := range []Category{CatPCM, -1, numCategories, 7, CatOther} {
+		odd.Span(0, "t", c, "read", sim.Time(i), sim.Time(i+1))
+		odd.Span(0, "t", CatBus, "write", sim.Time(i), sim.Time(i+1))
+	}
+	checkAgainstReference(t, odd)
 }
 
 // TestRingChunks checks Spans() against a plain slice model across chunk

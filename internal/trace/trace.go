@@ -16,7 +16,10 @@
 //
 //   - Chrome trace-event JSON export (WriteChromeTrace), loadable in
 //     Perfetto or chrome://tracing, with pid = channel and tid = engine or
-//     bank, so a run can be inspected as a bus-transaction timeline.
+//     bank, so a run can be inspected as a bus-transaction timeline. It
+//     streams the ring in begin-time order without sorting it: the ring is
+//     nearly in time order, and only the spans it has out of place are
+//     held back.
 //   - A per-request latency-attribution table (Attribution): each finished
 //     request's [issue, done] window is partitioned exactly — to the
 //     picosecond — over queue/bus/crypto/pcm/other using the component

@@ -33,9 +33,14 @@
 #                  MD5 MAC, the obfus datapath and the trace export, then
 #                  campaign-smoke;
 #                  fails if the alloc guards regress (runs in CI)
-#   make fuzz-smoke - 20 s of FuzzChromeExport: the streaming Chrome
+#   make fuzz-smoke - 20 s of FuzzChromeExport (the streaming Chrome
 #                  export, its time order included, against the
-#                  encoding/json reference exporter (runs in CI)
+#                  encoding/json reference exporter), then 10 s each of
+#                  the external-input fuzzers FuzzParseManifest,
+#                  FuzzJournalLoad and FuzzReadTrace and of
+#                  FuzzEngineOrder (the event engine's firing rule); one
+#                  go test -fuzz call per target, since -fuzz takes one
+#                  target (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
 #                  the merged results are byte-identical to an uninterrupted
@@ -122,6 +127,10 @@ bench-smoke:
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeExport$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 10s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
 
 campaign-smoke:
 	sh scripts/campaign_smoke.sh

@@ -117,6 +117,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *traceLimit < 1 {
 		return fmt.Errorf("bad -trace-limit %d: want at least 1 span", *traceLimit)
 	}
+	// Range checks written as !(in range) so NaN fails them too.
+	if *requests < 1 {
+		return fmt.Errorf("bad -requests %d: want at least 1", *requests)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("bad -workers %d: want 0 (one per CPU) or more", *workers)
+	}
+	if !(*exposure > 0 && *exposure <= 1) {
+		return fmt.Errorf("bad -exposure %g: want a fraction in (0, 1]", *exposure)
+	}
+	if !(*sampleEvery >= 0) {
+		return fmt.Errorf("bad -sample-every %g: want 0 (off) or a positive interval", *sampleEvery)
+	}
+	if !(*traceFaults >= 0 && *traceFaults <= 1) {
+		return fmt.Errorf("bad -trace-faults %g: want a rate in [0, 1]", *traceFaults)
+	}
 
 	metricsOutSet := false
 	fs.Visit(func(f *flag.Flag) {

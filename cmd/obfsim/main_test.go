@@ -264,6 +264,36 @@ func TestTraceBadMode(t *testing.T) {
 	}
 }
 
+// TestBadNumericFlags: an out-of-range numeric flag is an error, which
+// main turns into exit status 2, before any experiment runs — not a
+// silent default, a table of zeros or a crash.
+func TestBadNumericFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-requests", "0"}, "bad -requests 0"},
+		{[]string{"-requests", "-5"}, "bad -requests -5"},
+		{[]string{"-workers", "-1"}, "bad -workers -1"},
+		{[]string{"-exposure", "-3"}, "bad -exposure -3"},
+		{[]string{"-exposure", "0"}, "bad -exposure 0"},
+		{[]string{"-exposure", "1.7"}, "bad -exposure 1.7"},
+		{[]string{"-exposure", "NaN"}, "bad -exposure NaN"},
+		{[]string{"-sample-every", "-1"}, "bad -sample-every -1"},
+		{[]string{"-trace-faults", "-0.1"}, "bad -trace-faults -0.1"},
+		{[]string{"-trace-faults", "1.5"}, "bad -trace-faults 1.5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append([]string{"-exp", "table2"}, tc.flags...), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want mention of %q", tc.flags, err, tc.want)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%v: wrote %d bytes to stdout before failing", tc.flags, stdout.Len())
+		}
+	}
+}
+
 // TestTraceFaultedRun drives a traced run with fault injection on: the
 // stderr report must carry the injector and recovery tallies, the trace
 // must contain recovery spans, and with the recovery protocol armed no

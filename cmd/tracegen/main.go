@@ -34,6 +34,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *n < 1 {
+		fmt.Fprintf(stderr, "tracegen: bad -n %d: want at least 1 request\n", *n)
+		return 2
+	}
 
 	if *list {
 		fmt.Fprintf(stdout, "%-12s %6s %8s %10s %9s %9s %6s\n",

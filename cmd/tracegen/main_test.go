@@ -49,6 +49,20 @@ func TestTraceIsTheLibraryTrace(t *testing.T) {
 	}
 }
 
+// TestBadCountExits2: a non-positive -n is an error, not a panic (-3)
+// or NaN statistics (0).
+func TestBadCountExits2(t *testing.T) {
+	for _, n := range []string{"0", "-3"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-n", n}, &stdout, &stderr); code != 2 {
+			t.Errorf("-n %s: exit %d, want 2", n, code)
+		}
+		if stdout.Len() > 0 || !strings.Contains(stderr.String(), "bad -n "+n) {
+			t.Errorf("-n %s: stdout %q, stderr %q", n, stdout.String(), stderr.String())
+		}
+	}
+}
+
 func TestUnknownBenchmarkExits2(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-bench", "no-such-profile"}, &stdout, &stderr); code != 2 {

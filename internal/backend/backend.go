@@ -1,9 +1,10 @@
 // Package backend defines the first-class obfuscation-backend interface
 // and the registry of protection schemes the simulator can assemble a
 // machine from. It is the Go shape of the obfuscator-vtable idiom: each
-// scheme registers a Descriptor (construct hook, feature flags, option
-// defaults/validation), and internal/system builds machines from a
-// registered name instead of switching on a hard-wired mode enum.
+// scheme registers a Descriptor (construct hook, feature flags, and, for
+// the ObfusMem schemes, the default Obfus block), and internal/system
+// builds machines from a registered name instead of switching on a
+// hard-wired mode enum.
 //
 // Layering: this package may import the scheme packages (obfus, oram,
 // palermo) and the shared substrates (bus, memctl); the scheme packages
@@ -14,7 +15,6 @@
 package backend
 
 import (
-	"fmt"
 	"sort"
 
 	"obfusmem/internal/bus"
@@ -22,7 +22,6 @@ import (
 	"obfusmem/internal/memctl"
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/obfus"
-	"obfusmem/internal/palermo"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/trace"
 	"obfusmem/internal/xrand"
@@ -87,23 +86,10 @@ type Features struct {
 	// AtRest: the machine attaches the counter-mode at-rest encryption
 	// engine (false only for the unprotected baseline).
 	AtRest bool
-	// CounterFetch selects the engine's metadata-traffic route.
+	// CounterFetch selects the engine's metadata-traffic route. The
+	// Bonsai integrity tree (system Config.IntegrityTree) runs only on
+	// FetchSelf schemes, whose metadata traffic it verifies.
 	CounterFetch FetchMode
-	// Integrity: the Bonsai integrity tree may be enabled on this scheme
-	// (Config.IntegrityTree is ignored otherwise).
-	Integrity bool
-	// HotPath: the backend claims an allocation-free steady-state
-	// Read/Write leg; the conformance suite asserts 0 allocs/op on it.
-	HotPath bool
-}
-
-// Options carries every per-scheme configuration block. A scheme consumes
-// only its own field; Descriptor.CheckForeign rejects configs that set a
-// foreign one.
-type Options struct {
-	Obfus           obfus.Config
-	ORAMConcurrency int
-	Palermo         palermo.Config
 }
 
 // Context is everything a construct hook may use: the shared substrates,
@@ -123,11 +109,13 @@ type Context struct {
 	// SessionKeys runs the machine's key establishment (direct derivation
 	// or the full Section 3.1 handshake) and returns the per-channel table.
 	SessionKeys func() *keys.SessionKeyTable
-	Options     Options
+	// Obfus is the machine's ObfusMem design point; zero on schemes whose
+	// Descriptor.Obfus is nil.
+	Obfus obfus.Config
 }
 
 // Descriptor registers one scheme: its wire name, capability flags, the
-// defaults its options block starts from, and the construct hook.
+// Obfus block it starts from, and the construct hook.
 type Descriptor struct {
 	// Name is the scheme's registered spelling; it is the single source of
 	// truth for CLI flags, experiment tables, campaign manifests and the
@@ -137,39 +125,12 @@ type Descriptor struct {
 	Doc string
 	// Features are the scheme's capability flags.
 	Features Features
-	// Defaults populates the scheme's options block with its paper
-	// defaults (called on a zero Options by DefaultConfigByName); nil
-	// means the zero value is the default.
-	Defaults func(*Options)
-	// Uses declares which options blocks the scheme consumes; CheckForeign
-	// rejects configs that set any other.
-	Uses OptionSet
+	// Obfus is the ObfusMem design point a default machine of this scheme
+	// starts from. Nil means the scheme takes no options: system rejects
+	// a config that sets the Obfus block on it.
+	Obfus *obfus.Config
 	// New builds the backend over the given context.
 	New func(Context) (Backend, error)
-}
-
-// OptionSet flags which Options fields a scheme consumes.
-type OptionSet struct {
-	Obfus   bool
-	ORAM    bool
-	Palermo bool
-}
-
-// CheckForeign returns an error when o sets an options block the scheme
-// does not consume — the config almost certainly meant a different
-// backend (e.g. ORAMConcurrency on an ObfusMem machine).
-func (d *Descriptor) CheckForeign(o Options) error {
-	var zero Options
-	if !d.Uses.Obfus && o.Obfus != zero.Obfus {
-		return fmt.Errorf("backend %q does not consume the Obfus options", d.Name)
-	}
-	if !d.Uses.ORAM && o.ORAMConcurrency != zero.ORAMConcurrency {
-		return fmt.Errorf("backend %q does not consume ORAMConcurrency", d.Name)
-	}
-	if !d.Uses.Palermo && o.Palermo != zero.Palermo {
-		return fmt.Errorf("backend %q does not consume the Palermo options", d.Name)
-	}
-	return nil
 }
 
 // registry maps scheme name -> descriptor. Registration happens in this

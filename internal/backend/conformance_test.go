@@ -22,6 +22,7 @@ import (
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/names"
 	"obfusmem/internal/obfus"
+	"obfusmem/internal/pcm"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/system"
 	"obfusmem/internal/trace"
@@ -92,26 +93,19 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestForeignOptionsRejected pins the config-validation bugfix: options
-// blocks that the selected backend does not consume are a configuration
-// error, not a silent no-op. (DefaultConfig used to set ORAMConcurrency on
-// every mode; each backend now defaults its own block in its construct
-// hook.)
+// TestForeignOptionsRejected pins the config-validation bugfix: an Obfus
+// block on a scheme that does not take it is a configuration error, not a
+// silent no-op.
 func TestForeignOptionsRejected(t *testing.T) {
-	cfg := conformanceConfig(t, "obfusmem-auth")
-	cfg.ORAMConcurrency = 8
-	if _, err := system.NewChecked(cfg); err == nil {
-		t.Error("ORAMConcurrency on an obfusmem-auth machine was not rejected")
-	}
-	cfg = conformanceConfig(t, "unprotected")
+	cfg := conformanceConfig(t, "unprotected")
 	cfg.Obfus = obfus.DefaultAuth()
 	if _, err := system.NewChecked(cfg); err == nil {
 		t.Error("Obfus options on an unprotected machine were not rejected")
 	}
 	cfg = conformanceConfig(t, "oram")
-	cfg.Palermo.PathBlocks = 8
+	cfg.Obfus.Recovery = true
 	if _, err := system.NewChecked(cfg); err == nil {
-		t.Error("Palermo options on an oram machine were not rejected")
+		t.Error("Obfus options on an oram machine were not rejected")
 	}
 }
 
@@ -210,8 +204,8 @@ func TestNoSilentlyLostRequests(t *testing.T) {
 }
 
 // TestHotPathZeroAllocs drives a steady-state read+write leg through the
-// system datapath of every backend whose descriptor claims
-// Features.HotPath and requires zero allocations per operation once
+// system datapath of every backend and requires zero allocations per
+// operation once
 // arenas, rings, and counter state are warm. The address set is fixed so
 // cache/metadata structures reach their high-water mark during warm-up. A
 // metrics registry is attached so the instrument updates on the leg run
@@ -219,13 +213,6 @@ func TestNoSilentlyLostRequests(t *testing.T) {
 // planted there.
 func TestHotPathZeroAllocs(t *testing.T) {
 	for _, name := range system.BackendNames() {
-		d, ok := backend.Lookup(name)
-		if !ok {
-			t.Fatalf("registered name %q does not Lookup", name)
-		}
-		if !d.Features.HotPath {
-			continue
-		}
 		t.Run(name, func(t *testing.T) {
 			cfg := conformanceConfig(t, name)
 			cfg.Metrics = metrics.NewRegistry()
@@ -298,14 +285,13 @@ type wireGeometry struct {
 const capacityBits = 33
 
 func geometryOf(channels int) wireGeometry {
-	p := memctl.DefaultConfig(channels).PCM
 	log2 := func(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
 	g := wireGeometry{
-		blockShift: log2(p.BlockBytes),
-		colBits:    log2(p.RowBytes / p.BlockBytes),
+		blockShift: log2(pcm.BlockBytes),
+		colBits:    log2(pcm.RowBytes / pcm.BlockBytes),
 		chanBits:   log2(channels),
-		bankBits:   log2(p.BanksPerRank),
-		rankBits:   log2(p.Ranks),
+		bankBits:   log2(pcm.BanksPerRank),
+		rankBits:   log2(pcm.Ranks),
 	}
 	g.rowBits = capacityBits - g.blockShift - g.colBits - g.chanBits - g.bankBits - g.rankBits
 	return g
@@ -529,7 +515,7 @@ func wireCases(t *testing.T) []wireCase {
 			cfg.Channels = channels
 			base := fmt.Sprintf("%s/%dch", name, channels)
 			cases = append(cases, wireCase{base, cfg, name == "palermo"})
-			if d.Uses.Obfus {
+			if d.Obfus != nil {
 				unopt := cfg
 				unopt.Obfus.Policy = obfus.PolicyUNOPT
 				cases = append(cases, wireCase{base + "/unopt", unopt, false})

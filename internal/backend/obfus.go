@@ -10,8 +10,8 @@ import (
 // interface. Two names register over the same adapter: "obfusmem" (the
 // paper's obfuscation without bus authentication) and "obfusmem-auth"
 // (encrypt-and-MAC, the full design). They differ only in the Obfus
-// options block their Defaults hook starts from — construction consumes
-// whatever the config carries, so ablation sweeps tweak freely.
+// block their descriptor starts from — construction consumes whatever the
+// config carries, so ablation sweeps tweak freely.
 type Obfus struct {
 	ctl *obfus.Controller
 }
@@ -57,29 +57,28 @@ func (o *Obfus) Accounting() Accounting {
 // handshake), then the controller forks stream 2 for dummy addressing.
 func newObfus(ctx Context) (Backend, error) {
 	table := ctx.SessionKeys()
-	ocfg := ctx.Options.Obfus
+	ocfg := ctx.Obfus
 	ocfg.Metrics = ctx.Metrics
 	ocfg.Trace = ctx.Trace
 	return &Obfus{ctl: obfus.New(ocfg, ctx.Bus, ctx.Mem, table, ctx.ForkRng(2))}, nil
 }
 
-var obfusFeatures = Features{AtRest: true, CounterFetch: FetchSelf, Integrity: true, HotPath: true}
+var obfusFeatures = Features{AtRest: true, CounterFetch: FetchSelf}
 
 func init() {
+	noAuth, auth := obfus.Default(), obfus.DefaultAuth()
 	Register(&Descriptor{
 		Name:     "obfusmem",
 		Doc:      "ObfusMem access obfuscation without bus authentication (Figure 4's middle bar)",
 		Features: obfusFeatures,
-		Defaults: func(o *Options) { o.Obfus = obfus.Default() },
-		Uses:     OptionSet{Obfus: true},
+		Obfus:    &noAuth,
 		New:      newObfus,
 	})
 	Register(&Descriptor{
 		Name:     "obfusmem-auth",
 		Doc:      "ObfusMem plus encrypt-and-MAC authentication (the paper's full design)",
 		Features: obfusFeatures,
-		Defaults: func(o *Options) { o.Obfus = obfus.DefaultAuth() },
-		Uses:     OptionSet{Obfus: true},
+		Obfus:    &auth,
 		New:      newObfus,
 	})
 }

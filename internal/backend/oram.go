@@ -53,15 +53,9 @@ func init() {
 	Register(&Descriptor{
 		Name:     "oram",
 		Doc:      "the paper's optimistic fixed-latency Path ORAM model (Table 3's comparison)",
-		Features: Features{AtRest: true, CounterFetch: FetchNone, HotPath: true},
-		Defaults: func(o *Options) { o.ORAMConcurrency = oram.PaperConcurrency },
-		Uses:     OptionSet{ORAM: true},
+		Features: Features{AtRest: true, CounterFetch: FetchNone},
 		New: func(ctx Context) (Backend, error) {
-			n := ctx.Options.ORAMConcurrency
-			if n <= 0 {
-				n = oram.PaperConcurrency
-			}
-			return &ORAM{model: oram.NewPerfModelN(n), mem: ctx.Mem}, nil
+			return &ORAM{model: oram.NewPerfModel(), mem: ctx.Mem}, nil
 		},
 	})
 }

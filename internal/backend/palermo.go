@@ -61,13 +61,9 @@ func init() {
 	Register(&Descriptor{
 		Name:     "palermo",
 		Doc:      "Palermo protocol/hardware co-designed oblivious memory (arXiv 2411.05400)",
-		Features: Features{AtRest: true, CounterFetch: FetchNone, HotPath: true},
-		Defaults: func(o *Options) { o.Palermo = palermo.Default() },
-		Uses:     OptionSet{Palermo: true},
+		Features: Features{AtRest: true, CounterFetch: FetchNone},
 		New: func(ctx Context) (Backend, error) {
-			pcfg := ctx.Options.Palermo
-			pcfg.Metrics = ctx.Metrics
-			pcfg.Trace = ctx.Trace
+			pcfg := palermo.Config{Metrics: ctx.Metrics, Trace: ctx.Trace}
 			// Stream 3 keeps the real-slot/cover draws independent of the
 			// obfus (2) and handshake (1) streams.
 			return &Palermo{

@@ -122,15 +122,14 @@ func (p *Plain) Accounting() Accounting { return p.acct }
 
 func init() {
 	Register(&Descriptor{
-		Name:     "unprotected",
-		Doc:      "plaintext commands, addresses, and data on the bus (Table 3 baseline)",
-		Features: Features{HotPath: true},
-		New:      func(ctx Context) (Backend, error) { return NewPlain(ctx), nil },
+		Name: "unprotected",
+		Doc:  "plaintext commands, addresses, and data on the bus (Table 3 baseline)",
+		New:  func(ctx Context) (Backend, error) { return NewPlain(ctx), nil },
 	})
 	Register(&Descriptor{
 		Name:     "encrypt-only",
 		Doc:      "counter-mode memory encryption over the plain bus (Figure 4's first step)",
-		Features: Features{AtRest: true, CounterFetch: FetchSelf, Integrity: true, HotPath: true},
+		Features: Features{AtRest: true, CounterFetch: FetchSelf},
 		New:      func(ctx Context) (Backend, error) { return NewPlain(ctx), nil },
 	})
 }

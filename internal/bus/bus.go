@@ -173,13 +173,20 @@ type ChannelStats struct {
 	RespBusy       sim.Time
 }
 
-// Config describes the physical link.
+// Link parameters of every channel (Table 2).
+const (
+	// BandwidthGBps is per-channel, per-direction bandwidth.
+	BandwidthGBps = 12.8
+	// PropagationDelay is the wire flight time added to every transfer.
+	PropagationDelay = 1 * sim.Nanosecond
+	// psPerByte is the link occupancy of one byte.
+	psPerByte = 1000.0 / BandwidthGBps
+)
+
+// Config describes the link set: its channel count and observability.
+// Bandwidth and propagation delay are the Table 2 constants above.
 type Config struct {
 	Channels int
-	// BandwidthGBps is per-channel, per-direction bandwidth. Table 2: 12.8.
-	BandwidthGBps float64
-	// PropagationDelay is the wire flight time added to every transfer.
-	PropagationDelay sim.Time
 	// Metrics, when non-nil, receives per-channel traffic counters and
 	// occupancy under the "bus.chN" scopes. Nil disables with near-zero
 	// hot-path cost.
@@ -190,13 +197,10 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-// DefaultConfig matches Table 2 of the paper.
+// DefaultConfig returns a link set of the given channel count with
+// observability off.
 func DefaultConfig(channels int) Config {
-	return Config{
-		Channels:         channels,
-		BandwidthGBps:    12.8,
-		PropagationDelay: 1 * sim.Nanosecond,
-	}
+	return Config{Channels: channels}
 }
 
 // chanMetrics holds one channel's observability instruments. The zero
@@ -223,7 +227,6 @@ type Bus struct {
 	tamperer  Tamperer
 	faults    FaultInjector
 	tr        *trace.Recorder
-	psPerByte float64
 }
 
 // New builds a bus.
@@ -231,16 +234,12 @@ func New(cfg Config) *Bus {
 	if cfg.Channels <= 0 {
 		panic("bus: need at least one channel")
 	}
-	if cfg.BandwidthGBps <= 0 {
-		panic("bus: non-positive bandwidth")
-	}
 	b := &Bus{
-		cfg:       cfg,
-		req:       make([]*sim.Resource, cfg.Channels),
-		resp:      make([]*sim.Resource, cfg.Channels),
-		stats:     make([]ChannelStats, cfg.Channels),
-		tr:        cfg.Trace,
-		psPerByte: 1000.0 / cfg.BandwidthGBps, // ps per byte at GB/s
+		cfg:   cfg,
+		req:   make([]*sim.Resource, cfg.Channels),
+		resp:  make([]*sim.Resource, cfg.Channels),
+		stats: make([]ChannelStats, cfg.Channels),
+		tr:    cfg.Trace,
 	}
 	b.met = make([]chanMetrics, cfg.Channels)
 	for i := 0; i < cfg.Channels; i++ {
@@ -294,7 +293,7 @@ func (b *Bus) Mutable() bool { return b.tamperer != nil || b.faults != nil }
 
 // TransferTime returns the link occupancy of n bytes.
 func (b *Bus) TransferTime(n int) sim.Time {
-	return sim.Time(float64(n)*b.psPerByte + 0.5)
+	return sim.Time(float64(n)*psPerByte + 0.5)
 }
 
 // Transfer sends a packet, modelling serialization on the per-channel,
@@ -359,7 +358,7 @@ func (b *Bus) Transfer(at sim.Time, p *Packet) (arrive sim.Time, delivered *Pack
 			b.tr.Span(pid, tid, trace.CatQueue, names.SpanLinkWait, at, start)
 		}
 		b.tr.Span(pid, tid, trace.CatBus, legName(p), start,
-			start+hold+b.cfg.PropagationDelay,
+			start+hold+PropagationDelay,
 			trace.Int("bytes", int64(p.WireBytes())), trace.Str("type", p.Type.String()),
 			trace.Bool("dummy", p.IsDummy), trace.Uint("seq", p.Seq))
 	}
@@ -372,7 +371,7 @@ func (b *Bus) Transfer(at sim.Time, p *Packet) (arrive sim.Time, delivered *Pack
 	if b.tamperer != nil {
 		out = b.tamperer.Tamper(start, p)
 	}
-	arrive = start + hold + b.cfg.PropagationDelay
+	arrive = start + hold + PropagationDelay
 	if b.faults != nil && out != nil {
 		var stall sim.Time
 		out, stall = b.faults.Inject(start, out)

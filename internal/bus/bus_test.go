@@ -154,12 +154,10 @@ func TestBadChannelPanics(t *testing.T) {
 }
 
 func TestPropagationDelay(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.PropagationDelay = 7 * sim.Nanosecond
-	b := New(cfg)
+	b := New(DefaultConfig(1))
 	arrive, _ := b.Transfer(0, &Packet{Channel: 0, Data: make([]byte, 64)})
-	if arrive != 12*sim.Nanosecond {
-		t.Fatalf("arrive = %v, want 12ns (5 burst + 7 propagation)", arrive)
+	if arrive != 6*sim.Nanosecond {
+		t.Fatalf("arrive = %v, want 6ns (5 burst + 1 propagation)", arrive)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/obfus"
 	"obfusmem/internal/stats"
 	"obfusmem/internal/system"
 )
@@ -28,7 +27,7 @@ func Faults(opts Options) *stats.Table {
 	mk := func(rate float64) system.Config {
 		cfg := system.DefaultConfig("obfusmem-auth")
 		cfg.Channels = 2
-		cfg.Obfus.Recovery = obfus.DefaultRecovery()
+		cfg.Obfus.Recovery = true
 		if rate > 0 {
 			cfg.InjectFaults(rate)
 		}

@@ -36,16 +36,14 @@ type Config struct {
 	// — a transient channel stall (retraining, glitch recovery). The link
 	// occupancy is unchanged; only the arrival is late.
 	StallProb float64
-	// StallMax bounds the stall duration (default 50 ns when zero).
-	StallMax sim.Time
 	// Seed makes the injection sequence reproducible; each channel forks an
 	// independent stream so per-channel sequences do not depend on how
 	// traffic interleaves across channels.
 	Seed uint64
 }
 
-// DefaultStallMax is the stall bound when Config.StallMax is zero.
-const DefaultStallMax = 50 * sim.Nanosecond
+// StallMax bounds the duration of an injected stall.
+const StallMax = 50 * sim.Nanosecond
 
 // active reports whether any fault can ever fire.
 func (c Config) active() bool {
@@ -108,11 +106,10 @@ type faultMetrics struct {
 // Injector implements bus.FaultInjector. Not safe for concurrent use (the
 // bus is single-threaded per machine, like everything else in the model).
 type Injector struct {
-	cfg      Config
-	stallMax sim.Time
-	rngs     []*xrand.Rand
-	perChan  []Stats
-	met      faultMetrics
+	cfg     Config
+	rngs    []*xrand.Rand
+	perChan []Stats
+	met     faultMetrics
 }
 
 // New builds an injector for a bus with the given channel count. reg may be
@@ -122,13 +119,9 @@ func New(cfg Config, channels int, reg *metrics.Registry) *Injector {
 		panic("fault: need at least one channel")
 	}
 	in := &Injector{
-		cfg:      cfg,
-		stallMax: cfg.StallMax,
-		rngs:     make([]*xrand.Rand, channels),
-		perChan:  make([]Stats, channels),
-	}
-	if in.stallMax <= 0 {
-		in.stallMax = DefaultStallMax
+		cfg:     cfg,
+		rngs:    make([]*xrand.Rand, channels),
+		perChan: make([]Stats, channels),
 	}
 	root := xrand.New(cfg.Seed ^ 0xfa17)
 	for ch := range in.rngs {
@@ -199,7 +192,7 @@ func (in *Injector) Inject(at sim.Time, p *bus.Packet) (*bus.Packet, sim.Time) {
 	}
 	var stall sim.Time
 	if in.cfg.StallProb > 0 && r.Prob(in.cfg.StallProb) {
-		stall = 1 + sim.Time(r.Uint64n(uint64(in.stallMax)))
+		stall = 1 + sim.Time(r.Uint64n(uint64(StallMax)))
 		st.Stalls++
 		st.StallPS += uint64(stall)
 		in.met.stalls.Inc()

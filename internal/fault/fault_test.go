@@ -68,14 +68,14 @@ func TestLossAndFlips(t *testing.T) {
 }
 
 func TestStallDelaysDelivery(t *testing.T) {
-	in := New(Config{StallProb: 1, StallMax: 10 * sim.Nanosecond, Seed: 7}, 1, nil)
+	in := New(Config{StallProb: 1, Seed: 7}, 1, nil)
 	p := pkt(0)
 	out, delay := in.Inject(0, p)
 	if out != p {
 		t.Fatal("a pure stall must not corrupt the packet")
 	}
-	if delay <= 0 || delay > 10*sim.Nanosecond {
-		t.Fatalf("stall delay %v outside (0, 10ns]", delay)
+	if delay <= 0 || delay > StallMax {
+		t.Fatalf("stall delay %v outside (0, %v]", delay, StallMax)
 	}
 	if s := in.Stats(); s.Stalls != 1 || s.StallPS != uint64(delay) {
 		t.Fatalf("stall stats %+v", s)

@@ -38,6 +38,11 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
+// Capacity is the machine's physical address space (Table 2: 8 GB).
+// Requests wrap into it, and random dummy and cover addresses are drawn
+// from it.
+const Capacity uint64 = 8 << 30
+
 // DefaultConfig matches Table 2 with a configurable channel count.
 func DefaultConfig(channels int) Config {
 	return Config{Channels: channels, PCM: pcm.DefaultConfig()}
@@ -70,13 +75,12 @@ func NewMapper(cfg Config) *Mapper {
 	if cfg.Channels <= 0 || cfg.Channels&(cfg.Channels-1) != 0 {
 		panic(fmt.Sprintf("memctl: channel count %d not a power of two", cfg.Channels))
 	}
-	blocksPerRow := cfg.PCM.RowBytes / cfg.PCM.BlockBytes
 	return &Mapper{
-		blockShift: uint(bits.TrailingZeros(uint(cfg.PCM.BlockBytes))),
-		colBits:    uint(bits.TrailingZeros(uint(blocksPerRow))),
+		blockShift: uint(bits.TrailingZeros(pcm.BlockBytes)),
+		colBits:    uint(bits.TrailingZeros(pcm.BlocksPerRow)),
 		chanBits:   uint(bits.TrailingZeros(uint(cfg.Channels))),
-		bankBits:   uint(bits.TrailingZeros(uint(cfg.PCM.BanksPerRank))),
-		rankBits:   uint(bits.TrailingZeros(uint(cfg.PCM.Ranks))),
+		bankBits:   uint(bits.TrailingZeros(pcm.BanksPerRank)),
+		rankBits:   uint(bits.TrailingZeros(pcm.Ranks)),
 		channels:   cfg.Channels,
 	}
 }

@@ -61,7 +61,7 @@ func TestChannelOfMatchesDecode(t *testing.T) {
 		m := NewMapper(DefaultConfig(ch))
 		r := xrand.New(uint64(ch))
 		for i := 0; i < 1000; i++ {
-			addr := r.Uint64() % (8 << 30)
+			addr := r.Uint64() % Capacity
 			if m.ChannelOf(addr) != m.Decode(addr).Channel {
 				t.Fatalf("channels=%d addr=%#x: ChannelOf != Decode", ch, addr)
 			}

@@ -122,34 +122,6 @@ func (o PairOrder) String() string {
 	return "write-then-read"
 }
 
-// RecoveryConfig enables the fault-tolerant bus protocol: a MAC-verify
-// failure or reply timeout triggers a NACK (or retry-timer expiry), an
-// authenticated counter-resynchronisation handshake, and a bounded
-// retransmission; retry exhaustion quarantines the channel (fail-stop).
-// Disabled (the zero value), detection stops at detection — a rejected
-// request is simply reported failed, matching the paper's Section 3.5 and
-// the behaviour of previous revisions of this simulator. All fields are
-// scalars so Config stays comparable.
-type RecoveryConfig struct {
-	Enabled bool
-	// RetryBudget bounds retransmission attempts per failed request leg
-	// (default 4 when zero).
-	RetryBudget int
-	// Timeout is the retransmit timer armed when a packet (or its NACK)
-	// could have been lost in flight; picoseconds, default 250 ns — the
-	// worst-case round trip of Section 6.2.
-	Timeout int64
-	// Backoff is the base delay before a retry, doubled each attempt;
-	// picoseconds, default 20 ns.
-	Backoff int64
-}
-
-// DefaultRecovery returns the recovery protocol with its default budget
-// and timers enabled.
-func DefaultRecovery() RecoveryConfig {
-	return RecoveryConfig{Enabled: true}
-}
-
 // Config selects the ObfusMem design point.
 type Config struct {
 	Dummy  DummyDesign
@@ -166,12 +138,14 @@ type Config struct {
 	// memory, and replies are padded to the worst-case access latency —
 	// removing the timing side channel at a measurable cost.
 	TimingOblivious bool
-	// Epoch is the fixed issue cadence under TimingOblivious (default
-	// 100 ns when zero).
-	Epoch int64 // picoseconds; int64 to keep Config comparable/serialisable
-	// Recovery configures the NACK/timeout/retransmit protocol; the zero
-	// value disables it (fail-on-detect).
-	Recovery RecoveryConfig
+	// Recovery enables the fault-tolerant bus protocol: a MAC-verify
+	// failure or reply timeout triggers a NACK (or retry-timer expiry), an
+	// authenticated counter-resynchronisation handshake, and a bounded
+	// retransmission (RetryBudget, RetryTimeout, RetryBackoff); retry
+	// exhaustion quarantines the channel (fail-stop). Off, detection stops
+	// at detection — a rejected request is simply reported failed,
+	// matching the paper's Section 3.5.
+	Recovery bool
 	// Metrics, when non-nil, receives controller instruments under the
 	// "obfus" scope: real/dummy traffic split, inter-channel injection,
 	// idle-epoch backfill, and MAC/encrypt overlap slack. Nil disables.

@@ -185,7 +185,7 @@ type Stats struct {
 	RequestsLost      uint64 // dropped in flight, never reached memory
 	IdleEpochFills    uint64 // timing-oblivious: dummy pairs on idle epochs
 
-	// Fault-tolerant protocol activity (zero unless Recovery.Enabled).
+	// Fault-tolerant protocol activity (zero unless Config.Recovery).
 	Retransmits    uint64 // request legs re-sent after a failure
 	NACKsSent      uint64 // memory-side rejection notices issued
 	NACKsLost      uint64 // NACKs themselves lost/corrupted (timer fallback)
@@ -289,8 +289,6 @@ type Controller struct {
 	lastReplyLost bool
 	// events records quarantine decisions for the typed error surface.
 	events []QuarantineEvent
-	// memCapacity bounds random dummy addresses.
-	memCapacity uint64
 
 	// pktArena recycles request/reply/control packet headers. The flows
 	// are synchronous and every interception point on the bus (observers,
@@ -355,15 +353,14 @@ func New(cfg Config, b *bus.Bus, mem *memctl.Controller, table *keys.SessionKeyT
 		panic("obfus: bus and key table disagree on channel count")
 	}
 	c := &Controller{
-		cfg:         cfg,
-		bus:         b,
-		mem:         mem,
-		table:       table,
-		rng:         rng,
-		met:         newCtrlMetrics(cfg.Metrics),
-		tr:          cfg.Trace,
-		frontEnd:    sim.NewResource("obfus-frontend"),
-		memCapacity: 8 << 30,
+		cfg:      cfg,
+		bus:      b,
+		mem:      mem,
+		table:    table,
+		rng:      rng,
+		met:      newCtrlMetrics(cfg.Metrics),
+		tr:       cfg.Trace,
+		frontEnd: sim.NewResource("obfus-frontend"),
 	}
 	for ch := 0; ch < b.Channels(); ch++ {
 		key := table.KeyFor(ch)
@@ -396,7 +393,7 @@ func New(cfg Config, b *bus.Bus, mem *memctl.Controller, table *keys.SessionKeyT
 		// Reserve one block at the top of this channel's address space as
 		// the fixed dummy target (Observation 2); it must decode to this
 		// channel under the controller's interleaving.
-		for a := c.memCapacity - uint64(b.Channels())*4096; ; a += 64 {
+		for a := memctl.Capacity - uint64(b.Channels())*4096; ; a += 64 {
 			if mem.Mapper().ChannelOf(a) == ch {
 				cs.dummyAddr = a
 				break
@@ -484,7 +481,7 @@ func (c *Controller) dummyAddrFor(cs *chanState, realAddr uint64, ch int) uint64
 		return realAddr
 	default: // RandomAddress: uniform block on the same channel
 		for {
-			a := (c.rng.Uint64() % c.memCapacity) &^ 63
+			a := (c.rng.Uint64() % memctl.Capacity) &^ 63
 			if c.mem.Mapper().ChannelOf(a) == ch {
 				return a
 			}

@@ -139,7 +139,7 @@ func (c *Controller) processHalf(cs *chanState, ch int, padBase uint64, h half, 
 	}
 	done, ok = c.serve(cs, ch, h, padBase, del, dAddr, decodeDone)
 	if !ok {
-		if c.recoveryOn() {
+		if c.cfg.Recovery {
 			return c.retryLeg(cs, ch, h, c.replyFailAt(ch, done))
 		}
 		c.legFailed(h.dummy, false)

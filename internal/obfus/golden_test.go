@@ -54,7 +54,7 @@ func TestTimingPathGolden(t *testing.T) {
 		points++
 		cfg.TimingOblivious = r.Intn(3) == 0
 		if r.Bool() {
-			cfg.Recovery = DefaultRecovery()
+			cfg.Recovery = true
 		}
 		b := bus.New(bus.DefaultConfig(channels))
 		mc := memctl.New(memctl.DefaultConfig(channels))

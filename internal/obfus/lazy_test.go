@@ -39,7 +39,7 @@ func runTimingPoint(seed uint64, tap busTap) (cfg Config, channels int, skipped,
 	}
 	cfg.TimingOblivious = r.Intn(3) == 0
 	if r.Bool() {
-		cfg.Recovery = DefaultRecovery()
+		cfg.Recovery = true
 	}
 	b := bus.New(bus.DefaultConfig(channels))
 	mc := memctl.New(memctl.DefaultConfig(channels))

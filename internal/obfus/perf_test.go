@@ -15,7 +15,7 @@ import (
 // this in CI.
 func TestReadWriteLegZeroAllocs(t *testing.T) {
 	cfg := DefaultAuth()
-	cfg.Recovery = DefaultRecovery()
+	cfg.Recovery = true
 	r := newRig(t, cfg, 2)
 	at := sim.Time(0)
 	// Warm-up: grow the packet arena, write ring, and resource state to
@@ -54,7 +54,7 @@ func TestPooledDeterminismSameSeed(t *testing.T) {
 	}
 	runOnce := func() outcome {
 		cfg := DefaultAuth()
-		cfg.Recovery = DefaultRecovery()
+		cfg.Recovery = true
 		cfg.Dummy = RandomAddress // exercises the controller RNG too
 		r := newRig(t, cfg, 2)
 		var o outcome
@@ -101,7 +101,7 @@ func TestPooledDeterminismSameSeed(t *testing.T) {
 // the full pipeline (the suite's inner loop).
 func BenchmarkReadWriteLeg(b *testing.B) {
 	cfg := DefaultAuth()
-	cfg.Recovery = DefaultRecovery()
+	cfg.Recovery = true
 	r := newRig(b, cfg, 2)
 	at := sim.Time(0)
 	b.ReportAllocs()

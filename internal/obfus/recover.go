@@ -27,15 +27,15 @@ import (
 	"obfusmem/internal/trace"
 )
 
-// Recovery protocol defaults (used when the RecoveryConfig field is zero).
+// Recovery protocol constants.
 const (
-	// DefaultRetryBudget bounds retransmission attempts per failed leg.
-	DefaultRetryBudget = 4
-	// DefaultRetryTimeout is the retransmit timer: the worst-case round
-	// trip of the timing-oblivious analysis (Section 6.2) plus margin.
-	DefaultRetryTimeout = 250 * sim.Nanosecond
-	// DefaultRetryBackoff is the base pre-retry delay, doubled per attempt.
-	DefaultRetryBackoff = 20 * sim.Nanosecond
+	// RetryBudget bounds retransmission attempts per failed leg.
+	RetryBudget = 4
+	// RetryTimeout is the retransmit timer: the worst-case round trip of
+	// the timing-oblivious analysis (Section 6.2) plus margin.
+	RetryTimeout = 250 * sim.Nanosecond
+	// RetryBackoff is the base pre-retry delay, doubled per attempt.
+	RetryBackoff = 20 * sim.Nanosecond
 )
 
 // QuarantineEvent records one fail-stop decision: a channel taken out of
@@ -83,34 +83,14 @@ func (c *Controller) QuarantineEvents() []QuarantineEvent {
 // Quarantined reports whether a channel has been taken fail-stop.
 func (c *Controller) Quarantined(ch int) bool { return c.chans[ch].quarantined }
 
-func (c *Controller) recoveryOn() bool { return c.cfg.Recovery.Enabled }
-
-func (c *Controller) retryBudget() int {
-	if b := c.cfg.Recovery.RetryBudget; b > 0 {
-		return b
-	}
-	return DefaultRetryBudget
-}
-
-func (c *Controller) retryTimeout() sim.Time {
-	if t := c.cfg.Recovery.Timeout; t > 0 {
-		return sim.Time(t)
-	}
-	return DefaultRetryTimeout
-}
-
 // retryBackoff returns the exponential pre-retry delay for the given
 // (1-based) attempt.
-func (c *Controller) retryBackoff(attempt int) sim.Time {
-	base := DefaultRetryBackoff
-	if b := c.cfg.Recovery.Backoff; b > 0 {
-		base = sim.Time(b)
-	}
+func retryBackoff(attempt int) sim.Time {
 	shift := uint(attempt - 1)
 	if shift > 20 {
 		shift = 20
 	}
-	return base << shift
+	return RetryBackoff << shift
 }
 
 // canRecover reports whether the recovery protocol can act on a rejected
@@ -119,7 +99,7 @@ func (c *Controller) retryBackoff(attempt int) sim.Time {
 // MACNone the memory services the wrong address and nobody knows (the
 // silent corruption DecodeMismatches quantifies from ground truth).
 func (c *Controller) canRecover(delivered *bus.Packet) bool {
-	if !c.recoveryOn() {
+	if !c.cfg.Recovery {
 		return false
 	}
 	return delivered == nil || c.cfg.MAC != MACNone
@@ -189,7 +169,7 @@ func (c *Controller) requestFailAt(cs *chanState, ch int, arrive sim.Time, deliv
 			return at
 		}
 	}
-	at := arrive + c.retryTimeout()
+	at := arrive + RetryTimeout
 	if c.tr != nil {
 		c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryTimer, arrive, at)
 	}
@@ -211,7 +191,7 @@ func (c *Controller) resync(cs *chanState, ch int, at sim.Time) (done sim.Time, 
 	arrive, del := c.bus.Transfer(ready, req)
 	if del != req {
 		c.stats.ResyncFailures++
-		fail := arrive + c.retryTimeout()
+		fail := arrive + RetryTimeout
 		if c.tr != nil {
 			c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanResyncTimer, arrive, fail)
 		}
@@ -226,7 +206,7 @@ func (c *Controller) resync(cs *chanState, ch int, at sim.Time) (done sim.Time, 
 	ackArrive, ackDel := c.bus.Transfer(ackReady, ack)
 	if ackDel != ack {
 		c.stats.ResyncFailures++
-		fail := ackArrive + c.retryTimeout()
+		fail := ackArrive + RetryTimeout
 		if c.tr != nil {
 			c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanResyncTimer, ackArrive, fail)
 		}
@@ -254,9 +234,8 @@ func (c *Controller) resync(cs *chanState, ch int, at sim.Time) (done sim.Time, 
 // is quarantined and the leg reported failed.
 func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (done sim.Time, ok bool) {
 	firstFail := failAt
-	budget := c.retryBudget()
-	for attempt := 1; attempt <= budget; attempt++ {
-		at := failAt + c.retryBackoff(attempt)
+	for attempt := 1; attempt <= RetryBudget; attempt++ {
+		at := failAt + retryBackoff(attempt)
 		if c.tr != nil {
 			c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryBackoff, failAt, at,
 				trace.Int("attempt", int64(attempt)))
@@ -278,7 +257,7 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		arrive, del := c.sendPacket(cs, ch, h, padBase, padBase)
 		if del == nil {
 			c.stats.RequestsLost++
-			failAt = arrive + c.retryTimeout()
+			failAt = arrive + RetryTimeout
 			if c.tr != nil {
 				c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryTimer, arrive, failAt)
 			}
@@ -314,7 +293,7 @@ func (c *Controller) replyFailAt(ch int, done sim.Time) sim.Time {
 	if !c.lastReplyLost {
 		return done
 	}
-	failAt := done + c.retryTimeout()
+	failAt := done + RetryTimeout
 	if c.tr != nil {
 		c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryTimer, done, failAt)
 	}
@@ -331,9 +310,9 @@ func (c *Controller) quarantineChannel(cs *chanState, ch int, h half, at sim.Tim
 		cs.quarantined = true
 		c.stats.Quarantines++
 		c.met.quarantines.Inc()
-		c.events = append(c.events, QuarantineEvent{Channel: ch, At: at, Attempts: c.retryBudget()})
+		c.events = append(c.events, QuarantineEvent{Channel: ch, At: at, Attempts: RetryBudget})
 		c.tr.Instant(trace.ChannelPID(ch), "recovery", names.SpanQuarantine, at,
-			trace.Int("attempts", int64(c.retryBudget())))
+			trace.Int("attempts", int64(RetryBudget)))
 	}
 	c.legFailed(h.dummy, true)
 	return at, false

@@ -14,7 +14,7 @@ import (
 // protocol on.
 func authRecovery() Config {
 	cfg := DefaultAuth()
-	cfg.Recovery = DefaultRecovery()
+	cfg.Recovery = true
 	return cfg
 }
 
@@ -112,9 +112,7 @@ func TestRecoveryAccountingInvariant(t *testing.T) {
 }
 
 func TestQuarantineAfterRetryExhaustion(t *testing.T) {
-	cfg := authRecovery()
-	cfg.Recovery.RetryBudget = 3
-	r := newRig(t, cfg, 1)
+	r := newRig(t, authRecovery(), 1)
 	// A dead link: everything is lost, so the first request must exhaust
 	// its budget and fail-stop the channel.
 	r.bus.SetFaultInjector(fault.New(fault.Config{LossProb: 1, Seed: 1}, 1, nil))
@@ -134,7 +132,7 @@ func TestQuarantineAfterRetryExhaustion(t *testing.T) {
 	var cerr *ChannelError
 	if err := r.ctrl.Err(); err == nil || !errors.As(err, &cerr) {
 		t.Fatalf("Err() = %v, want *ChannelError", err)
-	} else if len(cerr.Events) != 1 || cerr.Events[0].Channel != 0 || cerr.Events[0].Attempts != 3 {
+	} else if len(cerr.Events) != 1 || cerr.Events[0].Channel != 0 || cerr.Events[0].Attempts != RetryBudget {
 		t.Fatalf("events = %+v", cerr.Events)
 	}
 

@@ -28,8 +28,8 @@ import "obfusmem/internal/sim"
 //     TestWireInvariantUnderRelabeling therefore relabels only row and
 //     column bits in this mode, not bank and rank bits.
 
-// DefaultEpoch is the issue cadence when Config.Epoch is zero.
-const DefaultEpoch = 100 * sim.Nanosecond
+// Epoch is the fixed issue cadence under timing-oblivious operation.
+const Epoch = 100 * sim.Nanosecond
 
 // WorstCaseAccess is the padded reply latency: a dirty-row conflict
 // (150 ns write-back + 60 ns activate + 13.75 ns CAS + 5 ns burst) plus
@@ -41,19 +41,11 @@ const WorstCaseAccess = 250 * sim.Nanosecond
 // once when a request arrives after a long gap.
 const MaxBackfill = 64
 
-func (c *Controller) epoch() sim.Time {
-	if c.cfg.Epoch > 0 {
-		return sim.Time(c.cfg.Epoch)
-	}
-	return DefaultEpoch
-}
-
 // quantize returns the first epoch boundary at or after t, filling any
 // intervening idle epochs on the channel with dummy pairs (constant-rate
 // traffic). It returns the issue time for the real request.
 func (c *Controller) quantize(cs *chanState, ch int, t sim.Time) sim.Time {
-	e := c.epoch()
-	slot := (t + e - 1) / e
+	slot := (t + Epoch - 1) / Epoch
 	// One pair per epoch: a second request in the same epoch waits for
 	// the next boundary.
 	if slot <= cs.lastEpoch {
@@ -69,11 +61,11 @@ func (c *Controller) quantize(cs *chanState, ch int, t sim.Time) sim.Time {
 		for k := slot - fill; k < slot; k++ {
 			c.stats.IdleEpochFills++
 			c.met.idleEpochFills.Inc()
-			c.injectPair(k*e, ch)
+			c.injectPair(k*Epoch, ch)
 		}
 	}
 	cs.lastEpoch = slot
-	return slot * e
+	return slot * Epoch
 }
 
 // padReply returns the padded data-ready time for a timing-oblivious

@@ -15,10 +15,7 @@ func TestBackfillCapAfterLongIdle(t *testing.T) {
 	cfg.TimingOblivious = true
 	r := newRig(t, cfg, 1)
 	c := r.ctrl
-	e := c.epoch()
-	if e != DefaultEpoch {
-		t.Fatalf("epoch = %v, want default %v", e, DefaultEpoch)
-	}
+	const e = Epoch
 
 	// First request at t=0 issues in slot 1 (one pair per epoch, slot 0 is
 	// "now"), with nothing to backfill.
@@ -66,7 +63,7 @@ func TestBackfillExactGapUnderCap(t *testing.T) {
 	cfg.TimingOblivious = true
 	r := newRig(t, cfg, 1)
 	c := r.ctrl
-	e := c.epoch()
+	const e = Epoch
 
 	c.Read(0, 0x1000) // slot 1
 	const slot = 10   // skips slots 2..9: 8 idle epochs

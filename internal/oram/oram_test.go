@@ -247,15 +247,17 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 
 func TestPerfModelSerializes(t *testing.T) {
 	p := NewPerfModel()
-	d1 := p.Access(0)
-	if d1 != PaperAccessLatency {
-		t.Fatalf("first access done at %v", d1)
+	for i := 0; i < PaperConcurrency; i++ {
+		if d := p.Access(0); d != PaperAccessLatency {
+			t.Fatalf("access %d of the first window done at %v", i, d)
+		}
 	}
-	d2 := p.Access(0)
-	if d2 != 2*PaperAccessLatency {
-		t.Fatalf("second access done at %v, want serialized", d2)
+	for i := 0; i < PaperConcurrency; i++ {
+		if d := p.Access(0); d != 2*PaperAccessLatency {
+			t.Fatalf("access %d past the window done at %v, want serialized", i, d)
+		}
 	}
-	if p.Accesses() != 2 {
+	if p.Accesses() != 2*PaperConcurrency {
 		t.Fatalf("Accesses = %d", p.Accesses())
 	}
 	u := p.Utilization(5000 * sim.Nanosecond)

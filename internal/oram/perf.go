@@ -12,10 +12,8 @@ import "obfusmem/internal/sim"
 // entire memory system, so memory-level parallelism collapses to one — a
 // structural property of Path ORAM, not a pessimism of this model.
 type PerfModel struct {
-	// AccessLatency is the fixed end-to-end path access time.
-	AccessLatency sim.Time
-	slots         []*sim.Resource
-	accesses      uint64
+	slots    []*sim.Resource
+	accesses uint64
 }
 
 // PaperAccessLatency is the extrapolated fixed latency the paper assumes.
@@ -27,17 +25,11 @@ const PaperAccessLatency = 2500 * sim.Nanosecond
 // controller could extract before PosMap/stash serialisation binds.
 const PaperConcurrency = 3
 
-// NewPerfModel returns the paper-configured model with a single serial
-// controller (the strictest reading of Path ORAM).
-func NewPerfModel() *PerfModel { return NewPerfModelN(1) }
-
-// NewPerfModelN returns a model allowing n overlapping path accesses.
-func NewPerfModelN(n int) *PerfModel {
-	if n < 1 {
-		n = 1
-	}
-	p := &PerfModel{AccessLatency: PaperAccessLatency}
-	for i := 0; i < n; i++ {
+// NewPerfModel returns the paper-configured model: PaperConcurrency
+// overlapping path accesses of PaperAccessLatency each.
+func NewPerfModel() *PerfModel {
+	p := &PerfModel{}
+	for i := 0; i < PaperConcurrency; i++ {
 		p.slots = append(p.slots, sim.NewResource("oram-ctrl"))
 	}
 	return p
@@ -53,8 +45,8 @@ func (p *PerfModel) Access(at sim.Time) sim.Time {
 			best = s
 		}
 	}
-	start := best.Acquire(at, p.AccessLatency)
-	return start + p.AccessLatency
+	start := best.Acquire(at, PaperAccessLatency)
+	return start + PaperAccessLatency
 }
 
 // Accesses returns the number of accesses serviced.

@@ -12,7 +12,8 @@
 //   - a hardware phase that fetches the access's path — PathBlocks
 //     encrypted block reads, one real and the rest cover blocks at
 //     uniformly random addresses — issued concurrently, so they spread
-//     over channels and banks instead of serializing;
+//     over channels and banks instead of serializing (Palermo's headline
+//     win over a protocol-only design that serializes them);
 //   - a deferred eviction phase: fetched real blocks are re-encrypted and
 //     written back in batches of BatchSize accesses, off the read critical
 //     path, with bus and PCM occupancy providing natural back-pressure.
@@ -33,37 +34,26 @@ import (
 	"obfusmem/internal/xrand"
 )
 
-// Config selects the Palermo design point. The zero value of each knob
-// defers to the paper-flavoured default at construction (Default shows
-// them); Metrics/Trace nil keep the observability layers off.
+// Config attaches the observability layers; nil keeps each off. The
+// design point itself is the constants below.
 type Config struct {
-	// PathBlocks is the fan-out of the hardware phase: encrypted block
-	// fetches per oblivious access (one real + PathBlocks-1 cover blocks).
-	PathBlocks int
-	// BatchSize is the eviction cadence: accesses buffered before the
-	// deferred writeback phase flushes their re-encrypted blocks.
-	BatchSize int
-	// SerialPhases serializes the hardware phase's block fetches (the
-	// protocol-only strawman without the co-designed hardware); off, the
-	// fetches overlap across channels and banks — Palermo's headline win.
-	SerialPhases bool
-	Metrics      *metrics.Registry
-	Trace        *trace.Recorder
+	Metrics *metrics.Registry
+	Trace   *trace.Recorder
 }
 
-// Default returns the paper-flavoured design point.
-func Default() Config { return Config{PathBlocks: 4, BatchSize: 4} }
-
 const (
+	// PathBlocks is the fan-out of the hardware phase: encrypted block
+	// fetches per oblivious access (one real + PathBlocks-1 cover blocks).
+	PathBlocks = 4
+	// BatchSize is the eviction cadence: accesses buffered before the
+	// deferred writeback phase flushes their re-encrypted blocks.
+	BatchSize = 4
 	// ProtocolTime is the per-access protocol-phase occupancy of the shared
 	// front end (stash lookup, position-map access, request scheduling).
 	ProtocolTime = 8 * sim.Nanosecond
 	// DecodeTime is the reply-side cost after the real block returns:
 	// select-from-path plus the final decrypt XOR.
 	DecodeTime = 2 * sim.Nanosecond
-	// coverSpace bounds cover-block addresses (the machine's 8 GB space,
-	// matching system.capacity).
-	coverSpace = uint64(8) << 30
 )
 
 // Stats aggregates controller activity.
@@ -107,7 +97,6 @@ func newCtlMetrics(r *metrics.Registry) ctlMetrics {
 // controller. Like the obfus controller it owns a packet arena so the
 // steady-state access path allocates nothing.
 type Controller struct {
-	cfg      Config
 	bus      *bus.Bus
 	mem      *memctl.Controller
 	rng      *xrand.Rand
@@ -136,29 +125,19 @@ type Controller struct {
 // real-slot choice and cover addresses and must be private to this
 // controller (fork it from the machine seed).
 func New(cfg Config, b *bus.Bus, mem *memctl.Controller, rng *xrand.Rand) *Controller {
-	if cfg.PathBlocks <= 0 {
-		cfg.PathBlocks = Default().PathBlocks
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = Default().BatchSize
-	}
 	return &Controller{
-		cfg:      cfg,
 		bus:      b,
 		mem:      mem,
 		rng:      rng,
 		frontEnd: sim.NewResource("palermo-frontend"),
 		tr:       cfg.Trace,
 		met:      newCtlMetrics(cfg.Metrics),
-		evict:    make([]uint64, 0, cfg.BatchSize),
+		evict:    make([]uint64, 0, BatchSize),
 	}
 }
 
 // Stats returns a snapshot of controller activity.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// Config returns the resolved design point.
-func (c *Controller) Config() Config { return c.cfg }
 
 // resetArena rewinds the packet arena for a fresh access.
 func (c *Controller) resetArena() { c.pktUsed = 0 }
@@ -180,7 +159,7 @@ func (c *Controller) newPacket() *bus.Packet {
 
 // coverAddr draws a uniformly random block-aligned cover address.
 func (c *Controller) coverAddr() uint64 {
-	return (c.rng.Uint64n(coverSpace)) &^ 63
+	return (c.rng.Uint64n(memctl.Capacity)) &^ 63
 }
 
 // sealCmd fills the wire view of a command packet with a cheap
@@ -306,27 +285,23 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) (done sim.Time
 
 	// Hardware phase: fetch the path. One uniformly chosen slot carries the
 	// real address; the rest are cover blocks that spread over channels and
-	// banks. Overlapped by default — the bus links and PCM banks are the
-	// only serialization points.
-	realSlot := c.rng.Intn(c.cfg.PathBlocks)
-	legAt := issue
+	// banks. All fetches issue together — the bus links and PCM banks are
+	// the only serialization points.
+	realSlot := c.rng.Intn(PathBlocks)
 	var latest sim.Time
 	ok = false
-	for i := 0; i < c.cfg.PathBlocks; i++ {
+	for i := 0; i < PathBlocks; i++ {
 		a := addr
 		if i != realSlot {
 			a = c.coverAddr()
 		}
-		rep, delivered := c.fetchBlock(legAt, a, i != realSlot)
+		rep, delivered := c.fetchBlock(issue, a, i != realSlot)
 		if rep > latest {
 			latest = rep
 		}
 		if i == realSlot && delivered {
 			done = rep + DecodeTime
 			ok = true
-		}
-		if c.cfg.SerialPhases {
-			legAt = rep
 		}
 	}
 	if !ok {
@@ -336,7 +311,7 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) (done sim.Time
 	}
 	if c.tr != nil {
 		c.tr.Span(trace.PIDCPU, "palermo", trace.CatBus, names.SpanPathRead, issue, latest,
-			trace.Int("blocks", int64(c.cfg.PathBlocks)))
+			trace.Int("blocks", PathBlocks))
 	}
 
 	// Eviction phase: the real block is re-encrypted under a fresh position
@@ -344,7 +319,7 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) (done sim.Time
 	// critical path.
 	c.evict = append(c.evict, addr&^63)
 	c.sinceFlush++
-	if c.sinceFlush >= c.cfg.BatchSize {
+	if c.sinceFlush >= BatchSize {
 		c.flushEvictions(latest)
 	}
 	return done, ok

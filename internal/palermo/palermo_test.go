@@ -25,19 +25,19 @@ type runOutcome struct {
 // runStream drives one fixed random access stream through a fresh
 // two-channel controller. tap, when non-nil, is attached to the bus as an
 // observer before the first access.
-func runStream(cfg Config, tap bus.Observer) runOutcome {
+func runStream(tap bus.Observer) runOutcome {
 	b := bus.New(bus.DefaultConfig(2))
 	if tap != nil {
 		b.AttachObserver(tap)
 	}
 	mem := memctl.New(memctl.DefaultConfig(2))
-	c := New(cfg, b, mem, xrand.New(5))
+	c := New(Config{}, b, mem, xrand.New(5))
 	r := xrand.New(9)
 	var out runOutcome
 	at := sim.Time(0)
 	for i := 0; i < 1500; i++ {
 		at += sim.Time(r.Intn(int(60 * sim.Nanosecond)))
-		done, ok := c.Access(at, r.Uint64n(coverSpace)&^63, r.Bool())
+		done, ok := c.Access(at, r.Uint64n(memctl.Capacity)&^63, r.Bool())
 		out.done = append(out.done, done)
 		out.ok = append(out.ok, ok)
 	}
@@ -54,28 +54,24 @@ func runStream(cfg Config, tap bus.Observer) runOutcome {
 // same timing, loss and counters, and on the observed bus every command
 // packet must carry its sealed bytes.
 func TestSealOnDemand(t *testing.T) {
-	for _, cfg := range []Config{Default(), {PathBlocks: 3, BatchSize: 2, SerialPhases: true}} {
-		bare := runStream(cfg, nil)
-		var cmds, unsealed int
-		observed := runStream(cfg, bus.ObserverFunc(func(_ sim.Time, p *bus.Packet) {
-			if !p.HasCmd {
-				return
-			}
-			cmds++
-			if p.CmdCipher == ([bus.CmdBytes]byte{}) {
-				unsealed++
-			}
-		}))
-		if !reflect.DeepEqual(bare, observed) {
-			t.Errorf("%+v: bare bus and observed bus disagree:\nbare     %+v\nobserved %+v",
-				cfg, bare, observed)
+	bare := runStream(nil)
+	var cmds, unsealed int
+	observed := runStream(bus.ObserverFunc(func(_ sim.Time, p *bus.Packet) {
+		if !p.HasCmd {
+			return
 		}
-		if cmds == 0 || unsealed != 0 {
-			t.Errorf("%+v: %d of %d observed command packets carry a zero CmdCipher",
-				cfg, unsealed, cmds)
+		cmds++
+		if p.CmdCipher == ([bus.CmdBytes]byte{}) {
+			unsealed++
 		}
-		if want := observed.stats.PathReads + observed.stats.EvictWrites; uint64(cmds) != want {
-			t.Errorf("%+v: observed %d command packets, controller issued %d", cfg, cmds, want)
-		}
+	}))
+	if !reflect.DeepEqual(bare, observed) {
+		t.Errorf("bare bus and observed bus disagree:\nbare     %+v\nobserved %+v", bare, observed)
+	}
+	if cmds == 0 || unsealed != 0 {
+		t.Errorf("%d of %d observed command packets carry a zero CmdCipher", unsealed, cmds)
+	}
+	if want := observed.stats.PathReads + observed.stats.EvictWrites; uint64(cmds) != want {
+		t.Errorf("observed %d command packets, controller issued %d", cmds, want)
 	}
 }

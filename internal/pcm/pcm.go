@@ -29,21 +29,27 @@ const (
 	// BlockReadEnergyPJ is the array energy of reading one 64-byte block.
 	// The absolute scale is arbitrary; Section 5.2 depends only on the
 	// write/read ratio of 6.8.
-	BlockReadEnergyPJ   = 1024.0
-	WriteEnergyRatio    = 6.8
-	BlockWriteEnergyPJ  = WriteEnergyRatio * BlockReadEnergyPJ
-	RowBufferEnergyPJ   = 16.0 // energy of a row-buffer (not array) access
-	CellWriteEndurance  = 100e6
-	BlocksPerRowDefault = 16 // 1 KB row / 64 B blocks
+	BlockReadEnergyPJ  = 1024.0
+	WriteEnergyRatio   = 6.8
+	BlockWriteEnergyPJ = WriteEnergyRatio * BlockReadEnergyPJ
+	RowBufferEnergyPJ  = 16.0 // energy of a row-buffer (not array) access
+	CellWriteEndurance = 100e6
 )
 
-// Config sizes the device. Timing is not configurable: every device uses
-// the Table 2 PCM constants above and tracks per-row wear.
+// Geometry of every device (Table 2): 2 ranks/channel, 8 banks/rank,
+// 1 KB rows of 64-byte blocks.
+const (
+	Ranks        = 2
+	BanksPerRank = 8
+	RowBytes     = 1024 // row buffer size
+	BlockBytes   = 64
+	BlocksPerRow = RowBytes / BlockBytes
+)
+
+// Config holds a device's per-instance settings. Geometry and timing are
+// not configurable: every device uses the Table 2 constants above and
+// tracks per-row wear.
 type Config struct {
-	Ranks        int
-	BanksPerRank int
-	RowBytes     int // row buffer size
-	BlockBytes   int
 	// AdaptiveIdleClose, if > 0, closes an idle open row after this long,
 	// hiding the eviction latency off the critical path (the "adaptive"
 	// part of the open-adaptive policy).
@@ -59,15 +65,9 @@ type Config struct {
 	Channel int
 }
 
-// DefaultConfig matches Table 2: 2 ranks/channel, 8 banks/rank, 1 KB rows.
+// DefaultConfig closes idle rows after 500 ns (the open-adaptive policy).
 func DefaultConfig() Config {
-	return Config{
-		Ranks:             2,
-		BanksPerRank:      8,
-		RowBytes:          1024,
-		BlockBytes:        64,
-		AdaptiveIdleClose: 500 * sim.Nanosecond,
-	}
+	return Config{AdaptiveIdleClose: 500 * sim.Nanosecond}
 }
 
 // Stats aggregates device-level counters.
@@ -118,13 +118,7 @@ type Device struct {
 
 // New builds a device.
 func New(cfg Config) *Device {
-	if cfg.Ranks <= 0 || cfg.BanksPerRank <= 0 {
-		panic("pcm: invalid geometry")
-	}
-	if cfg.RowBytes <= 0 || cfg.BlockBytes <= 0 || cfg.RowBytes%cfg.BlockBytes != 0 {
-		panic("pcm: invalid row/block size")
-	}
-	n := cfg.Ranks * cfg.BanksPerRank
+	const n = Ranks * BanksPerRank
 	d := &Device{cfg: cfg, banks: make([]bank, n), wear: make(map[uint64]uint64)}
 	for i := range d.banks {
 		d.banks[i].res = sim.NewResource(fmt.Sprintf("bank%d", i))
@@ -134,7 +128,7 @@ func New(cfg Config) *Device {
 		d.tr = cfg.Trace
 		d.bankTID = make([]string, n)
 		for i := range d.bankTID {
-			d.bankTID[i] = fmt.Sprintf("rank%d.bank%d", i/cfg.BanksPerRank, i%cfg.BanksPerRank)
+			d.bankTID[i] = fmt.Sprintf("rank%d.bank%d", i/BanksPerRank, i%BanksPerRank)
 		}
 	}
 	if sc := cfg.Metrics; sc != nil {
@@ -151,14 +145,14 @@ func New(cfg Config) *Device {
 	return d
 }
 
-// Config returns the geometry.
+// Config returns the device settings.
 func (d *Device) Config() Config { return d.cfg }
 
 func (d *Device) bankIndex(rank, bankInRank int) int {
-	if rank < 0 || rank >= d.cfg.Ranks || bankInRank < 0 || bankInRank >= d.cfg.BanksPerRank {
+	if rank < 0 || rank >= Ranks || bankInRank < 0 || bankInRank >= BanksPerRank {
 		panic(fmt.Sprintf("pcm: bad bank address rank=%d bank=%d", rank, bankInRank))
 	}
-	return rank*d.cfg.BanksPerRank + bankInRank
+	return rank*BanksPerRank + bankInRank
 }
 
 func (d *Device) wearKey(bankIdx int, row int64) uint64 {
@@ -169,7 +163,7 @@ func (d *Device) wearKey(bankIdx int, row int64) uint64 {
 func (d *Device) recordArrayWrite(bankIdx int, row int64) {
 	d.stats.ArrayWrites++
 	d.met.arrayWrites.Inc()
-	d.stats.EnergyPJ += BlockWriteEnergyPJ * float64(d.cfg.RowBytes/d.cfg.BlockBytes)
+	d.stats.EnergyPJ += BlockWriteEnergyPJ * float64(BlocksPerRow)
 	k := d.wearKey(bankIdx, row)
 	d.wear[k]++
 	if d.wear[k] > d.maxWear {
@@ -214,7 +208,7 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 		d.stats.RowMisses++
 		d.met.rowMisses.Inc()
 		d.stats.ArrayReads++
-		d.stats.EnergyPJ += BlockReadEnergyPJ * float64(d.cfg.RowBytes/d.cfg.BlockBytes)
+		d.stats.EnergyPJ += BlockReadEnergyPJ * float64(BlocksPerRow)
 		latency = ArrayReadLatency + CASLatency + BurstTime
 	default:
 		// Conflict: evict the open row (array write if dirty), then
@@ -229,7 +223,7 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 			d.recordArrayWrite(idx, b.openRow)
 		}
 		d.stats.ArrayReads++
-		d.stats.EnergyPJ += BlockReadEnergyPJ * float64(d.cfg.RowBytes/d.cfg.BlockBytes)
+		d.stats.EnergyPJ += BlockReadEnergyPJ * float64(BlocksPerRow)
 		latency = evict + ArrayReadLatency + CASLatency + BurstTime
 	}
 

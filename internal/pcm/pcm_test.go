@@ -189,22 +189,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestBadGeometryPanics(t *testing.T) {
-	for _, cfg := range []Config{
-		{Ranks: 0, BanksPerRank: 8, RowBytes: 1024, BlockBytes: 64},
-		{Ranks: 2, BanksPerRank: 8, RowBytes: 1000, BlockBytes: 64},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%+v) did not panic", cfg)
-				}
-			}()
-			New(cfg)
-		}()
-	}
-}
-
 // Property: time never goes backwards per bank, and accounting identities
 // hold (accesses = hits + misses, blockReads+blockWrites = accesses).
 func TestAccountingInvariants(t *testing.T) {

@@ -39,7 +39,7 @@ func tracked(addr uint64) (int, bool) {
 // WriteData writes a plaintext block through the machine's full datapath,
 // returning the write's retirement time.
 func (s *System) WriteData(at sim.Time, addr uint64, plaintext Block) sim.Time {
-	addr = (addr % s.capacity()) &^ 63
+	addr = (addr % memctl.Capacity) &^ 63
 	if blk, ok := tracked(addr); ok {
 		s.tree().Update(blk, plaintext[:])
 	}
@@ -57,7 +57,7 @@ func (s *System) WriteData(at sim.Time, addr uint64, plaintext Block) sim.Time {
 // last write and this read) or, for protected modes, when the bus-level
 // protocol rejected the access.
 func (s *System) ReadData(at sim.Time, addr uint64) (plaintext Block, done sim.Time, verified bool) {
-	addr = (addr % s.capacity()) &^ 63
+	addr = (addr % memctl.Capacity) &^ 63
 	raw, protoOK := s.bk.Read(at, addr, &plaintext)
 	if s.enc != nil {
 		done = s.enc.DecryptFill(at, addr, raw)

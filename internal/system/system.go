@@ -41,15 +41,13 @@ type Config struct {
 	// Channels is the number of independent bus/memory channels, a power
 	// of two; 0 or less means 1.
 	Channels int
-	// Obfus selects the ObfusMem design point (obfusmem / obfusmem-auth).
+	// Obfus selects the ObfusMem design point (obfusmem / obfusmem-auth);
+	// it must stay zero on every other scheme.
 	Obfus obfus.Config
-	// ORAMConcurrency bounds overlapping path accesses (oram).
-	ORAMConcurrency int
-	// Palermo selects the Palermo design point (palermo).
-	Palermo palermo.Config
 	// IntegrityTree enables Bonsai Merkle verification traffic on schemes
-	// whose Features claim integrity support (EncryptOnly, ObfusMem): the
-	// paper's baseline secure processor assumes it (Section 2.1).
+	// that route counter fetches through the backend (EncryptOnly,
+	// ObfusMem): the paper's baseline secure processor assumes it
+	// (Section 2.1).
 	IntegrityTree bool
 	// FullHandshake runs the complete trust-bootstrap + DH key
 	// establishment from the keys package instead of deriving session
@@ -92,20 +90,16 @@ func DefaultConfig(name string) Config {
 }
 
 // DefaultConfigByName returns a single-channel machine for the named
-// backend, its options block populated by the scheme's own Defaults hook.
+// backend, its Obfus block copied from the scheme's descriptor.
 func DefaultConfigByName(name string) (Config, error) {
 	d, err := lookup(name)
 	if err != nil {
 		return Config{}, err
 	}
 	cfg := Config{Backend: name, Channels: 1, Seed: 1}
-	var o backend.Options
-	if d.Defaults != nil {
-		d.Defaults(&o)
+	if d.Obfus != nil {
+		cfg.Obfus = *d.Obfus
 	}
-	cfg.Obfus = o.Obfus
-	cfg.ORAMConcurrency = o.ORAMConcurrency
-	cfg.Palermo = o.Palermo
 	return cfg, nil
 }
 
@@ -122,14 +116,14 @@ func lookup(name string) (*backend.Descriptor, error) {
 
 // InjectFaults installs a uniform transient-fault injector at the given
 // per-packet rate, its stream derived from the machine Seed, and arms the
-// default recovery protocol on schemes that consume the Obfus options.
-// This is the one place that decides which schemes recover; the others
-// lose faulted requests (see Fault).
+// recovery protocol on the ObfusMem schemes. This is the one place that
+// decides which schemes recover; the others lose faulted requests (see
+// Fault).
 func (c *Config) InjectFaults(rate float64) {
 	fc := fault.Uniform(rate, 0)
 	c.Fault = &fc
-	if d, ok := backend.Lookup(c.Backend); ok && d.Uses.Obfus {
-		c.Obfus.Recovery = obfus.DefaultRecovery()
+	if d, ok := backend.Lookup(c.Backend); ok && d.Obfus != nil {
+		c.Obfus.Recovery = true
 	}
 }
 
@@ -161,11 +155,10 @@ func New(cfg Config) *System {
 }
 
 // NewChecked builds a machine from the registered backend selected by
-// cfg.Backend. It rejects unknown (or empty) scheme names
-// and configs that set options foreign to the selected backend — e.g.
-// ORAMConcurrency on an ObfusMem machine — since those silently did
-// nothing under the old mode switch. It also rejects a channel count
-// that is not a power of two, which the address mapper cannot split.
+// cfg.Backend. It rejects unknown (or empty) scheme names and a non-zero
+// Obfus block on a scheme other than ObfusMem, which would silently do
+// nothing. It also rejects a channel count that is not a power of two,
+// which the address mapper cannot split.
 func NewChecked(cfg Config) (*System, error) {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
@@ -177,13 +170,8 @@ func NewChecked(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := backend.Options{
-		Obfus:           cfg.Obfus,
-		ORAMConcurrency: cfg.ORAMConcurrency,
-		Palermo:         cfg.Palermo,
-	}
-	if err := d.CheckForeign(opts); err != nil {
-		return nil, err
+	if d.Obfus == nil && cfg.Obfus != (obfus.Config{}) {
+		return nil, fmt.Errorf("backend %q does not take the Obfus options", cfg.Backend)
 	}
 	mcfg := memctl.DefaultConfig(cfg.Channels)
 	mcfg.Metrics = cfg.Metrics
@@ -219,7 +207,7 @@ func NewChecked(cfg Config) (*System, error) {
 		Trace:       cfg.Trace,
 		ForkRng:     s.rng.Fork,
 		SessionKeys: s.establishKeys,
-		Options:     opts,
+		Obfus:       cfg.Obfus,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("backend %q: %w", cfg.Backend, err)
@@ -232,7 +220,9 @@ func NewChecked(cfg Config) (*System, error) {
 			fetch = s.counterFetch
 		}
 		s.enc = ctrmode.New(memKey, fetch)
-		if d.Features.Integrity && cfg.IntegrityTree {
+		// The tree verifies counter blocks the backend fetches, so only
+		// FetchSelf schemes run it.
+		if fetch != nil && cfg.IntegrityTree {
 			s.enc.EnableIntegrity(7)
 		}
 	}
@@ -319,7 +309,7 @@ func (s *System) Config() Config { return s.cfg }
 // traffic back through the protection backend (Features.CounterFetch ==
 // FetchSelf), so metadata fetches are protected like demand traffic.
 func (s *System) counterFetch(at sim.Time, addr uint64, write bool) sim.Time {
-	a := addr % s.capacity()
+	a := addr % memctl.Capacity
 	if write {
 		return s.bk.Write(at, a, at, nil)
 	}
@@ -327,11 +317,9 @@ func (s *System) counterFetch(at sim.Time, addr uint64, write bool) sim.Time {
 	return done
 }
 
-func (s *System) capacity() uint64 { return 8 << 30 }
-
 // Read implements cpu.MemorySystem.
 func (s *System) Read(at sim.Time, addr uint64) sim.Time {
-	addr %= s.capacity()
+	addr %= memctl.Capacity
 	dataReady, _ := s.bk.Read(at, addr, nil)
 	if s.enc != nil {
 		return s.enc.DecryptFill(at, addr, dataReady)
@@ -341,7 +329,7 @@ func (s *System) Read(at sim.Time, addr uint64) sim.Time {
 
 // Write implements cpu.MemorySystem.
 func (s *System) Write(at sim.Time, addr uint64) sim.Time {
-	addr %= s.capacity()
+	addr %= memctl.Capacity
 	ready := at
 	if s.enc != nil {
 		ready, _ = s.enc.EncryptWriteback(at, addr)

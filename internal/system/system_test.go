@@ -233,3 +233,44 @@ func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 		t.Fatal("unprotected store should hold plaintext")
 	}
 }
+
+// TestZeroLoadOracle checks the unprotected single-channel machine against
+// closed-form zero-load latencies. Every term is a literal from Table 2 or
+// DESIGN.md §5 "Calibration constants", never read from the model, so a
+// drifted constant fails here even when every golden is regenerated:
+//
+//	command packet   16 B at 12.8 GB/s = 1.25 ns
+//	data packet      64 B at 12.8 GB/s = 5 ns
+//	write packet     80 B at 12.8 GB/s = 6.25 ns
+//	wire propagation 1 ns per packet
+//	row miss         tRCD 60 + tCL 13.75 + tBURST 5 = 78.75 ns
+//	row hit          tCL 13.75 + tBURST 5 = 18.75 ns
+//
+// A read is command + propagation + array + data + propagation; a write is
+// write packet + propagation + array (the controller posts it).
+func TestZeroLoadOracle(t *testing.T) {
+	const ns = sim.Nanosecond
+	for _, tc := range []struct {
+		name string
+		want sim.Time
+		op   func(s *System, at sim.Time) sim.Time
+	}{
+		{"row-miss read", (1250 + 1000 + 78750 + 5000 + 1000) * sim.Picosecond,
+			func(s *System, at sim.Time) sim.Time { return s.Read(at, 0x40000) }},
+		{"row-hit read", (1250 + 1000 + 18750 + 5000 + 1000) * sim.Picosecond,
+			func(s *System, at sim.Time) sim.Time {
+				// Open the row, then read another block of it while the
+				// row is still open (well inside the 500 ns idle close).
+				s.Read(at-200*ns, 0x40000)
+				return s.Read(at, 0x40040)
+			}},
+		{"row-miss write", (6250 + 1000 + 78750) * sim.Picosecond,
+			func(s *System, at sim.Time) sim.Time { return s.Write(at, 0x40000) }},
+	} {
+		s := New(DefaultConfig("unprotected"))
+		at := sim.Time(1000 * ns)
+		if got := tc.op(s, at) - at; got != tc.want {
+			t.Errorf("%s: latency %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

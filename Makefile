@@ -24,7 +24,11 @@
 #                  the open-loop guard (an 8-lane run's allocations must
 #                  not grow with its request count), the closed-loop guard
 #                  (a cpu.Run's allocations must not grow with its request
-#                  count),
+#                  count), the read-ahead guards (a warm cpu.Run reuses an
+#                  idle request pipeline and allocates less than one
+#                  request block; the drive loop reads exactly the
+#                  stream's requests; a producer panic reaches the caller
+#                  and a budget trip stops the producer),
 #                  the lazy-crypto guard (a bare bus, which skips command
 #                  pads and MACs, matches an observed one and one with a
 #                  pass-through tamperer, and each still detects counter
@@ -115,7 +119,7 @@ bench-smoke:
 	$(GO) test -run 'TestScheduleFireZeroAllocs|TestReadWriteLegZeroAllocs|TestLazyCryptoMatchesEager|TestCTRZeroAllocs|TestComputeZeroAllocs' \
 		-bench 'BenchmarkEngineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
-	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs|TestDriveAllocsIndependentOfRequests' \
+	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs|TestDriveAllocsIndependentOfRequests|TestWarmRunAllocatesNoBlocks|TestReadAheadMatchesStream|TestProducerPanicReraised|TestSimBudgetTrips' \
 		./internal/metrics ./internal/xrand ./internal/cpu
 	$(GO) test -run 'TestChromeExportAllocs' -bench 'BenchmarkWriteChromeTrace' \
 		-benchtime 200ms -benchmem ./internal/trace

@@ -34,7 +34,8 @@ type MemorySystem interface {
 // Config tunes the core model.
 type Config struct {
 	// Exposure is the fraction of demand-read latency that reaches
-	// execution time (the rest is hidden by out-of-order overlap).
+	// execution time (the rest is hidden by out-of-order overlap). A
+	// non-positive value takes the default.
 	Exposure float64
 	// WriteBuffer is the number of outstanding writebacks the core
 	// tolerates before stalling. A non-positive value takes the default.
@@ -96,9 +97,10 @@ func (s *sliceSource) Next() workload.Request {
 	return r
 }
 
-// Run drives n requests of the profile through the system.
+// Run drives n requests of the profile through the system. The stream is
+// drawn on its own goroutine, ahead of the drive loop (readahead.go).
 func Run(p workload.Profile, n int, sys MemorySystem, cfg Config, seed uint64) Result {
-	res := drive(p.Name, workload.NewStream(p, seed), n, sys, cfg)
+	res := driveAhead(p.Name, workload.NewStream(p, seed), n, sys, cfg)
 	res.Instructions = float64(n) / p.RequestsPerKI() * 1000
 	cycles := res.ExecTime.Float64Nanos() * workload.CPUFreqGHz
 	if cycles > 0 {
@@ -119,15 +121,12 @@ func RunTrace(name string, reqs []workload.Request, sys MemorySystem, cfg Config
 
 // drive is the closed-loop core model shared by Run and RunTrace.
 func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Config) Result {
+	d := DefaultConfig()
 	if cfg.Exposure <= 0 {
-		d := DefaultConfig()
-		d.Trace = cfg.Trace
-		d.Sampler = cfg.Sampler
-		d.SimBudget = cfg.SimBudget
-		cfg = d
+		cfg.Exposure = d.Exposure
 	}
 	if cfg.WriteBuffer <= 0 {
-		cfg.WriteBuffer = DefaultConfig().WriteBuffer
+		cfg.WriteBuffer = d.WriteBuffer
 	}
 	res := Result{Benchmark: name}
 	now := sim.Time(0)

@@ -234,10 +234,10 @@ func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 	}
 }
 
-// TestZeroLoadOracle checks the unprotected single-channel machine against
-// closed-form zero-load latencies. Every term is a literal from Table 2 or
-// DESIGN.md §5 "Calibration constants", never read from the model, so a
-// drifted constant fails here even when every golden is regenerated:
+// TestZeroLoadOracle checks the single-channel unprotected and
+// encrypt-only machines against closed-form zero-load latencies. Every term
+// is a literal from Table 2 or DESIGN.md §5, never read from the model, so
+// a drifted constant fails here even when every golden is regenerated:
 //
 //	command packet   16 B at 12.8 GB/s = 1.25 ns
 //	data packet      64 B at 12.8 GB/s = 5 ns
@@ -248,29 +248,73 @@ func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 //
 // A read is command + propagation + array + data + propagation; a write is
 // write packet + propagation + array (the controller posts it).
+//
+// Encrypt-only adds the at-rest engine of DESIGN §5 "At-rest encryption
+// timing":
+//
+//	counter-cache hit 5 core cycles = 2.5 ns
+//	four pads         3 issue intervals of 0.5 ns + 24 stages of 0.5 ns = 13.5 ns
+//	XOR               1 core cycle = 0.5 ns
+//
+// A read pre-generates its pads while the data is fetched and adds the XOR
+// after the later of the two. A write encrypts before it leaves: counter,
+// pads and XOR precede the write packet. A counter-cache miss replaces the
+// 2.5 ns hit with a read of the page's counter block through the same
+// backend, issued at the same instant. The counter block of the page at
+// 0x40000 (rank 0, bank 0, row 16) lives at 4096 (rank 0, bank 4, row 0),
+// so its array access never meets the data's, but after a demand read its
+// command and its reply each queue behind the data's on the link.
 func TestZeroLoadOracle(t *testing.T) {
 	const ns = sim.Nanosecond
+	const ps = sim.Picosecond
+	read := func(addr uint64) func(s *System, at sim.Time) sim.Time {
+		return func(s *System, at sim.Time) sim.Time { return s.Read(at, addr) }
+	}
+	write := func(addr uint64) func(s *System, at sim.Time) sim.Time {
+		return func(s *System, at sim.Time) sim.Time { return s.Write(at, addr) }
+	}
+	// warm reads addr well before the timed operation: it opens addr's
+	// row (inside the 500 ns idle close) and caches the counter block of
+	// addr's page, and its traffic is over before the timed one starts.
+	warm := func(addr uint64, op func(s *System, at sim.Time) sim.Time) func(s *System, at sim.Time) sim.Time {
+		return func(s *System, at sim.Time) sim.Time {
+			s.Read(at-200*ns, addr)
+			return op(s, at)
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		want sim.Time
-		op   func(s *System, at sim.Time) sim.Time
+		backend, name string
+		want          sim.Time
+		op            func(s *System, at sim.Time) sim.Time
 	}{
-		{"row-miss read", (1250 + 1000 + 78750 + 5000 + 1000) * sim.Picosecond,
-			func(s *System, at sim.Time) sim.Time { return s.Read(at, 0x40000) }},
-		{"row-hit read", (1250 + 1000 + 18750 + 5000 + 1000) * sim.Picosecond,
-			func(s *System, at sim.Time) sim.Time {
-				// Open the row, then read another block of it while the
-				// row is still open (well inside the 500 ns idle close).
-				s.Read(at-200*ns, 0x40000)
-				return s.Read(at, 0x40040)
-			}},
-		{"row-miss write", (6250 + 1000 + 78750) * sim.Picosecond,
-			func(s *System, at sim.Time) sim.Time { return s.Write(at, 0x40000) }},
+		{"unprotected", "row-miss read", (1250 + 1000 + 78750 + 5000 + 1000) * ps, read(0x40000)},
+		// Another block of the open row.
+		{"unprotected", "row-hit read", (1250 + 1000 + 18750 + 5000 + 1000) * ps, warm(0x40000, read(0x40040))},
+		{"unprotected", "row-miss write", (6250 + 1000 + 78750) * ps, write(0x40000)},
+
+		// Counter miss: the counter reply arrives at 1.25 (queued behind
+		// the data command) + 1.25 + 1 + 78.75 = 82.25, waits for the data
+		// reply to leave the link at 86, then takes 5 + 1: 92 ns. Pads
+		// from 92 outlast the data at 87.
+		{"encrypt-only", "row-miss read, counter miss",
+			(1250 + 1250 + 1000 + 78750 + 3750 + 5000 + 1000 + 13500 + 500) * ps, read(0x40000)},
+		// Counter hit: pads done at 2.5 + 13.5 = 16, hidden by the 87 ns
+		// data fetch. 0x40400 shares the page but sits in bank 1.
+		{"encrypt-only", "row-miss read, counter hit",
+			(1250 + 1000 + 78750 + 5000 + 1000 + 500) * ps, warm(0x40400, read(0x40000))},
+		{"encrypt-only", "row-hit read, counter hit",
+			(1250 + 1000 + 18750 + 5000 + 1000 + 500) * ps, warm(0x40000, read(0x40040))},
+		// Counter miss: a whole zero-load row-miss read (87 ns) of the
+		// counter block, then pads and XOR, then the write.
+		{"encrypt-only", "row-miss write, counter miss",
+			(1250 + 1000 + 78750 + 5000 + 1000 + 13500 + 500 + 6250 + 1000 + 78750) * ps, write(0x40000)},
+		{"encrypt-only", "row-miss write, counter hit",
+			(2500 + 13500 + 500 + 6250 + 1000 + 78750) * ps, warm(0x40400, write(0x40000))},
 	} {
-		s := New(DefaultConfig("unprotected"))
+		s := New(DefaultConfig(tc.backend))
 		at := sim.Time(1000 * ns)
 		if got := tc.op(s, at) - at; got != tc.want {
-			t.Errorf("%s: latency %v, want %v", tc.name, got, tc.want)
+			t.Errorf("%s %s: latency %v, want %v", tc.backend, tc.name, got, tc.want)
 		}
 	}
 }

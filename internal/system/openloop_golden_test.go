@@ -62,3 +62,52 @@ func TestOpenLoopGolden(t *testing.T) {
 		}
 	}
 }
+
+// openLoopLaneGolden pins one open-loop run at a given lane count: the wire
+// digest, the gap-entropy score, and FNV-64a hashes of the report CSV and of
+// the metrics snapshot JSON. It holds no event count, so a change to how the
+// run is scheduled that keeps every observable must pass it unedited.
+type openLoopLaneGolden struct {
+	channels int
+	policy   obfus.ChannelPolicy
+	digest   uint64
+	entropy  float64
+	csv      uint64
+	metrics  uint64
+}
+
+// openLoopLaneGoldens covers the lane counts TestOpenLoopGolden does not:
+// 1, 2 and 4 lanes under both cover policies, seed 42, 150 requests per
+// lane. A 1-lane run has no peer to cover, so its two rows agree.
+var openLoopLaneGoldens = []openLoopLaneGolden{
+	{1, obfus.PolicyUNOPT, 0x97859673dfbf6889, 0.693338462486631, 0xfe033ac73ef899f9, 0x92a1c96a013d6791},
+	{1, obfus.PolicyOPT, 0x97859673dfbf6889, 0.693338462486631, 0xfe033ac73ef899f9, 0x92a1c96a013d6791},
+	{2, obfus.PolicyUNOPT, 0x07482dd3d9cc1cf4, 0.022799487351987224, 0x6920d825c1915db5, 0x0b4d0c103b3767d0},
+	{2, obfus.PolicyOPT, 0x9c1a26a63e28579a, 0.5693618625875487, 0x9a44bdd148b073fd, 0xdae6b3ce6f461e83},
+	{4, obfus.PolicyUNOPT, 0x006fb4b1cb31f1b6, 0.003682754666808563, 0xcd9fe939f9394a36, 0xa454751fb0d98a9b},
+	{4, obfus.PolicyOPT, 0x463fade4398289ca, 0.247498974461271, 0x95b128d15526a05a, 0x69ffbf3a33f58790},
+}
+
+// TestOpenLoopLaneCountGolden holds the open loop bit-identical at 1, 2 and
+// 4 lanes.
+func TestOpenLoopLaneCountGolden(t *testing.T) {
+	for _, g := range openLoopLaneGoldens {
+		cfg := DefaultOpenLoopConfig()
+		cfg.Channels = g.channels
+		cfg.Requests = 150
+		cfg.Policy = g.policy
+		cfg.Metrics = metrics.NewRegistry()
+		res := RunOpenLoop(cfg)
+		var snap bytes.Buffer
+		if err := cfg.Metrics.WriteJSON(&snap); err != nil {
+			t.Fatal(err)
+		}
+		got := openLoopLaneGolden{g.channels, g.policy, res.WireDigest, res.GapEntropyBits,
+			fnv64([]byte(res.Table.CSV())), fnv64(snap.Bytes())}
+		if got != g {
+			t.Errorf("channels=%d policy=%v:\n got  %#x %v %#x %#x\n want %#x %v %#x %#x",
+				g.channels, g.policy, got.digest, got.entropy, got.csv, got.metrics,
+				g.digest, g.entropy, g.csv, g.metrics)
+		}
+	}
+}

@@ -34,7 +34,8 @@
 #                  pass-through tamperer, and each still detects counter
 #                  desync), plus
 #                  short benchmarks of the event engine, the AES pads, the
-#                  MD5 MAC, the obfus datapath and the trace export, then
+#                  MD5 MAC, the obfus datapath, the trace export and whole
+#                  8-lane open-loop runs (ns/req and events/op), then
 #                  campaign-smoke;
 #                  fails if the alloc guards regress (runs in CI)
 #   make fuzz-smoke - 20 s of FuzzChromeExport (the streaming Chrome
@@ -125,6 +126,7 @@ bench-smoke:
 		-benchtime 200ms -benchmem ./internal/trace
 	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests' \
 		./internal/backend ./internal/system
+	$(GO) test -run '^$$' -bench 'BenchmarkRunOpenLoop' -benchtime 200ms -benchmem ./internal/system
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null
 	$(MAKE) campaign-smoke

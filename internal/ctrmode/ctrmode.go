@@ -119,7 +119,11 @@ func (e *Engine) page(addr uint64) *pageCounters {
 // IVFor builds the IV of a block at its current counter version: page ID,
 // page offset, major and minor counters (Fig 2).
 func (e *Engine) IVFor(addr uint64) aes.IV {
-	pc := e.page(addr)
+	return ivOf(addr, e.page(addr))
+}
+
+// ivOf builds the IV of a block from its page's counters.
+func ivOf(addr uint64, pc *pageCounters) aes.IV {
 	blk := blockOf(addr)
 	return aes.IV{
 		ID:      pageOf(addr)<<8 | uint64(blk),
@@ -210,7 +214,7 @@ func (e *Engine) EncryptWriteback(at sim.Time, addr uint64) (ready sim.Time, iv 
 		e.integrity.DirtyNode(e.ctrBlockAddr(pageOf(addr)))
 	}
 	padsDone := e.engine.IssueOnly(ctrAt, 4)
-	return padsDone + XORLatency, e.IVFor(addr)
+	return padsDone + XORLatency, ivOf(addr, pc)
 }
 
 // EncryptData functionally encrypts a 64-byte block in place at its current

@@ -60,6 +60,13 @@ const (
 	PolicyOPT
 )
 
+// Defined reports whether p is one of the three policies above.
+// CoverNeeded treats every value other than PolicyNone and PolicyOPT as
+// UNOPT, so callers that take a policy from a config reject the rest.
+func (p ChannelPolicy) Defined() bool {
+	return p >= PolicyNone && p <= PolicyOPT
+}
+
 func (p ChannelPolicy) String() string {
 	switch p {
 	case PolicyNone:

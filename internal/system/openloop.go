@@ -11,22 +11,24 @@
 // one deliberate deviation from the closed-loop machine, where the Fig 3
 // front end is shared across channels (DESIGN.md §10). Inter-channel cover
 // traffic is the only interaction between lanes: a lane that issues a real
-// request notifies every other lane at issue + obfus.FrontEndTime, and the
+// request notifies every other lane at issue + obfus.FrontEndTime, and each
 // destination lane decides from its own bus-idle state and last-request
 // time, via obfus.CoverNeeded (the same predicate the closed loop uses),
 // whether to put a dummy pair on its wire. Cover pairs never trigger further
 // covers.
 //
-// Arrivals and cover notifications are events on one sim.Engine. Each lane
-// logs its request-link and reply-link arrivals separately; every link is a
-// FIFO sim.Resource, so each log is already in time order, and the merged
-// wire view is a k-way merge of the logs in (time, channel, lane order) —
-// the report is a function of the configuration alone.
+// Arrivals and cover notifications are events on one sim.Engine: one
+// arrival event per real request, plus one notification event that visits
+// the peer lanes in lane order. Each lane logs its request-link and
+// reply-link arrivals separately; every link is a FIFO sim.Resource, so each
+// log is already in time order, and the merged wire view is a k-way merge
+// of the logs in (time, channel, lane order), streamed into the digest and
+// the gap histogram without being built — the report is a function of the
+// configuration alone.
 package system
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"obfusmem/internal/aes"
@@ -116,9 +118,9 @@ type openLane struct {
 	wire        [2][]openWireEvent
 	peers       []*openLane
 
-	// arriveFn and coverFn are the lane's arrive and cover method values,
+	// arriveFn and notifyFn are the lane's arrive and notify method values,
 	// bound once so scheduling them allocates nothing.
-	arriveFn, coverFn func(sim.Time)
+	arriveFn, notifyFn func(sim.Time)
 	// The lane's three packets, reused by every pair: the bus keeps no
 	// reference to a packet after Transfer.
 	readPkt, writePkt, respPkt bus.Packet
@@ -207,11 +209,21 @@ func (l *openLane) real(at sim.Time, addr uint64, write bool) {
 		l.latencySum += done - at
 		l.reads++
 	}
-	// Cover notifications: the decision runs on the destination lane at
+	// Cover notifications: the decision runs on each destination lane at
 	// at + FrontEndTime, against that lane's own state.
-	when := at + obfus.FrontEndTime
+	if len(l.peers) > 0 {
+		l.eng.Schedule(at+obfus.FrontEndTime, l.notifyFn)
+	}
+}
+
+// notify delivers one real request's cover notifications to every peer
+// lane, in peer order. One event per request fires the peers' decisions
+// back to back, as one event per peer at the same instant would: those
+// events would take consecutive sequence numbers, and cover schedules
+// nothing, so no other event could fire between them.
+func (l *openLane) notify(at sim.Time) {
 	for _, peer := range l.peers {
-		l.eng.Schedule(when, peer.coverFn)
+		peer.cover(at)
 	}
 }
 
@@ -246,6 +258,9 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 	}
 	if cfg.Requests <= 0 {
 		panic("system: open-loop run needs a positive request count")
+	}
+	if !cfg.Policy.Defined() {
+		panic(fmt.Sprintf("system: open-loop run has undefined cover policy %v", cfg.Policy))
 	}
 	profiles := cfg.Profiles
 	if len(profiles) == 0 {
@@ -294,7 +309,7 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 				respLink: make([]openWireEvent, 0, cfg.Requests),
 			},
 		}
-		l.arriveFn, l.coverFn = l.arrive, l.cover
+		l.arriveFn, l.notifyFn = l.arrive, l.notify
 		lanes[ch] = l
 	}
 	for _, l := range lanes {
@@ -320,25 +335,7 @@ func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controlle
 	for _, l := range lanes {
 		runs = append(runs, l.wire[reqLink], l.wire[respLink])
 	}
-	merged := mergeWire(runs)
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	word := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf)
-	}
-	gaps := stats.NewHist()
-	var prev sim.Time
-	for i, ev := range merged {
-		word(uint64(ev.at))
-		word(uint64(ev.ch)<<32 | uint64(ev.bytes))
-		if i > 0 {
-			gaps.Add(uint64(ev.at-prev) / uint64(16*sim.Nanosecond))
-		}
-		prev = ev.at
-	}
+	digest, gaps := summarizeWire(runs)
 
 	table := stats.NewTable("Open-loop run",
 		"channel", "workload", "reqs", "covers", "read lat (ns)", "wire pkts", "wire bytes", "dropped", "pcm acc")
@@ -376,56 +373,82 @@ func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controlle
 	if math.IsNaN(entropy) {
 		entropy = 0
 	}
-	digest := h.Sum64()
 	table.AddNote("policy=%s requests/lane=%d seed=%d", cfg.Policy, cfg.Requests, cfg.Seed)
 	table.AddNote("wire digest=%016x gap entropy=%.4f bits (16ns buckets over %d gaps)", digest, entropy, gaps.N())
 	table.AddNote("per-lane front end (deviation from the shared Fig 3 front end; see DESIGN.md §10)")
 	return OpenLoopResult{Table: table, WireDigest: digest, GapEntropyBits: entropy, EventsFired: fired}
 }
 
-// mergeWire merges runs, each in (time, channel, seq) order, into one slice
-// in that order. It is a k-way merge on a binary min-heap of run indices
-// keyed by each run's head: O(n log k) for n events in k runs.
-func mergeWire(runs [][]openWireEvent) []openWireEvent {
-	m := wireMerge{runs: runs, pos: make([]int, len(runs)), heap: make([]int, 0, len(runs))}
-	n := 0
+// FNV-1a-64 parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// summarizeWire merges runs, each in (time, channel, seq) order, and folds
+// the merged wire view into the report's two observables without building
+// it: the FNV-1a-64 digest of every event's (time, channel, bytes) words and
+// the histogram of gaps between consecutive events, in 16 ns buckets. The
+// merge is a binary min-heap of run heads: O(n log k) for n events in k
+// runs.
+func summarizeWire(runs [][]openWireEvent) (digest uint64, gaps *stats.Hist) {
+	heap := make(wireHeap, 0, len(runs))
 	for r, run := range runs {
-		n += len(run)
 		if len(run) > 0 {
-			m.heap = append(m.heap, r)
+			heap = append(heap, wireHead{ev: run[0], run: r, next: 1})
 		}
 	}
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.down(i)
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		heap.down(i)
 	}
-	merged := make([]openWireEvent, 0, n)
-	for len(m.heap) > 0 {
-		r := m.heap[0]
-		merged = append(merged, runs[r][m.pos[r]])
-		m.pos[r]++
-		if m.pos[r] == len(runs[r]) {
-			last := len(m.heap) - 1
-			m.heap[0] = m.heap[last]
-			m.heap = m.heap[:last]
+	digest, gaps = fnvOffset64, stats.NewHist()
+	first, prev := true, sim.Time(0)
+	for len(heap) > 0 {
+		top := &heap[0]
+		digest = fnvWord(digest, uint64(top.ev.at))
+		digest = fnvWord(digest, uint64(top.ev.ch)<<32|uint64(top.ev.bytes))
+		if !first {
+			gaps.Add(uint64(top.ev.at-prev) / uint64(16*sim.Nanosecond))
 		}
-		m.down(0)
+		first, prev = false, top.ev.at
+		if run := runs[top.run]; top.next < len(run) {
+			top.ev = run[top.next]
+			top.next++
+		} else {
+			last := len(heap) - 1
+			heap[0] = heap[last]
+			if heap = heap[:last]; last == 0 {
+				break
+			}
+		}
+		heap.down(0)
 	}
-	return merged
+	return digest, gaps
 }
 
-// wireMerge is mergeWire's state. The heap holds run indices, not slices,
-// so it is pointer-free.
-type wireMerge struct {
-	runs [][]openWireEvent
-	pos  []int // next unmerged event of each run
-	heap []int
+// fnvWord feeds v's eight little-endian bytes into the FNV-1a-64 state h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h ^= v >> i & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }
 
-// less orders two runs by their next unmerged event, in the merged wire
-// view's (time, channel, seq) order. seq is unique within a channel, so the
-// order is total.
-func (m *wireMerge) less(a, b int) bool {
-	x, y := &m.runs[a][m.pos[a]], &m.runs[b][m.pos[b]]
+// wireHead is one run's next unmerged event, held by value so the heap
+// compares events without indexing the runs.
+type wireHead struct {
+	ev   openWireEvent
+	run  int // index of the run
+	next int // index of the run's event after ev
+}
+
+// wireHeap is summarizeWire's min-heap, ordered by before.
+type wireHeap []wireHead
+
+// before orders two events in the merged wire view's (time, channel, seq)
+// order. seq is unique within a channel, so the order is total.
+func before(x, y *openWireEvent) bool {
 	if x.at != y.at {
 		return x.at < y.at
 	}
@@ -435,21 +458,22 @@ func (m *wireMerge) less(a, b int) bool {
 	return x.seq < y.seq
 }
 
-// down sifts heap[i] down to its place.
-func (m *wireMerge) down(i int) {
-	h := m.heap
+// down sifts h[i] down to its place.
+func (h wireHeap) down(i int) {
+	x := h[i]
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
-			return
+			break
 		}
-		if c+1 < len(h) && m.less(h[c+1], h[c]) {
+		if c+1 < len(h) && before(&h[c+1].ev, &h[c].ev) {
 			c++
 		}
-		if !m.less(h[c], h[i]) {
-			return
+		if !before(&h[c].ev, &x.ev) {
+			break
 		}
-		h[i], h[c] = h[c], h[i]
+		h[i] = h[c]
 		i = c
 	}
+	h[i] = x
 }

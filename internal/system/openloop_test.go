@@ -2,12 +2,16 @@ package system
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"slices"
 	"testing"
 
 	"obfusmem/internal/obfus"
 	"obfusmem/internal/sim"
+	"obfusmem/internal/stats"
 	"obfusmem/internal/xrand"
 )
 
@@ -49,6 +53,27 @@ func TestOpenLoopCoverPolicy(t *testing.T) {
 	}
 }
 
+// TestOpenLoopEventCount pins the event schedule: each real request is one
+// arrival event, plus one cover-notification event when the lane has peers,
+// whatever the policy decides.
+func TestOpenLoopEventCount(t *testing.T) {
+	for _, channels := range []int{1, 2, 4, 8} {
+		for _, policy := range []obfus.ChannelPolicy{obfus.PolicyNone, obfus.PolicyUNOPT, obfus.PolicyOPT} {
+			cfg := DefaultOpenLoopConfig()
+			cfg.Channels = channels
+			cfg.Requests = 50
+			cfg.Policy = policy
+			perReq := 1
+			if channels > 1 {
+				perReq = 2
+			}
+			if got, want := RunOpenLoop(cfg).EventsFired, uint64(channels*cfg.Requests*perReq); got != want {
+				t.Errorf("%d lanes, policy %v: %d events fired, want %d", channels, policy, got, want)
+			}
+		}
+	}
+}
+
 // TestOpenLoopRejectsBadConfig pins the constructor contracts.
 func TestOpenLoopRejectsBadConfig(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
@@ -61,6 +86,8 @@ func TestOpenLoopRejectsBadConfig(t *testing.T) {
 	}
 	mustPanic("zero channels", func() { RunOpenLoop(OpenLoopConfig{Requests: 1}) })
 	mustPanic("zero requests", func() { RunOpenLoop(OpenLoopConfig{Channels: 2}) })
+	// CoverNeeded would run an undefined policy as UNOPT.
+	mustPanic("undefined policy", func() { RunOpenLoop(OpenLoopConfig{Channels: 2, Requests: 1, Policy: obfus.PolicyOPT + 1}) })
 	// The address mapper takes the channel bits from the address.
 	mustPanic("non-power-of-two channels", func() { RunOpenLoop(OpenLoopConfig{Channels: 3, Requests: 1}) })
 }
@@ -84,13 +111,15 @@ func TestOpenLoopAllocsIndependentOfRequests(t *testing.T) {
 	}
 }
 
-// TestOpenLoopMergeMatchesSort checks the per-link merge against a stable
-// sort of the concatenated logs by (time, channel, seq). Times come from a
-// small range, so equal-time events across lanes and across one lane's two
-// links are common.
+// TestOpenLoopMergeMatchesSort checks the streaming wire summary against a
+// stable sort of the concatenated logs by (time, channel, seq), hashed with
+// hash/fnv and bucketed into its own histogram. Times come from a small
+// range, so equal-time events across lanes and across one lane's two links
+// are common.
 func TestOpenLoopMergeMatchesSort(t *testing.T) {
 	r := xrand.New(11)
 	crossLane, crossLink := 0, 0
+	word := make([]byte, 8)
 	for trial := 0; trial < 200; trial++ {
 		lanes := make([]*openLane, 1+r.Intn(8))
 		var runs [][]openWireEvent
@@ -100,7 +129,7 @@ func TestOpenLoopMergeMatchesSort(t *testing.T) {
 			var now [2]sim.Time
 			for n := r.Intn(40); n > 0; n-- {
 				link := r.Intn(2)
-				now[link] += sim.Time(1 + r.Intn(3))
+				now[link] += sim.Time(1+r.Intn(3)) * 8 * sim.Nanosecond
 				l.record(link, now[link], r.Intn(200))
 			}
 			runs = append(runs, l.wire[reqLink], l.wire[respLink])
@@ -110,18 +139,31 @@ func TestOpenLoopMergeMatchesSort(t *testing.T) {
 		slices.SortStableFunc(want, func(a, b openWireEvent) int {
 			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.ch, b.ch), cmp.Compare(a.seq, b.seq))
 		})
-		got := mergeWire(runs)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merge differs from the sort:\n got  %v\n want %v", trial, got, want)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].at == got[i-1].at {
-				if got[i].ch != got[i-1].ch {
-					crossLane++
-				} else {
-					crossLink++
+		h := fnv.New64a()
+		gaps := stats.NewHist()
+		for i, ev := range want {
+			binary.LittleEndian.PutUint64(word, uint64(ev.at))
+			h.Write(word)
+			binary.LittleEndian.PutUint64(word, uint64(ev.ch)<<32|uint64(ev.bytes))
+			h.Write(word)
+			if i > 0 {
+				gaps.Add(uint64(ev.at-want[i-1].at) / uint64(16*sim.Nanosecond))
+				if ev.at == want[i-1].at {
+					if ev.ch != want[i-1].ch {
+						crossLane++
+					} else {
+						crossLink++
+					}
 				}
 			}
+		}
+		digest, gotGaps := summarizeWire(runs)
+		if digest != h.Sum64() {
+			t.Fatalf("trial %d: summary digest %#x, sorted logs hash to %#x", trial, digest, h.Sum64())
+		}
+		if gotGaps.N() != gaps.N() || math.Float64bits(gotGaps.EntropyBits()) != math.Float64bits(gaps.EntropyBits()) {
+			t.Fatalf("trial %d: summary has %d gaps, entropy %v; sorted logs have %d, %v",
+				trial, gotGaps.N(), gotGaps.EntropyBits(), gaps.N(), gaps.EntropyBits())
 		}
 	}
 	if crossLane == 0 || crossLink == 0 {
@@ -138,4 +180,19 @@ func TestOpenLoopMergeMatchesSort(t *testing.T) {
 		}
 	}()
 	l.record(reqLink, 9, 72)
+}
+
+// BenchmarkRunOpenLoop times whole 8-lane OPT runs of 300 requests per lane,
+// the shape of the bench harness's openloop-8ch cell, and reports host time
+// per real request and engine events per run.
+func BenchmarkRunOpenLoop(b *testing.B) {
+	cfg := DefaultOpenLoopConfig()
+	cfg.Requests = 300
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events += RunOpenLoop(cfg).EventsFired
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Channels*cfg.Requests), "ns/req")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

@@ -157,7 +157,8 @@ func New(cfg Config) *System {
 // NewChecked builds a machine from the registered backend selected by
 // cfg.Backend. It rejects unknown (or empty) scheme names and a non-zero
 // Obfus block on a scheme other than ObfusMem, which would silently do
-// nothing. It also rejects a channel count that is not a power of two,
+// nothing, and an undefined Obfus.Policy, which would silently run as
+// UNOPT. It also rejects a channel count that is not a power of two,
 // which the address mapper cannot split.
 func NewChecked(cfg Config) (*System, error) {
 	if cfg.Channels <= 0 {
@@ -172,6 +173,9 @@ func NewChecked(cfg Config) (*System, error) {
 	}
 	if d.Obfus == nil && cfg.Obfus != (obfus.Config{}) {
 		return nil, fmt.Errorf("backend %q does not take the Obfus options", cfg.Backend)
+	}
+	if !cfg.Obfus.Policy.Defined() {
+		return nil, fmt.Errorf("undefined inter-channel cover policy %v", cfg.Obfus.Policy)
 	}
 	mcfg := memctl.DefaultConfig(cfg.Channels)
 	mcfg.Metrics = cfg.Metrics

@@ -120,6 +120,20 @@ func TestNewCheckedChannels(t *testing.T) {
 	}
 }
 
+// TestNewCheckedRejectsUndefinedPolicy requires NewChecked to reject a
+// cover policy outside None/UNOPT/OPT, which obfus.CoverNeeded would
+// otherwise run as UNOPT.
+func TestNewCheckedRejectsUndefinedPolicy(t *testing.T) {
+	for _, p := range []obfus.ChannelPolicy{obfus.PolicyNone - 1, obfus.PolicyOPT + 1} {
+		cfg := DefaultConfig("obfusmem-auth")
+		cfg.Channels = 2
+		cfg.Obfus.Policy = p
+		if _, err := NewChecked(cfg); err == nil {
+			t.Errorf("policy %v: built a machine, want an error", p)
+		}
+	}
+}
+
 func TestObfusMemVariantsBuild(t *testing.T) {
 	for _, oc := range []obfus.Config{
 		obfus.Default(),

@@ -11,9 +11,6 @@
 #                  bounded and skips wall-clock assertions that race
 #                  instrumentation would distort)
 #   make race-full - the complete suite under the race detector
-#   make bench   - the paper-artefact and ablation benchmarks of the root
-#                  package (simulator throughput with spread is measured by
-#                  bash bench/run.sh; see bench/README.md)
 #   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
 #                  obfus leg, AES pads, MD5 MAC, metrics instruments, xrand
 #                  draws, every hot-path backend with metrics attached, and
@@ -65,6 +62,12 @@
 #                  between <rev> and the working tree (files git tracks;
 #                  _test.go files and testdata excluded): the per-change
 #                  line delta ROADMAP.md asks every change to report
+#   make reach   - reachability: builds the commands and examples with
+#                  coverage over the module, runs their product paths
+#                  (scripts/reach.sh lists them), and prints every non-test
+#                  function outside bench/ that never ran, with the count;
+#                  uses only the Go toolchain and a mktemp -d directory
+#                  (not part of check or ci)
 #   make trace-demo - traced run of the milc profile: Chrome trace JSON
 #                  (load trace.json in Perfetto), attribution report, and
 #                  a 5us metrics time series (see EXPERIMENTS.md "Tracing
@@ -72,7 +75,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fix race race-full bench bench-smoke fuzz-smoke campaign-smoke profile ci trace-demo linedelta
+.PHONY: check vet lint lint-fix race race-full bench-smoke fuzz-smoke campaign-smoke profile ci trace-demo linedelta reach
 
 check:
 	$(GO) build ./...
@@ -112,9 +115,6 @@ race:
 
 race-full:
 	$(GO) test -race ./...
-
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
 
 bench-smoke:
 	$(GO) test -run 'TestScheduleFireZeroAllocs|TestReadWriteLegZeroAllocs|TestLazyCryptoMatchesEager|TestCTRZeroAllocs|TestComputeZeroAllocs' \
@@ -157,3 +157,6 @@ linedelta:
 	@test -n "$(BASE)" || { echo "usage: make linedelta BASE=<rev>" >&2; exit 2; }
 	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)*/testdata/*' | \
 		awk '{a += $$1; r += $$2} END {printf "non-test Go lines: +%d -%d net %+d\n", a, r, a - r}'
+
+reach:
+	sh scripts/reach.sh

@@ -5,20 +5,20 @@ import (
 	"strings"
 	"testing"
 
-	"obfusmem"
 	"obfusmem/internal/system"
+	"obfusmem/internal/workload"
 )
 
 // milcTrace is the CSV `tracegen -bench milc -n 500 -seed 3` prints (its
 // own test pins the equality).
 func milcTrace(t *testing.T) *bytes.Buffer {
 	t.Helper()
-	reqs, err := obfusmem.GenerateTrace("milc", 500, 3)
+	p, err := workload.ByName("milc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := obfusmem.WriteTrace(&buf, reqs); err != nil {
+	if err := workload.WriteTrace(&buf, workload.Generate(p, 500, 3)); err != nil {
 		t.Fatal(err)
 	}
 	return &buf

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"obfusmem"
 	"obfusmem/internal/workload"
 )
 
@@ -26,23 +25,23 @@ func TestListPrintsEveryProfile(t *testing.T) {
 	}
 }
 
-// TestTraceIsTheLibraryTrace pins tracegen's CSV to the facade's
-// GenerateTrace/WriteTrace, which is what cmd/replay's test feeds replay.
+// TestTraceIsTheLibraryTrace pins tracegen's CSV to workload.Generate and
+// workload.WriteTrace, which is what cmd/replay's test feeds replay.
 func TestTraceIsTheLibraryTrace(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-bench", "milc", "-n", "500", "-seed", "3"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	reqs, err := obfusmem.GenerateTrace("milc", 500, 3)
+	p, err := workload.ByName("milc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := obfusmem.WriteTrace(&want, reqs); err != nil {
+	if err := workload.WriteTrace(&want, workload.Generate(p, 500, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
-		t.Fatal("tracegen output differs from obfusmem.WriteTrace(GenerateTrace(...))")
+		t.Fatal("tracegen output differs from workload.WriteTrace(workload.Generate(...))")
 	}
 	if !strings.HasPrefix(stderr.String(), "milc: 500 requests") {
 		t.Errorf("summary line = %q", stderr.String())

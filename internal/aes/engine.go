@@ -63,6 +63,3 @@ func (e *Engine) Pads() uint64 { return e.pipe.Ops() }
 
 // EnergyPJ returns the total pad-generation energy in picojoules.
 func (e *Engine) EnergyPJ() float64 { return float64(e.pipe.Ops()) * PadEnergyPJ }
-
-// Reset clears pipeline occupancy and counters.
-func (e *Engine) Reset() { e.pipe.Reset() }

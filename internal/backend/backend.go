@@ -29,8 +29,8 @@ import (
 
 // Backend is one protection scheme's request path: everything between the
 // processor-side request and the memory module that differs per scheme.
-// At-rest encryption, integrity trees, and the Merkle-verified value
-// datapath stay in internal/system, shared by every backend.
+// At-rest encryption and the Merkle-verified value datapath stay in
+// internal/system, shared by every backend.
 type Backend interface {
 	// Read services a demand read; ok is false when the scheme's protocol
 	// refused or lost the request. A non-nil blk receives the stored
@@ -86,9 +86,7 @@ type Features struct {
 	// AtRest: the machine attaches the counter-mode at-rest encryption
 	// engine (false only for the unprotected baseline).
 	AtRest bool
-	// CounterFetch selects the engine's metadata-traffic route. The
-	// Bonsai integrity tree (system Config.IntegrityTree) runs only on
-	// FetchSelf schemes, whose metadata traffic it verifies.
+	// CounterFetch selects the engine's metadata-traffic route.
 	CounterFetch FetchMode
 }
 

@@ -464,14 +464,3 @@ func (b *Bus) TotalBytes() uint64 {
 func (b *Bus) Utilization(channel int, now sim.Time) float64 {
 	return b.req[channel].Utilization(now)
 }
-
-// Reset clears occupancy and counters but keeps observers, tamperers, and
-// fault injectors (an injector holds its own random stream; reset it
-// separately to replay an identical fault sequence).
-func (b *Bus) Reset() {
-	for i := range b.req {
-		b.req[i].Reset()
-		b.resp[i].Reset()
-		b.stats[i] = ChannelStats{}
-	}
-}

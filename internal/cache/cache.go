@@ -1,8 +1,8 @@
-// Package cache implements the set-associative, write-back caches of the
-// memory-encryption engine: the 256 KB counter cache of Table 2 and the
-// integrity tree's node cache. The processor's L1/L2/L3 hierarchy is not
-// simulated: the workload profiles generate the post-LLC request stream
-// directly, and Table 2's cache rows are configuration text.
+// Package cache implements the set-associative, write-back cache of the
+// memory-encryption engine: the 256 KB counter cache of Table 2. The
+// processor's L1/L2/L3 hierarchy is not simulated: the workload profiles
+// generate the post-LLC request stream directly, and Table 2's cache rows
+// are configuration text.
 package cache
 
 import (
@@ -126,30 +126,6 @@ func (c *Cache) Lookup(addr uint64, touch bool) State {
 		}
 	}
 	return Invalid
-}
-
-// Probe checks presence without touching the LRU order.
-func (c *Cache) Probe(addr uint64) State {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.state != Invalid && l.tag == tag {
-			return l.state
-		}
-	}
-	return Invalid
-}
-
-// SetState transitions an existing line; it is a no-op if absent.
-func (c *Cache) SetState(addr uint64, s State) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.state != Invalid && l.tag == tag {
-			l.state = s
-			return
-		}
-	}
 }
 
 // Insert allocates a line in the given state. When a valid victim had to

@@ -41,7 +41,7 @@ func TestLRUEviction(t *testing.T) {
 	if ev.Dirty {
 		t.Error("clean line reported dirty")
 	}
-	if c.Probe(a) == Invalid || c.Probe(d) == Invalid || c.Probe(b) != Invalid {
+	if c.Lookup(a, false) == Invalid || c.Lookup(d, false) == Invalid || c.Lookup(b, false) != Invalid {
 		t.Error("LRU state wrong after eviction")
 	}
 }
@@ -65,7 +65,7 @@ func TestRebuildAddress(t *testing.T) {
 		// eviction of blk.
 		c.Insert(blk+512, Exclusive)
 		c.Insert(blk+1024, Exclusive)
-		if c.Probe(blk) != Invalid {
+		if c.Lookup(blk, false) != Invalid {
 			t.Fatalf("line %#x not evicted", blk)
 		}
 	}
@@ -77,7 +77,7 @@ func TestInsertExistingTransitions(t *testing.T) {
 	if _, ok := c.Insert(0x40, Modified); ok {
 		t.Fatal("re-insert evicted")
 	}
-	if c.Probe(0x40) != Modified {
+	if c.Lookup(0x40, false) != Modified {
 		t.Fatal("re-insert did not transition state")
 	}
 }
@@ -102,7 +102,7 @@ func TestCapacityProperty(t *testing.T) {
 		}
 		// every tracked line must still probe valid
 		for a := range live {
-			if c.Probe(a) == Invalid {
+			if c.Lookup(a, false) == Invalid {
 				return false
 			}
 		}

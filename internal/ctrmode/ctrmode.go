@@ -59,9 +59,6 @@ type Engine struct {
 	pages    map[uint64]*pageCounters
 	fetch    MemFetch
 	stats    Stats
-	// integrity, when non-nil, models Bonsai Merkle verification traffic
-	// on counter misses and updates.
-	integrity *IntegrityWalker
 	// counterRegion is a synthetic address base where counter blocks live
 	// in memory, distinct from data addresses.
 	counterRegion uint64
@@ -87,18 +84,8 @@ func New(memKey [16]byte, fetch MemFetch) *Engine {
 	}
 }
 
-// EnableIntegrity attaches a Bonsai Merkle walker so counter misses incur
-// verification traffic and counter updates dirty tree nodes.
-func (e *Engine) EnableIntegrity(levels int) *IntegrityWalker {
-	e.integrity = NewIntegrityWalker(levels, e.fetch)
-	return e.integrity
-}
-
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// Integrity exposes the walker (nil when integrity is off).
-func (e *Engine) Integrity() *IntegrityWalker { return e.integrity }
 
 func pageOf(addr uint64) uint64 { return addr / PageBytes }
 func blockOf(addr uint64) int   { return int(addr%PageBytes) / BlockBytes }
@@ -146,12 +133,6 @@ func (e *Engine) counterReady(at sim.Time, addr uint64) sim.Time {
 	if e.fetch != nil {
 		e.stats.CtrFetches++
 		ready = e.fetch(at, cAddr, false)
-	}
-	if e.integrity != nil {
-		// The freshly fetched counter must be verified against the tree;
-		// lazy checking keeps it off the fill latency but the node
-		// fetches consume memory bandwidth.
-		e.integrity.VerifyCounter(at, cAddr)
 	}
 	if ev, ok := e.ctrCache.Insert(cAddr, cache.Modified); ok && ev.Dirty {
 		e.stats.CtrWritebacks++
@@ -209,10 +190,6 @@ func (e *Engine) EncryptWriteback(at sim.Time, addr uint64) (ready sim.Time, iv 
 		e.engine.IssueOnly(at, BlocksPerPage*4)
 	}
 	ctrAt := e.counterReady(at, addr)
-	if e.integrity != nil {
-		// The counter update changes the tree path above it.
-		e.integrity.DirtyNode(e.ctrBlockAddr(pageOf(addr)))
-	}
 	padsDone := e.engine.IssueOnly(ctrAt, 4)
 	return padsDone + XORLatency, ivOf(addr, pc)
 }

@@ -201,64 +201,3 @@ func TestStatsCounts(t *testing.T) {
 		t.Fatalf("fills/writebacks = %d/%d", st.Fills, st.Writebacks)
 	}
 }
-
-func TestIntegrityWalkerTraffic(t *testing.T) {
-	var fetches int
-	fetch := func(at sim.Time, addr uint64, write bool) sim.Time {
-		if !write {
-			fetches++
-		}
-		return at + 80*sim.Nanosecond
-	}
-	e := New(testKey, fetch)
-	w := e.EnableIntegrity(7)
-	// Counter misses over many pages trigger verification walks.
-	for p := 0; p < 200; p++ {
-		e.DecryptFill(0, uint64(p)*PageBytes*64, 100*sim.Nanosecond)
-	}
-	if w.Walks == 0 || w.NodeFetches == 0 {
-		t.Fatalf("no verification traffic: walks=%d fetches=%d", w.Walks, w.NodeFetches)
-	}
-	// Node fetches are bounded by walks x tree height.
-	if w.NodeFetches > w.Walks*7 {
-		t.Fatalf("fetches %d exceed walks x levels", w.NodeFetches)
-	}
-	// Locality: revisiting the same pages stops at cached nodes.
-	before := w.NodeFetches
-	for p := 0; p < 200; p++ {
-		e.DecryptFill(0, uint64(p)*PageBytes*64+64, 100*sim.Nanosecond)
-	}
-	if w.NodeFetches-before > before/2 && w.NodeHitRate() == 0 {
-		t.Fatalf("node cache ineffective on revisit: +%d fetches", w.NodeFetches-before)
-	}
-}
-
-func TestIntegrityDirtyNodesWriteBack(t *testing.T) {
-	var nodeWrites int
-	fetch := func(at sim.Time, addr uint64, write bool) sim.Time {
-		if write && addr >= 1<<42 {
-			nodeWrites++
-		}
-		return at + sim.Nanosecond
-	}
-	e := New(testKey, fetch)
-	e.EnableIntegrity(7)
-	// Dirty many tree nodes via writebacks across pages, then force node
-	// cache evictions with more walks.
-	for p := 0; p < 3000; p++ {
-		e.EncryptWriteback(0, uint64(p)*PageBytes*512)
-	}
-	for p := 0; p < 3000; p++ {
-		e.DecryptFill(0, uint64(p)*PageBytes*512+4096*64, sim.Microsecond)
-	}
-	if nodeWrites == 0 {
-		t.Fatal("dirty tree nodes never written back")
-	}
-}
-
-func TestIntegrityOffByDefault(t *testing.T) {
-	e := New(testKey, nil)
-	if e.Integrity() != nil {
-		t.Fatal("integrity walker present without EnableIntegrity")
-	}
-}

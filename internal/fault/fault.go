@@ -217,13 +217,3 @@ func (in *Injector) ChannelStats(ch int) Stats {
 	}
 	return in.perChan[ch]
 }
-
-// Reset clears the counters and restarts every channel's random stream, so
-// a Reset bus + Reset injector replays the identical fault sequence.
-func (in *Injector) Reset() {
-	root := xrand.New(in.cfg.Seed ^ 0xfa17)
-	for ch := range in.rngs {
-		in.rngs[ch] = root.Fork(uint64(ch))
-		in.perChan[ch] = Stats{}
-	}
-}

@@ -112,22 +112,3 @@ func TestDeterministicPerChannel(t *testing.T) {
 		}
 	}
 }
-
-func TestResetReplaysSequence(t *testing.T) {
-	in := New(Config{LossProb: 0.5, Seed: 13}, 1, nil)
-	first := make([]bool, 50)
-	for i := range first {
-		out, _ := in.Inject(0, pkt(0))
-		first[i] = out == nil
-	}
-	in.Reset()
-	if s := in.Stats(); s != (Stats{}) {
-		t.Fatalf("Reset left counters: %+v", s)
-	}
-	for i := range first {
-		out, _ := in.Inject(0, pkt(0))
-		if (out == nil) != first[i] {
-			t.Fatalf("replayed sequence diverged at %d", i)
-		}
-	}
-}

@@ -70,6 +70,3 @@ func (u *Unit) Digests() uint64 { return u.pipe.Ops() }
 
 // EnergyPJ returns accumulated digest energy in picojoules.
 func (u *Unit) EnergyPJ() float64 { return float64(u.pipe.Ops()) * MACEnergyPJ }
-
-// Reset clears the pipeline.
-func (u *Unit) Reset() { u.pipe.Reset() }

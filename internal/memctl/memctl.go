@@ -277,11 +277,3 @@ func (c *Controller) Flush() {
 		d.FlushRows()
 	}
 }
-
-// Reset clears devices and counters.
-func (c *Controller) Reset() {
-	for i, d := range c.devices {
-		d.Reset()
-		c.stats[i] = ChannelStats{}
-	}
-}

@@ -123,10 +123,14 @@ const (
 )
 
 func (o PairOrder) String() string {
-	if o == ReadThenWrite {
+	switch o {
+	case ReadThenWrite:
 		return "read-then-write"
+	case WriteThenRead:
+		return "write-then-read"
+	default:
+		return fmt.Sprintf("PairOrder(%d)", int(o))
 	}
-	return "write-then-read"
 }
 
 // Config selects the ObfusMem design point.
@@ -162,6 +166,24 @@ type Config struct {
 	// (pad pre-generation, MAC generation, memory-side decode, reply
 	// transit crypto) for the lifecycle tracing layer. Nil disables.
 	Trace *trace.Recorder
+}
+
+// Check rejects a design knob outside its declared values. The controller
+// would run an undefined DummyDesign as RandomAddress and an undefined
+// PairOrder as ReadThenWrite, would panic mid-run on an undefined MACMode,
+// and CoverNeeded runs an undefined ChannelPolicy as UNOPT.
+func (c Config) Check() error {
+	switch {
+	case c.Dummy < FixedAddress || c.Dummy > RandomAddress:
+		return fmt.Errorf("undefined dummy design %v", c.Dummy)
+	case !c.Policy.Defined():
+		return fmt.Errorf("undefined inter-channel cover policy %v", c.Policy)
+	case c.MAC < MACNone || c.MAC > EncryptThenMAC:
+		return fmt.Errorf("undefined MAC mode %v", c.MAC)
+	case c.Order < ReadThenWrite || c.Order > WriteThenRead:
+		return fmt.Errorf("undefined pair order %v", c.Order)
+	}
+	return nil
 }
 
 // Default is the paper's recommended design point (without auth).

@@ -354,9 +354,11 @@ func TestEncryptThenMACSlower(t *testing.T) {
 	if lAnd < lNone {
 		t.Fatalf("auth made the read faster? %v < %v", lAnd, lNone)
 	}
-	// Observation 4: the and-MAC penalty is small relative to then-MAC.
-	if (lAnd - lNone) >= (lThen - lNone) {
-		t.Fatalf("and-MAC overhead %v not below then-MAC overhead %v", lAnd-lNone, lThen-lNone)
+	// Observation 4: overlapping the MAC with encryption and the PCM
+	// access hides most of it, so the encrypt-and-MAC increment is under
+	// half the encrypt-then-MAC increment.
+	if 2*(lAnd-lNone) >= lThen-lNone {
+		t.Fatalf("and-MAC increment %v not under half the then-MAC increment %v", lAnd-lNone, lThen-lNone)
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
-	"obfusmem/internal/sim"
 	"obfusmem/internal/xrand"
 )
 
@@ -256,17 +254,6 @@ func TestPerfModelSerializes(t *testing.T) {
 		if d := p.Access(0); d != 2*PaperAccessLatency {
 			t.Fatalf("access %d past the window done at %v, want serialized", i, d)
 		}
-	}
-	if p.Accesses() != 2*PaperConcurrency {
-		t.Fatalf("Accesses = %d", p.Accesses())
-	}
-	u := p.Utilization(5000 * sim.Nanosecond)
-	if math.Abs(u-1.0) > 0.001 {
-		t.Fatalf("utilization = %v, want 1.0", u)
-	}
-	p.Reset()
-	if p.Accesses() != 0 {
-		t.Fatal("Reset failed")
 	}
 }
 

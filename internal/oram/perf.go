@@ -12,8 +12,7 @@ import "obfusmem/internal/sim"
 // entire memory system, so memory-level parallelism collapses to one — a
 // structural property of Path ORAM, not a pessimism of this model.
 type PerfModel struct {
-	slots    []*sim.Resource
-	accesses uint64
+	slots []*sim.Resource
 }
 
 // PaperAccessLatency is the extrapolated fixed latency the paper assumes.
@@ -38,7 +37,6 @@ func NewPerfModel() *PerfModel {
 // Access schedules one ORAM access arriving at `at` and returns its
 // completion time; it takes the earliest-free controller slot.
 func (p *PerfModel) Access(at sim.Time) sim.Time {
-	p.accesses++
 	best := p.slots[0]
 	for _, s := range p.slots[1:] {
 		if s.FreeAt() < best.FreeAt() {
@@ -47,24 +45,4 @@ func (p *PerfModel) Access(at sim.Time) sim.Time {
 	}
 	start := best.Acquire(at, PaperAccessLatency)
 	return start + PaperAccessLatency
-}
-
-// Accesses returns the number of accesses serviced.
-func (p *PerfModel) Accesses() uint64 { return p.accesses }
-
-// Utilization returns mean controller occupancy over [0, now].
-func (p *PerfModel) Utilization(now sim.Time) float64 {
-	var u float64
-	for _, s := range p.slots {
-		u += s.Utilization(now)
-	}
-	return u / float64(len(p.slots))
-}
-
-// Reset clears the controller.
-func (p *PerfModel) Reset() {
-	for _, s := range p.slots {
-		s.Reset()
-	}
-	p.accesses = 0
 }

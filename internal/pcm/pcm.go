@@ -298,16 +298,3 @@ func (d *Device) LifetimeYears(elapsed sim.Time) float64 {
 	seconds := CellWriteEndurance / writesPerSecond
 	return seconds / (365.25 * 24 * 3600)
 }
-
-// Reset clears all state and counters.
-func (d *Device) Reset() {
-	for i := range d.banks {
-		d.banks[i].res.Reset()
-		d.banks[i].openRow = -1
-		d.banks[i].dirty = false
-		d.banks[i].lastAccess = 0
-	}
-	d.stats = Stats{}
-	d.wear = make(map[uint64]uint64)
-	d.maxWear = 0
-}

@@ -178,17 +178,6 @@ func TestRowHitRate(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	d := newDev()
-	d.Access(0, 0, 0, 1, true)
-	d.FlushRows()
-	d.Reset()
-	st := d.Stats()
-	if st.Accesses != 0 || st.ArrayWrites != 0 || d.MaxWear() != 0 || d.WornRows() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 // Property: time never goes backwards per bank, and accounting identities
 // hold (accesses = hits + misses, blockReads+blockWrites = accesses).
 func TestAccountingInvariants(t *testing.T) {

@@ -77,13 +77,6 @@ func (r *Resource) Utilization(now Time) float64 {
 	return u
 }
 
-// Reset clears occupancy and counters.
-func (r *Resource) Reset() {
-	r.freeAt = 0
-	r.busyTime = 0
-	r.uses = 0
-}
-
 // Pipeline models a fully pipelined unit with a fixed latency and an
 // initiation interval: a new operation can start every Interval picoseconds
 // and completes Latency picoseconds after it starts. This matches the
@@ -121,6 +114,3 @@ func (p *Pipeline) IssueN(at Time, n int) (done Time) {
 
 // Ops returns the number of operations issued.
 func (p *Pipeline) Ops() uint64 { return p.issue.Uses() }
-
-// Reset clears pipeline occupancy.
-func (p *Pipeline) Reset() { p.issue.Reset() }

@@ -114,10 +114,6 @@ func TestResource(t *testing.T) {
 	if u < 0.099 || u > 0.101 {
 		t.Fatalf("Utilization = %v, want 0.1", u)
 	}
-	r.Reset()
-	if r.BusyTime() != 0 || r.FreeAt() != 0 || r.Uses() != 0 {
-		t.Error("Reset did not clear resource")
-	}
 }
 
 // Property: a resource never overlaps reservations and never goes backwards.
@@ -156,8 +152,9 @@ func TestPipeline(t *testing.T) {
 	if d2 != 100*Nanosecond {
 		t.Fatalf("second op done at %v, want 100ns (one interval later)", d2)
 	}
-	// Six pads for a write request finish 5 intervals after the first.
-	p.Reset()
+	// On a fresh pipeline, six pads for a write request finish 5 intervals
+	// after the first.
+	p = NewPipeline("aes", 24*4*Nanosecond, 4*Nanosecond)
 	done := p.IssueN(0, 6)
 	if done != (96+5*4)*Nanosecond {
 		t.Fatalf("six pads done at %v, want 116ns", done)

@@ -88,11 +88,6 @@ func millerMadowBits(support, n int) float64 {
 // EntropyBits returns the plug-in entropy in bits.
 func (h *Hist) EntropyBits() float64 { return entropyBits(h.sortedCounts(), h.n) }
 
-// EntropyBitsMM returns the Miller–Madow corrected entropy in bits.
-func (h *Hist) EntropyBitsMM() float64 {
-	return h.EntropyBits() + millerMadowBits(len(h.counts), h.n)
-}
-
 // Joint accumulates paired observations (x, y) for mutual-information
 // estimation. Symbols must fit in 32 bits (the pair packs into one map key);
 // discretized wire-trace alphabets are far smaller.
@@ -154,11 +149,4 @@ func (j *Joint) MutualInformationBits() float64 {
 func (j *Joint) MutualInformationBitsMM() float64 {
 	return j.MutualInformationBits() +
 		millerMadowBits(len(j.x), j.n) + millerMadowBits(len(j.y), j.n) - millerMadowBits(len(j.xy), j.n)
-}
-
-// ConditionalEntropyBits returns the plug-in H(X|Y) in bits:
-// H(X,Y) - H(Y), the attacker's residual uncertainty about the request
-// stream given the wire trace.
-func (j *Joint) ConditionalEntropyBits() float64 {
-	return entropyBits(sortedCounts(j.xy), j.n) - j.EntropyYBits()
 }

@@ -21,21 +21,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile of xs by the nearest-rank method:
 // the smallest value with at least p% of the observations at or below it.
 // Input need not be sorted (a copy is sorted). Empty input returns 0; a
@@ -69,17 +54,6 @@ func SortedPercentile(sorted []float64, p float64) float64 {
 		rank = 1
 	}
 	return sorted[rank-1]
-}
-
-// Max returns the maximum (0 for empty input).
-func Max(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Table is a simple aligned text table.

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -15,18 +14,6 @@ func TestMeans(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
-	}
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("GeoMean with zero should return 0")
-	}
-	if got := Max([]float64{3, 9, 1}); got != 9 {
-		t.Errorf("Max = %v", got)
-	}
-	if Max(nil) != 0 {
-		t.Error("Max(nil) != 0")
 	}
 }
 

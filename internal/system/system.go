@@ -44,11 +44,6 @@ type Config struct {
 	// Obfus selects the ObfusMem design point (obfusmem / obfusmem-auth);
 	// it must stay zero on every other scheme.
 	Obfus obfus.Config
-	// IntegrityTree enables Bonsai Merkle verification traffic on schemes
-	// that route counter fetches through the backend (EncryptOnly,
-	// ObfusMem): the paper's baseline secure processor assumes it
-	// (Section 2.1).
-	IntegrityTree bool
 	// FullHandshake runs the complete trust-bootstrap + DH key
 	// establishment from the keys package instead of deriving session
 	// keys directly from the seed. Slower; used by examples and
@@ -157,9 +152,9 @@ func New(cfg Config) *System {
 // NewChecked builds a machine from the registered backend selected by
 // cfg.Backend. It rejects unknown (or empty) scheme names and a non-zero
 // Obfus block on a scheme other than ObfusMem, which would silently do
-// nothing, and an undefined Obfus.Policy, which would silently run as
-// UNOPT. It also rejects a channel count that is not a power of two,
-// which the address mapper cannot split.
+// nothing, and an Obfus design knob outside its declared values (see
+// obfus.Config.Check). It also rejects a channel count that is not a
+// power of two, which the address mapper cannot split.
 func NewChecked(cfg Config) (*System, error) {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
@@ -174,8 +169,8 @@ func NewChecked(cfg Config) (*System, error) {
 	if d.Obfus == nil && cfg.Obfus != (obfus.Config{}) {
 		return nil, fmt.Errorf("backend %q does not take the Obfus options", cfg.Backend)
 	}
-	if !cfg.Obfus.Policy.Defined() {
-		return nil, fmt.Errorf("undefined inter-channel cover policy %v", cfg.Obfus.Policy)
+	if err := cfg.Obfus.Check(); err != nil {
+		return nil, err
 	}
 	mcfg := memctl.DefaultConfig(cfg.Channels)
 	mcfg.Metrics = cfg.Metrics
@@ -224,11 +219,6 @@ func NewChecked(cfg Config) (*System, error) {
 			fetch = s.counterFetch
 		}
 		s.enc = ctrmode.New(memKey, fetch)
-		// The tree verifies counter blocks the backend fetches, so only
-		// FetchSelf schemes run it.
-		if fetch != nil && cfg.IntegrityTree {
-			s.enc.EnableIntegrity(7)
-		}
 	}
 	return s, nil
 }

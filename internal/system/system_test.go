@@ -1,6 +1,8 @@
 package system
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"obfusmem/internal/attack"
@@ -122,14 +124,30 @@ func TestNewCheckedChannels(t *testing.T) {
 
 // TestNewCheckedRejectsUndefinedPolicy requires NewChecked to reject a
 // cover policy outside None/UNOPT/OPT, which obfus.CoverNeeded would
-// otherwise run as UNOPT.
+// otherwise run as UNOPT, and every other undefined design knob: a dummy
+// design the controller would run as RandomAddress, a pair order it would
+// run as read-then-write, and a MAC mode it would panic on mid-run.
 func TestNewCheckedRejectsUndefinedPolicy(t *testing.T) {
-	for _, p := range []obfus.ChannelPolicy{obfus.PolicyNone - 1, obfus.PolicyOPT + 1} {
+	for _, set := range []func(*obfus.Config){
+		func(c *obfus.Config) { c.Policy = obfus.PolicyNone - 1 },
+		func(c *obfus.Config) { c.Policy = obfus.PolicyOPT + 1 },
+		func(c *obfus.Config) { c.Dummy = obfus.FixedAddress - 1 },
+		func(c *obfus.Config) { c.Dummy = obfus.RandomAddress + 1 },
+		func(c *obfus.Config) { c.Dummy = 5 },
+		func(c *obfus.Config) { c.MAC = obfus.MACNone - 1 },
+		func(c *obfus.Config) { c.MAC = obfus.EncryptThenMAC + 1 },
+		func(c *obfus.Config) { c.MAC = 5 },
+		func(c *obfus.Config) { c.Order = obfus.ReadThenWrite - 1 },
+		func(c *obfus.Config) { c.Order = obfus.WriteThenRead + 1 },
+		func(c *obfus.Config) { c.Order = 3 },
+	} {
 		cfg := DefaultConfig("obfusmem-auth")
 		cfg.Channels = 2
-		cfg.Obfus.Policy = p
+		set(&cfg.Obfus)
 		if _, err := NewChecked(cfg); err == nil {
-			t.Errorf("policy %v: built a machine, want an error", p)
+			t.Errorf("%+v: built a machine, want an error", cfg.Obfus)
+		} else if !strings.Contains(err.Error(), "undefined") {
+			t.Errorf("%+v: error %q does not name the undefined knob", cfg.Obfus, err)
 		}
 	}
 }
@@ -329,6 +347,61 @@ func TestZeroLoadOracle(t *testing.T) {
 		at := sim.Time(1000 * ns)
 		if got := tc.op(s, at) - at; got != tc.want {
 			t.Errorf("%s %s: latency %v, want %v", tc.backend, tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestPCMAccountingIdentities runs 2000 milc requests on every registered
+// backend at 1 and 2 channels (cpu.Run drains the machine at the end) and
+// checks the PCM counters against each other. The energy sum is written
+// from DESIGN's Table 2 constants, never read from the model:
+//
+//	array read         1024 pJ per block, 16 blocks per 1 KB row
+//	array write        6.8 x the array read
+//	row-buffer access  16 pJ
+//
+// Every access is a row hit or a row miss, every miss activates its row
+// (one array read), every access moves one block, and energy is whole-row
+// array reads and dirty-row write-backs plus one row-buffer access each.
+// The oram backend's fixed-latency model never reaches PCM, so its
+// counters are zero and the identities hold trivially.
+func TestPCMAccountingIdentities(t *testing.T) {
+	const (
+		blocksPerRow = 1024 / 64
+		readPJ       = 1024.0
+		writePJ      = 6.8 * readPJ
+		rowBufferPJ  = 16.0
+		relTolerance = 1e-12
+	)
+	p, err := workload.ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range BackendNames() {
+		for _, ch := range []int{1, 2} {
+			cfg := DefaultConfig(name)
+			cfg.Channels = ch
+			s := New(cfg)
+			cpu.Run(p, 2000, s, cpu.DefaultConfig(), 5)
+			st := s.Memory().TotalPCMStats()
+			if st.Accesses == 0 && name != "oram" {
+				t.Errorf("%s/%dch: no PCM accesses; the identities are vacuous", name, ch)
+			}
+			if st.RowHits+st.RowMisses != st.Accesses {
+				t.Errorf("%s/%dch: row hits %d + misses %d != accesses %d", name, ch, st.RowHits, st.RowMisses, st.Accesses)
+			}
+			if st.ArrayReads != st.RowMisses {
+				t.Errorf("%s/%dch: array reads %d != row misses %d", name, ch, st.ArrayReads, st.RowMisses)
+			}
+			if st.BlockReads+st.BlockWrites != st.Accesses {
+				t.Errorf("%s/%dch: block reads %d + writes %d != accesses %d", name, ch, st.BlockReads, st.BlockWrites, st.Accesses)
+			}
+			want := (float64(st.ArrayReads)*readPJ+float64(st.ArrayWrites)*writePJ)*blocksPerRow +
+				float64(st.Accesses)*rowBufferPJ
+			if math.Abs(st.EnergyPJ-want) > relTolerance*want {
+				t.Errorf("%s/%dch: energy %v pJ, want %v (array reads %d, writes %d, accesses %d)",
+					name, ch, st.EnergyPJ, want, st.ArrayReads, st.ArrayWrites, st.Accesses)
+			}
 		}
 	}
 }

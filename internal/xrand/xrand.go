@@ -71,9 +71,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns 32 random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -133,17 +130,6 @@ func (r *Rand) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Norm returns a normally distributed value via the Box-Muller transform.
-func (r *Rand) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Pareto is a bounded Pareto distribution on [lo, hi] with shape alpha. It
 // is used to model heavy-tailed spatial strides in workloads. NewPareto
 // computes the powers of the bounds once, so a draw costs one math.Pow.
@@ -186,17 +172,4 @@ func (r *Rand) Bytes(p []byte) {
 			v >>= 8
 		}
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -115,25 +114,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := New(13)
-	const draws = 200000
-	sum, sq := 0.0, 0.0
-	for i := 0; i < draws; i++ {
-		v := r.Norm(10, 3)
-		sum += v
-		sq += v * v
-	}
-	mean := sum / draws
-	variance := sq/draws - mean*mean
-	if math.Abs(mean-10) > 0.1 {
-		t.Errorf("Norm mean = %v, want ~10", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-3) > 0.1 {
-		t.Errorf("Norm stddev = %v, want ~3", math.Sqrt(variance))
-	}
-}
-
 func TestParetoBounds(t *testing.T) {
 	r := New(17)
 	p := NewPareto(1.2, 1, 1024)
@@ -183,27 +163,6 @@ func TestBytes(t *testing.T) {
 				t.Errorf("Bytes(%d) produced all zeros", n)
 			}
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

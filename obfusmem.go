@@ -16,8 +16,8 @@
 //     session establishment);
 //   - attacker models (passive bus observers, active tamperers) used by
 //     the security analysis; and
-//   - an experiment harness that regenerates every table and figure of
-//     the paper's evaluation.
+//   - in cmd/obfsim, an experiment harness that regenerates every table
+//     and figure of the paper's evaluation.
 //
 // Quick start:
 //
@@ -122,10 +122,6 @@ type MachineConfig struct {
 	// request issue, undropped dummies, and worst-case reply padding,
 	// closing the timing side channel at a measurable cost.
 	TimingOblivious bool
-	// IntegrityTree enables Bonsai Merkle verification traffic in the
-	// protected modes (the paper's baseline secure processor assumes a
-	// Merkle tree; Section 2.1).
-	IntegrityTree bool
 	// FullHandshake runs the complete Section 3.1 trust bootstrap
 	// (manufacturer certs, integrator burning, signed Diffie-Hellman) at
 	// construction instead of seeding session keys directly.
@@ -161,7 +157,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	sc.Channels = cfg.Channels
 	sc.Seed = cfg.Seed
 	sc.FullHandshake = cfg.FullHandshake
-	sc.IntegrityTree = cfg.IntegrityTree
 	if cfg.Protection == ProtectionObfusMem || cfg.Protection == ProtectionObfusMemAuth {
 		oc := &sc.Obfus
 		oc.Dummy = cfg.Dummy
@@ -174,17 +169,11 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 			oc.MAC = cfg.MAC
 		}
 	}
-	return &Machine{sys: system.New(sc), cfg: cfg, core: cpu.DefaultConfig()}, nil
-}
-
-// Benchmarks lists the SPEC CPU2006 workload profiles of Table 1.
-func Benchmarks() []string {
-	ps := workload.SPEC2006()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
+	sys, err := system.NewChecked(sc)
+	if err != nil {
+		return nil, fmt.Errorf("obfusmem: %w", err)
 	}
-	return out
+	return &Machine{sys: sys, cfg: cfg, core: cpu.DefaultConfig()}, nil
 }
 
 // RunBenchmark drives the named Table 1 workload for n memory requests and
@@ -203,20 +192,8 @@ func (m *Machine) RunBenchmark(name string, n int) (Result, error) {
 // TraceRequest is one post-LLC memory request in a recorded trace.
 type TraceRequest = workload.Request
 
-// GenerateTrace materialises n requests of a named Table 1 profile.
-func GenerateTrace(benchmark string, n int, seed uint64) ([]TraceRequest, error) {
-	p, err := workload.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Generate(p, n, seed), nil
-}
-
 // ReadTrace parses the CSV trace format of cmd/tracegen.
 func ReadTrace(r io.Reader) ([]TraceRequest, error) { return workload.ReadTrace(r) }
-
-// WriteTrace serialises a trace in the cmd/tracegen CSV format.
-func WriteTrace(w io.Writer, reqs []TraceRequest) error { return workload.WriteTrace(w, reqs) }
 
 // ReplayTrace drives a recorded request sequence through this machine.
 func (m *Machine) ReplayTrace(name string, reqs []TraceRequest) Result {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"obfusmem/internal/system"
+	"obfusmem/internal/workload"
 )
 
 func TestNewMachineValidation(t *testing.T) {
@@ -13,6 +14,10 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 	if _, err := NewMachine(MachineConfig{Protection: "no-such-scheme"}); err == nil {
 		t.Error("unknown protection accepted")
+	}
+	// An undefined design knob is an error, not a panic inside NewMachine.
+	if _, err := NewMachine(MachineConfig{Protection: ProtectionObfusMem, Channels: 2, Policy: 9}); err == nil {
+		t.Error("undefined channel policy accepted")
 	}
 	m, err := NewMachine(MachineConfig{})
 	if err != nil {
@@ -41,13 +46,6 @@ func TestProtectionStrings(t *testing.T) {
 	}
 	if len(all) != len(registered) {
 		t.Errorf("%d Protection constants, %d registered backends %v", len(all), len(registered), registered)
-	}
-}
-
-func TestBenchmarksList(t *testing.T) {
-	bs := Benchmarks()
-	if len(bs) != 15 {
-		t.Fatalf("Benchmarks() returned %d names", len(bs))
 	}
 }
 
@@ -144,28 +142,6 @@ func TestPathORAMFacade(t *testing.T) {
 	if !errors.Is(ErrStashOverflow, ErrStashOverflow) {
 		t.Fatal("sentinel error broken")
 	}
-	if DefaultPathORAMConfig().Levels != 24 {
-		t.Fatal("default ORAM config is not the paper's")
-	}
-}
-
-func TestExperimentFacadeSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test is slow")
-	}
-	o := ExperimentOptions{Requests: 400, Seed: 11}
-	t2 := Table2()
-	if t2.Rows() == 0 {
-		t.Fatal("Table2 empty")
-	}
-	t3 := Table3(o)
-	if t3.Rows() != 16 { // 15 benchmarks + avg
-		t.Fatalf("Table3 rows = %d", t3.Rows())
-	}
-	tam := Tampering(o)
-	if tam.Rows() != 5 {
-		t.Fatalf("Tampering rows = %d", tam.Rows())
-	}
 }
 
 func TestTimingObliviousOnMachine(t *testing.T) {
@@ -187,26 +163,12 @@ func TestTimingObliviousOnMachine(t *testing.T) {
 	}
 }
 
-func TestIntegrityTreeOnMachine(t *testing.T) {
-	with, _ := NewMachine(MachineConfig{Protection: ProtectionEncrypt, IntegrityTree: true, Seed: 11})
-	without, _ := NewMachine(MachineConfig{Protection: ProtectionEncrypt, Seed: 11})
-	rw, _ := with.RunBenchmark("mcf", 1500)
-	ro, _ := without.RunBenchmark("mcf", 1500)
-	// Verification traffic adds bus bytes but (lazy checking) only mildly
-	// affects latency.
-	if with.Traffic().BusBytes <= without.Traffic().BusBytes {
-		t.Fatal("integrity tree produced no extra memory traffic")
-	}
-	if rw.ExecTime < ro.ExecTime {
-		t.Fatal("integrity tree made execution faster")
-	}
-}
-
 func TestReplayTraceOnMachine(t *testing.T) {
-	reqs, err := GenerateTrace("zeus", 1200, 3)
+	p, err := workload.ByName("zeus")
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := workload.Generate(p, 1200, 3)
 	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, Seed: 12})
 	res := m.ReplayTrace("zeus-trace", reqs)
 	if res.Requests != 1200 || res.ExecTime <= 0 {

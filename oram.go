@@ -24,11 +24,6 @@ const (
 var ErrStashOverflow = oram.ErrStashOverflow
 
 // NewPathORAM builds a functional Path ORAM over nBlocks logical blocks.
-// Use oram defaults via DefaultPathORAMConfig for the paper's L=24, Z=4
-// geometry, or a smaller tree for interactive experiments.
 func NewPathORAM(cfg PathORAMConfig, nBlocks int, seed uint64) (*PathORAM, error) {
 	return oram.New(cfg, nBlocks, xrand.New(seed))
 }
-
-// DefaultPathORAMConfig returns the paper's base ORAM parameters.
-func DefaultPathORAMConfig() PathORAMConfig { return oram.DefaultConfig() }

@@ -50,8 +50,8 @@
 #   make profile - full-suite run with pprof CPU + heap profiles written to
 #                  cpu.pprof / mem.pprof (see EXPERIMENTS.md "Profiling and
 #                  benchmarking" for how to read them)
-#   make lint    - obfuslint: the repo's own analyzer suite (one pass,
-#                  determinism (map order); see DESIGN.md
+#   make lint    - obfuslint: the repo's own static-analysis pass,
+#                  determinism (map order; see DESIGN.md
 #                  "Machine-checked invariants"), plus golangci-lint and
 #                  govulncheck when installed (both skipped, not failed,
 #                  when absent so the frozen toolchain image still lints)
@@ -62,8 +62,9 @@
 #                  between <rev> and the working tree (files git tracks;
 #                  _test.go files and testdata excluded): the per-change
 #                  line delta ROADMAP.md asks every change to report
-#   make reach   - reachability: builds the commands and examples with
-#                  coverage over the module, runs their product paths
+#   make reach   - reachability: builds the five commands (obfuslint
+#                  included) and the five examples with coverage over the
+#                  module, runs their product paths
 #                  (scripts/reach.sh lists them), and prints every non-test
 #                  function outside bench/ that never ran, with the count;
 #                  uses only the Go toolchain and a mktemp -d directory

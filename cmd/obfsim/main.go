@@ -224,7 +224,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts.Requests = *requests
 	opts.Seed = *seed
 	opts.Workers = *workers
-	opts.CPU = cpu.Config{Exposure: *exposure, WriteBuffer: 16}
+	opts.CPU = cpu.Config{Exposure: *exposure}
 
 	var reg *metrics.Registry
 	if *useMetrics || metricsOutSet {

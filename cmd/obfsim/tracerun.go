@@ -88,7 +88,7 @@ func traceRun(o traceOptions, stdout, stderr io.Writer) error {
 	}
 
 	sys := system.New(scfg)
-	ccfg := cpu.Config{Exposure: o.Exposure, WriteBuffer: 16, Trace: rec, Sampler: smp}
+	ccfg := cpu.Config{Exposure: o.Exposure, Trace: rec, Sampler: smp}
 	res := cpu.Run(p, o.Requests, sys, ccfg, o.Seed)
 	fmt.Fprintf(stderr, "[trace run: %s on %s x%d, %d requests, exec %.1f us, mean read %.1f ns]\n",
 		o.Bench, o.Mode, o.Channels, o.Requests,

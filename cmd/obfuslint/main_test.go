@@ -1,60 +1,19 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
 
-// capture runs the driver with stdout/stderr redirected to temp files and
-// returns the exit code plus both streams.
+// capture runs the driver and returns the exit code plus both streams.
 func capture(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	outF, err := os.CreateTemp(t.TempDir(), "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	errF, err := os.CreateTemp(t.TempDir(), "err")
-	if err != nil {
-		t.Fatal(err)
-	}
-	code = run(outF, errF, args)
-	outB, _ := os.ReadFile(outF.Name())
-	errB, _ := os.ReadFile(errF.Name())
-	return code, string(outB), string(errB)
-}
-
-func TestListNamesAllAnalyzers(t *testing.T) {
-	code, out, _ := capture(t, "-list")
-	if code != 0 {
-		t.Fatalf("-list exited %d", code)
-	}
-	for _, name := range []string{"determinism"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
-		}
-	}
-}
-
-// TestListIsSorted requires -list output in deterministic (alphabetical)
-// order regardless of suite registration order.
-func TestListIsSorted(t *testing.T) {
-	code, out, _ := capture(t, "-list")
-	if code != 0 {
-		t.Fatalf("-list exited %d", code)
-	}
-	var names []string
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if f := strings.Fields(line); len(f) > 0 {
-			names = append(names, f[0])
-		}
-	}
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("-list output not sorted: %v", names)
-	}
+	var out, errb bytes.Buffer
+	code = run(&out, &errb, args)
+	return code, out.String(), errb.String()
 }
 
 // violation is a scratch package whose two functions each collect map keys
@@ -92,6 +51,40 @@ func TestSeededViolationFails(t *testing.T) {
 	}
 }
 
+// TestFindingsInPositionOrder requires one file:line:col: determinism:
+// message line per finding, sorted by position.
+func TestFindingsInPositionOrder(t *testing.T) {
+	seedModule(t, violation)
+	code, out, stderr := capture(t, "./...")
+	if code != 1 {
+		t.Fatalf("expected exit 1, got %d\nstdout: %s\nstderr: %s", code, out, stderr)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("expected 2 findings, got %d:\n%s", len(lines), out)
+	}
+	for i, want := range []string{"sim.go:6:3: determinism: ", "sim.go:14:3: determinism: "} {
+		if !strings.Contains(lines[i], want) || !strings.Contains(lines[i], "no total-order sort") {
+			t.Errorf("finding %d = %q, want it to contain %q and the map-order message", i, lines[i], want)
+		}
+	}
+}
+
+// TestCleanTree requires a clean package to print no findings and exit 0.
+func TestCleanTree(t *testing.T) {
+	seedModule(t, `package sim
+
+func x() int { return 1 }
+`)
+	code, out, stderr := capture(t, "./...")
+	if code != 0 || out != "" {
+		t.Fatalf("expected clean exit with no findings, got %d\nstdout: %s\nstderr: %s", code, out, stderr)
+	}
+	if !strings.Contains(stderr, "1 packages clean") {
+		t.Errorf("stderr %q does not report the clean package count", stderr)
+	}
+}
+
 // seedModule writes a one-package scratch module and chdirs into it.
 func seedModule(t *testing.T, src string) {
 	t.Helper()
@@ -107,56 +100,4 @@ func seedModule(t *testing.T, src string) {
 		t.Fatal(err)
 	}
 	t.Chdir(dir)
-}
-
-// TestJSONOutput requires -json to emit the documented machine-readable
-// shape, sorted like the text output, with the pass and rule split out.
-func TestJSONOutput(t *testing.T) {
-	seedModule(t, violation)
-	code, out, stderr := capture(t, "-json", "./...")
-	if code != 1 {
-		t.Fatalf("expected exit 1, got %d\nstdout: %s\nstderr: %s", code, out, stderr)
-	}
-	var findings []struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Col     int    `json:"col"`
-		Pass    string `json:"pass"`
-		Rule    string `json:"rule"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out)
-	}
-	if len(findings) != 2 {
-		t.Fatalf("expected 2 findings, got %d:\n%s", len(findings), out)
-	}
-	for _, f := range findings {
-		if f.Pass != "determinism" || f.Rule == "" || f.File == "" || f.Line == 0 || f.Col == 0 || !strings.Contains(f.Message, "no total-order sort") {
-			t.Errorf("finding missing fields: %+v", f)
-		}
-	}
-	if findings[0].Line >= findings[1].Line {
-		t.Errorf("findings not sorted by position: lines %d, %d", findings[0].Line, findings[1].Line)
-	}
-}
-
-// TestJSONCleanTree requires -json on a clean package to emit an empty array
-// and exit 0 — consumers should never have to special-case "no output".
-func TestJSONCleanTree(t *testing.T) {
-	seedModule(t, `package sim
-
-func x() int { return 1 }
-`)
-	code, out, stderr := capture(t, "-json", "./...")
-	if code != 0 {
-		t.Fatalf("expected clean exit, got %d\nstdout: %s\nstderr: %s", code, out, stderr)
-	}
-	var findings []any
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out)
-	}
-	if len(findings) != 0 {
-		t.Fatalf("expected empty findings array:\n%s", out)
-	}
 }

@@ -240,7 +240,7 @@ func TestIVBytesLayout(t *testing.T) {
 
 func TestEngineTimingAndEnergy(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 16))
-	e := NewEngine("test", c)
+	e := NewEngineTimed("test", c, EngineLatency, EngineCycle)
 	done := e.IssueOnly(0, 6)
 	// 24-cycle latency + 5 extra initiation intervals at 4ns.
 	want := EngineLatency + 5*EngineCycle
@@ -258,7 +258,7 @@ func TestEngineTimingAndEnergy(t *testing.T) {
 
 func TestEngineIssueOnly(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 16))
-	e := NewEngine("t", c)
+	e := NewEngineTimed("t", c, EngineLatency, EngineCycle)
 	d1 := e.IssueOnly(0, 1)
 	if d1 != EngineLatency {
 		t.Fatalf("IssueOnly done = %v, want %v", d1, EngineLatency)

@@ -23,12 +23,6 @@ type Engine struct {
 	ctr  *CTR
 }
 
-// NewEngine builds an engine around an expanded key with the paper's
-// channel-engine timing (24 cycles at 4 ns).
-func NewEngine(name string, c *Cipher) *Engine {
-	return NewEngineTimed(name, c, EngineLatency, EngineCycle)
-}
-
 // NewEngineTimed builds an engine with explicit pipeline timing. The
 // processor-side memory-encryption unit is clocked with the core (24
 // cycles at 500 ps), while the per-channel ObfusMem engines run at the

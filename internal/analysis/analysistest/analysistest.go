@@ -1,6 +1,6 @@
-// Package analysistest runs one analyzer over a directory of golden test
-// sources and compares its diagnostics against `// want` comments, in the
-// style of golang.org/x/tools/go/analysis/analysistest.
+// Package analysistest runs the determinism pass over a directory of golden
+// test sources and compares its diagnostics against `// want` comments, in
+// the style of golang.org/x/tools/go/analysis/analysistest.
 //
 // Expectations are written on the offending line:
 //
@@ -22,8 +22,8 @@ import (
 	"sync"
 	"testing"
 
-	"obfusmem/internal/analysis/framework"
 	"obfusmem/internal/analysis/load"
+	"obfusmem/internal/analysis/passes/determinism"
 )
 
 var (
@@ -51,9 +51,9 @@ func ModuleRoot() (string, error) {
 }
 
 // Run loads testdata/src/<pkg> under the caller's directory as a package
-// with the given synthetic import path, applies the analyzer, and fails t
-// on any mismatch with the // want expectations.
-func Run(t *testing.T, pkg, importPath string, a *framework.Analyzer) {
+// with the given synthetic import path, applies the determinism pass, and
+// fails t on any mismatch with the // want expectations.
+func Run(t *testing.T, pkg, importPath string) {
 	t.Helper()
 	root, err := ModuleRoot()
 	if err != nil {
@@ -64,10 +64,7 @@ func Run(t *testing.T, pkg, importPath string, a *framework.Analyzer) {
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
-	diags, err := framework.Run([]*framework.Package{fp}, []*framework.Analyzer{a})
-	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
-	}
+	diags := determinism.Check([]*load.Package{fp})
 
 	type key struct {
 		file string
@@ -91,8 +88,7 @@ func Run(t *testing.T, pkg, importPath string, a *framework.Analyzer) {
 
 	matched := make(map[key]int)
 	for _, d := range diags {
-		pos := fp.Fset.Position(d.Pos)
-		k := key{filepath.Base(pos.Filename), pos.Line}
+		k := key{filepath.Base(d.Pos.Filename), d.Pos.Line}
 		exp := wants[k]
 		if matched[k] < len(exp) && strings.Contains(d.Message, exp[matched[k]]) {
 			matched[k]++

@@ -23,8 +23,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-
-	"obfusmem/internal/analysis/framework"
 )
 
 // listPackage is the subset of `go list -json` output the loader consumes.
@@ -38,11 +36,19 @@ type listPackage struct {
 	Incomplete bool
 }
 
+// Package is one loaded, type-checked package.
+type Package struct {
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
+}
+
 // Result is the outcome of one Load call.
 type Result struct {
 	// Packages are the type-checked packages matching the patterns, in
 	// import-path order.
-	Packages []*framework.Package
+	Packages []*Package
 	// Fset is shared by all loaded packages.
 	Fset *token.FileSet
 }
@@ -87,7 +93,7 @@ func Load(dir string, patterns ...string) (*Result, error) {
 // module dir's dependency graph, so golden-test packages may import only
 // packages the module itself depends on. This is the analysistest entry
 // point.
-func Files(moduleDir, importPath, pkgDir string) (*framework.Package, error) {
+func Files(moduleDir, importPath, pkgDir string) (*Package, error) {
 	pkgs, err := goList(moduleDir, []string{"./..."})
 	if err != nil {
 		return nil, err
@@ -129,7 +135,7 @@ func exportImporter(fset *token.FileSet, pkgs []*listPackage, hint string) types
 }
 
 // checkPackage parses and type-checks one package from source.
-func checkPackage(fset *token.FileSet, imp types.Importer, importPath string, files []string) (*framework.Package, error) {
+func checkPackage(fset *token.FileSet, imp types.Importer, importPath string, files []string) (*Package, error) {
 	var astFiles []*ast.File
 	for _, file := range files {
 		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
@@ -154,14 +160,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath string, fi
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
 	}
-	return &framework.Package{
-		ImportPath: importPath,
-		Dir:        filepath.Dir(files[0]),
-		Fset:       fset,
-		Files:      astFiles,
-		Pkg:        pkg,
-		Info:       info,
-	}, nil
+	return &Package{Fset: fset, Files: astFiles, Pkg: pkg, Info: info}, nil
 }
 
 // goList shells out to the go tool for the package graph with export data.

@@ -19,19 +19,51 @@
 package determinism
 
 import (
+	"cmp"
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
-	"obfusmem/internal/analysis/framework"
+	"obfusmem/internal/analysis/load"
 )
 
-// Analyzer is the determinism pass.
-var Analyzer = &framework.Analyzer{
-	Name: "determinism",
-	Doc:  "forbids order-dependent map iteration in the simulation packages",
-	Run:  run,
+// Diagnostic is one finding.
+type Diagnostic struct {
+	Pos     token.Position
+	Message string
+}
+
+// Check runs the pass over the packages and returns its findings in
+// position (file, line, column) order.
+func Check(pkgs []*load.Package) []Diagnostic {
+	var out []Diagnostic
+	for _, pkg := range pkgs {
+		if !inScope(pkg.Pkg.Path()) {
+			continue
+		}
+		c := &checker{fset: pkg.Fset, info: pkg.Info}
+		c.run(pkg.Files)
+		out = append(out, c.diags...)
+	}
+	slices.SortStableFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Column, b.Pos.Column))
+	})
+	return out
+}
+
+// checker carries one type-checked package through the pass.
+type checker struct {
+	fset  *token.FileSet
+	info  *types.Info
+	diags []Diagnostic
+}
+
+func (c *checker) reportf(pos token.Pos, format string, args ...any) {
+	c.diags = append(c.diags, Diagnostic{Pos: c.fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
 // scoped lists the leaf package names (under internal/) the analyzer
@@ -49,22 +81,18 @@ func inScope(path string) bool {
 	return len(parts) >= 2 && parts[len(parts)-2] == "internal" && scoped[parts[len(parts)-1]]
 }
 
-func run(pass *framework.Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, file := range pass.Files {
+func (c *checker) run(files []*ast.File) {
+	for _, file := range files {
 		for _, decl := range file.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
 			ast.Inspect(decl, func(n ast.Node) bool {
 				if rng, ok := n.(*ast.RangeStmt); ok {
-					checkRange(pass, enclosingBody(fn), rng)
+					c.checkRange(enclosingBody(fn), rng)
 				}
 				return true
 			})
 		}
 	}
-	return nil
 }
 
 // enclosingBody returns fn's body, or nil for non-function declarations.
@@ -77,13 +105,13 @@ func enclosingBody(fn *ast.FuncDecl) *ast.BlockStmt {
 
 // calleeFunc resolves the static callee of a call, or nil for dynamic calls,
 // builtins, and conversions.
-func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
+func (c *checker) calleeFunc(call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		obj = pass.TypesInfo.Uses[fun]
+		obj = c.info.Uses[fun]
 	case *ast.SelectorExpr:
-		obj = pass.TypesInfo.Uses[fun.Sel]
+		obj = c.info.Uses[fun.Sel]
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
@@ -92,8 +120,8 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 // checkRange classifies the body of a map-range statement. body is the
 // enclosing function body, used to look for a later total-order sort of any
 // slice the loop appends to.
-func checkRange(pass *framework.Pass, body *ast.BlockStmt, rng *ast.RangeStmt) {
-	t := pass.TypesInfo.TypeOf(rng.X)
+func (c *checker) checkRange(body *ast.BlockStmt, rng *ast.RangeStmt) {
+	t := c.info.TypeOf(rng.X)
 	if t == nil {
 		return
 	}
@@ -101,12 +129,12 @@ func checkRange(pass *framework.Pass, body *ast.BlockStmt, rng *ast.RangeStmt) {
 		return
 	}
 
-	local := func(e ast.Expr) bool { return declaredWithin(pass, e, rng) }
+	local := func(e ast.Expr) bool { return c.declaredWithin(e, rng) }
 
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			pass.Reportf(n.Pos(), "function literal inside map-range: its effects cannot be proven order-insensitive")
+			c.reportf(n.Pos(), "function literal inside map-range: its effects cannot be proven order-insensitive")
 			return false
 		case *ast.RangeStmt:
 			// A nested range's leaves are still classified against this
@@ -115,25 +143,25 @@ func checkRange(pass *framework.Pass, body *ast.BlockStmt, rng *ast.RangeStmt) {
 			// the top-level walk.
 			return true
 		case *ast.AssignStmt:
-			checkRangeAssign(pass, body, rng, n, local)
+			c.checkRangeAssign(body, rng, n, local)
 			return false // leaves classified; don't re-visit as idents
 		case *ast.IncDecStmt:
-			if !local(n.X) && !isIndexed(n.X) && !integerTyped(pass, n.X) {
-				pass.Reportf(n.Pos(), "order-dependent update of %s in map-range: only keyed writes and integer accumulation are order-insensitive", exprString(n.X))
+			if !local(n.X) && !isIndexed(n.X) && !c.integerTyped(n.X) {
+				c.reportf(n.Pos(), "order-dependent update of %s in map-range: only keyed writes and integer accumulation are order-insensitive", exprString(n.X))
 			}
 			return false
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
 				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "delete" {
-					if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+					if _, isBuiltin := c.info.Uses[id].(*types.Builtin); isBuiltin {
 						return false
 					}
 				}
-				pass.Reportf(n.Pos(), "call with side effects inside map-range: effects ordered by map iteration are nondeterministic")
+				c.reportf(n.Pos(), "call with side effects inside map-range: effects ordered by map iteration are nondeterministic")
 				return false
 			}
 		case *ast.ReturnStmt:
-			pass.Reportf(n.Pos(), "return inside map-range selects an iteration-order-dependent element")
+			c.reportf(n.Pos(), "return inside map-range selects an iteration-order-dependent element")
 			return false
 		}
 		return true
@@ -141,7 +169,7 @@ func checkRange(pass *framework.Pass, body *ast.BlockStmt, rng *ast.RangeStmt) {
 }
 
 // checkRangeAssign classifies one assignment inside a map-range body.
-func checkRangeAssign(pass *framework.Pass, body *ast.BlockStmt, rng *ast.RangeStmt, as *ast.AssignStmt, local func(ast.Expr) bool) {
+func (c *checker) checkRangeAssign(body *ast.BlockStmt, rng *ast.RangeStmt, as *ast.AssignStmt, local func(ast.Expr) bool) {
 	for i, lhs := range as.Lhs {
 		if isBlank(lhs) || local(lhs) || isIndexed(lhs) || as.Tok == token.DEFINE {
 			continue // keyed or loop-local writes carry the key; order-free
@@ -149,30 +177,30 @@ func checkRangeAssign(pass *framework.Pass, body *ast.BlockStmt, rng *ast.RangeS
 		// x = append(x, ...) on an outer slice: allowed iff a total-order
 		// sort of x follows the loop in the same function.
 		if i < len(as.Rhs) {
-			if call, ok := as.Rhs[i].(*ast.CallExpr); ok && isAppendTo(pass, call, lhs) {
-				if sortedAfter(pass, body, lhs, rng.End()) {
+			if call, ok := as.Rhs[i].(*ast.CallExpr); ok && c.isAppendTo(call, lhs) {
+				if c.sortedAfter(body, lhs, rng.End()) {
 					continue
 				}
-				pass.Reportf(as.Pos(), "map keys accumulate into %s with no total-order sort after the loop (sort.Slice does not qualify: a partial comparator keeps map order among ties)", exprString(lhs))
+				c.reportf(as.Pos(), "map keys accumulate into %s with no total-order sort after the loop (sort.Slice does not qualify: a partial comparator keeps map order among ties)", exprString(lhs))
 				continue
 			}
 		}
 		// Commutative integer accumulation is order-insensitive.
 		switch as.Tok {
 		case token.ADD_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
-			if integerTyped(pass, lhs) {
+			if c.integerTyped(lhs) {
 				continue
 			}
 		}
-		pass.Reportf(as.Pos(), "order-dependent write to %s in map-range: the final value depends on map iteration order", exprString(lhs))
+		c.reportf(as.Pos(), "order-dependent write to %s in map-range: the final value depends on map iteration order", exprString(lhs))
 	}
 }
 
 // sortedAfter reports whether a total-order sort of the slice named by lhs
 // appears in body after pos. Only element-ordered sorts qualify:
 // sort.Strings, sort.Ints, sort.Float64s, and slices.Sort.
-func sortedAfter(pass *framework.Pass, body *ast.BlockStmt, lhs ast.Expr, pos token.Pos) bool {
-	obj := exprObject(pass, lhs)
+func (c *checker) sortedAfter(body *ast.BlockStmt, lhs ast.Expr, pos token.Pos) bool {
+	obj := c.exprObject(lhs)
 	if body == nil || obj == nil {
 		return false
 	}
@@ -182,13 +210,13 @@ func sortedAfter(pass *framework.Pass, body *ast.BlockStmt, lhs ast.Expr, pos to
 		if !ok || call.Pos() < pos || len(call.Args) == 0 || found {
 			return !found
 		}
-		fn := calleeFunc(pass, call)
+		fn := c.calleeFunc(call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
 		totalOrder := (fn.Pkg().Path() == "sort" && (fn.Name() == "Strings" || fn.Name() == "Ints" || fn.Name() == "Float64s")) ||
 			(fn.Pkg().Path() == "slices" && fn.Name() == "Sort")
-		if totalOrder && exprObject(pass, call.Args[0]) == obj {
+		if totalOrder && c.exprObject(call.Args[0]) == obj {
 			found = true
 		}
 		return !found
@@ -198,17 +226,17 @@ func sortedAfter(pass *framework.Pass, body *ast.BlockStmt, lhs ast.Expr, pos to
 
 // declaredWithin reports whether e names a variable declared inside the
 // range statement (the key/value vars or a body-local).
-func declaredWithin(pass *framework.Pass, e ast.Expr, rng *ast.RangeStmt) bool {
-	obj := exprObject(pass, e)
+func (c *checker) declaredWithin(e ast.Expr, rng *ast.RangeStmt) bool {
+	obj := c.exprObject(e)
 	return obj != nil && obj.Pos() >= rng.Pos() && obj.Pos() < rng.End()
 }
 
-func exprObject(pass *framework.Pass, e ast.Expr) types.Object {
+func (c *checker) exprObject(e ast.Expr) types.Object {
 	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		if obj := pass.TypesInfo.Uses[id]; obj != nil {
+		if obj := c.info.Uses[id]; obj != nil {
 			return obj
 		}
-		return pass.TypesInfo.Defs[id]
+		return c.info.Defs[id]
 	}
 	return nil
 }
@@ -223,8 +251,8 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-func integerTyped(pass *framework.Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.TypeOf(e)
+func (c *checker) integerTyped(e ast.Expr) bool {
+	t := c.info.TypeOf(e)
 	if t == nil {
 		return false
 	}
@@ -234,16 +262,16 @@ func integerTyped(pass *framework.Pass, e ast.Expr) bool {
 
 // isAppendTo reports whether call is append(target, ...) for the same
 // variable as target.
-func isAppendTo(pass *framework.Pass, call *ast.CallExpr, target ast.Expr) bool {
+func (c *checker) isAppendTo(call *ast.CallExpr, target ast.Expr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "append" || len(call.Args) == 0 {
 		return false
 	}
-	if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
+	if _, isBuiltin := c.info.Uses[id].(*types.Builtin); !isBuiltin {
 		return false
 	}
-	tObj := exprObject(pass, target)
-	return tObj != nil && exprObject(pass, call.Args[0]) == tObj
+	tObj := c.exprObject(target)
+	return tObj != nil && c.exprObject(call.Args[0]) == tObj
 }
 
 // exprString renders a short name for diagnostics.

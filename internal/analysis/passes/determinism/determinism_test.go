@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"obfusmem/internal/analysis/analysistest"
-	"obfusmem/internal/analysis/passes/determinism"
 )
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "sim", "obfusmem/internal/sim", determinism.Analyzer)
+	analysistest.Run(t, "sim", "obfusmem/internal/sim")
 }
 
 func TestOutOfScope(t *testing.T) {
-	analysistest.Run(t, "outside", "example.com/outside", determinism.Analyzer)
+	analysistest.Run(t, "outside", "example.com/outside")
 }

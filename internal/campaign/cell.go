@@ -49,13 +49,13 @@ type CellResult struct {
 
 // CellError is a cell execution failure recovered at the cell boundary: a
 // panic out of the model (a bug, or a tripped simulated-time budget)
-// converted into a typed error so the campaign can retry and degrade
-// instead of dying. Failure() is the deterministic core that may enter the
-// journal and the merged artifact; Stack is diagnostic only (goroutine ids
-// and addresses make it run-dependent) and must never be journaled.
+// converted into a typed error so the campaign can record the cell as
+// failed and carry on instead of dying. Failure() is the deterministic core
+// that may enter the journal and the merged artifact; Stack is diagnostic
+// only (goroutine ids and addresses make it run-dependent) and must never
+// be journaled.
 type CellError struct {
-	Key     string
-	Attempt int
+	Key string
 	// Value is the formatted panic value.
 	Value string
 	// Budget marks a *cpu.BudgetError — the cell's simulated clock passed
@@ -66,12 +66,11 @@ type CellError struct {
 }
 
 func (e *CellError) Error() string {
-	return fmt.Sprintf("cell %s attempt %d panicked: %s", e.Key, e.Attempt, e.Value)
+	return fmt.Sprintf("cell %s panicked: %s", e.Key, e.Value)
 }
 
 // Failure is the deterministic failure description recorded in the
-// journal: panic value only, no attempt counter (the record carries
-// attempts separately) and no stack.
+// journal: panic value only, no stack.
 func (e *CellError) Failure() string { return e.Value }
 
 // runCell executes one cell to completion. Panics out of the model (bugs,

@@ -51,12 +51,12 @@ type Record struct {
 	Cells        int    `json:"cells,omitempty"`  // grid size (diagnostic)
 	Unique       int    `json:"unique,omitempty"` // deduplicated cell count
 
-	// cell: one committed cell outcome.
-	Key      string      `json:"key,omitempty"`
-	Status   string      `json:"status,omitempty"` // "done" | "failed"
-	Attempts int         `json:"attempts,omitempty"`
-	Result   *CellResult `json:"result,omitempty"`
-	Error    string      `json:"error,omitempty"`
+	// cell: one committed cell outcome. Journals written before cells ran
+	// exactly once also carry an "attempts" key, which decoding ignores.
+	Key    string      `json:"key,omitempty"`
+	Status string      `json:"status,omitempty"` // "done" | "failed"
+	Result *CellResult `json:"result,omitempty"`
+	Error  string      `json:"error,omitempty"`
 
 	// shutdown: a clean stop (campaign complete or drained on SIGINT).
 	Reason    string `json:"reason,omitempty"` // "complete" | "interrupt"

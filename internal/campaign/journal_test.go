@@ -22,8 +22,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	recs := []Record{
 		{Type: "begin", Name: "demo", ManifestHash: "abc", Cells: 4, Unique: 3},
-		{Type: "cell", Key: "k1", Status: statusDone, Attempts: 1, Result: &CellResult{Scheme: "unprotected", ExecPS: 42}},
-		{Type: "cell", Key: "k2", Status: statusFailed, Attempts: 3, Error: "boom"},
+		{Type: "cell", Key: "k1", Status: statusDone, Result: &CellResult{Scheme: "unprotected", ExecPS: 42}},
+		{Type: "cell", Key: "k2", Status: statusFailed, Error: "boom"},
 		{Type: "shutdown", Reason: "interrupt", Committed: 2},
 	}
 	for _, r := range recs {
@@ -45,7 +45,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if got[1].Result == nil || got[1].Result.ExecPS != 42 {
 		t.Errorf("cell result did not round-trip: %+v", got[1])
 	}
-	if got[2].Error != "boom" || got[2].Attempts != 3 {
+	if got[2].Error != "boom" {
 		t.Errorf("failed-cell record did not round-trip: %+v", got[2])
 	}
 	if j2.DroppedTail() {
@@ -64,8 +64,8 @@ func TestJournalTornTailDropped(t *testing.T) {
 	}
 	for i, r := range []Record{
 		{Type: "begin", ManifestHash: "h"},
-		{Type: "cell", Key: "k1", Status: statusDone, Attempts: 1},
-		{Type: "cell", Key: "k2", Status: statusDone, Attempts: 1},
+		{Type: "cell", Key: "k1", Status: statusDone},
+		{Type: "cell", Key: "k2", Status: statusDone},
 	} {
 		if err := j.Append(r); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -93,7 +93,7 @@ func TestJournalTornTailDropped(t *testing.T) {
 			t.Fatalf("cut=%d: %d records survived, want the 2 durable ones", cut, n)
 		}
 		// Appending after a torn tail must produce a fully valid journal.
-		if err := j2.Append(Record{Type: "cell", Key: "k2", Status: statusDone, Attempts: 1}); err != nil {
+		if err := j2.Append(Record{Type: "cell", Key: "k2", Status: statusDone}); err != nil {
 			t.Fatal(err)
 		}
 		j2.Close()
@@ -126,7 +126,7 @@ func TestJournalCorruptionRejected(t *testing.T) {
 	}
 	for _, r := range []Record{
 		{Type: "begin", ManifestHash: "h"},
-		{Type: "cell", Key: "k1", Status: statusDone, Attempts: 1},
+		{Type: "cell", Key: "k1", Status: statusDone},
 		{Type: "shutdown", Reason: "complete"},
 	} {
 		if err := j.Append(r); err != nil {
@@ -189,8 +189,8 @@ func TestDigestRejectsForeignManifest(t *testing.T) {
 func TestDigestFirstCommitWins(t *testing.T) {
 	recs := []Record{
 		{Type: "begin", ManifestHash: "h"},
-		{Type: "cell", Key: "k", Status: statusDone, Attempts: 1},
-		{Type: "cell", Key: "k", Status: statusFailed, Attempts: 3, Error: "late duplicate"},
+		{Type: "cell", Key: "k", Status: statusDone},
+		{Type: "cell", Key: "k", Status: statusFailed, Error: "late duplicate"},
 	}
 	st, err := digest(recs, "j", "h")
 	if err != nil {

@@ -15,10 +15,11 @@
 //     from the journal. Any worker count, any crash/resume point, same
 //     merged bytes.
 //   - Fault isolation. A cell that panics (a model bug, a tripped
-//     simulated-time budget) is recovered into a typed *CellError, retried
-//     with exponential backoff up to a budget, then journaled as failed —
-//     the campaign degrades gracefully instead of aborting, mirroring the
-//     fail-stop quarantine discipline the bus protocol applies per
+//     simulated-time budget) is recovered into a typed *CellError and
+//     journaled as failed after its one execution (a cell is a pure
+//     function of its configuration, so a re-run would fail the same way)
+//     — the campaign degrades gracefully instead of aborting, mirroring
+//     the fail-stop quarantine discipline the bus protocol applies per
 //     channel.
 //
 // See EXPERIMENTS.md "Running campaigns" for the operator view.
@@ -70,10 +71,6 @@ type Manifest struct {
 	// request, generous by ~4 orders of magnitude for every calibrated
 	// workload. Set negative to disable.
 	DeadlineNSPerRequest float64 `json:"deadlineNSPerRequest,omitempty"`
-	// MaxAttempts is the per-cell retry budget: a panicking cell is
-	// retried up to MaxAttempts total executions before being journaled
-	// as failed. Optional: defaults to 3.
-	MaxAttempts int `json:"maxAttempts,omitempty"`
 }
 
 // Defaulted returns a copy with every optional field resolved, so cell
@@ -94,9 +91,6 @@ func (m Manifest) Defaulted() Manifest {
 	}
 	if m.DeadlineNSPerRequest < 0 {
 		m.DeadlineNSPerRequest = 0
-	}
-	if m.MaxAttempts == 0 {
-		m.MaxAttempts = 3
 	}
 	return m
 }

@@ -69,7 +69,6 @@ func TestExplicitDefaultsHashIdentically(t *testing.T) {
 	b := testManifest()
 	b.Channels = 2
 	b.DeadlineNSPerRequest = 1e6
-	b.MaxAttempts = 3
 	if a.Hash() != b.Hash() {
 		t.Fatal("explicit defaults changed the manifest hash")
 	}
@@ -124,5 +123,15 @@ func TestParseManifestRejectsUnknownFields(t *testing.T) {
 	_, err := ParseManifest([]byte(`{"name":"x","requests":100,"schemes":["unprotected"],"workloads":["milc"],"seedz":[1,2,3]}`))
 	if err == nil || !strings.Contains(err.Error(), "seedz") {
 		t.Fatalf("unknown field accepted: %v", err)
+	}
+}
+
+// TestParseManifestRejectsMaxAttempts: cells run exactly once, so a
+// manifest that still sets the removed retry budget is refused by name
+// rather than silently ignored.
+func TestParseManifestRejectsMaxAttempts(t *testing.T) {
+	_, err := ParseManifest([]byte(`{"name":"x","requests":100,"schemes":["unprotected"],"workloads":["milc"],"maxAttempts":3}`))
+	if err == nil || !strings.Contains(err.Error(), "maxAttempts") {
+		t.Fatalf("manifest setting maxAttempts accepted: %v", err)
 	}
 }

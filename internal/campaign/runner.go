@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 
 	"obfusmem/internal/cpu"
 	"obfusmem/internal/exp"
@@ -50,11 +49,6 @@ type Options struct {
 	Trace *trace.Recorder
 	// Log receives human-readable progress lines; nil discards.
 	Log io.Writer
-	// BackoffBase is the first retry delay; attempt k waits
-	// BackoffBase << (k-1), capped at BackoffMax. Zero BackoffBase
-	// disables waiting (tests). Defaults: 50ms base, 2s cap.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 
 	// runCellFn is the test seam for injecting failing cells; nil means
 	// the real executor.
@@ -73,7 +67,6 @@ type Progress struct {
 	Done         int    `json:"done"`         // committed with status done
 	Failed       int    `json:"failed"`       // committed with status failed
 	InFlight     int    `json:"inFlight"`     // dispatched, not yet committed
-	Retries      int    `json:"retries"`      // re-executions after panics
 	Deadlines    int    `json:"deadlines"`    // cells that tripped the sim budget
 	JournalBytes int64  `json:"journalBytes"` //
 	Complete     bool   `json:"complete"`     // all unique cells committed
@@ -89,13 +82,12 @@ type Summary struct {
 
 // Runner executes one campaign against one directory.
 type Runner struct {
-	man      Manifest
-	manHash  string
-	cells    []Cell
-	order    []string        // unique keys, first-appearance order
-	first    map[string]Cell // key -> representative cell
-	opts     Options
-	maxTries int
+	man     Manifest
+	manHash string
+	cells   []Cell
+	order   []string        // unique keys, first-appearance order
+	first   map[string]Cell // key -> representative cell
+	opts    Options
 
 	mu       sync.Mutex
 	journal  *Journal
@@ -117,15 +109,6 @@ func NewRunner(m Manifest, opts Options) (*Runner, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	if opts.BackoffBase == 0 {
-		opts.BackoffBase = 50 * time.Millisecond
-	}
-	if opts.BackoffBase < 0 {
-		opts.BackoffBase = 0
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 2 * time.Second
-	}
 	if opts.runCellFn == nil {
 		opts.runCellFn = runCell
 	}
@@ -145,7 +128,6 @@ func NewRunner(m Manifest, opts Options) (*Runner, error) {
 		order:    order,
 		first:    first,
 		opts:     opts,
-		maxTries: d.MaxAttempts,
 		outcomes: make(map[string]Record, len(order)),
 	}
 	r.prog = Progress{
@@ -257,64 +239,35 @@ func (r *Runner) execCell(c Cell) (res CellResult, err error) {
 	return r.opts.runCellFn(c, r.opts.Metrics)
 }
 
-// outcomeOf executes one cell with the retry/backoff discipline and
-// returns the record to commit. Runs on a worker goroutine; must not
-// touch runner state.
-func (r *Runner) outcomeOf(ctx context.Context, c Cell) Record {
-	m := r.campaignMetrics()
-	for attempt := 1; ; attempt++ {
-		res, err := r.execCell(c)
-		if err == nil {
-			return Record{Type: "cell", Key: c.Key, Status: statusDone, Attempts: attempt, Result: &res}
-		}
-		m.Counter(names.CampPanics).Inc()
-		failure := err.Error()
-		var ce *CellError
-		if errors.As(err, &ce) {
-			ce.Attempt = attempt
-			failure = ce.Failure()
-			if ce.Budget {
-				m.Counter(names.CampDeadlines).Inc()
-			}
-			if len(ce.Stack) > 0 {
-				r.logf("cell %s (%s/%s) attempt %d panicked: %s\n%s", c.Key, c.Scheme, c.Workload, attempt, ce.Value, ce.Stack)
-			} else {
-				r.logf("cell %s (%s/%s) attempt %d panicked: %s", c.Key, c.Scheme, c.Workload, attempt, ce.Value)
-			}
-		} else {
-			r.logf("cell %s (%s/%s) attempt %d failed: %v", c.Key, c.Scheme, c.Workload, attempt, err)
-		}
-		if attempt >= r.maxTries || ctx.Err() != nil {
-			return Record{Type: "cell", Key: c.Key, Status: statusFailed, Attempts: attempt, Error: failure}
-		}
-		m.Counter(names.CampRetries).Inc()
-		if d := r.backoff(attempt); d > 0 {
-			select {
-			case <-ctx.Done():
-				// Don't burn the remaining attempts during a drain; mark
-				// failed with what we know. The journal records the
-				// attempts actually made.
-				return Record{Type: "cell", Key: c.Key, Status: statusFailed, Attempts: attempt, Error: failure}
-			case <-time.After(d):
-			}
-		}
+// outcomeOf executes one cell once and returns the record to commit, and
+// whether the cell tripped its simulated-time budget. A cell is a pure
+// function of its configuration, so a failure is journaled as failed
+// rather than re-executed. Runs on a worker goroutine; must not touch
+// runner state.
+func (r *Runner) outcomeOf(c Cell) (rec Record, deadline bool) {
+	res, err := r.execCell(c)
+	if err == nil {
+		return Record{Type: "cell", Key: c.Key, Status: statusDone, Result: &res}, false
 	}
+	r.campaignMetrics().Counter(names.CampPanics).Inc()
+	rec = Record{Type: "cell", Key: c.Key, Status: statusFailed, Error: err.Error()}
+	var ce *CellError
+	if !errors.As(err, &ce) {
+		r.logf("cell %s (%s/%s) failed: %v", c.Key, c.Scheme, c.Workload, err)
+		return rec, false
+	}
+	rec.Error = ce.Failure()
+	if len(ce.Stack) > 0 {
+		r.logf("cell %s (%s/%s) panicked: %s\n%s", c.Key, c.Scheme, c.Workload, ce.Value, ce.Stack)
+	} else {
+		r.logf("cell %s (%s/%s) panicked: %s", c.Key, c.Scheme, c.Workload, ce.Value)
+	}
+	return rec, ce.Budget
 }
 
-// backoff returns the exponential delay after a failed attempt.
-func (r *Runner) backoff(attempt int) time.Duration {
-	if r.opts.BackoffBase <= 0 {
-		return 0
-	}
-	d := r.opts.BackoffBase << (attempt - 1)
-	if d > r.opts.BackoffMax || d <= 0 {
-		d = r.opts.BackoffMax
-	}
-	return d
-}
-
-// commit journals one outcome and updates shared state. Callers hold mu.
-func (r *Runner) commit(rec Record) error {
+// commit journals one outcome and updates shared state; deadline marks a
+// cell that tripped its simulated-time budget. Callers hold mu.
+func (r *Runner) commit(rec Record, deadline bool) error {
 	if err := r.journal.Append(rec); err != nil {
 		return err
 	}
@@ -322,6 +275,10 @@ func (r *Runner) commit(rec Record) error {
 	r.account(rec, false)
 	r.prog.JournalBytes = r.journal.Bytes()
 	m := r.campaignMetrics()
+	if deadline {
+		r.prog.Deadlines++
+		m.Counter(names.CampDeadlines).Inc()
+	}
 	m.Counter(names.CampJournalRecords).Inc()
 	m.Gauge(names.CampJournalBytes).Set(float64(r.journal.Bytes()))
 
@@ -338,7 +295,7 @@ func (r *Runner) commit(rec Record) error {
 		r.opts.Trace.Span(trace.PIDCPU, "campaign", trace.CatOther, name,
 			r.traceNow, r.traceNow+span,
 			trace.Str("key", rec.Key), trace.Str("scheme", c.Scheme),
-			trace.Str("workload", c.Workload), trace.Int("attempts", int64(rec.Attempts)))
+			trace.Str("workload", c.Workload))
 		r.traceNow += span
 	}
 	return nil
@@ -418,14 +375,14 @@ func (r *Runner) runPending(ctx context.Context, keys []string) error {
 		r.mu.Lock()
 		r.prog.InFlight++
 		r.mu.Unlock()
-		rec := r.outcomeOf(ctx, r.first[keys[i]])
+		rec, deadline := r.outcomeOf(r.first[keys[i]])
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.prog.InFlight--
 		if appendErr == nil {
 			// A journal write failure is fatal: without durability the
 			// campaign's contract is void.
-			appendErr = r.commit(rec)
+			appendErr = r.commit(rec, deadline)
 		}
 	})
 	if appendErr != nil {
@@ -451,10 +408,9 @@ func (r *Runner) summary(complete bool) Summary {
 // MergedCell is one grid position in the merged artifact.
 type MergedCell struct {
 	Cell
-	Status   string      `json:"status"`
-	Attempts int         `json:"attempts"`
-	Result   *CellResult `json:"result,omitempty"`
-	Error    string      `json:"error,omitempty"`
+	Status string      `json:"status"`
+	Result *CellResult `json:"result,omitempty"`
+	Error  string      `json:"error,omitempty"`
 }
 
 // Merged is the campaign's final artifact: every grid cell in canonical
@@ -490,8 +446,7 @@ func (r *Runner) merged() (Merged, error) {
 			return Merged{}, fmt.Errorf("campaign: cell %s has no committed outcome; merge requires a complete journal", c.Key)
 		}
 		out.Cells = append(out.Cells, MergedCell{
-			Cell: c, Status: rec.Status, Attempts: rec.Attempts,
-			Result: rec.Result, Error: rec.Error,
+			Cell: c, Status: rec.Status, Result: rec.Result, Error: rec.Error,
 		})
 	}
 	for _, k := range r.order {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"obfusmem/internal/cpu"
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/xrand"
 )
@@ -23,7 +25,7 @@ import (
 // merged artifact bytes.
 func runCampaign(t *testing.T, m Manifest, dir string, workers int) ([]byte, Summary) {
 	t.Helper()
-	r, err := NewRunner(m, Options{Dir: dir, Workers: workers, BackoffBase: -1})
+	r, err := NewRunner(m, Options{Dir: dir, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestCampaignKillResumeProperty(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, JournalFile), journal[:cut], 0o666); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRunner(m, Options{Dir: dir, Workers: 2, BackoffBase: -1})
+		r, err := NewRunner(m, Options{Dir: dir, Workers: 2})
 		if err != nil {
 			t.Fatalf("cut=%d: resume refused: %v", cut, err)
 		}
@@ -132,6 +134,54 @@ func TestCampaignKillResumeProperty(t *testing.T) {
 	}
 }
 
+// TestCampaignResumesJournalWithAttempts: a journal written when cells
+// could be retried carries an "attempts" key on each cell record. Decoding
+// ignores it, so such a journal still resumes and merges to the bytes of
+// an uninterrupted run.
+func TestCampaignResumesJournalWithAttempts(t *testing.T) {
+	m := smallManifest()
+	refDir := t.TempDir()
+	full, _ := runCampaign(t, m, refDir, 2)
+	journal, err := os.ReadFile(filepath.Join(refDir, JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var old bytes.Buffer
+	cells := 0
+	for _, line := range bytes.SplitAfter(journal, []byte("\n")) {
+		rec, err := decodeLine(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil || rec.Type == "shutdown" {
+			continue
+		}
+		if rec.Type == "cell" {
+			if cells++; cells > 8 {
+				continue // the rest of the grid was never committed
+			}
+			payload := bytes.SplitN(line, []byte(" "), 3)[2]
+			payload = bytes.Replace(bytes.TrimSuffix(payload, []byte("\n")),
+				[]byte(`"status":"done"`), []byte(`"status":"done","attempts":1`), 1)
+			fmt.Fprintf(&old, "%s %08x %s\n", journalMagic, crc32.Checksum(payload, crcTable), payload)
+			continue
+		}
+		old.Write(line)
+	}
+	if !bytes.Contains(old.Bytes(), []byte(`"attempts":1`)) {
+		t.Fatal("no cell record gained an attempts key")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, JournalFile), old.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	got, sum := runCampaign(t, m, dir, 2)
+	if sum.Resumed != 8 {
+		t.Errorf("resumed %d cells, want the 8 in the old journal", sum.Resumed)
+	}
+	if !bytes.Equal(full, got) {
+		t.Fatal("resume from a journal with attempts keys merged different bytes")
+	}
+}
+
 // TestCampaignResumeSkipsCommittedCells: a resume re-runs only what the
 // journal lacks.
 func TestCampaignResumeSkipsCommittedCells(t *testing.T) {
@@ -140,7 +190,7 @@ func TestCampaignResumeSkipsCommittedCells(t *testing.T) {
 	runCampaign(t, m, dir, 4)
 
 	var executed atomic.Int64
-	r, err := NewRunner(m, Options{Dir: dir, Workers: 2, BackoffBase: -1,
+	r, err := NewRunner(m, Options{Dir: dir, Workers: 2,
 		runCellFn: func(c Cell, reg *metrics.Registry) (CellResult, error) {
 			executed.Add(1)
 			return runCell(c, reg)
@@ -160,19 +210,20 @@ func TestCampaignResumeSkipsCommittedCells(t *testing.T) {
 	}
 }
 
-// TestCampaignPanicIsolation: a cell that panics on every attempt is
-// retried up to the budget, journaled as failed, and the rest of the grid
+// TestCampaignPanicIsolation: a cell that panics executes once, is
+// journaled as failed with its panic value, and the rest of the grid
 // completes — the campaign must not abort.
 func TestCampaignPanicIsolation(t *testing.T) {
 	m := smallManifest()
 	cells := m.Cells()
 	poison := cells[5].Key
-	var attempts atomic.Int64
+	var executions atomic.Int64
 	dir := t.TempDir()
-	r, err := NewRunner(m, Options{Dir: dir, Workers: 4, BackoffBase: -1,
+	r, err := NewRunner(m, Options{Dir: dir, Workers: 4,
 		runCellFn: func(c Cell, reg *metrics.Registry) (CellResult, error) {
 			if c.Key == poison {
-				panic(fmt.Sprintf("poisoned cell (attempt %d)", attempts.Add(1)))
+				executions.Add(1)
+				panic("poisoned cell")
 			}
 			return runCell(c, reg)
 		}})
@@ -183,8 +234,8 @@ func TestCampaignPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("poisoned cell executed %d times, want the full retry budget of 3", n)
+	if n := executions.Load(); n != 1 {
+		t.Errorf("poisoned cell executed %d times, want once", n)
 	}
 	if sum.Done != 15 || sum.Failed != 1 || !sum.Complete {
 		t.Fatalf("summary %+v, want 15 done / 1 failed / complete", sum.Progress)
@@ -196,7 +247,7 @@ func TestCampaignPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := merged.Cells[5]
-	if mc.Status != statusFailed || mc.Attempts != 3 || !strings.Contains(mc.Error, "poisoned cell") {
+	if mc.Status != statusFailed || mc.Error != "poisoned cell" {
 		t.Fatalf("failed cell not journaled faithfully: %+v", mc)
 	}
 	for i, c := range merged.Cells {
@@ -207,8 +258,9 @@ func TestCampaignPanicIsolation(t *testing.T) {
 }
 
 // TestCampaignDeadline: a cell whose simulated clock exceeds its budget is
-// detected (via the typed *cpu.BudgetError panic) and recorded as failed
-// while the campaign continues. This exercises the REAL executor.
+// detected (via the typed *cpu.BudgetError panic), counted once in the
+// progress and the metrics, and recorded as failed while the campaign
+// continues. This exercises the REAL executor.
 func TestCampaignDeadline(t *testing.T) {
 	m := smallManifest()
 	m.Schemes = []string{"unprotected", "oram"}
@@ -216,7 +268,8 @@ func TestCampaignDeadline(t *testing.T) {
 	m.Seeds = []uint64{1}
 	m.DeadlineNSPerRequest = 0.001 // 1ps per request: everything trips
 	dir := t.TempDir()
-	r, err := NewRunner(m, Options{Dir: dir, Workers: 2, BackoffBase: -1})
+	reg := metrics.NewRegistry()
+	r, err := NewRunner(m, Options{Dir: dir, Workers: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +277,11 @@ func TestCampaignDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Failed != 4 || sum.Done != 0 {
-		t.Fatalf("summary %+v, want all 4 cells failed on deadline", sum.Progress)
+	if sum.Failed != 4 || sum.Done != 0 || sum.Deadlines != 4 {
+		t.Fatalf("summary %+v, want all 4 cells failed and counted as deadlines", sum.Progress)
+	}
+	if got := reg.Snapshot().Counters["campaign.deadline_exceeded"]; got != 4 {
+		t.Errorf("campaign.deadline_exceeded = %d, want 4", got)
 	}
 	var merged Merged
 	raw, _ := os.ReadFile(filepath.Join(dir, ResultsFile))
@@ -239,6 +295,57 @@ func TestCampaignDeadline(t *testing.T) {
 	}
 }
 
+// TestCampaignDeadlineRunsOnce: a cell that trips its budget mid-run
+// executes once, so the shared registry holds exactly one execution's
+// traffic: the bus packets of a single runCell of the same cell.
+func TestCampaignDeadlineRunsOnce(t *testing.T) {
+	m := smallManifest()
+	m.Schemes = []string{"obfusmem-auth"}
+	m.Workloads = []string{"milc"}
+	m.FaultRates = []float64{0}
+	m.Seeds = []uint64{1}
+	m.DeadlineNSPerRequest = 10 // trips after some traffic has crossed the bus
+	cell := m.Cells()[0]
+
+	alone := metrics.NewRegistry()
+	func() {
+		defer func() {
+			if _, ok := recover().(*cpu.BudgetError); !ok {
+				t.Fatal("cell did not trip its simulated-time budget")
+			}
+		}()
+		runCell(cell, alone)
+	}()
+	want := alone.Snapshot().Counters["bus.ch0.read_packets"]
+	if want == 0 {
+		t.Fatal("tripping cell put no read packets on the bus; the check below would be vacuous")
+	}
+
+	reg := metrics.NewRegistry()
+	var executions atomic.Int64
+	r, err := NewRunner(m, Options{Dir: t.TempDir(), Workers: 1, Metrics: reg,
+		runCellFn: func(c Cell, reg *metrics.Registry) (CellResult, error) {
+			executions.Add(1)
+			return runCell(c, reg)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := executions.Load(); n != 1 {
+		t.Errorf("tripping cell executed %d times, want once", n)
+	}
+	if sum.Failed != 1 || sum.Deadlines != 1 {
+		t.Fatalf("summary %+v, want 1 failed deadline cell", sum.Progress)
+	}
+	if got := reg.Snapshot().Counters["bus.ch0.read_packets"]; got != want {
+		t.Errorf("bus.ch0.read_packets = %d in the campaign registry, want one execution's %d", got, want)
+	}
+}
+
 // TestCampaignDedupExecution: duplicate grid cells execute once and every
 // grid position still gets its result.
 func TestCampaignDedupExecution(t *testing.T) {
@@ -246,7 +353,7 @@ func TestCampaignDedupExecution(t *testing.T) {
 	m.Seeds = []uint64{7, 7}
 	var executed atomic.Int64
 	dir := t.TempDir()
-	r, err := NewRunner(m, Options{Dir: dir, Workers: 1, BackoffBase: -1,
+	r, err := NewRunner(m, Options{Dir: dir, Workers: 1,
 		runCellFn: func(c Cell, reg *metrics.Registry) (CellResult, error) {
 			executed.Add(1)
 			return runCell(c, reg)
@@ -289,7 +396,7 @@ func TestCampaignInterruptDrains(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
-	r, err := NewRunner(m, Options{Dir: dir, Workers: 2, BackoffBase: -1,
+	r, err := NewRunner(m, Options{Dir: dir, Workers: 2,
 		runCellFn: func(c Cell, reg *metrics.Registry) (CellResult, error) {
 			if started.Add(1) == 5 {
 				cancel() // SIGINT arrives while cells are in flight
@@ -342,7 +449,7 @@ func TestCampaignJournalFailure(t *testing.T) {
 	dir := t.TempDir()
 	var r *Runner
 	var started, running atomic.Int64
-	r, err := NewRunner(smallManifest(), Options{Dir: dir, Workers: 2, BackoffBase: -1,
+	r, err := NewRunner(smallManifest(), Options{Dir: dir, Workers: 2,
 		runCellFn: func(c Cell, reg *metrics.Registry) (CellResult, error) {
 			running.Add(1)
 			defer running.Add(-1)
@@ -389,7 +496,7 @@ func TestCampaignMetrics(t *testing.T) {
 	m := smallManifest()
 	m.Seeds = []uint64{7, 7} // dedup visible in metrics
 	reg := metrics.NewRegistry()
-	r, err := NewRunner(m, Options{Dir: t.TempDir(), Workers: 2, BackoffBase: -1, Metrics: reg})
+	r, err := NewRunner(m, Options{Dir: t.TempDir(), Workers: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +527,7 @@ func TestCampaignMetrics(t *testing.T) {
 // journal state.
 func TestStatusEndpoint(t *testing.T) {
 	m := smallManifest()
-	r, err := NewRunner(m, Options{Dir: t.TempDir(), Workers: 2, BackoffBase: -1})
+	r, err := NewRunner(m, Options{Dir: t.TempDir(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,6 @@ func (r *Runner) committedCells() []MergedCell {
 		mc := MergedCell{Cell: c, Status: "pending"}
 		if rec, ok := r.outcomes[c.Key]; ok {
 			mc.Status = rec.Status
-			mc.Attempts = rec.Attempts
 			mc.Result = rec.Result
 			mc.Error = rec.Error
 		}

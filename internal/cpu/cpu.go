@@ -31,15 +31,16 @@ type MemorySystem interface {
 	Drain(at sim.Time)
 }
 
+// writeBuffer is the number of outstanding writebacks the core tolerates
+// before stalling.
+const writeBuffer = 16
+
 // Config tunes the core model.
 type Config struct {
 	// Exposure is the fraction of demand-read latency that reaches
 	// execution time (the rest is hidden by out-of-order overlap). A
 	// non-positive value takes the default.
 	Exposure float64
-	// WriteBuffer is the number of outstanding writebacks the core
-	// tolerates before stalling. A non-positive value takes the default.
-	WriteBuffer int
 	// Trace, when non-nil, opens one request envelope per demand read and
 	// writeback (issue to completion), which is what scopes every component
 	// span recorded inside the memory system to a request. Nil disables.
@@ -61,7 +62,7 @@ type Config struct {
 
 // DefaultConfig matches the calibration in DESIGN.md.
 func DefaultConfig() Config {
-	return Config{Exposure: 0.55, WriteBuffer: 16}
+	return Config{Exposure: 0.55}
 }
 
 // Result summarises one run.
@@ -121,20 +122,16 @@ func RunTrace(name string, reqs []workload.Request, sys MemorySystem, cfg Config
 
 // drive is the closed-loop core model shared by Run and RunTrace.
 func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Config) Result {
-	d := DefaultConfig()
 	if cfg.Exposure <= 0 {
-		cfg.Exposure = d.Exposure
-	}
-	if cfg.WriteBuffer <= 0 {
-		cfg.WriteBuffer = d.WriteBuffer
+		cfg.Exposure = DefaultConfig().Exposure
 	}
 	res := Result{Benchmark: name}
 	now := sim.Time(0)
 	// Outstanding writeback retirement times, ascending. A full buffer is
 	// popped before the next insert, so it never holds more than
-	// WriteBuffer entries; pruned and popped in place, it is allocated once
+	// writeBuffer entries; pruned and popped in place, it is allocated once
 	// per run.
-	pendingWrites := make([]sim.Time, 0, cfg.WriteBuffer)
+	pendingWrites := make([]sim.Time, 0, writeBuffer)
 	var latSum float64
 
 	for i := 0; i < n; i++ {
@@ -148,7 +145,7 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 			res.Writes++
 			// Prune retired writes; stall if the buffer is full.
 			pendingWrites = pruneBefore(pendingWrites, now)
-			if len(pendingWrites) >= cfg.WriteBuffer {
+			if len(pendingWrites) >= writeBuffer {
 				// Wait for the oldest outstanding write.
 				wait := pendingWrites[0]
 				if wait > now {

@@ -52,7 +52,7 @@ func TestExposureScalesStalls(t *testing.T) {
 	p, _ := workload.ByName("bwaves")
 	run := func(expo float64) Result {
 		sys := &fixedLatency{read: 100 * sim.Nanosecond}
-		return Run(p, 3000, sys, Config{Exposure: expo, WriteBuffer: 16}, 2)
+		return Run(p, 3000, sys, Config{Exposure: expo}, 2)
 	}
 	low := run(0.2)
 	high := run(0.9)
@@ -81,9 +81,9 @@ func TestWriteBufferBackPressure(t *testing.T) {
 	// core via the bounded write buffer.
 	p, _ := workload.ByName("lbm") // write-heavy
 	slowW := Run(p, 3000, &fixedLatency{read: 50 * sim.Nanosecond, write: 10 * sim.Microsecond},
-		Config{Exposure: 0.5, WriteBuffer: 4}, 4)
+		Config{Exposure: 0.5}, 4)
 	fastW := Run(p, 3000, &fixedLatency{read: 50 * sim.Nanosecond, write: 50 * sim.Nanosecond},
-		Config{Exposure: 0.5, WriteBuffer: 4}, 4)
+		Config{Exposure: 0.5}, 4)
 	if slowW.ExecTime <= fastW.ExecTime {
 		t.Fatal("slow writes never back-pressured the core")
 	}
@@ -95,23 +95,6 @@ func TestRunDeterminism(t *testing.T) {
 	b := Run(p, 2000, &fixedLatency{read: 90 * sim.Nanosecond}, DefaultConfig(), 7)
 	if a.ExecTime != b.ExecTime || a.Reads != b.Reads {
 		t.Fatal("Run not deterministic")
-	}
-}
-
-// TestNonPositiveWriteBufferDefaults: a config that sets Exposure but not
-// WriteBuffer runs with the default buffer depth instead of indexing an
-// empty buffer on its first writeback.
-func TestNonPositiveWriteBufferDefaults(t *testing.T) {
-	p, _ := workload.ByName("lbm")
-	run := func(wb int) Result {
-		sys := &fixedLatency{read: 50 * sim.Nanosecond, write: 2 * sim.Microsecond}
-		return Run(p, 3000, sys, Config{Exposure: 0.5, WriteBuffer: wb}, 5)
-	}
-	want := run(DefaultConfig().WriteBuffer)
-	for _, wb := range []int{0, -1} {
-		if got := run(wb); got != want {
-			t.Errorf("WriteBuffer %d: %+v, want the default buffer's %+v", wb, got, want)
-		}
 	}
 }
 
@@ -136,21 +119,21 @@ func TestDriveAllocsIndependentOfRequests(t *testing.T) {
 	}
 }
 
-// TestUnsetFieldsDefaultOneByOne: a config that leaves Exposure unset keeps
-// its own WriteBuffer; each unset field takes its default on its own.
+// TestUnsetFieldsDefaultOneByOne: a config that leaves Exposure unset
+// runs with the default exposure, and keeps its other fields.
 func TestUnsetFieldsDefaultOneByOne(t *testing.T) {
 	p, _ := workload.ByName("lbm")
 	run := func(cfg Config) Result {
 		sys := &fixedLatency{read: 50 * sim.Nanosecond, write: 2 * sim.Microsecond}
 		return Run(p, 3000, sys, cfg, 5)
 	}
-	want := run(Config{Exposure: 0.55, WriteBuffer: 4})
-	// The buffer depth matters on this run, so a dropped WriteBuffer shows.
-	if run(Config{Exposure: 0.55, WriteBuffer: 16}) == want {
-		t.Fatal("a 4-deep and a 16-deep write buffer ran alike")
+	want := run(Config{Exposure: 0.55, SimBudget: sim.Second})
+	// The exposure matters on this run, so a dropped default shows.
+	if run(Config{Exposure: 0.9, SimBudget: sim.Second}) == want {
+		t.Fatal("exposures 0.55 and 0.9 ran alike")
 	}
-	if got := run(Config{WriteBuffer: 4}); got != want {
-		t.Errorf("Config{WriteBuffer: 4}: %+v, want %+v", got, want)
+	if got := run(Config{SimBudget: sim.Second}); got != want {
+		t.Errorf("Config{SimBudget: 1s}: %+v, want %+v", got, want)
 	}
 }
 

@@ -62,12 +62,10 @@ func Energy(opts Options) *stats.Table {
 	extraWrites := obf.Stats().DummyPCMWrites
 	t.AddRow("extra PCM writes from dummies", fmt.Sprintf("~%.0f/access", pathBlocks),
 		fmt.Sprintf("%d", extraWrites), "simulated lbm (fixed-address design)")
-	dev := sys.Memory().Device(0)
 	t.AddRow("PCM array writes (real traffic only)", "-",
 		fmt.Sprintf("%d", ps.ArrayWrites), "simulated lbm")
 	t.AddRow("estimated NVM lifetime ratio (ObfusMem/ORAM)", "1x",
 		fmt.Sprintf("~%.0fx", pathBlocks), "analytic: ORAM writes ~100 blocks/access")
-	_ = dev
 	t.AddNote("paper: 780x vs 3.9x read energy (200x reduction); 800 vs 16-64 pads; ~100x lifetime")
 	return t
 }

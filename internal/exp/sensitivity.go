@@ -17,7 +17,7 @@ func Sensitivity(opts Options) *stats.Table {
 		"Exposure", "ORAM avg", "ObfusMem+Auth avg", "Speedup avg")
 	for _, expo := range []float64{0.3, 0.45, 0.55, 0.7, 0.85} {
 		o := opts
-		o.CPU = cpu.Config{Exposure: expo, WriteBuffer: 16}
+		o.CPU = cpu.Config{Exposure: expo}
 		d := Table3Numbers(o)
 		t.AddRow(fmt.Sprintf("%.2f", expo),
 			fmt.Sprintf("%.0f%%", stats.Mean(d.ORAMOverhead)),

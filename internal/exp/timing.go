@@ -38,7 +38,7 @@ func TimingOblivious(opts Options) *stats.Table {
 	bin := 25 * sim.Nanosecond
 
 	// Distinguishability of two different programs from timing.
-	oA, _, _ := run("milc", false)
+	oA, resA, sysA := run("milc", false)
 	oB, _, _ := run("libquantum", false)
 	plainDist := attack.TimingDistance(oA, oB, bin)
 	oAo, resAo, sysAo := run("milc", true)
@@ -53,7 +53,6 @@ func TimingOblivious(opts Options) *stats.Table {
 		"1.0 = perfectly periodic issue")
 
 	// Cost on a memory-intensive benchmark.
-	_, resA, sysA := run("milc", false)
 	base, _ := runOne(opts, system.DefaultConfig("unprotected"), "milc")
 	t.AddRow("milc execution-time overhead vs unprotected",
 		fmt.Sprintf("%.1f%%", cpu.Overhead(base, resA)),

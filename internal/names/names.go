@@ -61,7 +61,6 @@ const (
 	CampCellsFailed    Name = "cells_failed"
 	CampCellsResumed   Name = "cells_resumed"
 	CampDedupHits      Name = "dedup_hits"
-	CampRetries        Name = "retries"
 	CampPanics         Name = "panics"
 	CampDeadlines      Name = "deadline_exceeded"
 	CampJournalRecords Name = "journal_records"

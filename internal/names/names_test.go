@@ -86,7 +86,7 @@ func TestInstrumentedRunNamesDeclared(t *testing.T) {
 		obs := attack.NewObserver(cfg.Channels, 1<<16)
 		sys.Bus().AttachObserver(obs)
 		probe := leakage.NewProbe(sys)
-		cpu.Run(p, 300, probe, cpu.Config{WriteBuffer: 16, Trace: rec}, 1)
+		cpu.Run(p, 300, probe, cpu.Config{Trace: rec}, 1)
 		leakage.Evaluate(obs.WireTrace(), probe.Issued(), rec)
 	}
 	opts := exp.QuickOptions()

@@ -224,7 +224,6 @@ type pendingWrite struct {
 // chanState is one channel's cryptographic endpoints: an AES engine and an
 // MD5 unit per side, and the synchronised session counters.
 type chanState struct {
-	key [16]byte
 	// Each side has dedicated engines per traffic direction so the
 	// request stream and the reply stream each see time-monotonic issue
 	// order (they are independent pipelines in hardware, and modelling
@@ -381,7 +380,6 @@ func New(cfg Config, b *bus.Bus, mem *memctl.Controller, table *keys.SessionKeyT
 			return aes.NewEngineTimed(name, c, aes.EngineLatency, laneInterval)
 		}
 		cs := &chanState{
-			key:         key,
 			procReqEng:  mk(fmt.Sprintf("proc-req-aes%d", ch), cipher),
 			procRespEng: mk(fmt.Sprintf("proc-resp-aes%d", ch), cipher),
 			memReqEng:   mk(fmt.Sprintf("mem-req-aes%d", ch), cipher),

@@ -158,9 +158,9 @@ func (c *Controller) serve(cs *chanState, ch int, h half, padBase uint64, del *b
 		if h.blk != nil && !h.dummy {
 			c.mem.StoreBlock(addr, c.transitOpenRequest(cs, ch, padBase, del.Data))
 		}
-		return c.memAccessForWrite(cs, ch, decodeDone, addr, h.dummy), true
+		return c.memAccessForWrite(ch, decodeDone, addr, h.dummy), true
 	}
-	dataReady := c.memAccessForRead(cs, ch, decodeDone, addr, h.dummy)
+	dataReady := c.memAccessForRead(ch, decodeDone, addr, h.dummy)
 	if c.cfg.TimingOblivious {
 		dataReady = padReply(decodeDone, dataReady)
 	}
@@ -227,7 +227,7 @@ func (c *Controller) issueWritePair(cs *chanState, ch int, at sim.Time, w pendin
 
 // memAccessForRead performs the memory-side PCM access for a decoded read.
 // Fixed-address dummy reads are answered with garbage without touching PCM.
-func (c *Controller) memAccessForRead(cs *chanState, ch int, at sim.Time, addr uint64, isDummy bool) sim.Time {
+func (c *Controller) memAccessForRead(ch int, at sim.Time, addr uint64, isDummy bool) sim.Time {
 	if isDummy {
 		// Timing-oblivious operation never drops dummies: service timing
 		// must be workload-independent (Section 6.2).
@@ -245,7 +245,7 @@ func (c *Controller) memAccessForRead(cs *chanState, ch int, at sim.Time, addr u
 
 // memAccessForWrite performs the memory-side PCM access for a decoded
 // write; fixed-address dummy writes are dropped (Observation 2).
-func (c *Controller) memAccessForWrite(cs *chanState, ch int, at sim.Time, addr uint64, isDummy bool) sim.Time {
+func (c *Controller) memAccessForWrite(ch int, at sim.Time, addr uint64, isDummy bool) sim.Time {
 	if isDummy {
 		if c.cfg.Dummy == FixedAddress && !c.cfg.TimingOblivious {
 			c.stats.DroppedAtMemory++

@@ -7,15 +7,23 @@
 // channel, PCM device) draws its own arrival stream, and request i+1 arrives
 // Gap after request i regardless of how long request i took.
 //
-// Each lane has its own front end, AES pad engines and MAC unit. That is the
-// one deliberate deviation from the closed-loop machine, where the Fig 3
-// front end is shared across channels (DESIGN.md §10). Inter-channel cover
-// traffic is the only interaction between lanes: a lane that issues a real
-// request notifies every other lane at issue + obfus.FrontEndTime, and each
-// destination lane decides from its own bus-idle state and last-request
-// time, via obfus.CoverNeeded (the same predicate the closed loop uses),
-// whether to put a dummy pair on its wire. Cover pairs never trigger further
-// covers.
+// Each lane has its own front end, AES pad pipelines and MAC unit. Three
+// deviations from the closed-loop machine follow (DESIGN.md §10), kept
+// because fixing them changes every open-loop digest: the Fig 3 front end
+// is per lane instead of shared across channels; each lane has one 4 ns
+// AES lane whose full 96 ns latency sits on the path (116 ns for a pair's
+// 6 pads, 108 ns for a reply's 4), where the closed loop pre-generates pads
+// on four interleaved lanes and exposes only backlog plus a 0.5 ns XOR; and
+// the MAC issues after encryption, adding 64 ns where the closed-loop
+// default exposes 8 ns. With idle engines the last two add about 280 ns
+// per read. ROADMAP item 9 removes all three.
+//
+// Inter-channel cover traffic is the only interaction between lanes: a lane
+// that issues a real request notifies every other lane at issue +
+// obfus.FrontEndTime, and each destination lane decides from its own
+// bus-idle state and last-request time, via obfus.CoverNeeded (the same
+// predicate the closed loop uses), whether to put a dummy pair on its wire.
+// Cover pairs never trigger further covers.
 //
 // Arrivals and cover notifications are events on one sim.Engine: one
 // arrival event per real request, plus one notification event that visits
@@ -103,8 +111,8 @@ type openLane struct {
 	mem      *memctl.Controller
 	stream   *workload.Stream
 	frontEnd *sim.Resource
-	reqEng   *aes.Engine
-	respEng  *aes.Engine
+	reqPads  *sim.Pipeline // AES pad timing only: no lane pad is ever XORed
+	respPads *sim.Pipeline
 	mac      *md5sim.Unit
 	policy   obfus.ChannelPolicy
 
@@ -145,7 +153,7 @@ func (l *openLane) record(link int, at sim.Time, bytes int) {
 // pre-generations for the pair, one MAC slot, then serialization.
 func (l *openLane) issuePair(at sim.Time, addr uint64, write, dummy bool) sim.Time {
 	fe := l.frontEnd.Acquire(at, obfus.FrontEndTime) + obfus.FrontEndTime
-	encDone := l.reqEng.IssueOnly(fe, 6)
+	encDone := l.reqPads.IssueN(fe, 6)
 	sendReady := l.mac.Issue(encDone)
 
 	readPkt := &l.readPkt
@@ -179,7 +187,7 @@ func (l *openLane) issuePair(at sim.Time, addr uint64, write, dummy bool) sim.Ti
 
 	// Read-reply leg: every pair answers the read half with a data packet
 	// (dummy pairs too — the reply is part of the indistinguishable shape).
-	respReady := l.respEng.IssueOnly(dataReady, 4)
+	respReady := l.respPads.IssueN(dataReady, 4)
 	respPkt := &l.respPkt
 	*respPkt = bus.Packet{Channel: l.ch, Dir: bus.MemToProc, HasMAC: true,
 		Data: zeroPayload[:], Type: bus.Read, Addr: addr, IsDummy: dummy || write}
@@ -275,21 +283,8 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 	mem := memctl.New(memCfg)
 	eng := sim.NewEngine()
 
-	rng := xrand.New(cfg.Seed ^ 0x0b5f)
 	lanes := make([]*openLane, cfg.Channels)
 	for ch := 0; ch < cfg.Channels; ch++ {
-		var key [16]byte
-		laneRng := rng.Fork(uint64(ch))
-		for i := 0; i < len(key); i += 8 {
-			v := laneRng.Uint64()
-			for j := 0; j < 8; j++ {
-				key[i+j] = byte(v >> (8 * j))
-			}
-		}
-		cipher, err := aes.NewCipher(key[:])
-		if err != nil {
-			panic("system: " + err.Error())
-		}
 		l := &openLane{
 			ch:       ch,
 			eng:      eng,
@@ -297,8 +292,8 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 			mem:      mem,
 			stream:   workload.NewStream(profiles[ch%len(profiles)], cfg.Seed^xrand.Mix64(uint64(ch))),
 			frontEnd: sim.NewResource(fmt.Sprintf("lane%d-fe", ch)),
-			reqEng:   aes.NewEngine(fmt.Sprintf("lane%d-req", ch), cipher),
-			respEng:  aes.NewEngine(fmt.Sprintf("lane%d-resp", ch), cipher),
+			reqPads:  sim.NewPipeline(fmt.Sprintf("lane%d-req", ch), aes.EngineLatency, aes.EngineCycle),
+			respPads: sim.NewPipeline(fmt.Sprintf("lane%d-resp", ch), aes.EngineLatency, aes.EngineCycle),
 			mac:      md5sim.NewUnit(fmt.Sprintf("lane%d-mac", ch)),
 			policy:   cfg.Policy,
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Reachability: list the non-test functions that no command or example
-# ever runs. The four commands (obfsim, oramtool, replay, tracegen) and the
-# five examples are built with coverage over every package of the module,
-# then driven through the product paths:
+# ever runs. The five commands (obfsim, obfuslint, oramtool, replay,
+# tracegen) and the five examples are built with coverage over every
+# package of the module, then driven through the product paths:
 #
 #   - obfsim -exp all, backends, leakage and openloop;
 #   - a traced run with metrics, an attribution report and a metrics time
@@ -10,6 +10,7 @@
 #   - an 8-cell campaign over four schemes, with and without faults;
 #   - a tracegen -> replay round trip over every scheme;
 #   - oramtool, once plain and once sweeping the stash capacity;
+#   - obfuslint over the module (./...);
 #   - every example.
 #
 # It prints each function that never ran (file:line, name) and their
@@ -23,7 +24,7 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
 mkdir "$work/bin" "$work/cov" "$work/run"
-for p in obfsim oramtool replay tracegen; do
+for p in obfsim obfuslint oramtool replay tracegen; do
     go build -cover -coverpkg=./... -o "$work/bin/$p" "./cmd/$p"
 done
 for p in nvmlifetime oramcompare quickstart secretstore securechannel; do
@@ -62,6 +63,8 @@ EOF
 
 "$bin/oramtool" -levels 10 -blocks 1000 -accesses 2000 > /dev/null 2>&1
 "$bin/oramtool" -levels 10 -blocks 1000 -accesses 2000 -sweep > /dev/null 2>&1
+
+"$bin/obfuslint" ./... > /dev/null 2>&1
 
 for p in nvmlifetime oramcompare quickstart secretstore securechannel; do
     "$bin/$p" > /dev/null 2>&1

@@ -39,8 +39,10 @@
 #                  export, its time order included, against the
 #                  encoding/json reference exporter), then 10 s each of
 #                  the external-input fuzzers FuzzParseManifest,
-#                  FuzzJournalLoad and FuzzReadTrace and of
-#                  FuzzEngineOrder (the event engine's firing rule); one
+#                  FuzzJournalLoad and FuzzReadTrace, of
+#                  FuzzEngineOrder (the event engine's firing rule) and of
+#                  FuzzSummarizeWire (the open loop's loser-tree wire merge,
+#                  digest and gap entropy, against a stable sort); one
 #                  go test -fuzz call per target, since -fuzz takes one
 #                  target (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
@@ -138,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzSummarizeWire$$' -fuzztime 10s ./internal/system
 
 campaign-smoke:
 	sh scripts/campaign_smoke.sh

@@ -25,8 +25,9 @@ type Engine struct {
 
 // NewEngineTimed builds an engine with explicit pipeline timing. The
 // processor-side memory-encryption unit is clocked with the core (24
-// cycles at 500 ps), while the per-channel ObfusMem engines run at the
-// synthesised 4 ns cycle.
+// cycles at 500 ps). Each per-channel ObfusMem engine is four interleaved
+// lanes at the synthesised 4 ns cycle: the full 96 ns latency and a 1 ns
+// initiation interval (obfus.New).
 func NewEngineTimed(name string, c *Cipher, latency, interval sim.Time) *Engine {
 	return &Engine{
 		pipe: sim.NewPipeline(name, latency, interval),

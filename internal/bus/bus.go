@@ -458,9 +458,3 @@ func (b *Bus) TotalBytes() uint64 {
 	}
 	return n
 }
-
-// Utilization returns request-direction utilization of one channel over
-// [0, now].
-func (b *Bus) Utilization(channel int, now sim.Time) float64 {
-	return b.req[channel].Utilization(now)
-}

@@ -119,9 +119,8 @@ func TestStatsAndUtilization(t *testing.T) {
 		t.Fatalf("TotalBytes = %d", b.TotalBytes())
 	}
 	// 10 transfers of 80B at 12.8GB/s = 62.5ns busy.
-	u := b.Utilization(0, 125*sim.Nanosecond)
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v, want ~0.5", u)
+	if st[0].ReqBusy != 62500 || st[0].RespBusy != 0 {
+		t.Fatalf("busy = %d/%d ps, want 62500/0", st[0].ReqBusy, st[0].RespBusy)
 	}
 }
 

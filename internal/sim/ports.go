@@ -65,18 +65,6 @@ func (r *Resource) BusyTime() Time { return r.busyTime }
 // Uses returns the number of Acquire calls.
 func (r *Resource) Uses() uint64 { return r.uses }
 
-// Utilization reports busy time as a fraction of the window [0, now].
-func (r *Resource) Utilization(now Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	u := float64(r.busyTime) / float64(now)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // Pipeline models a fully pipelined unit with a fixed latency and an
 // initiation interval: a new operation can start every Interval picoseconds
 // and completes Latency picoseconds after it starts. This matches the

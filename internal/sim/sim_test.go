@@ -110,10 +110,6 @@ func TestResource(t *testing.T) {
 	if r.Uses() != 2 {
 		t.Fatalf("Uses = %d, want 2", r.Uses())
 	}
-	u := r.Utilization(750)
-	if u < 0.099 || u > 0.101 {
-		t.Fatalf("Utilization = %v, want 0.1", u)
-	}
 }
 
 // Property: a resource never overlaps reservations and never goes backwards.

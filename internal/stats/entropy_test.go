@@ -2,13 +2,58 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"obfusmem/internal/xrand"
 )
 
 // entropyBitsMM is the Miller–Madow corrected entropy of h in bits.
-func entropyBitsMM(h *Hist) float64 { return h.EntropyBits() + millerMadowBits(len(h.counts), h.n) }
+func entropyBitsMM(h *Hist) float64 {
+	return h.EntropyBits() + millerMadowBits(len(h.sortedCounts()), h.n)
+}
+
+// TestHistDenseBoundary adds symbols on both sides of the dense range's
+// upper bound, each a different number of times, and requires N, the cells
+// in key order and EntropyBits to equal, bit for bit, a reference counted
+// in a map and summed in sorted key order.
+func TestHistDenseBoundary(t *testing.T) {
+	syms := []uint64{0, 1023, 1024, 1 << 40}
+	h := NewHist()
+	ref := map[uint64]int{}
+	n := 0
+	for i, sym := range syms {
+		for rep := 0; rep <= 2*i+1; rep++ {
+			h.Add(sym)
+			ref[sym]++
+			n++
+		}
+	}
+	h.Add(1023)
+	ref[1023]++
+	n++
+	keys := make([]uint64, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var cells []int
+	var s float64
+	for _, k := range keys {
+		cells = append(cells, ref[k])
+		s += float64(ref[k]) * math.Log2(float64(ref[k]))
+	}
+	want := math.Log2(float64(n)) - s/float64(n)
+	if h.N() != n {
+		t.Errorf("N = %d, want %d", h.N(), n)
+	}
+	if got := h.sortedCounts(); !slices.Equal(got, cells) {
+		t.Errorf("cells %v, want %v in key order", got, cells)
+	}
+	if got := h.EntropyBits(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("EntropyBits = %v, reference %v", got, want)
+	}
+}
 
 // TestEntropyAnalytic checks the plug-in estimator against closed-form
 // values on exact empirical distributions.

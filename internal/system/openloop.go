@@ -28,10 +28,12 @@
 // Arrivals and cover notifications are events on one sim.Engine: one
 // arrival event per real request, plus one notification event that visits
 // the peer lanes in lane order. Each lane logs its request-link and
-// reply-link arrivals separately; every link is a FIFO sim.Resource, so each
-// log is already in time order, and the merged wire view is a k-way merge
-// of the logs in (time, channel, lane order), streamed into the digest and
-// the gap histogram without being built — the report is a function of the
+// reply-link arrivals separately, 16 bytes per packet (time, per-lane
+// sequence number, size; the channel is the log's position in the run
+// list). Every link is a FIFO sim.Resource, so each log is already in time
+// order, and the merged wire view is a loser-tree merge of the logs in
+// (time, channel, lane order), streamed into the digest and the gap
+// histogram without being built — the report is a function of the
 // configuration alone.
 package system
 
@@ -84,12 +86,13 @@ func DefaultOpenLoopConfig() OpenLoopConfig {
 }
 
 // openWireEvent is one packet as seen on a lane's wire, recorded by the
-// lane itself.
+// lane itself. It carries no channel: summarizeWire reads a log's channel
+// from the log's position in its run list. RunOpenLoop bounds a lane's
+// packet count, so seq fits in 32 bits.
 type openWireEvent struct {
 	at    sim.Time
-	ch    int
-	seq   int // per-lane record order, the final merge tie-break
-	bytes int
+	seq   int32 // per-lane record order, the final merge tie-break
+	bytes int32
 }
 
 // The two links of a lane, indexing openLane.wire.
@@ -129,8 +132,9 @@ type openLane struct {
 	// arriveFn and notifyFn are the lane's arrive and notify method values,
 	// bound once so scheduling them allocates nothing.
 	arriveFn, notifyFn func(sim.Time)
-	// The lane's three packets, reused by every pair: the bus keeps no
-	// reference to a packet after Transfer.
+	// The lane's three packets, built once and reused by every pair, which
+	// sets only Addr and IsDummy: the bus keeps no reference to a packet
+	// after Transfer.
 	readPkt, writePkt, respPkt bus.Packet
 }
 
@@ -142,7 +146,7 @@ func (l *openLane) record(link int, at sim.Time, bytes int) {
 	if n := len(w); n > 0 && at < w[n-1].at {
 		panic(fmt.Sprintf("system: lane %d link %d arrival %v before %v", l.ch, link, at, w[n-1].at))
 	}
-	l.wire[link] = append(w, openWireEvent{at: at, ch: l.ch, seq: l.packets, bytes: bytes})
+	l.wire[link] = append(w, openWireEvent{at: at, seq: int32(l.packets), bytes: int32(bytes)})
 	l.packets++
 }
 
@@ -157,15 +161,13 @@ func (l *openLane) issuePair(at sim.Time, addr uint64, write, dummy bool) sim.Ti
 	sendReady := l.mac.Issue(encDone)
 
 	readPkt := &l.readPkt
-	*readPkt = bus.Packet{Channel: l.ch, Dir: bus.ProcToMem, HasCmd: true, HasMAC: true,
-		Type: bus.Read, Addr: addr, IsDummy: dummy || write}
+	readPkt.Addr, readPkt.IsDummy = addr, dummy || write
 	readArrive, _ := l.b.Transfer(sendReady, readPkt)
 	l.record(reqLink, readArrive, readPkt.WireBytes())
 	l.lastReqWire = readArrive
 
 	writePkt := &l.writePkt
-	*writePkt = bus.Packet{Channel: l.ch, Dir: bus.ProcToMem, HasCmd: true, HasMAC: true,
-		Data: zeroPayload[:], Type: bus.Write, Addr: addr, IsDummy: dummy || !write}
+	writePkt.Addr, writePkt.IsDummy = addr, dummy || !write
 	writeArrive, _ := l.b.Transfer(sendReady, writePkt)
 	l.record(reqLink, writeArrive, writePkt.WireBytes())
 
@@ -189,8 +191,7 @@ func (l *openLane) issuePair(at sim.Time, addr uint64, write, dummy bool) sim.Ti
 	// (dummy pairs too — the reply is part of the indistinguishable shape).
 	respReady := l.respPads.IssueN(dataReady, 4)
 	respPkt := &l.respPkt
-	*respPkt = bus.Packet{Channel: l.ch, Dir: bus.MemToProc, HasMAC: true,
-		Data: zeroPayload[:], Type: bus.Read, Addr: addr, IsDummy: dummy || write}
+	respPkt.Addr, respPkt.IsDummy = addr, dummy || write
 	respArrive, _ := l.b.Transfer(respReady, respPkt)
 	l.record(respLink, respArrive, respPkt.WireBytes())
 	return respArrive + obfus.SerDesLatency
@@ -270,6 +271,13 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 	if !cfg.Policy.Defined() {
 		panic(fmt.Sprintf("system: open-loop run has undefined cover policy %v", cfg.Policy))
 	}
+	// A lane puts at most 3 packets on its wire per real request anywhere
+	// in the run: its own pairs and one cover pair per peer request. Its
+	// wire events number their packets in 32 bits.
+	if cfg.Requests > math.MaxInt32/3/cfg.Channels {
+		panic(fmt.Sprintf("system: open-loop run of %d lanes x %d requests exceeds %d wire packets per lane",
+			cfg.Channels, cfg.Requests, math.MaxInt32))
+	}
 	profiles := cfg.Profiles
 	if len(profiles) == 0 {
 		profiles = workload.SPEC2006()
@@ -305,6 +313,10 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 			},
 		}
 		l.arriveFn, l.notifyFn = l.arrive, l.notify
+		l.readPkt = bus.Packet{Channel: ch, Dir: bus.ProcToMem, HasCmd: true, HasMAC: true, Type: bus.Read}
+		l.writePkt = bus.Packet{Channel: ch, Dir: bus.ProcToMem, HasCmd: true, HasMAC: true,
+			Data: zeroPayload[:], Type: bus.Write}
+		l.respPkt = bus.Packet{Channel: ch, Dir: bus.MemToProc, HasMAC: true, Data: zeroPayload[:], Type: bus.Read}
 		lanes[ch] = l
 	}
 	for _, l := range lanes {
@@ -326,6 +338,7 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 
 // reduceOpenLoop folds the per-lane state into the deterministic report.
 func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controller, b *bus.Bus, fired uint64) OpenLoopResult {
+	// Lane-major (request link, reply link): run r is lane r/2's.
 	runs := make([][]openWireEvent, 0, 2*len(lanes))
 	for _, l := range lanes {
 		runs = append(runs, l.wire[reqLink], l.wire[respLink])
@@ -380,95 +393,97 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// summarizeWire merges runs, each in (time, channel, seq) order, and folds
+// summarizeWire merges runs, lane-major (request link, reply link) so that
+// run r holds channel r/2's events, each in (time, seq) order, and folds
 // the merged wire view into the report's two observables without building
 // it: the FNV-1a-64 digest of every event's (time, channel, bytes) words and
 // the histogram of gaps between consecutive events, in 16 ns buckets. The
-// merge is a binary min-heap of run heads: O(n log k) for n events in k
-// runs.
+// merge order is (time, channel, seq). It runs on a loser tree over run
+// indices: each of an event's O(log k) levels makes one comparison and
+// moves an index, never an event.
 func summarizeWire(runs [][]openWireEvent) (digest uint64, gaps *stats.Hist) {
-	heap := make(wireHeap, 0, len(runs))
-	for r, run := range runs {
-		if len(run) > 0 {
-			heap = append(heap, wireHead{ev: run[0], run: r, next: 1})
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		heap.down(i)
-	}
 	digest, gaps = fnvOffset64, stats.NewHist()
-	first, prev := true, sim.Time(0)
-	for len(heap) > 0 {
-		top := &heap[0]
-		digest = fnvWord(digest, uint64(top.ev.at))
-		digest = fnvWord(digest, uint64(top.ev.ch)<<32|uint64(top.ev.bytes))
-		if !first {
-			gaps.Add(uint64(top.ev.at-prev) / uint64(16*sim.Nanosecond))
+	k, n := len(runs), 0
+	for _, run := range runs {
+		n += len(run)
+	}
+	if n == 0 {
+		return digest, gaps
+	}
+
+	// heads[r] is run r's next unmerged event; an exhausted run's head sits
+	// at the end of time, behind every real event.
+	heads := make([]openWireEvent, k)
+	next := make([]int, k)
+	for r, run := range runs {
+		heads[r].at = math.MaxInt64
+		if len(run) > 0 {
+			heads[r] = run[0]
 		}
-		first, prev = false, top.ev.at
-		if run := runs[top.run]; top.next < len(run) {
-			top.ev = run[top.next]
-			top.next++
+	}
+
+	// Nodes 1..k-1 of an implicit binary tree, whose leaves k..2k-1 are the
+	// runs, hold the run that lost the match at that node; the winner of
+	// the whole tree is w. win is build scratch: each node's winner.
+	tree := make([]int, k)
+	win := make([]int, 2*k)
+	for r := range runs {
+		win[k+r] = r
+	}
+	for i := k - 1; i >= 1; i-- {
+		a, b := win[2*i], win[2*i+1]
+		if wireBefore(heads, b, a) {
+			a, b = b, a
+		}
+		win[i], tree[i] = a, b
+	}
+	w := win[1]
+
+	for {
+		ev := heads[w]
+		digest = fnvWord(digest, uint64(ev.at))
+		digest = fnvWord(digest, uint64(w>>1)<<32|uint64(ev.bytes))
+		if n--; n == 0 {
+			break
+		}
+		// Advance the winner's run and replay its path to the root.
+		if next[w]++; next[w] < len(runs[w]) {
+			heads[w] = runs[w][next[w]]
 		} else {
-			last := len(heap) - 1
-			heap[0] = heap[last]
-			if heap = heap[:last]; last == 0 {
-				break
+			heads[w].at = math.MaxInt64
+		}
+		for i := (k + w) >> 1; i > 0; i >>= 1 {
+			if wireBefore(heads, tree[i], w) {
+				tree[i], w = w, tree[i]
 			}
 		}
-		heap.down(0)
+		gaps.Add(uint64(heads[w].at-ev.at) / uint64(16*sim.Nanosecond))
 	}
 	return digest, gaps
 }
 
-// fnvWord feeds v's eight little-endian bytes into the FNV-1a-64 state h.
-func fnvWord(h, v uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h ^= v >> i & 0xff
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// wireHead is one run's next unmerged event, held by value so the heap
-// compares events without indexing the runs.
-type wireHead struct {
-	ev   openWireEvent
-	run  int // index of the run
-	next int // index of the run's event after ev
-}
-
-// wireHeap is summarizeWire's min-heap, ordered by before.
-type wireHeap []wireHead
-
-// before orders two events in the merged wire view's (time, channel, seq)
-// order. seq is unique within a channel, so the order is total.
-func before(x, y *openWireEvent) bool {
+// wireBefore orders runs a and b by their heads in the merged wire view's
+// (time, channel, seq) order; run r carries channel r/2. seq is unique
+// within a channel, so the order is total over unexhausted runs.
+func wireBefore(heads []openWireEvent, a, b int) bool {
+	x, y := &heads[a], &heads[b]
 	if x.at != y.at {
 		return x.at < y.at
 	}
-	if x.ch != y.ch {
-		return x.ch < y.ch
+	if a>>1 != b>>1 {
+		return a>>1 < b>>1
 	}
 	return x.seq < y.seq
 }
 
-// down sifts h[i] down to its place.
-func (h wireHeap) down(i int) {
-	x := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && before(&h[c+1].ev, &h[c].ev) {
-			c++
-		}
-		if !before(&h[c].ev, &x.ev) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = x
+// fnvWord feeds v's eight little-endian bytes into the FNV-1a-64 state h.
+func fnvWord(h, v uint64) uint64 {
+	h = (h ^ v&0xff) * fnvPrime64
+	h = (h ^ v>>8&0xff) * fnvPrime64
+	h = (h ^ v>>16&0xff) * fnvPrime64
+	h = (h ^ v>>24&0xff) * fnvPrime64
+	h = (h ^ v>>32&0xff) * fnvPrime64
+	h = (h ^ v>>40&0xff) * fnvPrime64
+	h = (h ^ v>>48&0xff) * fnvPrime64
+	return (h ^ v>>56) * fnvPrime64
 }

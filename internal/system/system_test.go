@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -401,6 +402,111 @@ func TestPCMAccountingIdentities(t *testing.T) {
 			if math.Abs(st.EnergyPJ-want) > relTolerance*want {
 				t.Errorf("%s/%dch: energy %v pJ, want %v (array reads %d, writes %d, accesses %d)",
 					name, ch, st.EnergyPJ, want, st.ArrayReads, st.ArrayWrites, st.Accesses)
+			}
+		}
+	}
+}
+
+// TestLinkBusyLaw checks the operational law that a link is busy for
+// exactly the time its bytes take at the Table 2 bandwidth: on every
+// channel, request plus reply busy time equals bytes x 78.125 ps (1000 ps /
+// 12.8 GB/s). Every packet size is a multiple of 8 bytes, which take
+// exactly 625 ps, so no transfer rounds and the law holds with no
+// tolerance. It runs 2000 milc requests on every registered backend at 1
+// and 2 channels through cpu.Run; the oram backend's fixed-latency model
+// moves no bus bytes, so the law holds trivially there.
+func TestLinkBusyLaw(t *testing.T) {
+	const psPer8Bytes = 625
+	p, err := workload.ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range BackendNames() {
+		for _, ch := range []int{1, 2} {
+			cfg := DefaultConfig(name)
+			cfg.Channels = ch
+			s := New(cfg)
+			cpu.Run(p, 2000, s, cpu.DefaultConfig(), 5)
+			for c, st := range s.Bus().Stats() {
+				if st.Bytes == 0 && name != "oram" {
+					t.Errorf("%s/%dch: channel %d moved no bytes; the law is vacuous", name, ch, c)
+				}
+				if busy := st.ReqBusy + st.RespBusy; uint64(busy)*8 != st.Bytes*psPer8Bytes {
+					t.Errorf("%s/%dch: channel %d busy %d ps for %d bytes, want %d ps",
+						name, ch, c, busy, st.Bytes, st.Bytes*psPer8Bytes/8)
+				}
+			}
+		}
+	}
+}
+
+// TestObfusCryptoAccounting checks the ObfusMem crypto counters against each
+// other on fault-free runs. Every bus access is a (read, write) pair; let P
+// be the pairs and R the pairs whose read half is real, the replies that
+// carry data the processor decrypts. Then:
+//
+//	read halves = write halves      RealReads + DummyReads = RealWrites + DummyWrites = P
+//	processor pads = 6P + 4R        4 command pads and 2 write-data pads per pair sent,
+//	                                4 pads to decrypt a real reply
+//	memory pads = 2P + 4R           2 command pads per pair decoded, 4 reply pads
+//	MACs = 3P with a MAC, else 0    one per request leg and one per reply
+//	energy = 60.4 pJ x pads + 12.5 pJ x (2 MACs - dummy replies), or
+//	         60.4 pJ x pads without a MAC
+//
+// The energy term counts MD5 digests, not MACs: each MAC is digested once to
+// send it and once to verify it, except a dummy reply's, which the processor
+// drops unverified. The constants are DESIGN's (15.1 mW x 4 ns per AES pad,
+// 12.5 pJ per MD5 digest).
+func TestObfusCryptoAccounting(t *testing.T) {
+	const (
+		padPJ        = 60.4
+		digestPJ     = 12.5
+		relTolerance = 1e-12
+	)
+	for _, name := range []string{"obfusmem", "obfusmem-auth"} {
+		for _, bench := range []string{"milc", "lbm", "mcf"} {
+			p, err := workload.ByName(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ch := range []int{1, 2, 4} {
+				cfg := DefaultConfig(name)
+				cfg.Channels = ch
+				s := New(cfg)
+				cpu.Run(p, 2000, s, cpu.DefaultConfig(), 5)
+				ctl := s.Obfus()
+				st := ctl.Stats()
+				id := fmt.Sprintf("%s/%s/%dch", name, bench, ch)
+				pairs := st.RealReads + st.DummyReads
+				replies := pairs - st.DummyReads
+				if pairs == 0 || replies == 0 {
+					t.Fatalf("%s: %d pairs, %d real replies; the identities are vacuous", id, pairs, replies)
+				}
+				if w := st.RealWrites + st.DummyWrites; w != pairs {
+					t.Errorf("%s: %d write halves, %d read halves", id, w, pairs)
+				}
+				if got, want := ctl.PadsProc(), 6*pairs+4*replies; got != want {
+					t.Errorf("%s: %d processor pads, want 6x%d + 4x%d = %d", id, got, pairs, replies, want)
+				}
+				if got, want := ctl.PadsMem(), 2*pairs+4*replies; got != want {
+					t.Errorf("%s: %d memory pads, want 2x%d + 4x%d = %d", id, got, pairs, replies, want)
+				}
+				wantMACs := uint64(0)
+				if cfg.Obfus.MAC != obfus.MACNone {
+					wantMACs = 3 * pairs
+				}
+				if st.MACsComputed != wantMACs {
+					t.Errorf("%s: %d MACs computed, want %d", id, st.MACsComputed, wantMACs)
+				}
+				pads := float64(ctl.PadsProc() + ctl.PadsMem())
+				digests := 0.0 // no MAC, no MD5 unit issues
+				if wantMACs > 0 {
+					digests = float64(2*st.MACsComputed - st.DummyReads)
+				}
+				want := padPJ*pads + digestPJ*digests
+				if got := ctl.CryptoEnergyPJ(); math.Abs(got-want) > relTolerance*want {
+					t.Errorf("%s: crypto energy %v pJ, want %v (%v pads, %v digests)", id, got, want, pads, digests)
+				}
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		memProfile   = fs.String("memprofile", "", "write a pprof heap profile (post-GC) at exit to this file")
 		blockProfile = fs.String("blockprofile", "", "write a pprof goroutine-blocking profile at exit to this file (worker-pool and campaign waits)")
 		mutexProfile = fs.String("mutexprofile", "", "write a pprof mutex-contention profile at exit to this file")
-		exposure     = fs.Float64("exposure", 0.55, "fraction of read latency exposed to execution time")
+		exposure     = fs.Float64("exposure", cpu.DefaultConfig().Exposure, "fraction of read latency exposed to execution time")
 		csv          = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		useMetrics   = fs.Bool("metrics", false, "record per-component observability metrics (small overhead)")
 		metricsOut   = fs.String("metrics-out", "metrics.json", "file for the metrics JSON snapshot (\"-\" for stdout); implies -metrics")

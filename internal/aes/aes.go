@@ -1,5 +1,5 @@
 // Package aes provides the AES-128 block cipher together with the
-// counter-mode pad generation and the timing/energy model of the pipelined
+// counter-mode pad generation and the timing and energy parameters of the pipelined
 // hardware engine that ObfusMem places on each side of each memory channel.
 //
 // The functional cipher is the standard library's crypto/aes (AES-NI on

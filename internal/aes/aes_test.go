@@ -238,38 +238,6 @@ func TestIVBytesLayout(t *testing.T) {
 	}
 }
 
-func TestEngineTimingAndEnergy(t *testing.T) {
-	c, _ := NewCipher(make([]byte, 16))
-	e := NewEngineTimed("test", c, EngineLatency, EngineCycle)
-	done := e.IssueOnly(0, 6)
-	// 24-cycle latency + 5 extra initiation intervals at 4ns.
-	want := EngineLatency + 5*EngineCycle
-	if done != want {
-		t.Fatalf("done = %v, want %v", done, want)
-	}
-	if e.Pads() != 6 {
-		t.Fatalf("Pads() = %d, want 6", e.Pads())
-	}
-	wantE := 6 * PadEnergyPJ
-	if got := e.EnergyPJ(); got < wantE-0.001 || got > wantE+0.001 {
-		t.Fatalf("EnergyPJ = %v, want %v", got, wantE)
-	}
-}
-
-func TestEngineIssueOnly(t *testing.T) {
-	c, _ := NewCipher(make([]byte, 16))
-	e := NewEngineTimed("t", c, EngineLatency, EngineCycle)
-	d1 := e.IssueOnly(0, 1)
-	if d1 != EngineLatency {
-		t.Fatalf("IssueOnly done = %v, want %v", d1, EngineLatency)
-	}
-	// Back-to-back issue occupies the pipeline front end.
-	d2 := e.IssueOnly(0, 1)
-	if d2 != EngineLatency+EngineCycle {
-		t.Fatalf("second IssueOnly done = %v, want %v", d2, EngineLatency+EngineCycle)
-	}
-}
-
 func BenchmarkEncryptBlock(b *testing.B) {
 	c, _ := NewCipher(make([]byte, 16))
 	src := make([]byte, 16)

@@ -1,7 +1,7 @@
 // Package determinism machine-checks the map-order half of the simulator's
 // bit-identical-output invariant: within the scoped packages (sim, obfus,
 // palermo, backend, bus, memctl, pcm, exp, metrics, trace, leakage, stats,
-// campaign, system, workload) it reports map iteration whose effect depends
+// campaign, system, workload, attack) it reports map iteration whose effect depends
 // on iteration order.
 //
 // Keyed writes, loop-local state, and commutative integer accumulation are
@@ -72,7 +72,7 @@ var scoped = map[string]bool{
 	"sim": true, "obfus": true, "palermo": true, "backend": true,
 	"bus": true, "memctl": true, "pcm": true, "exp": true,
 	"metrics": true, "trace": true, "leakage": true, "stats": true,
-	"campaign": true, "system": true, "workload": true,
+	"campaign": true, "system": true, "workload": true, "attack": true,
 }
 
 // inScope reports whether the import path is .../internal/<scoped leaf>.

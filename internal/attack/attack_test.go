@@ -149,7 +149,7 @@ func TestECBStrawmanBreaksUnderDictionaryAttack(t *testing.T) {
 }
 
 func TestReadWriteIndistinguishableUnderObfusMem(t *testing.T) {
-	profile := func(write bool) map[[2]int]float64 {
+	profile := func(write bool) map[Shape]float64 {
 		cfg := obfus.Default()
 		cfg.SubstituteReal = false
 		b, _, ctrl := newObfusRig(t, cfg, 1)
@@ -176,7 +176,7 @@ func TestReadWriteIndistinguishableUnderObfusMem(t *testing.T) {
 }
 
 func TestReadWriteDistinguishableOnPlainBus(t *testing.T) {
-	profile := func(write bool) map[[2]int]float64 {
+	profile := func(write bool) map[Shape]float64 {
 		b := bus.New(bus.DefaultConfig(1))
 		mc := memctl.New(memctl.DefaultConfig(1))
 		obs := NewObserver(1, 1<<20)

@@ -10,7 +10,9 @@
 package attack
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"obfusmem/internal/bus"
@@ -138,18 +140,22 @@ func (o *Observer) FootprintError() float64 {
 	return math.Abs(float64(o.FootprintEstimate())-float64(truth)) / float64(truth)
 }
 
+// Shape is the attacker-visible shape of one transfer: its wire size in
+// bytes above the low bit, its direction in the low bit.
+type Shape int
+
 // ShapeProfile summarises everything a size/direction attacker can extract
 // from the trace: the empirical distribution over (direction, wire size)
 // per observed transfer. Two workloads are distinguishable by request type
 // exactly to the extent their profiles differ.
-func (o *Observer) ShapeProfile() map[[2]int]float64 {
-	counts := make(map[[2]int]int)
+func (o *Observer) ShapeProfile() map[Shape]float64 {
+	counts := make(map[Shape]int)
 	total := 0
 	for _, r := range o.records {
-		counts[[2]int{int(r.dir), r.size}]++
+		counts[Shape(r.size<<1|int(r.dir))]++
 		total++
 	}
-	out := make(map[[2]int]float64, len(counts))
+	out := make(map[Shape]float64, len(counts))
 	if total == 0 {
 		return out
 	}
@@ -159,20 +165,25 @@ func (o *Observer) ShapeProfile() map[[2]int]float64 {
 	return out
 }
 
-// TotalVariation returns the total-variation distance between two shape
-// profiles: the attacker's maximum advantage (over 50/50 guessing) at
-// telling which of two workloads produced a trace, using shapes alone.
-// 0 means perfectly indistinguishable; 1 means trivially distinguishable.
-func TotalVariation(p, q map[[2]int]float64) float64 {
-	keys := make(map[[2]int]bool)
+// TotalVariation returns the total-variation distance between two
+// distributions, such as two shape profiles: the attacker's maximum
+// advantage (over 50/50 guessing) at telling which of two workloads
+// produced a trace from that view alone. 0 means perfectly
+// indistinguishable; 1 means trivially distinguishable. It sums in
+// ascending key order, so the float result does not depend on map order.
+func TotalVariation[K cmp.Ordered](p, q map[K]float64) float64 {
+	keys := make([]K, 0, len(p)+len(q))
 	for k := range p {
-		keys[k] = true
+		keys = append(keys, k)
 	}
 	for k := range q {
-		keys[k] = true
+		if _, ok := p[k]; !ok {
+			keys = append(keys, k)
+		}
 	}
+	slices.Sort(keys)
 	d := 0.0
-	for k := range keys {
+	for _, k := range keys {
 		d += math.Abs(p[k] - q[k])
 	}
 	return d / 2
@@ -216,26 +227,10 @@ func (o *Observer) SpatialCorrelation(window sim.Time) float64 {
 // over, and reports the fraction of accesses whose address it recovers.
 // Under CTR it must recover ~nothing (every ciphertext unique).
 func (o *Observer) DictionaryAttack() float64 {
-	ctFreq := make(map[[bus.CmdBytes]byte]int)
-	ptFreq := make(map[uint64]int)
 	type pair struct {
 		ct [bus.CmdBytes]byte
 		pt uint64
 	}
-	var stream []pair
-	for _, r := range o.records {
-		if !r.hasCmd || r.dir != bus.ProcToMem || r.truthDummy {
-			continue
-		}
-		k := r.obsKey()
-		ctFreq[k]++
-		ptFreq[r.truthAddr]++
-		stream = append(stream, pair{k, r.truthAddr})
-	}
-	if len(stream) == 0 {
-		return 0
-	}
-	// Rank both sides by frequency.
 	type ctEnt struct {
 		k [bus.CmdBytes]byte
 		n int
@@ -244,14 +239,36 @@ func (o *Observer) DictionaryAttack() float64 {
 		k uint64
 		n int
 	}
-	cts := make([]ctEnt, 0, len(ctFreq))
-	for k, n := range ctFreq {
-		cts = append(cts, ctEnt{k, n})
+	// Count both sides, each distinct key in order of first appearance.
+	ctIdx := make(map[[bus.CmdBytes]byte]int)
+	ptIdx := make(map[uint64]int)
+	var cts []ctEnt
+	var pts []ptEnt
+	var stream []pair
+	for _, r := range o.records {
+		if !r.hasCmd || r.dir != bus.ProcToMem || r.truthDummy {
+			continue
+		}
+		k := r.obsKey()
+		if i, ok := ctIdx[k]; ok {
+			cts[i].n++
+		} else {
+			ctIdx[k] = len(cts)
+			cts = append(cts, ctEnt{k, 1})
+		}
+		if i, ok := ptIdx[r.truthAddr]; ok {
+			pts[i].n++
+		} else {
+			ptIdx[r.truthAddr] = len(pts)
+			pts = append(pts, ptEnt{r.truthAddr, 1})
+		}
+		stream = append(stream, pair{k, r.truthAddr})
 	}
-	pts := make([]ptEnt, 0, len(ptFreq))
-	for k, n := range ptFreq {
-		pts = append(pts, ptEnt{k, n})
+	if len(stream) == 0 {
+		return 0
 	}
+	// Rank both sides by frequency; ties break by key, so the ranking is
+	// a total order.
 	sort.Slice(cts, func(i, j int) bool {
 		if cts[i].n != cts[j].n {
 			return cts[i].n > cts[j].n

@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"math"
 	"sort"
 
 	"obfusmem/internal/bus"
@@ -49,9 +48,7 @@ func (o *Observer) interArrivals(ch int) []sim.Time {
 // InterArrivalHistogram returns the binned distribution of request
 // inter-arrival times (bin width in picoseconds), normalised to sum to 1.
 func (o *Observer) InterArrivalHistogram(bin sim.Time) map[int64]float64 {
-	if bin <= 0 {
-		bin = 10 * sim.Nanosecond
-	}
+	bin = binOrDefault(bin)
 	gaps := o.interArrivals(-1)
 	out := make(map[int64]float64)
 	if len(gaps) == 0 {
@@ -70,32 +67,32 @@ func (o *Observer) InterArrivalHistogram(bin sim.Time) map[int64]float64 {
 // bin: ~1.0 for a fixed-cadence (timing-oblivious) stream, low for bursty
 // program-driven traffic.
 func (o *Observer) TimingRegularity(bin sim.Time) float64 {
-	h := o.InterArrivalHistogram(bin)
-	best := 0.0
-	for _, p := range h {
-		if p > best {
-			best = p
-		}
+	bin = binOrDefault(bin)
+	gaps := o.interArrivals(-1)
+	if len(gaps) == 0 {
+		return 0
 	}
-	return best
+	counts := make(map[int64]int)
+	best := 0
+	for _, g := range gaps {
+		k := int64(g / bin)
+		counts[k]++
+		best = max(best, counts[k])
+	}
+	return float64(best) / float64(len(gaps))
+}
+
+// binOrDefault returns bin, or 10 ns when bin is not positive.
+func binOrDefault(bin sim.Time) sim.Time {
+	if bin <= 0 {
+		return 10 * sim.Nanosecond
+	}
+	return bin
 }
 
 // TimingDistance returns the total-variation distance between two traces'
 // inter-arrival distributions: the attacker's advantage at telling which of
 // two programs produced a trace from timing alone.
 func TimingDistance(a, b *Observer, bin sim.Time) float64 {
-	pa := a.InterArrivalHistogram(bin)
-	pb := b.InterArrivalHistogram(bin)
-	keys := make(map[int64]bool)
-	for k := range pa {
-		keys[k] = true
-	}
-	for k := range pb {
-		keys[k] = true
-	}
-	d := 0.0
-	for k := range keys {
-		d += math.Abs(pa[k] - pb[k])
-	}
-	return d / 2
+	return TotalVariation(a.InterArrivalHistogram(bin), b.InterArrivalHistogram(bin))
 }

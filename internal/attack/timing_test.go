@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math"
 	"testing"
 
 	"obfusmem/internal/bus"
@@ -143,5 +144,41 @@ func TestTimingObliviousRepliesWorstCase(t *testing.T) {
 	}
 	if min < obfus.WorstCaseAccess {
 		t.Fatalf("reply arrived %v after request, below worst-case %v", min, obfus.WorstCaseAccess)
+	}
+}
+
+// TestDistancesBitReproducible repeats TotalVariation and TimingDistance on
+// fixed inputs with many keys and requires bit-identical results: a sum in
+// map iteration order rounds differently from call to call.
+func TestDistancesBitReproducible(t *testing.T) {
+	r := xrand.New(11)
+	p, q := make(map[Shape]float64), make(map[Shape]float64)
+	for k := 0; k < 40; k++ {
+		p[Shape(k)] = r.Float64() / 40
+		if k%3 != 0 {
+			q[Shape(k+1)] = r.Float64() / 40
+		}
+	}
+	// Two request streams whose inter-arrival gaps spread over ~80 bins.
+	stream := func(seed uint64) *Observer {
+		o := NewObserver(1, 1<<12)
+		r := xrand.New(seed)
+		at := sim.Time(0)
+		for i := 0; i < 2000; i++ {
+			at += 6*sim.Nanosecond + sim.Time(r.Intn(int(2*sim.Microsecond)))
+			o.Observe(at, &bus.Packet{Dir: bus.ProcToMem})
+		}
+		return o
+	}
+	a, b := stream(1), stream(2)
+	bin := 25 * sim.Nanosecond
+	tv, td := TotalVariation(p, q), TimingDistance(a, b, bin)
+	for i := 0; i < 200; i++ {
+		if got := TotalVariation(p, q); math.Float64bits(got) != math.Float64bits(tv) {
+			t.Fatalf("TotalVariation call %d = %v, first call %v", i, got, tv)
+		}
+		if got := TimingDistance(a, b, bin); math.Float64bits(got) != math.Float64bits(td) {
+			t.Fatalf("TimingDistance call %d = %v, first call %v", i, got, td)
+		}
 	}
 }

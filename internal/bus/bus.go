@@ -169,8 +169,10 @@ type ChannelStats struct {
 	DummyPackets   uint64
 	ControlPackets uint64 // NACK/resync control traffic
 	Bytes          uint64
-	ReqBusy        sim.Time
-	RespBusy       sim.Time
+	// ReqBusy and RespBusy are the request and reply links' serialization
+	// time, read from the link resources when Stats is called.
+	ReqBusy  sim.Time
+	RespBusy sim.Time
 }
 
 // Link parameters of every channel (Table 2).
@@ -243,8 +245,8 @@ func New(cfg Config) *Bus {
 	}
 	b.met = make([]chanMetrics, cfg.Channels)
 	for i := 0; i < cfg.Channels; i++ {
-		b.req[i] = sim.NewResource(fmt.Sprintf("ch%d-req", i))
-		b.resp[i] = sim.NewResource(fmt.Sprintf("ch%d-resp", i))
+		b.req[i] = sim.NewResource()
+		b.resp[i] = sim.NewResource()
 		if sc := cfg.Metrics.Scope(names.PerChannel(names.ScopeBus, i)); sc != nil {
 			b.met[i] = chanMetrics{
 				cmdPackets:     sc.Counter(names.BusCmdPackets),
@@ -319,11 +321,6 @@ func (b *Bus) Transfer(at sim.Time, p *Packet) (arrive sim.Time, delivered *Pack
 	}
 	if p.Control != ControlNone {
 		st.ControlPackets++
-	}
-	if p.Dir == ProcToMem {
-		st.ReqBusy += hold
-	} else {
-		st.RespBusy += hold
 	}
 
 	m := &b.met[p.Channel]
@@ -443,10 +440,15 @@ func (b *Bus) IdleAt(channel int, t sim.Time) bool {
 	return b.req[channel].IdleAt(t)
 }
 
-// Stats returns a copy of the per-channel counters.
+// Stats returns a copy of the per-channel counters, with each link's busy
+// time read from its resource.
 func (b *Bus) Stats() []ChannelStats {
 	out := make([]ChannelStats, len(b.stats))
 	copy(out, b.stats)
+	for i := range out {
+		out[i].ReqBusy = b.req[i].BusyTime()
+		out[i].RespBusy = b.resp[i].BusyTime()
+	}
 	return out
 }
 

@@ -262,15 +262,7 @@ func UniqueKeys(cells []Cell) (order []string, firstCell map[string]Cell) {
 // workload (not the scheme) perturbs the stream so paired scheme
 // comparisons on the same (workload, seed) run identical traces.
 func machineSeed(c Cell) uint64 {
-	const (
-		fnvOffset64 = 14695981039346656037
-		fnvPrime64  = 1099511628211
-	)
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(c.Workload); i++ {
-		h = (h ^ uint64(c.Workload[i])) * fnvPrime64
-	}
-	return c.Seed ^ xrand.Mix64(h)
+	return c.Seed ^ xrand.Mix64(xrand.HashName(c.Workload))
 }
 
 // budgetOf converts the cell's nanosecond deadline to a sim budget.

@@ -62,7 +62,7 @@ type Config struct {
 
 // DefaultConfig matches the calibration in DESIGN.md.
 func DefaultConfig() Config {
-	return Config{Exposure: 0.55}
+	return Config{Exposure: workload.DefaultExposure}
 }
 
 // Result summarises one run.

@@ -22,11 +22,15 @@ const (
 	BlocksPerPage = PageBytes / BlockBytes
 	MinorBits     = 7
 	MinorLimit    = 1 << MinorBits // overflow threshold
-	XORLatency    = cache.CPUCycle // the only serial step on a hit
+	XORLatency    = sim.CPUCycle   // the only serial step on a hit
 )
 
-// CtrCacheHitLat is the counter-cache hit latency (Table 2: 5 cycles).
-var CtrCacheHitLat = cache.CounterCacheConfig.HitLatency
+// Counter cache of Table 2: 256 KB, 8-way, 64 B blocks, 5-cycle hits.
+const (
+	ctrCacheBytes  = 256 << 10
+	ctrCacheAssoc  = 8
+	CtrCacheHitLat = 5 * sim.CPUCycle
+)
 
 // pageCounters is the functional (value-level) counter state of one page.
 type pageCounters struct {
@@ -54,7 +58,9 @@ type MemFetch func(at sim.Time, addr uint64, write bool) sim.Time
 
 // Engine is the processor-side memory encryption unit.
 type Engine struct {
-	engine   *aes.Engine
+	// pads is the timing of the memory-encryption AES; ctr makes its pads.
+	pads     *sim.Pipeline
+	ctr      *aes.CTR
 	ctrCache *cache.Cache
 	pages    map[uint64]*pageCounters
 	fetch    MemFetch
@@ -76,8 +82,9 @@ func New(memKey [16]byte, fetch MemFetch) *Engine {
 		// The memory-encryption AES sits on the processor die and is
 		// clocked with the core: 24 pipeline stages at 500 ps. Its pads
 		// therefore hide behind even a PCM row-buffer hit.
-		engine:        aes.NewEngineTimed("memenc", c, 24*cache.CPUCycle, cache.CPUCycle),
-		ctrCache:      cache.New(cache.CounterCacheConfig),
+		pads:          sim.NewPipeline(24*sim.CPUCycle, sim.CPUCycle),
+		ctr:           aes.NewCTR(c),
+		ctrCache:      cache.New(ctrCacheBytes, ctrCacheAssoc, BlockBytes),
 		pages:         make(map[uint64]*pageCounters),
 		fetch:         fetch,
 		counterRegion: 1 << 40,
@@ -124,7 +131,7 @@ func ivOf(addr uint64, pc *pageCounters) aes.IV {
 func (e *Engine) counterReady(at sim.Time, addr uint64) sim.Time {
 	page := pageOf(addr)
 	cAddr := e.ctrBlockAddr(page)
-	if e.ctrCache.Lookup(cAddr, true) != cache.Invalid {
+	if e.ctrCache.Lookup(cAddr) {
 		e.stats.CtrHits++
 		return at + CtrCacheHitLat
 	}
@@ -134,10 +141,12 @@ func (e *Engine) counterReady(at sim.Time, addr uint64) sim.Time {
 		e.stats.CtrFetches++
 		ready = e.fetch(at, cAddr, false)
 	}
-	if ev, ok := e.ctrCache.Insert(cAddr, cache.Modified); ok && ev.Dirty {
+	// Every cached counter block is held dirty, so every victim is
+	// written back, even one that was only read (DESIGN §5).
+	if victim, ok := e.ctrCache.Insert(cAddr); ok {
 		e.stats.CtrWritebacks++
 		if e.fetch != nil {
-			e.fetch(ready, ev.Addr, true) // posted
+			e.fetch(ready, victim, true) // posted
 		}
 	}
 	return ready
@@ -152,7 +161,7 @@ func (e *Engine) DecryptFill(at sim.Time, addr uint64, dataReady sim.Time) sim.T
 	e.stats.Fills++
 	ctrAt := e.counterReady(at, addr)
 	// Four pads for the 64-byte block.
-	padsDone := e.engine.IssueOnly(ctrAt, 4)
+	padsDone := e.pads.IssueN(ctrAt, 4)
 	if padsDone <= dataReady {
 		e.stats.PadsHiddenByMiss++
 	} else {
@@ -187,22 +196,22 @@ func (e *Engine) EncryptWriteback(at sim.Time, addr uint64) (ready sim.Time, iv 
 		pc.minors[blk] = 1
 		e.stats.PageReencrypts++
 		e.stats.ReencryptedBlks += BlocksPerPage
-		e.engine.IssueOnly(at, BlocksPerPage*4)
+		e.pads.IssueN(at, BlocksPerPage*4)
 	}
 	ctrAt := e.counterReady(at, addr)
-	padsDone := e.engine.IssueOnly(ctrAt, 4)
+	padsDone := e.pads.IssueN(ctrAt, 4)
 	return padsDone + XORLatency, ivOf(addr, pc)
 }
 
 // EncryptData functionally encrypts a 64-byte block in place at its current
 // counter version (used by value-level tests and the end-to-end examples).
 func (e *Engine) EncryptData(data []byte, addr uint64) {
-	e.engine.CTR().EncryptBlock64(data, e.ivWide(addr))
+	e.ctr.EncryptBlock64(data, e.ivWide(addr))
 }
 
 // DecryptData reverses EncryptData at the current counter version.
 func (e *Engine) DecryptData(data []byte, addr uint64) {
-	e.engine.CTR().EncryptBlock64(data, e.ivWide(addr))
+	e.ctr.EncryptBlock64(data, e.ivWide(addr))
 }
 
 // ivWide spreads the four pad positions of a block across the counter space
@@ -213,10 +222,10 @@ func (e *Engine) ivWide(addr uint64) aes.IV {
 }
 
 // PadsGenerated returns total pad count (for the Section 5.2 energy math).
-func (e *Engine) PadsGenerated() uint64 { return e.engine.Pads() }
+func (e *Engine) PadsGenerated() uint64 { return e.pads.Ops() }
 
 // EnergyPJ returns AES energy spent on memory encryption.
-func (e *Engine) EnergyPJ() float64 { return e.engine.EnergyPJ() }
+func (e *Engine) EnergyPJ() float64 { return float64(e.pads.Ops()) * aes.PadEnergyPJ }
 
 // CtrHitRate returns the counter-cache hit rate.
 func (e *Engine) CtrHitRate() float64 {

@@ -78,15 +78,7 @@ type suiteResult map[string]map[string]cpu.Result
 // every mode must see the same stream for a benchmark, or paired
 // comparisons (overhead = protected/baseline on the same trace) break.
 func runSeed(global uint64, p workload.Profile) uint64 {
-	const (
-		fnvOffset64 = 14695981039346656037
-		fnvPrime64  = 1099511628211
-	)
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(p.Name); i++ {
-		h = (h ^ uint64(p.Name[i])) * fnvPrime64
-	}
-	return global ^ xrand.Mix64(h) ^ xrand.Mix64(uint64(p.FootprintMB))
+	return global ^ xrand.Mix64(xrand.HashName(p.Name)) ^ xrand.Mix64(uint64(p.FootprintMB))
 }
 
 // runSuite executes every benchmark under every mode on a worker pool of

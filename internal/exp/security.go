@@ -157,10 +157,3 @@ func Tampering(opts Options) *stats.Table {
 	}
 	return t
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -8,7 +8,6 @@ import (
 	"obfusmem/internal/sim"
 	"obfusmem/internal/stats"
 	"obfusmem/internal/system"
-	"obfusmem/internal/workload"
 )
 
 // TimingOblivious evaluates the Section 6.2 extension the paper sketches
@@ -21,27 +20,19 @@ func TimingOblivious(opts Options) *stats.Table {
 	t := stats.NewTable("Section 6.2 extension: timing-oblivious ObfusMem",
 		"Quantity", "ObfusMem", "ObfusMem (timing-oblivious)", "Notes")
 
-	run := func(bench string, oblivious bool) (*attack.Observer, cpu.Result, *system.System) {
+	run := func(bench string, oblivious bool) (*attack.Observer, *system.System, cpu.Result) {
 		cfg := system.DefaultConfig("obfusmem")
 		cfg.Obfus.TimingOblivious = oblivious
-		p, err := workload.ByName(bench)
-		if err != nil {
-			panic(err)
-		}
-		sys := system.New(cfg)
-		obs := attack.NewObserver(1, 1<<21)
-		sys.Bus().AttachObserver(obs)
-		res := cpu.Run(p, opts.Requests, sys, opts.CPU, opts.Seed+3)
-		return obs, res, sys
+		return observedRun(opts, cfg, bench)
 	}
 
 	bin := 25 * sim.Nanosecond
 
 	// Distinguishability of two different programs from timing.
-	oA, resA, sysA := run("milc", false)
+	oA, sysA, resA := run("milc", false)
 	oB, _, _ := run("libquantum", false)
 	plainDist := attack.TimingDistance(oA, oB, bin)
-	oAo, resAo, sysAo := run("milc", true)
+	oAo, sysAo, resAo := run("milc", true)
 	oBo, _, _ := run("libquantum", true)
 	oblivDist := attack.TimingDistance(oAo, oBo, bin)
 	t.AddRow("program distinguishability (TV, milc vs libquantum)",

@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+
+	"obfusmem/internal/metrics"
 )
 
 // TestWorkersOneVsManyIdentical pins the PR 4 worker-pool contract: the
@@ -41,5 +44,31 @@ func TestQuickSuiteByteIdentical(t *testing.T) {
 	b := Table3(o).String()
 	if a != b {
 		t.Fatalf("quick-suite tables differ between identical runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// TestMetricsWorkerIndependence extends the pool-size contract to the
+// shared metrics registry: every run of a suite aggregates into one
+// registry, so its histogram sums must not depend on the order the pool's
+// goroutines add in. The snapshot JSON of 1 and 4 workers must match
+// byte for byte.
+func TestMetricsWorkerIndependence(t *testing.T) {
+	snapshot := func(workers int) []byte {
+		o := testOpts()
+		o.Requests = 300
+		o.Workers = workers
+		o.Metrics = metrics.NewRegistry()
+		Table3Numbers(o)
+		var buf bytes.Buffer
+		if err := o.Metrics.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one := snapshot(1)
+	for i := 0; i < 3; i++ {
+		if many := snapshot(4); !bytes.Equal(one, many) {
+			t.Fatalf("metrics snapshot differs between 1 and 4 workers (trial %d)", i)
+		}
 	}
 }

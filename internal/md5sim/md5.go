@@ -23,5 +23,5 @@ const BlockSize = md5.BlockSize
 // ObfusMem controller computes per-packet MACs with it only where the bus
 // is exposed (an observer, tamperer or fault injector attached) or a
 // counter desync must be confirmed; the MD5 unit's timing and energy are
-// modelled by Unit either way.
+// modelled either way, by a sim.Pipeline and MACEnergyPJ.
 func Digest(msg []byte) [Size]byte { return md5.Sum(msg) }

@@ -109,27 +109,6 @@ func TestComputeOverMessage(t *testing.T) {
 	}
 }
 
-func TestUnitTimingOverlap(t *testing.T) {
-	u := NewUnit("mac")
-	// encrypt-and-MAC: issue at t=0, overlapping an encryption that also
-	// starts at 0; both done by max of the two latencies.
-	done := u.Issue(0)
-	if done != UnitLatency {
-		t.Fatalf("done = %v, want %v", done, UnitLatency)
-	}
-	// Pipelined: second digest one cycle later.
-	done2 := u.Issue(0)
-	if done2 != UnitLatency+UnitCycle {
-		t.Fatalf("done2 = %v, want %v", done2, UnitLatency+UnitCycle)
-	}
-	if u.Digests() != 2 {
-		t.Fatalf("Digests = %d", u.Digests())
-	}
-	if e := u.EnergyPJ(); e != 2*MACEnergyPJ {
-		t.Fatalf("EnergyPJ = %v", e)
-	}
-}
-
 // TestComputeZeroAllocs guards the per-packet MAC hot call.
 func TestComputeZeroAllocs(t *testing.T) {
 	var n uint64

@@ -12,7 +12,8 @@ import (
 // adders and a rotate, so the unit clocks well above the AES datapath; we
 // model a 1 ns stage, giving a 64 ns digest latency — short enough that,
 // as Observation 4 requires, MAC generation overlaps request encryption
-// and the PCM array access.
+// and the PCM array access. A unit's timing is a sim.Pipeline with these
+// parameters.
 const (
 	UnitCycle   = 1 * sim.Nanosecond
 	UnitStages  = 64
@@ -47,26 +48,3 @@ func ComputeOverMessage(msg []byte) MAC {
 	d := Digest(msg)
 	return MAC(binary.BigEndian.Uint64(d[:8]))
 }
-
-// Unit is the timing model of one pipelined MD5 engine.
-type Unit struct {
-	pipe *sim.Pipeline
-}
-
-// NewUnit returns an idle MD5 unit.
-func NewUnit(name string) *Unit {
-	return &Unit{pipe: sim.NewPipeline(name, UnitLatency, UnitCycle)}
-}
-
-// Issue schedules one digest at or after `at` and returns its completion
-// time. With encrypt-and-MAC the caller issues as soon as (type, address,
-// counter) are known — potentially before the request reaches the bus — so
-// MAC latency overlaps encryption; with encrypt-then-MAC the caller must
-// pass at >= encryption completion.
-func (u *Unit) Issue(at sim.Time) sim.Time { return u.pipe.Issue(at) }
-
-// Digests returns the number of digests issued.
-func (u *Unit) Digests() uint64 { return u.pipe.Ops() }
-
-// EnergyPJ returns accumulated digest energy in picojoules.
-func (u *Unit) EnergyPJ() float64 { return float64(u.pipe.Ops()) * MACEnergyPJ }

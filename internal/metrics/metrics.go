@@ -91,13 +91,19 @@ func (g *Gauge) Value() float64 {
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations <= Bounds[i]; one implicit overflow bucket counts the rest.
 // Sum and extrema are tracked so means and tails survive the bucketing.
+//
+// The sum is an exact integer count of thousandths of the observed unit
+// (whole picoseconds for the nanosecond latency histograms, whose values
+// are sim.Time differences), so concurrent observers sharing a registry
+// reach the same sum in any order: a float64 sum would round differently
+// with the order the pool's goroutines happen to add in.
 type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1, last is overflow
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-	minBits atomic.Uint64
-	maxBits atomic.Uint64
+	bounds   []float64
+	counts   []atomic.Uint64 // len(bounds)+1, last is overflow
+	count    atomic.Uint64
+	sumMilli atomic.Int64 // sum of observations in thousandths
+	minBits  atomic.Uint64
+	maxBits  atomic.Uint64
 }
 
 // LatencyBucketsNS is the default bucket layout for memory-system latencies
@@ -123,12 +129,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
-	}
+	h.sumMilli.Add(int64(math.Round(v * 1000)))
 	for {
 		old := h.minBits.Load()
 		if math.Float64frombits(old) <= v || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
@@ -156,8 +157,11 @@ func (h *Histogram) Mean() float64 {
 	if h == nil || h.count.Load() == 0 {
 		return 0
 	}
-	return math.Float64frombits(h.sumBits.Load()) / float64(h.count.Load())
+	return h.sum() / float64(h.count.Load())
 }
+
+// sum returns the sum of all observations.
+func (h *Histogram) sum() float64 { return float64(h.sumMilli.Load()) / 1000 }
 
 // registryData is the shared store behind all scopes of one registry.
 type registryData struct {
@@ -298,7 +302,7 @@ func (r *Registry) Snapshot() Snapshot {
 			Bounds: append([]float64(nil), h.bounds...),
 			Counts: make([]uint64, len(h.counts)),
 			Count:  h.count.Load(),
-			Sum:    math.Float64frombits(h.sumBits.Load()),
+			Sum:    h.sum(),
 		}
 		for i := range h.counts {
 			hs.Counts[i] = h.counts[i].Load()

@@ -1,11 +1,8 @@
 package obfus
 
 import (
-	"fmt"
-
 	"obfusmem/internal/aes"
 	"obfusmem/internal/bus"
-	"obfusmem/internal/cache"
 	"obfusmem/internal/keys"
 	"obfusmem/internal/md5sim"
 	"obfusmem/internal/memctl"
@@ -133,7 +130,7 @@ const slotGroup = 6
 
 // XORLatency is the only serial encryption cost on the critical path when
 // pads are pre-generated (Fig 2/3): one core cycle for the final XOR.
-const XORLatency = cache.CPUCycle
+const XORLatency = sim.CPUCycle
 
 // writeQueueCap bounds the per-channel pending-write buffer used by the
 // substitute-real optimisation; beyond it the oldest write drains with a
@@ -221,21 +218,26 @@ type pendingWrite struct {
 	blk *memctl.Block
 }
 
-// chanState is one channel's cryptographic endpoints: an AES engine and an
-// MD5 unit per side, and the synchronised session counters.
+// chanState is one channel's cryptographic endpoints: AES engines and MD5
+// units on each side, the pad generator they share, and the synchronised
+// session counters.
 type chanState struct {
 	// Each side has dedicated engines per traffic direction so the
 	// request stream and the reply stream each see time-monotonic issue
 	// order (they are independent pipelines in hardware, and modelling
 	// them as one resource would serialise a request behind the
-	// *previous* request's reply decode).
-	procReqEng  *aes.Engine  // request-path pads (cmd + dummy data)
-	procRespEng *aes.Engine  // reply transit decryption
-	memReqEng   *aes.Engine  // request decode
-	memRespEng  *aes.Engine  // reply transit encryption
-	procMAC     *md5sim.Unit // request-path MAC generation
-	procVerMAC  *md5sim.Unit // reply verification digests
-	memMAC      *md5sim.Unit
+	// *previous* request's reply decode). Each field is the engine's
+	// timing; its op count is its pad or digest count.
+	procReqEng  *sim.Pipeline // AES: request-path pads (cmd + dummy data)
+	procRespEng *sim.Pipeline // AES: reply transit decryption
+	memReqEng   *sim.Pipeline // AES: request decode
+	memRespEng  *sim.Pipeline // AES: reply transit encryption
+	procMAC     *sim.Pipeline // MD5: request-path MAC generation
+	procVerMAC  *sim.Pipeline // MD5: reply verification digests
+	memMAC      *sim.Pipeline // MD5: memory-side digests
+	// ctr makes the functional pads of all four AES engines: both sides
+	// derive them from the one session key.
+	ctr *aes.CTR
 
 	reqCtr      uint64 // proc->mem pad counter (proc's view)
 	memReqCtr   uint64 // memory's view; diverges if packets are dropped
@@ -359,7 +361,7 @@ func New(cfg Config, b *bus.Bus, mem *memctl.Controller, table *keys.SessionKeyT
 		rng:      rng,
 		met:      newCtrlMetrics(cfg.Metrics),
 		tr:       cfg.Trace,
-		frontEnd: sim.NewResource("obfus-frontend"),
+		frontEnd: sim.NewResource(),
 	}
 	for ch := 0; ch < b.Channels(); ch++ {
 		key := table.KeyFor(ch)
@@ -367,26 +369,25 @@ func New(cfg Config, b *bus.Bus, mem *memctl.Controller, table *keys.SessionKeyT
 		if err != nil {
 			panic("obfus: bad session key: " + err.Error())
 		}
-		// Both sides derive engines from the same session key, so one
-		// expanded key serves all four of this channel's engines; counters
-		// start synchronised at zero.
+		// Both sides derive pads from the same session key, so one CTR
+		// serves all four of this channel's engines; counters start
+		// synchronised at zero.
 		// Each channel direction needs pad throughput matching the
 		// 12.8 GB/s link (one 16-byte pad per 1.25 ns); a single
 		// 4 ns-cycle AES engine sustains a quarter of that, so each
 		// direction on each side provisions four interleaved lanes
 		// (8 x 0.204 mm² per side — still negligible area).
-		const laneInterval = aes.EngineCycle / 4
-		mk := func(name string, c *aes.Cipher) *aes.Engine {
-			return aes.NewEngineTimed(name, c, aes.EngineLatency, laneInterval)
-		}
+		aesPipe := func() *sim.Pipeline { return sim.NewPipeline(aes.EngineLatency, aes.EngineCycle/4) }
+		md5Pipe := func() *sim.Pipeline { return sim.NewPipeline(md5sim.UnitLatency, md5sim.UnitCycle) }
 		cs := &chanState{
-			procReqEng:  mk(fmt.Sprintf("proc-req-aes%d", ch), cipher),
-			procRespEng: mk(fmt.Sprintf("proc-resp-aes%d", ch), cipher),
-			memReqEng:   mk(fmt.Sprintf("mem-req-aes%d", ch), cipher),
-			memRespEng:  mk(fmt.Sprintf("mem-resp-aes%d", ch), cipher),
-			procMAC:     md5sim.NewUnit(fmt.Sprintf("proc-md5%d", ch)),
-			procVerMAC:  md5sim.NewUnit(fmt.Sprintf("proc-ver-md5%d", ch)),
-			memMAC:      md5sim.NewUnit(fmt.Sprintf("mem-md5%d", ch)),
+			procReqEng:  aesPipe(),
+			procRespEng: aesPipe(),
+			memReqEng:   aesPipe(),
+			memRespEng:  aesPipe(),
+			procMAC:     md5Pipe(),
+			procVerMAC:  md5Pipe(),
+			memMAC:      md5Pipe(),
+			ctr:         aes.NewCTR(cipher),
 		}
 		// Reserve one block at the top of this channel's address space as
 		// the fixed dummy target (Observation 2); it must decode to this
@@ -415,9 +416,9 @@ func (c *Controller) ChannelOf(addr uint64) int { return c.mem.Mapper().ChannelO
 // counters can be produced before the request exists, so pipeline latency
 // is hidden; sustained throughput is not. It returns when the XOR output of
 // n pads issued logically at `at` is available.
-func pregenReady(e *aes.Engine, at sim.Time, n int) sim.Time {
-	done := e.IssueOnly(at, n)
-	idealDone := at + e.Latency() + sim.Time(n-1)*e.Interval()
+func pregenReady(e *sim.Pipeline, at sim.Time, n int) sim.Time {
+	done := e.IssueN(at, n)
+	idealDone := at + e.Latency + sim.Time(n-1)*e.Interval
 	backlog := done - idealDone
 	return at + backlog + XORLatency
 }
@@ -426,7 +427,7 @@ func pregenReady(e *aes.Engine, at sim.Time, n int) sim.Time {
 // components (type, address, counter) are anticipated by stream/LRU
 // predictors (Section 3.5), hiding the digest latency; under
 // encrypt-then-MAC the digest must follow encryption completion.
-func macRequestReady(u *md5sim.Unit, mode MACMode, at, encReady sim.Time) sim.Time {
+func macRequestReady(u *sim.Pipeline, mode MACMode, at, encReady sim.Time) sim.Time {
 	switch mode {
 	case MACNone:
 		return encReady
@@ -457,7 +458,7 @@ func macRequestReady(u *md5sim.Unit, mode MACMode, at, encReady sim.Time) sim.Ti
 // discipline the paper applies to Merkle checks). It therefore adds no
 // latency, only MD5 throughput and 8 wire bytes. Under encrypt-then-MAC
 // the digest must cover the encrypted reply and serialises after it.
-func macReplyReady(u *md5sim.Unit, mode MACMode, decodeAt, dataReady sim.Time) sim.Time {
+func macReplyReady(u *sim.Pipeline, mode MACMode, decodeAt, dataReady sim.Time) sim.Time {
 	switch mode {
 	case MACNone:
 		return dataReady
@@ -527,7 +528,7 @@ func (c *Controller) sendPacket(cs *chanState, ch int, h half, ctr, padBase uint
 // command field encrypted with the pad at the packet's own counter, and
 // the MAC over (type|address|counter) when the packet carries one.
 func (c *Controller) seal(cs *chanState, ch int, pkt *bus.Packet) {
-	pad := cs.procReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: pkt.Counter})
+	pad := cs.ctr.Pad(aes.IV{ID: uint64(ch), Counter: pkt.Counter})
 	pkt.CmdCipher = sealCmd(encodeCmd(pkt.Type, pkt.Addr), pad)
 	if pkt.HasMAC {
 		pkt.MAC = uint64(md5sim.Compute(byte(pkt.Type), pkt.Addr, pkt.Counter))
@@ -590,7 +591,7 @@ func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, deliv
 			c.seal(cs, ch, delivered)
 		}
 	}
-	pad := cs.memReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
+	pad := cs.ctr.Pad(aes.IV{ID: uint64(ch), Counter: ctr})
 	t, addr := openCmd(delivered.CmdCipher, pad)
 	if c.cfg.MAC != MACNone {
 		if uint64(md5sim.Compute(byte(t), addr, ctr)) != delivered.MAC {

@@ -28,7 +28,7 @@ func dataPad(padBase uint64) uint64 { return padBase + 2 }
 func (c *Controller) transitSealRequest(cs *chanState, ch int, padBase uint64, data *memctl.Block) []byte {
 	buf := cs.sealBuf[:]
 	copy(buf, data[:])
-	cs.procReqEng.CTR().EncryptBlock64(buf, aes.IV{ID: uint64(ch), Counter: dataPad(padBase)})
+	cs.ctr.EncryptBlock64(buf, aes.IV{ID: uint64(ch), Counter: dataPad(padBase)})
 	return buf
 }
 
@@ -36,7 +36,7 @@ func (c *Controller) transitSealRequest(cs *chanState, ch int, padBase uint64, d
 // scratch buffer; decryption happens in the returned value, never in place.
 func (c *Controller) transitOpenRequest(cs *chanState, ch int, padBase uint64, wire []byte) (out memctl.Block) {
 	copy(out[:], wire)
-	cs.memReqEng.CTR().EncryptBlock64(out[:], aes.IV{ID: uint64(ch), Counter: dataPad(padBase)})
+	cs.ctr.EncryptBlock64(out[:], aes.IV{ID: uint64(ch), Counter: dataPad(padBase)})
 	return out
 }
 
@@ -46,11 +46,11 @@ func (c *Controller) transitOpenRequest(cs *chanState, ch int, padBase uint64, w
 func (c *Controller) transitSealReply(cs *chanState, ch int, respCtr uint64, data memctl.Block) []byte {
 	buf := cs.replyBuf[:]
 	copy(buf, data[:])
-	cs.memRespEng.CTR().EncryptBlock64(buf, aes.IV{ID: uint64(ch) | 1<<32, Counter: respCtr})
+	cs.ctr.EncryptBlock64(buf, aes.IV{ID: uint64(ch) | 1<<32, Counter: respCtr})
 	return buf
 }
 
 func (c *Controller) transitOpenReply(cs *chanState, ch int, respCtr uint64, wire []byte, out *memctl.Block) {
 	copy(out[:], wire)
-	cs.procRespEng.CTR().EncryptBlock64(out[:], aes.IV{ID: uint64(ch) | 1<<32, Counter: respCtr})
+	cs.ctr.EncryptBlock64(out[:], aes.IV{ID: uint64(ch) | 1<<32, Counter: respCtr})
 }

@@ -1,7 +1,9 @@
 package obfus
 
 import (
+	"obfusmem/internal/aes"
 	"obfusmem/internal/bus"
+	"obfusmem/internal/md5sim"
 	"obfusmem/internal/memctl"
 	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
@@ -318,7 +320,7 @@ func (c *Controller) Drain(at sim.Time) {
 func (c *Controller) PadsProc() uint64 {
 	var n uint64
 	for _, cs := range c.chans {
-		n += cs.procReqEng.Pads() + cs.procRespEng.Pads()
+		n += cs.procReqEng.Ops() + cs.procRespEng.Ops()
 	}
 	return n
 }
@@ -327,7 +329,7 @@ func (c *Controller) PadsProc() uint64 {
 func (c *Controller) PadsMem() uint64 {
 	var n uint64
 	for _, cs := range c.chans {
-		n += cs.memReqEng.Pads() + cs.memRespEng.Pads()
+		n += cs.memReqEng.Ops() + cs.memRespEng.Ops()
 	}
 	return n
 }
@@ -336,9 +338,14 @@ func (c *Controller) PadsMem() uint64 {
 func (c *Controller) CryptoEnergyPJ() float64 {
 	var e float64
 	for _, cs := range c.chans {
-		e += cs.procReqEng.EnergyPJ() + cs.procRespEng.EnergyPJ()
-		e += cs.memReqEng.EnergyPJ() + cs.memRespEng.EnergyPJ()
-		e += cs.procMAC.EnergyPJ() + cs.procVerMAC.EnergyPJ() + cs.memMAC.EnergyPJ()
+		e += padPJ(cs.procReqEng) + padPJ(cs.procRespEng)
+		e += padPJ(cs.memReqEng) + padPJ(cs.memRespEng)
+		e += macPJ(cs.procMAC) + macPJ(cs.procVerMAC) + macPJ(cs.memMAC)
 	}
 	return e
 }
+
+// padPJ and macPJ are an AES engine's pad energy and an MD5 unit's digest
+// energy so far.
+func padPJ(p *sim.Pipeline) float64 { return float64(p.Ops()) * aes.PadEnergyPJ }
+func macPJ(p *sim.Pipeline) float64 { return float64(p.Ops()) * md5sim.MACEnergyPJ }

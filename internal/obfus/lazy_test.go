@@ -176,8 +176,8 @@ func TestCryptoEnergyCoversEveryUnit(t *testing.T) {
 	r.ctrl.Drain(at)
 	var digests, verify uint64
 	for _, cs := range r.ctrl.chans {
-		digests += cs.procMAC.Digests() + cs.procVerMAC.Digests() + cs.memMAC.Digests()
-		verify += cs.procVerMAC.Digests()
+		digests += cs.procMAC.Ops() + cs.procVerMAC.Ops() + cs.memMAC.Ops()
+		verify += cs.procVerMAC.Ops()
 	}
 	if verify == 0 {
 		t.Fatal("no reply-verification digests issued")

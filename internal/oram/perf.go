@@ -29,7 +29,7 @@ const PaperConcurrency = 3
 func NewPerfModel() *PerfModel {
 	p := &PerfModel{}
 	for i := 0; i < PaperConcurrency; i++ {
-		p.slots = append(p.slots, sim.NewResource("oram-ctrl"))
+		p.slots = append(p.slots, sim.NewResource())
 	}
 	return p
 }

@@ -129,7 +129,7 @@ func New(cfg Config, b *bus.Bus, mem *memctl.Controller, rng *xrand.Rand) *Contr
 		bus:      b,
 		mem:      mem,
 		rng:      rng,
-		frontEnd: sim.NewResource("palermo-frontend"),
+		frontEnd: sim.NewResource(),
 		tr:       cfg.Trace,
 		met:      newCtlMetrics(cfg.Metrics),
 		evict:    make([]uint64, 0, BatchSize),

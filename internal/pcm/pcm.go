@@ -121,7 +121,7 @@ func New(cfg Config) *Device {
 	const n = Ranks * BanksPerRank
 	d := &Device{cfg: cfg, banks: make([]bank, n), wear: make(map[uint64]uint64)}
 	for i := range d.banks {
-		d.banks[i].res = sim.NewResource(fmt.Sprintf("bank%d", i))
+		d.banks[i].res = sim.NewResource()
 		d.banks[i].openRow = -1
 	}
 	if cfg.Trace != nil {

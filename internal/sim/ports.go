@@ -5,19 +5,15 @@ package sim
 // `at` that the resource is free, and marks it busy for `hold` picoseconds
 // starting then. It is the standard building block for occupancy modelling.
 type Resource struct {
-	name     string
 	freeAt   Time
 	busyTime Time // accumulated busy picoseconds
 	uses     uint64
 }
 
-// NewResource returns an idle resource with a diagnostic name.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
+// NewResource returns an idle resource.
+func NewResource() *Resource {
+	return &Resource{}
 }
-
-// Name returns the diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire reserves the resource for hold picoseconds at the earliest slot at
 // or after `at`, returning the start time of the reservation.
@@ -77,11 +73,11 @@ type Pipeline struct {
 
 // NewPipeline returns a pipeline with the given latency and initiation
 // interval.
-func NewPipeline(name string, latency, interval Time) *Pipeline {
+func NewPipeline(latency, interval Time) *Pipeline {
 	if latency < 0 || interval <= 0 {
 		panic("sim: invalid pipeline parameters")
 	}
-	return &Pipeline{Latency: latency, Interval: interval, issue: NewResource(name)}
+	return &Pipeline{Latency: latency, Interval: interval, issue: NewResource()}
 }
 
 // Issue schedules one operation at or after `at`; it returns the completion

@@ -31,6 +31,11 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
+// CPUCycle is the period of Table 2's 2 GHz core clock. The memory
+// encryption engine, the counter cache and the final pad XOR are clocked
+// with the core.
+const CPUCycle = 500 * Picosecond
+
 // Nanos converts a floating-point nanosecond quantity to Time, rounding to
 // the nearest picosecond. It panics on invalid input (negative, NaN, or out
 // of range): internal model code computing such a duration is always a bug.

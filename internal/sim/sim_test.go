@@ -90,7 +90,7 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestResource(t *testing.T) {
-	r := NewResource("bus")
+	r := NewResource()
 	if got := r.Acquire(100, 50); got != 100 {
 		t.Fatalf("first Acquire start = %d, want 100", got)
 	}
@@ -115,7 +115,7 @@ func TestResource(t *testing.T) {
 // Property: a resource never overlaps reservations and never goes backwards.
 func TestResourceNoOverlapProperty(t *testing.T) {
 	f := func(reqs []uint16) bool {
-		r := NewResource("p")
+		r := NewResource()
 		prevEnd := Time(0)
 		at := Time(0)
 		for _, q := range reqs {
@@ -139,7 +139,7 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 
 func TestPipeline(t *testing.T) {
 	// 24-cycle latency at 4ns cycle, one op per cycle: the AES engine.
-	p := NewPipeline("aes", 24*4*Nanosecond, 4*Nanosecond)
+	p := NewPipeline(24*4*Nanosecond, 4*Nanosecond)
 	d1 := p.Issue(0)
 	if d1 != 96*Nanosecond {
 		t.Fatalf("first op done at %v, want 96ns", d1)
@@ -150,7 +150,7 @@ func TestPipeline(t *testing.T) {
 	}
 	// On a fresh pipeline, six pads for a write request finish 5 intervals
 	// after the first.
-	p = NewPipeline("aes", 24*4*Nanosecond, 4*Nanosecond)
+	p = NewPipeline(24*4*Nanosecond, 4*Nanosecond)
 	done := p.IssueN(0, 6)
 	if done != (96+5*4)*Nanosecond {
 		t.Fatalf("six pads done at %v, want 116ns", done)
@@ -170,7 +170,7 @@ func TestIssueNMatchesIssueLoop(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		lat := Time(r.Intn(200 * int(Nanosecond)))
 		ival := Time(r.Intn(10*int(Nanosecond))) + 1
-		a, b := NewPipeline("a", lat, ival), NewPipeline("b", lat, ival)
+		a, b := NewPipeline(lat, ival), NewPipeline(lat, ival)
 		for k, at := r.Intn(8), Time(0); k > 0; k-- {
 			at += Time(r.Intn(20 * int(Nanosecond)))
 			a.Issue(at)
@@ -212,7 +212,7 @@ func TestPipelineInvalid(t *testing.T) {
 			t.Error("NewPipeline with zero interval did not panic")
 		}
 	}()
-	NewPipeline("bad", 10, 0)
+	NewPipeline(10, 0)
 }
 
 // TestTryNanos covers the checked conversion: valid values round to the

@@ -13,9 +13,8 @@ import (
 // the bus MAC deliberately does not cover is caught here when the block is
 // next read.
 
-// verifyRegionBlocks bounds the functional Merkle tree (tests and examples
-// use low addresses; the timed Bonsai walker covers the full space
-// statistically).
+// verifyRegionBlocks bounds the functional Merkle tree: tests and examples
+// use low addresses, and blocks above it skip the Merkle check.
 const verifyRegionBlocks = 1 << 14 // 1 MB of 64-byte blocks
 
 // Block re-exports the storage unit.

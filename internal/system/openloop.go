@@ -116,7 +116,7 @@ type openLane struct {
 	frontEnd *sim.Resource
 	reqPads  *sim.Pipeline // AES pad timing only: no lane pad is ever XORed
 	respPads *sim.Pipeline
-	mac      *md5sim.Unit
+	mac      *sim.Pipeline // MD5 digest timing
 	policy   obfus.ChannelPolicy
 
 	lastReqWire sim.Time
@@ -299,10 +299,10 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 			b:        b,
 			mem:      mem,
 			stream:   workload.NewStream(profiles[ch%len(profiles)], cfg.Seed^xrand.Mix64(uint64(ch))),
-			frontEnd: sim.NewResource(fmt.Sprintf("lane%d-fe", ch)),
-			reqPads:  sim.NewPipeline(fmt.Sprintf("lane%d-req", ch), aes.EngineLatency, aes.EngineCycle),
-			respPads: sim.NewPipeline(fmt.Sprintf("lane%d-resp", ch), aes.EngineLatency, aes.EngineCycle),
-			mac:      md5sim.NewUnit(fmt.Sprintf("lane%d-mac", ch)),
+			frontEnd: sim.NewResource(),
+			reqPads:  sim.NewPipeline(aes.EngineLatency, aes.EngineCycle),
+			respPads: sim.NewPipeline(aes.EngineLatency, aes.EngineCycle),
+			mac:      sim.NewPipeline(md5sim.UnitLatency, md5sim.UnitCycle),
 			policy:   cfg.Policy,
 
 			remaining: cfg.Requests,

@@ -297,6 +297,20 @@ func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 // 0x40000 (rank 0, bank 0, row 16) lives at 4096 (rank 0, bank 4, row 0),
 // so its array access never meets the data's, but after a demand read its
 // command and its reply each queue behind the data's on the link.
+//
+// ObfusMem adds the terms of DESIGN §5 "ObfusMem read timing":
+//
+//	front end        6 ns per pair
+//	pad XOR          0.5 ns at each of the four transit-crypto steps; the
+//	                 pad pipelines are idle, so no pad backlog
+//	SerDes           4 ns per chip crossing, after each decode XOR
+//	exposed MAC      8 ns from the front end's release (auth only), in
+//	                 place of the request XOR
+//	MAC field        8 B on the command (24 B, 1.875 ns) and on the reply
+//	                 (72 B, 5.625 ns), auth only
+//
+// The read half leads its pair on the link, so the dummy write half that
+// follows it never delays it, and the at-rest XOR follows the reply.
 func TestZeroLoadOracle(t *testing.T) {
 	const ns = sim.Nanosecond
 	const ps = sim.Picosecond
@@ -343,6 +357,23 @@ func TestZeroLoadOracle(t *testing.T) {
 			(1250 + 1000 + 78750 + 5000 + 1000 + 13500 + 500 + 6250 + 1000 + 78750) * ps, write(0x40000)},
 		{"encrypt-only", "row-miss write, counter hit",
 			(2500 + 13500 + 500 + 6250 + 1000 + 78750) * ps, warm(0x40400, write(0x40000))},
+
+		// ObfusMem: front end, request XOR, command, decode XOR + SerDes,
+		// array, reply XOR, data, decode XOR + SerDes, at-rest XOR.
+		{"obfusmem", "row-miss read, counter hit",
+			(6000 + 500 + 1250 + 1000 + 500 + 4000 + 78750 + 500 + 5000 + 1000 + 500 + 4000 + 500) * ps,
+			warm(0x40400, read(0x40000))},
+		{"obfusmem", "row-hit read, counter hit",
+			(6000 + 500 + 1250 + 1000 + 500 + 4000 + 18750 + 500 + 5000 + 1000 + 500 + 4000 + 500) * ps,
+			warm(0x40000, read(0x40040))},
+		// Auth: the exposed 8 ns MAC replaces the request XOR, and each
+		// packet carries an 8 B MAC (24 B command, 72 B reply).
+		{"obfusmem-auth", "row-miss read, counter hit",
+			(6000 + 8000 + 1875 + 1000 + 500 + 4000 + 78750 + 500 + 5625 + 1000 + 500 + 4000 + 500) * ps,
+			warm(0x40400, read(0x40000))},
+		{"obfusmem-auth", "row-hit read, counter hit",
+			(6000 + 8000 + 1875 + 1000 + 500 + 4000 + 18750 + 500 + 5625 + 1000 + 500 + 4000 + 500) * ps,
+			warm(0x40000, read(0x40040))},
 	} {
 		s := New(DefaultConfig(tc.backend))
 		at := sim.Time(1000 * ns)

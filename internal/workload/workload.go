@@ -31,8 +31,15 @@ type Profile struct {
 	FootprintMB int     // resident working set
 }
 
-// CPUFreqGHz is the core clock of Table 2.
-const CPUFreqGHz = 2.0
+// CPUFreqGHz is the core clock of Table 2 in GHz, derived from its period
+// sim.CPUCycle (exactly 2.0).
+const CPUFreqGHz = float64(sim.Nanosecond) / float64(sim.CPUCycle)
+
+// DefaultExposure is the calibrated fraction of demand-read latency that
+// reaches execution time (the rest is hidden by out-of-order overlap). It
+// is cpu.DefaultConfig's exposure (so obfsim's -exposure default) and the
+// discount BaselineStallNS takes out of the Table 1 gap.
+const DefaultExposure = 0.55
 
 // nsPerKiloInstr returns the baseline compute time of 1000 instructions.
 func (p Profile) nsPerKiloInstr() float64 { return 1000 / p.IPC / CPUFreqGHz }
@@ -125,19 +132,18 @@ type Stream struct {
 // machine already embeds the exposed part of each demand read's latency,
 // so the generator discounts it from the compute gap. The expected read
 // latency depends on the profile's row locality (hits ~25 ns end to end,
-// misses ~85 ns with the Table 2 PCM timings) and the exposure matches
-// cpu.DefaultConfig.
+// misses ~85 ns with the Table 2 PCM timings) and the exposure is
+// DefaultExposure.
 const (
 	rowHitLatencyNS  = 25.0
 	rowMissLatencyNS = 85.0
-	baselineExposure = 0.55
 )
 
 // BaselineStallNS returns the expected per-request stall on the
 // unprotected machine.
 func (p Profile) BaselineStallNS() float64 {
 	expLat := p.RowLocality*rowHitLatencyNS + (1-p.RowLocality)*rowMissLatencyNS
-	return baselineExposure * expLat * p.ReadFrac
+	return DefaultExposure * expLat * p.ReadFrac
 }
 
 // NewStream builds a generator.

@@ -28,6 +28,20 @@ func Mix64(x uint64) uint64 {
 	return SplitMix64(&s)
 }
 
+// HashName returns the 64-bit FNV-1a hash of name. Seed derivations mix it
+// in so that a seed depends on a workload's full name.
+func HashName(name string) uint64 {
+	const (
+		fnvOffset64 = 14695981039346656037
+		fnvPrime64  = 1099511628211
+	)
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * fnvPrime64
+	}
+	return h
+}
+
 // Rand is a xoshiro256** generator.
 type Rand struct {
 	s [4]uint64

@@ -26,6 +26,10 @@
 #                  request block; the drive loop reads exactly the
 #                  stream's requests; a producer panic reaches the caller
 #                  and a budget trip stops the producer),
+#                  the machine-build guard (system.New of every backend
+#                  allocates under 32 KB), the page-counter guard (a
+#                  ctrmode run's K extra distinct pages cost about K/64
+#                  allocations, not K),
 #                  the lazy-crypto guard (a bare bus, which skips command
 #                  pads and MACs, matches an observed one and one with a
 #                  pass-through tamperer, and each still detects counter
@@ -123,11 +127,11 @@ bench-smoke:
 	$(GO) test -run 'TestScheduleFireZeroAllocs|TestReadWriteLegZeroAllocs|TestLazyCryptoMatchesEager|TestCTRZeroAllocs|TestComputeZeroAllocs' \
 		-bench 'BenchmarkEngineChurn|BenchmarkReadWriteLeg|BenchmarkEncryptBlock64|BenchmarkCompute' \
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
-	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs|TestDriveAllocsIndependentOfRequests|TestWarmRunAllocatesNoBlocks|TestReadAheadMatchesStream|TestProducerPanicReraised|TestSimBudgetTrips' \
-		./internal/metrics ./internal/xrand ./internal/cpu
+	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs|TestDriveAllocsIndependentOfRequests|TestWarmRunAllocatesNoBlocks|TestReadAheadMatchesStream|TestProducerPanicReraised|TestSimBudgetTrips|TestPageCountersAllocatePerChunk' \
+		./internal/metrics ./internal/xrand ./internal/cpu ./internal/ctrmode
 	$(GO) test -run 'TestChromeExportAllocs' -bench 'BenchmarkWriteChromeTrace' \
 		-benchtime 200ms -benchmem ./internal/trace
-	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests' \
+	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests|TestNewAllocBytes' \
 		./internal/backend ./internal/system
 	$(GO) test -run '^$$' -bench 'BenchmarkRunOpenLoop' -benchtime 200ms -benchmem ./internal/system
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null

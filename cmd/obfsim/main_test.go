@@ -21,7 +21,8 @@ import (
 
 // TestMetricsSnapshotEndToEnd drives the binary in-process with -metrics
 // and validates the exported JSON: it must parse back into a snapshot that
-// carries per-channel bus counters and PCM latency histograms.
+// carries per-channel bus counters, counter-cache counters and PCM latency
+// histograms.
 func TestMetricsSnapshotEndToEnd(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.json")
 	var stdout, stderr bytes.Buffer
@@ -58,6 +59,12 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 	}
 	if snap.Counters["obfus.real_reads"] == 0 || snap.Counters["obfus.dummy_writes"] == 0 {
 		t.Error("obfus real/dummy split not recorded")
+	}
+	// Every protected machine's counter cache.
+	for _, name := range []string{"ctrmode.ctr_hits", "ctrmode.ctr_misses", "ctrmode.ctr_fetches"} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("counter %q missing or zero", name)
+		}
 	}
 
 	// PCM latency histograms: populated, with bucket mass adding up.

@@ -10,23 +10,21 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
-type line struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-}
-
 // Cache is one set-associative, write-allocate tag store with true LRU
-// replacement.
+// replacement. Each set is assoc consecutive entries of tags, kept most
+// recently used first; an entry holds its line's tag plus one, and 0 marks
+// an invalid way. Ways fill from the front and are never invalidated, so
+// the invalid ways trail the valid ones and the last way is the LRU victim.
 type Cache struct {
-	sets      [][]line
+	tags      []uint32
+	assoc     int
 	blockBits uint
 	setBits   uint
 	setMask   uint64
-	clock     uint64
 }
 
 // New builds a cache. Size, associativity, and block size must be powers of
@@ -42,34 +40,47 @@ func New(sizeBytes, assoc, blockBytes int) *Cache {
 	if blockBytes&(blockBytes-1) != 0 {
 		panic("cache: block size not a power of two")
 	}
-	c := &Cache{
+	return &Cache{
+		tags:      make([]uint32, numSets*assoc),
+		assoc:     assoc,
 		blockBits: uint(bits.TrailingZeros(uint(blockBytes))),
 		setBits:   uint(bits.TrailingZeros(uint(numSets))),
 		setMask:   uint64(numSets - 1),
 	}
-	c.sets = make([][]line, numSets)
-	backing := make([]line, numSets*assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*assoc : (i+1)*assoc]
-	}
-	return c
 }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// index returns addr's set, its ways and the entry its line is stored as.
+// It panics when the tag plus one does not fit in 32 bits.
+func (c *Cache) index(addr uint64) (set uint64, ways []uint32, entry uint32) {
 	blk := addr >> c.blockBits
-	return int(blk & c.setMask), blk >> c.setBits
+	set = blk & c.setMask
+	tag := blk >> c.setBits
+	if tag >= math.MaxUint32 {
+		panic(fmt.Sprintf("cache: address %#x has tag %#x, which does not fit in 32 bits", addr, tag))
+	}
+	i := int(set) * c.assoc
+	return set, c.tags[i : i+c.assoc], uint32(tag) + 1
+}
+
+// toFront makes way i of a set its most recently used, shifting the more
+// recent ways back by one.
+func toFront(ways []uint32, i int) {
+	e := ways[i]
+	copy(ways[1:i+1], ways[:i])
+	ways[0] = e
 }
 
 // Lookup probes without allocating and reports a hit; a hit becomes the
 // set's most recently used line.
 func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			c.clock++
-			l.lru = c.clock
+	_, ways, entry := c.index(addr)
+	for i, e := range ways {
+		if e == entry {
+			toFront(ways, i)
 			return true
+		}
+		if e == 0 {
+			break
 		}
 	}
 	return false
@@ -78,34 +89,24 @@ func (c *Cache) Lookup(addr uint64) bool {
 // Insert allocates addr's line as most recently used. When a valid victim
 // had to be displaced, ok is true and evicted is its block address.
 func (c *Cache) Insert(addr uint64) (evicted uint64, ok bool) {
-	set, tag := c.index(addr)
-	ways := c.sets[set]
-	// Already present: just touch.
-	for i := range ways {
-		if l := &ways[i]; l.valid && l.tag == tag {
-			c.clock++
-			l.lru = c.clock
+	set, ways, entry := c.index(addr)
+	// Already present: just touch. Otherwise the first invalid way, or
+	// the LRU way when the set is full, takes the line.
+	victim := len(ways) - 1
+	for i, e := range ways {
+		if e == entry {
+			toFront(ways, i)
 			return 0, false
 		}
-	}
-	// Find an invalid way or the LRU victim.
-	victim := &ways[0]
-	for i := range ways {
-		l := &ways[i]
-		if !l.valid {
-			victim = l
+		if e == 0 {
+			victim = i
 			break
 		}
-		if l.lru < victim.lru {
-			victim = l
-		}
 	}
-	if victim.valid {
-		evicted, ok = (victim.tag<<c.setBits|uint64(set))<<c.blockBits, true
+	if e := ways[victim]; e != 0 {
+		evicted, ok = (uint64(e-1)<<c.setBits|set)<<c.blockBits, true
 	}
-	victim.tag = tag
-	victim.valid = true
-	c.clock++
-	victim.lru = c.clock
+	ways[victim] = entry
+	toFront(ways, victim)
 	return evicted, ok
 }

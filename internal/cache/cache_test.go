@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -105,5 +107,137 @@ func TestBadGeometryPanics(t *testing.T) {
 			New(g[0], g[1], g[2])
 			t.Errorf("New(%v) did not panic", g)
 		}()
+	}
+}
+
+func TestTagWiderThan32BitsPanics(t *testing.T) {
+	c := small() // 64 B blocks, 8 sets: the tag is addr >> 9
+	const top = uint64(1<<32-2) << 9
+	c.Insert(top) // the widest tag that fits
+	if !c.Lookup(top) {
+		t.Fatalf("line %#x not held", top)
+	}
+	for _, addr := range []uint64{top + 512, 1 << 41, 1 << 63} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Insert(%#x) did not panic", addr)
+				}
+			}()
+			c.Insert(addr)
+		}()
+	}
+}
+
+// refCache is the stamp-LRU tag store the flat recency-ordered one
+// replaced: per-way tag, valid bit and last-use stamp, the victim being the
+// first invalid way or else the way with the oldest stamp.
+type refCache struct {
+	sets      [][]refLine
+	blockBits uint
+	setBits   uint
+	setMask   uint64
+	clock     uint64
+}
+
+type refLine struct {
+	tag   uint64
+	valid bool
+	lru   uint64
+}
+
+func newRef(sizeBytes, assoc, blockBytes int) *refCache {
+	numSets := sizeBytes / blockBytes / assoc
+	c := &refCache{
+		blockBits: uint(bits.TrailingZeros(uint(blockBytes))),
+		setBits:   uint(bits.TrailingZeros(uint(numSets))),
+		setMask:   uint64(numSets - 1),
+		sets:      make([][]refLine, numSets),
+	}
+	for i := range c.sets {
+		c.sets[i] = make([]refLine, assoc)
+	}
+	return c
+}
+
+func (c *refCache) index(addr uint64) (int, uint64) {
+	blk := addr >> c.blockBits
+	return int(blk & c.setMask), blk >> c.setBits
+}
+
+func (c *refCache) Lookup(addr uint64) bool {
+	set, tag := c.index(addr)
+	for i := range c.sets[set] {
+		if l := &c.sets[set][i]; l.valid && l.tag == tag {
+			c.clock++
+			l.lru = c.clock
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Insert(addr uint64) (evicted uint64, ok bool) {
+	set, tag := c.index(addr)
+	ways := c.sets[set]
+	for i := range ways {
+		if l := &ways[i]; l.valid && l.tag == tag {
+			c.clock++
+			l.lru = c.clock
+			return 0, false
+		}
+	}
+	victim := &ways[0]
+	for i := range ways {
+		l := &ways[i]
+		if !l.valid {
+			victim = l
+			break
+		}
+		if l.lru < victim.lru {
+			victim = l
+		}
+	}
+	if victim.valid {
+		evicted, ok = (victim.tag<<c.setBits|uint64(set))<<c.blockBits, true
+	}
+	victim.tag, victim.valid = tag, true
+	c.clock++
+	victim.lru = c.clock
+	return evicted, ok
+}
+
+// TestMatchesStampLRU drives the tag store and refCache with the same
+// random Lookup/Insert sequences on direct-mapped, 2-way, 8-way and fully
+// associative geometries: every hit, victim address and ok must agree.
+func TestMatchesStampLRU(t *testing.T) {
+	const size, block = 4096, 64 // 64 lines
+	for _, assoc := range []int{1, 2, 8, size / block} {
+		t.Run(fmt.Sprintf("%d-way", assoc), func(t *testing.T) {
+			for seed := uint64(1); seed <= 20; seed++ {
+				r := xrand.New(seed)
+				c, ref := New(size, assoc, block), newRef(size, assoc, block)
+				for i := 0; i < 5000; i++ {
+					// Four times the capacity in blocks, with random
+					// offsets inside the block and a high tag bit now
+					// and then.
+					addr := uint64(r.Intn(4*size/block))*block + uint64(r.Intn(block))
+					if r.Intn(8) == 0 {
+						addr |= 1 << 36
+					}
+					if r.Intn(2) == 0 {
+						if got, want := c.Lookup(addr), ref.Lookup(addr); got != want {
+							t.Fatalf("seed %d op %d: Lookup(%#x) = %v, reference %v", seed, i, addr, got, want)
+						}
+						continue
+					}
+					ev, ok := c.Insert(addr)
+					rev, rok := ref.Insert(addr)
+					if ev != rev || ok != rok {
+						t.Fatalf("seed %d op %d: Insert(%#x) = %#x %v, reference %#x %v", seed, i, addr, ev, ok, rev, rok)
+					}
+				}
+			}
+		})
 	}
 }

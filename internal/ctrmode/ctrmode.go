@@ -11,6 +11,8 @@ package ctrmode
 import (
 	"obfusmem/internal/aes"
 	"obfusmem/internal/cache"
+	"obfusmem/internal/metrics"
+	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
 )
 
@@ -33,10 +35,15 @@ const (
 )
 
 // pageCounters is the functional (value-level) counter state of one page.
+// A minor counter never exceeds MinorLimit-1 (127) at rest, so a byte
+// holds it.
 type pageCounters struct {
 	major  uint64
-	minors [BlocksPerPage]uint16
+	minors [BlocksPerPage]uint8
 }
+
+// pageChunk is how many pages' counters one allocation holds.
+const pageChunk = 64
 
 // Stats counts encryption-engine events.
 type Stats struct {
@@ -56,15 +63,25 @@ type Stats struct {
 // in memory. It returns the completion time of the access.
 type MemFetch func(at sim.Time, addr uint64, write bool) sim.Time
 
+// engineMetrics mirrors the counter-cache fields of Stats into a metrics
+// registry; the zero value is the disabled state.
+type engineMetrics struct {
+	hits, misses, fetches, writebacks, reencrypts *metrics.Counter
+}
+
 // Engine is the processor-side memory encryption unit.
 type Engine struct {
 	// pads is the timing of the memory-encryption AES; ctr makes its pads.
 	pads     *sim.Pipeline
 	ctr      *aes.CTR
 	ctrCache *cache.Cache
-	pages    map[uint64]*pageCounters
-	fetch    MemFetch
-	stats    Stats
+	// pages maps a page number to its index in chunks: page i's counters
+	// are chunks[i/pageChunk][i%pageChunk], in first-touch order.
+	pages  map[uint64]uint32
+	chunks []*[pageChunk]pageCounters
+	fetch  MemFetch
+	stats  Stats
+	met    engineMetrics
 	// counterRegion is a synthetic address base where counter blocks live
 	// in memory, distinct from data addresses.
 	counterRegion uint64
@@ -85,7 +102,7 @@ func New(memKey [16]byte, fetch MemFetch) *Engine {
 		pads:          sim.NewPipeline(24*sim.CPUCycle, sim.CPUCycle),
 		ctr:           aes.NewCTR(c),
 		ctrCache:      cache.New(ctrCacheBytes, ctrCacheAssoc, BlockBytes),
-		pages:         make(map[uint64]*pageCounters),
+		pages:         make(map[uint64]uint32),
 		fetch:         fetch,
 		counterRegion: 1 << 40,
 	}
@@ -93,6 +110,20 @@ func New(memKey [16]byte, fetch MemFetch) *Engine {
 
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
+
+// SetMetrics mirrors the counter-cache hits, misses, fetches and
+// write-backs and the page re-encryptions into reg's "ctrmode" scope from
+// now on. A nil reg turns the mirror off.
+func (e *Engine) SetMetrics(reg *metrics.Registry) {
+	sc := reg.Scope(names.ScopeCtrmode)
+	e.met = engineMetrics{
+		hits:       sc.Counter(names.CtrmodeHits),
+		misses:     sc.Counter(names.CtrmodeMisses),
+		fetches:    sc.Counter(names.CtrmodeFetches),
+		writebacks: sc.Counter(names.CtrmodeWritebacks),
+		reencrypts: sc.Counter(names.CtrmodePageReencrypts),
+	}
+}
 
 func pageOf(addr uint64) uint64 { return addr / PageBytes }
 func blockOf(addr uint64) int   { return int(addr%PageBytes) / BlockBytes }
@@ -102,12 +133,15 @@ func (e *Engine) ctrBlockAddr(page uint64) uint64 {
 
 func (e *Engine) page(addr uint64) *pageCounters {
 	p := pageOf(addr)
-	pc, ok := e.pages[p]
+	i, ok := e.pages[p]
 	if !ok {
-		pc = &pageCounters{}
-		e.pages[p] = pc
+		i = uint32(len(e.pages))
+		if i%pageChunk == 0 {
+			e.chunks = append(e.chunks, new([pageChunk]pageCounters))
+		}
+		e.pages[p] = i
 	}
-	return pc
+	return &e.chunks[i/pageChunk][i%pageChunk]
 }
 
 // IVFor builds the IV of a block at its current counter version: page ID,
@@ -133,18 +167,22 @@ func (e *Engine) counterReady(at sim.Time, addr uint64) sim.Time {
 	cAddr := e.ctrBlockAddr(page)
 	if e.ctrCache.Lookup(cAddr) {
 		e.stats.CtrHits++
+		e.met.hits.Inc()
 		return at + CtrCacheHitLat
 	}
 	e.stats.CtrMisses++
+	e.met.misses.Inc()
 	ready := at + CtrCacheHitLat
 	if e.fetch != nil {
 		e.stats.CtrFetches++
+		e.met.fetches.Inc()
 		ready = e.fetch(at, cAddr, false)
 	}
 	// Every cached counter block is held dirty, so every victim is
 	// written back, even one that was only read (DESIGN §5).
 	if victim, ok := e.ctrCache.Insert(cAddr); ok {
 		e.stats.CtrWritebacks++
+		e.met.writebacks.Inc()
 		if e.fetch != nil {
 			e.fetch(ready, victim, true) // posted
 		}
@@ -195,6 +233,7 @@ func (e *Engine) EncryptWriteback(at sim.Time, addr uint64) (ready sim.Time, iv 
 		}
 		pc.minors[blk] = 1
 		e.stats.PageReencrypts++
+		e.met.reencrypts.Inc()
 		e.stats.ReencryptedBlks += BlocksPerPage
 		e.pads.IssueN(at, BlocksPerPage*4)
 	}

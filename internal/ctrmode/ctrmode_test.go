@@ -201,3 +201,23 @@ func TestStatsCounts(t *testing.T) {
 		t.Fatalf("fills/writebacks = %d/%d", st.Fills, st.Writebacks)
 	}
 }
+
+// TestPageCountersAllocatePerChunk writes K and then 2K distinct pages on
+// fresh engines: the K extra pages may cost their K/64 counter chunks and
+// the page map's growth, but not one allocation per page.
+func TestPageCountersAllocatePerChunk(t *testing.T) {
+	const k = 4096
+	allocs := func(pages int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			e := New(testKey, nil)
+			for p := 0; p < pages; p++ {
+				e.EncryptWriteback(0, uint64(p)*PageBytes)
+			}
+		})
+	}
+	extra := allocs(2*k) - allocs(k)
+	t.Logf("%d extra pages: %.0f extra allocations", k, extra)
+	if extra > 2*k/pageChunk {
+		t.Errorf("%d extra pages cost %.0f allocations, want at most %d", k, extra, 2*k/pageChunk)
+	}
+}

@@ -210,7 +210,23 @@ func (c *Controller) Device(channel int) *pcm.Device { return c.devices[channel]
 // channel is out of scope for ObfusMem (Section 6.2) and is measured
 // empirically by the leakage observatory instead.
 func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
+	return c.access(at, c.mapper.Decode(addr), write)
+}
+
+// AccessOnChannel services a request already routed to a channel (the
+// memory-side ObfusMem controller path, where the address was decrypted on
+// the device).
+func (c *Controller) AccessOnChannel(at sim.Time, channel int, addr uint64, write bool) sim.Time {
 	co := c.mapper.Decode(addr)
+	if co.Channel != channel {
+		panic(fmt.Sprintf("memctl: address %#x maps to channel %d, delivered on %d",
+			addr, co.Channel, channel))
+	}
+	return c.access(at, co, write)
+}
+
+// access services one request at its decoded coordinates.
+func (c *Controller) access(at sim.Time, co Coords, write bool) sim.Time {
 	if write {
 		c.stats[co.Channel].Writes++
 		c.met[co.Channel].writes.Inc()
@@ -225,18 +241,6 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
 			trace.Int("row", co.Row), trace.Bool("write", write))
 	}
 	return c.devices[co.Channel].Access(at, co.Rank, co.Bank, co.Row, write)
-}
-
-// AccessOnChannel services a request already routed to a channel (the
-// memory-side ObfusMem controller path, where the address was decrypted on
-// the device).
-func (c *Controller) AccessOnChannel(at sim.Time, channel int, addr uint64, write bool) sim.Time {
-	co := c.mapper.Decode(addr)
-	if co.Channel != channel {
-		panic(fmt.Sprintf("memctl: address %#x maps to channel %d, delivered on %d",
-			addr, co.Channel, channel))
-	}
-	return c.Access(at, addr, write)
 }
 
 // DropDummy records a fixed-address dummy discarded at time `at` on the

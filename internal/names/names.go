@@ -49,6 +49,7 @@ const (
 	ScopePalermo  Name = "palermo"
 	ScopeLeakage  Name = "leakage"
 	ScopeCampaign Name = "campaign"
+	ScopeCtrmode  Name = "ctrmode"
 )
 
 // Campaign-runner metrics (internal/campaign), recorded under "campaign".
@@ -133,6 +134,17 @@ const (
 	PalermoEvictWrites Name = "evict_writes"
 	PalermoBatches     Name = "batches"
 	PalermoLostBlocks  Name = "lost_blocks"
+)
+
+// Counter-mode encryption metrics (internal/ctrmode, scope "ctrmode"): the
+// counter cache's hits, misses, counter-block fetches and write-backs, and
+// the page re-encryptions that minor-counter overflows cause.
+const (
+	CtrmodeHits           Name = "ctr_hits"
+	CtrmodeMisses         Name = "ctr_misses"
+	CtrmodeFetches        Name = "ctr_fetches"
+	CtrmodeWritebacks     Name = "ctr_writebacks"
+	CtrmodePageReencrypts Name = "page_reencrypts"
 )
 
 // Memory-controller metrics (internal/memctl, scope "memctl.ch<i>").

@@ -46,6 +46,11 @@ const (
 	BlocksPerRow = RowBytes / BlockBytes
 )
 
+// rowBits is the width of a row number: the wear table packs a bank index
+// and a row into one uint32 key, so Access takes rows below 1<<rowBits
+// (2^27). A channel of the 8 GB Table 2 space has at most 2^19 rows.
+const rowBits = 27
+
 // Config holds a device's per-instance settings. Geometry and timing are
 // not configurable: every device uses the Table 2 constants above and
 // tracks per-row wear.
@@ -111,15 +116,16 @@ type Device struct {
 	// bankTID holds precomputed trace track names per bank (avoids
 	// per-access formatting when tracing is on).
 	bankTID []string
-	// wear tracks array writes per (bank,row) for endurance analysis.
-	wear    map[uint64]uint64
-	maxWear uint64
+	// wear counts array writes per row (keyed by wearKey) for the
+	// endurance analysis.
+	wear    map[uint32]uint32
+	maxWear uint32
 }
 
 // New builds a device.
 func New(cfg Config) *Device {
 	const n = Ranks * BanksPerRank
-	d := &Device{cfg: cfg, banks: make([]bank, n), wear: make(map[uint64]uint64)}
+	d := &Device{cfg: cfg, banks: make([]bank, n), wear: make(map[uint32]uint32)}
 	for i := range d.banks {
 		d.banks[i].res = sim.NewResource()
 		d.banks[i].openRow = -1
@@ -155,8 +161,8 @@ func (d *Device) bankIndex(rank, bankInRank int) int {
 	return rank*BanksPerRank + bankInRank
 }
 
-func (d *Device) wearKey(bankIdx int, row int64) uint64 {
-	return uint64(bankIdx)<<40 | uint64(row)
+func wearKey(bankIdx int, row int64) uint32 {
+	return uint32(bankIdx)<<rowBits | uint32(row)
 }
 
 // recordArrayWrite updates energy and wear for one dirty-row eviction.
@@ -164,11 +170,12 @@ func (d *Device) recordArrayWrite(bankIdx int, row int64) {
 	d.stats.ArrayWrites++
 	d.met.arrayWrites.Inc()
 	d.stats.EnergyPJ += BlockWriteEnergyPJ * float64(BlocksPerRow)
-	k := d.wearKey(bankIdx, row)
-	d.wear[k]++
-	if d.wear[k] > d.maxWear {
-		d.maxWear = d.wear[k]
-		d.met.maxWear.SetMax(float64(d.maxWear))
+	k := wearKey(bankIdx, row)
+	w := d.wear[k] + 1
+	d.wear[k] = w
+	if w > d.maxWear {
+		d.maxWear = w
+		d.met.maxWear.SetMax(float64(w))
 	}
 }
 
@@ -177,8 +184,8 @@ func (d *Device) recordArrayWrite(bankIdx int, row int64) {
 // cell writes happen only on dirty-row eviction, exactly as in the paper's
 // reference design.
 func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool) sim.Time {
-	if row < 0 {
-		panic("pcm: negative row")
+	if row < 0 || row >= 1<<rowBits {
+		panic(fmt.Sprintf("pcm: row %d outside [0, 2^%d)", row, rowBits))
 	}
 	idx := d.bankIndex(rank, bankInRank)
 	b := &d.banks[idx]
@@ -274,7 +281,7 @@ func (d *Device) FlushRows() {
 func (d *Device) Stats() Stats { return d.stats }
 
 // MaxWear returns the highest per-row array write count.
-func (d *Device) MaxWear() uint64 { return d.maxWear }
+func (d *Device) MaxWear() uint64 { return uint64(d.maxWear) }
 
 // WornRows returns the number of distinct rows that received array writes.
 func (d *Device) WornRows() int { return len(d.wear) }

@@ -225,3 +225,33 @@ func TestDirtyClearsOnActivation(t *testing.T) {
 		t.Fatalf("MaxWear = %d, want 1", d.MaxWear())
 	}
 }
+
+// TestRowOutsidePackedKeyPanics checks Access's row bound: the wear table
+// packs (bank, row) into a uint32, so rows run from 0 to 2^27-1. The two
+// widest rows of every bank must wear as distinct rows.
+func TestRowOutsidePackedKeyPanics(t *testing.T) {
+	d := newDev()
+	const top = 1<<rowBits - 1
+	at := sim.Time(0)
+	for rank := 0; rank < Ranks; rank++ {
+		for bank := 0; bank < BanksPerRank; bank++ {
+			for _, row := range []int64{top, top - 1, 0} {
+				at = d.Access(at, rank, bank, row, true)
+			}
+		}
+	}
+	d.FlushRows()
+	if got, want := d.WornRows(), 3*Ranks*BanksPerRank; got != want {
+		t.Fatalf("WornRows = %d, want %d", got, want)
+	}
+	for _, row := range []int64{-1, top + 1, 1 << 32, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Access(row %d) did not panic", row)
+				}
+			}()
+			d.Access(at, 0, 0, row, false)
+		}()
+	}
+}

@@ -51,8 +51,9 @@ type Config struct {
 	FullHandshake bool
 	Seed          uint64
 	// Metrics, when non-nil, turns on the observability layer: the bus,
-	// memory controller, PCM devices, and the protection backend all record
-	// counters/histograms into per-component scopes of this registry.
+	// memory controller, PCM devices, the counter-mode encryption engine
+	// and the protection backend all record counters/histograms into
+	// per-component scopes of this registry.
 	// Multiple systems may share one registry (instruments are atomic);
 	// their counts then aggregate. Nil (the default) disables with a
 	// nil-instrument fast path, keeping the hot path unperturbed.
@@ -219,6 +220,7 @@ func NewChecked(cfg Config) (*System, error) {
 			fetch = s.counterFetch
 		}
 		s.enc = ctrmode.New(memKey, fetch)
+		s.enc.SetMetrics(cfg.Metrics)
 	}
 	return s, nil
 }

@@ -14,10 +14,13 @@
 #   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
 #                  obfus leg, AES pads, MD5 MAC, metrics instruments, xrand
 #                  draws, every hot-path backend with metrics attached, and
-#                  an obfusmem-auth machine with a wrapped span ring: span,
+#                  an obfusmem-auth machine with a wrapped span log: span,
 #                  instant and request-envelope recording plus traced
 #                  reads and writes),
 #                  the fixed-allocation guard of the Chrome trace export,
+#                  the span-log guard (at most 32 bytes per retained span
+#                  on a traced obfusmem-auth run's span mix, before and
+#                  after the log wraps),
 #                  the open-loop guard (an 8-lane run's allocations must
 #                  not grow with its request count), the closed-loop guard
 #                  (a cpu.Run's allocations must not grow with its request
@@ -129,7 +132,7 @@ bench-smoke:
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
 	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs|TestDriveAllocsIndependentOfRequests|TestWarmRunAllocatesNoBlocks|TestReadAheadMatchesStream|TestProducerPanicReraised|TestSimBudgetTrips|TestPageCountersAllocatePerChunk' \
 		./internal/metrics ./internal/xrand ./internal/cpu ./internal/ctrmode
-	$(GO) test -run 'TestChromeExportAllocs' -bench 'BenchmarkWriteChromeTrace' \
+	$(GO) test -run 'TestChromeExportAllocs|TestSpanLogBytesPerSpan' -bench 'BenchmarkWriteChromeTrace' \
 		-benchtime 200ms -benchmem ./internal/trace
 	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests|TestNewAllocBytes' \
 		./internal/backend ./internal/system

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"testing"
+	"unsafe"
 
 	"obfusmem/internal/bus"
 	"obfusmem/internal/keys"
@@ -347,5 +348,43 @@ func TestNoTampererNoFalsePositives(t *testing.T) {
 	st := ctrl.Stats()
 	if st.TamperDetected != 0 || st.DecodeMismatches != 0 || st.RequestsLost != 0 {
 		t.Fatalf("false positives: %+v", st)
+	}
+}
+
+// TestObserverCountsDropped fills a tap past its limit: the packets it
+// does not record are counted, and the ones it does are the first.
+func TestObserverCountsDropped(t *testing.T) {
+	obs := NewObserver(1, 3)
+	for i := range 5 {
+		obs.Observe(sim.Time(i), &bus.Packet{HasCmd: true, Addr: uint64(i)})
+	}
+	if obs.Packets() != 3 || obs.Dropped() != 2 {
+		t.Fatalf("tap of limit 3 after 5 packets: %d recorded, %d dropped; want 3 and 2", obs.Packets(), obs.Dropped())
+	}
+	if got := obs.TruthTrace()[2].Addr; got != 2 {
+		t.Errorf("last recorded packet is addr %d, want 2", got)
+	}
+}
+
+// TestPacketRecordBounds pins a tap record at 40 bytes and checks that a
+// packet its narrow fields cannot hold panics rather than wraps.
+func TestPacketRecordBounds(t *testing.T) {
+	if n := unsafe.Sizeof(pktRecord{}); n > 40 {
+		t.Errorf("pktRecord is %d bytes, want at most 40", n)
+	}
+	for _, p := range []bus.Packet{{Channel: 256}, {Channel: -1}, {Data: make([]byte, 1<<16)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Observe(channel %d, %d wire bytes) did not panic", p.Channel, p.WireBytes())
+				}
+			}()
+			NewObserver(1, 10).Observe(0, &p)
+		}()
+	}
+	obs := NewObserver(256, 10)
+	obs.Observe(0, &bus.Packet{Channel: 255, Dir: bus.MemToProc, Data: make([]byte, 1<<16-1)})
+	if w := obs.WireTrace()[0]; w.Channel != 255 || w.Dir != bus.MemToProc || w.Size != 1<<16-1 {
+		t.Errorf("widest packet recorded as %+v", w)
 	}
 }

@@ -11,6 +11,7 @@ package attack
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -20,30 +21,34 @@ import (
 )
 
 // pktRecord is the attacker-visible projection of one transfer, plus the
-// ground truth used for scoring.
+// ground truth used for scoring: 40 bytes, so a long run's wire trace stays
+// small. Observe panics on a channel or wire size its narrow fields cannot
+// hold.
 type pktRecord struct {
 	at      sim.Time
-	channel int
-	dir     bus.Direction
 	cmd     [bus.CmdBytes]byte
+	size    uint16
+	channel uint8
+	dir     uint8 // bus.Direction
 	hasCmd  bool
-	size    int
 
 	// ground truth for scoring only
 	truthType  bus.ReqType
-	truthAddr  uint64
 	truthDummy bool
 	plaintext  bool
+	truthAddr  uint64
 }
 
 // Observer is a passive bus tap.
 type Observer struct {
 	records  []pktRecord
 	limit    int
+	dropped  int
 	channels int
 }
 
-// NewObserver returns an observer retaining up to limit packets.
+// NewObserver returns an observer retaining up to limit packets; it counts
+// the packets past the limit in Dropped.
 func NewObserver(channels, limit int) *Observer {
 	return &Observer{limit: limit, channels: channels}
 }
@@ -51,15 +56,21 @@ func NewObserver(channels, limit int) *Observer {
 // Observe implements bus.Observer.
 func (o *Observer) Observe(at sim.Time, p *bus.Packet) {
 	if len(o.records) >= o.limit {
+		o.dropped++
 		return
+	}
+	size := p.WireBytes()
+	if uint(p.Channel) > math.MaxUint8 || size > math.MaxUint16 {
+		panic(fmt.Sprintf("attack: packet on channel %d of %d wire bytes: a tap records channels below 256 and sizes below 64 KiB",
+			p.Channel, size))
 	}
 	o.records = append(o.records, pktRecord{
 		at:         at,
-		channel:    p.Channel,
-		dir:        p.Dir,
+		channel:    uint8(p.Channel),
+		dir:        uint8(p.Dir),
 		cmd:        p.CmdCipher,
 		hasCmd:     p.HasCmd,
-		size:       p.WireBytes(),
+		size:       uint16(size),
 		truthType:  p.Type,
 		truthAddr:  p.Addr,
 		truthDummy: p.IsDummy,
@@ -67,8 +78,14 @@ func (o *Observer) Observe(at sim.Time, p *bus.Packet) {
 	})
 }
 
+// Dropped returns the number of packets observed past the limit and not
+// recorded: a scored run with drops scores a truncated wire trace.
+func (o *Observer) Dropped() int { return o.dropped }
+
 // Packets returns the number of recorded transfers.
 func (o *Observer) Packets() int { return len(o.records) }
+
+func (r *pktRecord) direction() bus.Direction { return bus.Direction(r.dir) }
 
 // obsKey is the attacker's canonical view of one command field: on a
 // plaintext bus the attacker parses out the address (ignoring the type
@@ -90,7 +107,7 @@ func (o *Observer) TemporalLeakage() float64 {
 	seen := make(map[[bus.CmdBytes]byte]bool)
 	repeats, total := 0, 0
 	for _, r := range o.records {
-		if !r.hasCmd || r.dir != bus.ProcToMem {
+		if !r.hasCmd || r.direction() != bus.ProcToMem {
 			continue
 		}
 		total++
@@ -112,7 +129,7 @@ func (o *Observer) TemporalLeakage() float64 {
 func (o *Observer) FootprintEstimate() int {
 	distinct := make(map[[bus.CmdBytes]byte]bool)
 	for _, r := range o.records {
-		if r.hasCmd && r.dir == bus.ProcToMem {
+		if r.hasCmd && r.direction() == bus.ProcToMem {
 			distinct[r.obsKey()] = true
 		}
 	}
@@ -123,7 +140,7 @@ func (o *Observer) FootprintEstimate() int {
 func (o *Observer) TrueFootprint() int {
 	distinct := make(map[uint64]bool)
 	for _, r := range o.records {
-		if r.hasCmd && !r.truthDummy && r.dir == bus.ProcToMem {
+		if r.hasCmd && !r.truthDummy && r.direction() == bus.ProcToMem {
 			distinct[r.truthAddr] = true
 		}
 	}
@@ -152,7 +169,7 @@ func (o *Observer) ShapeProfile() map[Shape]float64 {
 	counts := make(map[Shape]int)
 	total := 0
 	for _, r := range o.records {
-		counts[Shape(r.size<<1|int(r.dir))]++
+		counts[Shape(int(r.size)<<1|int(r.dir))]++
 		total++
 	}
 	out := make(map[Shape]float64, len(counts))
@@ -200,14 +217,14 @@ func (o *Observer) SpatialCorrelation(window sim.Time) float64 {
 	type key int64
 	active := make(map[key]map[int]bool)
 	for _, r := range o.records {
-		if r.dir != bus.ProcToMem {
+		if r.direction() != bus.ProcToMem {
 			continue
 		}
 		w := key(r.at / window)
 		if active[w] == nil {
 			active[w] = make(map[int]bool)
 		}
-		active[w][r.channel] = true
+		active[w][int(r.channel)] = true
 	}
 	if len(active) == 0 {
 		return 0
@@ -246,7 +263,7 @@ func (o *Observer) DictionaryAttack() float64 {
 	var pts []ptEnt
 	var stream []pair
 	for _, r := range o.records {
-		if !r.hasCmd || r.dir != bus.ProcToMem || r.truthDummy {
+		if !r.hasCmd || r.direction() != bus.ProcToMem || r.truthDummy {
 			continue
 		}
 		k := r.obsKey()

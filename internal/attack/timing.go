@@ -22,10 +22,10 @@ const eventClusterWindow = 5 * sim.Nanosecond
 func (o *Observer) interArrivals(ch int) []sim.Time {
 	var times []sim.Time
 	for _, r := range o.records {
-		if r.dir != bus.ProcToMem {
+		if r.direction() != bus.ProcToMem {
 			continue
 		}
-		if ch >= 0 && r.channel != ch {
+		if ch >= 0 && int(r.channel) != ch {
 			continue
 		}
 		times = append(times, r.at)

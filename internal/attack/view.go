@@ -40,11 +40,11 @@ func (o *Observer) WireTrace() []Wire {
 	for i, r := range o.records {
 		out[i] = Wire{
 			At:        r.at,
-			Channel:   r.channel,
-			Dir:       r.dir,
+			Channel:   int(r.channel),
+			Dir:       r.direction(),
 			Cmd:       r.cmd,
 			HasCmd:    r.hasCmd,
-			Size:      r.size,
+			Size:      int(r.size),
 			Plaintext: r.plaintext,
 		}
 	}

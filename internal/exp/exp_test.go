@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -138,6 +139,29 @@ func TestTable4Rows(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table 4 missing row %q", want)
 		}
+	}
+}
+
+// TestTruncatedTapFails shrinks the bus tap's limit below a run's packet
+// count: Table 4 and the leakage sweep must fail with an error naming the
+// limit rather than score a truncated wire trace.
+func TestTruncatedTapFails(t *testing.T) {
+	defer func(l int) { tapLimit = l }(tapLimit)
+	tapLimit = 100
+	opts := testOpts()
+	opts.Requests = 200
+	for name, run := range map[string]func(){
+		"table4":  func() { Table4(opts) },
+		"leakage": func() { LeakageReport(opts) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "past its limit of 100") {
+					t.Errorf("%s on a truncated tap: panic %q, want the tap's limit", name, msg)
+				}
+			}()
+			run()
+		}()
 	}
 }
 

@@ -62,10 +62,11 @@ func LeakageReport(opts Options) *leakage.Report {
 		cfg.Seed = runSeed(opts.Seed+salt, p)
 		cfg.Metrics = opts.Metrics
 		sys := system.New(cfg)
-		obs := attack.NewObserver(cfg.Channels, 1<<21)
+		obs := attack.NewObserver(cfg.Channels, tapLimit)
 		sys.Bus().AttachObserver(obs)
 		probe := leakage.NewProbe(sys)
 		cpu.Run(p, opts.Requests, probe, opts.CPU, opts.Seed+salt+3)
+		checkTap(obs)
 		results[i] = leakRun{eval: leakage.Evaluate(obs.WireTrace(), probe.Issued(), nil)}
 	})
 	if err := firstError(errs); err != nil {

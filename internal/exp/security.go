@@ -12,17 +12,33 @@ import (
 	"obfusmem/internal/xrand"
 )
 
+// tapLimit is the most packets a scored run's bus tap records: a 2-channel
+// obfusmem-auth run puts 3.2-5.9 packets on the wire per request, so about
+// 355k requests or more may reach it.
+var tapLimit = 1 << 21
+
+// checkTap panics with an error naming the limit when obs dropped packets:
+// scoring a truncated wire trace against the full run would understate
+// what the wire shows.
+func checkTap(obs *attack.Observer) {
+	if d := obs.Dropped(); d > 0 {
+		panic(fmt.Errorf("exp: bus tap dropped %d packets past its limit of %d", d, tapLimit))
+	}
+}
+
 // observedRun drives one benchmark on a machine with a bus observer
-// attached and returns the observer plus the system.
+// attached and returns the observer plus the system. It panics when the
+// observer's trace was truncated.
 func observedRun(opts Options, cfg system.Config, bench string) (*attack.Observer, *system.System, cpu.Result) {
 	p, err := workload.ByName(bench)
 	if err != nil {
 		panic(err)
 	}
 	sys := system.New(cfg)
-	obs := attack.NewObserver(cfg.Channels, 1<<21)
+	obs := attack.NewObserver(cfg.Channels, tapLimit)
 	sys.Bus().AttachObserver(obs)
 	res := cpu.Run(p, opts.Requests, sys, opts.CPU, opts.Seed+3)
+	checkTap(obs)
 	return obs, sys, res
 }
 

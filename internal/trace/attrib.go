@@ -80,7 +80,7 @@ func (r *Recorder) breakdown(begin, end sim.Time) Breakdown {
 }
 
 // attribState accumulates per-request breakdowns for the report. Retention
-// is capped (same spirit as the span ring); overflowing samples are counted
+// is capped (same spirit as the span log); overflowing samples are counted
 // but not retained, so percentiles cover the first `limit` requests while
 // counts and the residual invariant cover every request.
 type attribState struct {

@@ -20,11 +20,12 @@ import (
 // in nanoseconds. pid maps to a memory channel (pid 0 is the processor
 // side) and tid to one engine, link, or bank within it.
 //
-// The exporter streams: it walks the ring in place, emits the spans in time
-// order through a small heap of the few that ring order has out of place
-// (exportOrder), with no global sort, and appends each event straight into
-// a buffered writer, copying the JSON encodings the intern tables hold for
-// its strings and the event heads and pid/tid fragments it encodes once. Its
+// The exporter streams: it decodes the span log in place, front to back,
+// keeping no per-span state, emits the spans in time order through a small
+// heap of the few that log order has out of place (exportOrder), with no
+// global sort, and appends each event straight into a buffered writer,
+// copying the JSON encodings the intern tables hold for its strings and the
+// event heads and pid/tid fragments it encodes once. Its
 // output is byte for byte what encoding/json writes for the equivalent
 // object (field order, omitempty, sorted args keys, HTML-safe strings, ES6
 // number formatting); the reference encoding/json exporter in
@@ -56,31 +57,35 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	var tracks [][]int32
 	heads := make([]int32, len(syms)*headsPerSym)
 	headKeys := make([]int, 0, 16) // headKey of each head, in id order
-	// trk[i] is span i's track.
-	trk := make([]int32, n)
-	for i := range n {
-		s := r.at(i)
-		p := slices.Index(pids, s.pid)
-		if p < 0 {
-			p = len(pids)
-			pids = append(pids, s.pid)
-			tracks = append(tracks, make([]int32, len(syms)))
-		}
-		t := &tracks[p][s.tid]
-		if *t == 0 {
-			order = append(order, trackKey{s.pid, s.tid})
-			*t = int32(len(order))
-		}
-		trk[i] = *t
-		if k := headKey(s); heads[k] == 0 {
-			headKeys = append(headKeys, k)
-			heads[k] = int32(len(headKeys))
-		}
+	var s record                   // the span scanTracks and exportOrder decode
+	if n > 0 {
+		r.log.scanTracks(&s, func() {
+			p := slices.Index(pids, s.pid)
+			if p < 0 {
+				p = len(pids)
+				pids = append(pids, s.pid)
+				tracks = append(tracks, make([]int32, len(syms)))
+			}
+			if t := &tracks[p][s.tid]; *t == 0 {
+				order = append(order, trackKey{s.pid, s.tid})
+				*t = int32(len(order))
+			}
+			if k := headKey(&s); heads[k] == 0 {
+				headKeys = append(headKeys, k)
+				heads[k] = int32(len(headKeys))
+			}
+		})
 	}
 	// process_name metadata goes out in ascending pid order, after the
 	// thread_name metadata: pid discovery order depends on which component
-	// traced first, the sorted order does not.
-	slices.Sort(pids)
+	// traced first, the sorted order does not. The few pids are sorted in
+	// place, with their track tables.
+	for i := 1; i < len(pids); i++ {
+		for j := i; j > 0 && pids[j] < pids[j-1]; j-- {
+			pids[j], pids[j-1] = pids[j-1], pids[j]
+			tracks[j], tracks[j-1] = tracks[j-1], tracks[j]
+		}
+	}
 
 	// Encode each track's pid/tid fragment and each head once, into one
 	// arena: a track takes at most 36 bytes, `,"pid":` and `,"tid":` with
@@ -152,21 +157,21 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			return err
 		}
 	}
-	err := r.exportOrder(n, func(i int) error {
-		s := r.at(i)
-		b, err := e.appendSpan(append(e.next(), ','), s, headFrags[heads[headKey(s)]-1], trackFrags[trk[i]-1])
+	b = e.next()
+	if n > 0 {
+		err := r.log.exportOrder(&s, func() error {
+			trk := tracks[slices.Index(pids, s.pid)][s.tid]
+			b, err := e.appendSpan(append(e.next(), ','), &s, headFrags[heads[headKey(&s)]-1], trackFrags[trk-1])
+			if err != nil {
+				return err
+			}
+			_, err = e.w.Write(b)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		_, err = e.w.Write(b)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	b = e.next()
-	if n > 0 {
-		b = append(b, ']')
+		b = append(e.next(), ']')
 	}
 	if _, err := e.w.Write(append(b, "}\n"...)); err != nil {
 		return err
@@ -193,53 +198,94 @@ func headKey(s *record) int {
 	return k
 }
 
-// exportOrder calls emit with the n retained spans' positions in stable
-// time order: by emitted begin time, ties in ring order. Viewers do not
-// require it, but it keeps the export deterministic and per-track
-// monotonic.
-//
-// The ring is nearly in time order already, so rather than sort it the
-// pass holds back only the spans a later one may precede: floor[i] is the
-// least begin time of spans i..n-1, and once span i is held, every held
-// span at or below floor[i+1] is emitted, least first. A later span then
-// begins no earlier, and on a tie comes later in the ring. The pass costs
-// O(n log w) for w held spans: a dozen on a traced run, n on a ring
-// recorded in reverse.
-func (r *Recorder) exportOrder(n int, emit func(i int) error) error {
-	floor := make([]float64, n)
-	least := math.Inf(1)
-	for i := n - 1; i >= 0; i-- {
-		least = min(least, tsKey(r.at(i).begin))
-		floor[i] = least
-	}
-	held := make(spanHeap, 0, 64)
-	for i := range n {
-		held.push(heldSpan{tsKey(r.at(i).begin), int32(i)})
-		next := math.Inf(1)
-		if i+1 < n {
-			next = floor[i+1]
+// scanTracks decodes the head, pid, tid and name of each retained span,
+// oldest first, into s and calls visit.
+func (l *spanLog) scanTracks(s *record, visit func()) {
+	for k, c := range l.chunks {
+		for off := l.start(k); off < len(c.b); {
+			var b []byte
+			b, off = span(c.b, off)
+			s.decodeTrack(b)
+			visit()
 		}
-		for len(held) > 0 && held[0].ts <= next {
-			if err := emit(int(held.pop().i)); err != nil {
-				return err
+	}
+}
+
+// exportOrder decodes the retained spans into s in stable time order, by
+// emitted begin time, ties in log order, and calls emit after each. Viewers
+// do not require the order, but it keeps the export deterministic and
+// per-track monotonic.
+//
+// The log is nearly in time order already, so rather than sort it the pass
+// holds back only the spans a later one may precede: once span i is held,
+// every held span at or below floor(i+1), the least begin time of the
+// spans after i, is emitted, least first. A later span then begins no
+// earlier, and on a tie comes later in the log. The floors are kept for
+// one chunk at a time, from a walk of the chunk's begin times and the
+// least begin time of each later chunk, which the log keeps (exactly: only
+// the head chunk, whose bound is never read here, has evicted spans). The
+// pass costs O(n log w) for w held spans: a dozen on a traced run, n on a
+// log recorded in reverse.
+func (l *spanLog) exportOrder(s *record, emit func() error) error {
+	// after[k] is the least sort key of the spans of chunks k.. (+Inf at
+	// k = len(chunks)); most bounds the spans one chunk holds.
+	after := make([]float64, len(l.chunks)+1)
+	after[len(l.chunks)] = math.Inf(1)
+	most := 0
+	for k := len(l.chunks) - 1; k >= 0; k-- {
+		after[k] = min(tsKey(l.chunks[k].least), after[k+1])
+		most = max(most, l.chunks[k].n)
+	}
+	walk := make([]chunkSpan, most+1)
+	held := make(spanHeap, 0, 64)
+	for k, c := range l.chunks {
+		m := 0
+		for off := l.start(k); off < len(c.b); m++ {
+			var b []byte
+			walk[m].off = int32(off)
+			b, off = span(c.b, off)
+			walk[m].key = tsKey(beginOf(b))
+		}
+		walk[m].floor = after[k+1]
+		for j := m - 1; j >= 0; j-- {
+			walk[j].floor = min(walk[j].key, walk[j+1].floor)
+		}
+		for j := range m {
+			held.push(heldSpan{walk[j].key, int32(k), walk[j].off})
+			for len(held) > 0 && held[0].ts <= walk[j+1].floor {
+				h := held.pop()
+				b, _ := span(l.chunks[h.k].b, int(h.off))
+				s.decode(b)
+				if err := emit(); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
+// chunkSpan is exportOrder's scratch for one span of the chunk it walks.
+type chunkSpan struct {
+	key   float64 // its sort key
+	floor float64 // the least sort key of it and every later span
+	off   int32   // its offset in the chunk
+}
+
 // tsKey is the export's sort key: the span's begin time as emitted.
 func tsKey(t sim.Time) float64 { return float64(t) / psPerMicro }
 
-// heldSpan is a span exportOrder holds back: its sort key and ring
-// position.
+// heldSpan is a span exportOrder holds back: its sort key and its chunk
+// and offset in the log.
 type heldSpan struct {
-	ts float64
-	i  int32
+	ts     float64
+	k, off int32
 }
 
-// before orders held spans by begin time, ties in ring order.
-func (a heldSpan) before(b heldSpan) bool { return a.ts < b.ts || a.ts == b.ts && a.i < b.i }
+// before orders held spans by begin time, ties in log order.
+func (a heldSpan) before(b heldSpan) bool {
+	return a.ts < b.ts || a.ts == b.ts && (a.k < b.k || a.k == b.k && a.off < b.off)
+}
 
 // spanHeap is a binary min-heap of held spans.
 type spanHeap []heldSpan

@@ -259,14 +259,18 @@ func TestChromeExportMatchesReference(t *testing.T) {
 	checkAgainstReference(t, odd)
 }
 
+// chunkSpans is a span limit whose log of exportRecorder spans fills
+// several chunks, so the export tests wrap inside and across chunks.
+const chunkSpans = 4096
+
 // TestRingChunks checks Spans() against a plain slice model across chunk
-// boundaries, before and after the ring wraps.
+// boundaries, before and after the log wraps and recycles its chunks.
 func TestRingChunks(t *testing.T) {
-	const limit = chunkSpans + 904
+	const limit = chunkBytes/8 + 904 // instants of about 32 bytes: 4 to 5 chunks
 	r := New(limit)
 	var model []sim.Time
 	for i := 0; i < 3*limit; i++ {
-		r.Instant(0, "t", "i", sim.Time(i))
+		r.Instant(0, "t", "i", sim.Time(i), Uint("a", ^uint64(i)), Uint("b", 1<<63|uint64(i)))
 		model = append(model, sim.Time(i))
 		if len(model) > limit {
 			model = model[1:]
@@ -286,6 +290,10 @@ func TestRingChunks(t *testing.T) {
 	}
 	if got, want := r.Dropped(), uint64(2*limit); got != want {
 		t.Errorf("Dropped = %d, want %d", got, want)
+	}
+	if len(r.log.chunks) < 4 || len(r.log.spare) > 1 {
+		t.Errorf("log holds %d chunks and %d spares, want several chunks and at most one spare",
+			len(r.log.chunks), len(r.log.spare))
 	}
 }
 

@@ -7,7 +7,7 @@
 // *Recorder is the disabled recorder, every method on it is a single-branch
 // no-op, and components keep permanent recorder fields. Span arguments are
 // typed values (Int, Uint, Bool, Float, Str, Nanos) that box nothing, and the
-// recorder copies them into its own storage, so once the ring's chunks exist
+// recorder encodes them into its own storage, so once the log's chunks exist
 // an enabled recorder records spans without allocating. Call sites that
 // build arguments still guard with a nil check, which keeps an untraced run
 // from building them at all.
@@ -17,7 +17,7 @@
 //   - Chrome trace-event JSON export (WriteChromeTrace), loadable in
 //     Perfetto or chrome://tracing, with pid = channel and tid = engine or
 //     bank, so a run can be inspected as a bus-transaction timeline. It
-//     streams the ring in begin-time order without sorting it: the ring is
+//     streams the log in begin-time order without sorting it: the log is
 //     nearly in time order, and only the spans it has out of place are
 //     held back.
 //   - A per-request latency-attribution table (Attribution): each finished
@@ -27,19 +27,21 @@
 //   - A time-series sampler (Sampler, sampler.go) that snapshots a metrics
 //     registry on fixed sim-time boundaries for CSV plotting.
 //
-// Retention is a ring buffer of fixed-size chunks allocated on demand: once
-// the configured span limit is reached the oldest spans are evicted and
-// counted in Dropped(). Truncation is never silent — exporters embed the
-// dropped count and callers are expected to surface it. Each span is a
-// fixed-size record with no Go pointers: names, TIDs, arg keys and string
-// values are ids into recorder-local intern tables that keep each string's
-// JSON encoding, so the garbage collector never scans the ring and the
-// export copies pre-encoded bytes. The intern tables never evict, so their
-// memory is bounded by the distinct strings a run records, not by the span
-// limit: a string value unique to one span (a campaign cell's key) stays
-// interned after the ring drops its span. String values have a table of
-// their own, so the export's per-name tables stay sized by the run's
-// distinct names, TIDs and keys.
+// Retention is a span log (spanlog.go): each span is encoded on its own, in
+// varints, into byte chunks allocated on demand, about 20 bytes a span on a
+// traced ObfusMem run. Once the configured span limit is reached the oldest
+// spans are evicted, a skip over their bytes, and counted in Dropped(); a
+// chunk they empty is recycled. Truncation is never silent — exporters embed
+// the dropped count and callers are expected to surface it. The log holds no
+// Go pointers: names, TIDs, arg keys and string values are ids into
+// recorder-local intern tables that keep each string's JSON encoding, so the
+// garbage collector never scans the chunks and the export copies pre-encoded
+// bytes. The export and Spans decode the log front to back. The intern
+// tables never evict, so their memory is bounded by the distinct strings a
+// run records, not by the span limit: a string value unique to one span (a
+// campaign cell's key) stays interned after the log drops its span. String
+// values have a table of their own, so the export's per-name tables stay
+// sized by the run's distinct names, TIDs and keys.
 package trace
 
 import (
@@ -87,8 +89,8 @@ const PIDCPU = 0
 func ChannelPID(ch int) int { return ch + 1 }
 
 // Arg is one typed key/value pair attached to a span, built by Int, Uint,
-// Bool, Float, Str or Nanos. The recorder copies it into the span's record,
-// so a caller may reuse its args slice.
+// Bool, Float, Str or Nanos. The recorder copies it into the span's
+// encoding, so a caller may reuse its args slice.
 type Arg struct {
 	Key  string
 	kind argKind
@@ -165,7 +167,7 @@ const (
 )
 
 // Span is one recorded interval (or instant) of component activity, as
-// Spans materialises it from the recorder's records.
+// Spans materialises it from the recorder's span log.
 type Span struct {
 	Req   uint64 // enclosing request ID; 0 when outside any request
 	PID   int    // Chrome-trace process: PIDCPU or ChannelPID(ch)
@@ -182,31 +184,10 @@ type Span struct {
 // all of them.
 const maxArgs = 6
 
-// record is one retained span. It holds no Go pointers — strings are syms
-// in the recorder's intern tables and args are typed numbers — so the
-// garbage collector never scans the ring's chunks.
-type record struct {
-	req        uint64
-	begin, end sim.Time
-	pid        int32
-	tid, name  sym
-	cat        Category
-	phase      Phase
-	nargs      uint8
-	kinds      [maxArgs]argKind
-	keys       [maxArgs]sym
-	vals       [maxArgs]uint64 // Arg.num, or the strs sym of an argStr value
-}
-
-// DefaultLimit is the default ring-buffer capacity (retained spans).
+// DefaultLimit is the default span limit (retained spans).
 const DefaultLimit = 100_000
 
-// chunkSpans is the ring's allocation unit. Chunks are allocated as the
-// ring fills and never regrown, so retention costs no copying and a short
-// run never pays for the whole limit.
-const chunkSpans = 4096
-
-// Recorder collects spans into a bounded ring buffer and accumulates
+// Recorder collects spans into a bounded span log and accumulates
 // per-request latency breakdowns. A Recorder is single-threaded, matching
 // the synchronous call graph of one simulated machine; concurrent systems
 // must each use their own Recorder.
@@ -214,9 +195,8 @@ const chunkSpans = 4096
 // The nil Recorder is the disabled recorder: every method is a no-op.
 type Recorder struct {
 	limit   int
-	chunks  [][]record // ring storage: span i lives at chunks[i/chunkSpans][i%chunkSpans]
-	n       int        // retained spans
-	next    int        // ring index of the oldest span once full (0 until then)
+	log     spanLog
+	n       int // retained spans
 	dropped uint64
 	syms    *symtab // names, TIDs and arg keys; nil until the first span
 	strs    *symtab // string arg values; nil until the first span
@@ -257,36 +237,16 @@ func (r *Recorder) tables() (syms, strs *symtab) {
 // Enabled reports whether the recorder records anything.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// slot returns the record at ring index i.
-func (r *Recorder) slot(i int) *record { return &r.chunks[i/chunkSpans][i%chunkSpans] }
-
-// at returns the i-th oldest retained record.
-func (r *Recorder) at(i int) *record {
-	i += r.next
-	if i >= r.limit {
-		i -= r.limit
-	}
-	return r.slot(i)
-}
-
-// alloc returns the ring slot for a new record, evicting the oldest when
-// the ring is full.
-func (r *Recorder) alloc() *record {
-	if r.n < r.limit {
-		if r.n == len(r.chunks)*chunkSpans {
-			r.chunks = append(r.chunks, make([]record, min(chunkSpans, r.limit-r.n)))
-		}
+// store appends one encoded span that begins at begin, evicting the
+// oldest when the log holds limit spans.
+func (r *Recorder) store(b []byte, begin sim.Time) {
+	if r.n == r.limit {
+		r.log.drop()
+		r.dropped++
+	} else {
 		r.n++
-		return r.slot(r.n - 1)
 	}
-	// Ring is full: overwrite the oldest retained span.
-	s := r.slot(r.next)
-	r.next++
-	if r.next == r.limit {
-		r.next = 0
-	}
-	r.dropped++
-	return s
+	r.log.push(b, begin)
 }
 
 // push records one span of the current request scope, copying its args.
@@ -295,19 +255,20 @@ func (r *Recorder) push(pid int, tid string, cat Category, name string, ph Phase
 		panic("trace: a span carries at most 6 args")
 	}
 	t, strs := r.tables()
-	s := r.alloc()
-	*s = record{req: r.curReq, begin: begin, end: end, pid: int32(pid),
-		tid: t.id(tid), name: t.id(name), cat: cat, phase: ph, nargs: uint8(len(args))}
-	for i, a := range args {
-		s.kinds[i], s.keys[i], s.vals[i] = a.kind, t.id(a.Key), a.num
+	var buf [maxSpanBytes]byte
+	b := appendHead(buf[:0], r.curReq, begin, end, int32(pid), t.id(tid), t.id(name), cat, ph, len(args))
+	for _, a := range args {
+		v := a.num
 		if a.kind == argStr {
-			s.vals[i] = uint64(strs.id(a.str))
+			v = uint64(strs.id(a.str))
 		}
+		b = appendArg(b, t.id(a.Key), a.kind, v)
 	}
+	r.store(b, begin)
 }
 
 // Span records one component interval. No-op on a nil recorder. Once the
-// ring's chunks exist and its strings have been seen, it allocates nothing.
+// log's chunks exist and its strings have been seen, it allocates nothing.
 func (r *Recorder) Span(pid int, tid string, cat Category, name names.Name, begin, end sim.Time, args ...Arg) {
 	if r == nil {
 		return
@@ -360,39 +321,51 @@ func (r *Recorder) EndRequest(id uint64, end sim.Time) {
 	}
 	bd := r.breakdown(r.curBegin, end)
 	r.attrib.add(r.curKind, bd)
-	// The envelope is pushed after its components so chronological ring
+	// The envelope is pushed after its components so oldest-first
 	// eviction drops components before their envelope.
 	syms, _ := r.tables()
-	s := r.alloc()
-	*s = record{req: id, begin: r.curBegin, end: end, pid: PIDCPU, tid: symRequests,
-		name: syms.id(r.curKind), cat: CatOther, phase: PhaseSpan, nargs: maxArgs,
-		kinds: [maxArgs]argKind{argHex, argNS, argNS, argNS, argNS, argNS},
-		keys:  [maxArgs]sym{symAddr, symQueueNS, symBusNS, symCryptoNS, symPCMNS, symOtherNS},
-		vals: [maxArgs]uint64{r.curAddr, uint64(bd.Parts[CatQueue]), uint64(bd.Parts[CatBus]),
-			uint64(bd.Parts[CatCrypto]), uint64(bd.Parts[CatPCM]), uint64(bd.Parts[CatOther])}}
+	var buf [maxSpanBytes]byte
+	b := appendHead(buf[:0], id, r.curBegin, end, PIDCPU, symRequests, syms.id(r.curKind), CatOther, PhaseSpan, maxArgs)
+	b = appendArg(b, symAddr, argHex, r.curAddr)
+	for _, p := range envelopeParts {
+		b = appendArg(b, p.key, argNS, uint64(bd.Parts[p.cat]))
+	}
+	r.store(b, r.curBegin)
 	r.curReq = 0
 	r.cur = r.cur[:0]
 }
+
+// envelopeParts are the request envelope's breakdown args, in arg order.
+var envelopeParts = [...]struct {
+	key sym
+	cat Category
+}{{symQueueNS, CatQueue}, {symBusNS, CatBus}, {symCryptoNS, CatCrypto}, {symPCMNS, CatPCM}, {symOtherNS, CatOther}}
 
 // Spans returns the retained spans, oldest first.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, r.n)
-	for i := range out {
-		s := r.at(i)
-		out[i] = Span{Req: s.req, PID: int(s.pid), TID: r.syms.str(s.tid), Cat: s.cat,
-			Name: r.syms.str(s.name), Phase: s.phase, Begin: s.begin, End: s.end}
-		if s.nargs > 0 {
-			out[i].Args = make([]Arg, s.nargs)
-		}
-		for j := range out[i].Args {
-			a := Arg{Key: r.syms.str(s.keys[j]), kind: s.kinds[j], num: s.vals[j]}
-			if a.kind == argStr {
-				a.num, a.str = 0, r.strs.str(sym(s.vals[j]))
+	out := make([]Span, 0, r.n)
+	var s record
+	for k, c := range r.log.chunks {
+		for off := r.log.start(k); off < len(c.b); {
+			var b []byte
+			b, off = span(c.b, off)
+			s.decode(b)
+			sp := Span{Req: s.req, PID: int(s.pid), TID: r.syms.str(s.tid), Cat: s.cat,
+				Name: r.syms.str(s.name), Phase: s.phase, Begin: s.begin, End: s.end}
+			if s.nargs > 0 {
+				sp.Args = make([]Arg, s.nargs)
 			}
-			out[i].Args[j] = a
+			for j := range sp.Args {
+				a := Arg{Key: r.syms.str(s.keys[j]), kind: s.kinds[j], num: s.vals[j]}
+				if a.kind == argStr {
+					a.num, a.str = 0, r.strs.str(sym(s.vals[j]))
+				}
+				sp.Args[j] = a
+			}
+			out = append(out, sp)
 		}
 	}
 	return out
@@ -406,7 +379,7 @@ func (r *Recorder) Len() int {
 	return r.n
 }
 
-// Dropped returns the number of spans evicted from the ring buffer.
+// Dropped returns the number of spans evicted from the span log.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -414,7 +387,7 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// Limit returns the ring-buffer capacity.
+// Limit returns the span limit: the most spans the log retains.
 func (r *Recorder) Limit() int {
 	if r == nil {
 		return 0

@@ -456,3 +456,76 @@ func TestHex64(t *testing.T) {
 		}
 	}
 }
+
+// recordObservedMix records requests shaped like a traced 2-channel
+// obfusmem-auth run: per request, 15 component spans on the tracks, with
+// the names and the arg kinds and magnitudes that run records, then the
+// envelope, so 27/20/20/27/7% of spans carry 0/1/2/4/6 args (the run
+// measures 28/20/20/26/6%). Requests start about 500 ns apart from at.
+func recordObservedMix(r *Recorder, rng *xrand.Rand, at sim.Time, requests int) sim.Time {
+	ns := func(n uint64) sim.Time { return sim.Time(rng.Uint64n(n*1000) + 1) }
+	for i := range requests {
+		ch := int(rng.Uint64n(2))
+		pid, other := ChannelPID(ch), ChannelPID(1-ch)
+		seq := uint64(8 * i)
+		id := r.BeginRequest(names.ReqRead, rng.Uint64n(1<<33)&^63, at)
+		t := at + ns(20)
+		r.Span(PIDCPU, "frontend", CatQueue, names.SpanFrontendWait, at, t)
+		r.Span(PIDCPU, "frontend", CatOther, names.SpanFrontend, t, t+2000)
+		t += 2000
+		r.Span(pid, "proc-aes", CatCrypto, names.SpanEncryptPads, t, t+ns(15), Int("pads", 2))
+		r.Span(pid, "proc-md5", CatCrypto, names.SpanMACRequest, t, t+ns(40), Nanos("slack_ns", ns(30)))
+		t += ns(40)
+		for j, p := range []int{pid, other} {
+			r.Span(p, "req-link", CatBus, "cmd+mac", t, t+ns(10), Int("bytes", 24), Str("type", "read"),
+				Bool("dummy", j == 1), Uint("seq", seq+uint64(j)))
+			r.Span(p, "mem-aes", CatCrypto, names.SpanMemDecode, t+ns(10), t+ns(25),
+				Uint("ctr", seq/2+uint64(j)), Bool("dummy", j == 1))
+		}
+		t += ns(30)
+		row := int64(rng.Uint64n(1 << 17))
+		r.Instant(pid, "ctl", names.SpanDecode, t, Int("rank", 0), Int("bank", int64(rng.Uint64n(8))),
+			Int("row", row), Bool("write", false))
+		r.Span(pid, "bank 3", CatQueue, names.SpanBankWait, t, t+ns(100))
+		t += ns(100)
+		r.Span(pid, "bank 3", CatPCM, names.SpanRowMiss, t, t+ns(120), Int("row", row), Bool("write", false))
+		t += ns(120)
+		r.Span(pid, "mem-aes", CatCrypto, names.SpanReplyEncrypt, t, t+ns(15), Bool("dummy", false))
+		t += ns(15)
+		r.Span(pid, "resp-link", CatBus, "data+mac", t, t+ns(30), Int("bytes", 72), Str("type", "read"),
+			Bool("dummy", false), Uint("seq", seq+2))
+		t += ns(30)
+		r.Span(pid, "proc-aes", CatCrypto, names.SpanReplyDecode, t, t+ns(10))
+		r.EndRequest(id, t+ns(10))
+		at += 400*sim.Nanosecond + ns(200)
+	}
+	return at
+}
+
+// TestSpanLogBytesPerSpan is the span log's memory guard: on the observed
+// mix, the chunks a recorder holds cost at most 32 bytes per retained span
+// while the log fills and after it has wrapped (22 and 25 here, the
+// chunks' slack included).
+func TestSpanLogBytesPerSpan(t *testing.T) {
+	const limit = 40_000
+	r := New(limit)
+	rng := xrand.New(5)
+	check := func(when string) {
+		// Every chunk the log holds, spares included, is what its spans cost.
+		held := (len(r.log.chunks) + len(r.log.spare)) * chunkBytes
+		if per := float64(held) / float64(r.Len()); per > 32 {
+			t.Errorf("%s: %d chunk bytes for %d spans, %.1f bytes per span, want at most 32",
+				when, held, r.Len(), per)
+		}
+	}
+	at := recordObservedMix(r, rng, 0, 2000)
+	if r.Dropped() != 0 {
+		t.Fatal("the filling log dropped spans")
+	}
+	check("filling")
+	recordObservedMix(r, rng, at, 4000)
+	if r.Dropped() == 0 || r.Len() != limit {
+		t.Fatalf("log of %d spans after 6000 requests: %d retained, %d dropped; want it wrapped", limit, r.Len(), r.Dropped())
+	}
+	check("wrapped")
+}

@@ -233,7 +233,8 @@ func (m *Machine) ReadBlock(at Time, addr uint64) (data Block, done Time, verifi
 type Observer = attack.Observer
 
 // AttachObserver taps the machine's memory bus with a passive attacker
-// retaining up to limit packets, and returns it for later analysis.
+// retaining up to limit packets (its Dropped counts the packets past the
+// limit), and returns it for later analysis.
 func (m *Machine) AttachObserver(limit int) *Observer {
 	o := attack.NewObserver(m.cfg.Channels, limit)
 	m.sys.Bus().AttachObserver(o)

@@ -21,6 +21,13 @@
 #                  the span-log guard (at most 32 bytes per retained span
 #                  on a traced obfusmem-auth run's span mix, before and
 #                  after the log wraps),
+#                  the chunked-log guards (a log allocates nothing before
+#                  its first append and once per chunk after; over 100k
+#                  records the bus tap allocates at most 44 bytes per
+#                  40-byte packet record, the leakage probe at most 52 per
+#                  issued request with one Issued() copy, and the
+#                  attribution at most 56 per sample; the open loop's lane
+#                  logs fill whole chunks and merge across them),
 #                  the open-loop guard (an 8-lane run's allocations must
 #                  not grow with its request count), the closed-loop guard
 #                  (a cpu.Run's allocations must not grow with its request
@@ -51,7 +58,9 @@
 #                  FuzzSummarizeWire (the open loop's loser-tree wire merge,
 #                  digest and gap entropy, against a stable sort); one
 #                  go test -fuzz call per target, since -fuzz takes one
-#                  target (runs in CI)
+#                  target, with minimization capped at 1 s a corpus entry;
+#                  fails when a target's last progress line reports
+#                  0 execs/s (scripts/fuzz_smoke.sh; runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
 #                  the merged results are byte-identical to an uninterrupted
@@ -132,9 +141,11 @@ bench-smoke:
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
 	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs|TestDriveAllocsIndependentOfRequests|TestWarmRunAllocatesNoBlocks|TestReadAheadMatchesStream|TestProducerPanicReraised|TestSimBudgetTrips|TestPageCountersAllocatePerChunk' \
 		./internal/metrics ./internal/xrand ./internal/cpu ./internal/ctrmode
-	$(GO) test -run 'TestChromeExportAllocs|TestSpanLogBytesPerSpan' -bench 'BenchmarkWriteChromeTrace' \
+	$(GO) test -run 'TestChromeExportAllocs|TestSpanLogBytesPerSpan|TestAttribBytesPerSample' -bench 'BenchmarkWriteChromeTrace' \
 		-benchtime 200ms -benchmem ./internal/trace
-	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests|TestNewAllocBytes' \
+	$(GO) test -run 'TestLogOrderAcrossChunks|TestLogAllocatesPerChunk|TestObserverBytesPerPacket|TestProbeBytesPerRequest' \
+		./internal/chunklog ./internal/attack ./internal/leakage
+	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests|TestOpenLoopChunkedMerge|TestNewAllocBytes' \
 		./internal/backend ./internal/system
 	$(GO) test -run '^$$' -bench 'BenchmarkRunOpenLoop' -benchtime 200ms -benchmem ./internal/system
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
@@ -142,12 +153,7 @@ bench-smoke:
 	$(MAKE) campaign-smoke
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzChromeExport$$' -fuzztime 20s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 10s ./internal/campaign
-	$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s ./internal/campaign
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzSummarizeWire$$' -fuzztime 10s ./internal/system
+	GO=$(GO) sh scripts/fuzz_smoke.sh
 
 campaign-smoke:
 	sh scripts/campaign_smoke.sh

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -386,5 +387,30 @@ func TestPacketRecordBounds(t *testing.T) {
 	obs.Observe(0, &bus.Packet{Channel: 255, Dir: bus.MemToProc, Data: make([]byte, 1<<16-1)})
 	if w := obs.WireTrace()[0]; w.Channel != 255 || w.Dir != bus.MemToProc || w.Size != 1<<16-1 {
 		t.Errorf("widest packet recorded as %+v", w)
+	}
+}
+
+// TestObserverBytesPerPacket checks that a tap allocates about its 40-byte
+// record per packet over a long run (the last chunk's slack and the chunk
+// list included), not the several times that a slice grown by append
+// allocates on its way to the same length.
+func TestObserverBytesPerPacket(t *testing.T) {
+	const packets = 100_000
+	obs := NewObserver(2, packets)
+	p := bus.Packet{HasCmd: true, Dir: bus.ProcToMem}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range packets {
+		p.Channel, p.Addr = i%2, uint64(i)*64
+		obs.Observe(sim.Time(i), &p)
+	}
+	runtime.ReadMemStats(&after)
+	if obs.Packets() != packets {
+		t.Fatalf("tap recorded %d of %d packets", obs.Packets(), packets)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / packets
+	t.Logf("%.1f bytes allocated per recorded packet", per)
+	if per > 44 {
+		t.Errorf("tap allocates %.1f bytes per recorded packet, want at most 44 (1.1 times its 40-byte record)", per)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"obfusmem/internal/bus"
+	"obfusmem/internal/chunklog"
 	"obfusmem/internal/sim"
 )
 
@@ -39,9 +40,10 @@ type pktRecord struct {
 	truthAddr  uint64
 }
 
-// Observer is a passive bus tap.
+// Observer is a passive bus tap. Its records sit in a chunked log, so a
+// long tap allocates its 40-byte records once, never a grown copy.
 type Observer struct {
-	records  []pktRecord
+	records  chunklog.Log[pktRecord]
 	limit    int
 	dropped  int
 	channels int
@@ -55,7 +57,7 @@ func NewObserver(channels, limit int) *Observer {
 
 // Observe implements bus.Observer.
 func (o *Observer) Observe(at sim.Time, p *bus.Packet) {
-	if len(o.records) >= o.limit {
+	if o.records.Len() >= o.limit {
 		o.dropped++
 		return
 	}
@@ -64,7 +66,7 @@ func (o *Observer) Observe(at sim.Time, p *bus.Packet) {
 		panic(fmt.Sprintf("attack: packet on channel %d of %d wire bytes: a tap records channels below 256 and sizes below 64 KiB",
 			p.Channel, size))
 	}
-	o.records = append(o.records, pktRecord{
+	o.records.Append(pktRecord{
 		at:         at,
 		channel:    uint8(p.Channel),
 		dir:        uint8(p.Dir),
@@ -83,7 +85,7 @@ func (o *Observer) Observe(at sim.Time, p *bus.Packet) {
 func (o *Observer) Dropped() int { return o.dropped }
 
 // Packets returns the number of recorded transfers.
-func (o *Observer) Packets() int { return len(o.records) }
+func (o *Observer) Packets() int { return o.records.Len() }
 
 func (r *pktRecord) direction() bus.Direction { return bus.Direction(r.dir) }
 
@@ -106,16 +108,18 @@ func (r *pktRecord) obsKey() [bus.CmdBytes]byte {
 func (o *Observer) TemporalLeakage() float64 {
 	seen := make(map[[bus.CmdBytes]byte]bool)
 	repeats, total := 0, 0
-	for _, r := range o.records {
-		if !r.hasCmd || r.direction() != bus.ProcToMem {
-			continue
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			if !r.hasCmd || r.direction() != bus.ProcToMem {
+				continue
+			}
+			total++
+			k := r.obsKey()
+			if seen[k] {
+				repeats++
+			}
+			seen[k] = true
 		}
-		total++
-		k := r.obsKey()
-		if seen[k] {
-			repeats++
-		}
-		seen[k] = true
 	}
 	if total == 0 {
 		return 0
@@ -128,9 +132,11 @@ func (o *Observer) TemporalLeakage() float64 {
 // seen. Scored against truth by FootprintError.
 func (o *Observer) FootprintEstimate() int {
 	distinct := make(map[[bus.CmdBytes]byte]bool)
-	for _, r := range o.records {
-		if r.hasCmd && r.direction() == bus.ProcToMem {
-			distinct[r.obsKey()] = true
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			if r.hasCmd && r.direction() == bus.ProcToMem {
+				distinct[r.obsKey()] = true
+			}
 		}
 	}
 	return len(distinct)
@@ -139,9 +145,11 @@ func (o *Observer) FootprintEstimate() int {
 // TrueFootprint returns the real number of distinct non-dummy addresses.
 func (o *Observer) TrueFootprint() int {
 	distinct := make(map[uint64]bool)
-	for _, r := range o.records {
-		if r.hasCmd && !r.truthDummy && r.direction() == bus.ProcToMem {
-			distinct[r.truthAddr] = true
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			if r.hasCmd && !r.truthDummy && r.direction() == bus.ProcToMem {
+				distinct[r.truthAddr] = true
+			}
 		}
 	}
 	return len(distinct)
@@ -168,9 +176,11 @@ type Shape int
 func (o *Observer) ShapeProfile() map[Shape]float64 {
 	counts := make(map[Shape]int)
 	total := 0
-	for _, r := range o.records {
-		counts[Shape(int(r.size)<<1|int(r.dir))]++
-		total++
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			counts[Shape(int(r.size)<<1|int(r.dir))]++
+			total++
+		}
 	}
 	out := make(map[Shape]float64, len(counts))
 	if total == 0 {
@@ -216,15 +226,17 @@ func (o *Observer) SpatialCorrelation(window sim.Time) float64 {
 	}
 	type key int64
 	active := make(map[key]map[int]bool)
-	for _, r := range o.records {
-		if r.direction() != bus.ProcToMem {
-			continue
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			if r.direction() != bus.ProcToMem {
+				continue
+			}
+			w := key(r.at / window)
+			if active[w] == nil {
+				active[w] = make(map[int]bool)
+			}
+			active[w][int(r.channel)] = true
 		}
-		w := key(r.at / window)
-		if active[w] == nil {
-			active[w] = make(map[int]bool)
-		}
-		active[w][int(r.channel)] = true
 	}
 	if len(active) == 0 {
 		return 0
@@ -262,24 +274,26 @@ func (o *Observer) DictionaryAttack() float64 {
 	var cts []ctEnt
 	var pts []ptEnt
 	var stream []pair
-	for _, r := range o.records {
-		if !r.hasCmd || r.direction() != bus.ProcToMem || r.truthDummy {
-			continue
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			if !r.hasCmd || r.direction() != bus.ProcToMem || r.truthDummy {
+				continue
+			}
+			k := r.obsKey()
+			if i, ok := ctIdx[k]; ok {
+				cts[i].n++
+			} else {
+				ctIdx[k] = len(cts)
+				cts = append(cts, ctEnt{k, 1})
+			}
+			if i, ok := ptIdx[r.truthAddr]; ok {
+				pts[i].n++
+			} else {
+				ptIdx[r.truthAddr] = len(pts)
+				pts = append(pts, ptEnt{r.truthAddr, 1})
+			}
+			stream = append(stream, pair{k, r.truthAddr})
 		}
-		k := r.obsKey()
-		if i, ok := ctIdx[k]; ok {
-			cts[i].n++
-		} else {
-			ctIdx[k] = len(cts)
-			cts = append(cts, ctEnt{k, 1})
-		}
-		if i, ok := ptIdx[r.truthAddr]; ok {
-			pts[i].n++
-		} else {
-			ptIdx[r.truthAddr] = len(pts)
-			pts = append(pts, ptEnt{r.truthAddr, 1})
-		}
-		stream = append(stream, pair{k, r.truthAddr})
 	}
 	if len(stream) == 0 {
 		return 0

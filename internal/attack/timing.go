@@ -21,14 +21,16 @@ const eventClusterWindow = 5 * sim.Nanosecond
 // one channel (all channels when ch < 0).
 func (o *Observer) interArrivals(ch int) []sim.Time {
 	var times []sim.Time
-	for _, r := range o.records {
-		if r.direction() != bus.ProcToMem {
-			continue
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			if r.direction() != bus.ProcToMem {
+				continue
+			}
+			if ch >= 0 && int(r.channel) != ch {
+				continue
+			}
+			times = append(times, r.at)
 		}
-		if ch >= 0 && int(r.channel) != ch {
-			continue
-		}
-		times = append(times, r.at)
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	// Cluster into events.

@@ -36,16 +36,18 @@ type Truth struct {
 // WireTrace returns the attacker-visible view of every recorded transfer,
 // in observation order.
 func (o *Observer) WireTrace() []Wire {
-	out := make([]Wire, len(o.records))
-	for i, r := range o.records {
-		out[i] = Wire{
-			At:        r.at,
-			Channel:   int(r.channel),
-			Dir:       r.direction(),
-			Cmd:       r.cmd,
-			HasCmd:    r.hasCmd,
-			Size:      int(r.size),
-			Plaintext: r.plaintext,
+	out := make([]Wire, 0, o.records.Len())
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			out = append(out, Wire{
+				At:        r.at,
+				Channel:   int(r.channel),
+				Dir:       r.direction(),
+				Cmd:       r.cmd,
+				HasCmd:    r.hasCmd,
+				Size:      int(r.size),
+				Plaintext: r.plaintext,
+			})
 		}
 	}
 	return out
@@ -54,9 +56,11 @@ func (o *Observer) WireTrace() []Wire {
 // TruthTrace returns the ground-truth view parallel to WireTrace: entry i
 // describes the same transfer as WireTrace()[i]. For scoring only.
 func (o *Observer) TruthTrace() []Truth {
-	out := make([]Truth, len(o.records))
-	for i, r := range o.records {
-		out[i] = Truth{Type: r.truthType, Addr: r.truthAddr, Dummy: r.truthDummy}
+	out := make([]Truth, 0, o.records.Len())
+	for c := range o.records.Chunks() {
+		for _, r := range o.records.Chunk(c) {
+			out = append(out, Truth{Type: r.truthType, Addr: r.truthAddr, Dummy: r.truthDummy})
+		}
 	}
 	return out
 }

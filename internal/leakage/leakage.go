@@ -29,6 +29,7 @@
 package leakage
 
 import (
+	"obfusmem/internal/chunklog"
 	"obfusmem/internal/cpu"
 	"obfusmem/internal/sim"
 )
@@ -52,10 +53,11 @@ type Issued struct {
 // Probe wraps a memory system and records the issued request stream while
 // forwarding every call unchanged. It is the leakage experiments' tap on
 // the defender side of the wire, mirroring how the attack.Observer taps
-// the adversary side.
+// the adversary side. The schedule sits in a chunked log, so a long run
+// allocates its entries once, never a grown copy.
 type Probe struct {
 	sys    cpu.MemorySystem
-	issued []Issued
+	issued chunklog.Log[Issued]
 }
 
 // NewProbe wraps sys.
@@ -63,18 +65,25 @@ func NewProbe(sys cpu.MemorySystem) *Probe { return &Probe{sys: sys} }
 
 // Read implements cpu.MemorySystem.
 func (p *Probe) Read(at sim.Time, addr uint64) sim.Time {
-	p.issued = append(p.issued, Issued{At: at, Addr: addr})
+	p.issued.Append(Issued{At: at, Addr: addr})
 	return p.sys.Read(at, addr)
 }
 
 // Write implements cpu.MemorySystem.
 func (p *Probe) Write(at sim.Time, addr uint64) sim.Time {
-	p.issued = append(p.issued, Issued{At: at, Addr: addr, Write: true})
+	p.issued.Append(Issued{At: at, Addr: addr, Write: true})
 	return p.sys.Write(at, addr)
 }
 
 // Drain implements cpu.MemorySystem.
 func (p *Probe) Drain(at sim.Time) { p.sys.Drain(at) }
 
-// Issued returns the recorded request schedule.
-func (p *Probe) Issued() []Issued { return p.issued }
+// Issued returns the recorded request schedule in issue order, as a new
+// slice of exactly its length.
+func (p *Probe) Issued() []Issued {
+	out := make([]Issued, 0, p.issued.Len())
+	for c := range p.issued.Chunks() {
+		out = append(out, p.issued.Chunk(c)...)
+	}
+	return out
+}

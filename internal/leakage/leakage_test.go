@@ -3,6 +3,7 @@ package leakage
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"obfusmem/internal/attack"
@@ -279,5 +280,33 @@ func TestProbeRecordsAndForwards(t *testing.T) {
 	want := []Issued{{At: 10, Addr: 0x1000}, {At: 20, Addr: 0x2040, Write: true}}
 	if !reflect.DeepEqual(p.Issued(), want) {
 		t.Fatalf("Issued = %+v, want %+v", p.Issued(), want)
+	}
+}
+
+// TestProbeBytesPerRequest checks that a long run's probe allocates about
+// twice its 24-byte entry per issued request: the entry in the probe's
+// chunked log plus its copy in one Issued() call, not the several times that
+// a slice grown by append allocates on its way to the same length.
+func TestProbeBytesPerRequest(t *testing.T) {
+	const requests = 100_000
+	p := NewProbe(&fakeSys{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range requests {
+		if i%3 == 0 {
+			p.Write(sim.Time(i), uint64(i)*64)
+		} else {
+			p.Read(sim.Time(i), uint64(i)*64)
+		}
+	}
+	issued := p.Issued()
+	runtime.ReadMemStats(&after)
+	if len(issued) != requests || issued[requests-1].At != requests-1 {
+		t.Fatalf("Issued holds %d of %d requests, the last at %v", len(issued), requests, issued[len(issued)-1].At)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / requests
+	t.Logf("%.1f bytes allocated per issued request, one Issued() included", per)
+	if per > 52 {
+		t.Errorf("probe allocates %.1f bytes per issued request with one Issued() call, want at most 52 (its 24-byte entry, logged and copied once)", per)
 	}
 }

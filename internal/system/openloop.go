@@ -30,11 +30,11 @@
 // the peer lanes in lane order. Each lane logs its request-link and
 // reply-link arrivals separately, 16 bytes per packet (time, per-lane
 // sequence number, size; the channel is the log's position in the run
-// list). Every link is a FIFO sim.Resource, so each log is already in time
-// order, and the merged wire view is a loser-tree merge of the logs in
-// (time, channel, lane order), streamed into the digest and the gap
-// histogram without being built — the report is a function of the
-// configuration alone.
+// list), in chunks that are never copied. Every link is a FIFO
+// sim.Resource, so each log is already in time order, and the merged wire
+// view is a loser-tree merge of the logs in (time, channel, lane order),
+// streamed into the digest and the gap histogram without being built — the
+// report is a function of the configuration alone.
 package system
 
 import (
@@ -95,11 +95,19 @@ type openWireEvent struct {
 	bytes int32
 }
 
-// The two links of a lane, indexing openLane.wire.
+// The two links of a lane, indexing openLane.wire and openLane.full.
 const (
 	reqLink  = 0
 	respLink = 1
 )
+
+// wireChunk is the largest chunk of a link's log, in events (16 KiB). A
+// lane's cover pairs outnumber its real pairs by a factor that depends on
+// the policy and the peers' traffic, so a log cannot be sized up front.
+// RunOpenLoop sizes a link's first chunk for its real pairs; when a chunk
+// fills, the log allocates one twice its size, up to wireChunk, and never
+// copies one.
+const wireChunk = 1024
 
 // zeroPayload is the data leg of every open-loop packet. Nothing on the
 // open loop's bus (no observer, tamperer or fault injector) reads packet
@@ -126,8 +134,11 @@ type openLane struct {
 	reads       int
 	remaining   int // arrivals not yet fired
 	packets     int // wire events recorded on both links
-	wire        [2][]openWireEvent
-	peers       []*openLane
+	// Each link's log: wire[link] is the chunk being filled and
+	// full[link] the full chunks before it, oldest first.
+	wire  [2][]openWireEvent
+	full  [2][][]openWireEvent
+	peers []*openLane
 
 	// arriveFn and notifyFn are the lane's arrive and notify method values,
 	// bound once so scheduling them allocates nothing.
@@ -145,6 +156,14 @@ func (l *openLane) record(link int, at sim.Time, bytes int) {
 	w := l.wire[link]
 	if n := len(w); n > 0 && at < w[n-1].at {
 		panic(fmt.Sprintf("system: lane %d link %d arrival %v before %v", l.ch, link, at, w[n-1].at))
+	}
+	if len(w) == cap(w) {
+		size := wireChunk
+		if cap(w) > 0 {
+			l.full[link] = append(l.full[link], w)
+			size = min(wireChunk, 2*cap(w))
+		}
+		w = make([]openWireEvent, 0, size)
 	}
 	l.wire[link] = append(w, openWireEvent{at: at, seq: int32(l.packets), bytes: int32(bytes)})
 	l.packets++
@@ -291,8 +310,13 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 	mem := memctl.New(memCfg)
 	eng := sim.NewEngine()
 
+	// Each link's chunk list starts with room for linkChunks chunks, all
+	// lists carved from one allocation.
+	const linkChunks = 4
+	lists := make([][]openWireEvent, 2*linkChunks*cfg.Channels)
 	lanes := make([]*openLane, cfg.Channels)
 	for ch := 0; ch < cfg.Channels; ch++ {
+		req, resp := 2*ch*linkChunks, (2*ch+1)*linkChunks
 		l := &openLane{
 			ch:       ch,
 			eng:      eng,
@@ -306,10 +330,14 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 			policy:   cfg.Policy,
 
 			remaining: cfg.Requests,
-			// Room for the real pairs; cover pairs grow the logs.
+			// First chunks sized for the real pairs.
 			wire: [2][]openWireEvent{
-				reqLink:  make([]openWireEvent, 0, 2*cfg.Requests),
-				respLink: make([]openWireEvent, 0, cfg.Requests),
+				reqLink:  make([]openWireEvent, 0, min(wireChunk, 2*cfg.Requests)),
+				respLink: make([]openWireEvent, 0, min(wireChunk, cfg.Requests)),
+			},
+			full: [2][][]openWireEvent{
+				reqLink:  lists[req:req:resp],
+				respLink: lists[resp : resp : resp+linkChunks],
 			},
 		}
 		l.arriveFn, l.notifyFn = l.arrive, l.notify
@@ -338,10 +366,17 @@ func RunOpenLoop(cfg OpenLoopConfig) OpenLoopResult {
 
 // reduceOpenLoop folds the per-lane state into the deterministic report.
 func reduceOpenLoop(cfg OpenLoopConfig, lanes []*openLane, mem *memctl.Controller, b *bus.Bus, fired uint64) OpenLoopResult {
-	// Lane-major (request link, reply link): run r is lane r/2's.
-	runs := make([][]openWireEvent, 0, 2*len(lanes))
+	// Lane-major (request link, reply link): run r is lane r/2's, its
+	// chunks in record order.
+	runs := make([][][]openWireEvent, 0, 2*len(lanes))
 	for _, l := range lanes {
-		runs = append(runs, l.wire[reqLink], l.wire[respLink])
+		for link, last := range l.wire {
+			run := l.full[link]
+			if len(last) > 0 {
+				run = append(run, last)
+			}
+			runs = append(runs, run)
+		}
 	}
 	digest, gaps := summarizeWire(runs)
 
@@ -394,18 +429,21 @@ const (
 )
 
 // summarizeWire merges runs, lane-major (request link, reply link) so that
-// run r holds channel r/2's events, each in (time, seq) order, and folds
-// the merged wire view into the report's two observables without building
-// it: the FNV-1a-64 digest of every event's (time, channel, bytes) words and
-// the histogram of gaps between consecutive events, in 16 ns buckets. The
-// merge order is (time, channel, seq). It runs on a loser tree over run
-// indices: each of an event's O(log k) levels makes one comparison and
-// moves an index, never an event.
-func summarizeWire(runs [][]openWireEvent) (digest uint64, gaps *stats.Hist) {
+// run r holds channel r/2's events, each in (time, seq) order in a list of
+// non-empty chunks, and folds the merged wire view into the report's two
+// observables without building it: the FNV-1a-64 digest of every event's
+// (time, channel, bytes) words and the histogram of gaps between
+// consecutive events, in 16 ns buckets. The merge order is (time, channel,
+// seq). It runs on a loser tree over run indices: each of an event's
+// O(log k) levels makes one comparison and moves an index, never an event.
+// Each run's cursor is a chunk and an index in it.
+func summarizeWire(runs [][][]openWireEvent) (digest uint64, gaps *stats.Hist) {
 	digest, gaps = fnvOffset64, stats.NewHist()
 	k, n := len(runs), 0
 	for _, run := range runs {
-		n += len(run)
+		for _, chunk := range run {
+			n += len(chunk)
+		}
 	}
 	if n == 0 {
 		return digest, gaps
@@ -414,11 +452,11 @@ func summarizeWire(runs [][]openWireEvent) (digest uint64, gaps *stats.Hist) {
 	// heads[r] is run r's next unmerged event; an exhausted run's head sits
 	// at the end of time, behind every real event.
 	heads := make([]openWireEvent, k)
-	next := make([]int, k)
+	chunk, next := make([]int, k), make([]int, k)
 	for r, run := range runs {
 		heads[r].at = math.MaxInt64
 		if len(run) > 0 {
-			heads[r] = run[0]
+			heads[r] = run[0][0]
 		}
 	}
 
@@ -447,8 +485,12 @@ func summarizeWire(runs [][]openWireEvent) (digest uint64, gaps *stats.Hist) {
 			break
 		}
 		// Advance the winner's run and replay its path to the root.
-		if next[w]++; next[w] < len(runs[w]) {
-			heads[w] = runs[w][next[w]]
+		run := runs[w]
+		if next[w]++; next[w] == len(run[chunk[w]]) {
+			chunk[w], next[w] = chunk[w]+1, 0
+		}
+		if chunk[w] < len(run) {
+			heads[w] = run[chunk[w]][next[w]]
 		} else {
 			heads[w].at = math.MaxInt64
 		}

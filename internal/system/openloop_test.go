@@ -255,12 +255,26 @@ func referenceWireSummary(runs [][]openWireEvent) wireReference {
 	return ref
 }
 
-// checkWireSummary runs summarizeWire on runs and fails unless its digest,
-// gap count and gap entropy (bit for bit) match the reference.
+// checkWireSummary runs summarizeWire on runs, each cut into chunks of
+// chunkLen events, and fails unless its digest, gap count and gap entropy
+// (bit for bit) match the reference.
 func checkWireSummary(t *testing.T, runs [][]openWireEvent) wireReference {
 	t.Helper()
+	return checkChunkedWireSummary(t, runs, wireChunk)
+}
+
+func checkChunkedWireSummary(t *testing.T, runs [][]openWireEvent, chunkLen int) wireReference {
+	t.Helper()
 	ref := referenceWireSummary(runs)
-	digest, gaps := summarizeWire(runs)
+	chunked := make([][][]openWireEvent, len(runs))
+	for r, run := range runs {
+		for len(run) > 0 {
+			c := min(chunkLen, len(run))
+			chunked[r] = append(chunked[r], run[:c])
+			run = run[c:]
+		}
+	}
+	digest, gaps := summarizeWire(chunked)
 	if digest != ref.digest {
 		t.Fatalf("summary digest %#x, sorted logs hash to %#x", digest, ref.digest)
 	}
@@ -307,6 +321,57 @@ func TestOpenLoopMergeMatchesSort(t *testing.T) {
 		}
 	}()
 	l.record(reqLink, 9, 72)
+}
+
+// TestOpenLoopChunkedMerge checks the wire summary on logs cut into chunks
+// of 1, 2, 3 and 7 events against referenceWireSummary, so every run's
+// cursor crosses chunk boundaries, and checks that a lane's log keeps every
+// event in record order in chunks that double up to wireChunk events, none
+// of them grown by a copy.
+func TestOpenLoopChunkedMerge(t *testing.T) {
+	r := xrand.New(12)
+	for trial := 0; trial < 100; trial++ {
+		var runs [][]openWireEvent
+		for ch := 1 + r.Intn(8); ch > 0; ch-- {
+			l := &openLane{}
+			var now [2]sim.Time
+			for n := r.Intn(40); n > 0; n-- {
+				link := r.Intn(2)
+				now[link] += sim.Time(r.Intn(3)) * 8 * sim.Nanosecond
+				l.record(link, now[link], r.Intn(200))
+			}
+			runs = append(runs, l.wire[reqLink], l.wire[respLink])
+		}
+		for _, chunkLen := range []int{1, 2, 3, 7} {
+			checkChunkedWireSummary(t, runs, chunkLen)
+		}
+	}
+
+	// A first chunk of a quarter wireChunk, then chunks of half and two of
+	// wireChunk, then 5 events in the last.
+	l := &openLane{}
+	l.wire[reqLink] = make([]openWireEvent, 0, wireChunk/4)
+	caps := []int{wireChunk / 4, wireChunk / 2, wireChunk, wireChunk}
+	n := wireChunk/4 + wireChunk/2 + 2*wireChunk + 5
+	for i := range n {
+		l.record(reqLink, sim.Time(i), 72)
+	}
+	full, last := l.full[reqLink], l.wire[reqLink]
+	if len(full) != len(caps) || len(last) != 5 || len(l.full[respLink]) != 0 {
+		t.Fatalf("%d events logged as %d full chunks and %d in the last, want %d and 5", n, len(full), len(last), len(caps))
+	}
+	seq := int32(0)
+	for i, c := range append(full, last) {
+		if i < len(full) && (len(c) != caps[i] || cap(c) != caps[i]) {
+			t.Fatalf("full chunk %d holds %d events in a capacity of %d, want %d in %d", i, len(c), cap(c), caps[i], caps[i])
+		}
+		for _, ev := range c {
+			if ev.seq != seq {
+				t.Fatalf("event %d of the log has seq %d", seq, ev.seq)
+			}
+			seq++
+		}
+	}
 }
 
 // FuzzSummarizeWire checks summarizeWire against referenceWireSummary on

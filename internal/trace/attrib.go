@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strconv"
 
+	"obfusmem/internal/chunklog"
+	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/stats"
 )
@@ -82,11 +84,14 @@ func (r *Recorder) breakdown(begin, end sim.Time) Breakdown {
 // attribState accumulates per-request breakdowns for the report. Retention
 // is capped (same spirit as the span log); overflowing samples are counted
 // but not retained, so percentiles cover the first `limit` requests while
-// counts and the residual invariant cover every request.
+// counts and the residual invariant cover every request. Samples sit in
+// chunked logs, 49 bytes each: the 48-byte breakdown and, beside it, whether
+// the request was a write.
 type attribState struct {
 	limit         int
-	samples       []Breakdown
-	kinds         []string // parallel to samples: "read"/"write"
+	samples       chunklog.Log[Breakdown]
+	isWrite       chunklog.Log[bool] // parallel to samples
+	sampledWrites int
 	reads, writes uint64
 	droppedSmp    uint64
 	maxResidual   int64
@@ -97,7 +102,8 @@ func newAttribState(limit int) attribState {
 }
 
 func (a *attribState) add(kind string, bd Breakdown) {
-	if kind == "write" {
+	write := kind == string(names.ReqWrite)
+	if write {
 		a.writes++
 	} else {
 		a.reads++
@@ -108,12 +114,15 @@ func (a *attribState) add(kind string, bd Breakdown) {
 		}
 		a.maxResidual = res
 	}
-	if len(a.samples) >= a.limit {
+	if a.samples.Len() >= a.limit {
 		a.droppedSmp++
 		return
 	}
-	a.samples = append(a.samples, bd)
-	a.kinds = append(a.kinds, kind)
+	a.samples.Append(bd)
+	a.isWrite.Append(write)
+	if write {
+		a.sampledWrites++
+	}
 }
 
 // AttributionRow is one component's latency statistics in nanoseconds.
@@ -142,7 +151,8 @@ type Attribution struct {
 var attribOrder = []Category{CatQueue, CatBus, CatCrypto, CatPCM, CatOther}
 
 // Attribution builds the report over all finished requests. kindFilter
-// selects "read", "write", or "" for all.
+// selects "read", "write", or "" for all; a request of any kind but "write"
+// counts as a read, and any other filter selects no sample.
 func (r *Recorder) Attribution(kindFilter string) Attribution {
 	if r == nil {
 		return Attribution{}
@@ -155,15 +165,33 @@ func (r *Recorder) Attribution(kindFilter string) Attribution {
 		DroppedSamples: a.droppedSmp,
 		MaxResidualPS:  a.maxResidual,
 	}
+	// n samples pass the filter; the report's columns share one allocation.
+	n, wantWrite := a.samples.Len(), kindFilter == string(names.ReqWrite)
+	switch {
+	case kindFilter == "":
+	case wantWrite:
+		n = a.sampledWrites
+	case kindFilter == string(names.ReqRead):
+		n -= a.sampledWrites
+	default:
+		n = 0
+	}
+	cols := make([]float64, int(numCategories+1)*n)
 	perCat := make([][]float64, numCategories)
-	var totals []float64
-	for i, bd := range a.samples {
-		if kindFilter != "" && a.kinds[i] != kindFilter {
-			continue
-		}
-		totals = append(totals, psToNS(bd.TotalPS))
-		for c := Category(0); c < numCategories; c++ {
-			perCat[c] = append(perCat[c], psToNS(bd.Parts[c]))
+	for c := range perCat {
+		perCat[c] = cols[c*n : c*n : (c+1)*n]
+	}
+	totals := cols[len(cols)-n : len(cols)-n]
+	for k := 0; n > 0 && k < a.samples.Chunks(); k++ {
+		isWrite := a.isWrite.Chunk(k)
+		for i, bd := range a.samples.Chunk(k) {
+			if kindFilter != "" && isWrite[i] != wantWrite {
+				continue
+			}
+			totals = append(totals, psToNS(bd.TotalPS))
+			for c := Category(0); c < numCategories; c++ {
+				perCat[c] = append(perCat[c], psToNS(bd.Parts[c]))
+			}
 		}
 	}
 	rep.Sampled = len(totals)
@@ -180,6 +208,7 @@ func (r *Recorder) Attribution(kindFilter string) Attribution {
 			P99NS:     stats.SortedPercentile(xs, 99),
 		}
 	}
+	rep.Rows = make([]AttributionRow, 0, len(attribOrder)+1)
 	for _, c := range attribOrder {
 		rep.Rows = append(rep.Rows, row(c.String(), perCat[c]))
 	}

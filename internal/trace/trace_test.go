@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -122,7 +123,7 @@ func breakdownOf(begin, end sim.Time, spans []Span) Breakdown {
 		}
 	}
 	r.EndRequest(id, end)
-	return r.attrib.samples[0]
+	return r.attrib.samples.Chunk(0)[0]
 }
 
 // TestBreakdownMatchesBruteForce compares the sweep partition with a
@@ -528,4 +529,28 @@ func TestSpanLogBytesPerSpan(t *testing.T) {
 		t.Fatalf("log of %d spans after 6000 requests: %d retained, %d dropped; want it wrapped", limit, r.Len(), r.Dropped())
 	}
 	check("wrapped")
+}
+
+// TestAttribBytesPerSample checks that a long traced run's attribution
+// samples allocate at most 56 bytes each: the 48-byte breakdown and its
+// read/write kind beside it in chunked logs, not a 16-byte kind string and
+// the growth copies of two slices grown by append.
+func TestAttribBytesPerSample(t *testing.T) {
+	const samples = 100_000
+	a := newAttribState(samples)
+	kinds := [...]string{string(names.ReqRead), string(names.ReqWrite)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range samples {
+		a.add(kinds[i%3/2], Breakdown{TotalPS: int64(i), Parts: [numCategories]int64{CatOther: int64(i)}})
+	}
+	runtime.ReadMemStats(&after)
+	if a.reads+a.writes != samples || a.droppedSmp != 0 {
+		t.Fatalf("%d reads and %d writes retained with %d dropped, want %d and none dropped", a.reads, a.writes, a.droppedSmp, samples)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / samples
+	t.Logf("%.1f bytes allocated per attribution sample", per)
+	if per > 56 {
+		t.Errorf("attribution allocates %.1f bytes per sample, want at most 56", per)
+	}
 }

@@ -77,14 +77,17 @@
 #   make ci      - everything CI runs: lint + vet + check + race +
 #                  bench-smoke + fuzz-smoke
 #   make linedelta BASE=<rev> - added, removed and net non-test Go lines
-#                  between <rev> and the working tree (files git tracks;
+#                  between <rev> and the working tree (tracked files and
+#                  untracked, not ignored ones, which it marks intent-to-add
+#                  in a throwaway copy of the index, never the real one;
 #                  _test.go files and testdata excluded): the per-change
 #                  line delta ROADMAP.md asks every change to report
-#   make reach   - reachability: builds the five commands (obfuslint
+#   make reach   - reachability: builds the four commands (obfuslint
 #                  included) and the five examples with coverage over the
 #                  module, runs their product paths
 #                  (scripts/reach.sh lists them), and prints every non-test
-#                  function outside bench/ that never ran, with the count;
+#                  function outside bench/ that never ran, with the count,
+#                  then each package's share of statements reached;
 #                  uses only the Go toolchain and a mktemp -d directory
 #                  (not part of check or ci)
 #   make trace-demo - traced run of the milc profile: Chrome trace JSON
@@ -172,7 +175,10 @@ trace-demo:
 
 linedelta:
 	@test -n "$(BASE)" || { echo "usage: make linedelta BASE=<rev>" >&2; exit 2; }
-	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)*/testdata/*' | \
+	@idx=$$(mktemp) && trap 'rm -f "$$idx"' EXIT && \
+	cp "$$(git rev-parse --git-path index)" "$$idx" && \
+	GIT_INDEX_FILE="$$idx" git add -N -- '*.go' && \
+	GIT_INDEX_FILE="$$idx" git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)*/testdata/*' | \
 		awk '{a += $$1; r += $$2} END {printf "non-test Go lines: +%d -%d net %+d\n", a, r, a - r}'
 
 reach:

@@ -20,7 +20,6 @@ import (
 type campaignOptions struct {
 	Manifest string // -campaign: manifest JSON path
 	Dir      string // -campaign-out: journal + merged results directory
-	Addr     string // -campaign-addr: optional status endpoint
 	Workers  int    // worker-pool size (0 = one per CPU)
 	Metrics  *metrics.Registry
 }
@@ -51,15 +50,6 @@ func runCampaignCmd(ctx context.Context, o campaignOptions, stdout, stderr io.Wr
 	if err != nil {
 		return err
 	}
-	if o.Addr != "" {
-		addr, serr := r.ServeStatus(o.Addr)
-		if serr != nil {
-			return serr
-		}
-		defer r.CloseStatus()
-		fmt.Fprintf(stderr, "[campaign status at http://%s/status]\n", addr)
-	}
-
 	sum, err := r.Run(ctx)
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")

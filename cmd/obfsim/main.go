@@ -39,10 +39,9 @@
 // With -campaign manifest.json the program instead runs (or resumes) a
 // journaled campaign: the manifest's scheme x workload x fault-rate x seed
 // grid, executed cell by cell into an append-only crash-safe journal under
-// -campaign-out, with a read-only status endpoint on -campaign-addr. A
-// killed or interrupted campaign resumes from the journal and merges to
-// bit-identical results (see the "Running campaigns" section of
-// EXPERIMENTS.md). SIGINT drains in-flight work and exits cleanly — for
+// -campaign-out. A killed or interrupted campaign resumes from the journal
+// and merges to bit-identical results (see the "Running campaigns" section
+// of EXPERIMENTS.md). SIGINT drains in-flight work and exits cleanly — for
 // campaigns and long -exp runs alike.
 package main
 
@@ -96,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 		campaignPath = fs.String("campaign", "", "campaign manifest JSON: run (or resume) the journaled grid it defines and exit (see EXPERIMENTS.md)")
 		campaignOut  = fs.String("campaign-out", "campaign-out", "campaign directory holding the journal and merged results")
-		campaignAddr = fs.String("campaign-addr", "", "serve the read-only campaign status endpoint on this address (e.g. 127.0.0.1:8080)")
 
 		traceOut    = fs.String("trace-out", "", "Chrome trace-event JSON for a dedicated traced run (\"-\" for stdout); enables tracing")
 		traceLimit  = fs.Int("trace-limit", trace.DefaultLimit, "trace ring-buffer capacity in spans (oldest evicted beyond it)")
@@ -243,7 +241,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cerr := runCampaignCmd(ctx, campaignOptions{
 			Manifest: *campaignPath,
 			Dir:      *campaignOut,
-			Addr:     *campaignAddr,
 			Workers:  *workers,
 			Metrics:  reg,
 		}, stdout, stderr)

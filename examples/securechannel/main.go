@@ -60,7 +60,7 @@ func run(stdout io.Writer) int {
 	}
 	for _, a := range attacks {
 		m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-			Protection: obfusmem.ProtectionObfusMemAuth, FullHandshake: true, Seed: 7})
+			Protection: obfusmem.ProtectionObfusMemAuth, Seed: 7})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

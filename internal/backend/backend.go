@@ -104,8 +104,8 @@ type Context struct {
 	// ForkRng derives an independent, deterministic RNG stream from the
 	// machine seed (same salt -> same stream).
 	ForkRng func(salt uint64) *xrand.Rand
-	// SessionKeys runs the machine's key establishment (direct derivation
-	// or the full Section 3.1 handshake) and returns the per-channel table.
+	// SessionKeys draws the machine's per-channel session keys from its
+	// stream and returns the table.
 	SessionKeys func() *keys.SessionKeyTable
 	// Obfus is the machine's ObfusMem design point; zero on schemes whose
 	// Descriptor.Obfus is nil.

@@ -53,8 +53,8 @@ func (o *Obfus) Accounting() Accounting {
 
 // newObfus is the construct hook shared by both registered names. RNG
 // discipline matches the pre-registry system exactly: session keys are
-// established first (drawing from the machine stream or running the full
-// handshake), then the controller forks stream 2 for dummy addressing.
+// drawn first from the machine stream, then the controller forks stream 2
+// for dummy addressing.
 func newObfus(ctx Context) (Backend, error) {
 	table := ctx.SessionKeys()
 	ocfg := ctx.Obfus

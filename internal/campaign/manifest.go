@@ -45,8 +45,7 @@ import (
 // cells, so reordering axes in the file reorders the grid (and therefore
 // the merged artifact) but editing whitespace or comments does not.
 type Manifest struct {
-	// Name labels the campaign in the journal, status endpoint, and
-	// summary output.
+	// Name labels the campaign in the journal and the summary output.
 	Name string `json:"name"`
 	// Requests per cell (memory requests driven through the machine).
 	Requests int `json:"requests"`

@@ -55,8 +55,8 @@ type Options struct {
 	runCellFn func(Cell, *metrics.Registry) (CellResult, error)
 }
 
-// Progress is a point-in-time snapshot of campaign state, served by the
-// status endpoint and summarised at exit.
+// Progress is a point-in-time snapshot of campaign state, summarised at
+// exit.
 type Progress struct {
 	Name         string `json:"name"`
 	ManifestHash string `json:"manifestHash"`
@@ -94,8 +94,6 @@ type Runner struct {
 	outcomes map[string]Record // committed cell outcomes by key
 	prog     Progress
 	traceNow sim.Time // campaign virtual timeline head
-
-	srv *statusServer
 }
 
 // NewRunner validates the manifest, opens (or creates) the campaign

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -520,58 +518,5 @@ func TestCampaignMetrics(t *testing.T) {
 	// registry (the campaign composes with the observability layer).
 	if snap.Counters["bus.ch0.read_packets"] == 0 {
 		t.Error("cell machines did not record bus metrics")
-	}
-}
-
-// TestStatusEndpoint: the read-only server reports live progress and
-// journal state.
-func TestStatusEndpoint(t *testing.T) {
-	m := smallManifest()
-	r, err := NewRunner(m, Options{Dir: t.TempDir(), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := r.ServeStatus("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.CloseStatus()
-	if _, err := r.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	get := func(path string) []byte {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-
-	var p Progress
-	if err := json.Unmarshal(get("/status"), &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Done != 16 || !p.Complete || p.Name != "test-grid" {
-		t.Fatalf("/status reported %+v", p)
-	}
-	var cells []MergedCell
-	if err := json.Unmarshal(get("/cells"), &cells); err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 16 || cells[0].Status != statusDone {
-		t.Fatalf("/cells reported %d cells, first %+v", len(cells), cells[0])
-	}
-	var recs []Record
-	if err := json.Unmarshal(get("/journal"), &recs); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) < 18 { // begin + 16 cells + shutdown
-		t.Fatalf("/journal reported %d records", len(recs))
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"obfusmem/internal/cpu"
 	"obfusmem/internal/metrics"
-	"obfusmem/internal/sim"
 	"obfusmem/internal/system"
 	"obfusmem/internal/workload"
 	"obfusmem/internal/xrand"
@@ -136,7 +135,3 @@ func runOne(opts Options, cfg system.Config, bench string) (cpu.Result, *system.
 	res := cpu.Run(p, opts.Requests, sys, opts.CPU, opts.Seed+7)
 	return res, sys
 }
-
-// elapsedOf returns the simulated duration of a run (for energy and wear
-// rates).
-func elapsedOf(r cpu.Result) sim.Time { return r.ExecTime }

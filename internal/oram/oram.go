@@ -123,9 +123,6 @@ func New(cfg Config, nBlocks int, rng *xrand.Rand) (*ORAM, error) {
 	return o, nil
 }
 
-// Capacity returns the total block slots in the tree.
-func (o *ORAM) Capacity() int { return o.capacity }
-
 // StorageOverhead returns (capacity - nBlocks) / nBlocks: the fraction of
 // extra physical storage relative to useful data (≥ 1.0, i.e. ≥ 100%).
 func (o *ORAM) StorageOverhead() float64 {
@@ -138,9 +135,6 @@ func (o *ORAM) PathLength() int { return o.cfg.Z * (o.cfg.Levels + 1) }
 
 // Stats returns a copy of the counters.
 func (o *ORAM) Stats() Stats { return o.stats }
-
-// StashSize returns current stash occupancy.
-func (o *ORAM) StashSize() int { return len(o.stash) }
 
 // LeafTrace returns the recorded sequence of accessed leaves (what a bus
 // observer of an ORAM system learns).

@@ -117,9 +117,14 @@ func TestStorageOverheadAtLeast100Percent(t *testing.T) {
 	if o.StorageOverhead() < 1.0 {
 		t.Fatalf("storage overhead %v < 100%%", o.StorageOverhead())
 	}
-	// Requesting more than 50% utilisation fails.
-	cap := o.Capacity()
-	if _, err := New(smallConfig(), cap/2+1, xrand.New(1)); err == nil {
+	// Exactly 50% utilisation is accepted and more fails: the tree has
+	// 2^(L+1) - 1 buckets of Z slots.
+	cfg := smallConfig()
+	cap := (1<<(cfg.Levels+1) - 1) * cfg.Z
+	if _, err := New(cfg, cap/2, xrand.New(1)); err != nil {
+		t.Fatalf("50%% utilisation rejected: %v", err)
+	}
+	if _, err := New(cfg, cap/2+1, xrand.New(1)); err == nil {
 		t.Fatal("over-utilised ORAM accepted")
 	}
 }

@@ -44,12 +44,7 @@ type Config struct {
 	// Obfus selects the ObfusMem design point (obfusmem / obfusmem-auth);
 	// it must stay zero on every other scheme.
 	Obfus obfus.Config
-	// FullHandshake runs the complete trust-bootstrap + DH key
-	// establishment from the keys package instead of deriving session
-	// keys directly from the seed. Slower; used by examples and
-	// integration tests.
-	FullHandshake bool
-	Seed          uint64
+	Seed  uint64
 	// Metrics, when non-nil, turns on the observability layer: the bus,
 	// memory controller, PCM devices, the counter-mode encryption engine
 	// and the protection backend all record counters/histograms into
@@ -135,9 +130,6 @@ type System struct {
 	// dataTree is the functional Merkle tree backing the value-carrying
 	// mode (lazily built on first WriteData).
 	dataTree *merkle.Tree
-
-	// Boot record (populated under FullHandshake).
-	BootApproach keys.Approach
 }
 
 // New builds a machine, panicking on configuration errors (the historical
@@ -225,36 +217,14 @@ func NewChecked(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// establishKeys produces the per-channel session key table, either through
-// the full trust architecture or directly from the seed. It is handed to
-// backends as the Context.SessionKeys hook.
+// establishKeys draws the per-channel session key table from the machine
+// stream. It is handed to backends as the Context.SessionKeys hook.
 func (s *System) establishKeys() *keys.SessionKeyTable {
 	table := keys.NewSessionKeyTable(s.cfg.Channels, s.mem.Mapper().ChannelOf)
-	if !s.cfg.FullHandshake {
-		for ch := 0; ch < s.cfg.Channels; ch++ {
-			var k [16]byte
-			s.rng.Bytes(k[:])
-			table.SetKey(ch, k)
-		}
-		return table
-	}
-	r := s.rng.Fork(1)
-	procMfg := keys.NewManufacturer("proc-mfg", r)
-	memMfg := keys.NewManufacturer("mem-mfg", r)
-	proc := procMfg.Produce(keys.Processor, true, s.cfg.Channels)
-	ig := keys.NewIntegrator(true, r)
-	s.BootApproach = keys.TrustedIntegrator
 	for ch := 0; ch < s.cfg.Channels; ch++ {
-		mem := memMfg.Produce(keys.Memory, true, 1)
-		if err := ig.Integrate(proc, mem); err != nil {
-			panic("system: integration failed: " + err.Error())
-		}
-		res, err := keys.EstablishSession(keys.TrustedIntegrator, proc, mem,
-			procMfg.CAKey(), memMfg.CAKey(), nil, r)
-		if err != nil {
-			panic("system: session establishment failed: " + err.Error())
-		}
-		table.SetKey(ch, res.Key)
+		var k [16]byte
+		s.rng.Bytes(k[:])
+		table.SetKey(ch, k)
 	}
 	return table
 }

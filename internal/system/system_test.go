@@ -44,23 +44,6 @@ func TestORAMSlowerThanObfusMem(t *testing.T) {
 	}
 }
 
-func TestFullHandshakeBuilds(t *testing.T) {
-	cfg := DefaultConfig("obfusmem-auth")
-	cfg.Channels = 2
-	cfg.FullHandshake = true
-	s := New(cfg)
-	if s.BootApproach.String() != "trusted-integrator" {
-		t.Fatalf("BootApproach = %v", s.BootApproach)
-	}
-	done := s.Read(0, 4096)
-	if done <= 0 {
-		t.Fatal("read failed after full handshake")
-	}
-	if s.Obfus().Stats().DecodeMismatches != 0 {
-		t.Fatal("handshake keys decode incorrectly")
-	}
-}
-
 func TestClosedLoopRunAllModes(t *testing.T) {
 	p, _ := workload.ByName("leslie3d")
 	const n = 3000

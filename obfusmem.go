@@ -122,11 +122,7 @@ type MachineConfig struct {
 	// request issue, undropped dummies, and worst-case reply padding,
 	// closing the timing side channel at a measurable cost.
 	TimingOblivious bool
-	// FullHandshake runs the complete Section 3.1 trust bootstrap
-	// (manufacturer certs, integrator burning, signed Diffie-Hellman) at
-	// construction instead of seeding session keys directly.
-	FullHandshake bool
-	Seed          uint64
+	Seed            uint64
 }
 
 // Result is the outcome of a benchmark run.
@@ -156,7 +152,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	}
 	sc.Channels = cfg.Channels
 	sc.Seed = cfg.Seed
-	sc.FullHandshake = cfg.FullHandshake
 	if cfg.Protection == ProtectionObfusMem || cfg.Protection == ProtectionObfusMemAuth {
 		oc := &sc.Obfus
 		oc.Dummy = cfg.Dummy

@@ -18,6 +18,10 @@
 #                  instant and request-envelope recording plus traced
 #                  reads and writes),
 #                  the fixed-allocation guard of the Chrome trace export,
+#                  the trace intern cache's transparency test (a cached
+#                  table returns a plain map's syms) and the export-order
+#                  test (random, nearly sorted and reversed logs export in
+#                  stable begin-time order),
 #                  the span-log guard (at most 32 bytes per retained span
 #                  on a traced obfusmem-auth run's span mix, before and
 #                  after the log wraps),
@@ -45,8 +49,10 @@
 #                  pass-through tamperer, and each still detects counter
 #                  desync), plus
 #                  short benchmarks of the event engine, the AES pads, the
-#                  MD5 MAC, the obfus datapath, the trace export and whole
-#                  8-lane open-loop runs (ns/req and events/op), then
+#                  MD5 MAC, the obfus datapath, the trace export, whole
+#                  8-lane open-loop runs (ns/req and events/op) and a traced
+#                  2-channel obfusmem-auth run (drive-loop ns/req and
+#                  export ns/span), then
 #                  campaign-smoke;
 #                  fails if the alloc guards regress (runs in CI)
 #   make fuzz-smoke - 20 s of FuzzChromeExport (the streaming Chrome
@@ -144,13 +150,13 @@ bench-smoke:
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/aes ./internal/md5sim
 	$(GO) test -run 'TestInstrumentsZeroAllocs|TestDrawsZeroAllocs|TestDriveAllocsIndependentOfRequests|TestWarmRunAllocatesNoBlocks|TestReadAheadMatchesStream|TestProducerPanicReraised|TestSimBudgetTrips|TestPageCountersAllocatePerChunk' \
 		./internal/metrics ./internal/xrand ./internal/cpu ./internal/ctrmode
-	$(GO) test -run 'TestChromeExportAllocs|TestSpanLogBytesPerSpan|TestAttribBytesPerSample' -bench 'BenchmarkWriteChromeTrace' \
-		-benchtime 200ms -benchmem ./internal/trace
+	$(GO) test -run 'TestChromeExportAllocs|TestSpanLogBytesPerSpan|TestAttribBytesPerSample|TestSymtabCacheMatchesMap|TestExportOrderMatchesStableSort' \
+		-bench 'BenchmarkWriteChromeTrace' -benchtime 200ms -benchmem ./internal/trace
 	$(GO) test -run 'TestLogOrderAcrossChunks|TestLogAllocatesPerChunk|TestObserverBytesPerPacket|TestProbeBytesPerRequest' \
 		./internal/chunklog ./internal/attack ./internal/leakage
 	$(GO) test -run 'TestHotPathZeroAllocs|TestTracedHotPathZeroAllocs|TestNoSilentlyLostRequests|TestOpenLoopAllocsIndependentOfRequests|TestOpenLoopChunkedMerge|TestNewAllocBytes' \
 		./internal/backend ./internal/system
-	$(GO) test -run '^$$' -bench 'BenchmarkRunOpenLoop' -benchtime 200ms -benchmem ./internal/system
+	$(GO) test -run '^$$' -bench 'BenchmarkRunOpenLoop|BenchmarkTracedRun' -benchtime 200ms -benchmem ./internal/system
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null
 	$(MAKE) campaign-smoke

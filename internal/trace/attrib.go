@@ -42,43 +42,69 @@ type interval struct {
 }
 
 // breakdown computes the partition of [begin, end] over the open request's
-// component spans (r.cur, clipped in place): it cuts the window at every
-// span boundary and gives each elementary interval to the highest-priority
-// category covering it. r.cuts and r.best are its reused scratch.
+// component spans (r.cur): it clips each span to the window and sweeps the
+// window's edges in time order, giving each stretch between edges to the
+// highest-priority category open over it. Only categories above CatOther
+// can claim time, so "other" spans add no edges. The begin edges and the
+// end edges are sorted apart, each by insertion: components are recorded
+// about in time order, so each list is nearly sorted, where the two mixed
+// are not. r.ups and r.downs are its reused scratch.
 func (r *Recorder) breakdown(begin, end sim.Time) Breakdown {
 	bd := Breakdown{TotalPS: int64(end - begin)}
 	if end <= begin {
 		return bd
 	}
-	ivs := r.cur[:0]
-	cuts := append(r.cuts[:0], begin, end)
+	ups, downs := r.ups[:0], r.downs[:0]
 	for _, v := range r.cur {
-		v.b, v.e = max(v.b, begin), min(v.e, end)
-		if v.e > v.b {
-			ivs = append(ivs, v)
-			cuts = append(cuts, v.b, v.e)
+		b, e := max(v.b, begin), min(v.e, end)
+		if e > b && v.cat > CatOther {
+			ups = append(ups, edge{b, v.cat})
+			downs = append(downs, edge{e, v.cat})
 		}
 	}
-	slices.Sort(cuts)
-	cuts = slices.Compact(cuts)
-	r.cuts = cuts
-	// best[k] is the category of [cuts[k], cuts[k+1]); categories are
-	// declared in priority order, and an uncovered interval is "other".
-	best := r.best[:0]
-	for range len(cuts) - 1 {
-		best = append(best, CatOther)
-	}
-	r.best = best
-	for _, v := range ivs {
-		k, _ := slices.BinarySearch(cuts, v.b)
-		for ; cuts[k] < v.e; k++ {
-			best[k] = max(best[k], v.cat)
+	r.ups, r.downs = ups, downs
+	sortEdges(ups)
+	sortEdges(downs)
+	// open counts each category's spans open at the sweep point, and top
+	// is the highest open category, "other" when none is.
+	var open [numCategories]int32
+	at, top := begin, CatOther
+	for i, j := 0, 0; j < len(downs); {
+		if i < len(ups) && ups[i].t <= downs[j].t {
+			x := ups[i]
+			i++
+			bd.Parts[top] += int64(x.t - at)
+			at = x.t
+			open[x.cat]++
+			top = max(top, x.cat)
+			continue
+		}
+		x := downs[j]
+		j++
+		bd.Parts[top] += int64(x.t - at)
+		at = x.t
+		open[x.cat]--
+		for top > CatOther && open[top] == 0 {
+			top--
 		}
 	}
-	for k, c := range best {
-		bd.Parts[c] += int64(cuts[k+1] - cuts[k])
-	}
+	bd.Parts[top] += int64(end - at)
 	return bd
+}
+
+// edge is a clipped span's begin or end in breakdown's sweep.
+type edge struct {
+	t   sim.Time
+	cat Category
+}
+
+// sortEdges sorts edges by time, by insertion.
+func sortEdges(es []edge) {
+	for i := 1; i < len(es); i++ {
+		for j := i; j > 0 && es[j].t < es[j-1].t; j-- {
+			es[j], es[j-1] = es[j-1], es[j]
+		}
+	}
 }
 
 // attribState accumulates per-request breakdowns for the report. Retention

@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -21,11 +21,12 @@ import (
 // side) and tid to one engine, link, or bank within it.
 //
 // The exporter streams: it decodes the span log in place, front to back,
-// keeping no per-span state, emits the spans in time order through a small
-// heap of the few that log order has out of place (exportOrder), with no
-// global sort, and appends each event straight into a buffered writer,
-// copying the JSON encodings the intern tables hold for its strings and the
-// event heads and pid/tid fragments it encodes once. Its
+// keeping no per-span state, emits the spans in time order through a hold
+// buffer of the few that log order has out of place (exportOrder), with no
+// global sort, and appends each event to one buffer it writes out in
+// 64 KiB pieces, copying the JSON encodings the intern tables hold for its
+// strings and the event heads and pid/tid fragments it encodes once, and
+// formatting its numbers from integers in place. Its
 // output is byte for byte what encoding/json writes for the equivalent
 // object (field order, omitempty, sorted args keys, HTML-safe strings, ES6
 // number formatting); the reference encoding/json exporter in
@@ -43,54 +44,31 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		syms, strs = r.syms.entries, r.strs.entries
 	}
 
-	// Intern (pid, tid) pairs to integer tracks in first-seen order so
-	// Perfetto shows "channel 1 / req-link" style tracks, and each span's
-	// (name, category, phase) to an event head. tracks[p][tid] is the
-	// track of pids[p] and tid, and heads[headKey(s)] the head of s, each
-	// 0 until seen.
-	type trackKey struct {
-		pid int32
-		tid sym
-	}
-	var order []trackKey
-	var pids []int32
-	var tracks [][]int32
-	heads := make([]int32, len(syms)*headsPerSym)
-	headKeys := make([]int, 0, 16) // headKey of each head, in id order
-	var s record                   // the span scanTracks and exportOrder decode
+	// Number the (pid, tid) tracks in first-seen order so Perfetto shows
+	// "channel 1 / req-link" style tracks, and each span's (name,
+	// category, phase) event head.
+	x := exportTables{heads: make([]int32, len(syms)*headsPerSym), headKeys: make([]int, 0, 16), nsyms: len(syms)}
 	if n > 0 {
-		r.log.scanTracks(&s, func() {
-			p := slices.Index(pids, s.pid)
-			if p < 0 {
-				p = len(pids)
-				pids = append(pids, s.pid)
-				tracks = append(tracks, make([]int32, len(syms)))
-			}
-			if t := &tracks[p][s.tid]; *t == 0 {
-				order = append(order, trackKey{s.pid, s.tid})
-				*t = int32(len(order))
-			}
-			if k := headKey(&s); heads[k] == 0 {
-				headKeys = append(headKeys, k)
-				heads[k] = int32(len(headKeys))
-			}
-		})
+		r.log.scanTracks(x.number)
 	}
 	// process_name metadata goes out in ascending pid order, after the
 	// thread_name metadata: pid discovery order depends on which component
 	// traced first, the sorted order does not. The few pids are sorted in
 	// place, with their track tables.
+	pids, tracks := x.pids, x.tracks
 	for i := 1; i < len(pids); i++ {
 		for j := i; j > 0 && pids[j] < pids[j-1]; j-- {
 			pids[j], pids[j-1] = pids[j-1], pids[j]
 			tracks[j], tracks[j-1] = tracks[j-1], tracks[j]
 		}
 	}
+	x.indexPIDs()
 
 	// Encode each track's pid/tid fragment and each head once, into one
 	// arena: a track takes at most 36 bytes, `,"pid":` and `,"tid":` with
 	// an int32 each, and a head its name's JSON plus at most 38,
 	// `{"name":`, `,"cat":"crypto` and `","ph":"X","ts":`.
+	order, headKeys := x.order, x.headKeys
 	size := 36 * len(order)
 	for _, k := range headKeys {
 		size += len(syms[k/headsPerSym].json) + 38
@@ -122,9 +100,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	trackFrags, headFrags := frags[:len(order)], frags[len(order):]
 
-	e := chromeEncoder{w: bufio.NewWriterSize(w, 64<<10), syms: syms, strs: strs, rank: symRanks(syms)}
-	b := e.next()
-	b = append(b, `{"displayTimeUnit":"ns","otherData":{"droppedSpans":`...)
+	e := chromeEncoder{w: w, buf: make([]byte, 0, 64<<10), syms: syms, strs: strs, rank: symRanks(syms)}
+	b := append(e.buf, `{"displayTimeUnit":"ns","otherData":{"droppedSpans":`...)
 	b = strconv.AppendUint(b, r.Dropped(), 10)
 	b = append(b, `,"retainedSpans":`...)
 	b = strconv.AppendInt(b, int64(n), 10)
@@ -136,15 +113,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	} else {
 		b = append(b, '[')
 	}
-	if _, err := e.w.Write(b); err != nil {
-		return err
-	}
+	e.buf = b
 	for i, k := range order {
-		b := e.next()
 		if i > 0 {
-			b = append(b, ',')
+			e.buf = append(e.buf, ',')
 		}
-		if _, err := e.w.Write(appendMetadata(b, "thread_name", k.pid, i+1, syms[k.tid].json)); err != nil {
+		e.buf = appendMetadata(e.buf, "thread_name", k.pid, i+1, syms[k.tid].json)
+		if err := e.spill(); err != nil {
 			return err
 		}
 	}
@@ -153,30 +128,82 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		if pid > 0 {
 			name = `"channel ` + strconv.Itoa(int(pid-1)) + `"`
 		}
-		if _, err := e.w.Write(appendMetadata(append(e.next(), ','), "process_name", pid, 0, name)); err != nil {
+		e.buf = appendMetadata(append(e.buf, ','), "process_name", pid, 0, name)
+		if err := e.spill(); err != nil {
 			return err
 		}
 	}
-	b = e.next()
 	if n > 0 {
-		err := r.log.exportOrder(&s, func() error {
-			trk := tracks[slices.Index(pids, s.pid)][s.tid]
-			b, err := e.appendSpan(append(e.next(), ','), &s, headFrags[heads[headKey(&s)]-1], trackFrags[trk-1])
-			if err != nil {
+		err := r.log.exportOrder(x.number, func(s *record, trk, head int32) error {
+			s.name = sym(headKeys[head-1] / headsPerSym)
+			var err error
+			if e.buf, err = e.appendSpan(append(e.buf, ','), s, headFrags[head-1], trackFrags[trk-1]); err != nil {
 				return err
 			}
-			_, err = e.w.Write(b)
-			return err
+			return e.spill()
 		})
 		if err != nil {
 			return err
 		}
-		b = append(e.next(), ']')
+		e.buf = append(e.buf, ']')
 	}
-	if _, err := e.w.Write(append(b, "}\n"...)); err != nil {
-		return err
+	e.buf = append(e.buf, "}\n"...)
+	_, err := w.Write(e.buf)
+	return err
+}
+
+// exportTables numbers the export's tracks and event heads in first-seen
+// log order.
+type exportTables struct {
+	order  []trackKey // the tracks, in number order
+	pids   []int32    // the pids seen
+	tracks [][]int32  // tracks[p][tid]: the track of pids[p] and tid, 0 until seen
+	// byPID[pid] is 1 + the index of a pid below len(byPID) in pids, 0
+	// until seen, so the common small pids need no search.
+	byPID    [16]int32
+	heads    []int32 // heads[headKey(s)]: the event head of s, 0 until seen
+	headKeys []int   // headKey of each head, in number order
+	nsyms    int     // the name table's size: the tids a pid can take
+}
+
+type trackKey struct {
+	pid int32
+	tid sym
+}
+
+// number returns the track and event head of the span whose head fields s
+// holds, both numbered from 1, numbering them when first seen.
+func (x *exportTables) number(s *record) (trk, head int32) {
+	var p int
+	if uint32(s.pid) < uint32(len(x.byPID)) && x.byPID[s.pid] > 0 {
+		p = int(x.byPID[s.pid]) - 1
+	} else if p = slices.Index(x.pids, s.pid); p < 0 {
+		p = len(x.pids)
+		x.pids = append(x.pids, s.pid)
+		x.tracks = append(x.tracks, make([]int32, x.nsyms))
+		x.indexPIDs()
 	}
-	return e.w.Flush()
+	t := &x.tracks[p][s.tid]
+	if *t == 0 {
+		x.order = append(x.order, trackKey{s.pid, s.tid})
+		*t = int32(len(x.order))
+	}
+	h := &x.heads[headKey(s)]
+	if *h == 0 {
+		x.headKeys = append(x.headKeys, headKey(s))
+		*h = int32(len(x.headKeys))
+	}
+	return *t, *h
+}
+
+// indexPIDs rebuilds byPID from pids.
+func (x *exportTables) indexPIDs() {
+	x.byPID = [len(x.byPID)]int32{}
+	for p, pid := range x.pids {
+		if uint32(pid) < uint32(len(x.byPID)) {
+			x.byPID[pid] = int32(p + 1)
+		}
+	}
 }
 
 // headsPerSym is the number of event heads one name can take: a category
@@ -199,64 +226,77 @@ func headKey(s *record) int {
 }
 
 // scanTracks decodes the head, pid, tid and name of each retained span,
-// oldest first, into s and calls visit.
-func (l *spanLog) scanTracks(s *record, visit func()) {
+// oldest first, and passes them to visit.
+func (l *spanLog) scanTracks(visit func(s *record) (trk, head int32)) {
+	var s record
 	for k, c := range l.chunks {
 		for off := l.start(k); off < len(c.b); {
 			var b []byte
 			b, off = span(c.b, off)
 			s.decodeTrack(b)
-			visit()
+			visit(&s)
 		}
 	}
 }
 
-// exportOrder decodes the retained spans into s in stable time order, by
-// emitted begin time, ties in log order, and calls emit after each. Viewers
-// do not require the order, but it keeps the export deterministic and
-// per-track monotonic.
+// exportOrder decodes the retained spans in stable time order, by emitted
+// begin time, ties in log order, and calls emit with each, its track and
+// its event head, which number gives it. Viewers do not require the order,
+// but it keeps the export deterministic and per-track monotonic.
 //
 // The log is nearly in time order already, so rather than sort it the pass
 // holds back only the spans a later one may precede: once span i is held,
-// every held span at or below floor(i+1), the least begin time of the
-// spans after i, is emitted, least first. A later span then begins no
-// earlier, and on a tie comes later in the log. The floors are kept for
-// one chunk at a time, from a walk of the chunk's begin times and the
-// least begin time of each later chunk, which the log keeps (exactly: only
-// the head chunk, whose bound is never read here, has evicted spans). The
-// pass costs O(n log w) for w held spans: a dozen on a traced run, n on a
-// log recorded in reverse.
-func (l *spanLog) exportOrder(s *record, emit func() error) error {
-	// after[k] is the least sort key of the spans of chunks k.. (+Inf at
-	// k = len(chunks)); most bounds the spans one chunk holds.
+// every held span at or below a lower bound on the begin times of the
+// spans after i is emitted, least first. A later span then begins no
+// earlier, and on a tie comes later in the log. The bound is the least
+// begin time the log keeps for each block of a chunk, taken over the
+// blocks from the one where span i+1 starts on, and over later chunks; it
+// counts evicted spans too, which only lowers it. The walk decodes each
+// span once: its head, track and begin time when it is held, its body
+// (duration, request id and args) when it is emitted.
+//
+// The held spans are kept in emission order by insertion from the back.
+// The log holds each request's components before its envelope, which
+// begins first, so a span mostly lands at the back, an envelope ahead of
+// its request's held components, and the pass costs O(n) on a traced run,
+// holding about a block's spans. On a log recorded in reverse every span
+// is held and lands at the front: O(n^2) moves of 32-byte entries.
+func (l *spanLog) exportOrder(number func(*record) (trk, head int32), emit func(s *record, trk, head int32) error) error {
+	// after[k] is the least sort key of the spans of chunks k.., +Inf at
+	// k = len(chunks).
 	after := make([]float64, len(l.chunks)+1)
 	after[len(l.chunks)] = math.Inf(1)
-	most := 0
 	for k := len(l.chunks) - 1; k >= 0; k-- {
-		after[k] = min(tsKey(l.chunks[k].least), after[k+1])
-		most = max(most, l.chunks[k].n)
+		after[k] = min(tsKey(slices.Min(l.chunks[k].least[:])), after[k+1])
 	}
-	walk := make([]chunkSpan, most+1)
-	held := make(spanHeap, 0, 64)
+	held := holdBuffer{spans: make([]heldSpan, 0, 128)}
+	var s record
+	// bound[i] is the least sort key of the spans that start in block i of
+	// the chunk walked or later.
+	var bound [len(chunk{}.least)]float64
 	for k, c := range l.chunks {
-		m := 0
-		for off := l.start(k); off < len(c.b); m++ {
-			var b []byte
-			walk[m].off = int32(off)
-			b, off = span(c.b, off)
-			walk[m].key = tsKey(beginOf(b))
+		least := after[k+1]
+		for i := len(c.least) - 1; i >= 0; i-- {
+			least = min(tsKey(c.least[i]), least)
+			bound[i] = least
 		}
-		walk[m].floor = after[k+1]
-		for j := m - 1; j >= 0; j-- {
-			walk[j].floor = min(walk[j].key, walk[j+1].floor)
-		}
-		for j := range m {
-			held.push(heldSpan{walk[j].key, int32(k), walk[j].off})
-			for len(held) > 0 && held[0].ts <= walk[j+1].floor {
-				h := held.pop()
-				b, _ := span(l.chunks[h.k].b, int(h.off))
-				s.decode(b)
-				if err := emit(); err != nil {
+		for off := l.start(k); off < len(c.b); {
+			b, next := span(c.b, off)
+			d := s.decodeTrack(b)
+			s.begin = sim.Time(d.uvarint())
+			trk, head := number(&s)
+			held.insert(heldSpan{key: tsKey(s.begin), begin: s.begin, k: int32(k), body: int32(off+1+d.i)<<8 | int32(b[0]), trk: trk, head: head})
+			off = next
+			floor := after[k+1] // past the chunk's last span
+			if next < len(c.b) {
+				floor = bound[next>>blockShift]
+			}
+			for ; held.lo < len(held.spans) && held.spans[held.lo].key <= floor; held.lo++ {
+				p := &held.spans[held.lo]
+				s.begin = p.begin
+				s.decodeHeadByte(byte(p.body))
+				s.decodeBody(reader{b: l.chunks[p.k].b, i: int(p.body >> 8)})
+				if err := emit(&s, p.trk, p.head); err != nil {
 					return err
 				}
 			}
@@ -265,65 +305,45 @@ func (l *spanLog) exportOrder(s *record, emit func() error) error {
 	return nil
 }
 
-// chunkSpan is exportOrder's scratch for one span of the chunk it walks.
-type chunkSpan struct {
-	key   float64 // its sort key
-	floor float64 // the least sort key of it and every later span
-	off   int32   // its offset in the chunk
-}
-
 // tsKey is the export's sort key: the span's begin time as emitted.
 func tsKey(t sim.Time) float64 { return float64(t) / psPerMicro }
 
-// heldSpan is a span exportOrder holds back: its sort key and its chunk
-// and offset in the log.
+// heldSpan is a span exportOrder holds back, decoded up to its body.
 type heldSpan struct {
-	ts     float64
-	k, off int32
+	key   float64 // its sort key
+	begin sim.Time
+	k     int32 // its chunk
+	// body is its body's offset in the chunk << 8 | its head byte, which
+	// holds its phase and arg count; offsets below chunkBytes fit.
+	body      int32
+	trk, head int32 // its track and event head
 }
 
-// before orders held spans by begin time, ties in log order.
-func (a heldSpan) before(b heldSpan) bool {
-	return a.ts < b.ts || a.ts == b.ts && (a.k < b.k || a.k == b.k && a.off < b.off)
+// holdBuffer is the spans exportOrder holds back, spans[lo:], sorted by
+// key, ties in log order.
+type holdBuffer struct {
+	spans []heldSpan
+	lo    int
 }
 
-// spanHeap is a binary min-heap of held spans.
-type spanHeap []heldSpan
-
-func (h *spanHeap) push(s heldSpan) {
-	q := append(*h, s)
-	for j := len(q) - 1; j > 0; {
-		p := (j - 1) / 2
-		if !q[j].before(q[p]) {
-			break
-		}
-		q[j], q[p] = q[p], q[j]
-		j = p
+// insert adds a span that comes after every held span in the log.
+func (h *holdBuffer) insert(s heldSpan) {
+	switch {
+	case h.lo == len(h.spans):
+		h.spans, h.lo = h.spans[:0], 0
+	case len(h.spans) == cap(h.spans) && 2*h.lo >= len(h.spans):
+		// Reuse the popped front rather than grow, once it is at least
+		// half the buffer, so the copies cost O(1) per span.
+		h.spans = h.spans[:copy(h.spans, h.spans[h.lo:])]
+		h.lo = 0
 	}
-	*h = q
-}
-
-func (h *spanHeap) pop() heldSpan {
-	q := *h
-	top, last := q[0], len(q)-1
-	q[0] = q[last]
-	q = q[:last]
-	for j := 0; ; {
-		c := 2*j + 1
-		if c >= len(q) {
-			break
-		}
-		if c+1 < len(q) && q[c+1].before(q[c]) {
-			c++
-		}
-		if !q[c].before(q[j]) {
-			break
-		}
-		q[j], q[c] = q[c], q[j]
-		j = c
+	q := append(h.spans, s)
+	j := len(q) - 1
+	for ; j > h.lo && q[j-1].key > s.key; j-- {
+		q[j] = q[j-1]
 	}
-	*h = q
-	return top
+	q[j] = s
+	h.spans = q
 }
 
 // symRanks returns each sym's position in the byte order of the interned
@@ -341,31 +361,41 @@ func symRanks(syms []symEntry) []int32 {
 	return rank
 }
 
-// chromeEncoder appends each event into the free tail of its buffered
-// writer, so a typical event is encoded in place with no copy.
+// chromeEncoder appends each event to its buffer, which it writes out
+// whenever less than 1 KiB of it is left.
 type chromeEncoder struct {
-	w    *bufio.Writer
+	w    io.Writer
+	buf  []byte     // output not yet written
 	syms []symEntry // names, TIDs and arg keys
 	strs []symEntry // string arg values
 	rank []int32    // symRanks(syms)
-	args []argRef   // scratch for one event's args, reused
+
+	// req is the last request id tagged, 0 before the first (no span is
+	// tagged with 0), and reqBuf[:reqLen] its args entry: in time order a
+	// span mostly follows one of the same request.
+	req    uint64
+	reqLen int
+	reqBuf [32]byte
 }
 
-// argRef names one args entry: the record's arg i, or the request tag
-// when i < 0.
-type argRef struct {
-	rank int32 // the key's rank
-	i    int
-}
-
-// next returns the writer's free buffer to append the next event to,
-// flushing first when little room is left. A write error sticks in the
-// writer and is returned by the following Write.
-func (e *chromeEncoder) next() []byte {
-	if e.w.Available() < 1024 {
-		e.w.Flush()
+// reqEntry returns the args entry tagging a span with request id.
+func (e *chromeEncoder) reqEntry(id uint64) []byte {
+	if id != e.req {
+		e.req = id
+		e.reqLen = len(appendDecimal(append(e.reqBuf[:0], `"req":`...), id, 0))
 	}
-	return e.w.AvailableBuffer()
+	return e.reqBuf[:e.reqLen]
+}
+
+// spill writes the buffer out once less than 1 KiB of it is left, so a
+// typical event is appended without growing it.
+func (e *chromeEncoder) spill() error {
+	if cap(e.buf)-len(e.buf) >= 1024 {
+		return nil
+	}
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
+	return err
 }
 
 // appendMetadata appends one "M" event naming a thread or process; name is
@@ -406,38 +436,43 @@ func (e *chromeEncoder) appendArgs(b []byte, s *record) ([]byte, error) {
 	if s.nargs == 0 && s.req == 0 {
 		return b, nil
 	}
-	e.args = e.args[:0]
+	// Each entry is its key's rank << 8 | 1 + its arg index, or 0 for the
+	// request tag, so that sorting orders the entries by key, ties in the
+	// order they are set.
+	var refs [1 + maxArgs]uint64
+	n := 0
 	if s.req != 0 {
-		e.args = append(e.args, argRef{rank: e.rank[symReq], i: -1})
+		refs[0], n = uint64(e.rank[symReq])<<8, 1
 	}
 	for i, k := range s.keys[:s.nargs] {
-		e.args = append(e.args, argRef{rank: e.rank[k], i: i})
+		refs[n] = uint64(e.rank[k])<<8 | uint64(i+1)
+		n++
 	}
-	// Insertion sort: a handful of keys, stable, and allocation-free.
-	for i := 1; i < len(e.args); i++ {
-		for j := i; j > 0 && e.args[j].rank < e.args[j-1].rank; j-- {
-			e.args[j], e.args[j-1] = e.args[j-1], e.args[j]
+	// Insertion sort: a handful of keys, and allocation-free.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && refs[j] < refs[j-1]; j-- {
+			refs[j], refs[j-1] = refs[j-1], refs[j]
 		}
 	}
 	b = append(b, `,"args":{`...)
 	first := true
-	for i, a := range e.args {
-		if i+1 < len(e.args) && e.args[i+1].rank == a.rank {
+	for j, ref := range refs[:n] {
+		if j+1 < n && refs[j+1]>>8 == ref>>8 {
 			continue // a later duplicate wins
 		}
 		if !first {
 			b = append(b, ',')
 		}
 		first = false
-		if a.i < 0 {
-			b = append(b, `"req":`...)
-			b = strconv.AppendUint(b, s.req, 10)
+		i := int(ref&0xff) - 1
+		if i < 0 {
+			b = append(b, e.reqEntry(s.req)...)
 			continue
 		}
-		b = append(b, e.syms[s.keys[a.i]].json...)
+		b = append(b, e.syms[s.keys[i]].json...)
 		b = append(b, ':')
 		var err error
-		if b, err = e.appendValue(b, s, a.i); err != nil {
+		if b, err = e.appendValue(b, s, i); err != nil {
 			return b, err
 		}
 	}
@@ -450,9 +485,9 @@ func (e *chromeEncoder) appendValue(b []byte, s *record, i int) ([]byte, error) 
 	v := s.vals[i]
 	switch s.kinds[i] {
 	case argInt:
-		return strconv.AppendInt(b, int64(v), 10), nil
+		return appendInt(b, int64(v)), nil
 	case argUint:
-		return strconv.AppendUint(b, v, 10), nil
+		return appendDecimal(b, v, 0), nil
 	case argBool:
 		return strconv.AppendBool(b, v != 0), nil
 	case argFloat:
@@ -498,7 +533,7 @@ func appendMicros(b []byte, ps int64) []byte {
 	if ps < 0 || ps >= 1<<52 {
 		return appendFloat(b, float64(ps)/psPerMicro)
 	}
-	return appendFrac(strconv.AppendInt(b, ps/1e6, 10), ps%1e6, 6)
+	return appendDecimal(b, uint64(ps), 6)
 }
 
 // appendNanos appends ps picoseconds as the nanosecond number
@@ -508,26 +543,85 @@ func appendNanos(b []byte, ps int64) []byte {
 	if ps < 0 || ps >= 1<<52 {
 		return appendFloat(b, psToNS(ps))
 	}
-	return appendFrac(strconv.AppendInt(b, ps/1e3, 10), ps%1e3, 3)
+	return appendDecimal(b, uint64(ps), 3)
 }
 
-// appendFrac appends the fraction frac/10^digits, 0 <= frac < 10^digits,
-// as a point and its digits with trailing zeros trimmed; nothing when it is
-// zero.
-func appendFrac(b []byte, frac int64, digits int) []byte {
-	if frac == 0 {
-		return b
+// appendInt appends v in decimal, as strconv.AppendInt does.
+func appendInt(b []byte, v int64) []byte {
+	if v < 0 {
+		return appendDecimal(append(b, '-'), uint64(-v), 0)
 	}
-	var tmp [6]byte
-	for i := digits - 1; i >= 0; i-- {
-		tmp[i] = byte('0' + frac%10)
-		frac /= 10
-	}
-	for tmp[digits-1] == '0' {
-		digits--
-	}
-	return append(append(b, '.'), tmp[:digits]...)
+	return appendDecimal(b, uint64(v), 0)
 }
+
+// appendDecimal appends v/10^scale, scale <= 6, as its exact decimal: the
+// integer part, then, unless the fraction is zero, a point and the
+// fraction's digits with trailing zeros trimmed. It writes the digits in
+// place, back to front, two at a time where it can.
+func appendDecimal(b []byte, v uint64, scale int) []byte {
+	for ; scale >= 2 && v%100 == 0; scale -= 2 {
+		v /= 100
+	}
+	if scale > 0 && v%10 == 0 {
+		v /= 10
+		scale--
+	}
+	// n is the length: v's digits, at least scale+1 of them, and the point.
+	n := decimalLen(v)
+	if scale > 0 {
+		n = max(n, scale+1) + 1
+	}
+	b = slices.Grow(b, n)
+	b = b[:len(b)+n]
+	out := b[len(b)-n:]
+	i := n
+	if scale > 0 {
+		for ; scale >= 2; scale -= 2 {
+			i -= 2
+			d := v % 100
+			v /= 100
+			out[i], out[i+1] = digitPairs[2*d], digitPairs[2*d+1]
+		}
+		if scale == 1 {
+			i--
+			out[i] = byte('0' + v%10)
+			v /= 10
+		}
+		i--
+		out[i] = '.'
+	}
+	for v >= 100 {
+		i -= 2
+		d := v % 100
+		v /= 100
+		out[i], out[i+1] = digitPairs[2*d], digitPairs[2*d+1]
+	}
+	if v >= 10 {
+		out[i-2], out[i-1] = digitPairs[2*v], digitPairs[2*v+1]
+	} else {
+		out[i-1] = byte('0' + v)
+	}
+	return b
+}
+
+// decimalLen returns the number of decimal digits of v, 1 for 0: from its
+// bit length, times log10(2) as 1233/4096, and one compare.
+func decimalLen(v uint64) int {
+	v |= 1
+	t := bits.Len64(v) * 1233 >> 12
+	if v < pow10[t] {
+		return t
+	}
+	return t + 1
+}
+
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// digitPairs holds the two decimal digits of each number below 100.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
 
 // appendFloat appends a finite f as encoding/json does: ES6 number form,
 // exponent notation outside [1e-6, 1e21) with an unpadded exponent.

@@ -259,6 +259,70 @@ func TestChromeExportMatchesReference(t *testing.T) {
 	checkAgainstReference(t, odd)
 }
 
+// TestExportOrderMatchesStableSort checks the export's order on its own:
+// on logs of at least three chunks recorded in random, nearly sorted and
+// reversed begin order, with and without eviction, exportOrder emits the
+// spans of Spans() stably sorted by emitted begin time, ties in log order,
+// each with its body (duration, request id and args). The reversed log is
+// the hold buffer's worst case: every span is held.
+func TestExportOrderMatchesStableSort(t *testing.T) {
+	const n = 5000 // about 50 bytes a span: four chunks
+	rng := xrand.New(11)
+	orders := []struct {
+		name string
+		at   func(i int) sim.Time
+	}{
+		{"random", func(int) sim.Time { return sim.Time(rng.Uint64n(1e5)) * 1000 }},
+		{"nearly sorted", func(i int) sim.Time { return sim.Time(i)*1000 + sim.Time(rng.Uint64n(8))*700 }},
+		{"reversed", func(i int) sim.Time { return sim.Time(2*n-i) * 1000 }},
+	}
+	for _, o := range orders {
+		for _, total := range []int{n, 2 * n} {
+			r := New(n)
+			for i := range total {
+				at := o.at(i)
+				args := []Arg{Int("n", int64(i)), Bool("odd", i%2 == 1), Uint("a", ^uint64(i)), Uint("b", ^uint64(i)>>1), Uint("c", ^uint64(i)>>2)}
+				if i%3 == 0 {
+					r.Instant(1, "t", "i", at, args...)
+				} else {
+					r.Span(1, "t", CatBus, "s", at, at+sim.Time(i), args...)
+				}
+			}
+			if len(r.log.chunks) < 3 || (r.Dropped() == 0) != (total == n) {
+				t.Fatalf("%s, %d spans: %d chunks and %d dropped, want at least 3 chunks and drops past %d",
+					o.name, total, len(r.log.chunks), r.Dropped(), n)
+			}
+			want := r.Spans()
+			sort.SliceStable(want, func(a, b int) bool { return tsKey(want[a].Begin) < tsKey(want[b].Begin) })
+			var got []Span
+			err := r.log.exportOrder(func(*record) (int32, int32) { return 1, 1 }, func(s *record, _, _ int32) error {
+				sp := Span{Phase: s.phase, Begin: s.begin, End: s.end}
+				for j := range s.nargs {
+					sp.Args = append(sp.Args, Arg{kind: s.kinds[j], num: s.vals[j]})
+				}
+				got = append(got, sp)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d spans: exported %d spans, want %d", o.name, total, len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				same := g.Phase == w.Phase && g.Begin == w.Begin && g.End == w.End && len(g.Args) == len(w.Args)
+				for j := 0; same && j < len(w.Args); j++ {
+					same = g.Args[j].Value() == w.Args[j].Value()
+				}
+				if !same {
+					t.Fatalf("%s, %d spans: exported span %d is %+v, want %+v", o.name, total, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 // chunkSpans is a span limit whose log of exportRecorder spans fills
 // several chunks, so the export tests wrap inside and across chunks.
 const chunkSpans = 4096

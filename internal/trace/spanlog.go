@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"math"
 
 	"obfusmem/internal/sim"
 )
@@ -21,11 +22,14 @@ import (
 //	args   per arg: uvarint key sym<<3 | kind, then the value: 8 bytes
 //	       little-endian for a float, else a uvarint (a Str value's strs sym)
 //
-// A span never straddles two chunks. No span depends on another, so
-// evicting the oldest is a skip over its length, and a chunk whose spans
-// have all been evicted is recycled for the newest spans. The fields the
-// export's first pass reads (track and event head) come first, so it
-// decodes no more.
+// A span is encoded straight into the newest chunk, which takes spans
+// while it has room for the longest, so a span never straddles two chunks.
+// No span depends on another, so evicting the oldest is a skip over its
+// length, and a chunk whose spans have all been evicted is recycled for the
+// newest spans. The fields the export's first pass reads (track and event
+// head) come first, so it decodes no more. Each chunk also keeps the least
+// begin time of the spans starting in each of its 1 KiB blocks, the bounds
+// the export's time order is drawn from.
 
 // chunkBytes is the span log's allocation unit: about 3000 spans of a
 // traced ObfusMem run, so a traced run of thousands of requests allocates
@@ -94,11 +98,7 @@ func appendArg(b []byte, key sym, kind argKind, v uint64) []byte {
 // and returns a reader at its begin time.
 func (s *record) decodeTrack(b []byte) reader {
 	d := reader{b: b, i: 1}
-	h := b[0]
-	s.nargs, s.phase, s.cat = h&7, PhaseSpan, Category(h>>4)
-	if h&8 != 0 {
-		s.phase = PhaseInstant
-	}
+	s.decodeHeadByte(b[0])
 	if s.cat == catEscape {
 		s.cat, d.i = Category(b[1]), 2
 	}
@@ -108,10 +108,25 @@ func (s *record) decodeTrack(b []byte) reader {
 	return d
 }
 
+// decodeHeadByte reads a span's head byte: its arg count, phase and
+// category, catEscape when the category's byte follows.
+func (s *record) decodeHeadByte(h byte) {
+	s.nargs, s.phase, s.cat = h&7, PhaseSpan, Category(h>>4)
+	if h&8 != 0 {
+		s.phase = PhaseInstant
+	}
+}
+
 // decode reads the span b holds into s.
 func (s *record) decode(b []byte) {
 	d := s.decodeTrack(b)
 	s.begin = sim.Time(d.uvarint())
+	s.decodeBody(d)
+}
+
+// decodeBody reads a span's body, its duration, request id and args, from
+// d, given its begin time, phase and arg count in s.
+func (s *record) decodeBody(d reader) {
 	s.end = s.begin
 	if s.phase != PhaseInstant {
 		s.end += sim.Time(d.uvarint())
@@ -121,19 +136,12 @@ func (s *record) decode(b []byte) {
 		v := d.uvarint()
 		s.kinds[j], s.keys[j] = argKind(v&7), sym(v>>3)
 		if s.kinds[j] == argFloat {
-			s.vals[j] = binary.LittleEndian.Uint64(b[d.i:])
+			s.vals[j] = binary.LittleEndian.Uint64(d.b[d.i:])
 			d.i += 8
 		} else {
 			s.vals[j] = d.uvarint()
 		}
 	}
-}
-
-// beginOf returns the begin time of the span b holds.
-func beginOf(b []byte) sim.Time {
-	var s record
-	d := s.decodeTrack(b)
-	return sim.Time(d.uvarint())
 }
 
 // reader reads uvarints from b at offset i.
@@ -170,11 +178,24 @@ func (d *reader) more(c uint64) uint64 {
 // chunk is one allocation unit of the span log.
 type chunk struct {
 	b []byte // encoded spans, each behind its length byte
-	// least is the least begin time and n the count of the spans pushed
-	// into b, evicted ones included, for the export's order: a lower bound
-	// on its retained spans' begin times and an upper bound on their count.
-	least sim.Time
-	n     int
+	// least[i] is the least begin time of the spans pushed into b that
+	// start in its block i, evicted ones included, or the greatest Time
+	// when none does: a lower bound on the begin times of the retained
+	// spans there, which the export orders by.
+	least [chunkBytes >> blockShift]sim.Time
+}
+
+// blockShift sets the grain of a chunk's begin-time bounds: 1 KiB blocks,
+// about 50 spans of a traced ObfusMem run.
+const blockShift = 10
+
+// newChunk returns a chunk of b, which holds no span.
+func newChunk(b []byte) chunk {
+	c := chunk{b: b}
+	for i := range c.least {
+		c.least[i] = math.MaxInt64
+	}
+	return c
 }
 
 // spanLog is the recorder's retained spans, oldest first.
@@ -184,25 +205,32 @@ type spanLog struct {
 	head   int      // offset of the oldest span in chunks[0].b
 }
 
-// push appends one encoded span that begins at begin.
-func (l *spanLog) push(b []byte, begin sim.Time) {
+// open returns the log's tail, with the length byte of one span that
+// begins at begin appended, for the span's encoding to be appended to and
+// passed to close. Its chunk has room for the longest span.
+func (l *spanLog) open(begin sim.Time) []byte {
 	last := len(l.chunks) - 1
-	if last < 0 || cap(l.chunks[last].b)-len(l.chunks[last].b) <= len(b) {
+	if last < 0 || cap(l.chunks[last].b)-len(l.chunks[last].b) < 1+maxSpanBytes {
 		var c []byte
 		if k := len(l.spare); k > 0 {
 			c, l.spare = l.spare[k-1], l.spare[:k-1]
 		} else {
 			c = make([]byte, 0, chunkBytes)
 		}
-		l.chunks = append(l.chunks, chunk{b: c})
+		l.chunks = append(l.chunks, newChunk(c))
 		last++
 	}
 	c := &l.chunks[last]
-	if c.n == 0 || begin < c.least {
-		c.least = begin
-	}
-	c.b = append(append(c.b, byte(len(b))), b...)
-	c.n++
+	least := &c.least[len(c.b)>>blockShift]
+	*least = min(*least, begin)
+	return append(c.b, 0)
+}
+
+// close stores the span that b, the tail open returned, now holds.
+func (l *spanLog) close(b []byte) {
+	c := &l.chunks[len(l.chunks)-1]
+	b[len(c.b)] = byte(len(b) - len(c.b) - 1)
+	c.b = b
 }
 
 // drop evicts the oldest span, recycling its chunk once the chunk holds no
@@ -215,7 +243,7 @@ func (l *spanLog) drop() {
 	}
 	l.head = 0
 	if len(l.chunks) == 1 {
-		*c = chunk{b: c.b[:0]}
+		*c = newChunk(c.b[:0])
 		return
 	}
 	l.spare = append(l.spare, c.b[:0])

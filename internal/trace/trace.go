@@ -36,7 +36,8 @@
 // Go pointers: names, TIDs, arg keys and string values are ids into
 // recorder-local intern tables that keep each string's JSON encoding, so the
 // garbage collector never scans the chunks and the export copies pre-encoded
-// bytes. The export and Spans decode the log front to back. The intern
+// bytes. A small cache keyed by a string's address sits in front of each
+// table's map, since components pass the same constants span after span. The export and Spans decode the log front to back. The intern
 // tables never evict, so their memory is bounded by the distinct strings a
 // run records, not by the span limit: a string value unique to one span (a
 // campaign cell's key) stays interned after the log drops its span. String
@@ -210,8 +211,8 @@ type Recorder struct {
 	curAddr  uint64
 	curBegin sim.Time
 	cur      []interval // component spans of the open request (scratch)
-	cuts     []sim.Time // breakdown scratch
-	best     []Category // breakdown scratch
+	ups      []edge     // breakdown scratch
+	downs    []edge     // breakdown scratch
 
 	attrib attribState
 }
@@ -237,16 +238,17 @@ func (r *Recorder) tables() (syms, strs *symtab) {
 // Enabled reports whether the recorder records anything.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// store appends one encoded span that begins at begin, evicting the
-// oldest when the log holds limit spans.
-func (r *Recorder) store(b []byte, begin sim.Time) {
+// open evicts the oldest span when the log holds limit spans and returns
+// the log's tail to append the encoding of one span that begins at begin
+// to, which close then stores.
+func (r *Recorder) open(begin sim.Time) []byte {
 	if r.n == r.limit {
 		r.log.drop()
 		r.dropped++
 	} else {
 		r.n++
 	}
-	r.log.push(b, begin)
+	return r.log.open(begin)
 }
 
 // push records one span of the current request scope, copying its args.
@@ -255,8 +257,7 @@ func (r *Recorder) push(pid int, tid string, cat Category, name string, ph Phase
 		panic("trace: a span carries at most 6 args")
 	}
 	t, strs := r.tables()
-	var buf [maxSpanBytes]byte
-	b := appendHead(buf[:0], r.curReq, begin, end, int32(pid), t.id(tid), t.id(name), cat, ph, len(args))
+	b := appendHead(r.open(begin), r.curReq, begin, end, int32(pid), t.id(tid), t.id(name), cat, ph, len(args))
 	for _, a := range args {
 		v := a.num
 		if a.kind == argStr {
@@ -264,7 +265,7 @@ func (r *Recorder) push(pid int, tid string, cat Category, name string, ph Phase
 		}
 		b = appendArg(b, t.id(a.Key), a.kind, v)
 	}
-	r.store(b, begin)
+	r.log.close(b)
 }
 
 // Span records one component interval. No-op on a nil recorder. Once the
@@ -324,13 +325,12 @@ func (r *Recorder) EndRequest(id uint64, end sim.Time) {
 	// The envelope is pushed after its components so oldest-first
 	// eviction drops components before their envelope.
 	syms, _ := r.tables()
-	var buf [maxSpanBytes]byte
-	b := appendHead(buf[:0], id, r.curBegin, end, PIDCPU, symRequests, syms.id(r.curKind), CatOther, PhaseSpan, maxArgs)
+	b := appendHead(r.open(r.curBegin), id, r.curBegin, end, PIDCPU, symRequests, syms.id(r.curKind), CatOther, PhaseSpan, maxArgs)
 	b = appendArg(b, symAddr, argHex, r.curAddr)
 	for _, p := range envelopeParts {
 		b = appendArg(b, p.key, argNS, uint64(bd.Parts[p.cat]))
 	}
-	r.store(b, r.curBegin)
+	r.log.close(b)
 	r.curReq = 0
 	r.cur = r.cur[:0]
 }
